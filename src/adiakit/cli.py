@@ -5,7 +5,7 @@ Subcommands::
     adiakit check    --config cfg.ini            hypothesis checks
     adiakit invariant --config cfg.ini           J, F1, F2 and the series value
     adiakit simulate --config cfg.ini            trajectory CSV with series columns
-    adiakit drift    --config cfg.ini            drift-order study + variant report
+    adiakit drift    --config cfg.ini            drift-order study + F2 check
 
 Exit codes: 0 success, 1 contract or check failure, 2 usage/config error.
 """
@@ -25,10 +25,10 @@ from . import kernel as sk
 from .config import RunConfig
 from .errors import (AdiakitError, ConfigError, DomainError, InvalidParameter,
                      NotFound, SlopeUndefined, UnsupportedOrder)
-from .experiments import compare_variants, emit, order_sweep
+from .experiments import check_f2, emit, full_field, order_sweep
 from .integrators import integrate
-from .invariants import check_hypotheses, f1 as eval_f1, f2 as eval_f2
-from .experiments import _full_field, _series_terms
+from .invariants import (InvariantSeries, check_hypotheses, f1 as eval_f1,
+                         f2 as eval_f2, series_values)
 
 USAGE_ERRORS = (ConfigError, DomainError, InvalidParameter, NotFound,
                 UnsupportedOrder, SlopeUndefined, ValueError)
@@ -61,8 +61,6 @@ def _build_parser():
                        help="parallel workers for experiment grids")
         p.add_argument("--strict", action="store_true",
                        help="enforce hypothesis checks inside the construction")
-        p.add_argument("--variant", choices=("ai3", "ty3", "auto"), default=None,
-                       help="second-order correction variant override")
         p.add_argument("--format", choices=("csv", "json", "both"), default=None,
                        help="report format override")
 
@@ -92,8 +90,6 @@ def _load_config(args) -> RunConfig:
     config = RunConfig.load(args.config)
     if args.out is not None:
         config = replace(config, out_dir=args.out)
-    if getattr(args, "variant", None):
-        config = replace(config, variant=args.variant)
     if getattr(args, "format", None):
         config = replace(config, out_format=args.format)
     if args.strict:
@@ -130,11 +126,10 @@ def cmd_invariant(config: RunConfig, args) -> int:
     fixture, action, initial = config.build()
     system = fixture.system
     quad = config.drift_config().quad
-    variant = config.variant if config.variant != "auto" else "ai3"
 
     j_val = float(sk.value(system.J(*initial.state())))
     f1_val = eval_f1(system, action, initial, quad, strict=config.strict) if order >= 1 else 0.0
-    f2_val = (eval_f2(system, action, initial, variant, quad, strict=config.strict)
+    f2_val = (eval_f2(system, action, initial, quad, strict=config.strict)
               if order >= 2 else 0.0)
     series = j_val + eps * f1_val + 0.5 * eps * eps * f2_val
 
@@ -145,7 +140,7 @@ def cmd_invariant(config: RunConfig, args) -> int:
     if order >= 1:
         print(f"F1      = {f1_val:.12g}")
     if order >= 2:
-        print(f"F2      = {f2_val:.12g}  (variant {variant})")
+        print(f"F2      = {f2_val:.12g}")
     print(f"series  = {series:.12g}")
     return 0
 
@@ -156,7 +151,7 @@ def cmd_simulate(config: RunConfig, args) -> int:
     system = fixture.system
     t_end = config.horizon_c / eps
     t_eval = np.linspace(0.0, t_end, config.samples)
-    traj = integrate(_full_field(system, eps), initial.coords, t_end,
+    traj = integrate(full_field(system, eps), initial.coords, t_end,
                      config.integrator_config(), t_eval=t_eval)
 
     r, k = system.r, system.k
@@ -164,34 +159,21 @@ def cmd_simulate(config: RunConfig, args) -> int:
               + [f"y{i+1}" for i in range(r)] + [f"x{i+1}" for i in range(r)]
               + [f"p{i+1}" for i in range(k)] + [f"q{i+1}" for i in range(k)]
               + ["H", "F0", "F1s", "F2s"])
-    variant = config.variant if config.variant != "auto" else "ai3"
-    quad = config.drift_config().quad
+    series = InvariantSeries(system, action, 2, config.drift_config().quad)
+    terms = series.terms_batch(traj.states)
+    columns = [series_values(terms, eps, order) for order in (0, 1, 2)]
+    fast = [traj.states[:, i] for i in range(2 * r)]
+    slow = [traj.states[:, 2 * r + i] for i in range(2 * k)]
+    h_vals = np.broadcast_to(np.asarray(sk.value(system.H(fast, slow)), dtype=float),
+                             traj.times.shape)
 
     path = os.path.join(_outdir(config), "trajectory.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.flush()
-        chunk = 64
-        for start in range(0, len(traj.times), chunk):
-            stop = min(start + chunk, len(traj.times))
-            states = traj.states[start:stop]
-            fast = [states[:, i] for i in range(2 * r)]
-            slow = [states[:, 2 * r + i] for i in range(2 * k)]
-            h_vals = np.broadcast_to(
-                np.asarray(sk.value(system.H(fast, slow)), dtype=float),
-                (stop - start,))
-            terms = _series_terms(system, action, states, 2, variant, quad)
-            j_vals, f1_vals, f2_vals = terms
-            f0 = j_vals
-            f1s = j_vals + eps * f1_vals
-            f2s = f1s + 0.5 * eps * eps * f2_vals
-            for row in range(stop - start):
-                cells = ([repr(float(traj.times[start + row]))]
-                         + [repr(float(v)) for v in states[row]]
-                         + [repr(float(h_vals[row])), repr(float(f0[row])),
-                            repr(float(f1s[row])), repr(float(f2s[row]))])
-                fh.write(",".join(cells) + "\n")
-            fh.flush()
+        for row, t in enumerate(traj.times):
+            cells = ([t] + list(traj.states[row]) + [h_vals[row]]
+                     + [col[row] for col in columns])
+            fh.write(",".join(repr(float(v)) for v in cells) + "\n")
     print(f"trajectory written to {path}")
     return 0
 
@@ -199,19 +181,9 @@ def cmd_simulate(config: RunConfig, args) -> int:
 def cmd_drift(config: RunConfig, args) -> int:
     started = time.perf_counter()
     drift_cfg = config.drift_config(workers=args.workers)
-    variants = compare_variants(drift_cfg, include_drift=False)
+    f2_check = check_f2(drift_cfg) if 2 in drift_cfg.orders else None
 
-    forced = config.variant if config.variant != "auto" else None
-    if forced is not None:
-        chosen = forced
-        variant_ok = variants.entries[forced]["passes"]
-    else:
-        chosen = variants.default_variant
-        variant_ok = chosen is not None
-        if chosen is None:
-            chosen = "ai3"  # still emit a table for inspection
-
-    report = order_sweep(replace(drift_cfg, variant=chosen))
+    report = order_sweep(drift_cfg)
     report.metadata["config"] = config.serialize()
 
     out_dir = _outdir(config)
@@ -220,10 +192,14 @@ def cmd_drift(config: RunConfig, args) -> int:
         written.append(emit(report, "csv", os.path.join(out_dir, "drift.csv")))
     if config.out_format in ("json", "both"):
         written.append(emit(report, "json", os.path.join(out_dir, "drift.json")))
-        written.append(emit(variants, "json", os.path.join(out_dir, "variants.json")))
 
-    print(f"fixture {report.fixture}  variant {report.variant} "
-          f"({variants.reason})")
+    print(f"fixture {report.fixture}")
+    if f2_check is not None:
+        closed = ("-" if f2_check["closed_diff"] is None
+                  else f"{f2_check['closed_diff']:.3e}")
+        print(f"F2 check  F2 {f2_check['f2']:.12g}  "
+              f"homological residual {f2_check['ty3_residual']:.3e}  "
+              f"closed-form diff {closed}  [{'ok' if f2_check['ok'] else 'FAIL'}]")
     print("order  slope      max|resid|  n  excluded")
     for order in report.orders:
         fit = report.slopes[order]
@@ -234,7 +210,7 @@ def cmd_drift(config: RunConfig, args) -> int:
         print(f"wrote {path}")
     print(f"wall time {time.perf_counter() - started:.1f} s")
 
-    ok = report.slope_contract_ok() and variant_ok
+    ok = report.slope_contract_ok() and (f2_check is None or f2_check["ok"])
     if not ok:
         print("drift contract not met", file=sys.stderr)
         return 1

@@ -7,20 +7,20 @@ Sections and keys::
                    charged_particle: b, lambda)
     [integrator]  method, rtol, atol, dt, max_steps
     [quadrature]  nodes, inner_nodes, flow_mode
-    [experiment]  initial, eps, horizon_c, samples, orders, variant, order,
-                  strict
+    [experiment]  initial, eps, horizon_c, samples, orders, order, strict
     [output]      dir, format
 
 ``initial`` is the flat coordinate vector in block order (y.., x.., p.., q..).
 Unknown sections or keys are rejected. Numbers are decimal literals; lists are
-comma-separated.
+comma-separated. The former ``variant`` key, which chose between two readings
+of F₂, is rejected with a message of its own: F₂ now has a single definition.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ConfigError
@@ -49,7 +49,6 @@ class RunConfig:
     horizon_c: float = 1.0
     samples: int = 512
     orders: tuple = (0, 1, 2)
-    variant: str = "auto"
     order: int = 2
     strict: bool = False
     method: str = "rk45"
@@ -113,15 +112,18 @@ class RunConfig:
             take("quadrature", "flow_mode", _parse_choice({"analytic", "numeric"}))
 
         if cp.has_section("experiment"):
+            if cp.has_option("experiment", "variant"):
+                raise ConfigError(
+                    "key 'variant' was removed: F2 now has a single definition, "
+                    "-(2/omega) S({H, F1}_1), so there is no variant to choose")
             _reject_unknown(cp, "experiment",
                             {"initial", "eps", "horizon_c", "samples", "orders",
-                             "variant", "order", "strict"})
+                             "order", "strict"})
             take("experiment", "initial", _parse_float_list, "initial")
             take("experiment", "eps", _parse_float_list, "eps_grid")
             take("experiment", "horizon_c", _parse_float)
             take("experiment", "samples", _parse_int)
             take("experiment", "orders", _parse_int_list, "orders")
-            take("experiment", "variant", _parse_choice({"auto", "ai3", "ty3"}))
             take("experiment", "order", _parse_int)
             take("experiment", "strict", _parse_bool)
 
@@ -164,7 +166,6 @@ class RunConfig:
         out.write(f"horizon_c = {self.horizon_c!r}\n")
         out.write(f"samples = {self.samples}\n")
         out.write(f"orders = {_fmt_list(self.orders)}\n")
-        out.write(f"variant = {self.variant}\n")
         out.write(f"order = {self.order}\n")
         out.write(f"strict = {'true' if self.strict else 'false'}\n")
         out.write("\n[output]\n")
@@ -190,7 +191,6 @@ class RunConfig:
             samples=self.samples,
             integrator=self.integrator_config(),
             orders=self.orders,
-            variant=self.variant,
             outer_nodes=self.nodes,
             inner_nodes=self.inner_nodes,
             flow_mode=self.flow_mode,

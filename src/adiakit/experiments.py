@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -27,25 +26,23 @@ from .circle import CircleAction
 from .errors import SlopeUndefined
 from .fixtures import get_fixture
 from .integrators import IntegratorConfig, integrate
-from .invariants import (DEFAULT_QUAD, QuadratureConfig, _f1_state, _f2_state,
-                         f2 as f2_point, ty3_residual)
-from .phase import DEFAULT_ENGINE, PhasePoint
+from .invariants import (InvariantSeries, QuadratureConfig, f2 as f2_point,
+                         series_values, ty3_residual)
+from .phase import PhasePoint
 
 __all__ = [
     "DriftConfig",
     "DriftCell",
     "SlopeFit",
     "DriftReport",
-    "VariantReport",
-    "measure_drift",
+    "full_field",
+    "check_f2",
     "order_sweep",
-    "compare_variants",
     "emit",
     "fit_slope",
 ]
 
 SLOPE_WINDOWS = {0: (0.7, 1.3), 1: (1.7, 2.3), 2: (1.7, np.inf)}
-F2_CHUNK = 64  # trajectory samples per nested-quadrature batch
 
 
 @dataclass(frozen=True)
@@ -60,7 +57,6 @@ class DriftConfig:
     samples: int = 512
     integrator: IntegratorConfig = IntegratorConfig(method="rk45", rtol=1e-11, atol=1e-13)
     orders: tuple = (0, 1, 2)
-    variant: str = "auto"
     outer_nodes: int = 64
     inner_nodes: int = 32
     flow_mode: str = "analytic"
@@ -75,8 +71,6 @@ class DriftConfig:
         object.__setattr__(self, "eps_grid", tuple(sorted(eps, reverse=True)))
         if self.samples < 2:
             raise ValueError("need at least two samples per trajectory")
-        if self.variant not in ("auto", "ai3", "ty3"):
-            raise ValueError(f"unknown F2 variant {self.variant!r}")
 
     @property
     def quad(self) -> QuadratureConfig:
@@ -120,7 +114,7 @@ class SlopeFit:
 # trajectory machinery
 # ---------------------------------------------------------------------------
 
-def _full_field(system, eps: float):
+def full_field(system, eps: float):
     """Vector field of the perturbed system as a plain (t, y) -> dy callable.
 
     One multidual evaluation of H per call delivers the whole gradient.
@@ -149,39 +143,13 @@ def _trajectory(system, initial: PhasePoint, eps: float, horizon_c: float,
                 samples: int, integrator: IntegratorConfig):
     t_end = horizon_c / eps
     t_eval = np.linspace(0.0, t_end, samples)
-    rhs = _full_field(system, eps)
+    rhs = full_field(system, eps)
     traj = integrate(rhs, initial.coords, t_end, integrator, t_eval=t_eval)
     return traj
 
 
-def _series_terms(system, action, coords: np.ndarray, max_order: int,
-                  variant: str, quad: QuadratureConfig):
-    """(J, F1, F2) along a coordinate batch; higher orders cost more."""
-    r, k = system.r, system.k
-    fast = [coords[:, i] for i in range(2 * r)]
-    slow = [coords[:, 2 * r + i] for i in range(2 * k)]
-    j_vals = np.broadcast_to(
-        np.asarray(sk.value(system.J(fast, slow)), dtype=float), coords.shape[:1]).copy()
-    f1_vals = np.zeros_like(j_vals)
-    f2_vals = np.zeros_like(j_vals)
-    if max_order >= 1:
-        f1_vals = _f1_state(system, action, fast, slow, quad.outer_nodes, DEFAULT_ENGINE)
-    if max_order >= 2:
-        for start in range(0, coords.shape[0], F2_CHUNK):
-            sl = slice(start, min(start + F2_CHUNK, coords.shape[0]))
-            f2_vals[sl] = _f2_state(system, action,
-                                    [c[sl] for c in fast], [c[sl] for c in slow],
-                                    variant, quad, DEFAULT_ENGINE, warn_noise=False)
-    return j_vals, f1_vals, f2_vals
-
-
 def _drift_from_terms(terms, eps: float, order: int) -> float:
-    j_vals, f1_vals, f2_vals = terms
-    series = j_vals.copy()
-    if order >= 1:
-        series += eps * f1_vals
-    if order >= 2:
-        series += 0.5 * eps * eps * f2_vals
+    series = series_values(terms, eps, order)
     return float(np.max(np.abs(series - series[0])))
 
 
@@ -193,46 +161,19 @@ def _h_drift(system, coords: np.ndarray) -> float:
     return float(np.max(np.abs(h_vals - h_vals[0])))
 
 
-def measure_drift(config: DriftConfig, eps: float, order: int,
-                  variant: Optional[str] = None) -> DriftCell:
-    """Max-norm drift of the order-k series along one trajectory at this ε."""
-    fixture, action, initial = config.build()
-    system = fixture.system
-    var = variant or (config.variant if config.variant != "auto" else "ai3")
-    traj = _trajectory(system, initial, eps, config.horizon_c,
-                       config.samples, config.integrator)
-    terms = _series_terms(system, action, traj.states, order, var, config.quad)
-    drift = _drift_from_terms(terms, eps, order)
-    h_drift = _h_drift(system, traj.states)
-    valid = not (drift > 0.0 and h_drift >= 0.1 * drift)
-    if not valid:
-        warnings.warn(
-            f"integrator energy drift {h_drift:.3e} exceeds 10% of invariant "
-            f"drift {drift:.3e} at eps={eps}; measurement invalid", stacklevel=2)
-    return DriftCell(eps=float(eps), order=int(order), drift=drift,
-                     h_drift=h_drift, valid=valid,
-                     horizon=config.horizon_c / eps, samples=config.samples)
-
-
 def _sweep_job(payload: dict) -> dict:
     """One ε of a sweep: integrate once, evaluate every requested order."""
     config: DriftConfig = payload["config"]
     eps: float = payload["eps"]
-    variants: tuple = payload["variants"]
     fixture, action, initial = config.build()
     system = fixture.system
     traj = _trajectory(system, initial, eps, config.horizon_c,
                        config.samples, config.integrator)
-    h_drift = _h_drift(system, traj.states)
-    out = {"eps": eps, "h_drift": h_drift, "orders": {}}
-    max_order = max(config.orders)
-    for variant in variants:
-        terms = _series_terms(system, action, traj.states, max_order,
-                              variant, config.quad)
-        out["orders"][variant] = {
-            order: _drift_from_terms(terms, eps, order) for order in config.orders
-        }
-    return out
+    series = InvariantSeries(system, action, max(config.orders), config.quad)
+    terms = series.terms_batch(traj.states)
+    return {"eps": eps, "h_drift": _h_drift(system, traj.states),
+            "orders": {order: _drift_from_terms(terms, eps, order)
+                       for order in config.orders}}
 
 
 def fit_slope(eps_values, drifts, order: int) -> SlopeFit:
@@ -276,7 +217,6 @@ class DriftReport:
     fixture: str
     params: dict
     initial: tuple
-    variant: str
     eps_grid: tuple
     orders: tuple
     cells: list
@@ -311,7 +251,6 @@ class DriftReport:
             "fixture": self.fixture,
             "params": dict(sorted(self.params.items())),
             "initial": list(self.initial),
-            "variant": self.variant,
             "eps_grid": list(self.eps_grid),
             "orders": list(self.orders),
             "cells": [asdict(c) for c in self.cells],
@@ -327,30 +266,19 @@ class DriftReport:
                    f"{cell.horizon!r},{cell.samples!r}")
 
 
-def _resolve_variant(config: DriftConfig):
-    if config.variant != "auto":
-        return config.variant, None
-    report = compare_variants(replace(config, variant="auto"), include_drift=False)
-    if report.default_variant is None:
-        raise SlopeUndefined("no F2 variant passes adjudication")  # pragma: no cover
-    return report.default_variant, report
-
-
 def order_sweep(config: DriftConfig) -> DriftReport:
     """Full ε×order drift grid with slope fits; deterministic given config."""
     started = time.perf_counter()
     if len(config.eps_grid) < 2:
         raise SlopeUndefined("slope fits need at least two eps grid values")
-    variant, _ = _resolve_variant(config)
-    payloads = [{"config": replace(config, variant=variant), "eps": eps,
-                 "variants": (variant,)} for eps in config.eps_grid]
+    payloads = [{"config": config, "eps": eps} for eps in config.eps_grid]
     results = _run_jobs(payloads, config.workers)
 
     cells = []
     for res in results:  # submission order == eps descending
         eps = res["eps"]
         for order in sorted(config.orders):
-            drift = res["orders"][variant][order]
+            drift = res["orders"][order]
             valid = not (drift > 0.0 and res["h_drift"] >= 0.1 * drift)
             cells.append(DriftCell(eps=eps, order=order, drift=drift,
                                    h_drift=res["h_drift"], valid=valid,
@@ -368,7 +296,6 @@ def order_sweep(config: DriftConfig) -> DriftReport:
         fixture=config.fixture,
         params=fixture.params,
         initial=tuple(initial.coords.tolist()),
-        variant=variant,
         eps_grid=config.eps_grid,
         orders=tuple(sorted(config.orders)),
         cells=cells,
@@ -393,79 +320,22 @@ def _run_jobs(payloads, workers: int):
         return list(pool.map(_sweep_job, payloads))
 
 
-@dataclass
-class VariantReport:
-    """Side-by-side adjudication of the second-order variants."""
+def check_f2(config: DriftConfig, tol: float = 1e-4) -> dict:
+    """Check F₂ at the initial point before it is trusted along trajectories.
 
-    fixture: str
-    point: tuple
-    entries: dict  # variant -> {f2, closed_f2, closed_diff, ty3_residual, passes, drift2}
-    default_variant: Optional[str]
-    reason: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "fixture": self.fixture,
-            "point": list(self.point),
-            "entries": {k: dict(v) for k, v in sorted(self.entries.items())},
-            "default_variant": self.default_variant,
-            "reason": self.reason,
-        }
-
-
-def compare_variants(config: DriftConfig, tol: float = 1e-4,
-                     include_drift: bool = True) -> VariantReport:
-    """Evaluate both F₂ variants and declare the default.
-
-    A variant passes when its second-order homological residual stays below
-    ``tol`` at the initial point and, when the fixture carries a closed-form
-    second correction, when it reproduces that value to ``tol``. Exactly one
-    passer becomes the default; ties fall back to ``"ai3"`` (the variants are
-    indistinguishable on decoupled systems); no passer leaves the default
-    unset.
+    F₂ passes when the defect of its homological equation (``ty3_residual``)
+    is at most ``tol`` and, when the fixture carries a closed-form second
+    correction, when it reproduces that value to ``tol``.
     """
     fixture, action, initial = config.build()
     system = fixture.system
-    quad = config.quad
-    entries = {}
-    for variant in ("ai3", "ty3"):
-        f2_val = f2_point(system, action, initial, variant, quad)
-        closed_val = None
-        closed_diff = None
-        if fixture.closed_f2 is not None:
-            closed_val = float(sk.value(fixture.closed_f2(*initial.state())))
-            closed_diff = abs(f2_val - closed_val)
-        residual = ty3_residual(system, action, initial, variant, quad)
-        passes = residual <= tol and (closed_diff is None or closed_diff <= tol)
-        entries[variant] = {
-            "f2": f2_val,
-            "closed_f2": closed_val,
-            "closed_diff": closed_diff,
-            "ty3_residual": residual,
-            "passes": bool(passes),
-            "drift2": {},
-        }
-
-    if include_drift:
-        payloads = [{"config": config, "eps": eps, "variants": ("ai3", "ty3")}
-                    for eps in config.eps_grid]
-        results = _run_jobs(payloads, config.workers)
-        max_order = max(config.orders)
-        for res in results:
-            for variant in ("ai3", "ty3"):
-                entries[variant]["drift2"][repr(res["eps"])] = \
-                    res["orders"][variant][max_order]
-
-    passers = [v for v in ("ai3", "ty3") if entries[v]["passes"]]
-    if len(passers) == 1:
-        default, reason = passers[0], "unique variant satisfying the adjudication"
-    elif len(passers) == 2:
-        default, reason = "ai3", "variants indistinguishable here; ai3 kept"
-    else:
-        default, reason = None, "NoVariantPasses"
-    return VariantReport(fixture=config.fixture,
-                         point=tuple(initial.coords.tolist()),
-                         entries=entries, default_variant=default, reason=reason)
+    value = f2_point(system, action, initial, config.quad)
+    residual = ty3_residual(system, action, initial, config.quad)
+    closed_diff = None
+    if fixture.closed_f2 is not None:
+        closed_diff = abs(value - float(sk.value(fixture.closed_f2(*initial.state()))))
+    return {"f2": value, "ty3_residual": residual, "closed_diff": closed_diff,
+            "ok": residual <= tol and (closed_diff is None or closed_diff <= tol)}
 
 
 def emit(report, fmt: str, path) -> str:
@@ -473,8 +343,6 @@ def emit(report, fmt: str, path) -> str:
     deterministic for a given configuration."""
     path = str(path)
     if fmt == "csv":
-        if not hasattr(report, "csv_rows"):
-            raise ValueError("this report has no CSV form")
         text = "\n".join(report.csv_rows()) + "\n"
     elif fmt == "json":
         text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2,

@@ -9,7 +9,7 @@ which keeps output grids independent of the adaptive step history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,8 +30,7 @@ class IntegratorConfig:
     """Settings for :func:`integrate`.
 
     ``method`` selects ``"rk45"`` (adaptive embedded 5(4) pair) or ``"rk4"``
-    (classical fixed step of size ``dt``). ``sample_stride`` thins the
-    recorded states when no explicit sample grid is requested.
+    (classical fixed step of size ``dt``).
     """
 
     method: str = "rk45"
@@ -39,7 +38,6 @@ class IntegratorConfig:
     rtol: float = 1e-9
     atol: float = 1e-12
     max_steps: int = 50_000_000
-    sample_stride: int = 1
 
     def __post_init__(self):
         if self.method not in ("rk45", "rk4"):
@@ -74,11 +72,6 @@ def step_rk4(field: Callable, t: float, y: np.ndarray, dt: float) -> np.ndarray:
     k3 = field(t + 0.5 * dt, y + 0.5 * dt * k2)
     k4 = field(t + dt, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _step_euler(field, t, y, dt):
-    # first-order baseline, used by convergence tests only
-    return y + dt * field(t, y)
 
 
 # Dormand–Prince 5(4) tableau (DOPRI5); fifth-order propagation with an
@@ -133,7 +126,7 @@ def integrate(field: Callable, y0: Sequence[float], t_end: float,
 
     When ``t_eval`` is given, states are reported exactly at those times
     (steps are clipped so each requested time is a step boundary). Otherwise
-    every ``sample_stride``-th accepted step plus both endpoints are recorded.
+    the initial state and every accepted step are recorded.
 
     Raises :class:`MaxStepsExceeded` or :class:`StepSizeUnderflow` carrying
     the last successfully reached time.
@@ -155,13 +148,6 @@ def integrate(field: Callable, y0: Sequence[float], t_end: float,
     return _integrate_dp(field, y0, t_end, config, t_eval)
 
 
-def _record_targets(t_end, t_eval):
-    if t_eval is None:
-        return None
-    targets = [t for t in t_eval if t != 0.0]
-    return targets
-
-
 def _integrate_fixed(field, y0, t_end, config, t_eval, stepper):
     direction = 1.0 if t_end > 0 else -1.0
     dt = config.dt * direction
@@ -176,14 +162,10 @@ def _integrate_fixed(field, y0, t_end, config, t_eval, stepper):
     times = [0.0]
     states = [y0]
     t, y = 0.0, y0
-    for i, tb in enumerate(boundaries):
+    for tb in boundaries:
         y = stepper(field, t, y, tb - t)
         t = tb
-        if want is None:
-            if (i + 1) % config.sample_stride == 0 or tb == t_end:
-                times.append(t)
-                states.append(y)
-        elif t in want:
+        if want is None or t in want:
             times.append(t)
             states.append(y)
     if want is not None and 0.0 not in want:
@@ -203,7 +185,6 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
     times, states = [0.0], [y0]
 
     attempts = 0
-    accepted = 0
     while direction * (t_end - t) > 0.0:
         if attempts >= config.max_steps:
             raise MaxStepsExceeded(
@@ -228,15 +209,10 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
             t = targets[next_target] if hit_target else t + direction * h_try
             y = y_new
             k_last = k7  # FSAL
-            accepted += 1
-            done = not direction * (t_end - t) > 0.0
-            if record_all:
-                if accepted % config.sample_stride == 0 or done:
-                    times.append(t)
-                    states.append(y)
-            elif hit_target:
+            if record_all or hit_target:
                 times.append(t)
                 states.append(y)
+            if hit_target:
                 next_target += 1
             factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
         else:
@@ -245,9 +221,6 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
         h = h_try * factor
 
     if record_all:
-        if times[-1] != t:
-            times.append(t)
-            states.append(y)
         return Trajectory(np.asarray(times), np.asarray(states))
 
     have = dict(zip(times, (np.asarray(s) for s in states)))

@@ -10,23 +10,24 @@ The corrections are assembled from circle-action quadratures only:
   verified independently on the quadratic family, where tangent maps are
   analytic (see the sl2 module tests).
 
-* F₂ comes in two variants that the literature states inconsistently; both
-  are implemented and adjudicated empirically against the pendulum's
-  closed-form second-order term (see ``experiments.compare_variants``):
+* F₂ = −(2/ω)·𝒮({H, F₁}₁). With the series normalized as J + εF₁ + ε²/2·F₂,
+  the second order of the invariance condition is the homological equation
+  L_Υ F₂ = −(2/ω){H, F₁}₁, and 𝒮 solves it with zero fast average. This is
+  the one definition. On the quadratic family it matches the exact F₂
+  (``sl2.f2_closed``) to 3e-11 at eight random points, also when ω varies
+  with the slow variables, where the two readings found in the literature
+  fail: (2/ω)·𝒮({H, (1/ω)𝒮({H,J}₁) + ⟨K₁⟩}₁) misses by up to 3.5e-3, and
+  (1/ω)·𝒮({H, F₁}₁), which misreads the ε²/2 normalization, is −½ × F₂.
 
-  - ``"ai3"``: (2/ω)·𝒮({H, (1/ω)𝒮({H,J}₁) + ⟨K₁⟩}₁)
-  - ``"ty3"``: (1/ω)·𝒮({H, F₁}₁)
-
-Slow gradients of quadrature-defined scalars (F₁ and the ai3 inner term) use
-central finite differences with step ``fd_step * max(1, |coordinate|)``;
-everything analytically known is differentiated exactly via dual lifting.
+Slow gradients of F₁, a quadrature-defined scalar, use central finite
+differences with step ``fd_step * max(1, |coordinate|)``; everything
+analytically known is differentiated exactly via dual lifting.
 """
 
 from __future__ import annotations
 
-import threading
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,7 +36,8 @@ from . import kernel as sk
 from .circle import CircleAction, OrbitSamples, fourier_mean, s_at_nodes, s_from_samples
 from .errors import HypothesisViolation, NumericalError, PrecisionWarning, UnsupportedOrder
 from .phase import (DEFAULT_ENGINE, DiffEngine, PhasePoint, SlowFastSystem,
-                    field_fast, field_full, grad_fast, grad_full)
+                    bracket_of_partials, field_fast, field_full, grad_fast,
+                    grad_full, state_bracket1)
 
 __all__ = [
     "QuadratureConfig",
@@ -51,13 +53,13 @@ __all__ = [
     "f1",
     "f2",
     "assemble",
+    "series_values",
     "lie_derivative",
     "ty2_residual",
     "ty3_residual",
-    "F2_VARIANTS",
 ]
 
-F2_VARIANTS = ("ai3", "ty3")
+F2_CHUNK = 64  # points per batched F₂ evaluation; bounds the nested quadrature's memory
 
 
 @dataclass(frozen=True)
@@ -251,13 +253,8 @@ def _profile_of(values, orbit: OrbitSamples) -> np.ndarray:
 
 def _bracket1_profile(system, orbit: OrbitSamples, engine: DiffEngine) -> np.ndarray:
     """{H, J}₁ sampled along the orbit."""
-    dh = engine.partials(system.H, orbit.fast, orbit.slow, "slow")
-    dj = engine.partials(system.J, orbit.fast, orbit.slow, "slow")
-    k = system.k
-    total = 0.0
-    for i in range(k):
-        total = total + dh[i] * dj[k + i] - dh[k + i] * dj[i]
-    return _profile_of(total, orbit)
+    return _profile_of(state_bracket1(system.H, system.J, orbit.fast, orbit.slow, engine),
+                       orbit)
 
 
 def _theta_nodes(system, orbit: OrbitSamples, engine: DiffEngine):
@@ -274,11 +271,7 @@ def _k1_nodes(system, orbit: OrbitSamples, engine: DiffEngine) -> np.ndarray:
     """K₁ = ½(Θ_p·∂H/∂q − Θ_q·∂H/∂p) at every orbit node."""
     theta_c = _theta_nodes(system, orbit, engine)
     dh = engine.partials(system.H, orbit.fast, orbit.slow, "slow")
-    k = system.k
-    total = 0.0
-    for i in range(k):
-        total = total + theta_c[i] * dh[k + i] - theta_c[k + i] * dh[i]
-    return 0.5 * _profile_of(total, orbit)
+    return 0.5 * _profile_of(bracket_of_partials(theta_c, dh), orbit)
 
 
 def _omega_at(system, fast, slow) -> np.ndarray:
@@ -294,14 +287,6 @@ def _f1_state(system, action, fast, slow, nodes, engine) -> np.ndarray:
     shj = s_from_samples(_bracket1_profile(system, orbit, engine))
     k1_avg = fourier_mean(_k1_nodes(system, orbit, engine))
     return -(shj + k1_avg) / _omega_at(system, fast, slow)
-
-
-def _ai3_inner_state(system, action, fast, slow, nodes, engine) -> np.ndarray:
-    """(1/ω)𝒮({H,J}₁) + ⟨K₁⟩ — the bracket argument of the ai3 variant."""
-    orbit = action.orbit(fast, slow, nodes)
-    shj = s_from_samples(_bracket1_profile(system, orbit, engine))
-    k1_avg = fourier_mean(_k1_nodes(system, orbit, engine))
-    return shj / _omega_at(system, fast, slow) + k1_avg
 
 
 def _slow_fd_partials(state_fn, fast, slow, base_step):
@@ -345,26 +330,14 @@ def theta(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
     return action.s_slow_oneform(d1j_coeffs(system, engine), m, nodes)
 
 
-def theta_state(system: SlowFastSystem, action: CircleAction, fast, slow,
-                nodes: int, engine: DiffEngine = DEFAULT_ENGINE):
-    """Θ components on a raw (possibly batched) kernel state."""
-    orbit = action.orbit(fast, slow, nodes)
-    comps = engine.partials(system.J, orbit.fast, orbit.slow, "slow")
-    return [s_from_samples(_profile_of(c, orbit)) for c in comps]
-
-
 def k1(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
        nodes: Optional[int] = None, engine: DiffEngine = DEFAULT_ENGINE) -> float:
     """K₁(m) = ½·(Θ_p·∂H/∂q − Θ_q·∂H/∂p), the slow contraction of Θ with dH."""
     system.require_in_domain(m)
     fast, slow = m.state()
     th = theta(system, action, m, nodes, engine)
-    dh = engine.partials(system.H, fast, slow, "slow")
-    k = system.k
-    total = 0.0
-    for i in range(k):
-        total += th[i] * float(sk.value(dh[k + i])) - th[k + i] * float(sk.value(dh[i]))
-    return 0.5 * total
+    dh = [float(sk.value(d)) for d in engine.partials(system.H, fast, slow, "slow")]
+    return float(0.5 * bracket_of_partials(th, dh))
 
 
 def f1(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
@@ -377,35 +350,30 @@ def f1(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
     return float(_f1_state(system, action, fast, slow, quad.outer_nodes, engine))
 
 
-def _f2_state(system, action, fast, slow, variant, quad, engine,
-              warn_noise=True) -> np.ndarray:
-    """F₂ on a raw kernel state: 𝒮 of the slow bracket {H, inner}₁ over ω.
+def _h_f1_bracket(system, action, fast, slow, quad, engine):
+    """{H, F₁}₁ on a raw kernel state, with F₁'s slow partials by central differences.
+
+    Returns (bracket, scale), ``scale`` being the largest |F₁| differenced.
+    """
+    f1_of = lambda bf, bs: _f1_state(system, action, bf, bs, quad.inner_nodes, engine)
+    df1, scale = _slow_fd_partials(f1_of, fast, slow, quad.fd_step)
+    dh = [sk.value(d) for d in engine.partials(system.H, fast, slow, "slow")]
+    return bracket_of_partials(dh, df1), scale
+
+
+def _f2_state(system, action, fast, slow, quad, engine, warn_noise=True) -> np.ndarray:
+    """F₂ = −(2/ω)·𝒮({H, F₁}₁) on a raw kernel state.
 
     With ``warn_noise`` set, a ``PrecisionWarning`` is raised when the
     estimated noise of the slow finite differences, eps·scale/fd_step with
-    ``scale`` the largest |inner| sampled, exceeds 1 % of the largest
+    ``scale`` the largest |F₁| sampled, exceeds 1 % of the largest
     |bracket| on the orbit. That includes a bracket that came out exactly
     zero from nonzero differenced values, since such a zero cannot be told
     apart from roundoff. When every differenced value is zero (``scale`` is
     0, e.g. a decoupled system with F₁ ≡ 0) the noise is 0 and nothing warns.
     """
-    if variant not in F2_VARIANTS:
-        raise ValueError(f"unknown F2 variant {variant!r}; choose from {F2_VARIANTS}")
     orbit = action.orbit(fast, slow, quad.outer_nodes)
-
-    if variant == "ty3":
-        inner = lambda bf, bs: _f1_state(system, action, bf, bs, quad.inner_nodes, engine)
-        prefactor = 1.0
-    else:
-        inner = lambda bf, bs: _ai3_inner_state(system, action, bf, bs, quad.inner_nodes, engine)
-        prefactor = 2.0
-
-    partials, scale = _slow_fd_partials(inner, orbit.fast, orbit.slow, quad.fd_step)
-    dh = engine.partials(system.H, orbit.fast, orbit.slow, "slow")
-    k = system.k
-    bracket = 0.0
-    for i in range(k):
-        bracket = bracket + sk.value(dh[i]) * partials[k + i] - sk.value(dh[k + i]) * partials[i]
+    bracket, scale = _h_f1_bracket(system, action, orbit.fast, orbit.slow, quad, engine)
     bracket = _profile_of(bracket, orbit)
 
     if warn_noise:
@@ -417,13 +385,13 @@ def _f2_state(system, action, fast, slow, variant, quad, engine,
                 f"against bracket scale {signal:.2e}",
                 PrecisionWarning, stacklevel=2)
 
-    return prefactor * s_from_samples(bracket) / _omega_at(system, fast, slow)
+    return -2.0 * s_from_samples(bracket) / _omega_at(system, fast, slow)
 
 
 def f2(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-       variant: str = "ai3", quad: QuadratureConfig = DEFAULT_QUAD,
-       engine: DiffEngine = DEFAULT_ENGINE, strict: bool = False) -> float:
-    """Second-order correction at ``m`` for the selected variant.
+       quad: QuadratureConfig = DEFAULT_QUAD, engine: DiffEngine = DEFAULT_ENGINE,
+       strict: bool = False) -> float:
+    """Second-order correction F₂(m) = −(2/ω)·𝒮({H, F₁}₁).
 
     Warns with ``PrecisionWarning`` when the finite-difference noise estimate
     exceeds 1 % of the bracket being averaged, a bracket of exactly zero
@@ -432,88 +400,83 @@ def f2(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
     system.require_in_domain(m)
     _check_strict(action, m, strict)
     fast, slow = m.state()
-    return float(_f2_state(system, action, fast, slow, variant, quad, engine))
+    return float(_f2_state(system, action, fast, slow, quad, engine))
 
 
 # ---------------------------------------------------------------------------
 # series assembly and order diagnostics
 # ---------------------------------------------------------------------------
 
+def series_values(terms, eps: float, order: int) -> np.ndarray:
+    """J + ε·F₁ + ε²/2·F₂ truncated at ``order``, from (J, F₁, F₂) arrays."""
+    j_vals, f1_vals, f2_vals = terms
+    total = np.array(j_vals, dtype=float)
+    if order >= 1:
+        total = total + eps * f1_vals
+    if order >= 2:
+        total = total + 0.5 * eps * eps * f2_vals
+    return total
+
+
 class InvariantSeries:
-    """Truncated invariant F(m; ε) = J + ε·F₁ + ε²/2·F₂ up to ``order``.
+    """Truncated invariant F(m; ε) = J + ε·F₁ + ε²/2·F₂ up to ``order``."""
 
-    Per-point corrections are memoized (keyed by coordinates) so repeated
-    evaluation at the same point, e.g. while sweeping ε, is cheap. The cache
-    is guarded for concurrent readers.
-    """
-
-    def __init__(self, system, action, order, variant="ai3",
-                 quad: QuadratureConfig = DEFAULT_QUAD,
+    def __init__(self, system, action, order, quad: QuadratureConfig = DEFAULT_QUAD,
                  engine: DiffEngine = DEFAULT_ENGINE, strict: bool = False):
         if order not in (0, 1, 2):
             raise UnsupportedOrder(f"order must be 0, 1 or 2, got {order}")
         self.system = system
         self.action = action
         self.order = int(order)
-        self.f2_variant = variant
         self.quad = quad
         self.engine = engine
         self.strict = strict
-        self._cache = {}
-        self._lock = threading.Lock()
 
-    def _corrections(self, m: PhasePoint):
-        key = (m.fast.tobytes(), m.slow.tobytes())
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        j_val = float(sk.value(self.system.J(*m.state())))
-        f1_val = f1(self.system, self.action, m, self.quad, self.engine,
-                    self.strict) if self.order >= 1 else 0.0
-        f2_val = f2(self.system, self.action, m, self.f2_variant, self.quad,
-                    self.engine, self.strict) if self.order >= 2 else 0.0
-        entry = (j_val, f1_val, f2_val)
-        with self._lock:
-            if len(self._cache) < 4096:
-                self._cache[key] = entry
-        return entry
+    def terms_batch(self, coords: np.ndarray):
+        """(J, F₁, F₂) over an (n_points, dim) coordinate array.
 
-    def terms(self, m: PhasePoint):
-        """(J, F₁, F₂) at ``m``; higher terms are zero beyond the order."""
-        return self._corrections(m)
-
-    def evaluate(self, m: PhasePoint, eps: float) -> float:
-        j_val, f1_val, f2_val = self._corrections(m)
-        total = j_val
-        if self.order >= 1:
-            total += eps * f1_val
-        if self.order >= 2:
-            total += 0.5 * eps * eps * f2_val
-        return float(total)
-
-    def evaluate_batch(self, coords: np.ndarray, eps: float) -> np.ndarray:
-        """Series values over an (n_points, dim) coordinate array."""
+        Terms beyond the order are zero. F₂ is evaluated ``F2_CHUNK`` points
+        at a time, which bounds the memory of its nested quadrature, and does
+        not warn about finite-difference noise.
+        """
         coords = np.asarray(coords, dtype=float)
         r, k = self.system.r, self.system.k
         fast = [coords[:, i] for i in range(2 * r)]
         slow = [coords[:, 2 * r + i] for i in range(2 * k)]
-        total = np.asarray(sk.value(self.system.J(fast, slow)), dtype=float).copy()
+        j_vals = np.broadcast_to(np.asarray(sk.value(self.system.J(fast, slow)), dtype=float),
+                                 coords.shape[:1]).copy()
+        f1_vals = np.zeros_like(j_vals)
+        f2_vals = np.zeros_like(j_vals)
         if self.order >= 1:
-            total = total + eps * _f1_state(self.system, self.action, fast, slow,
-                                            self.quad.outer_nodes, self.engine)
+            f1_vals = _f1_state(self.system, self.action, fast, slow,
+                                self.quad.outer_nodes, self.engine)
         if self.order >= 2:
-            total = total + 0.5 * eps * eps * _f2_state(
-                self.system, self.action, fast, slow, self.f2_variant,
-                self.quad, self.engine, warn_noise=False)
-        return total
+            for start in range(0, coords.shape[0], F2_CHUNK):
+                sl = slice(start, start + F2_CHUNK)
+                f2_vals[sl] = _f2_state(self.system, self.action,
+                                        [c[sl] for c in fast], [c[sl] for c in slow],
+                                        self.quad, self.engine, warn_noise=False)
+        return j_vals, f1_vals, f2_vals
+
+    def evaluate_batch(self, coords: np.ndarray, eps: float) -> np.ndarray:
+        """Series values over an (n_points, dim) coordinate array."""
+        return series_values(self.terms_batch(coords), eps, self.order)
+
+    def terms(self, m: PhasePoint):
+        """(J, F₁, F₂) at ``m``; higher terms are zero beyond the order."""
+        self.system.require_in_domain(m)
+        _check_strict(self.action, m, self.strict)
+        return tuple(float(t[0]) for t in self.terms_batch(m.coords[None, :]))
+
+    def evaluate(self, m: PhasePoint, eps: float) -> float:
+        return float(series_values(self.terms(m), eps, self.order))
 
 
 def assemble(system: SlowFastSystem, action: CircleAction, order: int,
-             variant: str = "ai3", quad: QuadratureConfig = DEFAULT_QUAD,
+             quad: QuadratureConfig = DEFAULT_QUAD,
              engine: DiffEngine = DEFAULT_ENGINE, strict: bool = False) -> InvariantSeries:
     """Build the truncated invariant series of the requested order."""
-    return InvariantSeries(system, action, order, variant, quad, engine, strict)
+    return InvariantSeries(system, action, order, quad, engine, strict)
 
 
 def lie_derivative(system: SlowFastSystem, F: Callable, m: PhasePoint, eps: float,
@@ -545,34 +508,24 @@ def ty2_residual(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
     fast, slow = m.state()
     deriv = _d_dt_along_flow(
         action, lambda p: f1(system, action, p, quad, engine), m, step)
-    from .phase import state_bracket1
-
-    hj = float(sk.value(state_bracket1(system, system.H, system.J, fast, slow, engine)))
+    hj = float(sk.value(state_bracket1(system.H, system.J, fast, slow, engine)))
     omega = float(sk.value(system.omega(fast, slow)))
     return abs(deriv + hj / omega)
 
 
 def ty3_residual(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-                 variant: str = "ai3", quad: QuadratureConfig = DEFAULT_QUAD,
+                 quad: QuadratureConfig = DEFAULT_QUAD,
                  engine: DiffEngine = DEFAULT_ENGINE, step: float = 1e-4) -> float:
     """Defect of the second-order homological equation, |L_Υ F₂ + (2/ω){H,F₁}₁|.
 
     With the series normalized as J + εF₁ + ε²/2·F₂, order-by-order expansion
-    of the invariance condition forces L_Υ F₂ = −(2/ω){H,F₁}₁; this is the
-    equation whose residual adjudicates the F₂ variants.
+    of the invariance condition forces L_Υ F₂ = −(2/ω){H,F₁}₁. ``F₂`` is
+    differentiated along the flow; {H,F₁}₁ is formed here exactly as inside it.
     """
     system.require_in_domain(m)
     fast, slow = m.state()
     deriv = _d_dt_along_flow(
-        action, lambda p: f2(system, action, p, variant, quad, engine), m, step)
-
-    inner = lambda bf, bs: _f1_state(system, action, bf, bs, quad.inner_nodes, engine)
-    partials, _ = _slow_fd_partials(inner, fast, slow, quad.fd_step)
-    dh = engine.partials(system.H, fast, slow, "slow")
-    k = system.k
-    hf1 = 0.0
-    for i in range(k):
-        hf1 += float(sk.value(dh[i])) * float(partials[k + i]) \
-            - float(sk.value(dh[k + i])) * float(partials[i])
+        action, lambda p: f2(system, action, p, quad, engine), m, step)
+    hf1, _ = _h_f1_bracket(system, action, fast, slow, quad, engine)
     omega = float(sk.value(system.omega(fast, slow)))
-    return abs(deriv + 2.0 * hf1 / omega)
+    return abs(deriv + 2.0 * float(hf1) / omega)

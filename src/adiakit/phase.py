@@ -18,7 +18,7 @@ evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -36,6 +36,7 @@ __all__ = [
     "grad_full",
     "bracket0",
     "bracket1",
+    "bracket_of_partials",
     "field_fast",
     "field_slow",
     "field_full",
@@ -252,10 +253,18 @@ def grad_full(system: SlowFastSystem, f: Callable, m: PhasePoint,
     return _check_finite(_stack(parts), "grad_full")
 
 
-def _bracket(df: np.ndarray, dg: np.ndarray, n: int):
-    # Canonical pairing over a block split as (momenta, positions).
-    lead = df[..., :n] * dg[..., n:] - df[..., n:] * dg[..., :n]
-    return lead.sum(axis=-1)
+def bracket_of_partials(df, dg):
+    """Σ_i (df_i·dg_{n+i} − df_{n+i}·dg_i) for partials listed as (momenta.., positions..).
+
+    This is the one canonical pairing behind every bracket: with slow partials
+    it is {f, g}₁, with fast partials {f, g}₀. Entries may be floats, batched
+    arrays or duals.
+    """
+    n = len(df) // 2
+    total = 0.0
+    for i in range(n):
+        total = total + df[i] * dg[n + i] - df[n + i] * dg[i]
+    return total
 
 
 def bracket0(system: SlowFastSystem, f: Callable, g: Callable, m: PhasePoint,
@@ -263,7 +272,7 @@ def bracket0(system: SlowFastSystem, f: Callable, g: Callable, m: PhasePoint,
     """Fast Poisson bracket Σ_i (∂f/∂y_i ∂g/∂x_i − ∂f/∂x_i ∂g/∂y_i)."""
     df = grad_fast(system, f, m, engine)
     dg = grad_fast(system, g, m, engine)
-    return float(_check_finite(_bracket(df, dg, system.r), "bracket0"))
+    return float(_check_finite(bracket_of_partials(df, dg), "bracket0"))
 
 
 def bracket1(system: SlowFastSystem, f: Callable, g: Callable, m: PhasePoint,
@@ -271,7 +280,7 @@ def bracket1(system: SlowFastSystem, f: Callable, g: Callable, m: PhasePoint,
     """Slow Poisson bracket Σ_i (∂f/∂p_i ∂g/∂q_i − ∂f/∂q_i ∂g/∂p_i)."""
     df = grad_slow(system, f, m, engine)
     dg = grad_slow(system, g, m, engine)
-    return float(_check_finite(_bracket(df, dg, system.k), "bracket1"))
+    return float(_check_finite(bracket_of_partials(df, dg), "bracket1"))
 
 
 def field_fast(system: SlowFastSystem, m: PhasePoint,
@@ -304,17 +313,7 @@ def field_full(system: SlowFastSystem, m: PhasePoint, eps: float,
 # coordinate lists whose entries may be arrays (batched points) or duals.
 # ---------------------------------------------------------------------------
 
-def state_partials(f, fast, slow, block, engine: DiffEngine = DEFAULT_ENGINE):
-    """Block partials of ``f`` on a raw kernel state (no domain checks)."""
-    return engine.partials(f, fast, slow, block)
-
-
-def state_bracket1(system, f, g, fast, slow, engine: DiffEngine = DEFAULT_ENGINE):
+def state_bracket1(f, g, fast, slow, engine: DiffEngine = DEFAULT_ENGINE):
     """Slow bracket of two oracles on a raw kernel state (batch friendly)."""
-    df = engine.partials(f, fast, slow, "slow")
-    dg = engine.partials(g, fast, slow, "slow")
-    k = system.k
-    total = 0.0
-    for i in range(k):
-        total = total + df[i] * dg[k + i] - df[k + i] * dg[i]
-    return total
+    return bracket_of_partials(engine.partials(f, fast, slow, "slow"),
+                               engine.partials(g, fast, slow, "slow"))

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernel as sk
-from .circle import CircleAction, s_from_samples
+from .circle import s_from_samples
 from .errors import DegenerateFamily
 from .phase import DEFAULT_ENGINE, Box, DiffEngine, PhasePoint, SlowFastSystem
 
@@ -34,7 +34,6 @@ __all__ = [
     "f1_closed",
     "f2_closed",
     "f2_closed_printed",
-    "hamiltonian_contraction_two_ways",
 ]
 
 DET_TOL = 1e-8
@@ -313,53 +312,3 @@ def f2_closed_printed(qs: QuadraticSystem, m: PhasePoint,
         bracket_t = bracket_t + dh_t[i] * df1_t[k + i] - dh_t[k + i] * df1_t[i]
     profile = np.broadcast_to(np.asarray(sk.value(bracket_t), dtype=float), times.shape)
     return float(-2.0 * s_from_samples(profile) / om)
-
-
-def hamiltonian_contraction_two_ways(qs: QuadraticSystem, action: CircleAction,
-                                     m: PhasePoint, nodes: int = 32,
-                                     engine: DiffEngine = DEFAULT_ENGINE):
-    """i_dH⟨i_Θ Ψ₁⟩ via explicit tangent maps versus the scalar average.
-
-    The vector-field average needs the pullback of slow tangent vectors under
-    the flow; for the quadratic family the tangent maps are the analytic
-    matrices cos t·I + sin t·A, so both routes are computable and must agree
-    (H is invariant along the flow). Returns (tangent_route, scalar_route).
-    """
-    from .invariants import _k1_nodes, _theta_nodes
-    from .phase import grad_fast, grad_slow
-
-    system = qs.system()
-    fast, slow = m.state()
-    orbit = action.orbit(fast, slow, nodes)
-    times = orbit.times
-    k = qs.k
-
-    theta_c = _theta_nodes(system, orbit, engine)  # 2k components at the nodes
-    # slow components of i_Θ Ψ₁ = Θ_p ∂q − Θ_q ∂p, sampled along the orbit
-    v_slow = [-theta_c[k + i] for i in range(k)] + [theta_c[i] for i in range(k)]
-
-    A = tuple(float(sk.value(e)) for e in qs.field.matrix(slow))
-    dA = [tuple(float(sk.value(e)) for e in M) for M in _entry_partials(qs.field, slow, engine)]
-    c, s = np.cos(times), np.sin(times)
-    y0, x0 = float(fast[0]), float(fast[1])
-
-    # fast part of the pulled-back field: −R_{−t} · sin t · Σ_j (∂A/∂w_j) z · V_j
-    fast_pull = [np.zeros_like(times), np.zeros_like(times)]
-    for j in range(2 * k):
-        dj = dA[j]
-        gy = dj[0] * y0 + dj[1] * x0
-        gx = dj[2] * y0 + dj[3] * x0
-        wy = s * gy * v_slow[j]
-        wx = s * gx * v_slow[j]
-        # R_{−t} = cos t·I − sin t·A
-        fast_pull[0] -= c * wy - s * (A[0] * wy + A[1] * wx)
-        fast_pull[1] -= c * wx - s * (A[2] * wy + A[3] * wx)
-
-    avg_fast = [float(np.mean(fp)) for fp in fast_pull]
-    avg_slow = [float(np.mean(v)) for v in v_slow]
-    dh_fast = grad_fast(system, system.H, m, engine)
-    dh_slow = grad_slow(system, system.H, m, engine)
-    tangent_route = float(np.dot(dh_fast, avg_fast) + np.dot(dh_slow, avg_slow))
-
-    scalar_route = float(2.0 * np.mean(_k1_nodes(system, orbit, engine)))
-    return tangent_route, scalar_route

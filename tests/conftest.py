@@ -5,6 +5,7 @@ import pytest
 
 from adiakit import CircleAction, PhasePoint, elastic_pendulum, charged_particle
 from adiakit import kernel as sk
+from adiakit.sl2 import QuadraticSystem, Sl2Field
 
 
 @pytest.fixture
@@ -37,6 +38,26 @@ def sample_points(fixture, rng, n):
     system = fixture.system
     coords = system.domain.sample(rng, n)
     return [PhasePoint(c[: 2 * system.r], c[2 * system.r:]) for c in coords]
+
+
+def nondegenerate_system(constant_omega=True):
+    """Quadratic family with slow-dependent A; omega varies too unless constant."""
+    def a_fn(w):
+        return 0.4 * sk.sin(w[0] + 2.0 * w[1])
+
+    def beta(w):
+        return 0.3 * w[1] - 0.2 * w[0]
+
+    def b_fn(w):
+        a = a_fn(w)
+        return (1.0 + a * a) * sk.exp(beta(w))
+
+    def c_fn(w):
+        return -sk.exp(-beta(w))
+
+    omega = (lambda w: 1.0) if constant_omega else (lambda w: 1.0 + 0.2 * sk.cos(w[1]))
+    return QuadraticSystem(h=lambda w: 0.5 * (w[0] ** 2 + w[1] ** 2) + 0.1 * w[0] * w[1],
+                           omega=omega, field=Sl2Field(a_fn, b_fn, c_fn))
 
 
 def observable_library():

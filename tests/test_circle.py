@@ -6,7 +6,7 @@ import pytest
 from adiakit import CircleAction, PhasePoint, charged_particle, elastic_pendulum
 from adiakit import kernel as sk
 from adiakit.circle import fourier_mean, s_at_nodes, s_from_samples
-from adiakit.invariants import d1j_coeffs, theta_state
+from adiakit.invariants import d1j_coeffs
 from adiakit.sl2 import QuadraticSystem, Sl2Field, linear_flow
 
 from conftest import sample_points
@@ -203,7 +203,11 @@ def test_theta_reaveraged_vanishes(pendulum, pendulum_action):
     m = PhasePoint([0.6, -0.2], [0.4, 0.9])
 
     def theta_coeffs(fast, slow):
-        return theta_state(system, pendulum_action, fast, slow, 64)
+        # Theta = S(d1 J) at each (batched) base point, from that point's orbit
+        orbit = pendulum_action.orbit(fast, slow, 64)
+        shape = orbit.batch_shape + (orbit.nodes,)
+        return [s_from_samples(np.broadcast_to(np.asarray(sk.value(c), dtype=float), shape))
+                for c in d1j_coeffs(system)(orbit.fast, orbit.slow)]
 
     avg = pendulum_action.average_slow_oneform(theta_coeffs, m)
     assert np.linalg.norm(avg) <= 1e-9

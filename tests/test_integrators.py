@@ -5,7 +5,7 @@ import pytest
 
 from adiakit import (IntegratorConfig, MaxStepsExceeded, StepSizeUnderflow,
                      convergence_order, elastic_pendulum, integrate, step_rk4)
-from adiakit.experiments import _full_field
+from adiakit.experiments import full_field
 
 
 def linear(t, y):
@@ -43,7 +43,7 @@ def test_decoupled_pendulum_action_conserved():
     fx = elastic_pendulum(omega=1.0, gamma=0.0)
     system = fx.system
     cfg = IntegratorConfig(method="rk45", rtol=1e-11, atol=1e-13)
-    rhs = _full_field(system, 0.0)
+    rhs = full_field(system, 0.0)
     m0 = np.array([0.5, 0.2, 0.1, 1.0])
     traj = integrate(rhs, m0, 30.0, cfg, t_eval=np.linspace(0, 30.0, 40))
     j_vals = [float(system.J([s[0], s[1]], [s[2], s[3]])) for s in traj.states]
@@ -54,7 +54,7 @@ def test_energy_conserved_long_horizon():
     fx = elastic_pendulum(omega=1.0, gamma=0.5)
     system = fx.system
     cfg = IntegratorConfig(method="rk45", rtol=1e-10, atol=1e-13)
-    rhs = _full_field(system, 0.2)
+    rhs = full_field(system, 0.2)
     m0 = np.array([0.5, 0.0, 0.1, 1.0])
     traj = integrate(rhs, m0, 100.0, cfg, t_eval=np.linspace(0, 100.0, 101))
     h_vals = [float(system.H([s[0], s[1]], [s[2], s[3]])) for s in traj.states]

@@ -16,7 +16,7 @@ from adiakit import kernel as sk
 from adiakit.invariants import QuadratureConfig
 from adiakit.phase import DiffEngine
 
-from conftest import sample_points
+from conftest import nondegenerate_system, sample_points
 
 QUAD = QuadratureConfig()
 
@@ -202,12 +202,13 @@ def test_f2_pendulum_adjudication_point():
     fx = elastic_pendulum(omega=1.0, gamma=1.0)
     action = CircleAction(fx.system)
     m = PhasePoint([1.0, 0.0], [1.0, 1.0])
-    assert f2(fx.system, action, m, "ai3") == pytest.approx(-0.875, abs=1e-4)
-    assert f2(fx.system, action, m, "ty3") == pytest.approx(0.4375, abs=1e-4)
+    closed = float(sk.value(fx.closed_f2(*m.state())))
+    assert closed == pytest.approx(-0.875, abs=1e-15)
+    assert f2(fx.system, action, m) == pytest.approx(closed, abs=1e-10)
 
 
 def test_f2_trivial_zeros():
-    # no slow dependence in H at all: both variants vanish
+    # no slow dependence in H at all: F2 vanishes
     def H(fast, slow):
         y, x = fast
         return 0.5 * (y * y + x * x)
@@ -221,12 +222,11 @@ def test_f2_trivial_zeros():
                             J=lambda f, s: 0.5 * (f[0] ** 2 + f[1] ** 2), fast_flow=flow)
     action = CircleAction(system)
     m = PhasePoint([0.4, 0.6], [0.2, 0.5])
-    for variant in ("ai3", "ty3"):
-        assert f2(system, action, m, variant) == pytest.approx(0.0, abs=1e-12)
+    assert f2(system, action, m) == pytest.approx(0.0, abs=1e-12)
     # decoupled pendulum likewise
     fx = elastic_pendulum(omega=1.0, gamma=0.0)
     act = CircleAction(fx.system)
-    assert f2(fx.system, act, m, "ai3") == pytest.approx(0.0, abs=1e-10)
+    assert f2(fx.system, act, m) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_homological_residuals(pendulum, particle, rng):
@@ -235,8 +235,12 @@ def test_homological_residuals(pendulum, particle, rng):
         for m in sample_points(fixture, rng, 8):
             assert ty2_residual(fixture.system, action, m) <= 1e-5
         m = sample_points(fixture, rng, 1)[0]
-        assert ty3_residual(fixture.system, action, m, "ai3") <= 1e-4
-        assert ty3_residual(fixture.system, action, m, "ty3") > 1e-4
+        assert ty3_residual(fixture.system, action, m) <= 1e-4
+    # omega varying with the slow variables, where F2 needs the <K1>/omega part
+    system = nondegenerate_system(constant_omega=False).system()
+    action = CircleAction(system)
+    for coords in rng.uniform(-0.8, 0.8, size=(2, 4)):
+        assert ty3_residual(system, action, PhasePoint(coords[:2], coords[2:])) <= 1e-4
 
 
 def _flat_bracket_system():
@@ -266,13 +270,11 @@ def test_fd_noise_warning_on_flat_bracket():
     system = _flat_bracket_system()
     action = CircleAction(system)
     m = PhasePoint([0.7, 0.2], [0.9, 0.4])
-    for variant in ("ty3", "ai3"):
-        with pytest.warns(PrecisionWarning):
-            f2(system, action, m, variant)
+    with pytest.warns(PrecisionWarning):
+        f2(system, action, m)
 
 
-@pytest.mark.parametrize("variant", ["ty3", "ai3"])
-def test_fd_noise_silent_on_decoupled_and_adjudication_point(variant):
+def test_fd_noise_silent_on_decoupled_and_adjudication_point():
     m = PhasePoint([1.0, 0.0], [1.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error", PrecisionWarning)
@@ -280,10 +282,10 @@ def test_fd_noise_silent_on_decoupled_and_adjudication_point(variant):
         fx = elastic_pendulum(omega=1.0, gamma=0.0)
         action = CircleAction(fx.system)
         for point in (fx.initial, m):
-            assert f2(fx.system, action, point, variant) == 0.0
+            assert f2(fx.system, action, point) == 0.0
         # coupled pendulum at the adjudication point: the bracket dominates
         fx = elastic_pendulum(omega=1.0, gamma=1.0)
-        f2(fx.system, CircleAction(fx.system), m, variant)
+        f2(fx.system, CircleAction(fx.system), m)
 
 
 # -- series assembly ------------------------------------------------------------
@@ -314,8 +316,10 @@ def test_series_batch_matches_pointwise(pendulum, rng):
     pts = sample_points(pendulum, rng, 4)
     coords = np.stack([m.coords for m in pts])
     batch = series.evaluate_batch(coords, 0.05)
-    single = [series.evaluate(m, 0.05) for m in pts]
-    assert np.allclose(batch, single, atol=1e-12)
+    single = [float(pendulum.system.J(*m.state()))
+              + 0.05 * f1(pendulum.system, action, m)
+              + 0.5 * 0.05 ** 2 * f2(pendulum.system, action, m) for m in pts]
+    assert np.allclose(batch, single, rtol=0.0, atol=1e-12)
 
 
 def test_strict_mode_raises_on_broken_periodicity():

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
-from adiakit import CircleAction, DegenerateFamily, PhasePoint, check_momentum_map, f1, f2
+from adiakit import (CircleAction, DegenerateFamily, PhasePoint, check_momentum_map, f1, f2,
+                     grad_fast, grad_slow)
 from adiakit import kernel as sk
 from adiakit.circle import fourier_mean, s_from_samples
-from adiakit.invariants import ty2_residual
-from adiakit.sl2 import (QuadraticSystem, Sl2Field, avg_q_matrix, f1_closed,
-                         f2_closed, f2_closed_printed,
-                         hamiltonian_contraction_two_ways, linear_flow,
-                         mat_comm, q_form, s_q_matrix, slow_bracket_matrix)
+from adiakit.invariants import _k1_nodes, _theta_nodes, ty2_residual
+from adiakit.phase import DEFAULT_ENGINE, state_bracket1
+from adiakit.sl2 import (QuadraticSystem, Sl2Field, _entry_partials, _f1_closed_oracle,
+                         avg_q_matrix, f1_closed, f2_closed, f2_closed_printed,
+                         linear_flow, mat_comm, q_form, s_q_matrix, slow_bracket_matrix)
+
+from conftest import nondegenerate_system
 
 ROT = (0.0, -1.0, 1.0, 0.0)  # rotation generator: Q = (y^2 + x^2)/2
 
@@ -139,25 +142,6 @@ def test_slow_bracket_h_equals_p_reads_q_derivative():
 
 # -- momentum map and closed corrections --------------------------------------------
 
-def nondegenerate_system(constant_omega=True):
-    def a_fn(w):
-        return 0.4 * sk.sin(w[0] + 2.0 * w[1])
-
-    def beta(w):
-        return 0.3 * w[1] - 0.2 * w[0]
-
-    def b_fn(w):
-        a = a_fn(w)
-        return (1.0 + a * a) * sk.exp(beta(w))
-
-    def c_fn(w):
-        return -sk.exp(-beta(w))
-
-    omega = (lambda w: 1.0) if constant_omega else (lambda w: 1.0 + 0.2 * sk.cos(w[1]))
-    return QuadraticSystem(h=lambda w: 0.5 * (w[0] ** 2 + w[1] ** 2) + 0.1 * w[0] * w[1],
-                           omega=omega, field=Sl2Field(a_fn, b_fn, c_fn))
-
-
 def test_family_momentum_map(rng):
     qs = nondegenerate_system()
     system = qs.system()
@@ -189,7 +173,7 @@ def test_benchmark_instance_matches_generic():
     action = CircleAction(system)
     m = PhasePoint([1.0, 0.0], [0.0, 0.0])
     assert f1_closed(qs, m) == pytest.approx(f1(system, action, m), abs=1e-6)
-    assert f2_closed(qs, m) == pytest.approx(f2(system, action, m, "ai3"), abs=1e-4)
+    assert f2_closed(qs, m) == pytest.approx(f2(system, action, m), abs=1e-4)
 
 
 def test_constant_family_has_no_corrections():
@@ -212,15 +196,17 @@ def test_nondegenerate_closed_f1_matches_generic(rng):
                 f1(system, action, m), abs=1e-10)
 
 
-def test_nondegenerate_closed_f2_matches_generic_for_constant_omega(rng):
-    qs = nondegenerate_system(constant_omega=True)
-    system = qs.system()
-    action = CircleAction(system)
-    for _ in range(4):
-        coords = rng.uniform(-1.0, 1.0, 4)
-        m = PhasePoint(coords[:2], coords[2:])
-        assert f2_closed(qs, m) == pytest.approx(
-            f2(system, action, m, "ai3"), abs=1e-8)
+def test_nondegenerate_closed_f2_matches_generic(rng):
+    # with slow-varying omega F2 depends on the <K1>/omega part of F1: a
+    # reading of F2 that used <K1> instead misses f2_closed there by ~3e-3
+    for constant_omega in (True, False):
+        qs = nondegenerate_system(constant_omega)
+        system = qs.system()
+        action = CircleAction(system)
+        for _ in range(4):
+            coords = rng.uniform(-1.0, 1.0, 4)
+            m = PhasePoint(coords[:2], coords[2:])
+            assert f2_closed(qs, m) == pytest.approx(f2(system, action, m), abs=1e-8)
 
 
 def test_closed_f2_solves_homological_equation(rng):
@@ -234,13 +220,9 @@ def test_closed_f2_solves_homological_equation(rng):
 
     h = 1e-5
     d_dt = (f2_closed(qs, action.flow(h, m)) - f2_closed(qs, action.flow(-h, m))) / (2 * h)
-    from adiakit.phase import state_bracket1
-    from adiakit.sl2 import _f1_closed_oracle
-    from adiakit.phase import DEFAULT_ENGINE
-
     f1_oracle = _f1_closed_oracle(qs, DEFAULT_ENGINE)
     fast, slow = m.state()
-    hf1 = float(sk.value(state_bracket1(system, system.H, f1_oracle, fast, slow)))
+    hf1 = float(sk.value(state_bracket1(system.H, f1_oracle, fast, slow)))
     omega = float(sk.value(qs.omega(slow)))
     assert d_dt + 2.0 * hf1 / omega == pytest.approx(0.0, abs=1e-8)
 
@@ -251,6 +233,53 @@ def test_printed_f2_display_recorded_for_comparison(rng):
                          omega=lambda w: 1.0, field=Sl2Field.constant(*ROT[:3]))
     m = PhasePoint([0.4, 0.3], [0.2, 0.5])
     assert f2_closed_printed(qs, m) == pytest.approx(f2_closed(qs, m), abs=1e-12)
+
+
+def hamiltonian_contraction_two_ways(qs: QuadraticSystem, action: CircleAction,
+                                     m: PhasePoint, nodes: int = 32,
+                                     engine=DEFAULT_ENGINE):
+    """i_dH<i_Theta Psi_1> via explicit tangent maps versus the scalar average.
+
+    The vector-field average needs the pullback of slow tangent vectors under
+    the flow; for the quadratic family the tangent maps are the analytic
+    matrices cos t I + sin t A, so both routes are computable and must agree
+    (H is invariant along the flow). Returns (tangent_route, scalar_route).
+    """
+    system = qs.system()
+    fast, slow = m.state()
+    orbit = action.orbit(fast, slow, nodes)
+    times = orbit.times
+    k = qs.k
+
+    theta_c = _theta_nodes(system, orbit, engine)  # 2k components at the nodes
+    # slow components of i_Theta Psi_1 = Theta_p dq - Theta_q dp along the orbit
+    v_slow = [-theta_c[k + i] for i in range(k)] + [theta_c[i] for i in range(k)]
+
+    A = tuple(float(sk.value(e)) for e in qs.field.matrix(slow))
+    dA = [tuple(float(sk.value(e)) for e in M) for M in _entry_partials(qs.field, slow, engine)]
+    c, s = np.cos(times), np.sin(times)
+    y0, x0 = float(fast[0]), float(fast[1])
+
+    # fast part of the pulled-back field: -R_{-t} sin t sum_j (dA/dw_j) z V_j
+    fast_pull = [np.zeros_like(times), np.zeros_like(times)]
+    for j in range(2 * k):
+        dj = dA[j]
+        gy = dj[0] * y0 + dj[1] * x0
+        gx = dj[2] * y0 + dj[3] * x0
+        wy = s * gy * v_slow[j]
+        wx = s * gx * v_slow[j]
+        # R_{-t} = cos t I - sin t A
+        fast_pull[0] -= c * wy - s * (A[0] * wy + A[1] * wx)
+        fast_pull[1] -= c * wx - s * (A[2] * wy + A[3] * wx)
+
+    avg_fast = [float(np.mean(fp)) for fp in fast_pull]
+    avg_slow = [float(np.mean(v)) for v in v_slow]
+    dh_fast = grad_fast(system, system.H, m, engine)
+    dh_slow = grad_slow(system, system.H, m, engine)
+    tangent_route = float(np.dot(dh_fast, avg_fast) + np.dot(dh_slow, avg_slow))
+
+    scalar_route = float(2.0 * np.mean(_k1_nodes(system, orbit, engine)))
+    return tangent_route, scalar_route
 
 
 def test_invariance_reduction_identity(rng):
