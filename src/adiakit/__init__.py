@@ -15,8 +15,7 @@ from .errors import (AdiakitError, ConfigError, DegenerateFamily, DomainError,
 from .fixtures import (Fixture, charged_particle, elastic_pendulum,
                        get_fixture, list_fixtures, verify_transverse_momentum)
 from .integrators import IntegratorConfig, Trajectory, convergence_order, integrate, step_rk4
-from .invariants import (HypothesisReport, InvariantSeries, QuadratureConfig,
-                         assemble, check_adiabatic, check_hypotheses,
+from .invariants import (HypothesisReport, InvariantSeries, assemble, check_adiabatic, check_hypotheses,
                          check_momentum_map, check_period_energy, f1, f2, k1,
                          lie_derivative, momentum_from_action, theta,
                          ty2_residual, ty3_residual)

@@ -11,14 +11,15 @@ A weighted quadrature of the (t−π) kernel would lose the periodic smoothness
 that makes the trapezoidal rule spectrally accurate; the Fourier route keeps
 it, and is exact for orbit profiles that are trigonometric polynomials of
 degree below N/2 (the Nyquist bin carries no recoverable phase and is
-dropped).
+dropped). Both operators are linear, so they also take dual profiles and
+act on each part.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+import functools
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -38,11 +39,22 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 
-def fourier_mean(samples: np.ndarray) -> np.ndarray:
+def _per_part(op):
+    """Lift a linear operator along the node axis to duals: it acts on each part."""
+    @functools.wraps(op)
+    def lifted(samples, *args, **kwargs):
+        return sk.map_parts(lambda a: op(a, *args, **kwargs), samples)
+
+    return lifted
+
+
+@_per_part
+def fourier_mean(samples: np.ndarray, keepdims: bool = False) -> np.ndarray:
     """Orbit average: the 0-th discrete Fourier coefficient."""
-    return np.mean(samples, axis=-1)
+    return np.mean(samples, axis=-1, keepdims=keepdims)
 
 
+@_per_part
 def s_from_samples(samples: np.ndarray) -> np.ndarray:
     """𝒮 of an orbit profile, evaluated at the base point (phase 0)."""
     n_nodes = samples.shape[-1]
@@ -54,6 +66,7 @@ def s_from_samples(samples: np.ndarray) -> np.ndarray:
     return np.sum(np.imag(coeff) * weight, axis=-1)
 
 
+@_per_part
 def s_at_nodes(samples: np.ndarray) -> np.ndarray:
     """𝒮 of an orbit profile at every sampled phase.
 
@@ -70,12 +83,24 @@ def s_at_nodes(samples: np.ndarray) -> np.ndarray:
     return np.fft.irfft(scaled, n=n_nodes, axis=-1)
 
 
+def _finite_samples(values, orbit, what: str) -> np.ndarray:
+    vals = sk.broadcast(sk.value(values), orbit.batch_shape + (orbit.nodes,))
+    if not np.all(np.isfinite(vals)):
+        raise NumericalError(f"{what} contains non-finite samples")
+    return vals
+
+
+def _with_node_axis(c):
+    return sk.map_parts(lambda a: np.asarray(a, dtype=float)[..., None], c)
+
+
 @dataclass(frozen=True)
 class OrbitSamples:
     """Flowed states at N equispaced phases of one (possibly batched) orbit.
 
     Each coordinate array carries the batch shape of the base state plus a
-    trailing node axis of length ``nodes``.
+    trailing node axis of length ``nodes``. Analytic orbits of dual base
+    states hold duals.
     """
 
     nodes: int
@@ -88,7 +113,7 @@ class OrbitSamples:
 
     @property
     def batch_shape(self):
-        return np.shape(self.fast[0])[:-1]
+        return np.shape(sk.value(self.fast[0]))[:-1]
 
 
 @dataclass
@@ -117,7 +142,6 @@ class CircleAction:
         if self.nodes < 4 or self.nodes & (self.nodes - 1):
             raise ValueError("nodes must be a power of two (>= 4)")
         self._cache = {}
-        self._lock = threading.Lock()
 
     # -- flow ---------------------------------------------------------------
 
@@ -165,18 +189,21 @@ class CircleAction:
     # -- orbit sampling -----------------------------------------------------
 
     def orbit(self, fast, slow, nodes: Optional[int] = None) -> OrbitSamples:
-        """Orbit samples for a raw kernel state (batched coordinates allowed)."""
+        """Orbit samples for a raw kernel state (batched coordinates allowed).
+
+        In analytic mode the state may hold duals, which are carried through
+        ``fast_flow``; numeric orbits take plain floats and arrays.
+        """
         n = self.nodes if nodes is None else nodes
         times = TWO_PI * np.arange(n) / n
         if self.flow_mode == "analytic":
-            expanded_fast = [np.asarray(c, dtype=float)[..., None] for c in fast]
-            expanded_slow = [np.asarray(c, dtype=float)[..., None] for c in slow]
+            expanded_fast = [_with_node_axis(c) for c in fast]
+            expanded_slow = [_with_node_axis(c) for c in slow]
             flowed = self.system.fast_flow(times, expanded_fast, expanded_slow)
-            shape = np.broadcast_shapes(*[np.shape(c) for c in flowed],
-                                        *[np.shape(c) for c in expanded_slow])
-            fast_arrays = [np.broadcast_to(np.asarray(c, dtype=float), shape) for c in flowed]
-            slow_arrays = [np.broadcast_to(c, shape) for c in expanded_slow]
-            return OrbitSamples(n, times, fast_arrays, slow_arrays)
+            shape = np.broadcast_shapes(*[np.shape(sk.value(c)) for c in flowed],
+                                        *[np.shape(sk.value(c)) for c in expanded_slow])
+            return OrbitSamples(n, times, [sk.broadcast(c, shape) for c in flowed],
+                                [sk.broadcast(c, shape) for c in expanded_slow])
         return self._orbit_numeric(fast, slow, n, times)
 
     def _orbit_numeric(self, fast, slow, n, times):
@@ -193,8 +220,7 @@ class CircleAction:
             key = None
             if batch_shape == ():
                 key = (n, z0.tobytes(), np.asarray(w).tobytes())
-                with self._lock:
-                    cached = self._cache.get(key)
+                cached = self._cache.get(key)
                 if cached is not None:
                     fast_out[:, idx, :] = cached
                     continue
@@ -203,10 +229,9 @@ class CircleAction:
             traj = integrate(rhs, z0, TWO_PI, cfg, t_eval=times)
             fast_out[:, idx, :] = traj.states.T
             if key is not None:
-                with self._lock:
-                    if len(self._cache) >= self.cache_size:
-                        self._cache.pop(next(iter(self._cache)))
-                    self._cache[key] = fast_out[:, idx, :].copy()
+                if len(self._cache) >= self.cache_size:
+                    self._cache.pop(next(iter(self._cache)))
+                self._cache[key] = fast_out[:, idx, :].copy()
         fast_arrays = [fast_out[i].reshape(batch_shape + (n,)) for i in range(n_fast)]
         slow_arrays = [np.broadcast_to(c[..., None], batch_shape + (n,))
                        for c in base[n_fast:]]
@@ -218,13 +243,7 @@ class CircleAction:
 
     def profile(self, f: Callable, orbit: OrbitSamples) -> np.ndarray:
         """Samples of ``f`` along the orbit, broadcast to the full node axis."""
-        vals = np.asarray(sk.value(f(orbit.fast, orbit.slow)), dtype=float)
-        target = orbit.batch_shape + (orbit.nodes,)
-        if vals.shape != target:
-            vals = np.broadcast_to(vals, target)
-        if not np.all(np.isfinite(vals)):
-            raise NumericalError("orbit profile contains non-finite samples")
-        return vals
+        return _finite_samples(f(orbit.fast, orbit.slow), orbit, "orbit profile")
 
     # -- operators ------------------------------------------------------------
 
@@ -253,20 +272,13 @@ class CircleAction:
         """
         orbit = self.orbit_of_point(m, nodes)
         comps = coeffs(orbit.fast, orbit.slow)
-        return np.asarray([float(fourier_mean(self._component(c, orbit))) for c in comps])
+        return np.asarray([float(fourier_mean(_finite_samples(c, orbit, "1-form coefficients")))
+                           for c in comps])
 
     def s_slow_oneform(self, coeffs: Callable, m: PhasePoint,
                        nodes: Optional[int] = None) -> np.ndarray:
         """Componentwise 𝒮 of a slow-component 1-form (zero-average by construction)."""
         orbit = self.orbit_of_point(m, nodes)
         comps = coeffs(orbit.fast, orbit.slow)
-        return np.asarray([float(s_from_samples(self._component(c, orbit))) for c in comps])
-
-    def _component(self, c, orbit: OrbitSamples) -> np.ndarray:
-        vals = np.asarray(sk.value(c), dtype=float)
-        target = orbit.batch_shape + (orbit.nodes,)
-        if vals.shape != target:
-            vals = np.broadcast_to(vals, target)
-        if not np.all(np.isfinite(vals)):
-            raise NumericalError("1-form coefficients contain non-finite samples")
-        return vals
+        return np.asarray([float(s_from_samples(_finite_samples(c, orbit, "1-form coefficients")))
+                           for c in comps])

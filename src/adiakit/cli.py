@@ -125,12 +125,10 @@ def cmd_invariant(config: RunConfig, args) -> int:
     eps = args.eps if args.eps is not None else config.eps_grid[0]
     fixture, action, initial = config.build()
     system = fixture.system
-    quad = config.drift_config().quad
 
     j_val = float(sk.value(system.J(*initial.state())))
-    f1_val = eval_f1(system, action, initial, quad, strict=config.strict) if order >= 1 else 0.0
-    f2_val = (eval_f2(system, action, initial, quad, strict=config.strict)
-              if order >= 2 else 0.0)
+    f1_val = eval_f1(system, action, initial, strict=config.strict) if order >= 1 else 0.0
+    f2_val = eval_f2(system, action, initial, strict=config.strict) if order >= 2 else 0.0
     series = j_val + eps * f1_val + 0.5 * eps * eps * f2_val
 
     print(f"point   = {_fmt_vec(initial.coords)}")
@@ -159,7 +157,7 @@ def cmd_simulate(config: RunConfig, args) -> int:
               + [f"y{i+1}" for i in range(r)] + [f"x{i+1}" for i in range(r)]
               + [f"p{i+1}" for i in range(k)] + [f"q{i+1}" for i in range(k)]
               + ["H", "F0", "F1s", "F2s"])
-    series = InvariantSeries(system, action, 2, config.drift_config().quad)
+    series = InvariantSeries(system, action, 2)
     terms = series.terms_batch(traj.states)
     columns = [series_values(terms, eps, order) for order in (0, 1, 2)]
     fast = [traj.states[:, i] for i in range(2 * r)]
@@ -184,7 +182,7 @@ def cmd_drift(config: RunConfig, args) -> int:
     f2_check = check_f2(drift_cfg) if 2 in drift_cfg.orders else None
 
     report = order_sweep(drift_cfg)
-    report.metadata["config"] = config.serialize()
+    report.metadata["config"] = config.serialize(output_dir=False)
 
     out_dir = _outdir(config)
     written = []

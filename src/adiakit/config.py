@@ -6,14 +6,17 @@ Sections and keys::
                   (elastic_pendulum: omega, gamma, omega_scale;
                    charged_particle: b, lambda)
     [integrator]  method, rtol, atol, dt, max_steps
-    [quadrature]  nodes, inner_nodes, flow_mode
+    [quadrature]  nodes, flow_mode
     [experiment]  initial, eps, horizon_c, samples, orders, order, strict
     [output]      dir, format
 
 ``initial`` is the flat coordinate vector in block order (y.., x.., p.., q..).
 Unknown sections or keys are rejected. Numbers are decimal literals; lists are
-comma-separated. The former ``variant`` key, which chose between two readings
-of F₂, is rejected with a message of its own: F₂ now has a single definition.
+comma-separated. Two removed keys are rejected with messages of their own:
+``variant``, which chose between two readings of F₂ (F₂ now has a single
+definition), and ``inner_nodes``, which sized the orbits behind the finite
+differences that F₂ once took of F₁ (F₂ now takes the slow derivatives of F₁
+from the one orbit of ``nodes`` samples per point).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ _PARAM_NAMES = {
 }
 
 _FLOAT_KEYS = {"rtol", "atol", "dt", "horizon_c"}
-_INT_KEYS = {"max_steps", "nodes", "inner_nodes", "samples", "order"}
+_INT_KEYS = {"max_steps", "nodes", "samples", "order"}
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,6 @@ class RunConfig:
     dt: float = 1e-3
     max_steps: int = 50_000_000
     nodes: int = 64
-    inner_nodes: int = 32
     flow_mode: str = "analytic"
     out_dir: str = "out"
     out_format: str = "both"
@@ -106,9 +108,13 @@ class RunConfig:
             take("integrator", "max_steps", _parse_int)
 
         if cp.has_section("quadrature"):
-            _reject_unknown(cp, "quadrature", {"nodes", "inner_nodes", "flow_mode"})
+            if cp.has_option("quadrature", "inner_nodes"):
+                raise ConfigError(
+                    "key 'inner_nodes' was removed: F2 takes the slow derivatives of F1 "
+                    "from one orbit of 'nodes' samples per point, so there are no "
+                    "inner orbits to size")
+            _reject_unknown(cp, "quadrature", {"nodes", "flow_mode"})
             take("quadrature", "nodes", _parse_int)
-            take("quadrature", "inner_nodes", _parse_int)
             take("quadrature", "flow_mode", _parse_choice({"analytic", "numeric"}))
 
         if cp.has_section("experiment"):
@@ -141,7 +147,12 @@ class RunConfig:
 
     # -- emission ------------------------------------------------------------
 
-    def serialize(self) -> str:
+    def serialize(self, output_dir: bool = True) -> str:
+        """INI text that ``parse`` reads back to this config.
+
+        With ``output_dir`` false the ``[output] dir`` line is left out, so
+        that the text describes the run alone and not where it was written.
+        """
         out = io.StringIO()
         out.write("[fixture]\n")
         out.write(f"name = {self.fixture}\n")
@@ -157,7 +168,6 @@ class RunConfig:
         out.write(f"max_steps = {self.max_steps}\n")
         out.write("\n[quadrature]\n")
         out.write(f"nodes = {self.nodes}\n")
-        out.write(f"inner_nodes = {self.inner_nodes}\n")
         out.write(f"flow_mode = {self.flow_mode}\n")
         out.write("\n[experiment]\n")
         if self.initial is not None:
@@ -169,7 +179,8 @@ class RunConfig:
         out.write(f"order = {self.order}\n")
         out.write(f"strict = {'true' if self.strict else 'false'}\n")
         out.write("\n[output]\n")
-        out.write(f"dir = {self.out_dir}\n")
+        if output_dir:
+            out.write(f"dir = {self.out_dir}\n")
         out.write(f"format = {self.out_format}\n")
         return out.getvalue()
 
@@ -192,7 +203,6 @@ class RunConfig:
             integrator=self.integrator_config(),
             orders=self.orders,
             outer_nodes=self.nodes,
-            inner_nodes=self.inner_nodes,
             flow_mode=self.flow_mode,
             workers=workers,
         )

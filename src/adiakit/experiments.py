@@ -26,8 +26,7 @@ from .circle import CircleAction
 from .errors import SlopeUndefined
 from .fixtures import get_fixture
 from .integrators import IntegratorConfig, integrate
-from .invariants import (InvariantSeries, QuadratureConfig, f2 as f2_point,
-                         series_values, ty3_residual)
+from .invariants import InvariantSeries, f2 as f2_point, series_values, ty3_residual
 from .phase import PhasePoint
 
 __all__ = [
@@ -58,7 +57,6 @@ class DriftConfig:
     integrator: IntegratorConfig = IntegratorConfig(method="rk45", rtol=1e-11, atol=1e-13)
     orders: tuple = (0, 1, 2)
     outer_nodes: int = 64
-    inner_nodes: int = 32
     flow_mode: str = "analytic"
     workers: int = 1
 
@@ -71,10 +69,6 @@ class DriftConfig:
         object.__setattr__(self, "eps_grid", tuple(sorted(eps, reverse=True)))
         if self.samples < 2:
             raise ValueError("need at least two samples per trajectory")
-
-    @property
-    def quad(self) -> QuadratureConfig:
-        return QuadratureConfig(outer_nodes=self.outer_nodes, inner_nodes=self.inner_nodes)
 
     def build(self):
         fixture = get_fixture(self.fixture, **self.params)
@@ -169,7 +163,7 @@ def _sweep_job(payload: dict) -> dict:
     system = fixture.system
     traj = _trajectory(system, initial, eps, config.horizon_c,
                        config.samples, config.integrator)
-    series = InvariantSeries(system, action, max(config.orders), config.quad)
+    series = InvariantSeries(system, action, max(config.orders))
     terms = series.terms_batch(traj.states)
     return {"eps": eps, "h_drift": _h_drift(system, traj.states),
             "orders": {order: _drift_from_terms(terms, eps, order)
@@ -303,7 +297,6 @@ def order_sweep(config: DriftConfig) -> DriftReport:
         metadata={
             "integrator": asdict(config.integrator),
             "outer_nodes": config.outer_nodes,
-            "inner_nodes": config.inner_nodes,
             "flow_mode": config.flow_mode,
             "horizon_c": config.horizon_c,
             "samples": config.samples,
@@ -329,8 +322,8 @@ def check_f2(config: DriftConfig, tol: float = 1e-4) -> dict:
     """
     fixture, action, initial = config.build()
     system = fixture.system
-    value = f2_point(system, action, initial, config.quad)
-    residual = ty3_residual(system, action, initial, config.quad)
+    value = f2_point(system, action, initial)
+    residual = ty3_residual(system, action, initial)
     closed_diff = None
     if fixture.closed_f2 is not None:
         closed_diff = abs(value - float(sk.value(fixture.closed_f2(*initial.state()))))

@@ -17,10 +17,8 @@ Two physical fixtures are registered:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional
-
-import numpy as np
 
 from . import kernel as sk
 from .errors import InvalidParameter, NotFound

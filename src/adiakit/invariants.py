@@ -14,14 +14,36 @@ The corrections are assembled from circle-action quadratures only:
   the second order of the invariance condition is the homological equation
   L_Υ F₂ = −(2/ω){H, F₁}₁, and 𝒮 solves it with zero fast average. This is
   the one definition. On the quadratic family it matches the exact F₂
-  (``sl2.f2_closed``) to 3e-11 at eight random points, also when ω varies
-  with the slow variables, where the two readings found in the literature
+  (``sl2.f2_closed``) to rounding (2e-16 at random points), also when ω
+  varies with the slow variables, where the two readings found in the literature
   fail: (2/ω)·𝒮({H, (1/ω)𝒮({H,J}₁) + ⟨K₁⟩}₁) misses by up to 3.5e-3, and
   (1/ω)·𝒮({H, F₁}₁), which misreads the ε²/2 normalization, is −½ × F₂.
 
-Slow gradients of F₁, a quadrature-defined scalar, use central finite
-differences with step ``fd_step * max(1, |coordinate|)``; everything
-analytically known is differentiated exactly via dual lifting.
+F₂ needs the slow partials of F₁, a quadrature-defined scalar, at every node
+m_j = (Fl^{t_j}(z₀), w) of the orbit of the base point m = (z₀, w). One orbit
+of N = ``action.nodes`` samples gives them all:
+
+* F₁ at node j is −(𝒮_j({H,J}₁) + ⟨K₁⟩)/ω(m_j): ⟨K₁⟩ is the same at every
+  node, and 𝒮 at all nodes takes one FFT of the orbit profile (the profile
+  seen from m_j is its cyclic shift). The slow partials of H and J are
+  taken once per orbit.
+* G_j = F₁(m_j), seen as a function of the base point b = (z₀, w), is
+  differentiated together with the flow Fl_j. The slow partials at fixed
+  fast coordinates then follow from the chain rule,
+  ∂_w F₁ = ∂_w G − ∂_{z₀}G·(D_z Fl)⁻¹·∂_w Fl, node by node.
+
+The sensitivities ∂G/∂b and ∂Fl/∂b come from one of two sources:
+
+* analytic flows: one multidual pass that lifts b through ``fast_flow`` and
+  the F₁-at-nodes computation (one tag, a leading direction axis of length
+  D = 2r + 2k). This is exact: no step, no noise, no warning. Cost per
+  point: one orbit carrying D derivative parts.
+* numeric flows: central differences of the same one-orbit computation at
+  the 2D base points shifted by ±``engine.fd_step``·max(1, |b_d|). Cost per
+  point: 1 + 2D orbit integrations. A ``PrecisionWarning`` is raised when
+  the estimated roundoff eps·max|G|/fd_step exceeds 1 % of the bracket.
+
+Everything analytically known is differentiated exactly via dual lifting.
 """
 
 from __future__ import annotations
@@ -40,7 +62,6 @@ from .phase import (DEFAULT_ENGINE, DiffEngine, PhasePoint, SlowFastSystem,
                     grad_full, state_bracket1)
 
 __all__ = [
-    "QuadratureConfig",
     "HypothesisReport",
     "InvariantSeries",
     "check_momentum_map",
@@ -58,27 +79,6 @@ __all__ = [
     "ty2_residual",
     "ty3_residual",
 ]
-
-F2_CHUNK = 64  # points per batched F₂ evaluation; bounds the nested quadrature's memory
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Node budget for the correction pipeline.
-
-    ``outer_nodes`` samples the orbit on which 𝒮 is finally applied;
-    ``inner_nodes`` samples the orbits behind each finite-difference
-    evaluation of a quadrature-defined scalar. ``fd_step`` is the base step
-    of those central differences.
-    """
-
-    outer_nodes: int = 64
-    inner_nodes: int = 32
-    fd_step: float = 1e-5
-
-
-DEFAULT_QUAD = QuadratureConfig()
-
 
 def d1j_coeffs(system: SlowFastSystem, engine: DiffEngine = DEFAULT_ENGINE) -> Callable:
     """Oracle returning the 2k slow components of d₁J (for 1-form operators)."""
@@ -243,76 +243,120 @@ def momentum_from_action(system: SlowFastSystem, action: CircleAction, m: PhaseP
 # correction pipeline (batch-friendly internals on raw kernel states)
 # ---------------------------------------------------------------------------
 
-def _profile_of(values, orbit: OrbitSamples) -> np.ndarray:
-    arr = np.asarray(sk.value(values), dtype=float)
-    target = orbit.batch_shape + (orbit.nodes,)
-    if arr.shape != target:
-        arr = np.broadcast_to(arr, target)
-    return arr
+def _profile_of(values, orbit: OrbitSamples):
+    """``values`` broadcast to the orbit's full node axis (duals kept)."""
+    return sk.broadcast(values, orbit.batch_shape + (orbit.nodes,))
 
 
-def _bracket1_profile(system, orbit: OrbitSamples, engine: DiffEngine) -> np.ndarray:
-    """{H, J}₁ sampled along the orbit."""
-    return _profile_of(state_bracket1(system.H, system.J, orbit.fast, orbit.slow, engine),
-                       orbit)
+def _slow_partials(system, orbit: OrbitSamples, engine: DiffEngine):
+    """Slow partials of H and of J along the orbit, computed once per orbit."""
+    return (engine.partials(system.H, orbit.fast, orbit.slow, "slow"),
+            engine.partials(system.J, orbit.fast, orbit.slow, "slow"))
 
 
-def _theta_nodes(system, orbit: OrbitSamples, engine: DiffEngine):
+def _bracket1_profile(dh, dj, orbit: OrbitSamples):
+    """{H, J}₁ sampled along the orbit, from the slow partials of H and J."""
+    return _profile_of(bracket_of_partials(dh, dj), orbit)
+
+
+def _theta_nodes(dj, orbit: OrbitSamples):
     """Θ = 𝒮(d₁J) components at every orbit node (one FFT per component).
 
     The profile seen from node j is the cyclic shift of the base profile, so
     the whole orbit shares a single set of Fourier coefficients.
     """
-    comps = engine.partials(system.J, orbit.fast, orbit.slow, "slow")
-    return [s_at_nodes(_profile_of(c, orbit)) for c in comps]
+    return [s_at_nodes(_profile_of(c, orbit)) for c in dj]
 
 
-def _k1_nodes(system, orbit: OrbitSamples, engine: DiffEngine) -> np.ndarray:
+def _k1_nodes(dh, dj, orbit: OrbitSamples):
     """K₁ = ½(Θ_p·∂H/∂q − Θ_q·∂H/∂p) at every orbit node."""
-    theta_c = _theta_nodes(system, orbit, engine)
-    dh = engine.partials(system.H, orbit.fast, orbit.slow, "slow")
-    return 0.5 * _profile_of(bracket_of_partials(theta_c, dh), orbit)
+    return 0.5 * _profile_of(bracket_of_partials(_theta_nodes(dj, orbit), dh), orbit)
 
 
-def _omega_at(system, fast, slow) -> np.ndarray:
-    om = np.asarray(sk.value(system.omega(fast, slow)), dtype=float)
-    if np.any(om <= 0.0):
+def _omega_at(system, fast, slow):
+    """ω on a raw state (duals kept), checked positive."""
+    om = system.omega(fast, slow)
+    if np.any(np.asarray(sk.value(om)) <= 0.0):
         raise NumericalError("frequency must be positive on the evaluation set")
     return om
 
 
-def _f1_state(system, action, fast, slow, nodes, engine) -> np.ndarray:
+def _f1_state(system, action, fast, slow, engine) -> np.ndarray:
     """First-order correction at a (possibly batched) raw state."""
-    orbit = action.orbit(fast, slow, nodes)
-    shj = s_from_samples(_bracket1_profile(system, orbit, engine))
-    k1_avg = fourier_mean(_k1_nodes(system, orbit, engine))
+    orbit = action.orbit(fast, slow)
+    dh, dj = _slow_partials(system, orbit, engine)
+    shj = s_from_samples(_bracket1_profile(dh, dj, orbit))
+    k1_avg = fourier_mean(_k1_nodes(dh, dj, orbit))
     return -(shj + k1_avg) / _omega_at(system, fast, slow)
 
 
-def _slow_fd_partials(state_fn, fast, slow, base_step):
-    """Central-difference slow partials of a quadrature-defined state function.
+def _f1_nodes(system, orbit: OrbitSamples, engine: DiffEngine):
+    """(F₁ at every node m_j of one orbit, slow partials of H there).
 
-    ``fast``/``slow`` carry an arbitrary batch shape; every slow coordinate is
-    shifted both ways in one stacked evaluation. Returns (partials, scale)
-    where ``scale`` is the largest sampled |value| (for noise estimates).
+    F₁(m_j) = −(𝒮_j({H,J}₁) + ⟨K₁⟩)/ω(m_j): ⟨K₁⟩ is the same at every node
+    and one FFT gives 𝒮 at all of them. The orbit may hold duals.
     """
-    shape = np.broadcast_shapes(*[np.shape(c) for c in fast + slow])
-    fast_v = [np.broadcast_to(np.asarray(c, dtype=float), shape) for c in fast]
-    slow_v = [np.broadcast_to(np.asarray(c, dtype=float), shape) for c in slow]
-    k2 = len(slow_v)
+    dh, dj = _slow_partials(system, orbit, engine)
+    shj = s_at_nodes(_bracket1_profile(dh, dj, orbit))
+    k1_avg = fourier_mean(_k1_nodes(dh, dj, orbit), keepdims=True)
+    omega = _profile_of(_omega_at(system, orbit.fast, orbit.slow), orbit)
+    return -(shj + k1_avg) / omega, dh
 
-    batched_fast = [np.broadcast_to(c, (k2, 2) + shape) for c in fast_v]
-    batched_slow = []
-    steps = [base_step * np.maximum(1.0, np.abs(c)) for c in slow_v]
-    for c_idx, c in enumerate(slow_v):
-        arr = np.broadcast_to(c, (k2, 2) + shape).copy()
-        arr[c_idx, 0] += steps[c_idx]
-        arr[c_idx, 1] -= steps[c_idx]
-        batched_slow.append(arr)
 
-    vals = np.asarray(state_fn(batched_fast, batched_slow), dtype=float)
-    partials = [(vals[c, 0] - vals[c, 1]) / (2.0 * steps[c]) for c in range(k2)]
-    return partials, float(np.max(np.abs(vals))) if vals.size else 0.0
+def _base_coordinates(fast, slow):
+    return np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in list(fast) + list(slow)])
+
+
+def _dual_sensitivities(system, action, fast, slow, engine):
+    """Exact sensitivities of the one-orbit F₁ to the base point b = (z₀, w).
+
+    One multidual pass (one tag, a leading direction axis of length
+    D = 2r + 2k) lifts b through ``fast_flow`` and ``_f1_nodes``. Returns
+    (∂H/∂w at the nodes, ∂G/∂b, [∂Fl_i/∂b], noise) with G_j = F₁(m_j), the
+    direction axis first, and noise 0: exact derivatives carry none.
+    """
+    base = _base_coordinates(fast, slow)
+    dim = len(base)
+    tag = sk.fresh_tag()
+    seeds = np.eye(dim).reshape((dim, dim) + (1,) * base[0].ndim)
+    lifted = [sk.Dual(c, seeds[d], tag) for d, c in enumerate(base)]
+    orbit = action.orbit(lifted[:len(fast)], lifted[len(fast):])
+    g, dh = _f1_nodes(system, orbit, engine)
+    full = (dim,) + orbit.batch_shape + (orbit.nodes,)
+
+    def partial(x):
+        return np.broadcast_to(sk.extract_partial(x, tag), full)
+
+    return ([sk.value(c) for c in dh], partial(g), [partial(c) for c in orbit.fast], 0.0)
+
+
+def _fd_sensitivities(system, action, fast, slow, engine):
+    """Central-difference sensitivities of the one-orbit F₁, for numeric flows.
+
+    Integrates the orbit of the base point and of the 2D base points shifted
+    by ±``engine.fd_step``·max(1, |b_d|), D = 2r + 2k; returns what
+    ``_dual_sensitivities`` returns, the noise being eps·max|G|/fd_step.
+    """
+    base = _base_coordinates(fast, slow)
+    dim, n_fast = len(base), len(fast)
+    steps = [engine.fd_step * np.maximum(1.0, np.abs(c)) for c in base]
+    shifted = []
+    for d, c in enumerate(base):
+        arr = np.broadcast_to(c, (dim, 2) + c.shape).copy()
+        arr[d, 0] += steps[d]
+        arr[d, 1] -= steps[d]
+        shifted.append(arr)
+    orbit_shifted = action.orbit(shifted[:n_fast], shifted[n_fast:])
+    g, _ = _f1_nodes(system, orbit_shifted, engine)
+    step = np.stack(steps)[..., None]
+
+    def partial(x):
+        return (x[:, 0] - x[:, 1]) / (2.0 * step)
+
+    orbit = action.orbit(base[:n_fast], base[n_fast:])
+    dh = engine.partials(system.H, orbit.fast, orbit.slow, "slow")
+    noise = np.finfo(float).eps * float(np.max(np.abs(g))) / engine.fd_step
+    return dh, partial(g), [partial(c) for c in orbit_shifted.fast], noise
 
 
 def _check_strict(action: CircleAction, m: PhasePoint, strict: bool):
@@ -341,66 +385,70 @@ def k1(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
 
 
 def f1(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-       quad: QuadratureConfig = DEFAULT_QUAD, engine: DiffEngine = DEFAULT_ENGINE,
-       strict: bool = False) -> float:
+       engine: DiffEngine = DEFAULT_ENGINE, strict: bool = False) -> float:
     """First-order correction F₁(m) = −(1/ω)(𝒮({H,J}₁) + ⟨K₁⟩)."""
     system.require_in_domain(m)
     _check_strict(action, m, strict)
     fast, slow = m.state()
-    return float(_f1_state(system, action, fast, slow, quad.outer_nodes, engine))
+    return float(_f1_state(system, action, fast, slow, engine))
 
 
-def _h_f1_bracket(system, action, fast, slow, quad, engine):
-    """{H, F₁}₁ on a raw kernel state, with F₁'s slow partials by central differences.
+def _h_f1_bracket(system, action, fast, slow, engine):
+    """{H, F₁}₁ at every node of the orbit of a raw kernel state.
 
-    Returns (bracket, scale), ``scale`` being the largest |F₁| differenced.
+    The slow partials of F₁ at fixed fast coordinates follow from the
+    sensitivities of G_j = F₁(Fl_j(z₀, w), w) by the chain rule,
+    ∂_w F₁ = ∂_w G − ∂_{z₀}G·(D_z Fl)⁻¹·∂_w Fl. Returns (bracket, noise),
+    ``noise`` being the estimated roundoff of finite-difference
+    sensitivities (0 for exact ones).
     """
-    f1_of = lambda bf, bs: _f1_state(system, action, bf, bs, quad.inner_nodes, engine)
-    df1, scale = _slow_fd_partials(f1_of, fast, slow, quad.fd_step)
-    dh = [sk.value(d) for d in engine.partials(system.H, fast, slow, "slow")]
-    return bracket_of_partials(dh, df1), scale
+    sensitivities = (_dual_sensitivities if action.flow_mode == "analytic"
+                     else _fd_sensitivities)
+    dh, dg, dfl, noise = sensitivities(system, action, fast, slow, engine)
+    n_fast = len(fast)
+    # node-wise matrices: jac[..., i, d] = ∂Fl_i/∂b_d, grad[..., d] = ∂G/∂b_d
+    jac = np.moveaxis(np.stack(dfl), (0, 1), (-2, -1))
+    grad = np.moveaxis(dg, 0, -1)
+    transport = np.linalg.solve(jac[..., :n_fast], jac[..., n_fast:])
+    df1 = grad[..., n_fast:] - np.einsum("...i,...ij->...j", grad[..., :n_fast], transport)
+    return bracket_of_partials(dh, list(np.moveaxis(df1, -1, 0))), noise
 
 
-def _f2_state(system, action, fast, slow, quad, engine, warn_noise=True) -> np.ndarray:
+def _f2_state(system, action, fast, slow, engine, warn_noise=True) -> np.ndarray:
     """F₂ = −(2/ω)·𝒮({H, F₁}₁) on a raw kernel state.
 
     With ``warn_noise`` set, a ``PrecisionWarning`` is raised when the
-    estimated noise of the slow finite differences, eps·scale/fd_step with
-    ``scale`` the largest |F₁| sampled, exceeds 1 % of the largest
-    |bracket| on the orbit. That includes a bracket that came out exactly
-    zero from nonzero differenced values, since such a zero cannot be told
-    apart from roundoff. When every differenced value is zero (``scale`` is
-    0, e.g. a decoupled system with F₁ ≡ 0) the noise is 0 and nothing warns.
+    estimated noise of finite-difference sensitivities (numeric flows only)
+    exceeds 1 % of the largest |bracket| on the orbit. That includes a
+    bracket that came out exactly zero from nonzero differenced values,
+    since such a zero cannot be told apart from roundoff. When every
+    differenced value is zero (e.g. a decoupled system with F₁ ≡ 0), and on
+    the analytic path, the noise is 0 and nothing warns.
     """
-    orbit = action.orbit(fast, slow, quad.outer_nodes)
-    bracket, scale = _h_f1_bracket(system, action, orbit.fast, orbit.slow, quad, engine)
-    bracket = _profile_of(bracket, orbit)
-
+    bracket, noise = _h_f1_bracket(system, action, fast, slow, engine)
     if warn_noise:
-        noise = np.finfo(float).eps * scale / quad.fd_step
-        signal = float(np.max(np.abs(bracket))) if bracket.size else 0.0
+        signal = float(np.max(np.abs(bracket))) if np.size(bracket) else 0.0
         if noise > 0.01 * signal:
             warnings.warn(
                 f"slow finite differences carry estimated noise {noise:.2e} "
                 f"against bracket scale {signal:.2e}",
                 PrecisionWarning, stacklevel=2)
-
     return -2.0 * s_from_samples(bracket) / _omega_at(system, fast, slow)
 
 
 def f2(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-       quad: QuadratureConfig = DEFAULT_QUAD, engine: DiffEngine = DEFAULT_ENGINE,
-       strict: bool = False) -> float:
+       engine: DiffEngine = DEFAULT_ENGINE, strict: bool = False) -> float:
     """Second-order correction F₂(m) = −(2/ω)·𝒮({H, F₁}₁).
 
-    Warns with ``PrecisionWarning`` when the finite-difference noise estimate
-    exceeds 1 % of the bracket being averaged, a bracket of exactly zero
-    included; stays silent when nothing nonzero was differenced.
+    With a numeric flow, warns with ``PrecisionWarning`` when the
+    finite-difference noise estimate exceeds 1 % of the bracket being
+    averaged, a bracket of exactly zero included; stays silent when nothing
+    nonzero was differenced. The analytic path is exact and never warns.
     """
     system.require_in_domain(m)
     _check_strict(action, m, strict)
     fast, slow = m.state()
-    return float(_f2_state(system, action, fast, slow, quad, engine))
+    return float(_f2_state(system, action, fast, slow, engine))
 
 
 # ---------------------------------------------------------------------------
@@ -421,23 +469,21 @@ def series_values(terms, eps: float, order: int) -> np.ndarray:
 class InvariantSeries:
     """Truncated invariant F(m; ε) = J + ε·F₁ + ε²/2·F₂ up to ``order``."""
 
-    def __init__(self, system, action, order, quad: QuadratureConfig = DEFAULT_QUAD,
-                 engine: DiffEngine = DEFAULT_ENGINE, strict: bool = False):
+    def __init__(self, system, action, order, engine: DiffEngine = DEFAULT_ENGINE,
+                 strict: bool = False):
         if order not in (0, 1, 2):
             raise UnsupportedOrder(f"order must be 0, 1 or 2, got {order}")
         self.system = system
         self.action = action
         self.order = int(order)
-        self.quad = quad
         self.engine = engine
         self.strict = strict
 
     def terms_batch(self, coords: np.ndarray):
         """(J, F₁, F₂) over an (n_points, dim) coordinate array.
 
-        Terms beyond the order are zero. F₂ is evaluated ``F2_CHUNK`` points
-        at a time, which bounds the memory of its nested quadrature, and does
-        not warn about finite-difference noise.
+        Terms beyond the order are zero. F₂ does not warn about
+        finite-difference noise here.
         """
         coords = np.asarray(coords, dtype=float)
         r, k = self.system.r, self.system.k
@@ -448,14 +494,10 @@ class InvariantSeries:
         f1_vals = np.zeros_like(j_vals)
         f2_vals = np.zeros_like(j_vals)
         if self.order >= 1:
-            f1_vals = _f1_state(self.system, self.action, fast, slow,
-                                self.quad.outer_nodes, self.engine)
+            f1_vals = _f1_state(self.system, self.action, fast, slow, self.engine)
         if self.order >= 2:
-            for start in range(0, coords.shape[0], F2_CHUNK):
-                sl = slice(start, start + F2_CHUNK)
-                f2_vals[sl] = _f2_state(self.system, self.action,
-                                        [c[sl] for c in fast], [c[sl] for c in slow],
-                                        self.quad, self.engine, warn_noise=False)
+            f2_vals = _f2_state(self.system, self.action, fast, slow, self.engine,
+                                warn_noise=False)
         return j_vals, f1_vals, f2_vals
 
     def evaluate_batch(self, coords: np.ndarray, eps: float) -> np.ndarray:
@@ -473,10 +515,9 @@ class InvariantSeries:
 
 
 def assemble(system: SlowFastSystem, action: CircleAction, order: int,
-             quad: QuadratureConfig = DEFAULT_QUAD,
              engine: DiffEngine = DEFAULT_ENGINE, strict: bool = False) -> InvariantSeries:
     """Build the truncated invariant series of the requested order."""
-    return InvariantSeries(system, action, order, quad, engine, strict)
+    return InvariantSeries(system, action, order, engine, strict)
 
 
 def lie_derivative(system: SlowFastSystem, F: Callable, m: PhasePoint, eps: float,
@@ -501,31 +542,30 @@ def _d_dt_along_flow(action: CircleAction, point_fn: Callable, m: PhasePoint,
 
 
 def ty2_residual(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-                 quad: QuadratureConfig = DEFAULT_QUAD,
                  engine: DiffEngine = DEFAULT_ENGINE, step: float = 1e-4) -> float:
     """|L_Υ F₁ + (1/ω){H,J}₁| — defect of the first-order homological equation."""
     system.require_in_domain(m)
     fast, slow = m.state()
     deriv = _d_dt_along_flow(
-        action, lambda p: f1(system, action, p, quad, engine), m, step)
+        action, lambda p: f1(system, action, p, engine), m, step)
     hj = float(sk.value(state_bracket1(system.H, system.J, fast, slow, engine)))
     omega = float(sk.value(system.omega(fast, slow)))
     return abs(deriv + hj / omega)
 
 
 def ty3_residual(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-                 quad: QuadratureConfig = DEFAULT_QUAD,
                  engine: DiffEngine = DEFAULT_ENGINE, step: float = 1e-4) -> float:
     """Defect of the second-order homological equation, |L_Υ F₂ + (2/ω){H,F₁}₁|.
 
     With the series normalized as J + εF₁ + ε²/2·F₂, order-by-order expansion
     of the invariance condition forces L_Υ F₂ = −(2/ω){H,F₁}₁. ``F₂`` is
-    differentiated along the flow; {H,F₁}₁ is formed here exactly as inside it.
+    differentiated along the flow; {H,F₁}₁ is the one F₂ is built from, read
+    at the orbit's first node (the point itself).
     """
     system.require_in_domain(m)
     fast, slow = m.state()
     deriv = _d_dt_along_flow(
-        action, lambda p: f2(system, action, p, quad, engine), m, step)
-    hf1, _ = _h_f1_bracket(system, action, fast, slow, quad, engine)
+        action, lambda p: f2(system, action, p, engine), m, step)
+    hf1, _ = _h_f1_bracket(system, action, fast, slow, engine)
     omega = float(sk.value(system.omega(fast, slow)))
-    return abs(deriv + 2.0 * float(hf1) / omega)
+    return abs(deriv + 2.0 * float(hf1[..., 0]) / omega)

@@ -28,6 +28,8 @@ __all__ = [
     "fresh_tag",
     "derivative",
     "extract_partial",
+    "map_parts",
+    "broadcast",
     "sin",
     "cos",
     "sqrt",
@@ -169,6 +171,28 @@ def extract_partial(out, tag):
         return out.eps
     # no dependence on the seeded coordinate
     return np.zeros(np.shape(value(out)))
+
+
+def map_parts(fn, x):
+    """Apply ``fn`` to every float or array part of a (possibly nested) dual.
+
+    Right for maps that act on each part alone, such as broadcasting or a
+    linear operator along the trailing axis: a multidual pass carries its
+    direction axis in front of the value's axes, so trailing axes line up in
+    every part.
+    """
+    if isinstance(x, Dual):
+        return Dual(map_parts(fn, x.val), map_parts(fn, x.eps), x.tag)
+    return fn(x)
+
+
+def broadcast(x, shape):
+    """``x`` broadcast to ``shape``; dual parts keep their leading direction axes."""
+    def part(a):
+        a = np.asarray(a, dtype=float)
+        return np.broadcast_to(a, np.broadcast_shapes(a.shape, shape))
+
+    return map_parts(part, x)
 
 
 def derivative(f, x):

@@ -14,7 +14,7 @@ NON_DEFAULT = RunConfig(fixture="charged_particle", params={"b": 1.5, "lam": 0.2
                         initial=(0.1, 0.4, 0.2, 1.0), eps_grid=(0.3, 0.15),
                         horizon_c=0.5, samples=33, orders=(0, 2), order=1, strict=True,
                         method="rk4", rtol=1e-8, atol=1e-12, dt=0.01, max_steps=1000,
-                        nodes=32, inner_nodes=16, flow_mode="numeric",
+                        nodes=32, flow_mode="numeric",
                         out_dir="results", out_format="json")
 
 
@@ -32,6 +32,7 @@ def test_config_round_trip(config):
     "[experiment]\nsamples = 8\nwindow = 3\n",
     "[fixture]\nname = elastic_pendulum\nmass = 2.0\n",
     "[fixture]\nname = rigid_body\n",
+    "[quadrature]\ninner_nodes = 32\n",
 ])
 def test_config_rejects_unknown_sections_and_keys(text):
     with pytest.raises(ConfigError):
@@ -42,6 +43,11 @@ def test_config_rejects_unknown_sections_and_keys(text):
 def test_config_rejects_removed_variant_key(value):
     with pytest.raises(ConfigError, match="single definition"):
         RunConfig.parse(f"[experiment]\nvariant = {value}\n")
+
+
+def test_config_rejects_removed_inner_nodes_key():
+    with pytest.raises(ConfigError, match="one orbit"):
+        RunConfig.parse("[quadrature]\nnodes = 64\ninner_nodes = 32\n")
 
 
 # -- CLI exit codes ---------------------------------------------------------------
@@ -81,7 +87,7 @@ def test_cli_rejects_removed_variant_flag(tmp_path):
 def test_order_sweep_bytes_independent_of_workers(tmp_path):
     config = DriftConfig(fixture="elastic_pendulum", eps_grid=(0.2, 0.1), samples=8,
                          integrator=IntegratorConfig(method="rk45", rtol=1e-9, atol=1e-12),
-                         outer_nodes=32, inner_nodes=16)
+                         outer_nodes=32)
     written = {}
     for workers in (1, 2):
         report = order_sweep(replace(config, workers=workers))
@@ -92,8 +98,20 @@ def test_order_sweep_bytes_independent_of_workers(tmp_path):
     assert b"variant" not in written[1][1]
 
 
+def test_drift_json_independent_of_output_dir(tmp_path):
+    config = _write(tmp_path, "[fixture]\nname = elastic_pendulum\n\n"
+                              "[quadrature]\nnodes = 16\n\n"
+                              "[experiment]\neps = 0.2,0.1\nsamples = 8\n")
+    reports = []
+    for out in ("first", "second"):
+        main(["drift", "--config", config, "--out", str(tmp_path / out), "--workers", "1"])
+        reports.append((tmp_path / out / "drift.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert b"first" not in reports[0]
+
+
 def test_check_f2_on_pendulum_initial_point():
     check = check_f2(DriftConfig(fixture="elastic_pendulum"))
     assert check["ok"]
-    assert check["closed_diff"] <= 1e-10
+    assert check["closed_diff"] <= 1e-13
     assert check["ty3_residual"] <= 1e-4

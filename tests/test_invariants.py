@@ -13,12 +13,10 @@ from adiakit import (CircleAction, HypothesisViolation, PhasePoint,
                      elastic_pendulum, f1, f2, grad_fast, k1, lie_derivative,
                      momentum_from_action, theta, ty2_residual, ty3_residual)
 from adiakit import kernel as sk
-from adiakit.invariants import QuadratureConfig
 from adiakit.phase import DiffEngine
+from adiakit.sl2 import f2_closed
 
 from conftest import nondegenerate_system, sample_points
-
-QUAD = QuadratureConfig()
 
 
 # -- structural checks -----------------------------------------------------------
@@ -204,7 +202,50 @@ def test_f2_pendulum_adjudication_point():
     m = PhasePoint([1.0, 0.0], [1.0, 1.0])
     closed = float(sk.value(fx.closed_f2(*m.state())))
     assert closed == pytest.approx(-0.875, abs=1e-15)
-    assert f2(fx.system, action, m) == pytest.approx(closed, abs=1e-10)
+    assert f2(fx.system, action, m) == pytest.approx(closed, abs=1e-13)
+
+
+def test_f2_terms_batch_matches_closed_forms(pendulum, rng):
+    # exact slow derivatives: only rounding separates F2 from the closed forms
+    # (measured 2.3e-13 on |F2| up to 1e3 for the pendulum, 2e-16 for sl(2))
+    action = CircleAction(pendulum.system)
+    pts = sample_points(pendulum, rng, 16)
+    _, _, f2_vals = assemble(pendulum.system, action, 2).terms_batch(
+        np.stack([m.coords for m in pts]))
+    closed = [float(sk.value(pendulum.closed_f2(*m.state()))) for m in pts]
+    assert f2_vals == pytest.approx(closed, rel=1e-13, abs=1e-13)
+    for constant_omega in (True, False):
+        qs = nondegenerate_system(constant_omega)
+        system = qs.system()
+        coords = rng.uniform(-1.0, 1.0, size=(6, 4))
+        _, _, f2_vals = assemble(system, CircleAction(system), 2).terms_batch(coords)
+        closed = [f2_closed(qs, PhasePoint(c[:2], c[2:])) for c in coords]
+        assert f2_vals == pytest.approx(closed, rel=0.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
+def test_numeric_flow_f2_matches_analytic(request, fixture_name):
+    # central differences of numerically integrated orbits against the dual
+    # lift of the analytic flow, at the same 8 nodes (measured <= 8.2e-13)
+    fixture = request.getfixturevalue(fixture_name)
+    system, m = fixture.system, fixture.initial
+    numeric = f2(system, CircleAction(system, flow_mode="numeric", nodes=8), m)
+    assert numeric == pytest.approx(f2(system, CircleAction(system, nodes=8), m),
+                                    rel=0.0, abs=1e-9)
+
+
+def test_analytic_f2_samples_one_orbit_per_batch(pendulum, rng, monkeypatch):
+    action = CircleAction(pendulum.system)
+    calls = []
+    orbit = action.orbit
+    monkeypatch.setattr(action, "orbit", lambda *a, **kw: calls.append(1) or orbit(*a, **kw))
+    coords = np.stack([m.coords for m in sample_points(pendulum, rng, 8)])
+    counts = []
+    for order in (1, 2):
+        calls.clear()
+        assemble(pendulum.system, action, order).terms_batch(coords)
+        counts.append(len(calls))
+    assert counts == [1, 2]  # F1's orbit, then the one lifted orbit of F2
 
 
 def test_f2_trivial_zeros():
@@ -245,10 +286,7 @@ def test_homological_residuals(pendulum, particle, rng):
 
 def _flat_bracket_system():
     # J = 1/2 (y^2 + x^2) + x^2 q and H = 1/2 (y^2 + x^2) + 1/2 p^2 give an
-    # F1 that depends on (y, x, p) only: its central difference in q cancels
-    # exactly, so {H, F1}_1 = p dF1/dq comes out as exactly 0.0 while the
-    # differenced values of F1 (about 0.06 at the point below, up to 0.12 on
-    # the orbit) carry roundoff of order eps * 0.12 / fd_step
+    # F1 that depends on (y, x, p) only, so {H, F1}_1 = p dF1/dq is exactly 0
     def H(fast, slow):
         y, x = fast
         p, q = slow
@@ -264,36 +302,52 @@ def _flat_bracket_system():
                           fast_flow=flow)
 
 
+FLAT_POINT = PhasePoint([0.7, 0.2], [0.9, 0.4])
+
+
 def test_fd_noise_warning_on_flat_bracket():
-    # a bracket of exactly zero cannot be told apart from the ~2.6e-12 of
-    # estimated finite-difference noise, so F2 = 0 must not be reported silently
+    # with a numeric flow the q-shifted orbits are bitwise those of the base
+    # point, so the bracket comes out exactly 0; the differenced values of F1
+    # (up to 0.10 on the 8-node orbits) carry estimated noise
+    # eps * 0.10 / fd_step = 3.7e-12, from which a zero bracket cannot be told
+    # apart, so F2 = 0 must not be reported silently
     system = _flat_bracket_system()
-    action = CircleAction(system)
-    m = PhasePoint([0.7, 0.2], [0.9, 0.4])
+    action = CircleAction(system, flow_mode="numeric", nodes=8)
     with pytest.warns(PrecisionWarning):
-        f2(system, action, m)
+        f2(system, action, FLAT_POINT)
+
+
+def test_flat_bracket_exact_on_analytic_path():
+    # exact slow derivatives carry no finite-difference noise: F2 = 0, silently
+    system = _flat_bracket_system()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", PrecisionWarning)
+        assert abs(f2(system, CircleAction(system), FLAT_POINT)) <= 1e-14
 
 
 # The ids are the names of the two F2 readings this test once covered; each now
 # names a public route into the one F2 and its noise rule: "ai3" evaluates f2
 # itself, "ty3" the second-order homological residual, which differentiates F2
-# along the flow. Both are exactly 0 on the decoupled pendulum.
+# along the flow. Both are exactly 0 on the decoupled pendulum, with the
+# analytic flow and with the numeric one (finite-difference sensitivities).
 @pytest.mark.parametrize("evaluate", [
     pytest.param(f2, id="ai3"),
     pytest.param(ty3_residual, id="ty3"),
 ])
 def test_fd_noise_silent_on_decoupled_and_adjudication_point(evaluate):
     m = PhasePoint([1.0, 0.0], [1.0, 1.0])
+    modes = [{}, {"flow_mode": "numeric", "nodes": 8, "rtol": 1e-8, "atol": 1e-10}]
     with warnings.catch_warnings():
         warnings.simplefilter("error", PrecisionWarning)
-        # decoupled pendulum: F1 is identically zero, so the noise estimate is 0
-        fx = elastic_pendulum(omega=1.0, gamma=0.0)
-        action = CircleAction(fx.system)
-        for point in (fx.initial, m):
-            assert evaluate(fx.system, action, point) == 0.0
-        # coupled pendulum at the adjudication point: the bracket dominates
-        fx = elastic_pendulum(omega=1.0, gamma=1.0)
-        evaluate(fx.system, CircleAction(fx.system), m)
+        for mode in modes:
+            # decoupled pendulum: F1 is identically zero, so the noise estimate is 0
+            fx = elastic_pendulum(omega=1.0, gamma=0.0)
+            action = CircleAction(fx.system, **mode)
+            for point in (fx.initial, m):
+                assert evaluate(fx.system, action, point) == 0.0
+            # coupled pendulum at the adjudication point: the bracket dominates
+            fx = elastic_pendulum(omega=1.0, gamma=1.0)
+            evaluate(fx.system, CircleAction(fx.system, **mode), m)
 
 
 # -- series assembly ------------------------------------------------------------
