@@ -26,7 +26,7 @@ import numpy as np
 from . import kernel as sk
 from .errors import NumericalError
 from .integrators import IntegratorConfig, integrate
-from .phase import DEFAULT_ENGINE, DiffEngine, PhasePoint, SlowFastSystem
+from .phase import PhasePoint, SlowFastSystem
 
 __all__ = [
     "CircleAction",
@@ -131,7 +131,6 @@ class CircleAction:
     nodes: int = 64
     rtol: float = 1e-11
     atol: float = 1e-14
-    engine: DiffEngine = DEFAULT_ENGINE
     cache_size: int = 128
 
     def __post_init__(self):
@@ -153,8 +152,8 @@ class CircleAction:
             new_fast = self.system.fast_flow(t, fast, slow)
             return PhasePoint(np.asarray([sk.value(c) for c in new_fast], dtype=float),
                               m.slow)
-        z = self._integrate_fast(m.fast, m.slow, float(t))
-        return PhasePoint(z, m.slow)
+        t = float(t)
+        return PhasePoint(self._integrate_lanes(m.coords[None], t, [t])[-1, 0], m.slow)
 
     def check_periodicity(self, m: PhasePoint, tol: float = 1e-9):
         """(pass flag, residual) with residual = ‖Fl^{2π}(m) − m‖."""
@@ -163,28 +162,39 @@ class CircleAction:
         return residual <= tol, residual
 
     def _upsilon_field(self, slow):
+        """The normalized fast field on lanes: ``rhs(t, z)`` with z of shape (lanes, 2r).
+
+        ``slow`` holds one array of per-lane values for each slow coordinate;
+        ω must be positive on every lane. One multidual evaluation of H (a
+        leading direction axis over the fast block) gives the whole fast
+        gradient.
+        """
         system = self.system
         r = system.r
+        basis = np.eye(2 * r)[:, :, None]
 
         def rhs(t, z):
-            fast = list(z)
-            grads = self.engine.partials(system.H, fast, slow, "fast")
+            fast = list(z.T)
+            tag = sk.fresh_tag()
+            grads = sk.extract_partial(
+                system.H([sk.Dual(c, e, tag) for c, e in zip(fast, basis)], slow), tag)
             omega = sk.value(system.omega(fast, slow))
-            if not omega > 0.0:
+            if not np.all(np.asarray(omega) > 0.0):
                 raise NumericalError("frequency function must stay positive")
-            vel = np.empty(2 * r)
+            vel = np.empty_like(z)
             for i in range(r):
-                vel[i] = -grads[r + i] / omega
-                vel[r + i] = grads[i] / omega
+                vel[:, i] = -grads[r + i] / omega
+                vel[:, r + i] = grads[i] / omega
             return vel
 
         return rhs
 
-    def _integrate_fast(self, fast, slow, t_end: float) -> np.ndarray:
-        rhs = self._upsilon_field(list(slow))
+    def _integrate_lanes(self, points, t_end: float, t_eval) -> np.ndarray:
+        """Fast states at ``t_eval`` for base points (lanes, 2r + 2k): (times, lanes, 2r)."""
+        n_fast = 2 * self.system.r
+        rhs = self._upsilon_field(list(points[:, n_fast:].T))
         cfg = IntegratorConfig(method="rk45", rtol=self.rtol, atol=self.atol)
-        traj = integrate(rhs, np.asarray(fast, dtype=float), t_end, cfg)
-        return traj.final
+        return integrate(rhs, points[:, :n_fast], t_end, cfg, t_eval=t_eval).states
 
     # -- orbit sampling -----------------------------------------------------
 
@@ -207,31 +217,25 @@ class CircleAction:
         return self._orbit_numeric(fast, slow, n, times)
 
     def _orbit_numeric(self, fast, slow, n, times):
-        base = np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in fast],
-                                   *[np.asarray(c, dtype=float) for c in slow])
+        """Numeric orbits: every point of the batch is one lane of one integration.
+
+        A single (unbatched) point is served from the orbit cache when present.
+        """
+        base = np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in list(fast) + list(slow)])
         batch_shape = base[0].shape
-        flat = [c.reshape(-1) for c in base]
-        n_pts = flat[0].size
         n_fast = len(fast)
-        fast_out = np.empty((n_fast, n_pts, n))
-        for idx in range(n_pts):
-            z0 = np.array([flat[i][idx] for i in range(n_fast)])
-            w = [flat[n_fast + i][idx] for i in range(len(slow))]
-            key = None
+        points = np.stack([c.reshape(-1) for c in base], axis=-1)
+        key = (n, points.tobytes())
+        cached = self._cache.get(key) if batch_shape == () else None
+        if cached is not None:
+            fast_out = cached.copy()
+        else:
+            # (n_fast, points, nodes)
+            fast_out = self._integrate_lanes(points, TWO_PI, times).transpose(2, 1, 0)
             if batch_shape == ():
-                key = (n, z0.tobytes(), np.asarray(w).tobytes())
-                cached = self._cache.get(key)
-                if cached is not None:
-                    fast_out[:, idx, :] = cached
-                    continue
-            rhs = self._upsilon_field(w)
-            cfg = IntegratorConfig(method="rk45", rtol=self.rtol, atol=self.atol)
-            traj = integrate(rhs, z0, TWO_PI, cfg, t_eval=times)
-            fast_out[:, idx, :] = traj.states.T
-            if key is not None:
                 if len(self._cache) >= self.cache_size:
                     self._cache.pop(next(iter(self._cache)))
-                self._cache[key] = fast_out[:, idx, :].copy()
+                self._cache[key] = fast_out.copy()
         fast_arrays = [fast_out[i].reshape(batch_shape + (n,)) for i in range(n_fast)]
         slow_arrays = [np.broadcast_to(c[..., None], batch_shape + (n,))
                        for c in base[n_fast:]]

@@ -182,7 +182,7 @@ def cmd_drift(config: RunConfig, args) -> int:
     f2_check = check_f2(drift_cfg) if 2 in drift_cfg.orders else None
 
     report = order_sweep(drift_cfg)
-    report.metadata["config"] = config.serialize(output_dir=False)
+    report.metadata["config"] = config.serialize(output=False)
 
     out_dir = _outdir(config)
     written = []

@@ -147,11 +147,12 @@ class RunConfig:
 
     # -- emission ------------------------------------------------------------
 
-    def serialize(self, output_dir: bool = True) -> str:
+    def serialize(self, output: bool = True) -> str:
         """INI text that ``parse`` reads back to this config.
 
-        With ``output_dir`` false the ``[output] dir`` line is left out, so
-        that the text describes the run alone and not where it was written.
+        With ``output`` false the ``[output]`` section is left out, so that
+        the text describes the run alone, not where or in which formats its
+        reports were written.
         """
         out = io.StringIO()
         out.write("[fixture]\n")
@@ -178,10 +179,10 @@ class RunConfig:
         out.write(f"orders = {_fmt_list(self.orders)}\n")
         out.write(f"order = {self.order}\n")
         out.write(f"strict = {'true' if self.strict else 'false'}\n")
-        out.write("\n[output]\n")
-        if output_dir:
+        if output:
+            out.write("\n[output]\n")
             out.write(f"dir = {self.out_dir}\n")
-        out.write(f"format = {self.out_format}\n")
+            out.write(f"format = {self.out_format}\n")
         return out.getvalue()
 
     # -- adapters ------------------------------------------------------------

@@ -281,9 +281,8 @@ def _omega_at(system, fast, slow):
     return om
 
 
-def _f1_state(system, action, fast, slow, engine) -> np.ndarray:
-    """First-order correction at a (possibly batched) raw state."""
-    orbit = action.orbit(fast, slow)
+def _f1_state(system, orbit: OrbitSamples, fast, slow, engine) -> np.ndarray:
+    """First-order correction at a (possibly batched) raw state, from its orbit."""
     dh, dj = _slow_partials(system, orbit, engine)
     shj = s_from_samples(_bracket1_profile(dh, dj, orbit))
     k1_avg = fourier_mean(_k1_nodes(dh, dj, orbit))
@@ -307,11 +306,12 @@ def _base_coordinates(fast, slow):
     return np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in list(fast) + list(slow)])
 
 
-def _dual_sensitivities(system, action, fast, slow, engine):
+def _dual_sensitivities(system, action, fast, slow, engine, orbit=None):
     """Exact sensitivities of the one-orbit F₁ to the base point b = (z₀, w).
 
     One multidual pass (one tag, a leading direction axis of length
-    D = 2r + 2k) lifts b through ``fast_flow`` and ``_f1_nodes``. Returns
+    D = 2r + 2k) lifts b through ``fast_flow`` and ``_f1_nodes``; the base
+    point's plain ``orbit`` is not needed. Returns
     (∂H/∂w at the nodes, ∂G/∂b, [∂Fl_i/∂b], noise) with G_j = F₁(m_j), the
     direction axis first, and noise 0: exact derivatives carry none.
     """
@@ -330,12 +330,14 @@ def _dual_sensitivities(system, action, fast, slow, engine):
     return ([sk.value(c) for c in dh], partial(g), [partial(c) for c in orbit.fast], 0.0)
 
 
-def _fd_sensitivities(system, action, fast, slow, engine):
+def _fd_sensitivities(system, action, fast, slow, engine, orbit=None):
     """Central-difference sensitivities of the one-orbit F₁, for numeric flows.
 
-    Integrates the orbit of the base point and of the 2D base points shifted
-    by ±``engine.fd_step``·max(1, |b_d|), D = 2r + 2k; returns what
-    ``_dual_sensitivities`` returns, the noise being eps·max|G|/fd_step.
+    Integrates the orbits of the 2D base points shifted by
+    ±``engine.fd_step``·max(1, |b_d|), D = 2r + 2k, as the lanes of one run,
+    and takes the base point's own orbit from ``orbit`` when the caller has
+    it; returns what ``_dual_sensitivities`` returns, the noise being
+    eps·max|G|/fd_step.
     """
     base = _base_coordinates(fast, slow)
     dim, n_fast = len(base), len(fast)
@@ -353,7 +355,8 @@ def _fd_sensitivities(system, action, fast, slow, engine):
     def partial(x):
         return (x[:, 0] - x[:, 1]) / (2.0 * step)
 
-    orbit = action.orbit(base[:n_fast], base[n_fast:])
+    if orbit is None:
+        orbit = action.orbit(base[:n_fast], base[n_fast:])
     dh = engine.partials(system.H, orbit.fast, orbit.slow, "slow")
     noise = np.finfo(float).eps * float(np.max(np.abs(g))) / engine.fd_step
     return dh, partial(g), [partial(c) for c in orbit_shifted.fast], noise
@@ -390,21 +393,22 @@ def f1(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
     system.require_in_domain(m)
     _check_strict(action, m, strict)
     fast, slow = m.state()
-    return float(_f1_state(system, action, fast, slow, engine))
+    return float(_f1_state(system, action.orbit(fast, slow), fast, slow, engine))
 
 
-def _h_f1_bracket(system, action, fast, slow, engine):
+def _h_f1_bracket(system, action, fast, slow, engine, orbit=None):
     """{H, F₁}₁ at every node of the orbit of a raw kernel state.
 
     The slow partials of F₁ at fixed fast coordinates follow from the
     sensitivities of G_j = F₁(Fl_j(z₀, w), w) by the chain rule,
-    ∂_w F₁ = ∂_w G − ∂_{z₀}G·(D_z Fl)⁻¹·∂_w Fl. Returns (bracket, noise),
-    ``noise`` being the estimated roundoff of finite-difference
-    sensitivities (0 for exact ones).
+    ∂_w F₁ = ∂_w G − ∂_{z₀}G·(D_z Fl)⁻¹·∂_w Fl. ``orbit``, the base point's
+    orbit when the caller has it, saves numeric flows one integration.
+    Returns (bracket, noise), ``noise`` being the estimated roundoff of
+    finite-difference sensitivities (0 for exact ones).
     """
     sensitivities = (_dual_sensitivities if action.flow_mode == "analytic"
                      else _fd_sensitivities)
-    dh, dg, dfl, noise = sensitivities(system, action, fast, slow, engine)
+    dh, dg, dfl, noise = sensitivities(system, action, fast, slow, engine, orbit)
     n_fast = len(fast)
     # node-wise matrices: jac[..., i, d] = ∂Fl_i/∂b_d, grad[..., d] = ∂G/∂b_d
     jac = np.moveaxis(np.stack(dfl), (0, 1), (-2, -1))
@@ -414,7 +418,7 @@ def _h_f1_bracket(system, action, fast, slow, engine):
     return bracket_of_partials(dh, list(np.moveaxis(df1, -1, 0))), noise
 
 
-def _f2_state(system, action, fast, slow, engine, warn_noise=True) -> np.ndarray:
+def _f2_state(system, action, fast, slow, engine, warn_noise=True, orbit=None) -> np.ndarray:
     """F₂ = −(2/ω)·𝒮({H, F₁}₁) on a raw kernel state.
 
     With ``warn_noise`` set, a ``PrecisionWarning`` is raised when the
@@ -425,7 +429,7 @@ def _f2_state(system, action, fast, slow, engine, warn_noise=True) -> np.ndarray
     differenced value is zero (e.g. a decoupled system with F₁ ≡ 0), and on
     the analytic path, the noise is 0 and nothing warns.
     """
-    bracket, noise = _h_f1_bracket(system, action, fast, slow, engine)
+    bracket, noise = _h_f1_bracket(system, action, fast, slow, engine, orbit)
     if warn_noise:
         signal = float(np.max(np.abs(bracket))) if np.size(bracket) else 0.0
         if noise > 0.01 * signal:
@@ -494,10 +498,11 @@ class InvariantSeries:
         f1_vals = np.zeros_like(j_vals)
         f2_vals = np.zeros_like(j_vals)
         if self.order >= 1:
-            f1_vals = _f1_state(self.system, self.action, fast, slow, self.engine)
+            orbit = self.action.orbit(fast, slow)
+            f1_vals = _f1_state(self.system, orbit, fast, slow, self.engine)
         if self.order >= 2:
             f2_vals = _f2_state(self.system, self.action, fast, slow, self.engine,
-                                warn_noise=False)
+                                warn_noise=False, orbit=orbit)
         return j_vals, f1_vals, f2_vals
 
     def evaluate_batch(self, coords: np.ndarray, eps: float) -> np.ndarray:

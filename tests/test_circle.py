@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from adiakit import CircleAction, PhasePoint, charged_particle, elastic_pendulum
+from adiakit import (CircleAction, NumericalError, PhasePoint, SlowFastSystem,
+                     charged_particle, elastic_pendulum)
 from adiakit import kernel as sk
 from adiakit.circle import fourier_mean, s_at_nodes, s_from_samples
 from adiakit.invariants import d1j_coeffs
@@ -80,6 +81,34 @@ def test_numeric_and_analytic_flows_agree():
         pa = analytic.flow(t, m)
         pn = numeric.flow(t, m)
         assert np.linalg.norm(pa.coords - pn.coords) < 1e-9
+
+
+@pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
+def test_numeric_orbit_batch_equals_point_by_point(request, rng, fixture_name):
+    # one lane run for the whole batch; each lane bitwise its point's own orbit
+    fixture = request.getfixturevalue(fixture_name)
+    system = fixture.system
+    points = np.stack([m.coords for m in sample_points(fixture, rng, 5)])
+    batch = CircleAction(system, flow_mode="numeric", nodes=8).orbit(
+        list(points[:, :2].T), list(points[:, 2:].T))
+    single = CircleAction(system, flow_mode="numeric", nodes=8)
+    for i, m in enumerate(points):
+        orbit = single.orbit(list(m[:2]), list(m[2:]))
+        for got, want in zip(batch.fast + batch.slow, orbit.fast + orbit.slow):
+            assert np.array_equal(got[i], want)
+
+
+def test_numeric_orbit_rejects_nonpositive_frequency_on_any_lane():
+    def H(fast, slow):
+        y, x = fast
+        return 0.5 * slow[1] * (y * y + x * x)
+
+    system = SlowFastSystem(r=1, k=1, H=H, omega=lambda fast, slow: slow[1])
+    action = CircleAction(system, flow_mode="numeric", nodes=8)
+    ones = np.ones(3)
+    action.orbit([ones, 0.5 * ones], [ones, np.array([1.0, 2.0, 0.5])])
+    with pytest.raises(NumericalError, match="positive"):
+        action.orbit([ones, 0.5 * ones], [ones, np.array([1.0, 2.0, -0.5])])
 
 
 def test_slow_coordinates_preserved(pendulum_action):

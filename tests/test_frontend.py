@@ -98,16 +98,30 @@ def test_order_sweep_bytes_independent_of_workers(tmp_path):
     assert b"variant" not in written[1][1]
 
 
+SMALL_DRIFT = ("[fixture]\nname = elastic_pendulum\n\n[quadrature]\nnodes = 16\n\n"
+               "[experiment]\neps = 0.2,0.1\nsamples = 8\n")
+
+
 def test_drift_json_independent_of_output_dir(tmp_path):
-    config = _write(tmp_path, "[fixture]\nname = elastic_pendulum\n\n"
-                              "[quadrature]\nnodes = 16\n\n"
-                              "[experiment]\neps = 0.2,0.1\nsamples = 8\n")
+    config = _write(tmp_path, SMALL_DRIFT)
     reports = []
     for out in ("first", "second"):
         main(["drift", "--config", config, "--out", str(tmp_path / out), "--workers", "1"])
         reports.append((tmp_path / out / "drift.json").read_bytes())
     assert reports[0] == reports[1]
     assert b"first" not in reports[0]
+
+
+def test_drift_json_independent_of_report_format(tmp_path):
+    config = _write(tmp_path, SMALL_DRIFT)
+    reports = []
+    for fmt in ("json", "both"):
+        out = tmp_path / fmt
+        main(["drift", "--config", config, "--out", str(out), "--workers", "1",
+              "--format", fmt])
+        reports.append((out / "drift.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert b"[output]" not in reports[0]
 
 
 def test_check_f2_on_pendulum_initial_point():

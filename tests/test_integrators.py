@@ -124,6 +124,93 @@ def test_step_size_underflow_near_blowup():
     assert err.value.last_time == pytest.approx(1.0, abs=0.05)
 
 
+def anharmonic(k):
+    """Pendulum-like oscillators whose stiffness ``k`` is a slow coordinate held
+    per lane (an array over lanes, or one lane's value); each row on its own."""
+    def field(t, y):
+        x, v = y[..., 0], y[..., 1]
+        return np.stack([v, -k * np.sin(x) - 0.3 * k * x * x * x], axis=-1)
+
+    return field
+
+
+LANE_Y0 = np.array([[2.5, 0.0], [1.0, 0.3], [0.2, -1.0], [3.0, 2.0]])
+LANE_K = np.array([0.5, 2.0, 9.0, 30.0])
+COUNTERS = ("rhs_calls", "accepted", "rejected", "h_min", "h_max")
+
+
+@pytest.mark.parametrize("t_end", [4.0, -3.0])
+def test_lanes_equal_their_one_lane_runs(t_end):
+    cfg = IntegratorConfig(method="rk45", rtol=1e-8, atol=1e-12)
+    t_eval = np.linspace(0.0, t_end, 7)
+    lanes = integrate(anharmonic(LANE_K), LANE_Y0, t_end, cfg, t_eval=t_eval)
+    assert lanes.states.shape == (7, 4, 2)
+    # the lanes reject at different steps, so their controllers really differ
+    assert len(set(lanes.rejected.tolist())) == 4
+    for i in range(4):
+        one = integrate(anharmonic(LANE_K[i]), LANE_Y0[i], t_end, cfg, t_eval=t_eval)
+        stacked = integrate(anharmonic(LANE_K[i:i + 1]), LANE_Y0[i:i + 1], t_end, cfg,
+                            t_eval=t_eval)
+        assert np.array_equal(lanes.times, one.times)
+        assert np.array_equal(lanes.states[:, i], one.states)
+        assert np.array_equal(stacked.states[:, 0], one.states)
+        for name in COUNTERS:
+            assert getattr(lanes, name)[i] == getattr(one, name)
+            assert getattr(stacked, name)[0] == getattr(one, name)
+
+
+def test_one_lane_counters_count_field_calls():
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return anharmonic(9.0)(t, y)
+
+    cfg = IntegratorConfig(method="rk45", rtol=1e-8, atol=1e-12)
+    traj = integrate(counted, LANE_Y0[2], 4.0, cfg)
+    assert all(isinstance(t, float) for t in calls)
+    assert traj.rhs_calls == len(calls)
+    assert traj.rejected > 0
+    # the initial-step probe, six stages per attempt, and a fresh first
+    # stage at the start and after every rejection
+    assert traj.rhs_calls == 1 + 6 * (traj.accepted + traj.rejected) + 1 + traj.rejected
+    assert len(traj) == traj.accepted + 1
+    steps = np.abs(np.diff(traj.times))  # step sizes up to the rounding of t + h
+    assert traj.h_min == pytest.approx(steps.min(), rel=1e-12)
+    assert traj.h_max == pytest.approx(steps.max(), rel=1e-12)
+
+
+@pytest.mark.parametrize("t_end, t_eval", [(1.0, [0.0, 2.0]), (-1.0, [0.0, -2.0]),
+                                           (1.0, [-0.5, 0.5]), (-1.0, [0.0, np.nan])])
+def test_t_eval_outside_span_rejected_up_front(t_end, t_eval):
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return harmonic(t, y)
+
+    with pytest.raises(ValueError, match="t_eval"):
+        integrate(counted, [1.0, 0.0], t_end, t_eval=t_eval)
+    assert calls == []
+
+
+def test_lane_run_needs_t_eval_and_rk45():
+    with pytest.raises(ValueError, match="t_eval"):
+        integrate(anharmonic(LANE_K), LANE_Y0, 1.0)
+    with pytest.raises(ValueError, match="rk45"):
+        integrate(anharmonic(LANE_K), LANE_Y0, 1.0, IntegratorConfig(method="rk4"),
+                  t_eval=[0.0, 1.0])
+
+
+def test_lane_failure_reports_that_lanes_time():
+    # lane 1 blows up at t = 1/y0 = 0.5; lane 0 at t = 2
+    cfg = IntegratorConfig(method="rk45", rtol=1e-10, atol=1e-12, max_steps=10_000_000)
+    with pytest.raises((StepSizeUnderflow, MaxStepsExceeded), match="lane 1") as err:
+        integrate(lambda t, y: y * y, np.array([[0.5], [2.0]]), 1.0, cfg,
+                  t_eval=[0.0, 1.0])
+    assert err.value.last_time == pytest.approx(0.5, abs=0.05)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(method="euler")

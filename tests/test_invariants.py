@@ -12,6 +12,7 @@ from adiakit import (CircleAction, HypothesisViolation, PhasePoint,
                      check_hypotheses, check_momentum_map, check_period_energy,
                      elastic_pendulum, f1, f2, grad_fast, k1, lie_derivative,
                      momentum_from_action, theta, ty2_residual, ty3_residual)
+from adiakit import circle
 from adiakit import kernel as sk
 from adiakit.phase import DiffEngine
 from adiakit.sl2 import f2_closed
@@ -246,6 +247,27 @@ def test_analytic_f2_samples_one_orbit_per_batch(pendulum, rng, monkeypatch):
         assemble(pendulum.system, action, order).terms_batch(coords)
         counts.append(len(calls))
     assert counts == [1, 2]  # F1's orbit, then the one lifted orbit of F2
+
+
+def test_numeric_f2_integrates_each_orbit_once(pendulum, rng, monkeypatch):
+    # D = 4: F1 needs the base orbit, F2 the 2D shifted ones; 1 + 2D lanes
+    # per point, in one lane run per batch
+    runs = []
+    integrate = circle.integrate
+
+    def counted(field, y0, *args, **kwargs):
+        runs.append(len(y0))
+        return integrate(field, y0, *args, **kwargs)
+
+    monkeypatch.setattr(circle, "integrate", counted)
+    action = CircleAction(pendulum.system, flow_mode="numeric", nodes=8)
+    points = sample_points(pendulum, rng, 2)
+    assemble(pendulum.system, action, 2).terms_batch(np.stack([m.coords for m in points]))
+    assert runs == [2, 16]
+    runs.clear()
+    f1(pendulum.system, action, points[0])
+    f2(pendulum.system, action, points[0])  # base orbit from the point cache
+    assert runs == [1, 8]
 
 
 def test_f2_trivial_zeros():
