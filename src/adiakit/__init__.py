@@ -11,7 +11,7 @@ from .errors import (AdiakitError, ConfigError, DegenerateFamily, DomainError,
                      HypothesisViolation, IntegrationError, InvalidParameter,
                      MaxStepsExceeded, NotFound, NumericalError,
                      PrecisionWarning, SlopeUndefined, StepSizeUnderflow,
-                     UnsupportedOrder)
+                     TraceError, UnsupportedOrder)
 from .fixtures import (Fixture, charged_particle, elastic_pendulum,
                        get_fixture, list_fixtures, verify_transverse_momentum)
 from .integrators import IntegratorConfig, Trajectory, convergence_order, integrate, step_rk4

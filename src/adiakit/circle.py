@@ -161,23 +161,25 @@ class CircleAction:
         residual = float(np.linalg.norm(back.coords - m.coords))
         return residual <= tol, residual
 
+    @functools.cached_property
+    def _fast_gradient(self):
+        """Compiled fast-block gradient of H, slow coordinates as plain arguments."""
+        r, k = self.system.r, self.system.k
+        return sk.gradient(self.system.H, (2 * r, 2 * k), range(2 * r))
+
     def _upsilon_field(self, slow):
         """The normalized fast field on lanes: ``rhs(t, z)`` with z of shape (lanes, 2r).
 
         ``slow`` holds one array of per-lane values for each slow coordinate;
-        ω must be positive on every lane. One multidual evaluation of H (a
-        leading direction axis over the fast block) gives the whole fast
-        gradient.
+        ω must be positive on every lane.
         """
         system = self.system
         r = system.r
-        basis = np.eye(2 * r)[:, :, None]
+        grad = self._fast_gradient
 
         def rhs(t, z):
             fast = list(z.T)
-            tag = sk.fresh_tag()
-            grads = sk.extract_partial(
-                system.H([sk.Dual(c, e, tag) for c, e in zip(fast, basis)], slow), tag)
+            grads = grad(*fast, *slow)
             omega = sk.value(system.omega(fast, slow))
             if not np.all(np.asarray(omega) > 0.0):
                 raise NumericalError("frequency function must stay positive")

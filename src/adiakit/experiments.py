@@ -111,24 +111,20 @@ class SlopeFit:
 def full_field(system, eps: float):
     """Vector field of the perturbed system as a plain (t, y) -> dy callable.
 
-    One multidual evaluation of H per call delivers the whole gradient.
+    One call of H's compiled gradient (``kernel.gradient``) per call delivers
+    the whole gradient.
     """
     r, k = system.r, system.k
-    dim = 2 * r + 2 * k
-    basis = np.eye(dim)
-    H = system.H
+    grad = sk.gradient(system.H, (2 * r, 2 * k), range(system.dim))
+    # (ẏ, ẋ, ṗ, q̇) = (−∂H/∂x, ∂H/∂y, −ε·∂H/∂q, ε·∂H/∂p)
+    order = np.r_[r:2 * r, 0:r, 2 * r + k:2 * r + 2 * k, 2 * r:2 * r + k]
+    scale = np.array([-1.0] * r + [1.0] * r + [-eps] * k + [eps] * k)
 
     def rhs(t, y):
-        tag = sk.fresh_tag()
-        fast = [sk.Dual(y[i], basis[i], tag) for i in range(2 * r)]
-        slow = [sk.Dual(y[2 * r + i], basis[2 * r + i], tag) for i in range(2 * k)]
-        grad = sk.extract_partial(H(fast, slow), tag)
-        out = np.empty(dim)
-        out[:r] = -grad[r:2 * r]
-        out[r:2 * r] = grad[:r]
-        out[2 * r:2 * r + k] = -eps * grad[2 * r + k:]
-        out[2 * r + k:] = eps * grad[2 * r:2 * r + k]
-        return out
+        # Python floats round as numpy's float64 scalars do (``**`` calls the C
+        # pow in both), only faster; where numpy returns inf (a division by an
+        # exact 0.0, an overflowing ``**``) they raise instead
+        return np.array(grad(*y.tolist()))[order] * scale
 
     return rhs
 

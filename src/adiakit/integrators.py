@@ -158,7 +158,8 @@ def integrate(field: Callable, y0: Sequence[float], t_end: float,
     When ``t_eval`` is given, states are reported exactly at those times
     (steps are clipped so each requested time is a step boundary); its
     entries must run monotonically from 0 toward ``t_end`` without passing
-    it. Otherwise the initial state and every accepted step are recorded.
+    it; a repeated entry repeats the state, without a step of its own.
+    Otherwise the initial state and every accepted step are recorded.
 
     A 2-D ``y0`` of shape (lanes, dim) integrates every lane with its own
     step control (``rk45`` only, ``t_eval`` required); ``field`` is then
@@ -224,8 +225,9 @@ def _integrate_fixed(field, y0, t_end, config, t_eval, stepper):
         if want is None or t in want:
             times.append(t)
             states.append(y)
-    if want is not None and 0.0 not in want:
-        times, states = times[1:], states[1:]
+    if t_eval is not None:  # one row per entry, repeated entries included
+        at = dict(zip(times, states))
+        times, states = t_eval, [at[t] for t in t_eval]
     steps = np.abs(np.diff([0.0] + boundaries))
     n = len(boundaries)
     return Trajectory(np.asarray(times), np.asarray(states), 4 * n, n, 0,
@@ -327,8 +329,11 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
                     times.append(t[i])
                     states.append(y_new[i])
                 elif hit[i]:
-                    out[slots[next_target[i]], i] = y_new[i]
-                    next_target[i] += 1
+                    # a repeated t_eval entry takes the state just reached, no step
+                    reached = targets[next_target[i]]
+                    while next_target[i] < len(targets) and targets[next_target[i]] == reached:
+                        out[slots[next_target[i]], i] = y_new[i]
+                        next_target[i] += 1
                 factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
             else:
                 rejected[i] += 1

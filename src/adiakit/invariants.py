@@ -218,20 +218,23 @@ def momentum_from_action(system: SlowFastSystem, action: CircleAction, m: PhaseP
                 acc = acc + y_vals * np.asarray(sk.value(dx), dtype=float)
             eta_avg[l] = float(np.mean(np.broadcast_to(acc, times.shape)))
     else:
-        # finite differences of the flow map (works for numeric flows too)
-        for l in range(2 * r):
-            h = engine.fd_step * max(1.0, abs(fast[l]))
+        # finite differences of the flow map (works for numeric flows too); the
+        # shifted states (+h, −h per coordinate) and m are the lanes of one orbit batch
+        steps = [engine.fd_step * max(1.0, abs(fast[l])) for l in range(2 * r)]
+        lanes = []
+        for l, h in enumerate(steps):
             hi = list(fast)
             lo = list(fast)
             hi[l] += h
             lo[l] -= h
-            orbit_hi = action.orbit(hi, slow, n)
-            orbit_lo = action.orbit(lo, slow, n)
-            orbit_mid = action.orbit(fast, slow, n)
+            lanes += [hi, lo]
+        lanes.append(fast)
+        orbit = action.orbit(list(np.array(lanes).T), slow, n).fast
+        for l, h in enumerate(steps):
             acc = 0.0
             for i in range(r):
-                dx = (orbit_hi.fast[r + i] - orbit_lo.fast[r + i]) / (2.0 * h)
-                acc = acc + orbit_mid.fast[i] * dx
+                dx = (orbit[r + i][2 * l] - orbit[r + i][2 * l + 1]) / (2.0 * h)
+                acc = acc + orbit[i][-1] * dx
             eta_avg[l] = float(np.mean(acc))
 
     x0_fast = field_fast(system, m, DEFAULT_ENGINE if engine.mode != "dual" else engine)

@@ -13,6 +13,43 @@ Each differentiation pass seeds its duals with a fresh ``tag``; arithmetic
 between duals of different tags treats the lower-tagged one as a constant.
 This keeps nested passes (second derivatives, derivatives through closed
 forms that differentiate internally) from confusing their perturbations.
+
+Compiled gradients
+------------------
+:func:`gradient` turns an oracle into straight-line Python for its gradient
+along chosen coordinates: the evaluation trace and source transformation of
+forward-mode differentiation (Griewank & Walther, *Evaluating Derivatives*,
+2nd ed., ch. 2-3; Wengert, Commun. ACM 7, 1964). The oracle runs once on
+tracer objects, which record each operation as one assignment; the recorded
+code is ``exec``'d once and then called with plain floats or arrays.
+
+The recording mirrors :class:`Dual` op by op. An operand counts as dual when
+it depends on a seeded coordinate, and each operation takes the branch and
+the formula that ``Dual`` takes with those operands: ``Dual/Dual`` computes
+``inv = 1.0/y; v = x*inv; t = (x' - v*y')*inv``, ``Dual/const`` computes
+``x/y`` and ``x'/y``, ``const/Dual`` computes ``-v*inv*y'``, and so on. Each
+tangent component of a multidual pass is that formula applied to the
+matching components, and IEEE + - * / and ``sqrt`` round each element on its
+own, so the compiled gradient equals the multidual gradient bit for bit. Only
+exact no-ops are left out: adding a zero tangent component, a product with
+one, and a product by the seed's 1.0; that can change the sign of a zero,
+nothing else. An expression recorded twice is computed once, and code the
+gradient does not use (such as the oracle's own value) is dropped.
+The compiled code computes with the floats or arrays it is called with, so
+``**`` and the elementary functions see scalars where a multidual pass over
+the same coordinates holds scalars and arrays where it holds arrays; that
+matters because numpy's scalar and array ``**`` round differently. (Python
+floats and numpy float64 scalars round alike: both ``**`` call the C
+library's ``pow``.) The emitted code calls numpy's ``sqrt/sin/cos/exp/log``
+and no ``math`` function.
+
+The tracer knows ``+ - * /``, unary minus, integer ``**`` and this module's
+``sqrt/sin/cos/exp/log``. Anything else raises
+:class:`~adiakit.errors.TraceError` while tracing: a comparison, ``bool``,
+``abs``, ``float()``, a numpy ufunc, :func:`value`. :func:`gradient` then
+falls back to one multidual evaluation per call behind the same signature,
+so an oracle that branches on its inputs still gets its exact gradient, and
+an oracle's own errors surface when it is evaluated.
 """
 
 from __future__ import annotations
@@ -20,6 +57,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from .errors import TraceError
 
 __all__ = [
     "Dual",
@@ -30,6 +69,8 @@ __all__ = [
     "extract_partial",
     "map_parts",
     "broadcast",
+    "gradient",
+    "trace_gradient",
     "sin",
     "cos",
     "sqrt",
@@ -157,6 +198,8 @@ def value(x):
     """Strip all dual layers, returning the underlying float or array."""
     while isinstance(x, Dual):
         x = x.val
+    if isinstance(x, _Trace):
+        raise TraceError("value() would drop the derivative of a traced value")
     return x
 
 
@@ -204,12 +247,16 @@ def derivative(f, x):
 def sin(x):
     if isinstance(x, Dual):
         return Dual(sin(x.val), cos(x.val) * x.eps, x.tag)
+    if isinstance(x, _Trace):
+        return x.sin()
     return np.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
         return Dual(cos(x.val), -sin(x.val) * x.eps, x.tag)
+    if isinstance(x, _Trace):
+        return x.cos()
     return np.cos(x)
 
 
@@ -217,6 +264,8 @@ def sqrt(x):
     if isinstance(x, Dual):
         root = sqrt(x.val)
         return Dual(root, x.eps / (2.0 * root), x.tag)
+    if isinstance(x, _Trace):
+        return x.sqrt()
     return np.sqrt(x)
 
 
@@ -224,10 +273,316 @@ def exp(x):
     if isinstance(x, Dual):
         e = exp(x.val)
         return Dual(e, e * x.eps, x.tag)
+    if isinstance(x, _Trace):
+        return x.exp()
     return np.exp(x)
 
 
 def log(x):
     if isinstance(x, Dual):
         return Dual(log(x.val), x.eps / x.val, x.tag)
+    if isinstance(x, _Trace):
+        return x.log()
     return np.log(x)
+
+
+# ---------------------------------------------------------------------------
+# Gradient tracer (see "Compiled gradients" in the module docstring)
+# ---------------------------------------------------------------------------
+
+_ONE = "1.0"  # tangent of a seeded coordinate along its own direction
+_FUNCTIONS = {"sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}
+
+
+class _Tape:
+    """Straight-line code being recorded: one assignment per operation.
+
+    Operands are code strings: tape variables ``v<n>``, bound constants
+    ``k<n>``, or literals. A tangent component of ``None`` is an exact zero.
+    """
+
+    def __init__(self):
+        self.lines = []  # (target, expression, operands)
+        self.consts = {}
+        self._seen = {}
+        self._names = itertools.count()
+
+    def name(self):
+        return f"v{next(self._names)}"
+
+    def emit(self, template, *operands):
+        expr = template.format(*operands)
+        target = self._seen.get(expr)  # the same expression twice gives the same bits
+        if target is None:
+            target = self._seen[expr] = self.name()
+            self.lines.append((target, expr, operands))
+        return target
+
+    def const(self, c):
+        """Code for a constant operand, with its exact value and type."""
+        if type(c) is int or (type(c) is float and np.isfinite(c)):
+            code = repr(c)
+            return f"({code})" if code.startswith("-") else code
+        if isinstance(c, (int, float, np.integer, np.floating)) and not isinstance(c, bool):
+            code = f"k{len(self.consts)}"
+            self.consts[code] = c
+            return code
+        raise TraceError(f"cannot trace an operand of type {type(c).__name__}")
+
+    # tangent arithmetic; dropping a None term is exact
+    def mul(self, a, b):
+        if a is None or b is None:
+            return None
+        if a == _ONE and b[0] == "v":
+            return b
+        if b == _ONE and a[0] == "v":
+            return a
+        return self.emit("{} * {}", a, b)
+
+    def add(self, a, b):
+        if a is None:
+            return b
+        if b is None:
+            return a
+        return self.emit("{} + {}", a, b)
+
+    def sub(self, a, b):
+        if b is None:
+            return a
+        if a is None:
+            return self.neg(b)
+        return self.emit("{} - {}", a, b)
+
+    def neg(self, a):
+        return None if a is None else self.emit("-{}", a)
+
+    def divide(self, xv, xd, yv, yd):
+        """The quotient x/y as :class:`Dual` forms it, for dual or plain operands."""
+        if yd is None:
+            v = self.emit("{} / {}", xv, yv)
+            if xd is None:
+                return _Trace(self, v)
+            return _Trace(self, v, tuple(None if a is None else self.emit("{} / {}", a, yv)
+                                         for a in xd))
+        inv = self.emit("1.0 / {}", yv)
+        v = self.emit("{} * {}", xv, inv)
+        if xd is None:  # Dual.__rtruediv__
+            w = self.emit("-{} * {}", v, inv)
+            return _Trace(self, v, tuple(self.mul(w, b) for b in yd))
+        d = []
+        for a, b in zip(xd, yd):
+            if b is None:
+                d.append(self.mul(a, inv))
+            elif a is None:
+                d.append(self.emit("-{} * {}", self.mul(v, b), inv))
+            else:
+                d.append(self.emit("{} * {}", self.emit("{} - {}", a, self.mul(v, b)), inv))
+        return _Trace(self, v, tuple(d))
+
+
+class _Trace:
+    """A value recorded on a tape: code ``v`` and, when it depends on a seeded
+    coordinate, its tangent ``d`` (one code per seeded direction)."""
+
+    __slots__ = ("tape", "v", "d")
+    __array_ufunc__ = None  # numpy defers its operators to ours; its ufuncs raise
+
+    def __init__(self, tape, v, d=None):
+        self.tape = tape
+        self.v = v
+        self.d = d
+
+    def _operand(self, other):
+        if isinstance(other, _Trace):
+            if other.tape is not self.tape:
+                raise TraceError("operands from two different traces")
+            return other.v, other.d
+        return self.tape.const(other), None
+
+    def __add__(self, other):
+        yv, yd = self._operand(other)
+        tape = self.tape
+        v = tape.emit("{} + {}", self.v, yv)
+        if self.d is None or yd is None:
+            return _Trace(tape, v, yd if self.d is None else self.d)
+        return _Trace(tape, v, tuple(tape.add(a, b) for a, b in zip(self.d, yd)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        yv, yd = self._operand(other)
+        tape = self.tape
+        v = tape.emit("{} - {}", self.v, yv)
+        if yd is None:
+            return _Trace(tape, v, self.d)
+        if self.d is None:
+            return _Trace(tape, v, tuple(tape.neg(b) for b in yd))
+        return _Trace(tape, v, tuple(tape.sub(a, b) for a, b in zip(self.d, yd)))
+
+    def __rsub__(self, other):
+        tape = self.tape
+        v = tape.emit("{} - {}", tape.const(other), self.v)
+        return _Trace(tape, v, None if self.d is None else tuple(tape.neg(a) for a in self.d))
+
+    def __mul__(self, other):
+        yv, yd = self._operand(other)
+        tape = self.tape
+        v = tape.emit("{} * {}", self.v, yv)
+        if yd is None:
+            d = None if self.d is None else tuple(tape.mul(a, yv) for a in self.d)
+        elif self.d is None:
+            d = tuple(tape.mul(self.v, b) for b in yd)
+        else:
+            d = tuple(tape.add(tape.mul(self.v, b), tape.mul(a, yv))
+                      for a, b in zip(self.d, yd))
+        return _Trace(tape, v, d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        yv, yd = self._operand(other)
+        return self.tape.divide(self.v, self.d, yv, yd)
+
+    def __rtruediv__(self, other):
+        return self.tape.divide(self.tape.const(other), None, self.v, self.d)
+
+    def __pow__(self, n):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise TraceError("only integer powers are traced")
+        tape = self.tape
+        v = tape.emit("{} ** {}", self.v, tape.const(n))
+        if self.d is None:
+            return _Trace(tape, v)
+        if n == 0:
+            return _Trace(tape, v, tuple(tape.mul(a, "0.0") for a in self.d))
+        slope = tape.emit("{} * {} ** {}", tape.const(n), self.v, tape.const(n - 1))
+        return _Trace(tape, v, tuple(tape.mul(slope, a) for a in self.d))
+
+    def __neg__(self):
+        tape = self.tape
+        v = tape.emit("-{}", self.v)
+        return _Trace(tape, v, None if self.d is None else tuple(tape.neg(a) for a in self.d))
+
+    def __pos__(self):
+        return self
+
+    def _chain(self, result, factor=None, divisor=None):
+        """Trace of ``result``, whose tangent is this tangent times the code
+        ``factor`` or over ``divisor`` (left unused, and so dropped, when
+        this value is not dual)."""
+        tape = self.tape
+        if self.d is None:
+            return _Trace(tape, result)
+        if factor is not None:
+            return _Trace(tape, result, tuple(tape.mul(factor, a) for a in self.d))
+        return _Trace(tape, result, tuple(None if a is None else tape.emit("{} / {}", a, divisor)
+                                          for a in self.d))
+
+    def sin(self):
+        tape = self.tape
+        return self._chain(tape.emit("sin({})", self.v), factor=tape.emit("cos({})", self.v))
+
+    def cos(self):
+        tape = self.tape
+        return self._chain(tape.emit("cos({})", self.v), factor=tape.emit("-sin({})", self.v))
+
+    def sqrt(self):
+        tape = self.tape
+        root = tape.emit("sqrt({})", self.v)
+        return self._chain(root, divisor=tape.emit("2.0 * {}", root))
+
+    def exp(self):
+        e = self.tape.emit("exp({})", self.v)
+        return self._chain(e, factor=e)
+
+    def log(self):
+        return self._chain(self.tape.emit("log({})", self.v), divisor=self.v)
+
+    def _refuse(self, *args, **kwargs):
+        raise TraceError("the oracle branches on, or converts, a traced value")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _refuse
+    __bool__ = __abs__ = __float__ = __int__ = __index__ = __array__ = _refuse
+    __hash__ = None
+
+
+def _blocks(items, blocks):
+    """``items`` cut into consecutive lists of the given lengths."""
+    out, start = [], 0
+    for size in blocks:
+        out.append(list(items[start:start + size]))
+        start += size
+    return out
+
+
+def trace_gradient(f, blocks, seeded):
+    """Compiled gradient of ``f`` along the flat coordinates ``seeded``.
+
+    ``f`` takes one list of kernel scalars per entry of ``blocks`` (the list
+    lengths), like the ``(fast, slow)`` oracles of a system. The returned
+    function takes the flat coordinates as positional floats or arrays and
+    returns the partials along ``seeded`` as a tuple, equal bit for bit to a
+    multidual pass (module docstring). Raises :class:`TraceError` when ``f``
+    uses an operation the tracer does not know.
+    """
+    seeded = list(seeded)
+    tape = _Tape()
+    args = [tape.name() for _ in range(sum(blocks))]
+    coords = [_Trace(tape, a) for a in args]
+    for j, i in enumerate(seeded):
+        coords[i] = _Trace(tape, args[i], tuple(_ONE if jj == j else None
+                                                for jj in range(len(seeded))))
+    try:
+        out = f(*_blocks(coords, blocks))
+    except Exception as exc:  # whatever stops the trace, the Dual path reproduces
+        raise TraceError(f"cannot trace {getattr(f, '__qualname__', f)!r}: {exc}") from exc
+    if isinstance(out, _Trace) and out.tape is tape:
+        d = out.d or (None,) * len(seeded)
+    else:
+        tape.const(out)  # a constant has a zero gradient; anything else raises
+        d = (None,) * len(seeded)
+    outputs = ["0.0" if a is None else a for a in d]
+
+    needed, body = set(outputs), []
+    for target, expr, operands in reversed(tape.lines):
+        if target in needed:  # dead code (e.g. f's own value) is left out
+            body.append(f"    {target} = {expr}\n")
+            needed.update(operands)
+    source = (f"def gradient({', '.join(args)}):\n" + "".join(reversed(body))
+              + f"    return ({', '.join(outputs)},)\n")
+    namespace = dict(_FUNCTIONS, **tape.consts)
+    exec(compile(source, "<traced gradient>", "exec"), namespace)
+    return namespace["gradient"]
+
+
+def _multidual_gradient(f, blocks, seeded):
+    """The same partials from one multidual evaluation of ``f`` per call."""
+    seeded = list(seeded)
+    n = len(seeded)
+
+    def grad(*coords):
+        tag = fresh_tag()
+        # one direction axis in front of the coordinates' own axes
+        basis = np.eye(n).reshape((n, n) + (1,) * max(np.ndim(c) for c in coords))
+        coords = list(coords)
+        for j, i in enumerate(seeded):
+            coords[i] = Dual(coords[i], basis[j], tag)
+        out = f(*_blocks(coords, blocks))
+        if isinstance(out, Dual) and out.tag == tag:
+            return tuple(out.eps)
+        return (0.0,) * n
+
+    return grad
+
+
+def gradient(f, blocks, seeded):
+    """Partials of ``f`` along ``seeded`` as a function of the flat coordinates.
+
+    Same arguments and returned function as :func:`trace_gradient`. When
+    ``f`` cannot be traced, the function evaluates ``f`` once on multiduals
+    per call instead, with the same results.
+    """
+    try:
+        return trace_gradient(f, blocks, seeded)
+    except TraceError:
+        return _multidual_gradient(f, blocks, seeded)

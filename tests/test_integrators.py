@@ -159,6 +159,42 @@ def test_lanes_equal_their_one_lane_runs(t_end):
             assert getattr(stacked, name)[0] == getattr(one, name)
 
 
+REPEATS = [0, 0, 1, 1, 1, 2, 3]  # rows of the plain grid that a repeated grid asks for
+
+
+@pytest.mark.parametrize("t_end", [4.0, -3.0])
+def test_repeated_t_eval_entries_repeat_the_state(t_end):
+    # served from the state already reached: no zero-length step, same counters
+    cfg = IntegratorConfig(method="rk45", rtol=1e-8, atol=1e-12)
+    plain_eval = np.array([0.0, 0.25, 0.5, 1.0]) * t_end
+    t_eval = plain_eval[REPEATS]
+    lanes = integrate(anharmonic(LANE_K), LANE_Y0, t_end, cfg, t_eval=t_eval)
+    assert np.array_equal(lanes.times, t_eval)
+    # the lanes step differently, so they meet the repeats at different steps
+    assert len(set(lanes.accepted.tolist())) == 4
+    for i in range(4):
+        one = integrate(anharmonic(LANE_K[i]), LANE_Y0[i], t_end, cfg, t_eval=t_eval)
+        plain = integrate(anharmonic(LANE_K[i]), LANE_Y0[i], t_end, cfg, t_eval=plain_eval)
+        assert np.array_equal(lanes.states[:, i], one.states)
+        assert np.array_equal(one.states, plain.states[REPEATS])
+        for name in COUNTERS:
+            assert getattr(lanes, name)[i] == getattr(one, name) == getattr(plain, name)
+
+
+def test_repeated_t_eval_entry_one_lane_harmonic():
+    traj = integrate(harmonic, [1.0, 0.0], 1.0, t_eval=[0.0, 0.5, 0.5, 1.0])
+    assert np.array_equal(traj.states[1], traj.states[2])
+    assert np.allclose(traj.states[3], [np.cos(1.0), np.sin(1.0)], atol=1e-8)
+
+
+def test_repeated_t_eval_entry_fixed_step():
+    cfg = IntegratorConfig(method="rk4", dt=0.05)
+    plain = integrate(harmonic, [1.0, 0.0], -1.0, cfg, t_eval=[0.0, -0.25, -0.5, -1.0])
+    traj = integrate(harmonic, [1.0, 0.0], -1.0, cfg,
+                     t_eval=np.array([0.0, -0.25, -0.5, -1.0])[REPEATS])
+    assert np.array_equal(traj.states, plain.states[REPEATS])
+
+
 def test_one_lane_counters_count_field_calls():
     calls = []
 

@@ -6,15 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adiakit import (CircleAction, HypothesisViolation, PhasePoint,
+from adiakit import (CircleAction, HypothesisViolation, NotFound, PhasePoint,
                      PrecisionWarning, SlowFastSystem, UnsupportedOrder,
                      assemble, charged_particle, check_adiabatic,
                      check_hypotheses, check_momentum_map, check_period_energy,
                      elastic_pendulum, f1, f2, grad_fast, k1, lie_derivative,
-                     momentum_from_action, theta, ty2_residual, ty3_residual)
+                     momentum_from_action, theta, ty2_residual, ty3_residual,
+                     verify_transverse_momentum)
 from adiakit import circle
 from adiakit import kernel as sk
-from adiakit.phase import DiffEngine
+from adiakit.phase import DiffEngine, field_fast
 from adiakit.sl2 import f2_closed
 
 from conftest import nondegenerate_system, sample_points
@@ -28,6 +29,23 @@ def test_momentum_map_residuals(request, fixture_name, rng):
     action = CircleAction(fixture.system)
     for m in sample_points(fixture, rng, 20):
         assert check_momentum_map(fixture.system, action, m) <= 1e-8
+
+
+@pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
+def test_action_is_oscillation_energy_over_frequency(request, fixture_name, rng):
+    # an independent check on J: the fast-center oracle gives v_perp^2 = 2(H − H(center))
+    fixture = request.getfixturevalue(fixture_name)
+    for m in [fixture.initial] + sample_points(fixture, rng, 20):
+        assert verify_transverse_momentum(fixture, m) <= 1e-12
+    center = fixture.system.point(list(fixture.fast_center(fixture.initial.slow))
+                                  + list(fixture.initial.slow))
+    assert verify_transverse_momentum(fixture, center) <= 1e-12
+    assert float(sk.value(fixture.system.J(*center.state()))) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_transverse_momentum_needs_a_fast_center(pendulum):
+    with pytest.raises(NotFound, match="fast-center"):
+        verify_transverse_momentum(replace(pendulum, fast_center=None), pendulum.initial)
 
 
 def test_momentum_map_detects_corruption(pendulum, pendulum_action, rng):
@@ -268,6 +286,36 @@ def test_numeric_f2_integrates_each_orbit_once(pendulum, rng, monkeypatch):
     f1(pendulum.system, action, points[0])
     f2(pendulum.system, action, points[0])  # base orbit from the point cache
     assert runs == [1, 8]
+
+
+@pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
+def test_numeric_momentum_integrates_shifted_orbits_as_lanes(request, fixture_name, monkeypatch):
+    fixture = request.getfixturevalue(fixture_name)
+    system, m = fixture.system, fixture.initial
+    runs = []
+    integrate = circle.integrate
+
+    def counted(field, y0, *args, **kwargs):
+        runs.append(len(y0))
+        return integrate(field, y0, *args, **kwargs)
+
+    monkeypatch.setattr(circle, "integrate", counted)
+    value = momentum_from_action(system, CircleAction(system, flow_mode="numeric", nodes=16), m)
+    assert runs == [5]  # 2·2r shifted states and m, one lane run
+
+    # bitwise the one-orbit-per-state computation: lanes equal one-lane runs
+    single = CircleAction(system, flow_mode="numeric", nodes=16)
+    fast, slow = m.state()
+    eta = np.zeros(2)
+    for l in range(2):
+        h = DiffEngine().fd_step * max(1.0, abs(fast[l]))
+        hi, lo = list(fast), list(fast)
+        hi[l] += h
+        lo[l] -= h
+        dx = (single.orbit(hi, slow).fast[1] - single.orbit(lo, slow).fast[1]) / (2.0 * h)
+        eta[l] = float(np.mean(single.orbit(fast, slow).fast[0] * dx))
+    omega = float(sk.value(system.omega(fast, slow)))
+    assert value == float(np.dot(eta, field_fast(system, m)) / omega)
 
 
 def test_f2_trivial_zeros():

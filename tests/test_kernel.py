@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adiakit import get_fixture
 from adiakit import kernel as sk
+from adiakit.errors import TraceError
+from adiakit.sl2 import QuadraticSystem, Sl2Field
 
 
 def f_composite(x):
@@ -97,3 +100,127 @@ def test_dual_exponent_rejected():
     x = sk.Dual(2.0, 1.0, tag)
     with pytest.raises(TypeError):
         x ** x
+
+
+# -- compiled gradients ------------------------------------------------------------
+
+def multidual_reference(f, blocks, seeded, coords):
+    """∂f/∂(seeded) from one multidual evaluation: a direction axis in front."""
+    seeded = list(seeded)
+    n = len(seeded)
+    tag = sk.fresh_tag()
+    basis = np.eye(n).reshape((n, n) + (1,) * np.ndim(coords[0]))
+    args = list(coords)
+    for j, i in enumerate(seeded):
+        args[i] = sk.Dual(args[i], basis[j], tag)
+    split = [args[sum(blocks[:b]):sum(blocks[:b + 1])] for b in range(len(blocks))]
+    return sk.extract_partial(f(*split), tag)
+
+
+def assert_same_partials(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        g, w = np.broadcast_arrays(g, w)
+        assert np.array_equal(g, w)
+
+
+def quadratic_k2():
+    """sl(2) family with two slow pairs, a slow-dependent A and a varying ω."""
+    def a_fn(w):
+        return 0.3 * sk.sin(w[0] - w[3]) + 0.1 * w[1]
+
+    def beta(w):
+        return 0.2 * w[2] - 0.1 * w[1] * w[3]
+
+    return QuadraticSystem(
+        h=lambda w: (0.5 * (w[0] * w[0] + w[1] * w[1]) + w[2] * w[3] / (2.0 + w[2] * w[2])
+                     + 0.1 * sk.log(3.0 + w[1] - w[3])),
+        omega=lambda w: 1.0 + 0.2 * sk.cos(w[3]) + 0.05 * sk.sqrt(1.0 + w[0] * w[0]),
+        field=Sl2Field(a_fn, lambda w: (1.0 + a_fn(w) ** 2) * sk.exp(beta(w)),
+                       lambda w: -sk.exp(-beta(w))),
+        k=2).system()
+
+
+def system_and_box(name):
+    if name == "quadratic_k2":
+        return quadratic_k2(), -np.ones(6), np.ones(6)
+    system = get_fixture(name).system
+    return system, system.domain.low, system.domain.high
+
+
+@pytest.mark.parametrize("name", ["elastic_pendulum", "charged_particle", "quadratic_k2"])
+@pytest.mark.parametrize("seeding", ["all", "fast"])
+def test_compiled_gradient_equals_multidual_bitwise(name, seeding):
+    system, low, high = system_and_box(name)
+    blocks = (2 * system.r, 2 * system.k)
+    seeded = range(system.dim if seeding == "all" else 2 * system.r)
+    grad = sk.trace_gradient(system.H, blocks, seeded)  # traceable: no fallback
+    rng = np.random.default_rng(7)
+    points = rng.uniform(low, high, size=(40, system.dim))
+    for point in points:  # scalars: numpy's float64, and Python floats
+        for coords in (list(point), point.tolist()):
+            assert_same_partials(grad(*coords),
+                                 multidual_reference(system.H, blocks, seeded, coords))
+    lanes = list(points.T)  # one array of 40 lanes per coordinate
+    assert_same_partials(grad(*lanes), multidual_reference(system.H, blocks, seeded, lanes))
+
+
+def branchy(fast, slow):
+    y, x = fast
+    p, q = slow
+    energy = 0.5 * (y * y + x * x) + abs(q) * p
+    return energy if q > 0.5 else energy * float(q)
+
+
+def uses_value(fast, slow):
+    y, x = fast
+    p, q = slow
+    return y * x * sk.value(q) ** 2 + p * sk.sqrt(q)
+
+
+@pytest.mark.parametrize("f", [branchy, uses_value])
+def test_untraceable_oracle_falls_back_to_dual_result(f):
+    with pytest.raises(TraceError):
+        sk.trace_gradient(f, (2, 2), range(4))
+    grad = sk.gradient(f, (2, 2), range(4))
+    for point in ([0.3, -0.7, 0.4, 0.9], [1.1, 0.2, -0.5, 0.2]):
+        assert_same_partials(grad(*point), multidual_reference(f, (2, 2), range(4), point))
+
+
+def test_fallback_on_lanes_with_abs():
+    def f(fast, slow):
+        return abs(fast[0] - slow[0]) * fast[1] + slow[1] * fast[0]
+
+    lanes = list(np.random.default_rng(3).uniform(-1.0, 1.0, size=(4, 16)))
+    grad = sk.gradient(f, (2, 2), range(2))
+    assert_same_partials(grad(*lanes), multidual_reference(f, (2, 2), range(2), lanes))
+
+
+def test_oracle_errors_surface_at_evaluation():
+    def f(fast, slow):
+        return np.sin(fast[0]) * slow[0]  # a numpy ufunc cannot take duals
+
+    grad = sk.gradient(f, (2, 2), range(4))
+    with pytest.raises(TypeError):
+        grad(0.1, 0.2, 0.3, 0.4)
+
+
+def test_integer_powers_match_on_scalars_and_arrays():
+    def f(fast, slow):
+        y, x = fast
+        p, q = slow
+        return x ** 3 * y + q ** -2 * p ** 5 + y ** 0 * x ** 1 + (p * q) ** np.int64(4)
+
+    grad = sk.trace_gradient(f, (2, 2), range(4))
+    rng = np.random.default_rng(11)
+    points = rng.uniform(0.3, 1.7, size=(30, 4)) * rng.choice([-1.0, 1.0], size=(30, 4))
+    for point in points:
+        for coords in (list(point), point.tolist()):
+            assert_same_partials(grad(*coords), multidual_reference(f, (2, 2), range(4), coords))
+    lanes = list(points.T)
+    assert_same_partials(grad(*lanes), multidual_reference(f, (2, 2), range(4), lanes))
+
+
+def test_non_integer_power_is_not_traced():
+    with pytest.raises(TraceError):
+        sk.trace_gradient(lambda fast, slow: fast[0] ** 0.5, (2, 2), range(4))
