@@ -168,7 +168,8 @@ class CircleAction:
         return sk.gradient(self.system.H, (2 * r, 2 * k), range(2 * r))
 
     def _upsilon_field(self, slow):
-        """The normalized fast field on lanes: ``rhs(t, z)`` with z of shape (lanes, 2r).
+        """The normalized fast field on lanes: ``rhs(t, z)`` with z the 2r fast
+        coordinate columns, each of shape (lanes,).
 
         ``slow`` holds one array of per-lane values for each slow coordinate;
         ω must be positive on every lane.
@@ -178,16 +179,12 @@ class CircleAction:
         grad = self._fast_gradient
 
         def rhs(t, z):
-            fast = list(z.T)
-            grads = grad(*fast, *slow)
-            omega = sk.value(system.omega(fast, slow))
-            if not np.all(np.asarray(omega) > 0.0):
+            grads = grad(*z, *slow)
+            omega = sk.value(system.omega(list(z), slow))
+            if not np.greater(omega, 0.0).all():  # a NaN fails the comparison too
                 raise NumericalError("frequency function must stay positive")
-            vel = np.empty_like(z)
-            for i in range(r):
-                vel[:, i] = -grads[r + i] / omega
-                vel[:, r + i] = grads[i] / omega
-            return vel
+            return ([-grads[r + i] / omega for i in range(r)]
+                    + [grads[i] / omega for i in range(r)])
 
         return rhs
 
@@ -232,8 +229,8 @@ class CircleAction:
         if cached is not None:
             fast_out = cached.copy()
         else:
-            # (n_fast, points, nodes)
-            fast_out = self._integrate_lanes(points, TWO_PI, times).transpose(2, 1, 0)
+            # (n_fast, points, nodes); the orbit is integrated to its last sample
+            fast_out = self._integrate_lanes(points, times[-1], times).transpose(2, 1, 0)
             if batch_shape == ():
                 if len(self._cache) >= self.cache_size:
                     self._cache.pop(next(iter(self._cache)))

@@ -109,24 +109,30 @@ class SlopeFit:
 # ---------------------------------------------------------------------------
 
 def full_field(system, eps: float):
-    """Vector field of the perturbed system as a plain (t, y) -> dy callable.
+    """Vector field of the perturbed system as a (t, y) -> dy callable on
+    coordinate columns (``integrators``' contract: floats for one point,
+    arrays over lanes for a lane run).
 
     One call of H's compiled gradient (``kernel.gradient``) per call delivers
     the whole gradient.
     """
     r, k = system.r, system.k
     grad = sk.gradient(system.H, (2 * r, 2 * k), range(system.dim))
-    # (ẏ, ẋ, ṗ, q̇) = (−∂H/∂x, ∂H/∂y, −ε·∂H/∂q, ε·∂H/∂p)
-    order = np.r_[r:2 * r, 0:r, 2 * r + k:2 * r + 2 * k, 2 * r:2 * r + k]
-    scale = np.array([-1.0] * r + [1.0] * r + [-eps] * k + [eps] * k)
-
-    def rhs(t, y):
-        # Python floats round as numpy's float64 scalars do (``**`` calls the C
-        # pow in both), only faster; where numpy returns inf (a division by an
-        # exact 0.0, an overflowing ``**``) they raise instead
-        return np.array(grad(*y.tolist()))[order] * scale
-
-    return rhs
+    # (ẏ, ẋ, ṗ, q̇) = (−∂H/∂x, ∂H/∂y, −ε·∂H/∂q, ε·∂H/∂p) from the gradient
+    # (∂H/∂y, ∂H/∂x, ∂H/∂p, ∂H/∂q), emitted as straight-line code. One
+    # point's coordinates arrive as Python floats, which round as numpy's
+    # float64 scalars do (``**`` calls the C pow in both), only faster; where
+    # numpy returns inf (a division by an exact 0.0, an overflowing ``**``)
+    # they raise instead
+    g = [f"g{i}" for i in range(system.dim)]
+    velocity = ([f"-{d}" for d in g[r:2 * r]] + g[:r]
+                + [f"neg_eps * {d}" for d in g[2 * r + k:]]
+                + [f"eps * {d}" for d in g[2 * r:2 * r + k]])
+    source = (f"def rhs(t, coords):\n    {', '.join(g)}, = grad(*coords)\n"
+              f"    return [{', '.join(velocity)}]\n")
+    namespace = {"grad": grad, "eps": float(eps), "neg_eps": -float(eps)}
+    exec(compile(source, "<full field>", "exec"), namespace)
+    return namespace["rhs"]
 
 
 def _trajectory(system, initial: PhasePoint, eps: float, horizon_c: float,

@@ -6,22 +6,47 @@ a high-accuracy embedded pair run at tolerances well below the smallest drift
 being measured. Requested sample times are honoured exactly by clipping steps,
 which keeps output grids independent of the adaptive step history.
 
+Field contract. A field is called as ``field(t, y)``, where ``y`` holds the
+``dim`` coordinate columns of the state, and returns the ``dim`` columns of
+its derivative. For one point a column is a float; in a lane run it is an
+array over the lanes, shape (lanes,), and ``t`` holds the per-lane times. A
+field that indexes or unpacks ``y`` and computes elementwise serves both.
+The fixed-step RK4 path passes a 1-D array and takes what the field returns
+through ``np.asarray``.
+
 Lanes. The adaptive path also integrates a stack of initial states, ``y0`` of
 shape (lanes, dim), over one span to one ``t_eval`` grid. Each lane keeps its
-own controller (step size, time, FSAL stage, next sample target, counters) in
-Python floats, so many short integrations share one ``field(t, Y)`` call per
-stage instead of paying the numpy overhead of one call each: ``t`` holds the
-per-lane stage times, shape (lanes,), and ``Y`` the per-lane stage states,
-shape (lanes, dim). A lane that has reached ``t_end`` rides along with a zero
-step and its derivatives are discarded. A lane's arithmetic is elementwise
-along the lane axis and its accept/reject decisions read only its own error
-norm, so each lane's states and counters equal those of its one-lane run bit
-for bit, provided ``field`` treats every row on its own. A 1-D ``y0`` is a run
-of one lane whose ``field`` is called with a float ``t`` and a 1-D ``y``.
+own controller state (step size, time, FSAL stage, next sample target,
+counters) in Python floats, and its accept/reject decisions read only its own
+error norm. A lane that has reached ``t_end`` rides along with a zero step and
+its derivatives are discarded.
+
+One controller, two stage kernels. :func:`_integrate_dp` runs the step control
+for every lane; the stage arithmetic of a step attempt is split by the shape
+of ``y0``:
+
+* a 1-D ``y0`` (one point) runs on Python floats through straight-line code
+  for one attempt (:func:`_float_attempt`), emitted once per state dimension
+  and cached; no numpy call sits in its loop;
+* a 2-D ``y0`` runs the lanes stacked as (lanes, dim) arrays, one ``field``
+  call per stage for all lanes, which pays only when lanes are many.
+
+Both kernels take the same IEEE operations in the same order: ``t + c·dt``,
+the stage sums ``Σ a_j·k_j`` left to right from 0.0 (numpy's ``add.reduce``
+over the stage axis), ``y + dt·Σ``, and the error norm's sum of squares in the
+order of numpy's ``add.reduce`` over the contiguous state axis (left to right
+from 0.0 below eight terms, eight interleaved partial sums from eight on).
+``+ − × ÷`` and ``sqrt`` round each element on its own, so lane i of a lane
+run equals the one-point run from its state bit for bit, states and counters,
+provided ``field`` treats each lane on its own and takes the same operations
+on floats as on arrays. (numpy's ``**`` does not: it rounds differently on
+scalars and on arrays.)
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -91,18 +116,17 @@ class Trajectory:
 
 def step_rk4(field: Callable, t: float, y: np.ndarray, dt: float) -> np.ndarray:
     """One classical 4-stage Runge–Kutta step (works for negative ``dt``)."""
-    k1 = field(t, y)
-    k2 = field(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = field(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = field(t + dt, y + dt * k3)
+    k1 = np.asarray(field(t, y))
+    k2 = np.asarray(field(t + 0.5 * dt, y + 0.5 * dt * k1))
+    k3 = np.asarray(field(t + 0.5 * dt, y + 0.5 * dt * k2))
+    k4 = np.asarray(field(t + dt, y + dt * k3))
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # Dormand–Prince 5(4) tableau (DOPRI5); fifth-order propagation with an
-# embedded fourth-order error estimate. Trailing axes let the nodes broadcast
-# over per-lane times (lanes,) and the weights over stages (lanes, dim).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])[:, None]
-_DP_A = [np.array(row)[:, None, None] for row in (
+# embedded fourth-order error estimate.
+_DP_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
+_DP_A = [
     [],
     [1 / 5],
     [3 / 40, 9 / 40],
@@ -110,13 +134,18 @@ _DP_A = [np.array(row)[:, None, None] for row in (
     [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-)]
-# fifth-order weights b5, and b5 - b4: the local truncation error weights
-_DP_B5_E = np.array([
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
-])[:, :, None, None]
+]
+# fifth-order weights b5 (the last stage row of _DP_A, then 0.0: FSAL), and
+# b5 - b4: the local truncation error weights
+_DP_B5 = _DP_A[6] + [0.0]
+_DP_E = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 _EPS = np.finfo(float).eps
+
+# the tableau with trailing axes for the lane kernel: nodes broadcast over
+# per-lane times (lanes,), weights over stages (lanes, dim)
+_LANE_C = np.array(_DP_C)[:, None]
+_LANE_A = [np.array(row)[:, None, None] for row in _DP_A]
+_LANE_B5_E = np.array([_DP_B5, _DP_E])[:, :, None, None]
 
 
 def _rms(x):
@@ -126,6 +155,148 @@ def _rms(x):
     without its Python overhead.
     """
     return np.sqrt(np.add.reduce(np.square(x), axis=-1) / x.shape[-1]).tolist()
+
+
+def _sum_code(terms):
+    """Python expression for the sum of ``terms`` in the order numpy's
+    ``add.reduce`` takes along a contiguous axis: 0.0 plus its pairwise sum.
+
+    The pairwise sum of fewer than eight terms runs left to right from 0.0;
+    up to 128 terms, eight interleaved partial sums are combined pairwise and
+    the remainder added left to right; above 128, the two halves (the first a
+    multiple of eight) are summed that way and added.
+    """
+    def pairwise(terms):
+        n = len(terms)
+        if n < 8:
+            return " + ".join(["0.0"] + list(terms))
+        if n > 128:
+            half = n // 2 - (n // 2) % 8
+            return f"({pairwise(terms[:half])}) + ({pairwise(terms[half:])})"
+        blocks = n - n % 8
+        r = [" + ".join(terms[j:blocks:8]) for j in range(8)]
+        pairs = "(({}) + ({})) + (({}) + ({}))".format(
+            *(f"({r[2 * j]}) + ({r[2 * j + 1]})" for j in range(4)))
+        return " + ".join([f"({pairs})"] + list(terms[blocks:]))
+
+    code = pairwise(terms)
+    # the reduction's initial 0.0 changes nothing after a left-to-right sum
+    # from 0.0, which never ends in -0.0
+    return code if len(terms) < 8 else f"0.0 + ({code})"
+
+
+@functools.lru_cache(maxsize=None)
+def _float_attempt(dim: int):
+    """One DP5 step attempt from a state of ``dim`` Python floats.
+
+    Straight-line code with the stacked kernel's operations in its order (see
+    the module docstring), emitted on first use for each ``dim``. The
+    returned ``attempt(field, t, dt, y, k1, atol, rtol)`` gives the new
+    state, its derivative (the next FSAL stage) and the error norm.
+    """
+    ks = [[f"k{s}_{i}" for i in range(dim)] for s in range(7)]
+    ys = [f"y{i}" for i in range(dim)]
+
+    def weighted(weights, i):
+        return [f"{a!r} * {ks[j][i]}" for j, a in enumerate(weights)]
+
+    lines = ["def attempt(field, t, dt, y, k1, atol, rtol):",
+             f"    {', '.join(ys)}, = y",
+             f"    {', '.join(ks[0])}, = k1"]
+    for s in range(1, 7):
+        if s == 6:  # the last stage sits at the fifth-order solution: keep its sums
+            lines += [f"    s{i} = {_sum_code(weighted(_DP_A[6], i))}" for i in range(dim)]
+            stage = [f"{ys[i]} + dt * s{i}" for i in range(dim)]
+        else:
+            stage = [f"{ys[i]} + dt * ({_sum_code(weighted(_DP_A[s], i))})"
+                     for i in range(dim)]
+        lines.append(f"    {', '.join(ks[s])}, = field(t + {_DP_C[s]!r} * dt, "
+                     f"({', '.join(stage)},))")
+    for i in range(dim):
+        lines += [f"    n{i} = {ys[i]} + dt * (s{i} + 0.0 * {ks[6][i]})",
+                  f"    a{i} = abs({ys[i]})",
+                  f"    b{i} = abs(n{i})",
+                  f"    q{i} = dt * ({_sum_code(weighted(_DP_E, i))}) "
+                  f"/ (atol + rtol * (a{i} if a{i} >= b{i} else b{i}))"]
+    squares = [f"q{i} * q{i}" for i in range(dim)]
+    lines += [f"    norm = sqrt(({_sum_code(squares)}) / {dim})",
+              f"    return ({', '.join(f'n{i}' for i in range(dim))},), "
+              f"({', '.join(ks[6])},), norm"]
+    namespace = {"sqrt": math.sqrt}
+    exec(compile("\n".join(lines) + "\n", f"<DP5 attempt, dim {dim}>", "exec"), namespace)
+    return namespace["attempt"]
+
+
+class _FloatStages:
+    """Stage kernel of a one-point run: Python floats through emitted code."""
+
+    def __init__(self, field, y0, rtol, atol):
+        self.field, self.rtol, self.atol = field, rtol, atol
+        self.attempt_code = _float_attempt(len(y0))
+        self.y = tuple(y0.tolist())
+        self.k1 = field(0.0, self.y)
+
+    def renew(self, t, lanes):
+        self.k1 = self.field(t[0], self.y)
+
+    def attempt(self, t, dt):
+        self.y_new, self.k_last, norm = self.attempt_code(
+            self.field, t[0], dt[0], self.y, self.k1, self.atol, self.rtol)
+        return [norm]
+
+    def state(self, i):
+        return self.y_new
+
+    def advance(self, moved):
+        self.y, self.k1 = self.y_new, self.k_last
+
+
+def _fill_columns(out, columns):
+    """Write the ``dim`` columns a field returned into ``out`` (lanes, dim)."""
+    for row, column in zip(out.T, columns, strict=True):
+        row[...] = column
+
+
+class _LaneStages:
+    """Stage kernel of a lane run: stacked (lanes, dim) numpy arrays."""
+
+    def __init__(self, field, y0, rtol, atol):
+        self.field, self.rtol, self.atol = field, rtol, atol
+        self.y = np.array(y0)
+        self.k1 = np.empty_like(self.y)
+        _fill_columns(self.k1, field(np.zeros(len(y0)), self.y.T))
+
+    def renew(self, t, lanes):
+        fresh = np.empty_like(self.y)
+        _fill_columns(fresh, self.field(np.array(t), self.y.T))
+        if len(lanes) == len(t):
+            self.k1 = fresh
+        else:
+            self.k1[lanes] = fresh[lanes]
+
+    def attempt(self, t, dt):
+        field, y = self.field, self.y
+        k = np.empty((7,) + y.shape)
+        k[0] = self.k1
+        dt = np.array(dt)
+        t_stage = np.array(t) + _LANE_C * dt
+        dt_col = dt[:, None]
+        for s in range(1, 7):
+            stage = y + dt_col * (_LANE_A[s] * k[:s]).sum(axis=0)
+            _fill_columns(k[s], field(t_stage[s], stage.T))
+        increment, err = dt_col * (_LANE_B5_E * k).sum(axis=1)
+        self.y_new, self.k_last = y + increment, k[6]
+        return _rms(err / (self.atol + self.rtol * np.maximum(np.abs(y), np.abs(self.y_new))))
+
+    def state(self, i):
+        return self.y_new[i]
+
+    def advance(self, moved):
+        if len(moved) == len(self.y):
+            self.y, self.k1 = self.y_new, self.k_last  # FSAL
+        else:
+            self.y[moved] = self.y_new[moved]
+            self.k1[moved] = self.k_last[moved]
 
 
 def _lane_label(i, n_lanes):
@@ -138,7 +309,7 @@ def _per_lane(values, lanes: bool):
 
 
 def _initial_steps(f0, y0, t_span, rtol, atol):
-    """First trial step magnitude of each lane."""
+    """First trial step magnitude of each lane of ``y0`` (lanes, dim)."""
     scale = atol + rtol * np.abs(y0)
     steps = []
     for d0, d1 in zip(_rms(y0 / scale), _rms(f0 / scale)):
@@ -155,6 +326,9 @@ def integrate(field: Callable, y0: Sequence[float], t_end: float,
               t_eval: Optional[Sequence[float]] = None) -> Trajectory:
     """Integrate ``y' = field(t, y)`` from ``t = 0`` to ``t_end``.
 
+    ``field`` follows the column contract of the module docstring: it gets
+    the state's coordinate columns and returns the derivative's.
+
     When ``t_eval`` is given, states are reported exactly at those times
     (steps are clipped so each requested time is a step boundary); its
     entries must run monotonically from 0 toward ``t_end`` without passing
@@ -162,9 +336,9 @@ def integrate(field: Callable, y0: Sequence[float], t_end: float,
     Otherwise the initial state and every accepted step are recorded.
 
     A 2-D ``y0`` of shape (lanes, dim) integrates every lane with its own
-    step control (``rk45`` only, ``t_eval`` required); ``field`` is then
-    called as ``field(t, Y)`` with per-lane times ``t`` of shape (lanes,)
-    and states ``Y`` of shape (lanes, dim). See the module docstring.
+    step control (``rk45`` only, ``t_eval`` required); each column ``field``
+    gets or returns then has shape (lanes,), and ``t`` holds the per-lane
+    times. See the module docstring.
 
     Raises :class:`MaxStepsExceeded` or :class:`StepSizeUnderflow` carrying
     the last time the failing lane reached.
@@ -196,12 +370,7 @@ def integrate(field: Callable, y0: Sequence[float], t_end: float,
 
     if config.method == "rk4":
         return _integrate_fixed(field, y0, t_end, config, t_eval, step_rk4)
-    if lanes:
-        times, states, counters = _integrate_dp(field, y0, t_end, config, t_eval)
-    else:
-        times, states, counters = _integrate_dp(
-            lambda t, y: field(t[0], y[0]), y0[None], t_end, config, t_eval)
-        states = states[:, 0]
+    times, states, counters = _integrate_dp(field, y0, t_end, config, t_eval)
     return Trajectory(times, states, *(_per_lane(c, lanes) for c in counters))
 
 
@@ -220,7 +389,7 @@ def _integrate_fixed(field, y0, t_end, config, t_eval, stepper):
     states = [y0]
     t, y = 0.0, y0
     for tb in boundaries:
-        y = stepper(field, t, y, tb - t)
+        y = np.asarray(stepper(field, t, y, tb - t))
         t = tb
         if want is None or t in want:
             times.append(t)
@@ -235,30 +404,36 @@ def _integrate_fixed(field, y0, t_end, config, t_eval, stepper):
 
 
 def _integrate_dp(field, y0, t_end, config, t_eval):
-    """Dormand–Prince 5(4) over the lanes of ``y0`` (lanes, dim).
+    """Dormand–Prince 5(4) over one point (``y0`` of shape (dim,)) or the
+    lanes of ``y0`` (lanes, dim): one controller, the stage kernel chosen by
+    the shape (module docstring). A kernel holds each lane's first stage
+    ``k1`` and serves the controller through ``renew`` (evaluate ``k1``
+    afresh), ``attempt`` (one trial step, returning per-lane error norms),
+    ``state`` (a lane's trial state) and ``advance`` (accept lanes' steps).
 
-    Every stage is one ``field(t, Y)`` call over all lanes; it returns the
-    derivatives as (lanes, dim), or as (dim,) when there is one lane.
-    Returns (times, states of shape (times, lanes, dim), per-lane counter
+    Returns (times, states of shape (times,) + ``y0.shape``, per-lane counter
     lists).
     """
-    n_lanes = len(y0)
-    direction = 1.0 if t_end > 0 else -1.0
     rtol, atol, max_steps = config.rtol, config.atol, config.max_steps
+    stages = (_LaneStages if y0.ndim == 2 else _FloatStages)(field, y0, rtol, atol)
+    points = y0.reshape(-1, y0.shape[-1])  # (lanes, dim), one lane for a 1-D y0
+    n_lanes = len(points)
+    direction = 1.0 if t_end > 0 else -1.0
     record_all = t_eval is None
     if record_all:
-        targets, times, states = [], [0.0], [y0[0]]
+        targets, times, states = [], [0.0], [y0]
     else:
         targets = [float(tt) for tt in t_eval if tt != 0.0]
         slots = [j for j, tt in enumerate(t_eval) if tt != 0.0]
         out = np.empty((len(t_eval),) + y0.shape)
         out[:] = y0  # rows at t = 0 keep the initial states
+        rows = out.reshape((len(t_eval),) + points.shape)  # (times, lanes, dim) view
 
-    y = np.array(y0)
-    h = _initial_steps(field(np.zeros(n_lanes), y), y, t_end, rtol, atol)  # magnitudes
+    # the first stage of the first attempt serves the initial-step estimate
+    f0 = np.asarray(stages.k1, dtype=float).reshape(points.shape)
+    h = _initial_steps(f0, points, t_end, rtol, atol)  # magnitudes
     t = [0.0] * n_lanes
-    k1 = None
-    stale = [True] * n_lanes  # lanes whose first stage must be evaluated afresh
+    stale = [False] * n_lanes  # lanes whose first stage must be evaluated afresh
     next_target = [0] * n_lanes
     rhs_calls = [1] * n_lanes
     accepted = [0] * n_lanes
@@ -270,7 +445,7 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
     active = list(range(n_lanes))
 
     while active:
-        dt = np.zeros(n_lanes)  # signed trial steps; lanes at t_end keep 0
+        dt = [0.0] * n_lanes  # signed trial steps; lanes at t_end keep 0
         for i in active:
             ti = t[i]
             if accepted[i] + rejected[i] >= max_steps:
@@ -290,27 +465,14 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
             h_try[i] = step
             dt[i] = direction * step
 
-        t_now = np.array(t)
         renew = [i for i in active if stale[i]]
         if renew:
-            fresh = field(t_now, y)
-            if len(renew) == n_lanes:
-                k1 = fresh
-            else:
-                k1[renew] = fresh[renew]
+            stages.renew(t, renew)
             for i in renew:
                 rhs_calls[i] += 1
                 stale[i] = False
 
-        k = np.empty((7,) + y.shape)
-        k[0] = k1
-        t_stage = t_now + _DP_C * dt
-        dt_col = dt[:, None]
-        for s in range(1, 7):
-            k[s] = field(t_stage[s], y + dt_col * (_DP_A[s] * k[:s]).sum(axis=0))
-        increment, err = dt_col * (_DP_B5_E * k).sum(axis=1)
-        y_new = y + increment
-        err_norm = _rms(err / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new))))
+        err_norm = stages.attempt(t, dt)
 
         moved = []
         for i in active:
@@ -327,12 +489,12 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
                 moved.append(i)
                 if record_all:
                     times.append(t[i])
-                    states.append(y_new[i])
+                    states.append(stages.state(i))
                 elif hit[i]:
                     # a repeated t_eval entry takes the state just reached, no step
                     reached = targets[next_target[i]]
                     while next_target[i] < len(targets) and targets[next_target[i]] == reached:
-                        out[slots[next_target[i]], i] = y_new[i]
+                        rows[slots[next_target[i]], i] = stages.state(i)
                         next_target[i] += 1
                 factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
             else:
@@ -340,16 +502,13 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
                 stale[i] = True  # FSAL stage invalid after a rejection
                 factor = min(1.0, max(0.2, 0.9 * norm ** -0.2))
             h[i] = h_try[i] * factor
-        if len(moved) == n_lanes:
-            y, k1 = y_new, k[6]  # FSAL
-        elif moved:
-            y[moved] = y_new[moved]
-            k1[moved] = k[6][moved]
+        if moved:
+            stages.advance(moved)
         active = [i for i in active if direction * (t_end - t[i]) > 0.0]
 
     counters = (rhs_calls, accepted, rejected, h_min, h_max)
     if record_all:
-        return np.asarray(times), np.asarray(states)[:, None], counters
+        return np.asarray(times), np.asarray(states), counters
     return np.array(t_eval), out, counters
 
 

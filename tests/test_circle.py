@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from adiakit import (CircleAction, NumericalError, PhasePoint, SlowFastSystem,
-                     charged_particle, elastic_pendulum)
+                     charged_particle, elastic_pendulum, integrate)
+from adiakit import circle
 from adiakit import kernel as sk
-from adiakit.circle import fourier_mean, s_at_nodes, s_from_samples
+from adiakit.circle import TWO_PI, fourier_mean, s_at_nodes, s_from_samples
 from adiakit.invariants import d1j_coeffs
 from adiakit.sl2 import QuadraticSystem, Sl2Field, linear_flow
 
@@ -109,6 +110,41 @@ def test_numeric_orbit_rejects_nonpositive_frequency_on_any_lane():
     action.orbit([ones, 0.5 * ones], [ones, np.array([1.0, 2.0, 0.5])])
     with pytest.raises(NumericalError, match="positive"):
         action.orbit([ones, 0.5 * ones], [ones, np.array([1.0, 2.0, -0.5])])
+
+
+def test_numeric_orbit_rejects_nan_frequency_on_any_lane():
+    def H(fast, slow):
+        y, x = fast
+        return 0.5 * slow[1] * (y * y + x * x)
+
+    system = SlowFastSystem(r=1, k=1, H=H, omega=lambda fast, slow: slow[1])
+    action = CircleAction(system, flow_mode="numeric", nodes=8)
+    ones = np.ones(3)
+    with pytest.raises(NumericalError, match="positive"):
+        action.orbit([ones, 0.5 * ones], [ones, np.array([1.0, np.nan, 2.0])])
+
+
+@pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
+def test_numeric_orbit_stops_at_its_last_sample(request, rng, fixture_name, monkeypatch):
+    # the run to the last node equals the run to 2π at every node, for less work
+    fixture = request.getfixturevalue(fixture_name)
+    runs = []
+
+    def both_spans(field, y0, t_end, config, t_eval):
+        traj = integrate(field, y0, t_end, config, t_eval=t_eval)
+        runs.append((t_end, traj, integrate(field, y0, TWO_PI, config, t_eval=t_eval)))
+        return traj
+
+    monkeypatch.setattr(circle, "integrate", both_spans)
+    points = np.stack([m.coords for m in sample_points(fixture, rng, 3)])
+    orbit = CircleAction(fixture.system, flow_mode="numeric", nodes=8).orbit(
+        list(points[:, :2].T), list(points[:, 2:].T))
+    (t_end, last, full), = runs
+    assert t_end == orbit.times[-1] < TWO_PI
+    assert np.array_equal(last.states, full.states)
+    assert np.all(last.rhs_calls < full.rhs_calls)
+    for i, samples in enumerate(orbit.fast):
+        assert np.array_equal(samples, last.states[:, :, i].T)
 
 
 def test_slow_coordinates_preserved(pendulum_action):

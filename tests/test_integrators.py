@@ -6,6 +6,7 @@ import pytest
 from adiakit import (IntegratorConfig, MaxStepsExceeded, StepSizeUnderflow,
                      convergence_order, elastic_pendulum, integrate, step_rk4)
 from adiakit.experiments import full_field
+from adiakit.integrators import _sum_code
 
 
 def linear(t, y):
@@ -13,6 +14,8 @@ def linear(t, y):
 
 
 def harmonic(t, y):
+    # coordinate columns in, columns out: floats for one point, arrays for
+    # lanes; the array it returns is a sequence of columns
     return np.array([-y[1], y[0]])
 
 
@@ -119,17 +122,17 @@ def test_max_steps_exceeded_reports_last_time():
 def test_step_size_underflow_near_blowup():
     cfg = IntegratorConfig(method="rk45", rtol=1e-10, atol=1e-12, max_steps=10_000_000)
     with pytest.raises((StepSizeUnderflow, MaxStepsExceeded)) as err:
-        integrate(lambda t, y: y * y, np.array([1.0]), 2.0, cfg)
+        integrate(lambda t, y: [y[0] * y[0]], np.array([1.0]), 2.0, cfg)
     # solution blows up at t = 1
     assert err.value.last_time == pytest.approx(1.0, abs=0.05)
 
 
 def anharmonic(k):
     """Pendulum-like oscillators whose stiffness ``k`` is a slow coordinate held
-    per lane (an array over lanes, or one lane's value); each row on its own."""
+    per lane (an array over lanes, or one lane's value); each lane on its own."""
     def field(t, y):
-        x, v = y[..., 0], y[..., 1]
-        return np.stack([v, -k * np.sin(x) - 0.3 * k * x * x * x], axis=-1)
+        x, v = y
+        return [v, -k * np.sin(x) - 0.3 * k * x * x * x]
 
     return field
 
@@ -157,6 +160,59 @@ def test_lanes_equal_their_one_lane_runs(t_end):
         for name in COUNTERS:
             assert getattr(lanes, name)[i] == getattr(one, name)
             assert getattr(stacked, name)[0] == getattr(one, name)
+
+
+@pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
+def test_float_and_lane_kernels_agree_on_the_full_field(request, fixture_name):
+    # the one-point run (Python floats, emitted code) against lane 0 of a
+    # two-lane run (stacked numpy arrays) of the production field
+    fixture = request.getfixturevalue(fixture_name)
+    rhs = full_field(fixture.system, 0.2)
+    m0 = fixture.initial.coords
+    cfg = IntegratorConfig(method="rk45", rtol=1e-9, atol=1e-12)
+    t_eval = np.linspace(0.0, 5.0, 11)
+    one = integrate(rhs, m0, 5.0, cfg, t_eval=t_eval)
+    two = integrate(rhs, np.stack([m0, m0 + 0.05]), 5.0, cfg, t_eval=t_eval)
+    assert np.array_equal(two.states[:, 0], one.states)
+    for name in COUNTERS:
+        assert getattr(two, name)[0] == getattr(one, name)
+    assert one.accepted > 10
+
+
+def oscillator_chain(t, y):
+    """Uncoupled oscillators of frequencies 1..dim/2 (coordinate columns)."""
+    out = []
+    for j in range(0, len(y), 2):
+        w = float(j // 2 + 1)
+        out += [-w * y[j + 1], w * y[j]]
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 10, 20])
+def test_lanes_equal_one_point_runs_beyond_eight_coordinates(dim):
+    # from eight coordinates on, numpy sums the error norm pairwise
+    rng = np.random.default_rng(dim)
+    y0 = rng.standard_normal((3, dim)) * 10.0 ** rng.integers(-3, 3, (3, dim))
+    cfg = IntegratorConfig(method="rk45", rtol=1e-8, atol=1e-12)
+    t_eval = np.linspace(0.0, 2.0, 5)
+    lanes = integrate(oscillator_chain, y0, 2.0, cfg, t_eval=t_eval)
+    for i in range(3):
+        one = integrate(oscillator_chain, y0[i], 2.0, cfg, t_eval=t_eval)
+        assert np.array_equal(lanes.states[:, i], one.states)
+        for name in COUNTERS:
+            assert getattr(lanes, name)[i] == getattr(one, name)
+
+
+@pytest.mark.parametrize("n", list(range(1, 20)) + [127, 128, 129, 300])
+def test_emitted_sums_take_numpys_reduction_order(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((50, n)) * 10.0 ** rng.integers(-8, 8, (50, n))
+    total = eval(f"lambda x: {_sum_code([f'x[{i}]' for i in range(n)])}")
+    want = np.add.reduce(x, axis=-1)  # along the contiguous axis, as the norm
+    assert [total(row) for row in x.tolist()] == want.tolist()
+    if n < 8:  # the stage sums (at most seven terms) reduce an outer axis
+        outer = np.ascontiguousarray(x.T)[:, :, None]  # (terms, rows, 1)
+        assert [total(row) for row in x.tolist()] == outer.sum(axis=0)[:, 0].tolist()
 
 
 REPEATS = [0, 0, 1, 1, 1, 2, 3]  # rows of the plain grid that a repeated grid asks for
@@ -207,9 +263,9 @@ def test_one_lane_counters_count_field_calls():
     assert all(isinstance(t, float) for t in calls)
     assert traj.rhs_calls == len(calls)
     assert traj.rejected > 0
-    # the initial-step probe, six stages per attempt, and a fresh first
-    # stage at the start and after every rejection
-    assert traj.rhs_calls == 1 + 6 * (traj.accepted + traj.rejected) + 1 + traj.rejected
+    # the initial-step probe, which is also the first attempt's first stage,
+    # six stages per attempt, and a fresh first stage after every rejection
+    assert traj.rhs_calls == 1 + 6 * (traj.accepted + traj.rejected) + traj.rejected
     assert len(traj) == traj.accepted + 1
     steps = np.abs(np.diff(traj.times))  # step sizes up to the rounding of t + h
     assert traj.h_min == pytest.approx(steps.min(), rel=1e-12)
@@ -242,7 +298,7 @@ def test_lane_failure_reports_that_lanes_time():
     # lane 1 blows up at t = 1/y0 = 0.5; lane 0 at t = 2
     cfg = IntegratorConfig(method="rk45", rtol=1e-10, atol=1e-12, max_steps=10_000_000)
     with pytest.raises((StepSizeUnderflow, MaxStepsExceeded), match="lane 1") as err:
-        integrate(lambda t, y: y * y, np.array([[0.5], [2.0]]), 1.0, cfg,
+        integrate(lambda t, y: [y[0] * y[0]], np.array([[0.5], [2.0]]), 1.0, cfg,
                   t_eval=[0.0, 1.0])
     assert err.value.last_time == pytest.approx(0.5, abs=0.05)
 
