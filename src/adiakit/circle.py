@@ -90,6 +90,14 @@ def _finite_samples(values, orbit, what: str) -> np.ndarray:
     return vals
 
 
+def _positive_point(omega):
+    return omega > 0.0  # a NaN fails the comparison too
+
+
+def _positive_lanes(omega):
+    return np.greater(omega, 0.0).all()
+
+
 def _with_node_axis(c):
     return sk.map_parts(lambda a: np.asarray(a, dtype=float)[..., None], c)
 
@@ -124,6 +132,12 @@ class CircleAction:
     numeric integration of the normalized fast field (slow block frozen, so
     slow coordinates are preserved exactly in both modes). ``nodes`` is the
     per-period sample count (a power of two).
+
+    Numeric flows and orbits integrate Υ through one emitted field
+    (``_upsilon_field``), compiled once per action. A single point (``flow``,
+    ``check_periodicity``, the orbit of one point) runs as a 1-D state on
+    ``integrate``'s float kernel; a batch of two or more points runs as the
+    lanes of one stacked run. A point gives the same bits either way.
     """
 
     system: SlowFastSystem
@@ -153,7 +167,7 @@ class CircleAction:
             return PhasePoint(np.asarray([sk.value(c) for c in new_fast], dtype=float),
                               m.slow)
         t = float(t)
-        return PhasePoint(self._integrate_lanes(m.coords[None], t, [t])[-1, 0], m.slow)
+        return PhasePoint(self._integrate_points(m.coords[None], t, [t])[-1, 0], m.slow)
 
     def check_periodicity(self, m: PhasePoint, tol: float = 1e-9):
         """(pass flag, residual) with residual = ‖Fl^{2π}(m) − m‖."""
@@ -167,32 +181,49 @@ class CircleAction:
         r, k = self.system.r, self.system.k
         return sk.gradient(self.system.H, (2 * r, 2 * k), range(2 * r))
 
-    def _upsilon_field(self, slow):
-        """The normalized fast field on lanes: ``rhs(t, z)`` with z the 2r fast
-        coordinate columns, each of shape (lanes,).
+    @functools.cached_property
+    def _upsilon_field(self):
+        """The normalized fast field Υ, emitted once as straight-line code.
 
-        ``slow`` holds one array of per-lane values for each slow coordinate;
-        ω must be positive on every lane.
+        ``bind(*slow, positive)`` returns ``rhs(t, z)`` with the 2k slow
+        values bound: it unpacks the 2r fast coordinate columns ``z``, takes
+        the fast gradient g and ω once each, and returns
+        ``[-g_{r+i}/ω …, g_i/ω …]``. The same code serves one point (Python
+        floats) and lanes ((lanes,) arrays); ``positive(ω)`` must hold on the
+        point or on every lane, or ``rhs`` raises :class:`NumericalError`.
         """
-        system = self.system
-        r = system.r
-        grad = self._fast_gradient
+        r, k = self.system.r, self.system.k
+        z = [f"z{i}" for i in range(2 * r)]
+        s = [f"s{i}" for i in range(2 * k)]
+        g = [f"g{i}" for i in range(2 * r)]
+        velocity = [f"-{d} / w" for d in g[r:]] + [f"{d} / w" for d in g[:r]]
+        source = (f"def bind({', '.join(s + ['positive'])}):\n"
+                  f"    slow = [{', '.join(s)}]\n"
+                  "    def rhs(t, z):\n"
+                  f"        {', '.join(z)}, = z\n"
+                  f"        w = omega([{', '.join(z)}], slow)\n"
+                  "        if not positive(w):\n"
+                  "            raise NumericalError('frequency function must stay positive')\n"
+                  f"        {', '.join(g)}, = grad({', '.join(z + s)})\n"
+                  f"        return [{', '.join(velocity)}]\n"
+                  "    return rhs\n")
+        namespace = {"grad": self._fast_gradient, "omega": self.system.omega,
+                     "NumericalError": NumericalError}
+        exec(compile(source, "<normalized fast field>", "exec"), namespace)
+        return namespace["bind"]
 
-        def rhs(t, z):
-            grads = grad(*z, *slow)
-            omega = sk.value(system.omega(list(z), slow))
-            if not np.greater(omega, 0.0).all():  # a NaN fails the comparison too
-                raise NumericalError("frequency function must stay positive")
-            return ([-grads[r + i] / omega for i in range(r)]
-                    + [grads[i] / omega for i in range(r)])
+    def _integrate_points(self, points, t_end: float, t_eval) -> np.ndarray:
+        """Fast states at ``t_eval`` for base points (points, 2r + 2k): (times, points, 2r).
 
-        return rhs
-
-    def _integrate_lanes(self, points, t_end: float, t_eval) -> np.ndarray:
-        """Fast states at ``t_eval`` for base points (lanes, 2r + 2k): (times, lanes, 2r)."""
+        The shape picks the kernel of ``integrate``: a single point runs as a
+        1-D state on Python floats, two or more points as lanes of one run.
+        """
         n_fast = 2 * self.system.r
-        rhs = self._upsilon_field(list(points[:, n_fast:].T))
         cfg = IntegratorConfig(method="rk45", rtol=self.rtol, atol=self.atol)
+        if len(points) == 1:
+            rhs = self._upsilon_field(*points[0, n_fast:].tolist(), _positive_point)
+            return integrate(rhs, points[0, :n_fast], t_end, cfg, t_eval=t_eval).states[:, None]
+        rhs = self._upsilon_field(*points[:, n_fast:].T, _positive_lanes)
         return integrate(rhs, points[:, :n_fast], t_end, cfg, t_eval=t_eval).states
 
     # -- orbit sampling -----------------------------------------------------
@@ -216,7 +247,8 @@ class CircleAction:
         return self._orbit_numeric(fast, slow, n, times)
 
     def _orbit_numeric(self, fast, slow, n, times):
-        """Numeric orbits: every point of the batch is one lane of one integration.
+        """Numeric orbits: one integration for the whole batch, each point a
+        lane of it (a single point runs alone, as one point).
 
         A single (unbatched) point is served from the orbit cache when present.
         """
@@ -230,7 +262,7 @@ class CircleAction:
             fast_out = cached.copy()
         else:
             # (n_fast, points, nodes); the orbit is integrated to its last sample
-            fast_out = self._integrate_lanes(points, times[-1], times).transpose(2, 1, 0)
+            fast_out = self._integrate_points(points, times[-1], times).transpose(2, 1, 0)
             if batch_shape == ():
                 if len(self._cache) >= self.cache_size:
                     self._cache.pop(next(iter(self._cache)))

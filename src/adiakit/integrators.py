@@ -236,9 +236,6 @@ class _FloatStages:
         self.y = tuple(y0.tolist())
         self.k1 = field(0.0, self.y)
 
-    def renew(self, t, lanes):
-        self.k1 = self.field(t[0], self.y)
-
     def attempt(self, t, dt):
         self.y_new, self.k_last, norm = self.attempt_code(
             self.field, t[0], dt[0], self.y, self.k1, self.atol, self.rtol)
@@ -265,14 +262,6 @@ class _LaneStages:
         self.y = np.array(y0)
         self.k1 = np.empty_like(self.y)
         _fill_columns(self.k1, field(np.zeros(len(y0)), self.y.T))
-
-    def renew(self, t, lanes):
-        fresh = np.empty_like(self.y)
-        _fill_columns(fresh, self.field(np.array(t), self.y.T))
-        if len(lanes) == len(t):
-            self.k1 = fresh
-        else:
-            self.k1[lanes] = fresh[lanes]
 
     def attempt(self, t, dt):
         field, y = self.field, self.y
@@ -407,8 +396,8 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
     """Dormand–Prince 5(4) over one point (``y0`` of shape (dim,)) or the
     lanes of ``y0`` (lanes, dim): one controller, the stage kernel chosen by
     the shape (module docstring). A kernel holds each lane's first stage
-    ``k1`` and serves the controller through ``renew`` (evaluate ``k1``
-    afresh), ``attempt`` (one trial step, returning per-lane error norms),
+    ``k1``, which a rejected step leaves valid, and serves the controller
+    through ``attempt`` (one trial step, returning per-lane error norms),
     ``state`` (a lane's trial state) and ``advance`` (accept lanes' steps).
 
     Returns (times, states of shape (times,) + ``y0.shape``, per-lane counter
@@ -433,7 +422,6 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
     f0 = np.asarray(stages.k1, dtype=float).reshape(points.shape)
     h = _initial_steps(f0, points, t_end, rtol, atol)  # magnitudes
     t = [0.0] * n_lanes
-    stale = [False] * n_lanes  # lanes whose first stage must be evaluated afresh
     next_target = [0] * n_lanes
     rhs_calls = [1] * n_lanes
     accepted = [0] * n_lanes
@@ -465,13 +453,6 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
             h_try[i] = step
             dt[i] = direction * step
 
-        renew = [i for i in active if stale[i]]
-        if renew:
-            stages.renew(t, renew)
-            for i in renew:
-                rhs_calls[i] += 1
-                stale[i] = False
-
         err_norm = stages.attempt(t, dt)
 
         moved = []
@@ -498,8 +479,7 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
                         next_target[i] += 1
                 factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
             else:
-                rejected[i] += 1
-                stale[i] = True  # FSAL stage invalid after a rejection
+                rejected[i] += 1  # t and y stay, and with them the first stage
                 factor = min(1.0, max(0.2, 0.9 * norm ** -0.2))
             h[i] = h_try[i] * factor
         if moved:

@@ -31,10 +31,12 @@ the formula that ``Dual`` takes with those operands: ``Dual/Dual`` computes
 tangent component of a multidual pass is that formula applied to the
 matching components, and IEEE + - * / and ``sqrt`` round each element on its
 own, so the compiled gradient equals the multidual gradient bit for bit. Only
-exact no-ops are left out: adding a zero tangent component, a product with
-one, and a product by the seed's 1.0; that can change the sign of a zero,
-nothing else. An expression recorded twice is computed once, and code the
-gradient does not use (such as the oracle's own value) is dropped.
+exact no-ops are left out: adding a zero tangent component, which can change
+the sign of a zero and nothing else, and a product by the literal 1.0 (the
+seed's tangent, or a constant such as a parameter B = 1.0), which returns a
+float or float array unchanged. An expression recorded twice is computed
+once, and code the gradient does not use (such as the oracle's own value) is
+dropped. The emitted code is kept as the compiled function's ``source``.
 The compiled code computes with the floats or arrays it is called with, so
 ``**`` and the elementary functions see scalars where a multidual pass over
 the same coordinates holds scalars and arrays where it holds arrays; that
@@ -290,7 +292,7 @@ def log(x):
 # Gradient tracer (see "Compiled gradients" in the module docstring)
 # ---------------------------------------------------------------------------
 
-_ONE = "1.0"  # tangent of a seeded coordinate along its own direction
+_ONE = "1.0"  # a seed's tangent along its own direction, and the constant 1.0
 _FUNCTIONS = {"sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}
 
 
@@ -329,13 +331,13 @@ class _Tape:
             return code
         raise TraceError(f"cannot trace an operand of type {type(c).__name__}")
 
-    # tangent arithmetic; dropping a None term is exact
+    # tangent arithmetic; dropping a None term or a factor 1.0 is exact
     def mul(self, a, b):
         if a is None or b is None:
             return None
-        if a == _ONE and b[0] == "v":
+        if a == _ONE:
             return b
-        if b == _ONE and a[0] == "v":
+        if b == _ONE:
             return a
         return self.emit("{} * {}", a, b)
 
@@ -426,6 +428,8 @@ class _Trace:
 
     def __mul__(self, other):
         yv, yd = self._operand(other)
+        if yv == _ONE:  # x·1.0 and its tangent x'·1.0 are x and x' exactly
+            return self
         tape = self.tape
         v = tape.emit("{} * {}", self.v, yv)
         if yd is None:
@@ -552,7 +556,9 @@ def trace_gradient(f, blocks, seeded):
               + f"    return ({', '.join(outputs)},)\n")
     namespace = dict(_FUNCTIONS, **tape.consts)
     exec(compile(source, "<traced gradient>", "exec"), namespace)
-    return namespace["gradient"]
+    grad = namespace["gradient"]
+    grad.source = source
+    return grad
 
 
 def _multidual_gradient(f, blocks, seeded):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from adiakit import (CircleAction, NumericalError, PhasePoint, SlowFastSystem,
-                     charged_particle, elastic_pendulum, integrate)
+from adiakit import (CircleAction, IntegratorConfig, NumericalError, PhasePoint,
+                     SlowFastSystem, charged_particle, elastic_pendulum, integrate)
 from adiakit import circle
 from adiakit import kernel as sk
 from adiakit.circle import TWO_PI, fourier_mean, s_at_nodes, s_from_samples
@@ -85,43 +85,69 @@ def test_numeric_and_analytic_flows_agree():
 
 
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
-def test_numeric_orbit_batch_equals_point_by_point(request, rng, fixture_name):
-    # one lane run for the whole batch; each lane bitwise its point's own orbit
+def test_numeric_orbit_batch_equals_point_by_point(request, rng, monkeypatch, fixture_name):
+    # a batch is one lane run (stacked kernel); a single point's orbit and its
+    # flow are each one 1-D run (float kernel); both give the same bits. The
+    # batch stays small: on wide lanes numpy's array ** (the particle's
+    # q2 ** 4) rounds unlike the scalar one
     fixture = request.getfixturevalue(fixture_name)
-    system = fixture.system
+    runs = []
+
+    def recorded(field, y0, *args, **kwargs):
+        runs.append((field, np.asarray(y0)))
+        return integrate(field, y0, *args, **kwargs)
+
+    monkeypatch.setattr(circle, "integrate", recorded)
     points = np.stack([m.coords for m in sample_points(fixture, rng, 5)])
-    batch = CircleAction(system, flow_mode="numeric", nodes=8).orbit(
-        list(points[:, :2].T), list(points[:, 2:].T))
-    single = CircleAction(system, flow_mode="numeric", nodes=8)
-    for i, m in enumerate(points):
-        orbit = single.orbit(list(m[:2]), list(m[2:]))
-        for got, want in zip(batch.fast + batch.slow, orbit.fast + orbit.slow):
-            assert np.array_equal(got[i], want)
+    for nodes in (8, 64):
+        batched = CircleAction(fixture.system, flow_mode="numeric", nodes=nodes)
+        runs.clear()
+        batch = batched.orbit(list(points[:, :2].T), list(points[:, 2:].T))
+        (lane_field, lane_y0), = runs
+        cfg = IntegratorConfig(method="rk45", rtol=batched.rtol, atol=batched.atol)
+        ends = integrate(lane_field, lane_y0, TWO_PI, cfg, t_eval=[TWO_PI]).final
+        for i, coords in enumerate(points):
+            m = PhasePoint(coords[:2], coords[2:])
+            single = CircleAction(fixture.system, flow_mode="numeric", nodes=nodes)
+            runs.clear()
+            orbit = single.orbit_of_point(m)
+            moved = single.flow(TWO_PI, m)
+            assert [y0.shape for _, y0 in runs] == [(2,), (2,)]
+            for got, want in zip(batch.fast + batch.slow, orbit.fast + orbit.slow):
+                assert np.array_equal(got[i], want)
+            assert np.array_equal(moved.coords, np.concatenate([ends[i], coords[2:]]))
+
+
+def scaled_oscillator():
+    """Harmonic fast block whose frequency is the slow coordinate q."""
+    def H(fast, slow):
+        y, x = fast
+        return 0.5 * slow[1] * (y * y + x * x)
+
+    return SlowFastSystem(r=1, k=1, H=H, omega=lambda fast, slow: slow[1])
 
 
 def test_numeric_orbit_rejects_nonpositive_frequency_on_any_lane():
-    def H(fast, slow):
-        y, x = fast
-        return 0.5 * slow[1] * (y * y + x * x)
-
-    system = SlowFastSystem(r=1, k=1, H=H, omega=lambda fast, slow: slow[1])
-    action = CircleAction(system, flow_mode="numeric", nodes=8)
+    action = CircleAction(scaled_oscillator(), flow_mode="numeric", nodes=8)
     ones = np.ones(3)
     action.orbit([ones, 0.5 * ones], [ones, np.array([1.0, 2.0, 0.5])])
+    action.orbit([1.0, 0.5], [1.0, 0.5])
     with pytest.raises(NumericalError, match="positive"):
         action.orbit([ones, 0.5 * ones], [ones, np.array([1.0, 2.0, -0.5])])
+    for omega in (-0.5, 0.0):  # the one-point run, as an orbit and as a flow
+        with pytest.raises(NumericalError, match="positive"):
+            action.orbit([1.0, 0.5], [1.0, omega])
+        with pytest.raises(NumericalError, match="positive"):
+            action.flow(1.0, PhasePoint([1.0, 0.5], [1.0, omega]))
 
 
 def test_numeric_orbit_rejects_nan_frequency_on_any_lane():
-    def H(fast, slow):
-        y, x = fast
-        return 0.5 * slow[1] * (y * y + x * x)
-
-    system = SlowFastSystem(r=1, k=1, H=H, omega=lambda fast, slow: slow[1])
-    action = CircleAction(system, flow_mode="numeric", nodes=8)
+    action = CircleAction(scaled_oscillator(), flow_mode="numeric", nodes=8)
     ones = np.ones(3)
     with pytest.raises(NumericalError, match="positive"):
         action.orbit([ones, 0.5 * ones], [ones, np.array([1.0, np.nan, 2.0])])
+    with pytest.raises(NumericalError, match="positive"):
+        action.orbit([1.0, 0.5], [1.0, np.nan])
 
 
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])

@@ -264,8 +264,8 @@ def test_one_lane_counters_count_field_calls():
     assert traj.rhs_calls == len(calls)
     assert traj.rejected > 0
     # the initial-step probe, which is also the first attempt's first stage,
-    # six stages per attempt, and a fresh first stage after every rejection
-    assert traj.rhs_calls == 1 + 6 * (traj.accepted + traj.rejected) + traj.rejected
+    # then six stages per attempt: a rejected attempt keeps its first stage
+    assert traj.rhs_calls == 1 + 6 * (traj.accepted + traj.rejected)
     assert len(traj) == traj.accepted + 1
     steps = np.abs(np.diff(traj.times))  # step sizes up to the rounding of t + h
     assert traj.h_min == pytest.approx(steps.min(), rel=1e-12)

@@ -269,12 +269,12 @@ def test_analytic_f2_samples_one_orbit_per_batch(pendulum, rng, monkeypatch):
 
 def test_numeric_f2_integrates_each_orbit_once(pendulum, rng, monkeypatch):
     # D = 4: F1 needs the base orbit, F2 the 2D shifted ones; 1 + 2D lanes
-    # per point, in one lane run per batch
+    # per point, in one lane run per batch. Counted in points: a 1-D y0 is one
     runs = []
     integrate = circle.integrate
 
     def counted(field, y0, *args, **kwargs):
-        runs.append(len(y0))
+        runs.append(len(y0) if np.ndim(y0) == 2 else 1)
         return integrate(field, y0, *args, **kwargs)
 
     monkeypatch.setattr(circle, "integrate", counted)

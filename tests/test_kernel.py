@@ -1,5 +1,7 @@
 """Dual-number arithmetic against analytic derivatives."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,17 @@ def test_compiled_gradient_equals_multidual_bitwise(name, seeding):
                                  multidual_reference(system.H, blocks, seeded, coords))
     lanes = list(points.T)  # one array of 40 lanes per coordinate
     assert_same_partials(grad(*lanes), multidual_reference(system.H, blocks, seeded, lanes))
+
+
+@pytest.mark.parametrize("name", ["elastic_pendulum", "charged_particle"])
+@pytest.mark.parametrize("seeding", ["all", "fast"])
+def test_compiled_gradient_has_no_product_by_one(name, seeding):
+    # the default parameters (gamma = 1, B = 1) and the seed put literal 1.0
+    # factors into the trace; each is dropped, exactly
+    system = get_fixture(name).system
+    seeded = range(system.dim if seeding == "all" else 2 * system.r)
+    source = sk.trace_gradient(system.H, (2 * system.r, 2 * system.k), seeded).source
+    assert not re.search(r"(?<![\w.])1\.0 \*|\* 1\.0(?![\d.e])", source), source
 
 
 def branchy(fast, slow):
