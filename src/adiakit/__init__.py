@@ -10,8 +10,8 @@ from .circle import CircleAction, OrbitSamples
 from .errors import (AdiakitError, ConfigError, DegenerateFamily, DomainError,
                      HypothesisViolation, IntegrationError, InvalidParameter,
                      MaxStepsExceeded, NotFound, NumericalError,
-                     PrecisionWarning, SlopeUndefined, StepSizeUnderflow,
-                     TraceError, UnsupportedOrder)
+                     SlopeUndefined, StepSizeUnderflow, TraceError,
+                     UnsupportedOrder)
 from .fixtures import (Fixture, charged_particle, elastic_pendulum,
                        get_fixture, list_fixtures, verify_transverse_momentum)
 from .integrators import IntegratorConfig, Trajectory, convergence_order, integrate, step_rk4

@@ -26,7 +26,7 @@ import numpy as np
 from . import kernel as sk
 from .errors import NumericalError
 from .integrators import IntegratorConfig, integrate
-from .phase import PhasePoint, SlowFastSystem
+from .phase import DEFAULT_ENGINE, PhasePoint, SlowFastSystem
 
 __all__ = [
     "CircleAction",
@@ -133,11 +133,13 @@ class CircleAction:
     slow coordinates are preserved exactly in both modes). ``nodes`` is the
     per-period sample count (a power of two).
 
-    Numeric flows and orbits integrate Υ through one emitted field
-    (``_upsilon_field``), compiled once per action. A single point (``flow``,
-    ``check_periodicity``, the orbit of one point) runs as a 1-D state on
-    ``integrate``'s float kernel; a batch of two or more points runs as the
-    lanes of one stacked run. A point gives the same bits either way.
+    Numeric flows and orbits integrate Υ through code traced once per action
+    (``_field``). An orbit of a dual state integrates Υ's variational equation
+    in the same run, so its samples carry exact derivatives too. A single
+    point (``flow``, ``check_periodicity``, the orbit of one point) runs as a
+    1-D state on ``integrate``'s float kernel; a batch of two or more points
+    runs as the lanes of one stacked run. A point gives the same bits either
+    way.
     """
 
     system: SlowFastSystem
@@ -155,6 +157,7 @@ class CircleAction:
         if self.nodes < 4 or self.nodes & (self.nodes - 1):
             raise ValueError("nodes must be a power of two (>= 4)")
         self._cache = {}
+        self._fields = {}  # number of tangent directions -> bind of the emitted field
 
     # -- flow ---------------------------------------------------------------
 
@@ -167,7 +170,8 @@ class CircleAction:
             return PhasePoint(np.asarray([sk.value(c) for c in new_fast], dtype=float),
                               m.slow)
         t = float(t)
-        return PhasePoint(self._integrate_points(m.coords[None], t, [t])[-1, 0], m.slow)
+        end = self._integrate_points(m.coords[None], t, [t], np.zeros((1, self.system.dim, 0)))
+        return PhasePoint(end[-1, 0], m.slow)
 
     def check_periodicity(self, m: PhasePoint, tol: float = 1e-9):
         """(pass flag, residual) with residual = ‖Fl^{2π}(m) − m‖."""
@@ -175,64 +179,71 @@ class CircleAction:
         residual = float(np.linalg.norm(back.coords - m.coords))
         return residual <= tol, residual
 
-    @functools.cached_property
-    def _fast_gradient(self):
-        """Compiled fast-block gradient of H, slow coordinates as plain arguments."""
-        r, k = self.system.r, self.system.k
-        return sk.gradient(self.system.H, (2 * r, 2 * k), range(2 * r))
+    def _normalized_field(self, fast, slow):
+        """Υ = (−∂_xH, ∂_yH)/ω on kernel scalars, with the fast gradient of H
+        taken by one Dual pass per fast coordinate."""
+        r = self.system.r
+        g = DEFAULT_ENGINE.partials(self.system.H, fast, slow, "fast")
+        w = self.system.omega(fast, slow)
+        return [-d / w for d in g[r:]] + [d / w for d in g[:r]]
 
-    @functools.cached_property
-    def _upsilon_field(self):
-        """The normalized fast field Υ, emitted once as straight-line code.
+    def _field(self, directions: int):
+        """The normalized fast field Υ and, along D = ``directions`` tangent
+        directions, its variational equation V' = ∂_zΥ·V + ∂_wΥ·W: code traced
+        from ``_normalized_field`` once per D (``kernel.tangent``).
 
-        ``bind(*slow, positive)`` returns ``rhs(t, z)`` with the 2k slow
-        values bound: it unpacks the 2r fast coordinate columns ``z``, takes
-        the fast gradient g and ω once each, and returns
-        ``[-g_{r+i}/ω …, g_i/ω …]``. The same code serves one point (Python
-        floats) and lanes ((lanes,) arrays); ``positive(ω)`` must hold on the
-        point or on every lane, or ``rhs`` raises :class:`NumericalError`.
+        ``bind(*slow, *W, positive)`` binds the 2k slow values and their
+        tangents W and returns ``rhs(t, y)`` over the 2r fast columns and their
+        tangents V (tangents coordinate by coordinate, D each). It serves one
+        point (floats) and lanes ((lanes,) arrays) alike, and raises
+        :class:`NumericalError` unless ``positive(ω)`` holds, before Υ divides.
         """
-        r, k = self.system.r, self.system.k
-        z = [f"z{i}" for i in range(2 * r)]
-        s = [f"s{i}" for i in range(2 * k)]
-        g = [f"g{i}" for i in range(2 * r)]
-        velocity = [f"-{d} / w" for d in g[r:]] + [f"{d} / w" for d in g[:r]]
-        source = (f"def bind({', '.join(s + ['positive'])}):\n"
-                  f"    slow = [{', '.join(s)}]\n"
-                  "    def rhs(t, z):\n"
-                  f"        {', '.join(z)}, = z\n"
-                  f"        w = omega([{', '.join(z)}], slow)\n"
-                  "        if not positive(w):\n"
-                  "            raise NumericalError('frequency function must stay positive')\n"
-                  f"        {', '.join(g)}, = grad({', '.join(z + s)})\n"
-                  f"        return [{', '.join(velocity)}]\n"
-                  "    return rhs\n")
-        namespace = {"grad": self._fast_gradient, "omega": self.system.omega,
-                     "NumericalError": NumericalError}
-        exec(compile(source, "<normalized fast field>", "exec"), namespace)
-        return namespace["bind"]
+        bind = self._fields.get(directions)
+        if bind is None:
+            r, k, n = self.system.r, self.system.k, directions
+            z, s = [f"z{i}" for i in range(2 * r)], [f"s{i}" for i in range(2 * k)]
+            v, w_dot = [f"v{i}" for i in range(2 * r * n)], [f"ws{i}" for i in range(2 * k * n)]
+            source = (f"def bind({', '.join(s + w_dot + ['positive'])}):\n"
+                      f"    slow = [{', '.join(s)}]\n"
+                      "    def rhs(t, y):\n"
+                      f"        {', '.join(z + v)}, = y\n"
+                      f"        w = omega([{', '.join(z)}], slow)\n"
+                      "        if not positive(w):\n"
+                      "            raise NumericalError('frequency function must stay positive')\n"
+                      f"        return tangent({', '.join(z + s + v + w_dot)})\n"
+                      "    return rhs\n")
+            namespace = {"NumericalError": NumericalError, "omega": self.system.omega,
+                         "tangent": sk.tangent(self._normalized_field, (2 * r, 2 * k), n)}
+            exec(compile(source, "<normalized fast field>", "exec"), namespace)
+            bind = self._fields[n] = namespace["bind"]
+        return bind
 
-    def _integrate_points(self, points, t_end: float, t_eval) -> np.ndarray:
-        """Fast states at ``t_eval`` for base points (points, 2r + 2k): (times, points, 2r).
+    def _integrate_points(self, points, t_end: float, t_eval, tangents) -> np.ndarray:
+        """States (times, points, 2r + 2r·D) at ``t_eval`` of base points
+        (points, 2r + 2k) and their tangents (points, 2r + 2k, D): the fast
+        coordinates, then their tangents (``_field``).
 
-        The shape picks the kernel of ``integrate``: a single point runs as a
-        1-D state on Python floats, two or more points as lanes of one run.
+        A single point runs as a 1-D state on ``integrate``'s float kernel,
+        two or more points as lanes of one run.
         """
-        n_fast = 2 * self.system.r
+        n_fast, split = 2 * self.system.r, 2 * self.system.r * tangents.shape[-1]
+        flat = tangents.reshape(len(points), -1)
+        y0 = np.concatenate([points[:, :n_fast], flat[:, :split]], axis=1)
+        bound = np.concatenate([points[:, n_fast:], flat[:, split:]], axis=1)
+        bind = self._field(tangents.shape[-1])
         cfg = IntegratorConfig(method="rk45", rtol=self.rtol, atol=self.atol)
         if len(points) == 1:
-            rhs = self._upsilon_field(*points[0, n_fast:].tolist(), _positive_point)
-            return integrate(rhs, points[0, :n_fast], t_end, cfg, t_eval=t_eval).states[:, None]
-        rhs = self._upsilon_field(*points[:, n_fast:].T, _positive_lanes)
-        return integrate(rhs, points[:, :n_fast], t_end, cfg, t_eval=t_eval).states
+            rhs = bind(*bound[0].tolist(), _positive_point)
+            return integrate(rhs, y0[0], t_end, cfg, t_eval=t_eval).states[:, None]
+        return integrate(bind(*bound.T, _positive_lanes), y0, t_end, cfg, t_eval=t_eval).states
 
     # -- orbit sampling -----------------------------------------------------
 
     def orbit(self, fast, slow, nodes: Optional[int] = None) -> OrbitSamples:
         """Orbit samples for a raw kernel state (batched coordinates allowed).
 
-        In analytic mode the state may hold duals, which are carried through
-        ``fast_flow``; numeric orbits take plain floats and arrays.
+        The state may hold duals of one tag, direction axis first, carried
+        through ``fast_flow`` or, numerically, the variational equation.
         """
         n = self.nodes if nodes is None else nodes
         times = TWO_PI * np.arange(n) / n
@@ -250,27 +261,40 @@ class CircleAction:
         """Numeric orbits: one integration for the whole batch, each point a
         lane of it (a single point runs alone, as one point).
 
-        A single (unbatched) point is served from the orbit cache when present.
+        A dual base state (one tag, its direction axis first) is integrated
+        with its variational equation: V₀ and W are the tangent parts of its
+        fast and slow coordinates, and the fast samples come back as duals
+        carrying V. A single (unbatched) plain point is served from the orbit
+        cache when present.
         """
-        base = np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in list(fast) + list(slow)])
-        batch_shape = base[0].shape
+        state = list(fast) + list(slow)
+        base = np.broadcast_arrays(*[np.asarray(sk.value(c), dtype=float) for c in state])
+        batch_shape, shape = base[0].shape, base[0].shape + (n,)
         n_fast = len(fast)
         points = np.stack([c.reshape(-1) for c in base], axis=-1)
+        duals = [c for c in state if isinstance(c, sk.Dual)]
+        directions = len(duals[0].eps) if duals else 0
         key = (n, points.tobytes())
-        cached = self._cache.get(key) if batch_shape == () else None
-        if cached is not None:
-            fast_out = cached.copy()
-        else:
-            # (n_fast, points, nodes); the orbit is integrated to its last sample
-            fast_out = self._integrate_points(points, times[-1], times).transpose(2, 1, 0)
-            if batch_shape == ():
+        cacheable = batch_shape == () and not duals and self.cache_size > 0
+        out = self._cache.get(key) if cacheable else None
+        if out is None:
+            tangents = np.stack([
+                np.broadcast_to(c.eps if isinstance(c, sk.Dual) else 0.0,
+                                (directions,) + batch_shape).reshape(directions, len(points))
+                for c in state]).transpose(2, 0, 1)
+            # (2r + 2r·D, points, nodes); the orbit is integrated to its last sample
+            out = self._integrate_points(points, times[-1], times, tangents).transpose(2, 1, 0)
+            if cacheable:
                 if len(self._cache) >= self.cache_size:
                     self._cache.pop(next(iter(self._cache)))
-                self._cache[key] = fast_out.copy()
-        fast_arrays = [fast_out[i].reshape(batch_shape + (n,)) for i in range(n_fast)]
-        slow_arrays = [np.broadcast_to(c[..., None], batch_shape + (n,))
-                       for c in base[n_fast:]]
-        return OrbitSamples(n, times, fast_arrays, slow_arrays)
+                self._cache[key] = out
+        fast_out = [out[i].reshape(shape).copy() for i in range(n_fast)]  # the cache keeps out
+        if duals:
+            fast_out = [sk.Dual(c, out[j:j + directions].reshape((directions,) + shape),
+                                duals[0].tag)
+                        for c, j in zip(fast_out, n_fast + directions * np.arange(n_fast))]
+        return OrbitSamples(n, times, fast_out,
+                            [sk.broadcast(_with_node_axis(c), shape) for c in slow])
 
     def orbit_of_point(self, m: PhasePoint, nodes: Optional[int] = None) -> OrbitSamples:
         self.system.require_in_domain(m)

@@ -64,12 +64,3 @@ class SlopeUndefined(AdiakitError):
 class ConfigError(AdiakitError):
     """A run configuration file is malformed or contains unknown keys."""
 
-
-class PrecisionWarning(UserWarning):
-    """Finite-difference noise may dominate the reported value.
-
-    Raised by F₂ with a numeric flow, whose sensitivities are central
-    differences, when the estimated noise exceeds 1 % of the differenced signal,
-    also when that signal is exactly zero but the differenced values were
-    not; never when the noise estimate itself is zero.
-    """

@@ -52,7 +52,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import MaxStepsExceeded, StepSizeUnderflow
+from .errors import MaxStepsExceeded, NumericalError, StepSizeUnderflow
 
 __all__ = [
     "IntegratorConfig",
@@ -234,11 +234,17 @@ class _FloatStages:
         self.field, self.rtol, self.atol = field, rtol, atol
         self.attempt_code = _float_attempt(len(y0))
         self.y = tuple(y0.tolist())
-        self.k1 = field(0.0, self.y)
+        try:
+            self.k1 = field(0.0, self.y)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise NumericalError(f"field failed at t=0.0: {exc}") from exc
 
     def attempt(self, t, dt):
-        self.y_new, self.k_last, norm = self.attempt_code(
-            self.field, t[0], dt[0], self.y, self.k1, self.atol, self.rtol)
+        try:  # Python floats raise where numpy arrays give inf or nan
+            self.y_new, self.k_last, norm = self.attempt_code(
+                self.field, t[0], dt[0], self.y, self.k1, self.atol, self.rtol)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise NumericalError(f"field failed in a step from t={t[0]!r}: {exc}") from exc
         return [norm]
 
     def state(self, i):
@@ -479,6 +485,9 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
                         next_target[i] += 1
                 factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
             else:
+                if norm != norm:  # a nan state, field value or initial step
+                    raise NumericalError(f"error norm is nan at t={t[i]!r}"
+                                         + _lane_label(i, n_lanes))
                 rejected[i] += 1  # t and y stay, and with them the first stage
                 factor = min(1.0, max(0.2, 0.9 * norm ** -0.2))
             h[i] = h_try[i] * factor

@@ -32,23 +32,21 @@ of N = ``action.nodes`` samples gives them all:
   fast coordinates then follow from the chain rule,
   ∂_w F₁ = ∂_w G − ∂_{z₀}G·(D_z Fl)⁻¹·∂_w Fl, node by node.
 
-The sensitivities ∂G/∂b and ∂Fl/∂b come from one of two sources:
-
-* analytic flows: one multidual pass that lifts b through ``fast_flow`` and
-  the F₁-at-nodes computation (one tag, a leading direction axis of length
-  D = 2r + 2k). This is exact: no step, no noise, no warning. Cost per
-  point: one orbit carrying D derivative parts.
-* numeric flows: central differences of the same one-orbit computation at
-  the 2D base points shifted by ±``engine.fd_step``·max(1, |b_d|). Cost per
-  point: 1 + 2D orbit integrations. A ``PrecisionWarning`` is raised when
-  the estimated roundoff eps·max|G|/fd_step exceeds 1 % of the bracket.
+The sensitivities ∂G/∂b and ∂Fl/∂b come from one multidual pass: b is lifted
+(one tag, a leading direction axis of length D = 2r + 2k) through the orbit
+and the F₁-at-nodes computation. An analytic flow carries the duals through
+``fast_flow``. A numeric flow integrates Υ together with its variational
+equation V' = ∂_zΥ·V + ∂_wΥ·W (Hairer, Nørsett & Wanner, *Solving ODEs I*,
+§I.14) as one run, V₀ and W seeded from b, and returns dual samples. No
+difference step is taken: the analytic pass is exact to rounding, the
+numeric one to the integrator's tolerance. Cost per point: one orbit
+carrying D derivative parts.
 
 Everything analytically known is differentiated exactly via dual lifting.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -56,7 +54,7 @@ import numpy as np
 
 from . import kernel as sk
 from .circle import CircleAction, OrbitSamples, fourier_mean, s_at_nodes, s_from_samples
-from .errors import HypothesisViolation, NumericalError, PrecisionWarning, UnsupportedOrder
+from .errors import HypothesisViolation, NumericalError, UnsupportedOrder
 from .phase import (DEFAULT_ENGINE, DiffEngine, PhasePoint, SlowFastSystem,
                     bracket_of_partials, field_fast, field_full, grad_fast,
                     grad_full, state_bracket1)
@@ -94,7 +92,7 @@ def d1j_coeffs(system: SlowFastSystem, engine: DiffEngine = DEFAULT_ENGINE) -> C
 # ---------------------------------------------------------------------------
 
 def check_momentum_map(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-                       tol: float = 1e-8, engine: DiffEngine = DEFAULT_ENGINE) -> float:
+                       engine: DiffEngine = DEFAULT_ENGINE) -> float:
     """Residual ‖d₀J − d₀H/ω‖ of the momentum-map relation at ``m``."""
     dj = grad_fast(system, system.J, m, engine)
     dh = grad_fast(system, system.H, m, engine)
@@ -105,13 +103,13 @@ def check_momentum_map(system: SlowFastSystem, action: CircleAction, m: PhasePoi
 
 
 def check_adiabatic(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-                    tol: float = 1e-8, engine: DiffEngine = DEFAULT_ENGINE) -> float:
+                    engine: DiffEngine = DEFAULT_ENGINE) -> float:
     """Residual ‖⟨d₁J⟩‖: the averaged slow differential of the momentum map."""
     avg = action.average_slow_oneform(d1j_coeffs(system, engine), m)
     return float(np.linalg.norm(avg))
 
 
-def check_period_energy(system: SlowFastSystem, m: PhasePoint, tol: float = 1e-10,
+def check_period_energy(system: SlowFastSystem, m: PhasePoint,
                         engine: DiffEngine = DEFAULT_ENGINE) -> float:
     """Largest 2×2 minor of (d₀H, d₀ω): zero iff the fast gradients are parallel."""
     dh = grad_fast(system, system.H, m, engine)
@@ -192,54 +190,25 @@ def momentum_from_action(system: SlowFastSystem, action: CircleAction, m: PhaseP
                          engine: DiffEngine = DEFAULT_ENGINE) -> float:
     """Standard action built from the flat primitive 1-form Σ y_i dx_i.
 
-    Averages the pulled-back 1-form along the orbit (fast-block directional
-    derivatives of the flow map are supplied by the differentiation engine)
-    and contracts with the unperturbed Hamiltonian field, divided by ω. Up to
-    an additive function of the slow variables this reproduces any momentum
-    map of the circle action.
+    Averages the pulled-back 1-form along the orbit and contracts it with the
+    unperturbed Hamiltonian field, divided by ω. The fast-block derivatives of
+    the flow map come from one orbit of ``m`` with its fast block lifted to
+    duals (analytic or numeric flow alike); ``engine`` differentiates H for
+    the field. Up to an additive function of the slow variables this
+    reproduces any momentum map of the circle action.
     """
     system.require_in_domain(m)
-    n = action.nodes if nodes is None else nodes
-    times = 2.0 * np.pi * np.arange(n) / n
     fast, slow = m.state()
     r = system.r
-
-    eta_avg = np.zeros(2 * r)
-    if engine.mode == "dual" and action.flow_mode == "analytic":
-        for l in range(2 * r):
-            tag = sk.fresh_tag()
-            seeded = list(fast)
-            seeded[l] = sk.Dual(fast[l], 1.0, tag)
-            flowed = system.fast_flow(times, seeded, slow)
-            acc = 0.0
-            for i in range(r):
-                y_vals = np.asarray(sk.value(flowed[i]), dtype=float)
-                dx = sk.extract_partial(flowed[r + i], tag)
-                acc = acc + y_vals * np.asarray(sk.value(dx), dtype=float)
-            eta_avg[l] = float(np.mean(np.broadcast_to(acc, times.shape)))
-    else:
-        # finite differences of the flow map (works for numeric flows too); the
-        # shifted states (+h, −h per coordinate) and m are the lanes of one orbit batch
-        steps = [engine.fd_step * max(1.0, abs(fast[l])) for l in range(2 * r)]
-        lanes = []
-        for l, h in enumerate(steps):
-            hi = list(fast)
-            lo = list(fast)
-            hi[l] += h
-            lo[l] -= h
-            lanes += [hi, lo]
-        lanes.append(fast)
-        orbit = action.orbit(list(np.array(lanes).T), slow, n).fast
-        for l, h in enumerate(steps):
-            acc = 0.0
-            for i in range(r):
-                dx = (orbit[r + i][2 * l] - orbit[r + i][2 * l + 1]) / (2.0 * h)
-                acc = acc + orbit[i][-1] * dx
-            eta_avg[l] = float(np.mean(acc))
-
-    x0_fast = field_fast(system, m, DEFAULT_ENGINE if engine.mode != "dual" else engine)
+    tag = sk.fresh_tag()
+    orbit = action.orbit([sk.Dual(c, e, tag) for c, e in zip(fast, np.eye(2 * r))], slow, nodes)
+    full = (2 * r,) + orbit.batch_shape + (orbit.nodes,)
+    pulled_back = 0.0  # Σ_i y_i ∂x_i/∂z_l along the orbit, one row per fast direction l
+    for i in range(r):
+        dx = np.broadcast_to(sk.extract_partial(orbit.fast[r + i], tag), full)
+        pulled_back = pulled_back + sk.value(orbit.fast[i]) * dx
     omega = float(sk.value(system.omega(fast, slow)))
-    return float(np.dot(eta_avg, x0_fast) / omega)
+    return float(np.dot(np.mean(pulled_back, axis=-1), field_fast(system, m, engine)) / omega)
 
 
 # ---------------------------------------------------------------------------
@@ -305,66 +274,6 @@ def _f1_nodes(system, orbit: OrbitSamples, engine: DiffEngine):
     return -(shj + k1_avg) / omega, dh
 
 
-def _base_coordinates(fast, slow):
-    return np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in list(fast) + list(slow)])
-
-
-def _dual_sensitivities(system, action, fast, slow, engine, orbit=None):
-    """Exact sensitivities of the one-orbit F₁ to the base point b = (z₀, w).
-
-    One multidual pass (one tag, a leading direction axis of length
-    D = 2r + 2k) lifts b through ``fast_flow`` and ``_f1_nodes``; the base
-    point's plain ``orbit`` is not needed. Returns
-    (∂H/∂w at the nodes, ∂G/∂b, [∂Fl_i/∂b], noise) with G_j = F₁(m_j), the
-    direction axis first, and noise 0: exact derivatives carry none.
-    """
-    base = _base_coordinates(fast, slow)
-    dim = len(base)
-    tag = sk.fresh_tag()
-    seeds = np.eye(dim).reshape((dim, dim) + (1,) * base[0].ndim)
-    lifted = [sk.Dual(c, seeds[d], tag) for d, c in enumerate(base)]
-    orbit = action.orbit(lifted[:len(fast)], lifted[len(fast):])
-    g, dh = _f1_nodes(system, orbit, engine)
-    full = (dim,) + orbit.batch_shape + (orbit.nodes,)
-
-    def partial(x):
-        return np.broadcast_to(sk.extract_partial(x, tag), full)
-
-    return ([sk.value(c) for c in dh], partial(g), [partial(c) for c in orbit.fast], 0.0)
-
-
-def _fd_sensitivities(system, action, fast, slow, engine, orbit=None):
-    """Central-difference sensitivities of the one-orbit F₁, for numeric flows.
-
-    Integrates the orbits of the 2D base points shifted by
-    ±``engine.fd_step``·max(1, |b_d|), D = 2r + 2k, as the lanes of one run,
-    and takes the base point's own orbit from ``orbit`` when the caller has
-    it; returns what ``_dual_sensitivities`` returns, the noise being
-    eps·max|G|/fd_step.
-    """
-    base = _base_coordinates(fast, slow)
-    dim, n_fast = len(base), len(fast)
-    steps = [engine.fd_step * np.maximum(1.0, np.abs(c)) for c in base]
-    shifted = []
-    for d, c in enumerate(base):
-        arr = np.broadcast_to(c, (dim, 2) + c.shape).copy()
-        arr[d, 0] += steps[d]
-        arr[d, 1] -= steps[d]
-        shifted.append(arr)
-    orbit_shifted = action.orbit(shifted[:n_fast], shifted[n_fast:])
-    g, _ = _f1_nodes(system, orbit_shifted, engine)
-    step = np.stack(steps)[..., None]
-
-    def partial(x):
-        return (x[:, 0] - x[:, 1]) / (2.0 * step)
-
-    if orbit is None:
-        orbit = action.orbit(base[:n_fast], base[n_fast:])
-    dh = engine.partials(system.H, orbit.fast, orbit.slow, "slow")
-    noise = np.finfo(float).eps * float(np.max(np.abs(g))) / engine.fd_step
-    return dh, partial(g), [partial(c) for c in orbit_shifted.fast], noise
-
-
 def _check_strict(action: CircleAction, m: PhasePoint, strict: bool):
     if not strict:
         return
@@ -399,59 +308,45 @@ def f1(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
     return float(_f1_state(system, action.orbit(fast, slow), fast, slow, engine))
 
 
-def _h_f1_bracket(system, action, fast, slow, engine, orbit=None):
+def _h_f1_bracket(system, action, fast, slow, engine):
     """{H, F₁}₁ at every node of the orbit of a raw kernel state.
 
-    The slow partials of F₁ at fixed fast coordinates follow from the
-    sensitivities of G_j = F₁(Fl_j(z₀, w), w) by the chain rule,
-    ∂_w F₁ = ∂_w G − ∂_{z₀}G·(D_z Fl)⁻¹·∂_w Fl. ``orbit``, the base point's
-    orbit when the caller has it, saves numeric flows one integration.
-    Returns (bracket, noise), ``noise`` being the estimated roundoff of
-    finite-difference sensitivities (0 for exact ones).
+    One multidual pass (one tag, a leading direction axis of length
+    D = 2r + 2k) lifts the base point b = (z₀, w) through the orbit (analytic
+    or numeric, see the module docstring) and ``_f1_nodes``; the base point's
+    plain orbit is not needed. The slow partials of F₁ at fixed fast
+    coordinates follow from the sensitivities of G_j = F₁(Fl_j(z₀, w), w) by
+    the chain rule, ∂_w F₁ = ∂_w G − ∂_{z₀}G·(D_z Fl)⁻¹·∂_w Fl.
     """
-    sensitivities = (_dual_sensitivities if action.flow_mode == "analytic"
-                     else _fd_sensitivities)
-    dh, dg, dfl, noise = sensitivities(system, action, fast, slow, engine, orbit)
-    n_fast = len(fast)
+    base = np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in list(fast) + list(slow)])
+    dim, n_fast = len(base), len(fast)
+    tag = sk.fresh_tag()
+    seeds = np.eye(dim).reshape((dim, dim) + (1,) * base[0].ndim)
+    lifted = [sk.Dual(c, seeds[d], tag) for d, c in enumerate(base)]
+    orbit = action.orbit(lifted[:n_fast], lifted[n_fast:])
+    g, dh = _f1_nodes(system, orbit, engine)
+    full = (dim,) + orbit.batch_shape + (orbit.nodes,)
+
+    def partial(x):  # ∂x/∂b at every node, the direction axis last
+        return np.moveaxis(np.broadcast_to(sk.extract_partial(x, tag), full), 0, -1)
+
     # node-wise matrices: jac[..., i, d] = ∂Fl_i/∂b_d, grad[..., d] = ∂G/∂b_d
-    jac = np.moveaxis(np.stack(dfl), (0, 1), (-2, -1))
-    grad = np.moveaxis(dg, 0, -1)
+    jac = np.stack([partial(c) for c in orbit.fast], axis=-2)
+    grad = partial(g)
     transport = np.linalg.solve(jac[..., :n_fast], jac[..., n_fast:])
     df1 = grad[..., n_fast:] - np.einsum("...i,...ij->...j", grad[..., :n_fast], transport)
-    return bracket_of_partials(dh, list(np.moveaxis(df1, -1, 0))), noise
+    return bracket_of_partials([sk.value(c) for c in dh], list(np.moveaxis(df1, -1, 0)))
 
 
-def _f2_state(system, action, fast, slow, engine, warn_noise=True, orbit=None) -> np.ndarray:
-    """F₂ = −(2/ω)·𝒮({H, F₁}₁) on a raw kernel state.
-
-    With ``warn_noise`` set, a ``PrecisionWarning`` is raised when the
-    estimated noise of finite-difference sensitivities (numeric flows only)
-    exceeds 1 % of the largest |bracket| on the orbit. That includes a
-    bracket that came out exactly zero from nonzero differenced values,
-    since such a zero cannot be told apart from roundoff. When every
-    differenced value is zero (e.g. a decoupled system with F₁ ≡ 0), and on
-    the analytic path, the noise is 0 and nothing warns.
-    """
-    bracket, noise = _h_f1_bracket(system, action, fast, slow, engine, orbit)
-    if warn_noise:
-        signal = float(np.max(np.abs(bracket))) if np.size(bracket) else 0.0
-        if noise > 0.01 * signal:
-            warnings.warn(
-                f"slow finite differences carry estimated noise {noise:.2e} "
-                f"against bracket scale {signal:.2e}",
-                PrecisionWarning, stacklevel=2)
+def _f2_state(system, action, fast, slow, engine) -> np.ndarray:
+    """F₂ = −(2/ω)·𝒮({H, F₁}₁) on a raw kernel state."""
+    bracket = _h_f1_bracket(system, action, fast, slow, engine)
     return -2.0 * s_from_samples(bracket) / _omega_at(system, fast, slow)
 
 
 def f2(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
        engine: DiffEngine = DEFAULT_ENGINE, strict: bool = False) -> float:
-    """Second-order correction F₂(m) = −(2/ω)·𝒮({H, F₁}₁).
-
-    With a numeric flow, warns with ``PrecisionWarning`` when the
-    finite-difference noise estimate exceeds 1 % of the bracket being
-    averaged, a bracket of exactly zero included; stays silent when nothing
-    nonzero was differenced. The analytic path is exact and never warns.
-    """
+    """Second-order correction F₂(m) = −(2/ω)·𝒮({H, F₁}₁)."""
     system.require_in_domain(m)
     _check_strict(action, m, strict)
     fast, slow = m.state()
@@ -489,8 +384,7 @@ class InvariantSeries:
     def terms_batch(self, coords: np.ndarray):
         """(J, F₁, F₂) over an (n_points, dim) coordinate array.
 
-        Terms beyond the order are zero. F₂ does not warn about
-        finite-difference noise here.
+        Terms beyond the order are zero.
         """
         coords = np.asarray(coords, dtype=float)
         r, k = self.system.r, self.system.k
@@ -501,11 +395,10 @@ class InvariantSeries:
         f1_vals = np.zeros_like(j_vals)
         f2_vals = np.zeros_like(j_vals)
         if self.order >= 1:
-            orbit = self.action.orbit(fast, slow)
-            f1_vals = _f1_state(self.system, orbit, fast, slow, self.engine)
+            f1_vals = _f1_state(self.system, self.action.orbit(fast, slow), fast, slow,
+                                self.engine)
         if self.order >= 2:
-            f2_vals = _f2_state(self.system, self.action, fast, slow, self.engine,
-                                warn_noise=False, orbit=orbit)
+            f2_vals = _f2_state(self.system, self.action, fast, slow, self.engine)
         return j_vals, f1_vals, f2_vals
 
     def evaluate_batch(self, coords: np.ndarray, eps: float) -> np.ndarray:
@@ -574,6 +467,6 @@ def ty3_residual(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
     fast, slow = m.state()
     deriv = _d_dt_along_flow(
         action, lambda p: f2(system, action, p, engine), m, step)
-    hf1, _ = _h_f1_bracket(system, action, fast, slow, engine)
+    hf1 = _h_f1_bracket(system, action, fast, slow, engine)
     omega = float(sk.value(system.omega(fast, slow)))
     return abs(deriv + 2.0 * float(hf1[..., 0]) / omega)

@@ -33,8 +33,8 @@ matching components, and IEEE + - * / and ``sqrt`` round each element on its
 own, so the compiled gradient equals the multidual gradient bit for bit. Only
 exact no-ops are left out: adding a zero tangent component, which can change
 the sign of a zero and nothing else, and a product by the literal 1.0 (the
-seed's tangent, or a constant such as a parameter B = 1.0), which returns a
-float or float array unchanged. An expression recorded twice is computed
+seed's tangent, or a constant such as a parameter B = 1.0) or a quotient by
+it, which returns a float or float array unchanged. An expression recorded twice is computed
 once, and code the gradient does not use (such as the oracle's own value) is
 dropped. The emitted code is kept as the compiled function's ``source``.
 The compiled code computes with the floats or arrays it is called with, so
@@ -45,13 +45,19 @@ floats and numpy float64 scalars round alike: both ``**`` call the C
 library's ``pow``.) The emitted code calls numpy's ``sqrt/sin/cos/exp/log``
 and no ``math`` function.
 
+:func:`tangent` compiles an oracle's outputs with their derivatives along
+given input tangents (Jacobian-vector products, as in a variational equation).
+The oracle may differentiate internally with a :class:`Dual` pass: a tracer
+operation with a ``Dual`` operand returns ``NotImplemented``, so ``Dual``'s
+reflected operator runs and its formula is recorded on the traced parts.
+
 The tracer knows ``+ - * /``, unary minus, integer ``**`` and this module's
 ``sqrt/sin/cos/exp/log``. Anything else raises
 :class:`~adiakit.errors.TraceError` while tracing: a comparison, ``bool``,
-``abs``, ``float()``, a numpy ufunc, :func:`value`. :func:`gradient` then
-falls back to one multidual evaluation per call behind the same signature,
-so an oracle that branches on its inputs still gets its exact gradient, and
-an oracle's own errors surface when it is evaluated.
+``abs``, ``float()``, a numpy ufunc, :func:`value`. :func:`gradient` and
+:func:`tangent` then fall back to one multidual evaluation per call behind
+the same signature, so an oracle that branches on its inputs still gets its
+exact derivatives, and an oracle's own errors surface when it is evaluated.
 """
 
 from __future__ import annotations
@@ -73,6 +79,8 @@ __all__ = [
     "broadcast",
     "gradient",
     "trace_gradient",
+    "tangent",
+    "trace_tangent",
     "sin",
     "cos",
     "sqrt",
@@ -215,7 +223,7 @@ def extract_partial(out, tag):
     if isinstance(out, Dual) and out.tag == tag:
         return out.eps
     # no dependence on the seeded coordinate
-    return np.zeros(np.shape(value(out)))
+    return 0.0 if isinstance(out, _Trace) else np.zeros(np.shape(value(out)))
 
 
 def map_parts(fn, x):
@@ -402,6 +410,8 @@ class _Trace:
         return self.tape.const(other), None
 
     def __add__(self, other):
+        if isinstance(other, Dual):  # Dual's reflected operator records the operation
+            return NotImplemented
         yv, yd = self._operand(other)
         tape = self.tape
         v = tape.emit("{} + {}", self.v, yv)
@@ -412,6 +422,8 @@ class _Trace:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, Dual):
+            return NotImplemented
         yv, yd = self._operand(other)
         tape = self.tape
         v = tape.emit("{} - {}", self.v, yv)
@@ -427,6 +439,8 @@ class _Trace:
         return _Trace(tape, v, None if self.d is None else tuple(tape.neg(a) for a in self.d))
 
     def __mul__(self, other):
+        if isinstance(other, Dual):
+            return NotImplemented
         yv, yd = self._operand(other)
         if yv == _ONE:  # x·1.0 and its tangent x'·1.0 are x and x' exactly
             return self
@@ -444,7 +458,11 @@ class _Trace:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, Dual):
+            return NotImplemented
         yv, yd = self._operand(other)
+        if yv == _ONE:  # x/1.0 and x'/1.0 are x and x' exactly
+            return self
         return self.tape.divide(self.v, self.d, yv, yd)
 
     def __rtruediv__(self, other):
@@ -519,6 +537,42 @@ def _blocks(items, blocks):
     return out
 
 
+def _record(f, blocks, tangents):
+    """(tape, argument names, output) of ``f`` run once on tracer coordinates
+    carrying ``tangents``; :class:`TraceError` if ``f`` cannot be recorded."""
+    tape = _Tape()
+    args = [tape.name() for _ in range(sum(blocks))]
+    coords = [_Trace(tape, a, d) for a, d in zip(args, tangents)]
+    try:
+        out = f(*_blocks(coords, blocks))
+    except Exception as exc:  # whatever stops the trace, the Dual path reproduces
+        raise TraceError(f"cannot trace {getattr(f, '__qualname__', f)!r}: {exc}") from exc
+    return tape, args, out
+
+
+def _codes(tape, out, n):
+    """(value code, ``n`` tangent codes) of one recorded output."""
+    if isinstance(out, _Trace) and out.tape is tape:
+        return out.v, ["0.0" if a is None else a for a in (out.d or (None,) * n)]
+    return tape.const(out), ["0.0"] * n  # a constant has zero tangents; anything else raises
+
+
+def _compile(tape, params, outputs, name):
+    """``def name(*params): return (*outputs,)`` from the tape, dead code left out."""
+    needed, body = set(outputs), []
+    for target, expr, operands in reversed(tape.lines):
+        if target in needed:  # dead code (e.g. f's own value) is left out
+            body.append(f"    {target} = {expr}\n")
+            needed.update(operands)
+    source = (f"def {name}({', '.join(params)}):\n" + "".join(reversed(body))
+              + f"    return ({', '.join(outputs)},)\n")
+    namespace = dict(_FUNCTIONS, **tape.consts)
+    exec(compile(source, f"<traced {name}>", "exec"), namespace)
+    fn = namespace[name]
+    fn.source = source
+    return fn
+
+
 def trace_gradient(f, blocks, seeded):
     """Compiled gradient of ``f`` along the flat coordinates ``seeded``.
 
@@ -530,35 +584,29 @@ def trace_gradient(f, blocks, seeded):
     uses an operation the tracer does not know.
     """
     seeded = list(seeded)
-    tape = _Tape()
-    args = [tape.name() for _ in range(sum(blocks))]
-    coords = [_Trace(tape, a) for a in args]
+    tangents = [None] * sum(blocks)
     for j, i in enumerate(seeded):
-        coords[i] = _Trace(tape, args[i], tuple(_ONE if jj == j else None
-                                                for jj in range(len(seeded))))
-    try:
-        out = f(*_blocks(coords, blocks))
-    except Exception as exc:  # whatever stops the trace, the Dual path reproduces
-        raise TraceError(f"cannot trace {getattr(f, '__qualname__', f)!r}: {exc}") from exc
-    if isinstance(out, _Trace) and out.tape is tape:
-        d = out.d or (None,) * len(seeded)
-    else:
-        tape.const(out)  # a constant has a zero gradient; anything else raises
-        d = (None,) * len(seeded)
-    outputs = ["0.0" if a is None else a for a in d]
+        tangents[i] = tuple(_ONE if jj == j else None for jj in range(len(seeded)))
+    tape, args, out = _record(f, blocks, tangents)
+    return _compile(tape, args, _codes(tape, out, len(seeded))[1], "gradient")
 
-    needed, body = set(outputs), []
-    for target, expr, operands in reversed(tape.lines):
-        if target in needed:  # dead code (e.g. f's own value) is left out
-            body.append(f"    {target} = {expr}\n")
-            needed.update(operands)
-    source = (f"def gradient({', '.join(args)}):\n" + "".join(reversed(body))
-              + f"    return ({', '.join(outputs)},)\n")
-    namespace = dict(_FUNCTIONS, **tape.consts)
-    exec(compile(source, "<traced gradient>", "exec"), namespace)
-    grad = namespace["gradient"]
-    grad.source = source
-    return grad
+
+def trace_tangent(f, blocks, directions):
+    """Compiled values and directional derivatives of ``f``'s outputs.
+
+    ``f`` takes one list of kernel scalars per entry of ``blocks``, returns a
+    list of outputs, and may take :class:`Dual` passes of its own. The
+    returned function takes the flat coordinates, then ``directions`` tangent
+    components per coordinate, and returns the outputs' values, then
+    ``directions`` tangent components per output. Raises :class:`TraceError`
+    like :func:`trace_gradient`.
+    """
+    dots = [tuple(f"t{i}_{d}" for d in range(directions)) for i in range(sum(blocks))]
+    # no directions: plain values, not duals, so that x/y is traced as x/y
+    tape, args, out = _record(f, blocks, [d or None for d in dots])
+    codes = [_codes(tape, o, directions) for o in out]
+    return _compile(tape, args + [t for d in dots for t in d],
+                    [v for v, _ in codes] + [t for _, d in codes for t in d], "tangent")
 
 
 def _multidual_gradient(f, blocks, seeded):
@@ -579,6 +627,33 @@ def _multidual_gradient(f, blocks, seeded):
         return (0.0,) * n
 
     return grad
+
+
+def _multidual_tangent(f, blocks, directions):
+    """The same values and tangents from one multidual evaluation of ``f`` per call."""
+    n = sum(blocks)
+
+    def tangent(*args):
+        tag = fresh_tag()  # direction axis first; no directions: plain values
+        coords = [Dual(c, np.reshape(args[n + i * directions:n + (i + 1) * directions],
+                                     (directions,) + np.shape(c)), tag) if directions else c
+                  for i, c in enumerate(args[:n])]
+        out = [o if isinstance(o, Dual) and o.tag == tag else Dual(o, np.zeros(directions), tag)
+               for o in f(*_blocks(coords, blocks))]
+        return tuple(o.val for o in out) + tuple(e for o in out for e in o.eps)
+
+    return tangent
+
+
+def tangent(f, blocks, directions):
+    """Values and tangents of ``f``'s outputs as a function of the coordinates
+    and their tangents: :func:`trace_tangent`, or, when ``f`` cannot be
+    traced, one multidual evaluation of ``f`` per call with the same results.
+    """
+    try:
+        return trace_tangent(f, blocks, directions)
+    except TraceError:
+        return _multidual_tangent(f, blocks, directions)
 
 
 def gradient(f, blocks, seeded):

@@ -118,6 +118,77 @@ def test_numeric_orbit_batch_equals_point_by_point(request, rng, monkeypatch, fi
             assert np.array_equal(moved.coords, np.concatenate([ends[i], coords[2:]]))
 
 
+def _dual_state(coords, seeds, tag):
+    """(fast, slow) lists of duals with the given tangent parts, direction axis first."""
+    lifted = [sk.Dual(c, e, tag) for c, e in zip(coords, seeds)]
+    return lifted[:2], lifted[2:]
+
+
+@pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
+def test_numeric_dual_orbit_matches_analytic_dual_parts(request, fixture_name):
+    # the variational equation's tangents are ∂Fl/∂b, the dual parts that the
+    # analytic flow carries (measured <= 5e-12 at rtol 1e-11)
+    fixture = request.getfixturevalue(fixture_name)
+    tag = sk.fresh_tag()
+    state = _dual_state(fixture.initial.coords, np.eye(4), tag)
+    for nodes in (8, 64):
+        numeric = CircleAction(fixture.system, flow_mode="numeric", nodes=nodes).orbit(*state)
+        analytic = CircleAction(fixture.system, nodes=nodes).orbit(*state)
+        for got, want in zip(numeric.fast + numeric.slow, analytic.fast + analytic.slow):
+            assert got.tag == want.tag == tag
+            assert np.shape(got.eps) == np.shape(want.eps) == (4, nodes)
+            assert np.allclose(got.val, want.val, rtol=0.0, atol=1e-10)
+            assert np.allclose(got.eps, want.eps, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
+def test_numeric_dual_orbit_batch_equals_point_by_point(request, rng, monkeypatch,
+                                                        fixture_name):
+    # a batch's variational run is one lane run (stacked kernel), a single
+    # point's one 1-D run of 2r + 2r·D floats (float kernel): the same bits
+    fixture = request.getfixturevalue(fixture_name)
+    dims = []
+
+    def recorded(field, y0, *args, **kwargs):
+        dims.append(np.shape(y0))
+        return integrate(field, y0, *args, **kwargs)
+
+    monkeypatch.setattr(circle, "integrate", recorded)
+    points = np.stack([m.coords for m in sample_points(fixture, rng, 3)])
+    tag = sk.fresh_tag()
+    for nodes in (8, 64):
+        action = CircleAction(fixture.system, flow_mode="numeric", nodes=nodes)
+        dims.clear()
+        batch = action.orbit(*_dual_state(points.T, np.eye(4)[:, :, None], tag))
+        for i, coords in enumerate(points):
+            single = action.orbit(*_dual_state(coords, np.eye(4), tag))
+            for got, want in zip(batch.fast, single.fast):
+                assert np.array_equal(got.val[i], want.val)
+                assert np.array_equal(got.eps[:, i], want.eps)
+        assert dims == [(3, 10)] + [(10,)] * 3
+
+
+def test_numeric_orbit_outside_the_box_raises_a_typed_error(particle):
+    # q2 = 0 lies outside the particle's box, which orbit does not check:
+    # 1/q2² divides by zero on floats and gives nan on lanes, whose attempts
+    # were once rejected until max_steps (50 M) ran out
+    action = CircleAction(particle.system, flow_mode="numeric", nodes=8)
+    pair = [np.array([0.1, 0.1]), np.array([0.3, 0.3])]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="division by zero"):
+            action.orbit([0.1, 0.3], [0.2, 0.0])
+        with pytest.raises(NumericalError, match="nan .*lane 1"):
+            action.orbit(pair, [np.array([0.2, 0.2]), np.array([1.0, 0.0])])
+
+
+def test_numeric_orbit_without_a_cache(pendulum):
+    # cache_size = 0 keeps no orbit (evicting from the empty cache used to
+    # raise StopIteration)
+    action = CircleAction(pendulum.system, flow_mode="numeric", nodes=8, cache_size=0)
+    first = action.orbit_of_point(pendulum.initial)
+    assert np.array_equal(action.orbit_of_point(pendulum.initial).fast, first.fast)
+
+
 def scaled_oscillator():
     """Harmonic fast block whose frequency is the slow coordinate q."""
     def H(fast, slow):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from adiakit import (IntegratorConfig, MaxStepsExceeded, StepSizeUnderflow,
-                     convergence_order, elastic_pendulum, integrate, step_rk4)
+from adiakit import (IntegratorConfig, MaxStepsExceeded, NumericalError,
+                     StepSizeUnderflow, convergence_order, elastic_pendulum, integrate,
+                     step_rk4)
 from adiakit.experiments import full_field
 from adiakit.integrators import _sum_code
 
@@ -301,6 +302,27 @@ def test_lane_failure_reports_that_lanes_time():
         integrate(lambda t, y: [y[0] * y[0]], np.array([[0.5], [2.0]]), 1.0, cfg,
                   t_eval=[0.0, 1.0])
     assert err.value.last_time == pytest.approx(0.5, abs=0.05)
+
+
+def test_nan_field_raises_numerical_error():
+    # a nan derivative gives a nan initial step and nan error norms, which
+    # once were rejected until max_steps ran out (MaxStepsExceeded)
+    nan = float("nan")
+    cfg = IntegratorConfig(method="rk45", max_steps=1000)
+    with pytest.raises(NumericalError, match="nan at t=0.0"):
+        integrate(lambda t, y: [nan, -y[0]], [1.0, 0.0], 1.0, cfg)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="lane 1"):
+        integrate(lambda t, y: [np.log(y[0]), -y[1]], np.array([[1.0, 1.0], [-1.0, 1.0]]),
+                  1.0, cfg, t_eval=[0.0, 1.0])
+
+
+def test_float_kernel_turns_division_by_zero_into_numerical_error():
+    # Python floats raise where numpy arrays give inf: at the first call, and
+    # in a step attempt
+    with pytest.raises(NumericalError, match="t=0.0"):
+        integrate(lambda t, y: [1.0 / y[0]], [0.0], 1.0)
+    with pytest.raises(NumericalError, match="division by zero"):
+        integrate(lambda t, y: [1.0 / (0.0 if t > 0.3 else 1.0)], [0.0], 1.0)
 
 
 def test_config_validation():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from adiakit import (CircleAction, HypothesisViolation, NotFound, PhasePoint,
-                     PrecisionWarning, SlowFastSystem, UnsupportedOrder,
+                     SlowFastSystem, UnsupportedOrder,
                      assemble, charged_particle, check_adiabatic,
                      check_hypotheses, check_momentum_map, check_period_energy,
                      elastic_pendulum, f1, f2, grad_fast, k1, lie_derivative,
@@ -15,7 +15,7 @@ from adiakit import (CircleAction, HypothesisViolation, NotFound, PhasePoint,
                      verify_transverse_momentum)
 from adiakit import circle
 from adiakit import kernel as sk
-from adiakit.phase import DiffEngine, field_fast
+from adiakit.phase import DiffEngine
 from adiakit.sl2 import f2_closed
 
 from conftest import nondegenerate_system, sample_points
@@ -244,13 +244,14 @@ def test_f2_terms_batch_matches_closed_forms(pendulum, rng):
 
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
 def test_numeric_flow_f2_matches_analytic(request, fixture_name):
-    # central differences of numerically integrated orbits against the dual
-    # lift of the analytic flow, at the same 8 nodes (measured <= 8.2e-13)
+    # the variational equation of numerically integrated orbits against the
+    # dual lift of the analytic flow, at the same nodes (measured <= 1.3e-12)
     fixture = request.getfixturevalue(fixture_name)
     system, m = fixture.system, fixture.initial
-    numeric = f2(system, CircleAction(system, flow_mode="numeric", nodes=8), m)
-    assert numeric == pytest.approx(f2(system, CircleAction(system, nodes=8), m),
-                                    rel=0.0, abs=1e-9)
+    for nodes in (8, 64):
+        numeric = f2(system, CircleAction(system, flow_mode="numeric", nodes=nodes), m)
+        assert numeric == pytest.approx(f2(system, CircleAction(system, nodes=nodes), m),
+                                        rel=0.0, abs=1e-10)
 
 
 def test_analytic_f2_samples_one_orbit_per_batch(pendulum, rng, monkeypatch):
@@ -268,8 +269,9 @@ def test_analytic_f2_samples_one_orbit_per_batch(pendulum, rng, monkeypatch):
 
 
 def test_numeric_f2_integrates_each_orbit_once(pendulum, rng, monkeypatch):
-    # D = 4: F1 needs the base orbit, F2 the 2D shifted ones; 1 + 2D lanes
-    # per point, in one lane run per batch. Counted in points: a 1-D y0 is one
+    # F1 needs the base orbit, F2 one dual orbit (with its variational
+    # equation): one lane per point each, in one run per batch. Counted in
+    # points: a 1-D y0 is one
     runs = []
     integrate = circle.integrate
 
@@ -281,11 +283,11 @@ def test_numeric_f2_integrates_each_orbit_once(pendulum, rng, monkeypatch):
     action = CircleAction(pendulum.system, flow_mode="numeric", nodes=8)
     points = sample_points(pendulum, rng, 2)
     assemble(pendulum.system, action, 2).terms_batch(np.stack([m.coords for m in points]))
-    assert runs == [2, 16]
+    assert runs == [2, 2]
     runs.clear()
     f1(pendulum.system, action, points[0])
-    f2(pendulum.system, action, points[0])  # base orbit from the point cache
-    assert runs == [1, 8]
+    f2(pendulum.system, action, points[0])
+    assert runs == [1, 1]
 
 
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
@@ -296,26 +298,17 @@ def test_numeric_momentum_integrates_shifted_orbits_as_lanes(request, fixture_na
     integrate = circle.integrate
 
     def counted(field, y0, *args, **kwargs):
-        runs.append(len(y0))
+        runs.append(len(y0) if np.ndim(y0) == 2 else 1)
         return integrate(field, y0, *args, **kwargs)
 
     monkeypatch.setattr(circle, "integrate", counted)
-    value = momentum_from_action(system, CircleAction(system, flow_mode="numeric", nodes=16), m)
-    assert runs == [5]  # 2·2r shifted states and m, one lane run
-
-    # bitwise the one-orbit-per-state computation: lanes equal one-lane runs
-    single = CircleAction(system, flow_mode="numeric", nodes=16)
-    fast, slow = m.state()
-    eta = np.zeros(2)
-    for l in range(2):
-        h = DiffEngine().fd_step * max(1.0, abs(fast[l]))
-        hi, lo = list(fast), list(fast)
-        hi[l] += h
-        lo[l] -= h
-        dx = (single.orbit(hi, slow).fast[1] - single.orbit(lo, slow).fast[1]) / (2.0 * h)
-        eta[l] = float(np.mean(single.orbit(fast, slow).fast[0] * dx))
-    omega = float(sk.value(system.omega(fast, slow)))
-    assert value == float(np.dot(eta, field_fast(system, m)) / omega)
+    # rtol 1e-12: the numeric value follows the integrator's tolerance (at the
+    # default 1e-11 the pendulum's differs from the analytic one by 1.5e-12)
+    numeric = CircleAction(system, flow_mode="numeric", nodes=16, rtol=1e-12)
+    value = momentum_from_action(system, numeric, m)
+    assert runs == [1]  # one dual orbit of m carries the fast derivatives of the flow
+    analytic = momentum_from_action(system, CircleAction(system, nodes=16), m)
+    assert value == pytest.approx(analytic, rel=0.0, abs=1e-12)
 
 
 def test_f2_trivial_zeros():
@@ -375,47 +368,45 @@ def _flat_bracket_system():
 FLAT_POINT = PhasePoint([0.7, 0.2], [0.9, 0.4])
 
 
-def test_fd_noise_warning_on_flat_bracket():
-    # with a numeric flow the q-shifted orbits are bitwise those of the base
-    # point, so the bracket comes out exactly 0; the differenced values of F1
-    # (up to 0.10 on the 8-node orbits) carry estimated noise
-    # eps * 0.10 / fd_step = 3.7e-12, from which a zero bracket cannot be told
-    # apart, so F2 = 0 must not be reported silently
+def test_flat_bracket_exact_on_numeric_path():
+    # the variational equation gives exact slow derivatives too: the tangents
+    # along q are exactly 0, so the bracket and F2 come out 0, silently
     system = _flat_bracket_system()
-    action = CircleAction(system, flow_mode="numeric", nodes=8)
-    with pytest.warns(PrecisionWarning):
-        f2(system, action, FLAT_POINT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(f2(system, CircleAction(system, flow_mode="numeric", nodes=8),
+                      FLAT_POINT)) <= 1e-14
 
 
 def test_flat_bracket_exact_on_analytic_path():
-    # exact slow derivatives carry no finite-difference noise: F2 = 0, silently
+    # exact slow derivatives: F2 = 0, silently
     system = _flat_bracket_system()
     with warnings.catch_warnings():
-        warnings.simplefilter("error", PrecisionWarning)
+        warnings.simplefilter("error")
         assert abs(f2(system, CircleAction(system), FLAT_POINT)) <= 1e-14
 
 
 # The ids are the names of the two F2 readings this test once covered; each now
-# names a public route into the one F2 and its noise rule: "ai3" evaluates f2
-# itself, "ty3" the second-order homological residual, which differentiates F2
-# along the flow. Both are exactly 0 on the decoupled pendulum, with the
-# analytic flow and with the numeric one (finite-difference sensitivities).
+# names a public route into the one F2: "ai3" evaluates f2 itself, "ty3" the
+# second-order homological residual, which differentiates F2 along the flow.
+# Both are exactly 0 on the decoupled pendulum, with the analytic flow and
+# with the numeric one (variational equation), and nothing warns.
 @pytest.mark.parametrize("evaluate", [
     pytest.param(f2, id="ai3"),
     pytest.param(ty3_residual, id="ty3"),
 ])
-def test_fd_noise_silent_on_decoupled_and_adjudication_point(evaluate):
+def test_f2_exact_on_decoupled_and_silent_at_adjudication_point(evaluate):
     m = PhasePoint([1.0, 0.0], [1.0, 1.0])
     modes = [{}, {"flow_mode": "numeric", "nodes": 8, "rtol": 1e-8, "atol": 1e-10}]
     with warnings.catch_warnings():
-        warnings.simplefilter("error", PrecisionWarning)
+        warnings.simplefilter("error")
         for mode in modes:
-            # decoupled pendulum: F1 is identically zero, so the noise estimate is 0
+            # decoupled pendulum: F1 is identically zero, and so is F2
             fx = elastic_pendulum(omega=1.0, gamma=0.0)
             action = CircleAction(fx.system, **mode)
             for point in (fx.initial, m):
                 assert evaluate(fx.system, action, point) == 0.0
-            # coupled pendulum at the adjudication point: the bracket dominates
+            # coupled pendulum at the adjudication point
             fx = elastic_pendulum(omega=1.0, gamma=1.0)
             evaluate(fx.system, CircleAction(fx.system, **mode), m)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiakit import get_fixture
+from adiakit import DiffEngine, SlowFastSystem, get_fixture
 from adiakit import kernel as sk
 from adiakit.errors import TraceError
 from adiakit.sl2 import QuadraticSystem, Sl2Field
@@ -143,9 +143,17 @@ def quadratic_k2():
         k=2).system()
 
 
+def without_x():
+    """H free of the fast position x: its x-partial is a constant zero."""
+    return SlowFastSystem(r=1, k=1, H=lambda f, s: 0.5 * f[0] * f[0] + s[0] * s[1] * f[0],
+                          omega=lambda f, s: 1.0 + s[1] * s[1])
+
+
 def system_and_box(name):
     if name == "quadratic_k2":
         return quadratic_k2(), -np.ones(6), np.ones(6)
+    if name == "without_x":
+        return without_x(), -np.ones(4), np.ones(4)
     system = get_fixture(name).system
     return system, system.domain.low, system.domain.high
 
@@ -176,6 +184,74 @@ def test_compiled_gradient_has_no_product_by_one(name, seeding):
     seeded = range(system.dim if seeding == "all" else 2 * system.r)
     source = sk.trace_gradient(system.H, (2 * system.r, 2 * system.k), seeded).source
     assert not re.search(r"(?<![\w.])1\.0 \*|\* 1\.0(?![\d.e])", source), source
+
+
+def test_compiled_tangent_has_no_quotient_by_one():
+    # the pendulum's frequency is the constant 1.0, by which its normalized
+    # field divides: x/1.0 and x'/1.0 are x and x' exactly, so no code for them
+    system = get_fixture("elastic_pendulum").system
+    source = sk.trace_tangent(normalized_field(system), (2, 2), 4).source
+    assert not re.search(r"/ 1\.0(?![\d.e])", source), source
+
+
+def normalized_field(system):
+    """[ω, Υ…] with H's fast gradient taken by an inner Dual pass."""
+    def f(fast, slow):
+        r = system.r
+        g = DiffEngine().partials(system.H, fast, slow, "fast")
+        w = system.omega(fast, slow)
+        return [w] + [-d / w for d in g[r:]] + [d / w for d in g[:r]]
+
+    return f
+
+
+def multidual_tangent_reference(f, blocks, coords, dots):
+    """Values and tangents of f's outputs from one multidual evaluation."""
+    tag = sk.fresh_tag()
+    args = [sk.Dual(c, np.array(d), tag) for c, d in zip(coords, dots)]
+    split = [args[sum(blocks[:b]):sum(blocks[:b + 1])] for b in range(len(blocks))]
+    out = f(*split)
+    directions = (len(dots[0]),)
+    return ([sk.value(o) for o in out]
+            + [e for o in out for e in np.broadcast_to(sk.extract_partial(o, tag), directions)])
+
+
+@pytest.mark.parametrize("name", ["elastic_pendulum", "charged_particle", "quadratic_k2",
+                                  "without_x"])
+def test_compiled_tangent_equals_multidual_bitwise(name):
+    # the normalized fast field and its variational right-hand side: the
+    # inner Dual pass on traced values is recorded through Dual's reflected
+    # operators, and the code equals a multidual evaluation bit for bit
+    system, low, high = system_and_box(name)
+    blocks, directions = (2 * system.r, 2 * system.k), 3
+    f = normalized_field(system)
+    tangent = sk.trace_tangent(f, blocks, directions)  # traceable: no fallback
+    rng = np.random.default_rng(5)
+    points = rng.uniform(low, high, size=(20, system.dim))
+    dots = rng.uniform(-1.0, 1.0, size=(20, system.dim, directions))
+    for point, dot in zip(points, dots):
+        got = tangent(*point.tolist(), *dot.ravel().tolist())
+        want = multidual_tangent_reference(f, blocks, point.tolist(), dot.tolist())
+        assert_same_partials(got, want)
+
+
+def test_untraceable_tangent_falls_back_to_multiduals():
+    def f(fast, slow):
+        return [abs(fast[0]) * slow[1], fast[1] * slow[0]]
+
+    with pytest.raises(TraceError):
+        sk.trace_tangent(f, (2, 2), 2)
+    tangent = sk.tangent(f, (2, 2), 2)
+    point, dot = [-0.3, 0.7, 0.4, 0.9], [[1.0, 0.0], [0.0, 1.0], [0.5, 0.0], [0.0, -2.0]]
+    assert_same_partials(tangent(*point, *np.ravel(dot)),
+                         multidual_tangent_reference(f, (2, 2), point, dot))
+    rng = np.random.default_rng(2)
+    lanes, dots = list(rng.uniform(-1.0, 1.0, (4, 5))), list(rng.uniform(-1.0, 1.0, (8, 5)))
+    for lane in range(5):  # lanes, and no directions at all
+        got = tangent(*lanes, *dots)
+        want = tangent(*[c[lane] for c in lanes], *[d[lane] for d in dots])
+        assert_same_partials([g[lane] for g in got], want)
+    assert_same_partials(sk.tangent(f, (2, 2), 0)(*lanes), f(lanes[:2], lanes[2:]))
 
 
 def branchy(fast, slow):
