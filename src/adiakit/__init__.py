@@ -11,7 +11,7 @@ from .errors import (AdiakitError, ConfigError, DegenerateFamily, DomainError,
                      HypothesisViolation, IntegrationError, InvalidParameter,
                      MaxStepsExceeded, NotFound, NumericalError,
                      SlopeUndefined, StepSizeUnderflow, TraceError,
-                     UnsupportedOrder)
+                     UnsupportedDerivative, UnsupportedOrder)
 from .fixtures import (Fixture, charged_particle, elastic_pendulum,
                        get_fixture, list_fixtures, verify_transverse_momentum)
 from .integrators import IntegratorConfig, Trajectory, convergence_order, integrate, step_rk4

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernel as sk
-from .errors import NumericalError
+from .errors import NumericalError, UnsupportedDerivative
 from .integrators import IntegratorConfig, integrate
 from .phase import DEFAULT_ENGINE, PhasePoint, SlowFastSystem
 
@@ -147,7 +147,6 @@ class CircleAction:
     nodes: int = 64
     rtol: float = 1e-11
     atol: float = 1e-14
-    cache_size: int = 128
 
     def __post_init__(self):
         if self.flow_mode not in ("analytic", "numeric"):
@@ -156,7 +155,6 @@ class CircleAction:
             raise ValueError("analytic flow mode requires a fast_flow closure")
         if self.nodes < 4 or self.nodes & (self.nodes - 1):
             raise ValueError("nodes must be a power of two (>= 4)")
-        self._cache = {}
         self._fields = {}  # number of tangent directions -> bind of the emitted field
 
     # -- flow ---------------------------------------------------------------
@@ -180,12 +178,12 @@ class CircleAction:
         return residual <= tol, residual
 
     def _normalized_field(self, fast, slow):
-        """Υ = (−∂_xH, ∂_yH)/ω on kernel scalars, with the fast gradient of H
-        taken by one Dual pass per fast coordinate."""
+        """[ω, Υ] on kernel scalars, Υ = (−∂_xH, ∂_yH)/ω, with the fast
+        gradient of H taken by one Dual pass per fast coordinate."""
         r = self.system.r
         g = DEFAULT_ENGINE.partials(self.system.H, fast, slow, "fast")
         w = self.system.omega(fast, slow)
-        return [-d / w for d in g[r:]] + [d / w for d in g[:r]]
+        return [w] + [-d / w for d in g[r:]] + [d / w for d in g[:r]]
 
     def _field(self, directions: int):
         """The normalized fast field Υ and, along D = ``directions`` tangent
@@ -195,22 +193,31 @@ class CircleAction:
         ``bind(*slow, *W, positive)`` binds the 2k slow values and their
         tangents W and returns ``rhs(t, y)`` over the 2r fast columns and their
         tangents V (tangents coordinate by coordinate, D each). It serves one
-        point (floats) and lanes ((lanes,) arrays) alike, and raises
-        :class:`NumericalError` unless ``positive(ω)`` holds, before Υ divides.
+        point (floats) and lanes ((lanes,) arrays) alike. ω is a traced output
+        too, so a call computes it once, and ``rhs`` raises
+        :class:`NumericalError` unless ``positive(ω)`` holds. On floats ω = 0
+        divides by zero inside the traced code, before the check: only then is
+        ω evaluated again, to tell that case from other divisions by zero.
         """
         bind = self._fields.get(directions)
         if bind is None:
             r, k, n = self.system.r, self.system.k, directions
             z, s = [f"z{i}" for i in range(2 * r)], [f"s{i}" for i in range(2 * k)]
             v, w_dot = [f"v{i}" for i in range(2 * r * n)], [f"ws{i}" for i in range(2 * k * n)]
+            upsilon = 1 + 2 * r  # out = (ω, Υ.., ω's D tangents, Υ's tangents..)
             source = (f"def bind({', '.join(s + w_dot + ['positive'])}):\n"
                       f"    slow = [{', '.join(s)}]\n"
                       "    def rhs(t, y):\n"
                       f"        {', '.join(z + v)}, = y\n"
-                      f"        w = omega([{', '.join(z)}], slow)\n"
-                      "        if not positive(w):\n"
+                      "        try:\n"
+                      f"            out = tangent({', '.join(z + s + v + w_dot)})\n"
+                      "        except ZeroDivisionError:\n"
+                      f"            out = (omega([{', '.join(z)}], slow),)\n"
+                      "            if positive(out[0]):\n"
+                      "                raise\n"
+                      "        if not positive(out[0]):\n"
                       "            raise NumericalError('frequency function must stay positive')\n"
-                      f"        return tangent({', '.join(z + s + v + w_dot)})\n"
+                      f"        return out[1:{upsilon}] + out[{upsilon + n}:]\n"
                       "    return rhs\n")
             namespace = {"NumericalError": NumericalError, "omega": self.system.omega,
                          "tangent": sk.tangent(self._normalized_field, (2 * r, 2 * k), n)}
@@ -242,8 +249,9 @@ class CircleAction:
     def orbit(self, fast, slow, nodes: Optional[int] = None) -> OrbitSamples:
         """Orbit samples for a raw kernel state (batched coordinates allowed).
 
-        The state may hold duals of one tag, direction axis first, carried
-        through ``fast_flow`` or, numerically, the variational equation.
+        The state may hold duals. ``fast_flow`` carries any of them, nested
+        ones included; a numeric orbit carries one dual pass through the
+        variational equation (``_orbit_numeric``).
         """
         n = self.nodes if nodes is None else nodes
         times = TWO_PI * np.arange(n) / n
@@ -261,37 +269,38 @@ class CircleAction:
         """Numeric orbits: one integration for the whole batch, each point a
         lane of it (a single point runs alone, as one point).
 
-        A dual base state (one tag, its direction axis first) is integrated
-        with its variational equation: V₀ and W are the tangent parts of its
-        fast and slow coordinates, and the fast samples come back as duals
-        carrying V. A single (unbatched) plain point is served from the orbit
-        cache when present.
+        A dual base state is integrated with its variational equation: V₀ and
+        W are the tangent parts of its fast and slow coordinates, and the fast
+        samples come back as duals carrying V. The duals must be one pass of
+        one tag, with a direction axis of length D in front of the values'
+        axes, or with scalar tangents (one direction, as ``DiffEngine.partials``
+        seeds it), which run as D = 1 and come back scalar. Nested duals would
+        need the tangents of V, so they raise :class:`UnsupportedDerivative`.
         """
         state = list(fast) + list(slow)
+        duals = [c for c in state if isinstance(c, sk.Dual)]
+        if any(isinstance(c.val, sk.Dual) or isinstance(c.eps, sk.Dual)
+               or c.tag != duals[0].tag for c in duals):
+            raise UnsupportedDerivative(
+                "a numeric orbit carries the tangents of one dual pass, not nested duals")
         base = np.broadcast_arrays(*[np.asarray(sk.value(c), dtype=float) for c in state])
         batch_shape, shape = base[0].shape, base[0].shape + (n,)
         n_fast = len(fast)
         points = np.stack([c.reshape(-1) for c in base], axis=-1)
-        duals = [c for c in state if isinstance(c, sk.Dual)]
-        directions = len(duals[0].eps) if duals else 0
-        key = (n, points.tobytes())
-        cacheable = batch_shape == () and not duals and self.cache_size > 0
-        out = self._cache.get(key) if cacheable else None
-        if out is None:
-            tangents = np.stack([
-                np.broadcast_to(c.eps if isinstance(c, sk.Dual) else 0.0,
-                                (directions,) + batch_shape).reshape(directions, len(points))
-                for c in state]).transpose(2, 0, 1)
-            # (2r + 2r·D, points, nodes); the orbit is integrated to its last sample
-            out = self._integrate_points(points, times[-1], times, tangents).transpose(2, 1, 0)
-            if cacheable:
-                if len(self._cache) >= self.cache_size:
-                    self._cache.pop(next(iter(self._cache)))
-                self._cache[key] = out
-        fast_out = [out[i].reshape(shape).copy() for i in range(n_fast)]  # the cache keeps out
+        scalar = bool(duals) and np.ndim(duals[0].eps) <= np.ndim(duals[0].val)
+        directions = 0
         if duals:
-            fast_out = [sk.Dual(c, out[j:j + directions].reshape((directions,) + shape),
-                                duals[0].tag)
+            directions = 1 if scalar else len(duals[0].eps)
+        tangents = np.stack([
+            np.broadcast_to(c.eps if isinstance(c, sk.Dual) else 0.0,
+                            (directions,) + batch_shape).reshape(directions, len(points))
+            for c in state]).transpose(2, 0, 1)
+        # (2r + 2r·D, points, nodes); the orbit is integrated to its last sample
+        out = self._integrate_points(points, times[-1], times, tangents).transpose(2, 1, 0)
+        fast_out = [out[i].reshape(shape) for i in range(n_fast)]
+        if duals:
+            parts = shape if scalar else (directions,) + shape
+            fast_out = [sk.Dual(c, out[j:j + directions].reshape(parts), duals[0].tag)
                         for c, j in zip(fast_out, n_fast + directions * np.arange(n_fast))]
         return OrbitSamples(n, times, fast_out,
                             [sk.broadcast(_with_node_axis(c), shape) for c in slow])

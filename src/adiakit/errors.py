@@ -45,6 +45,10 @@ class DegenerateFamily(AdiakitError):
     """The sl(2) matrix field does not satisfy det A = 1."""
 
 
+class UnsupportedDerivative(AdiakitError):
+    """A derivative the numeric flow cannot carry: a nested dual base point."""
+
+
 class TraceError(AdiakitError):
     """An oracle uses an operation the gradient tracer cannot record."""
 

@@ -220,27 +220,8 @@ class DriftReport:
     metadata: dict
     wall_time_s: float = 0.0  # informational only; never serialized
 
-    def cell(self, eps: float, order: int) -> DriftCell:
-        for c in self.cells:
-            if c.eps == eps and c.order == order:
-                return c
-        raise KeyError((eps, order))
-
     def slope_contract_ok(self) -> bool:
         return all(self.slopes[o].in_window for o in self.orders if o in self.slopes)
-
-    def monotone_ok(self, n_smallest: int = 3, strict: bool = True) -> bool:
-        """drift_2 < drift_1 < drift_0 at the n smallest ε values."""
-        if not {0, 1, 2} <= set(self.orders):
-            return True
-        eps_small = sorted(self.eps_grid)[:n_smallest]
-        for eps in eps_small:
-            d0, d1, d2 = (self.cell(eps, o).drift for o in (0, 1, 2))
-            if strict and not (d2 < d1 < d0):
-                return False
-            if not strict and not (d2 <= d1 <= d0):
-                return False
-        return True
 
     def to_json_dict(self) -> dict:
         return {

@@ -28,21 +28,39 @@ of N = ``action.nodes`` samples gives them all:
   seen from m_j is its cyclic shift). The slow partials of H and J are
   taken once per orbit.
 * G_j = F₁(m_j), seen as a function of the base point b = (z₀, w), is
-  differentiated together with the flow Fl_j. The slow partials at fixed
-  fast coordinates then follow from the chain rule,
-  ∂_w F₁ = ∂_w G − ∂_{z₀}G·(D_z Fl)⁻¹·∂_w Fl, node by node.
+  differentiated together with the flow Fl_j. With M = D_z Fl, the slow
+  partials at fixed fast coordinates follow node by node from the chain rule
+  ∇_zF₁ = ∂_{z₀}G·M⁻¹, ∂_wF₁ = ∂_wG − ∇_zF₁·∂_wFl. At fixed w, Fl^t is the
+  flow of Υ, the Hamiltonian field of J(·, w), so M is symplectic and
+  M⁻¹ = −Ω·Mᵀ·Ω with Ω = [[0, −I], [I, 0]] in the (y, x) block order
+  (Hairer, Lubich & Wanner, *Geometric Numerical Integration*, §VI.2):
+  signed, permuted entries of M, and no linear solve. A numeric M is
+  symplectic to the integrator's tolerance, and so is its inverse.
 
 The sensitivities ∂G/∂b and ∂Fl/∂b come from one multidual pass: b is lifted
-(one tag, a leading direction axis of length D = 2r + 2k) through the orbit
-and the F₁-at-nodes computation. An analytic flow carries the duals through
-``fast_flow``. A numeric flow integrates Υ together with its variational
-equation V' = ∂_zΥ·V + ∂_wΥ·W (Hairer, Nørsett & Wanner, *Solving ODEs I*,
-§I.14) as one run, V₀ and W seeded from b, and returns dual samples. No
-difference step is taken: the analytic pass is exact to rounding, the
+(its own tag, a leading direction axis of length D = 2r + 2k) through the
+orbit and the F₁-at-nodes computation. An analytic flow carries the duals
+through ``fast_flow``. A numeric flow integrates Υ together with its
+variational equation V' = ∂_zΥ·V + ∂_wΥ·W (Hairer, Nørsett & Wanner, *Solving
+ODEs I*, §I.14) as one run, V₀ and W seeded from b, and returns dual samples.
+No difference step is taken: the analytic pass is exact to rounding, the
 numeric one to the integrator's tolerance. Cost per point: one orbit
 carrying D derivative parts.
 
-Everything analytically known is differentiated exactly via dual lifting.
+Every step is kernel arithmetic, so ``InvariantSeries.terms_state`` takes
+dual coordinates and keeps their derivatives, and ``lie_derivative`` of the
+series is exact:
+
+* analytic flow: F₁ and F₂ take an outer pass with scalar tangents (one
+  direction, as ``DiffEngine.partials`` seeds it); F₂ lifts the point again
+  with its own tag, on top of it. F₁ also takes a pass with a direction
+  axis; F₂ raises ``UnsupportedDerivative`` for one.
+* numeric flow: F₁ takes one pass, scalar or with a direction axis, through
+  the variational equation. F₂ of a dual point would need the tangents of V,
+  a second variational equation, and raises ``UnsupportedDerivative``.
+
+The one difference quotient left is the flow derivative of the homological
+residuals (``ty2_residual``, ``ty3_residual``).
 """
 
 from __future__ import annotations
@@ -54,8 +72,8 @@ import numpy as np
 
 from . import kernel as sk
 from .circle import CircleAction, OrbitSamples, fourier_mean, s_at_nodes, s_from_samples
-from .errors import HypothesisViolation, NumericalError, UnsupportedOrder
-from .phase import (DEFAULT_ENGINE, DiffEngine, PhasePoint, SlowFastSystem,
+from .errors import HypothesisViolation, NumericalError, UnsupportedDerivative, UnsupportedOrder
+from .phase import (DEFAULT_ENGINE, PhasePoint, SlowFastSystem,
                     bracket_of_partials, field_fast, field_full, grad_fast,
                     grad_full, state_bracket1)
 
@@ -78,11 +96,11 @@ __all__ = [
     "ty3_residual",
 ]
 
-def d1j_coeffs(system: SlowFastSystem, engine: DiffEngine = DEFAULT_ENGINE) -> Callable:
+def d1j_coeffs(system: SlowFastSystem) -> Callable:
     """Oracle returning the 2k slow components of d₁J (for 1-form operators)."""
 
     def coeffs(fast, slow):
-        return engine.partials(system.J, fast, slow, "slow")
+        return DEFAULT_ENGINE.partials(system.J, fast, slow, "slow")
 
     return coeffs
 
@@ -91,29 +109,26 @@ def d1j_coeffs(system: SlowFastSystem, engine: DiffEngine = DEFAULT_ENGINE) -> C
 # hypothesis checks
 # ---------------------------------------------------------------------------
 
-def check_momentum_map(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-                       engine: DiffEngine = DEFAULT_ENGINE) -> float:
+def check_momentum_map(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> float:
     """Residual ‖d₀J − d₀H/ω‖ of the momentum-map relation at ``m``."""
-    dj = grad_fast(system, system.J, m, engine)
-    dh = grad_fast(system, system.H, m, engine)
+    dj = grad_fast(system, system.J, m)
+    dh = grad_fast(system, system.H, m)
     omega = float(sk.value(system.omega(*m.state())))
     if not omega > 0.0:
         raise NumericalError("frequency must be positive")
     return float(np.linalg.norm(dj - dh / omega))
 
 
-def check_adiabatic(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-                    engine: DiffEngine = DEFAULT_ENGINE) -> float:
+def check_adiabatic(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> float:
     """Residual ‖⟨d₁J⟩‖: the averaged slow differential of the momentum map."""
-    avg = action.average_slow_oneform(d1j_coeffs(system, engine), m)
+    avg = action.average_slow_oneform(d1j_coeffs(system), m)
     return float(np.linalg.norm(avg))
 
 
-def check_period_energy(system: SlowFastSystem, m: PhasePoint,
-                        engine: DiffEngine = DEFAULT_ENGINE) -> float:
+def check_period_energy(system: SlowFastSystem, m: PhasePoint) -> float:
     """Largest 2×2 minor of (d₀H, d₀ω): zero iff the fast gradients are parallel."""
-    dh = grad_fast(system, system.H, m, engine)
-    dw = grad_fast(system, system.omega, m, engine)
+    dh = grad_fast(system, system.H, m)
+    dw = grad_fast(system, system.omega, m)
     n = dh.shape[-1]
     worst = 0.0
     for i in range(n):
@@ -164,8 +179,7 @@ class HypothesisReport:
 
 
 def check_hypotheses(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-                     tol: float = 1e-8, engine: DiffEngine = DEFAULT_ENGINE,
-                     tolerances: Optional[dict] = None) -> HypothesisReport:
+                     tol: float = 1e-8, tolerances: Optional[dict] = None) -> HypothesisReport:
     """Run all four structural checks at ``m`` with a shared default tolerance."""
     tols = {"periodicity": tol, "momentum_map": tol, "adiabatic": tol,
             "period_energy": tol}
@@ -174,9 +188,9 @@ def check_hypotheses(system: SlowFastSystem, action: CircleAction, m: PhasePoint
     _, per = action.check_periodicity(m, tols["periodicity"])
     return HypothesisReport(
         periodicity_residual=per,
-        momentum_map_residual=check_momentum_map(system, action, m, engine=engine),
-        adiabatic_residual=check_adiabatic(system, action, m, engine=engine),
-        period_energy_residual=check_period_energy(system, m, engine=engine),
+        momentum_map_residual=check_momentum_map(system, action, m),
+        adiabatic_residual=check_adiabatic(system, action, m),
+        period_energy_residual=check_period_energy(system, m),
         tolerances=tols,
     )
 
@@ -186,16 +200,14 @@ def check_hypotheses(system: SlowFastSystem, action: CircleAction, m: PhasePoint
 # ---------------------------------------------------------------------------
 
 def momentum_from_action(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-                         nodes: Optional[int] = None,
-                         engine: DiffEngine = DEFAULT_ENGINE) -> float:
+                         nodes: Optional[int] = None) -> float:
     """Standard action built from the flat primitive 1-form Σ y_i dx_i.
 
     Averages the pulled-back 1-form along the orbit and contracts it with the
     unperturbed Hamiltonian field, divided by ω. The fast-block derivatives of
     the flow map come from one orbit of ``m`` with its fast block lifted to
-    duals (analytic or numeric flow alike); ``engine`` differentiates H for
-    the field. Up to an additive function of the slow variables this
-    reproduces any momentum map of the circle action.
+    duals (analytic or numeric flow alike). Up to an additive function of the
+    slow variables this reproduces any momentum map of the circle action.
     """
     system.require_in_domain(m)
     fast, slow = m.state()
@@ -208,7 +220,7 @@ def momentum_from_action(system: SlowFastSystem, action: CircleAction, m: PhaseP
         dx = np.broadcast_to(sk.extract_partial(orbit.fast[r + i], tag), full)
         pulled_back = pulled_back + sk.value(orbit.fast[i]) * dx
     omega = float(sk.value(system.omega(fast, slow)))
-    return float(np.dot(np.mean(pulled_back, axis=-1), field_fast(system, m, engine)) / omega)
+    return float(np.dot(np.mean(pulled_back, axis=-1), field_fast(system, m)) / omega)
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +232,10 @@ def _profile_of(values, orbit: OrbitSamples):
     return sk.broadcast(values, orbit.batch_shape + (orbit.nodes,))
 
 
-def _slow_partials(system, orbit: OrbitSamples, engine: DiffEngine):
+def _slow_partials(system, orbit: OrbitSamples):
     """Slow partials of H and of J along the orbit, computed once per orbit."""
-    return (engine.partials(system.H, orbit.fast, orbit.slow, "slow"),
-            engine.partials(system.J, orbit.fast, orbit.slow, "slow"))
+    return (DEFAULT_ENGINE.partials(system.H, orbit.fast, orbit.slow, "slow"),
+            DEFAULT_ENGINE.partials(system.J, orbit.fast, orbit.slow, "slow"))
 
 
 def _bracket1_profile(dh, dj, orbit: OrbitSamples):
@@ -253,21 +265,21 @@ def _omega_at(system, fast, slow):
     return om
 
 
-def _f1_state(system, orbit: OrbitSamples, fast, slow, engine) -> np.ndarray:
+def _f1_state(system, orbit: OrbitSamples, fast, slow):
     """First-order correction at a (possibly batched) raw state, from its orbit."""
-    dh, dj = _slow_partials(system, orbit, engine)
+    dh, dj = _slow_partials(system, orbit)
     shj = s_from_samples(_bracket1_profile(dh, dj, orbit))
     k1_avg = fourier_mean(_k1_nodes(dh, dj, orbit))
     return -(shj + k1_avg) / _omega_at(system, fast, slow)
 
 
-def _f1_nodes(system, orbit: OrbitSamples, engine: DiffEngine):
+def _f1_nodes(system, orbit: OrbitSamples):
     """(F₁ at every node m_j of one orbit, slow partials of H there).
 
     F₁(m_j) = −(𝒮_j({H,J}₁) + ⟨K₁⟩)/ω(m_j): ⟨K₁⟩ is the same at every node
     and one FFT gives 𝒮 at all of them. The orbit may hold duals.
     """
-    dh, dj = _slow_partials(system, orbit, engine)
+    dh, dj = _slow_partials(system, orbit)
     shj = s_at_nodes(_bracket1_profile(dh, dj, orbit))
     k1_avg = fourier_mean(_k1_nodes(dh, dj, orbit), keepdims=True)
     omega = _profile_of(_omega_at(system, orbit.fast, orbit.slow), orbit)
@@ -284,83 +296,108 @@ def _check_strict(action: CircleAction, m: PhasePoint, strict: bool):
 
 
 def theta(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-          nodes: Optional[int] = None, engine: DiffEngine = DEFAULT_ENGINE) -> np.ndarray:
+          nodes: Optional[int] = None) -> np.ndarray:
     """Θ = 𝒮(d₁J) at ``m`` as a slow-component vector of length 2k."""
-    return action.s_slow_oneform(d1j_coeffs(system, engine), m, nodes)
+    return action.s_slow_oneform(d1j_coeffs(system), m, nodes)
 
 
 def k1(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-       nodes: Optional[int] = None, engine: DiffEngine = DEFAULT_ENGINE) -> float:
+       nodes: Optional[int] = None) -> float:
     """K₁(m) = ½·(Θ_p·∂H/∂q − Θ_q·∂H/∂p), the slow contraction of Θ with dH."""
     system.require_in_domain(m)
     fast, slow = m.state()
-    th = theta(system, action, m, nodes, engine)
-    dh = [float(sk.value(d)) for d in engine.partials(system.H, fast, slow, "slow")]
+    th = theta(system, action, m, nodes)
+    dh = [float(sk.value(d)) for d in DEFAULT_ENGINE.partials(system.H, fast, slow, "slow")]
     return float(0.5 * bracket_of_partials(th, dh))
 
 
 def f1(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-       engine: DiffEngine = DEFAULT_ENGINE, strict: bool = False) -> float:
+       strict: bool = False) -> float:
     """First-order correction F₁(m) = −(1/ω)(𝒮({H,J}₁) + ⟨K₁⟩)."""
     system.require_in_domain(m)
     _check_strict(action, m, strict)
     fast, slow = m.state()
-    return float(_f1_state(system, action.orbit(fast, slow), fast, slow, engine))
+    return float(_f1_state(system, action.orbit(fast, slow), fast, slow))
 
 
-def _h_f1_bracket(system, action, fast, slow, engine):
+def _without(x, tag):
+    """``x`` with the derivative part of pass ``tag`` dropped, outer passes kept."""
+    return x.val if isinstance(x, sk.Dual) and x.tag == tag else x
+
+
+def _h_f1_bracket(system, action, fast, slow):
     """{H, F₁}₁ at every node of the orbit of a raw kernel state.
 
-    One multidual pass (one tag, a leading direction axis of length
+    One multidual pass (its own tag, a leading direction axis of length
     D = 2r + 2k) lifts the base point b = (z₀, w) through the orbit (analytic
     or numeric, see the module docstring) and ``_f1_nodes``; the base point's
     plain orbit is not needed. The slow partials of F₁ at fixed fast
-    coordinates follow from the sensitivities of G_j = F₁(Fl_j(z₀, w), w) by
-    the chain rule, ∂_w F₁ = ∂_w G − ∂_{z₀}G·(D_z Fl)⁻¹·∂_w Fl.
+    coordinates follow node by node from the sensitivities of
+    G_j = F₁(Fl_j(z₀, w), w) and of Fl_j, by the chain rule with the
+    symplectic inverse of M = D_z Fl. Each matrix entry is one column of
+    kernel scalars, so the base point may hold the duals of an outer pass
+    with scalar tangents. An outer direction axis would meet this pass's
+    direction axis in the same place, so it raises.
     """
-    base = np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in list(fast) + list(slow)])
-    dim, n_fast = len(base), len(fast)
+    state = list(fast) + list(slow)
+    if any(isinstance(c, sk.Dual) and np.ndim(c.eps) > np.ndim(c.val) for c in state):
+        raise UnsupportedDerivative("F₂ takes an outer dual pass with scalar tangents only")
+    dim, n_fast, r = len(state), len(fast), len(fast) // 2
+    shape = np.broadcast_shapes(*[np.shape(sk.value(c)) for c in state])
     tag = sk.fresh_tag()
-    seeds = np.eye(dim).reshape((dim, dim) + (1,) * base[0].ndim)
-    lifted = [sk.Dual(c, seeds[d], tag) for d, c in enumerate(base)]
+    seeds = np.eye(dim).reshape((dim, dim) + (1,) * len(shape))
+    lifted = [sk.Dual(sk.broadcast(c, shape), seeds[d], tag) for d, c in enumerate(state)]
     orbit = action.orbit(lifted[:n_fast], lifted[n_fast:])
-    g, dh = _f1_nodes(system, orbit, engine)
+    g, dh = _f1_nodes(system, orbit)
     full = (dim,) + orbit.batch_shape + (orbit.nodes,)
 
-    def partial(x):  # ∂x/∂b at every node, the direction axis last
-        return np.moveaxis(np.broadcast_to(sk.extract_partial(x, tag), full), 0, -1)
+    def columns(x):  # [∂x/∂b_d for each d] at every node
+        part = sk.broadcast(sk.extract_partial(x, tag), full)
+        return [sk.map_parts(lambda a: a[d], part) for d in range(dim)]
 
-    # node-wise matrices: jac[..., i, d] = ∂Fl_i/∂b_d, grad[..., d] = ∂G/∂b_d
-    jac = np.stack([partial(c) for c in orbit.fast], axis=-2)
-    grad = partial(g)
-    transport = np.linalg.solve(jac[..., :n_fast], jac[..., n_fast:])
-    df1 = grad[..., n_fast:] - np.einsum("...i,...ij->...j", grad[..., :n_fast], transport)
-    return bracket_of_partials([sk.value(c) for c in dh], list(np.moveaxis(df1, -1, 0)))
+    jac, grad = [columns(c) for c in orbit.fast], columns(g)  # jac[i][d] = ∂Fl_i/∂b_d
+    # ∇_zF₁ = ∂_{z₀}G·M⁻¹ with M⁻¹ = −Ω·Mᵀ·Ω: (M⁻¹)_{ji} = ±M_{σ(i)σ(j)}, where σ
+    # swaps y_i and x_i, with + when i and j lie in the same block, − across
+    swap = [(i + r) % n_fast for i in range(n_fast)]
+    grad_z = []
+    for i in range(n_fast):
+        total = 0.0
+        for j in range(n_fast):
+            term = grad[j] * jac[swap[i]][swap[j]]
+            total = total + term if (i < r) == (j < r) else total - term
+        grad_z.append(total)
+    df1 = []  # ∂_wF₁ = ∂_wG − ∇_zF₁·∂_wFl
+    for a in range(n_fast, dim):
+        total = grad[a]
+        for i in range(n_fast):
+            total = total - grad_z[i] * jac[i][a]
+        df1.append(total)
+    return bracket_of_partials([_without(c, tag) for c in dh], df1)
 
 
-def _f2_state(system, action, fast, slow, engine) -> np.ndarray:
+def _f2_state(system, action, fast, slow):
     """F₂ = −(2/ω)·𝒮({H, F₁}₁) on a raw kernel state."""
-    bracket = _h_f1_bracket(system, action, fast, slow, engine)
+    bracket = _h_f1_bracket(system, action, fast, slow)
     return -2.0 * s_from_samples(bracket) / _omega_at(system, fast, slow)
 
 
 def f2(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-       engine: DiffEngine = DEFAULT_ENGINE, strict: bool = False) -> float:
+       strict: bool = False) -> float:
     """Second-order correction F₂(m) = −(2/ω)·𝒮({H, F₁}₁)."""
     system.require_in_domain(m)
     _check_strict(action, m, strict)
     fast, slow = m.state()
-    return float(_f2_state(system, action, fast, slow, engine))
+    return float(_f2_state(system, action, fast, slow))
 
 
 # ---------------------------------------------------------------------------
 # series assembly and order diagnostics
 # ---------------------------------------------------------------------------
 
-def series_values(terms, eps: float, order: int) -> np.ndarray:
-    """J + ε·F₁ + ε²/2·F₂ truncated at ``order``, from (J, F₁, F₂) arrays."""
+def series_values(terms, eps: float, order: int):
+    """J + ε·F₁ + ε²/2·F₂ truncated at ``order``, from the (J, F₁, F₂) terms."""
     j_vals, f1_vals, f2_vals = terms
-    total = np.array(j_vals, dtype=float)
+    total = j_vals
     if order >= 1:
         total = total + eps * f1_vals
     if order >= 2:
@@ -371,35 +408,35 @@ def series_values(terms, eps: float, order: int) -> np.ndarray:
 class InvariantSeries:
     """Truncated invariant F(m; ε) = J + ε·F₁ + ε²/2·F₂ up to ``order``."""
 
-    def __init__(self, system, action, order, engine: DiffEngine = DEFAULT_ENGINE,
-                 strict: bool = False):
+    def __init__(self, system, action, order, strict: bool = False):
         if order not in (0, 1, 2):
             raise UnsupportedOrder(f"order must be 0, 1 or 2, got {order}")
         self.system = system
         self.action = action
         self.order = int(order)
-        self.engine = engine
         self.strict = strict
 
-    def terms_batch(self, coords: np.ndarray):
-        """(J, F₁, F₂) over an (n_points, dim) coordinate array.
+    def terms_state(self, fast, slow):
+        """(J, F₁, F₂) on a raw kernel state; terms beyond the order are 0.0.
 
-        Terms beyond the order are zero.
+        The coordinates may be floats, arrays of points or duals (the module
+        docstring says which duals each flow mode takes), and the terms keep
+        them.
         """
-        coords = np.asarray(coords, dtype=float)
-        r, k = self.system.r, self.system.k
-        fast = [coords[:, i] for i in range(2 * r)]
-        slow = [coords[:, 2 * r + i] for i in range(2 * k)]
-        j_vals = np.broadcast_to(np.asarray(sk.value(self.system.J(fast, slow)), dtype=float),
-                                 coords.shape[:1]).copy()
-        f1_vals = np.zeros_like(j_vals)
-        f2_vals = np.zeros_like(j_vals)
+        system = self.system
+        j_vals, f1_vals, f2_vals = system.J(fast, slow), 0.0, 0.0
         if self.order >= 1:
-            f1_vals = _f1_state(self.system, self.action.orbit(fast, slow), fast, slow,
-                                self.engine)
+            f1_vals = _f1_state(system, self.action.orbit(fast, slow), fast, slow)
         if self.order >= 2:
-            f2_vals = _f2_state(self.system, self.action, fast, slow, self.engine)
+            f2_vals = _f2_state(system, self.action, fast, slow)
         return j_vals, f1_vals, f2_vals
+
+    def terms_batch(self, coords: np.ndarray):
+        """(J, F₁, F₂) arrays over an (n_points, dim) coordinate array."""
+        coords = np.asarray(coords, dtype=float)
+        n_fast = 2 * self.system.r
+        terms = self.terms_state(list(coords[:, :n_fast].T), list(coords[:, n_fast:].T))
+        return tuple(np.broadcast_to(t, coords.shape[:1]).astype(float) for t in terms)
 
     def evaluate_batch(self, coords: np.ndarray, eps: float) -> np.ndarray:
         """Series values over an (n_points, dim) coordinate array."""
@@ -416,20 +453,19 @@ class InvariantSeries:
 
 
 def assemble(system: SlowFastSystem, action: CircleAction, order: int,
-             engine: DiffEngine = DEFAULT_ENGINE, strict: bool = False) -> InvariantSeries:
+             strict: bool = False) -> InvariantSeries:
     """Build the truncated invariant series of the requested order."""
-    return InvariantSeries(system, action, order, engine, strict)
+    return InvariantSeries(system, action, order, strict)
 
 
-def lie_derivative(system: SlowFastSystem, F: Callable, m: PhasePoint, eps: float,
-                   engine: DiffEngine = DEFAULT_ENGINE) -> float:
+def lie_derivative(system: SlowFastSystem, F: Callable, m: PhasePoint, eps: float) -> float:
     """Directional derivative of ``F`` along the full vector field at ``m``.
 
-    ``F`` is a kernel oracle ``F(fast, slow)``. For quadrature-defined
-    observables pass a finite-difference engine; its shifted evaluations use
-    plain floats only.
+    ``F`` is a kernel oracle ``F(fast, slow)`` that passes duals through, as
+    the system's oracles and ``InvariantSeries.terms_state`` do; the gradient
+    is exact.
     """
-    grad = grad_full(system, F, m, engine)
+    grad = grad_full(system, F, m)
     vel = field_full(system, m, eps)
     return float(np.dot(grad, vel))
 
@@ -443,19 +479,18 @@ def _d_dt_along_flow(action: CircleAction, point_fn: Callable, m: PhasePoint,
 
 
 def ty2_residual(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-                 engine: DiffEngine = DEFAULT_ENGINE, step: float = 1e-4) -> float:
+                 step: float = 1e-4) -> float:
     """|L_Υ F₁ + (1/ω){H,J}₁| — defect of the first-order homological equation."""
     system.require_in_domain(m)
     fast, slow = m.state()
-    deriv = _d_dt_along_flow(
-        action, lambda p: f1(system, action, p, engine), m, step)
-    hj = float(sk.value(state_bracket1(system.H, system.J, fast, slow, engine)))
+    deriv = _d_dt_along_flow(action, lambda p: f1(system, action, p), m, step)
+    hj = float(sk.value(state_bracket1(system.H, system.J, fast, slow)))
     omega = float(sk.value(system.omega(fast, slow)))
     return abs(deriv + hj / omega)
 
 
 def ty3_residual(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-                 engine: DiffEngine = DEFAULT_ENGINE, step: float = 1e-4) -> float:
+                 step: float = 1e-4) -> float:
     """Defect of the second-order homological equation, |L_Υ F₂ + (2/ω){H,F₁}₁|.
 
     With the series normalized as J + εF₁ + ε²/2·F₂, order-by-order expansion
@@ -465,8 +500,7 @@ def ty3_residual(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
     """
     system.require_in_domain(m)
     fast, slow = m.state()
-    deriv = _d_dt_along_flow(
-        action, lambda p: f2(system, action, p, engine), m, step)
-    hf1 = _h_f1_bracket(system, action, fast, slow, engine)
+    deriv = _d_dt_along_flow(action, lambda p: f2(system, action, p), m, step)
+    hf1 = _h_f1_bracket(system, action, fast, slow)
     omega = float(sk.value(system.omega(fast, slow)))
     return abs(deriv + 2.0 * float(hf1[..., 0]) / omega)

@@ -42,10 +42,6 @@ __all__ = [
     "field_full",
 ]
 
-#: central-difference base step, h = FD_BASE_STEP * max(1, |coordinate|)
-FD_BASE_STEP = float(np.finfo(float).eps ** (1.0 / 3.0))
-
-
 @dataclass(frozen=True)
 class PhasePoint:
     """Immutable state: fast coordinates ``(y, x)`` and slow ``(p, q)``."""
@@ -108,10 +104,6 @@ class Box:
         if self.low.shape != self.high.shape:
             raise ValueError("box bounds must have matching shapes")
 
-    @classmethod
-    def unbounded(cls, dim: int) -> "Box":
-        return cls(np.full(dim, -np.inf), np.full(dim, np.inf))
-
     def contains(self, coords: np.ndarray) -> bool:
         coords = np.asarray(coords, dtype=float)
         return bool(np.all(coords >= self.low) and np.all(coords <= self.high))
@@ -155,66 +147,28 @@ class SlowFastSystem:
             raise DomainError(f"point {m.coords} lies outside the system domain")
 
 
-@dataclass(frozen=True)
 class DiffEngine:
-    """Differentiation backend for all gradients.
+    """Exact partial derivatives by dual lifting, one coordinate at a time.
 
-    ``dual`` lifts one coordinate at a time to a dual number (exact to
-    rounding); ``fd`` uses central differences with step
-    ``fd_step * max(1, |coordinate|)`` and exists for oracles that cannot be
-    dual-lifted (e.g. quadrature-defined quantities).
+    It has no state and one method. It stays a class so that every gradient
+    of the package goes through the one attribute ``DiffEngine.partials``,
+    looked up at call time as ``DEFAULT_ENGINE.partials``: a profiler that
+    wraps that attribute sees every call (``bench/child.py`` counts them).
     """
-
-    mode: str = "dual"
-    fd_step: float = FD_BASE_STEP
-
-    def __post_init__(self):
-        if self.mode not in ("dual", "fd"):
-            raise ValueError(f"unknown differentiation mode {self.mode!r}")
-        if self.mode == "fd" and not self.fd_step > 0.0:
-            raise ValueError("fd_step must be positive in fd mode")
 
     def partials(self, f: Callable, fast, slow, block: str):
         """List of partial derivatives of ``f`` along one coordinate block."""
-        fast = list(fast)
-        slow = list(slow)
-        coords = fast if block == "fast" else slow
         out = []
-        for i in range(len(coords)):
-            if self.mode == "dual":
-                out.append(_dual_partial(f, fast, slow, block, i))
-            else:
-                out.append(_fd_partial(f, fast, slow, block, i, self.fd_step))
+        for i in range(len(fast if block == "fast" else slow)):
+            shifted = [list(fast), list(slow)]
+            coords = shifted[0 if block == "fast" else 1]
+            tag = sk.fresh_tag()
+            coords[i] = sk.Dual(coords[i], 1.0, tag)
+            out.append(sk.extract_partial(f(*shifted), tag))
         return out
 
 
 DEFAULT_ENGINE = DiffEngine()
-
-
-def _call_shifted(f, fast, slow, block, i, xi):
-    if block == "fast":
-        shifted = list(fast)
-        shifted[i] = xi
-        return f(shifted, slow)
-    shifted = list(slow)
-    shifted[i] = xi
-    return f(fast, shifted)
-
-
-def _dual_partial(f, fast, slow, block, i):
-    coords = fast if block == "fast" else slow
-    tag = sk.fresh_tag()
-    out = _call_shifted(f, fast, slow, block, i, sk.Dual(coords[i], 1.0, tag))
-    return sk.extract_partial(out, tag)
-
-
-def _fd_partial(f, fast, slow, block, i, base_step):
-    coords = fast if block == "fast" else slow
-    xi = coords[i]
-    h = base_step * np.maximum(1.0, np.abs(sk.value(xi)))
-    hi = _call_shifted(f, fast, slow, block, i, xi + h)
-    lo = _call_shifted(f, fast, slow, block, i, xi - h)
-    return (hi - lo) / (2.0 * h)
 
 
 def _stack(parts):
@@ -228,28 +182,26 @@ def _check_finite(arr, what):
     return arr
 
 
-def grad_fast(system: SlowFastSystem, f: Callable, m: PhasePoint,
-              engine: DiffEngine = DEFAULT_ENGINE) -> np.ndarray:
+def grad_fast(system: SlowFastSystem, f: Callable, m: PhasePoint) -> np.ndarray:
     """Fast-block gradient (∂f/∂y_1..y_r, ∂f/∂x_1..x_r) at ``m``."""
     system.require_in_domain(m)
     fast, slow = m.state()
-    return _check_finite(_stack(engine.partials(f, fast, slow, "fast")), "grad_fast")
+    return _check_finite(_stack(DEFAULT_ENGINE.partials(f, fast, slow, "fast")), "grad_fast")
 
 
-def grad_slow(system: SlowFastSystem, f: Callable, m: PhasePoint,
-              engine: DiffEngine = DEFAULT_ENGINE) -> np.ndarray:
+def grad_slow(system: SlowFastSystem, f: Callable, m: PhasePoint) -> np.ndarray:
     """Slow-block gradient (∂f/∂p_1..p_k, ∂f/∂q_1..q_k) at ``m``."""
     system.require_in_domain(m)
     fast, slow = m.state()
-    return _check_finite(_stack(engine.partials(f, fast, slow, "slow")), "grad_slow")
+    return _check_finite(_stack(DEFAULT_ENGINE.partials(f, fast, slow, "slow")), "grad_slow")
 
 
-def grad_full(system: SlowFastSystem, f: Callable, m: PhasePoint,
-              engine: DiffEngine = DEFAULT_ENGINE) -> np.ndarray:
+def grad_full(system: SlowFastSystem, f: Callable, m: PhasePoint) -> np.ndarray:
     """Gradient over all 2r + 2k coordinates in flat layout order."""
     system.require_in_domain(m)
     fast, slow = m.state()
-    parts = engine.partials(f, fast, slow, "fast") + engine.partials(f, fast, slow, "slow")
+    parts = (DEFAULT_ENGINE.partials(f, fast, slow, "fast")
+             + DEFAULT_ENGINE.partials(f, fast, slow, "slow"))
     return _check_finite(_stack(parts), "grad_full")
 
 
@@ -267,45 +219,37 @@ def bracket_of_partials(df, dg):
     return total
 
 
-def bracket0(system: SlowFastSystem, f: Callable, g: Callable, m: PhasePoint,
-             engine: DiffEngine = DEFAULT_ENGINE) -> float:
+def bracket0(system: SlowFastSystem, f: Callable, g: Callable, m: PhasePoint) -> float:
     """Fast Poisson bracket Σ_i (∂f/∂y_i ∂g/∂x_i − ∂f/∂x_i ∂g/∂y_i)."""
-    df = grad_fast(system, f, m, engine)
-    dg = grad_fast(system, g, m, engine)
+    df = grad_fast(system, f, m)
+    dg = grad_fast(system, g, m)
     return float(_check_finite(bracket_of_partials(df, dg), "bracket0"))
 
 
-def bracket1(system: SlowFastSystem, f: Callable, g: Callable, m: PhasePoint,
-             engine: DiffEngine = DEFAULT_ENGINE) -> float:
+def bracket1(system: SlowFastSystem, f: Callable, g: Callable, m: PhasePoint) -> float:
     """Slow Poisson bracket Σ_i (∂f/∂p_i ∂g/∂q_i − ∂f/∂q_i ∂g/∂p_i)."""
-    df = grad_slow(system, f, m, engine)
-    dg = grad_slow(system, g, m, engine)
+    df = grad_slow(system, f, m)
+    dg = grad_slow(system, g, m)
     return float(_check_finite(bracket_of_partials(df, dg), "bracket1"))
 
 
-def field_fast(system: SlowFastSystem, m: PhasePoint,
-               engine: DiffEngine = DEFAULT_ENGINE) -> np.ndarray:
+def field_fast(system: SlowFastSystem, m: PhasePoint) -> np.ndarray:
     """Unperturbed Hamiltonian velocity (ẏ, ẋ) = (−∂H/∂x, ∂H/∂y)."""
-    g = grad_fast(system, system.H, m, engine)
+    g = grad_fast(system, system.H, m)
     r = system.r
     return np.concatenate([-g[..., r:], g[..., :r]], axis=-1)
 
 
-def field_slow(system: SlowFastSystem, m: PhasePoint,
-               engine: DiffEngine = DEFAULT_ENGINE) -> np.ndarray:
+def field_slow(system: SlowFastSystem, m: PhasePoint) -> np.ndarray:
     """Perturbation velocity (ṗ, q̇) = (−∂H/∂q, ∂H/∂p), without the ε factor."""
-    g = grad_slow(system, system.H, m, engine)
+    g = grad_slow(system, system.H, m)
     k = system.k
     return np.concatenate([-g[..., k:], g[..., :k]], axis=-1)
 
 
-def field_full(system: SlowFastSystem, m: PhasePoint, eps: float,
-               engine: DiffEngine = DEFAULT_ENGINE) -> np.ndarray:
+def field_full(system: SlowFastSystem, m: PhasePoint, eps: float) -> np.ndarray:
     """Full vector field: fast block plus ε times the slow block."""
-    return np.concatenate(
-        [field_fast(system, m, engine), eps * field_slow(system, m, engine)],
-        axis=-1,
-    )
+    return np.concatenate([field_fast(system, m), eps * field_slow(system, m)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +257,7 @@ def field_full(system: SlowFastSystem, m: PhasePoint, eps: float,
 # coordinate lists whose entries may be arrays (batched points) or duals.
 # ---------------------------------------------------------------------------
 
-def state_bracket1(f, g, fast, slow, engine: DiffEngine = DEFAULT_ENGINE):
+def state_bracket1(f, g, fast, slow):
     """Slow bracket of two oracles on a raw kernel state (batch friendly)."""
-    return bracket_of_partials(engine.partials(f, fast, slow, "slow"),
-                               engine.partials(g, fast, slow, "slow"))
+    return bracket_of_partials(DEFAULT_ENGINE.partials(f, fast, slow, "slow"),
+                               DEFAULT_ENGINE.partials(g, fast, slow, "slow"))

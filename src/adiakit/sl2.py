@@ -21,7 +21,7 @@ import numpy as np
 from . import kernel as sk
 from .circle import s_from_samples
 from .errors import DegenerateFamily
-from .phase import DEFAULT_ENGINE, Box, DiffEngine, PhasePoint, SlowFastSystem
+from .phase import DEFAULT_ENGINE, Box, PhasePoint, SlowFastSystem
 
 __all__ = [
     "Sl2Field",
@@ -33,7 +33,6 @@ __all__ = [
     "slow_bracket_matrix",
     "f1_closed",
     "f2_closed",
-    "f2_closed_printed",
 ]
 
 DET_TOL = 1e-8
@@ -161,21 +160,20 @@ class QuadraticSystem:
                               name="quadratic_family")
 
 
-def _entry_partials(field: Sl2Field, slow, engine: DiffEngine):
+def _entry_partials(field: Sl2Field, slow):
     """∂A/∂w_j as matrices, one per slow coordinate."""
 
     def entry(fn):
-        return engine.partials(lambda _f, s: fn(s), [], list(slow), "slow")
+        return DEFAULT_ENGINE.partials(lambda _f, s: fn(s), [], list(slow), "slow")
 
     da, db, dc = entry(field.a), entry(field.b), entry(field.c)
     return [(da[j], db[j], dc[j], -da[j]) for j in range(len(da))]
 
 
-def slow_bracket_matrix(scalar: Callable, field: Sl2Field, slow, k: int,
-                        engine: DiffEngine = DEFAULT_ENGINE):
+def slow_bracket_matrix(scalar: Callable, field: Sl2Field, slow, k: int):
     """Entrywise slow bracket {scalar, A}₁ of a slow oracle with the field."""
-    ds = engine.partials(lambda _f, s: scalar(s), [], list(slow), "slow")
-    dA = _entry_partials(field, slow, engine)
+    ds = DEFAULT_ENGINE.partials(lambda _f, s: scalar(s), [], list(slow), "slow")
+    dA = _entry_partials(field, slow)
     out = (0.0, 0.0, 0.0, 0.0)
     for i in range(k):
         # {s, e}₁ = Σ_i (∂s/∂p_i ∂e/∂q_i − ∂s/∂q_i ∂e/∂p_i)
@@ -190,8 +188,7 @@ def _require_unimodular(field: Sl2Field, slow):
         raise DegenerateFamily(f"det A = {det!r} at this slow point")
 
 
-def f1_closed(qs: QuadraticSystem, m: PhasePoint,
-              engine: DiffEngine = DEFAULT_ENGINE) -> float:
+def f1_closed(qs: QuadraticSystem, m: PhasePoint) -> float:
     """First-order correction of the quadratic family in closed form.
 
     F₁ = −(1/4ω)(Q_{[A,B]} + Q_A·Q_{[A,C]})
@@ -206,13 +203,13 @@ def f1_closed(qs: QuadraticSystem, m: PhasePoint,
     _require_unimodular(qs.field, slow)
     A = tuple(sk.value(e) for e in qs.field.matrix(slow))
     om = float(sk.value(qs.omega(slow)))
-    Bm = tuple(sk.value(e) for e in slow_bracket_matrix(qs.h, qs.field, slow, qs.k, engine))
-    Cm = tuple(sk.value(e) for e in slow_bracket_matrix(qs.omega, qs.field, slow, qs.k, engine))
+    Bm = tuple(sk.value(e) for e in slow_bracket_matrix(qs.h, qs.field, slow, qs.k))
+    Cm = tuple(sk.value(e) for e in slow_bracket_matrix(qs.omega, qs.field, slow, qs.k))
 
     lead = q_form(mat_comm(A, Bm), z) + q_form(A, z) * q_form(mat_comm(A, Cm), z)
     total = -lead / (4.0 * om)
 
-    dA = _entry_partials(qs.field, slow, engine)
+    dA = _entry_partials(qs.field, slow)
     dA = [tuple(sk.value(e) for e in M) for M in dA]
     k = qs.k
     deriv_sum = 0.0
@@ -223,17 +220,17 @@ def f1_closed(qs: QuadraticSystem, m: PhasePoint,
     return float(total - 0.25 * deriv_sum)
 
 
-def _f1_closed_oracle(qs: QuadraticSystem, engine: DiffEngine):
+def _f1_closed_oracle(qs: QuadraticSystem):
     """Kernel-generic F₁ of the family (dual-liftable in the slow block)."""
 
     def oracle(fast, slow):
         A = qs.field.matrix(slow)
         om = qs.omega(slow)
-        Bm = slow_bracket_matrix(qs.h, qs.field, slow, qs.k, engine)
-        Cm = slow_bracket_matrix(qs.omega, qs.field, slow, qs.k, engine)
+        Bm = slow_bracket_matrix(qs.h, qs.field, slow, qs.k)
+        Cm = slow_bracket_matrix(qs.omega, qs.field, slow, qs.k)
         lead = q_form(mat_comm(A, Bm), fast) + q_form(A, fast) * q_form(mat_comm(A, Cm), fast)
         total = -lead / (4.0 * om)
-        dA = _entry_partials(qs.field, slow, engine)
+        dA = _entry_partials(qs.field, slow)
         k = qs.k
         deriv_sum = 0.0
         for i in range(k):
@@ -245,8 +242,7 @@ def _f1_closed_oracle(qs: QuadraticSystem, engine: DiffEngine):
     return oracle
 
 
-def f2_closed(qs: QuadraticSystem, m: PhasePoint, nodes: int = 16,
-              engine: DiffEngine = DEFAULT_ENGINE) -> float:
+def f2_closed(qs: QuadraticSystem, m: PhasePoint, nodes: int = 16) -> float:
     """Second-order correction of the family, exactly evaluated.
 
     Solves the second-order homological equation with the closed-form F₁:
@@ -259,56 +255,18 @@ def f2_closed(qs: QuadraticSystem, m: PhasePoint, nodes: int = 16,
     z, slow = m.state()
     _require_unimodular(qs.field, slow)
     system = qs.system()
-    f1_oracle = _f1_closed_oracle(qs, engine)
+    f1_oracle = _f1_closed_oracle(qs)
 
     times = 2.0 * np.pi * np.arange(nodes) / nodes
     A = tuple(float(sk.value(e)) for e in qs.field.matrix(slow))
     z_t = linear_flow(A, times, [np.asarray(z[0]), np.asarray(z[1])])
 
-    df1 = engine.partials(f1_oracle, z_t, slow, "slow")
-    dh = engine.partials(system.H, z_t, slow, "slow")
+    df1 = DEFAULT_ENGINE.partials(f1_oracle, z_t, slow, "slow")
+    dh = DEFAULT_ENGINE.partials(system.H, z_t, slow, "slow")
     k = qs.k
     bracket = 0.0
     for i in range(k):
         bracket = bracket + dh[i] * df1[k + i] - dh[k + i] * df1[i]
     profile = np.broadcast_to(np.asarray(sk.value(bracket), dtype=float), times.shape)
     om = float(sk.value(qs.omega(slow)))
-    return float(-2.0 * s_from_samples(profile) / om)
-
-
-def f2_closed_printed(qs: QuadraticSystem, m: PhasePoint,
-                      engine: DiffEngine = DEFAULT_ENGINE) -> float:
-    """Second-order correction as displayed in the source: (1/2ω)·Q_{[A,{h,X}₁]}.
-
-    Here −Q_X is the closed-form F₁ (adjudicated reading) and the bracket is
-    taken with h only. Kept for comparison: the display omits the
-    contributions of {ω·Q_A, F₁}₁, so it can only agree with the generic
-    engine when A and ω carry no slow dependence that couples back.
-    """
-    z, slow = m.state()
-    _require_unimodular(qs.field, slow)
-    f1_oracle = _f1_closed_oracle(qs, engine)
-
-    # {h, F₁}₁ treating the fast coordinates as parameters
-    df1 = engine.partials(f1_oracle, list(z), slow, "slow")
-    dh = engine.partials(lambda _f, s: qs.h(s), [], list(slow), "slow")
-    k = qs.k
-    bracket = 0.0
-    for i in range(k):
-        bracket = bracket + sk.value(dh[i]) * sk.value(df1[k + i]) \
-            - sk.value(dh[k + i]) * sk.value(df1[i])
-    # Q_{[A, {h,X}₁]} with F₁ = −Q_X gives −4·𝒮({h,F₁}₁); the display's
-    # prefactor (1/2ω) then scales it.
-    om = float(sk.value(qs.omega(slow)))
-    # 𝒮({h,F₁}₁) along the linear flow, exact quadrature
-    nodes = 16
-    times = 2.0 * np.pi * np.arange(nodes) / nodes
-    A = tuple(float(sk.value(e)) for e in qs.field.matrix(slow))
-    z_t = linear_flow(A, times, [np.asarray(z[0]), np.asarray(z[1])])
-    df1_t = engine.partials(f1_oracle, z_t, slow, "slow")
-    dh_t = engine.partials(lambda _f, s: qs.h(s), z_t, slow, "slow")
-    bracket_t = 0.0
-    for i in range(k):
-        bracket_t = bracket_t + dh_t[i] * df1_t[k + i] - dh_t[k + i] * df1_t[i]
-    profile = np.broadcast_to(np.asarray(sk.value(bracket_t), dtype=float), times.shape)
     return float(-2.0 * s_from_samples(profile) / om)

@@ -1,10 +1,13 @@
 """Circle-action flows and the averaging/integrating operators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from adiakit import (CircleAction, IntegratorConfig, NumericalError, PhasePoint,
-                     SlowFastSystem, charged_particle, elastic_pendulum, integrate)
+                     SlowFastSystem, UnsupportedDerivative, charged_particle,
+                     elastic_pendulum, integrate)
 from adiakit import circle
 from adiakit import kernel as sk
 from adiakit.circle import TWO_PI, fourier_mean, s_at_nodes, s_from_samples
@@ -182,11 +185,37 @@ def test_numeric_orbit_outside_the_box_raises_a_typed_error(particle):
 
 
 def test_numeric_orbit_without_a_cache(pendulum):
-    # cache_size = 0 keeps no orbit (evicting from the empty cache used to
-    # raise StopIteration)
-    action = CircleAction(pendulum.system, flow_mode="numeric", nodes=8, cache_size=0)
+    # no orbit is kept: a second orbit of the same point is integrated again
+    # and equals the first bit for bit
+    action = CircleAction(pendulum.system, flow_mode="numeric", nodes=8)
     first = action.orbit_of_point(pendulum.initial)
-    assert np.array_equal(action.orbit_of_point(pendulum.initial).fast, first.fast)
+    second = action.orbit_of_point(pendulum.initial)
+    assert all(a is not b and np.array_equal(a, b) for a, b in zip(first.fast, second.fast))
+
+
+def test_numeric_orbit_rejects_nested_duals(pendulum):
+    action = CircleAction(pendulum.system, flow_mode="numeric", nodes=8)
+    inner, outer = sk.fresh_tag(), sk.fresh_tag()
+    nested = sk.Dual(sk.Dual(0.5, 1.0, inner), np.ones(2), outer)
+    with pytest.raises(UnsupportedDerivative):
+        action.orbit([nested, 0.0], [0.1, 1.0])
+    with pytest.raises(UnsupportedDerivative):  # two passes side by side
+        action.orbit([sk.Dual(0.5, 1.0, inner), sk.Dual(0.0, 1.0, outer)], [0.1, 1.0])
+
+
+def test_numeric_rhs_evaluates_omega_once(particle):
+    # omega is an output of the traced field: after tracing, the oracle is
+    # not called again, however many RHS calls the runs make
+    calls, omega = [], particle.system.omega
+    system = replace(particle.system, omega=lambda f, s: calls.append(1) or omega(f, s))
+    action = CircleAction(system, flow_mode="numeric", nodes=8)
+    m = particle.initial
+    action.flow(0.1, m)
+    traced = len(calls)
+    action.flow(TWO_PI, m)
+    pair = [np.array([c, c + 0.01]) for c in m.coords]
+    action.orbit(pair[:2], pair[2:])
+    assert len(calls) == traced
 
 
 def scaled_oscillator():

@@ -6,16 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adiakit import (CircleAction, HypothesisViolation, NotFound, PhasePoint,
-                     SlowFastSystem, UnsupportedOrder,
+from adiakit import (CircleAction, HypothesisViolation, InvariantSeries, NotFound,
+                     PhasePoint, SlowFastSystem, UnsupportedDerivative, UnsupportedOrder,
                      assemble, charged_particle, check_adiabatic,
                      check_hypotheses, check_momentum_map, check_period_energy,
-                     elastic_pendulum, f1, f2, grad_fast, k1, lie_derivative,
+                     elastic_pendulum, f1, f2, grad_fast, grad_full, k1, lie_derivative,
                      momentum_from_action, theta, ty2_residual, ty3_residual,
                      verify_transverse_momentum)
 from adiakit import circle
 from adiakit import kernel as sk
-from adiakit.phase import DiffEngine
+from adiakit.invariants import _f2_state, series_values
 from adiakit.sl2 import f2_closed
 
 from conftest import nondegenerate_system, sample_points
@@ -149,14 +149,6 @@ def test_action_from_primitive_matches_pendulum_gradients(pendulum, pendulum_act
         assert np.allclose(grads, expected, atol=1e-6)
 
 
-def test_action_from_primitive_fd_engine_agrees(pendulum, pendulum_action):
-    m = PhasePoint([0.5, 0.1], [0.2, 0.8])
-    dual_val = momentum_from_action(pendulum.system, pendulum_action, m)
-    fd_val = momentum_from_action(pendulum.system, pendulum_action, m,
-                                  engine=DiffEngine(mode="fd"))
-    assert fd_val == pytest.approx(dual_val, abs=1e-8)
-
-
 # -- corrections -------------------------------------------------------------------
 
 def test_theta_and_k1_trivial_zeros():
@@ -252,6 +244,66 @@ def test_numeric_flow_f2_matches_analytic(request, fixture_name):
         numeric = f2(system, CircleAction(system, flow_mode="numeric", nodes=nodes), m)
         assert numeric == pytest.approx(f2(system, CircleAction(system, nodes=nodes), m),
                                         rel=0.0, abs=1e-10)
+
+
+# -- duals through the series ---------------------------------------------------------
+
+@pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
+def test_f2_state_passes_an_outer_dual_through(request, fixture_name):
+    # the chain rule is kernel arithmetic, so a one-direction dual of an
+    # outer pass comes out of F2 with its derivative
+    fixture = request.getfixturevalue(fixture_name)
+    system, action, coords = fixture.system, CircleAction(fixture.system), fixture.initial.coords
+    n_fast, h = 2 * system.r, 1e-5
+    for i in range(system.dim):
+        tag = sk.fresh_tag()
+        state = list(coords)
+        state[i] = sk.Dual(state[i], 1.0, tag)
+        out = _f2_state(system, action, state[:n_fast], state[n_fast:])
+        assert isinstance(out, sk.Dual) and out.tag == tag
+        # Dual divides by multiplying with the inverse: the value may move by an ulp
+        assert float(out.val) == pytest.approx(f2(system, action, fixture.initial), rel=1e-14)
+        step = h * np.eye(system.dim)[i]
+        central = (f2(system, action, system.point(coords + step))
+                   - f2(system, action, system.point(coords - step))) / (2 * h)
+        assert float(out.eps) == pytest.approx(central, rel=0.0, abs=1e-7)
+
+
+def test_f2_rejects_an_outer_direction_axis(pendulum):
+    # its axis would line up with F2's own lift: D = dim gave wrong
+    # derivatives silently, any other D a numpy broadcasting error
+    system, coords = pendulum.system, pendulum.initial.coords
+    for directions in (2, system.dim):
+        tag = sk.fresh_tag()
+        state = [sk.Dual(c, e[:directions], tag) for c, e in zip(coords, np.eye(system.dim))]
+        with pytest.raises(UnsupportedDerivative):
+            _f2_state(system, CircleAction(system), state[:2], state[2:])
+
+
+def _term_oracle(system, action, index):
+    series = InvariantSeries(system, action, index)
+    return lambda fast, slow: series.terms_state(fast, slow)[index]
+
+
+@pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
+def test_numeric_f1_takes_a_scalar_seed(request, fixture_name):
+    # DiffEngine seeds one coordinate with the scalar tangent 1.0: the numeric
+    # orbit runs it as one direction of its variational equation
+    fixture = request.getfixturevalue(fixture_name)
+    system, m = fixture.system, fixture.initial
+    numeric = grad_full(system, _term_oracle(
+        system, CircleAction(system, flow_mode="numeric", nodes=16), 1), m)
+    analytic = grad_full(system, _term_oracle(system, CircleAction(system, nodes=16), 1), m)
+    assert numeric == pytest.approx(analytic, rel=0.0, abs=1e-9)
+
+
+def test_numeric_f2_of_a_dual_point_raises_a_typed_error(pendulum):
+    # F2 lifts its base point itself; a numeric orbit cannot carry the nested
+    # tangent that an outer dual would need
+    system = pendulum.system
+    oracle = _term_oracle(system, CircleAction(system, flow_mode="numeric", nodes=8), 2)
+    with pytest.raises(UnsupportedDerivative):
+        grad_full(system, oracle, pendulum.initial)
 
 
 def test_analytic_f2_samples_one_orbit_per_batch(pendulum, rng, monkeypatch):
@@ -469,9 +521,7 @@ def test_lie_derivative_of_momentum_map_at_zero_eps(pendulum, rng):
 
 
 def _series_oracle(series, eps):
-    return lambda fast, slow: series.evaluate(
-        PhasePoint([float(sk.value(c)) for c in fast],
-                   [float(sk.value(c)) for c in slow]), eps)
+    return lambda fast, slow: series_values(series.terms_state(fast, slow), eps, series.order)
 
 
 ORDER_EPS_GRID = np.array([0.2, 0.1, 0.05, 0.025])
@@ -483,9 +533,7 @@ def test_series_lie_derivative_order_scaling():
     system = fx.system
     series = assemble(system, action, 2)
     m = PhasePoint([1.0, 0.0], [1.0, 1.0])
-    fd = DiffEngine(mode="fd", fd_step=1e-6)
-
-    values = [abs(lie_derivative(system, _series_oracle(series, eps), m, eps, fd))
+    values = [abs(lie_derivative(system, _series_oracle(series, eps), m, eps))
               for eps in (0.1, 0.05)]
     exponent = np.log(values[0] / values[1]) / np.log(2.0)
     assert exponent >= 2.7
@@ -500,8 +548,7 @@ def test_order_contract_fitted_exponent(order, target):
     # a generic point: p != q, so {H, F1}_1 does not vanish here (unlike at
     # (1, 0, 1, 1), see below) and each order shows its own slope
     m = PhasePoint([1.0, 0.0], [1.0, 0.5])
-    fd = DiffEngine(mode="fd", fd_step=1e-6)
-    mags = [abs(lie_derivative(system, _series_oracle(series, eps), m, eps, fd))
+    mags = [abs(lie_derivative(system, _series_oracle(series, eps), m, eps))
             for eps in ORDER_EPS_GRID]
     slope = np.polyfit(np.log(ORDER_EPS_GRID), np.log(mags), 1)[0]
     assert slope == pytest.approx(target, abs=0.3)
@@ -517,10 +564,8 @@ def test_order1_defect_cancels_at_degenerate_point():
     system = fx.system
     series = assemble(system, action, 1)
     m = PhasePoint([1.0, 0.0], [1.0, 1.0])
-    fd = DiffEngine(mode="fd", fd_step=1e-6)
     for eps in ORDER_EPS_GRID:
-        generic = lie_derivative(system, _series_oracle(series, eps), m, eps, fd)
-        assert abs(generic) <= 1e-8
+        assert abs(lie_derivative(system, _series_oracle(series, eps), m, eps)) <= 1e-14
 
         def closed(fast, slow, eps=eps):
             return system.J(fast, slow) + eps * fx.closed_f1(fast, slow)

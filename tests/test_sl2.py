@@ -8,10 +8,10 @@ from adiakit import (CircleAction, DegenerateFamily, PhasePoint, check_momentum_
 from adiakit import kernel as sk
 from adiakit.circle import fourier_mean, s_from_samples
 from adiakit.invariants import _k1_nodes, _theta_nodes, ty2_residual
-from adiakit.phase import DEFAULT_ENGINE, state_bracket1
+from adiakit.phase import DEFAULT_ENGINE, bracket_of_partials, state_bracket1
 from adiakit.sl2 import (QuadraticSystem, Sl2Field, _entry_partials, _f1_closed_oracle,
-                         avg_q_matrix, f1_closed, f2_closed, f2_closed_printed,
-                         linear_flow, mat_comm, q_form, s_q_matrix, slow_bracket_matrix)
+                         avg_q_matrix, f1_closed, f2_closed, linear_flow, mat_comm, q_form,
+                         s_q_matrix, slow_bracket_matrix)
 
 from conftest import nondegenerate_system
 
@@ -220,11 +220,32 @@ def test_closed_f2_solves_homological_equation(rng):
 
     h = 1e-5
     d_dt = (f2_closed(qs, action.flow(h, m)) - f2_closed(qs, action.flow(-h, m))) / (2 * h)
-    f1_oracle = _f1_closed_oracle(qs, DEFAULT_ENGINE)
+    f1_oracle = _f1_closed_oracle(qs)
     fast, slow = m.state()
     hf1 = float(sk.value(state_bracket1(system.H, f1_oracle, fast, slow)))
     omega = float(sk.value(qs.omega(slow)))
     assert d_dt + 2.0 * hf1 / omega == pytest.approx(0.0, abs=1e-8)
+
+
+def f2_closed_printed(qs: QuadraticSystem, m: PhasePoint) -> float:
+    """Second-order correction as displayed in the source: (1/2ω)·Q_{[A,{h,X}₁]}.
+
+    Here −Q_X is the closed-form F₁ (adjudicated reading) and the bracket is
+    taken with h only. The display omits the contributions of {ω·Q_A, F₁}₁,
+    so it can only agree with the generic engine when A and ω carry no slow
+    dependence that couples back. With F₁ = −Q_X, Q_{[A, {h,X}₁]} is
+    −4·𝒮({h,F₁}₁), which the display's prefactor 1/(2ω) scales; 𝒮 is taken
+    along the linear flow, exact at 16 nodes.
+    """
+    z, slow = m.state()
+    times = 2.0 * np.pi * np.arange(16) / 16
+    A = tuple(float(sk.value(e)) for e in qs.field.matrix(slow))
+    z_t = linear_flow(A, times, [np.asarray(z[0]), np.asarray(z[1])])
+    df1 = DEFAULT_ENGINE.partials(_f1_closed_oracle(qs), z_t, slow, "slow")
+    dh = DEFAULT_ENGINE.partials(lambda _f, s: qs.h(s), z_t, slow, "slow")
+    profile = np.broadcast_to(np.asarray(sk.value(bracket_of_partials(dh, df1)), dtype=float),
+                              times.shape)
+    return float(-2.0 * s_from_samples(profile) / float(sk.value(qs.omega(slow))))
 
 
 def test_printed_f2_display_recorded_for_comparison(rng):
@@ -236,8 +257,7 @@ def test_printed_f2_display_recorded_for_comparison(rng):
 
 
 def hamiltonian_contraction_two_ways(qs: QuadraticSystem, action: CircleAction,
-                                     m: PhasePoint, nodes: int = 32,
-                                     engine=DEFAULT_ENGINE):
+                                     m: PhasePoint, nodes: int = 32):
     """i_dH<i_Theta Psi_1> via explicit tangent maps versus the scalar average.
 
     The vector-field average needs the pullback of slow tangent vectors under
@@ -251,14 +271,14 @@ def hamiltonian_contraction_two_ways(qs: QuadraticSystem, action: CircleAction,
     times = orbit.times
     k = qs.k
 
-    dh_nodes = engine.partials(system.H, orbit.fast, orbit.slow, "slow")
-    dj_nodes = engine.partials(system.J, orbit.fast, orbit.slow, "slow")
+    dh_nodes = DEFAULT_ENGINE.partials(system.H, orbit.fast, orbit.slow, "slow")
+    dj_nodes = DEFAULT_ENGINE.partials(system.J, orbit.fast, orbit.slow, "slow")
     theta_c = _theta_nodes(dj_nodes, orbit)  # 2k components at the nodes
     # slow components of i_Theta Psi_1 = Theta_p dq - Theta_q dp along the orbit
     v_slow = [-theta_c[k + i] for i in range(k)] + [theta_c[i] for i in range(k)]
 
     A = tuple(float(sk.value(e)) for e in qs.field.matrix(slow))
-    dA = [tuple(float(sk.value(e)) for e in M) for M in _entry_partials(qs.field, slow, engine)]
+    dA = [tuple(float(sk.value(e)) for e in M) for M in _entry_partials(qs.field, slow)]
     c, s = np.cos(times), np.sin(times)
     y0, x0 = float(fast[0]), float(fast[1])
 
@@ -276,8 +296,8 @@ def hamiltonian_contraction_two_ways(qs: QuadraticSystem, action: CircleAction,
 
     avg_fast = [float(np.mean(fp)) for fp in fast_pull]
     avg_slow = [float(np.mean(v)) for v in v_slow]
-    dh_fast = grad_fast(system, system.H, m, engine)
-    dh_slow = grad_slow(system, system.H, m, engine)
+    dh_fast = grad_fast(system, system.H, m)
+    dh_slow = grad_slow(system, system.H, m)
     tangent_route = float(np.dot(dh_fast, avg_fast) + np.dot(dh_slow, avg_slow))
 
     scalar_route = float(2.0 * np.mean(_k1_nodes(dh_nodes, dj_nodes, orbit)))
