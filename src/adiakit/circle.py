@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -131,7 +131,8 @@ class CircleAction:
     ``flow_mode`` selects the analytic flow closure carried by the system or
     numeric integration of the normalized fast field (slow block frozen, so
     slow coordinates are preserved exactly in both modes). ``nodes`` is the
-    per-period sample count (a power of two).
+    per-period sample count (a power of two), and the only one: every orbit,
+    average and 𝒮 of the action samples this many phases.
 
     Numeric flows and orbits integrate Υ through code traced once per action
     (``_field``). An orbit of a dual state integrates Υ's variational equation
@@ -246,14 +247,14 @@ class CircleAction:
 
     # -- orbit sampling -----------------------------------------------------
 
-    def orbit(self, fast, slow, nodes: Optional[int] = None) -> OrbitSamples:
+    def orbit(self, fast, slow) -> OrbitSamples:
         """Orbit samples for a raw kernel state (batched coordinates allowed).
 
         The state may hold duals. ``fast_flow`` carries any of them, nested
         ones included; a numeric orbit carries one dual pass through the
         variational equation (``_orbit_numeric``).
         """
-        n = self.nodes if nodes is None else nodes
+        n = self.nodes
         times = TWO_PI * np.arange(n) / n
         if self.flow_mode == "analytic":
             expanded_fast = [_with_node_axis(c) for c in fast]
@@ -305,9 +306,9 @@ class CircleAction:
         return OrbitSamples(n, times, fast_out,
                             [sk.broadcast(_with_node_axis(c), shape) for c in slow])
 
-    def orbit_of_point(self, m: PhasePoint, nodes: Optional[int] = None) -> OrbitSamples:
+    def orbit_of_point(self, m: PhasePoint) -> OrbitSamples:
         self.system.require_in_domain(m)
-        return self.orbit(list(m.fast), list(m.slow), nodes)
+        return self.orbit(list(m.fast), list(m.slow))
 
     def profile(self, f: Callable, orbit: OrbitSamples) -> np.ndarray:
         """Samples of ``f`` along the orbit, broadcast to the full node axis."""
@@ -315,38 +316,31 @@ class CircleAction:
 
     # -- operators ------------------------------------------------------------
 
-    def average_scalar(self, f: Callable, m: PhasePoint, nodes: Optional[int] = None) -> float:
+    def average_scalar(self, f: Callable, m: PhasePoint) -> float:
         """⟨f⟩(m): mean of the orbit profile (spectrally accurate)."""
-        vals = self.profile(f, self.orbit_of_point(m, nodes))
+        vals = self.profile(f, self.orbit_of_point(m))
         return float(fourier_mean(vals))
 
-    def s_scalar(self, f: Callable, m: PhasePoint, nodes: Optional[int] = None) -> float:
+    def s_scalar(self, f: Callable, m: PhasePoint) -> float:
         """𝒮(f)(m): the zero-mean solution of L_Υ u = f − ⟨f⟩."""
-        vals = self.profile(f, self.orbit_of_point(m, nodes))
+        vals = self.profile(f, self.orbit_of_point(m))
         return float(s_from_samples(vals))
 
-    def solve_homological(self, g: Callable, m: PhasePoint,
-                          nodes: Optional[int] = None) -> float:
-        """Particular solution u = 𝒮(g) with ⟨u⟩ = 0."""
-        return self.s_scalar(g, m, nodes)
-
-    def average_slow_oneform(self, coeffs: Callable, m: PhasePoint,
-                             nodes: Optional[int] = None) -> np.ndarray:
+    def average_slow_oneform(self, coeffs: Callable, m: PhasePoint) -> np.ndarray:
         """Componentwise average of a slow-component 1-form along the orbit.
 
         Valid because slow coordinates are invariant under the flow, so the
         pullback leaves the coordinate differentials dp_i, dq_i untouched and
         only composes the coefficients with the flow.
         """
-        orbit = self.orbit_of_point(m, nodes)
+        orbit = self.orbit_of_point(m)
         comps = coeffs(orbit.fast, orbit.slow)
         return np.asarray([float(fourier_mean(_finite_samples(c, orbit, "1-form coefficients")))
                            for c in comps])
 
-    def s_slow_oneform(self, coeffs: Callable, m: PhasePoint,
-                       nodes: Optional[int] = None) -> np.ndarray:
+    def s_slow_oneform(self, coeffs: Callable, m: PhasePoint) -> np.ndarray:
         """Componentwise 𝒮 of a slow-component 1-form (zero-average by construction)."""
-        orbit = self.orbit_of_point(m, nodes)
+        orbit = self.orbit_of_point(m)
         comps = coeffs(orbit.fast, orbit.slow)
         return np.asarray([float(s_from_samples(_finite_samples(c, orbit, "1-form coefficients")))
                            for c in comps])

@@ -27,8 +27,7 @@ from .errors import (AdiakitError, ConfigError, DomainError, InvalidParameter,
                      NotFound, SlopeUndefined, UnsupportedOrder)
 from .experiments import check_f2, emit, full_field, order_sweep
 from .integrators import integrate
-from .invariants import (InvariantSeries, check_hypotheses, f1 as eval_f1,
-                         f2 as eval_f2, series_values)
+from .invariants import InvariantSeries, check_hypotheses, series_values
 
 USAGE_ERRORS = (ConfigError, DomainError, InvalidParameter, NotFound,
                 UnsupportedOrder, SlopeUndefined, ValueError)
@@ -120,16 +119,11 @@ def cmd_check(config: RunConfig, args) -> int:
 
 def cmd_invariant(config: RunConfig, args) -> int:
     order = config.order if args.order is None else args.order
-    if order not in (0, 1, 2):
-        raise UnsupportedOrder(f"series order must be 0, 1 or 2, got {order}")
     eps = args.eps if args.eps is not None else config.eps_grid[0]
     fixture, action, initial = config.build()
-    system = fixture.system
-
-    j_val = float(sk.value(system.J(*initial.state())))
-    f1_val = eval_f1(system, action, initial, strict=config.strict) if order >= 1 else 0.0
-    f2_val = eval_f2(system, action, initial, strict=config.strict) if order >= 2 else 0.0
-    series = j_val + eps * f1_val + 0.5 * eps * eps * f2_val
+    terms = InvariantSeries(fixture.system, action, order, config.strict).terms(initial)
+    j_val, f1_val, f2_val = terms
+    series = series_values(terms, eps, order)
 
     print(f"point   = {_fmt_vec(initial.coords)}")
     print(f"eps     = {eps:.12g}")

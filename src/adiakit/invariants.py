@@ -47,9 +47,13 @@ No difference step is taken: the analytic pass is exact to rounding, the
 numeric one to the integrator's tolerance. Cost per point: one orbit
 carrying D derivative parts.
 
-Every step is kernel arithmetic, so ``InvariantSeries.terms_state`` takes
-dual coordinates and keeps their derivatives, and ``lie_derivative`` of the
-series is exact:
+The same lifted orbit also gives F₁ at the base point: it is node 0 of the
+value part of G. So ``InvariantSeries.terms_state``, the one evaluator of
+the terms, samples one orbit per point at either order: the plain orbit for
+F₁ alone, the lifted one for F₁ and F₂.
+
+Every step is kernel arithmetic, so ``terms_state`` takes dual coordinates
+and keeps their derivatives, and ``lie_derivative`` of the series is exact:
 
 * analytic flow: F₁ and F₂ take an outer pass with scalar tangents (one
   direction, as ``DiffEngine.partials`` seeds it); F₂ lifts the point again
@@ -66,7 +70,7 @@ residuals (``ty2_residual``, ``ty3_residual``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -95,6 +99,10 @@ __all__ = [
     "ty2_residual",
     "ty3_residual",
 ]
+
+HYPOTHESIS_TOL = 1e-8  # every structural check of ``check_hypotheses``
+FLOW_STEP = 1e-4  # phase step of the central difference along the flow
+
 
 def d1j_coeffs(system: SlowFastSystem) -> Callable:
     """Oracle returning the 2k slow components of d₁J (for 1-form operators)."""
@@ -178,14 +186,12 @@ class HypothesisReport:
         }
 
 
-def check_hypotheses(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-                     tol: float = 1e-8, tolerances: Optional[dict] = None) -> HypothesisReport:
-    """Run all four structural checks at ``m`` with a shared default tolerance."""
-    tols = {"periodicity": tol, "momentum_map": tol, "adiabatic": tol,
-            "period_energy": tol}
-    if tolerances:
-        tols.update(tolerances)
-    _, per = action.check_periodicity(m, tols["periodicity"])
+def check_hypotheses(system: SlowFastSystem, action: CircleAction,
+                     m: PhasePoint) -> HypothesisReport:
+    """Run all four structural checks at ``m``, each against ``HYPOTHESIS_TOL``."""
+    tols = dict.fromkeys(("periodicity", "momentum_map", "adiabatic", "period_energy"),
+                         HYPOTHESIS_TOL)
+    _, per = action.check_periodicity(m, HYPOTHESIS_TOL)
     return HypothesisReport(
         periodicity_residual=per,
         momentum_map_residual=check_momentum_map(system, action, m),
@@ -199,8 +205,7 @@ def check_hypotheses(system: SlowFastSystem, action: CircleAction, m: PhasePoint
 # exact-case momentum map from the primitive 1-form y dx
 # ---------------------------------------------------------------------------
 
-def momentum_from_action(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-                         nodes: Optional[int] = None) -> float:
+def momentum_from_action(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> float:
     """Standard action built from the flat primitive 1-form Σ y_i dx_i.
 
     Averages the pulled-back 1-form along the orbit and contracts it with the
@@ -213,7 +218,7 @@ def momentum_from_action(system: SlowFastSystem, action: CircleAction, m: PhaseP
     fast, slow = m.state()
     r = system.r
     tag = sk.fresh_tag()
-    orbit = action.orbit([sk.Dual(c, e, tag) for c, e in zip(fast, np.eye(2 * r))], slow, nodes)
+    orbit = action.orbit([sk.Dual(c, e, tag) for c, e in zip(fast, np.eye(2 * r))], slow)
     full = (2 * r,) + orbit.batch_shape + (orbit.nodes,)
     pulled_back = 0.0  # Σ_i y_i ∂x_i/∂z_l along the orbit, one row per fast direction l
     for i in range(r):
@@ -258,32 +263,30 @@ def _k1_nodes(dh, dj, orbit: OrbitSamples):
 
 
 def _omega_at(system, fast, slow):
-    """ω on a raw state (duals kept), checked positive."""
+    """ω on a raw state (duals kept), checked positive (a NaN fails too)."""
     om = system.omega(fast, slow)
-    if np.any(np.asarray(sk.value(om)) <= 0.0):
+    if not np.all(np.asarray(sk.value(om)) > 0.0):
         raise NumericalError("frequency must be positive on the evaluation set")
     return om
-
-
-def _f1_state(system, orbit: OrbitSamples, fast, slow):
-    """First-order correction at a (possibly batched) raw state, from its orbit."""
-    dh, dj = _slow_partials(system, orbit)
-    shj = s_from_samples(_bracket1_profile(dh, dj, orbit))
-    k1_avg = fourier_mean(_k1_nodes(dh, dj, orbit))
-    return -(shj + k1_avg) / _omega_at(system, fast, slow)
 
 
 def _f1_nodes(system, orbit: OrbitSamples):
     """(F₁ at every node m_j of one orbit, slow partials of H there).
 
-    F₁(m_j) = −(𝒮_j({H,J}₁) + ⟨K₁⟩)/ω(m_j): ⟨K₁⟩ is the same at every node
-    and one FFT gives 𝒮 at all of them. The orbit may hold duals.
+    This is the one definition of F₁. F₁(m_j) = −(𝒮_j({H,J}₁) + ⟨K₁⟩)/ω(m_j):
+    ⟨K₁⟩ is the same at every node and one FFT gives 𝒮 at all of them. The
+    orbit may hold duals.
     """
     dh, dj = _slow_partials(system, orbit)
     shj = s_at_nodes(_bracket1_profile(dh, dj, orbit))
     k1_avg = fourier_mean(_k1_nodes(dh, dj, orbit), keepdims=True)
     omega = _profile_of(_omega_at(system, orbit.fast, orbit.slow), orbit)
     return -(shj + k1_avg) / omega, dh
+
+
+def _at_base(profile, orbit: OrbitSamples):
+    """Node 0 (the base point) of a profile over the orbit, duals kept."""
+    return sk.map_parts(lambda a: a[..., 0], _profile_of(profile, orbit))
 
 
 def _check_strict(action: CircleAction, m: PhasePoint, strict: bool):
@@ -295,18 +298,16 @@ def _check_strict(action: CircleAction, m: PhasePoint, strict: bool):
             f"fast flow is not 2π-periodic at this point (residual {residual:.3e})")
 
 
-def theta(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-          nodes: Optional[int] = None) -> np.ndarray:
+def theta(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> np.ndarray:
     """Θ = 𝒮(d₁J) at ``m`` as a slow-component vector of length 2k."""
-    return action.s_slow_oneform(d1j_coeffs(system), m, nodes)
+    return action.s_slow_oneform(d1j_coeffs(system), m)
 
 
-def k1(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-       nodes: Optional[int] = None) -> float:
+def k1(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> float:
     """K₁(m) = ½·(Θ_p·∂H/∂q − Θ_q·∂H/∂p), the slow contraction of Θ with dH."""
     system.require_in_domain(m)
     fast, slow = m.state()
-    th = theta(system, action, m, nodes)
+    th = theta(system, action, m)
     dh = [float(sk.value(d)) for d in DEFAULT_ENGINE.partials(system.H, fast, slow, "slow")]
     return float(0.5 * bracket_of_partials(th, dh))
 
@@ -314,10 +315,7 @@ def k1(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
 def f1(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
        strict: bool = False) -> float:
     """First-order correction F₁(m) = −(1/ω)(𝒮({H,J}₁) + ⟨K₁⟩)."""
-    system.require_in_domain(m)
-    _check_strict(action, m, strict)
-    fast, slow = m.state()
-    return float(_f1_state(system, action.orbit(fast, slow), fast, slow))
+    return InvariantSeries(system, action, 1, strict).terms(m)[1]
 
 
 def _without(x, tag):
@@ -326,12 +324,13 @@ def _without(x, tag):
 
 
 def _h_f1_bracket(system, action, fast, slow):
-    """{H, F₁}₁ at every node of the orbit of a raw kernel state.
+    """({H, F₁}₁ at every node of the orbit of a raw kernel state, F₁ there).
 
     One multidual pass (its own tag, a leading direction axis of length
     D = 2r + 2k) lifts the base point b = (z₀, w) through the orbit (analytic
     or numeric, see the module docstring) and ``_f1_nodes``; the base point's
-    plain orbit is not needed. The slow partials of F₁ at fixed fast
+    plain orbit is not needed, and F₁ at the base point is node 0 of the
+    pass's value part. The slow partials of F₁ at fixed fast
     coordinates follow node by node from the sensitivities of
     G_j = F₁(Fl_j(z₀, w), w) and of Fl_j, by the chain rule with the
     symplectic inverse of M = D_z Fl. Each matrix entry is one column of
@@ -372,22 +371,14 @@ def _h_f1_bracket(system, action, fast, slow):
         for i in range(n_fast):
             total = total - grad_z[i] * jac[i][a]
         df1.append(total)
-    return bracket_of_partials([_without(c, tag) for c in dh], df1)
-
-
-def _f2_state(system, action, fast, slow):
-    """F₂ = −(2/ω)·𝒮({H, F₁}₁) on a raw kernel state."""
-    bracket = _h_f1_bracket(system, action, fast, slow)
-    return -2.0 * s_from_samples(bracket) / _omega_at(system, fast, slow)
+    return (bracket_of_partials([_without(c, tag) for c in dh], df1),
+            _at_base(_without(g, tag), orbit))
 
 
 def f2(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
        strict: bool = False) -> float:
     """Second-order correction F₂(m) = −(2/ω)·𝒮({H, F₁}₁)."""
-    system.require_in_domain(m)
-    _check_strict(action, m, strict)
-    fast, slow = m.state()
-    return float(_f2_state(system, action, fast, slow))
+    return InvariantSeries(system, action, 2, strict).terms(m)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -419,16 +410,20 @@ class InvariantSeries:
     def terms_state(self, fast, slow):
         """(J, F₁, F₂) on a raw kernel state; terms beyond the order are 0.0.
 
+        One orbit per point: F₁ alone from the plain orbit, F₁ and
+        F₂ = −(2/ω)·𝒮({H, F₁}₁) from the one lifted orbit (module docstring).
         The coordinates may be floats, arrays of points or duals (the module
         docstring says which duals each flow mode takes), and the terms keep
         them.
         """
         system = self.system
         j_vals, f1_vals, f2_vals = system.J(fast, slow), 0.0, 0.0
-        if self.order >= 1:
-            f1_vals = _f1_state(system, self.action.orbit(fast, slow), fast, slow)
-        if self.order >= 2:
-            f2_vals = _f2_state(system, self.action, fast, slow)
+        if self.order == 1:
+            orbit = self.action.orbit(fast, slow)
+            f1_vals = _at_base(_f1_nodes(system, orbit)[0], orbit)
+        elif self.order == 2:
+            bracket, f1_vals = _h_f1_bracket(system, self.action, fast, slow)
+            f2_vals = -2.0 * s_from_samples(bracket) / _omega_at(system, fast, slow)
         return j_vals, f1_vals, f2_vals
 
     def terms_batch(self, coords: np.ndarray):
@@ -470,27 +465,24 @@ def lie_derivative(system: SlowFastSystem, F: Callable, m: PhasePoint, eps: floa
     return float(np.dot(grad, vel))
 
 
-def _d_dt_along_flow(action: CircleAction, point_fn: Callable, m: PhasePoint,
-                     step: float = 1e-4) -> float:
+def _d_dt_along_flow(action: CircleAction, point_fn: Callable, m: PhasePoint) -> float:
     """Central difference of t ↦ point_fn(Fl^t m) at t = 0 (equals L_Υ)."""
-    plus = point_fn(action.flow(step, m))
-    minus = point_fn(action.flow(-step, m))
-    return (plus - minus) / (2.0 * step)
+    plus = point_fn(action.flow(FLOW_STEP, m))
+    minus = point_fn(action.flow(-FLOW_STEP, m))
+    return (plus - minus) / (2.0 * FLOW_STEP)
 
 
-def ty2_residual(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-                 step: float = 1e-4) -> float:
+def ty2_residual(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> float:
     """|L_Υ F₁ + (1/ω){H,J}₁| — defect of the first-order homological equation."""
     system.require_in_domain(m)
     fast, slow = m.state()
-    deriv = _d_dt_along_flow(action, lambda p: f1(system, action, p), m, step)
+    deriv = _d_dt_along_flow(action, lambda p: f1(system, action, p), m)
     hj = float(sk.value(state_bracket1(system.H, system.J, fast, slow)))
     omega = float(sk.value(system.omega(fast, slow)))
     return abs(deriv + hj / omega)
 
 
-def ty3_residual(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-                 step: float = 1e-4) -> float:
+def ty3_residual(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> float:
     """Defect of the second-order homological equation, |L_Υ F₂ + (2/ω){H,F₁}₁|.
 
     With the series normalized as J + εF₁ + ε²/2·F₂, order-by-order expansion
@@ -500,7 +492,7 @@ def ty3_residual(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
     """
     system.require_in_domain(m)
     fast, slow = m.state()
-    deriv = _d_dt_along_flow(action, lambda p: f2(system, action, p), m, step)
-    hf1 = _h_f1_bracket(system, action, fast, slow)
+    deriv = _d_dt_along_flow(action, lambda p: f2(system, action, p), m)
+    hf1, _ = _h_f1_bracket(system, action, fast, slow)
     omega = float(sk.value(system.omega(fast, slow)))
     return abs(deriv + 2.0 * float(hf1[..., 0]) / omega)

@@ -71,7 +71,6 @@ from .errors import TraceError
 __all__ = [
     "Dual",
     "value",
-    "seed",
     "fresh_tag",
     "derivative",
     "extract_partial",
@@ -211,11 +210,6 @@ def value(x):
     if isinstance(x, _Trace):
         raise TraceError("value() would drop the derivative of a traced value")
     return x
-
-
-def seed(x, dot=1.0, tag=None):
-    """Lift ``x`` to a dual carrying the directional derivative ``dot``."""
-    return Dual(x, dot, fresh_tag() if tag is None else tag)
 
 
 def extract_partial(out, tag):

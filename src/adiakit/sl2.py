@@ -21,7 +21,7 @@ import numpy as np
 from . import kernel as sk
 from .circle import s_from_samples
 from .errors import DegenerateFamily
-from .phase import DEFAULT_ENGINE, Box, PhasePoint, SlowFastSystem
+from .phase import DEFAULT_ENGINE, Box, PhasePoint, SlowFastSystem, bracket_of_partials
 
 __all__ = [
     "Sl2Field",
@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 DET_TOL = 1e-8
+CLOSED_NODES = 16  # f2_closed's integrand has degree <= 6 in the flow phase
 
 
 # -- tiny matrix algebra on (m00, m01, m10, m11) tuples ----------------------
@@ -201,23 +202,7 @@ def f1_closed(qs: QuadraticSystem, m: PhasePoint) -> float:
     """
     z, slow = m.state()
     _require_unimodular(qs.field, slow)
-    A = tuple(sk.value(e) for e in qs.field.matrix(slow))
-    om = float(sk.value(qs.omega(slow)))
-    Bm = tuple(sk.value(e) for e in slow_bracket_matrix(qs.h, qs.field, slow, qs.k))
-    Cm = tuple(sk.value(e) for e in slow_bracket_matrix(qs.omega, qs.field, slow, qs.k))
-
-    lead = q_form(mat_comm(A, Bm), z) + q_form(A, z) * q_form(mat_comm(A, Cm), z)
-    total = -lead / (4.0 * om)
-
-    dA = _entry_partials(qs.field, slow)
-    dA = [tuple(sk.value(e) for e in M) for M in dA]
-    k = qs.k
-    deriv_sum = 0.0
-    for i in range(k):
-        Mp, Nq = dA[i], dA[k + i]
-        deriv_sum += (q_form(mat_mul(A, Mp), z) * q_form(Nq, z)
-                      - q_form(mat_mul(A, Nq), z) * q_form(Mp, z))
-    return float(total - 0.25 * deriv_sum)
+    return float(sk.value(_f1_closed_oracle(qs)(z, slow)))
 
 
 def _f1_closed_oracle(qs: QuadraticSystem):
@@ -242,7 +227,7 @@ def _f1_closed_oracle(qs: QuadraticSystem):
     return oracle
 
 
-def f2_closed(qs: QuadraticSystem, m: PhasePoint, nodes: int = 16) -> float:
+def f2_closed(qs: QuadraticSystem, m: PhasePoint) -> float:
     """Second-order correction of the family, exactly evaluated.
 
     Solves the second-order homological equation with the closed-form F₁:
@@ -257,16 +242,13 @@ def f2_closed(qs: QuadraticSystem, m: PhasePoint, nodes: int = 16) -> float:
     system = qs.system()
     f1_oracle = _f1_closed_oracle(qs)
 
-    times = 2.0 * np.pi * np.arange(nodes) / nodes
+    times = 2.0 * np.pi * np.arange(CLOSED_NODES) / CLOSED_NODES
     A = tuple(float(sk.value(e)) for e in qs.field.matrix(slow))
     z_t = linear_flow(A, times, [np.asarray(z[0]), np.asarray(z[1])])
 
     df1 = DEFAULT_ENGINE.partials(f1_oracle, z_t, slow, "slow")
     dh = DEFAULT_ENGINE.partials(system.H, z_t, slow, "slow")
-    k = qs.k
-    bracket = 0.0
-    for i in range(k):
-        bracket = bracket + dh[i] * df1[k + i] - dh[k + i] * df1[i]
+    bracket = bracket_of_partials(dh, df1)
     profile = np.broadcast_to(np.asarray(sk.value(bracket), dtype=float), times.shape)
     om = float(sk.value(qs.omega(slow)))
     return float(-2.0 * s_from_samples(profile) / om)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from adiakit import ConfigError, IntegratorConfig
+from adiakit import ConfigError, IntegratorConfig, circle
 from adiakit.cli import main
 from adiakit.config import RunConfig
 from adiakit.experiments import DriftConfig, check_f2, emit, order_sweep
@@ -73,6 +73,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["check", "--config", bad]) == 2
     assert main(["invariant", "--config", good, "--order", "3"]) == 2
     assert "single definition" in capsys.readouterr().err
+
+
+def test_numeric_invariant_integrates_one_orbit_per_point(tmp_path, monkeypatch, capsys):
+    # F1 and F2 both come from the one dual orbit of the point
+    runs = []
+    integrate = circle.integrate
+    monkeypatch.setattr(circle, "integrate", lambda *a, **kw: runs.append(1) or integrate(*a, **kw))
+    config = _write(tmp_path, "[fixture]\nname = elastic_pendulum\n\n"
+                              "[quadrature]\nnodes = 8\nflow_mode = numeric\n")
+    assert main(["invariant", "--config", config, "--order", "2"]) == 0
+    assert "F2" in capsys.readouterr().out
+    assert len(runs) == 1
 
 
 def test_cli_rejects_removed_variant_flag(tmp_path):

@@ -1,6 +1,7 @@
 """Package layout: modules use each other only through public names."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import adiakit
@@ -17,6 +18,16 @@ def test_no_private_imports_across_modules():
                               f"import {alias.name}"
                               for alias in node.names if alias.name.startswith("_")]
     assert offenders == []
+
+
+def test_every_exported_name_exists():
+    missing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "adiakit" if path.stem == "__init__" else f"adiakit.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{path.name}: {export}" for export in getattr(module, "__all__", ())
+                    if not hasattr(module, export)]
+    assert missing == []
 
 
 def _imported_names(tree):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from adiakit import (CircleAction, HypothesisViolation, InvariantSeries, NotFound,
-                     PhasePoint, SlowFastSystem, UnsupportedDerivative, UnsupportedOrder,
+                     NumericalError, PhasePoint, SlowFastSystem, UnsupportedDerivative, UnsupportedOrder,
                      assemble, charged_particle, check_adiabatic,
                      check_hypotheses, check_momentum_map, check_period_energy,
                      elastic_pendulum, f1, f2, grad_fast, grad_full, k1, lie_derivative,
@@ -15,7 +15,7 @@ from adiakit import (CircleAction, HypothesisViolation, InvariantSeries, NotFoun
                      verify_transverse_momentum)
 from adiakit import circle
 from adiakit import kernel as sk
-from adiakit.invariants import _f2_state, series_values
+from adiakit.invariants import series_values
 from adiakit.sl2 import f2_closed
 
 from conftest import nondegenerate_system, sample_points
@@ -248,6 +248,11 @@ def test_numeric_flow_f2_matches_analytic(request, fixture_name):
 
 # -- duals through the series ---------------------------------------------------------
 
+def _term_oracle(system, action, index):
+    series = InvariantSeries(system, action, index)
+    return lambda fast, slow: series.terms_state(fast, slow)[index]
+
+
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
 def test_f2_state_passes_an_outer_dual_through(request, fixture_name):
     # the chain rule is kernel arithmetic, so a one-direction dual of an
@@ -259,7 +264,7 @@ def test_f2_state_passes_an_outer_dual_through(request, fixture_name):
         tag = sk.fresh_tag()
         state = list(coords)
         state[i] = sk.Dual(state[i], 1.0, tag)
-        out = _f2_state(system, action, state[:n_fast], state[n_fast:])
+        out = _term_oracle(system, action, 2)(state[:n_fast], state[n_fast:])
         assert isinstance(out, sk.Dual) and out.tag == tag
         # Dual divides by multiplying with the inverse: the value may move by an ulp
         assert float(out.val) == pytest.approx(f2(system, action, fixture.initial), rel=1e-14)
@@ -277,12 +282,7 @@ def test_f2_rejects_an_outer_direction_axis(pendulum):
         tag = sk.fresh_tag()
         state = [sk.Dual(c, e[:directions], tag) for c, e in zip(coords, np.eye(system.dim))]
         with pytest.raises(UnsupportedDerivative):
-            _f2_state(system, CircleAction(system), state[:2], state[2:])
-
-
-def _term_oracle(system, action, index):
-    series = InvariantSeries(system, action, index)
-    return lambda fast, slow: series.terms_state(fast, slow)[index]
+            _term_oracle(system, CircleAction(system), 2)(state[:2], state[2:])
 
 
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
@@ -317,13 +317,13 @@ def test_analytic_f2_samples_one_orbit_per_batch(pendulum, rng, monkeypatch):
         calls.clear()
         assemble(pendulum.system, action, order).terms_batch(coords)
         counts.append(len(calls))
-    assert counts == [1, 2]  # F1's orbit, then the one lifted orbit of F2
+    assert counts == [1, 1]  # F1's plain orbit; at order 2 the one lifted orbit gives F1 and F2
 
 
 def test_numeric_f2_integrates_each_orbit_once(pendulum, rng, monkeypatch):
-    # F1 needs the base orbit, F2 one dual orbit (with its variational
-    # equation): one lane per point each, in one run per batch. Counted in
-    # points: a 1-D y0 is one
+    # F1 and F2 come from one dual orbit (with its variational equation):
+    # one lane per point, in one run per batch. Counted in points: a 1-D y0
+    # is one
     runs = []
     integrate = circle.integrate
 
@@ -335,11 +335,35 @@ def test_numeric_f2_integrates_each_orbit_once(pendulum, rng, monkeypatch):
     action = CircleAction(pendulum.system, flow_mode="numeric", nodes=8)
     points = sample_points(pendulum, rng, 2)
     assemble(pendulum.system, action, 2).terms_batch(np.stack([m.coords for m in points]))
-    assert runs == [2, 2]
+    assert runs == [2]
     runs.clear()
     f1(pendulum.system, action, points[0])
     f2(pendulum.system, action, points[0])
     assert runs == [1, 1]
+
+
+def test_f1_is_the_same_at_orders_one_and_two(pendulum, particle, rng):
+    # order 1 reads F1 off the plain orbit, order 2 off the value part of its
+    # lifted orbit. The pendulum's oracles divide by no dual, so the bits
+    # agree; a Dual quotient's value is x·(1/y), which moves the particle's
+    # F1 by rounding (measured <= 1.1e-14 relative)
+    for fixture, rel in ((pendulum, 0.0), (particle, 1e-13)):
+        coords = np.stack([m.coords for m in sample_points(fixture, rng, 8)])
+        action = CircleAction(fixture.system)
+        by_order = [assemble(fixture.system, action, order).terms_batch(coords)[1]
+                    for order in (1, 2)]
+        assert np.allclose(by_order[0], by_order[1], rtol=rel, atol=0.0)
+        assert rel or np.array_equal(by_order[0], by_order[1])
+
+
+def test_nan_frequency_raises(particle):
+    # q2 = NaN makes the particle's ω NaN, which fails ω > 0: NumericalError,
+    # not NaN terms
+    coords = np.stack([particle.initial.coords] * 2)
+    coords[1, 3] = np.nan
+    for order in (1, 2):
+        with pytest.raises(NumericalError):
+            assemble(particle.system, CircleAction(particle.system), order).terms_batch(coords)
 
 
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])

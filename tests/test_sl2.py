@@ -257,7 +257,7 @@ def test_printed_f2_display_recorded_for_comparison(rng):
 
 
 def hamiltonian_contraction_two_ways(qs: QuadraticSystem, action: CircleAction,
-                                     m: PhasePoint, nodes: int = 32):
+                                     m: PhasePoint):
     """i_dH<i_Theta Psi_1> via explicit tangent maps versus the scalar average.
 
     The vector-field average needs the pullback of slow tangent vectors under
@@ -267,7 +267,7 @@ def hamiltonian_contraction_two_ways(qs: QuadraticSystem, action: CircleAction,
     """
     system = qs.system()
     fast, slow = m.state()
-    orbit = action.orbit(fast, slow, nodes)
+    orbit = action.orbit(fast, slow)
     times = orbit.times
     k = qs.k
 
@@ -309,7 +309,7 @@ def test_invariance_reduction_identity(rng):
     # plain scalar average, for constant and varying omega
     for constant_omega in (True, False):
         qs = nondegenerate_system(constant_omega)
-        action = CircleAction(qs.system())
+        action = CircleAction(qs.system(), nodes=32)
         for _ in range(4):
             coords = rng.uniform(-1.0, 1.0, 4)
             m = PhasePoint(coords[:2], coords[2:])
