@@ -13,6 +13,18 @@ it, and is exact for orbit profiles that are trigonometric polynomials of
 degree below N/2 (the Nyquist bin carries no recoverable phase and is
 dropped). Both operators are linear, so they also take dual profiles and
 act on each part.
+
+N is chosen from the spectrum, not fixed (``CircleAction.resolve``; Trefethen
+& Weideman, SIAM Rev. 56 (2014); Aurentz & Trefethen, ACM TOMS 43 (2017)):
+an evaluation runs at N = 8, 16, … up to the action's cap ``nodes`` and stops
+at the first N at which every profile fed to ⟨·⟩ or 𝒮 has a tail
+max_{N/4<k≤N/2} |f̂_k| of at most ``TAIL_TOL``·max_k |f̂_k|. The operators read
+the tail off the FFT that 𝒮 takes; ⟨·⟩ takes one for it while a loop is open.
+Below the cap, the first unresolved profile ends the evaluation at that N.
+Numeric orbits carry the integrator's relative error, which more nodes do
+not reduce: their tails read up to 0.64·``rtol`` where an analytic orbit's
+read 1e-14 (both fixtures, rtol 1e-8 to 1e-12), so their tolerance is the
+larger of ``TAIL_TOL`` and 10·``rtol``.
 """
 
 from __future__ import annotations
@@ -37,6 +49,42 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+FIRST_NODES = 8  # the node count a resolving loop starts at (below the cap)
+TAIL_TOL = 1e-12  # largest resolved tail, relative to a profile's largest harmonic
+
+
+class _Unresolved(Exception):
+    """An unresolved profile below the cap: the evaluation stops, N doubles."""
+
+
+class _Loop:
+    """One evaluation of an open ``CircleAction.resolve`` at one node count
+    (a plain class: a dataclass would cost about a millisecond at import)."""
+
+    __slots__ = ("tol", "at_cap", "resolved")
+
+    def __init__(self, tol: float, at_cap: bool):
+        self.tol, self.at_cap, self.resolved = tol, at_cap, True
+
+
+_open_loops = []  # innermost last
+
+
+def _note_tail(samples, coeff=None) -> None:
+    """Check that every row of the profile ``samples`` (node axis last) has a
+    resolved tail, while a loop is open and resolved so far. ``coeff`` are the
+    profile's discrete Fourier coefficients, if at hand. An unresolved row
+    raises :class:`_Unresolved` below the cap and flags the loop at it."""
+    if not (_open_loops and _open_loops[-1].resolved):
+        return
+    mag = np.abs(np.fft.rfft(samples, axis=-1) if coeff is None else coeff)
+    quarter = (mag.shape[-1] - 1) // 2  # N/4
+    # a NaN fails the comparison too
+    loop = _open_loops[-1]
+    if not np.all(mag[..., quarter + 1:] <= loop.tol * mag.max(axis=-1, keepdims=True)):
+        if not loop.at_cap:
+            raise _Unresolved
+        loop.resolved = False
 
 
 def _per_part(op):
@@ -51,6 +99,7 @@ def _per_part(op):
 @_per_part
 def fourier_mean(samples: np.ndarray, keepdims: bool = False) -> np.ndarray:
     """Orbit average: the 0-th discrete Fourier coefficient."""
+    _note_tail(samples)
     return np.mean(samples, axis=-1, keepdims=keepdims)
 
 
@@ -59,6 +108,7 @@ def s_from_samples(samples: np.ndarray) -> np.ndarray:
     """𝒮 of an orbit profile, evaluated at the base point (phase 0)."""
     n_nodes = samples.shape[-1]
     coeff = np.fft.rfft(samples, axis=-1) / n_nodes
+    _note_tail(samples, coeff)
     weight = np.zeros(coeff.shape[-1])
     weight[1:] = 2.0 / np.arange(1, coeff.shape[-1])
     if n_nodes % 2 == 0:
@@ -75,6 +125,7 @@ def s_at_nodes(samples: np.ndarray) -> np.ndarray:
     """
     n_nodes = samples.shape[-1]
     coeff = np.fft.rfft(samples, axis=-1)
+    _note_tail(samples, coeff)
     freqs = np.arange(coeff.shape[-1])
     scaled = np.zeros_like(coeff)
     scaled[..., 1:] = coeff[..., 1:] * (-1j / freqs[1:])
@@ -116,12 +167,17 @@ class OrbitSamples:
     fast: list
     slow: list
 
-    def state(self):
-        return self.fast, self.slow
-
     @property
     def batch_shape(self):
         return np.shape(sk.value(self.fast[0]))[:-1]
+
+    def every(self, stride: int) -> "OrbitSamples":
+        """The orbit at ``nodes / stride`` nodes: every ``stride``-th sample."""
+        def pick(c):
+            return sk.map_parts(lambda a: a[..., ::stride], c)
+
+        return OrbitSamples(self.nodes // stride, self.times[::stride],
+                            [pick(c) for c in self.fast], [pick(c) for c in self.slow])
 
 
 @dataclass
@@ -130,9 +186,10 @@ class CircleAction:
 
     ``flow_mode`` selects the analytic flow closure carried by the system or
     numeric integration of the normalized fast field (slow block frozen, so
-    slow coordinates are preserved exactly in both modes). ``nodes`` is the
-    per-period sample count (a power of two), and the only one: every orbit,
-    average and 𝒮 of the action samples this many phases.
+    slow coordinates are preserved exactly in both modes). ``nodes`` (a power
+    of two) caps the per-period sample count: each evaluation of ⟨·⟩ or 𝒮
+    runs at the smallest N ≤ ``nodes`` that resolves its profiles
+    (``resolve``), and ``orbit`` samples ``nodes`` phases.
 
     Numeric flows and orbits integrate Υ through code traced once per action
     (``_field``). An orbit of a dual state integrates Υ's variational equation
@@ -194,34 +251,34 @@ class CircleAction:
         ``bind(*slow, *W, positive)`` binds the 2k slow values and their
         tangents W and returns ``rhs(t, y)`` over the 2r fast columns and their
         tangents V (tangents coordinate by coordinate, D each). It serves one
-        point (floats) and lanes ((lanes,) arrays) alike. ω is a traced output
-        too, so a call computes it once, and ``rhs`` raises
-        :class:`NumericalError` unless ``positive(ω)`` holds. On floats ω = 0
-        divides by zero inside the traced code, before the check: only then is
-        ω evaluated again, to tell that case from other divisions by zero.
+        point (floats) and lanes ((lanes,) arrays) alike. ω is a traced guard
+        output, returned apart from Υ and its tangents, so a call computes it
+        once, and ``rhs`` raises :class:`NumericalError` unless ``positive(ω)``
+        holds. On floats ω = 0 divides by zero inside the traced code, before
+        the check: only then is ω evaluated again, to tell that case from other
+        divisions by zero.
         """
         bind = self._fields.get(directions)
         if bind is None:
             r, k, n = self.system.r, self.system.k, directions
             z, s = [f"z{i}" for i in range(2 * r)], [f"s{i}" for i in range(2 * k)]
             v, w_dot = [f"v{i}" for i in range(2 * r * n)], [f"ws{i}" for i in range(2 * k * n)]
-            upsilon = 1 + 2 * r  # out = (ω, Υ.., ω's D tangents, Υ's tangents..)
             source = (f"def bind({', '.join(s + w_dot + ['positive'])}):\n"
                       f"    slow = [{', '.join(s)}]\n"
                       "    def rhs(t, y):\n"
                       f"        {', '.join(z + v)}, = y\n"
                       "        try:\n"
-                      f"            out = tangent({', '.join(z + s + v + w_dot)})\n"
+                      f"            w, out = tangent({', '.join(z + s + v + w_dot)})\n"
                       "        except ZeroDivisionError:\n"
-                      f"            out = (omega([{', '.join(z)}], slow),)\n"
-                      "            if positive(out[0]):\n"
+                      f"            w = omega([{', '.join(z)}], slow)\n"
+                      "            if positive(w):\n"
                       "                raise\n"
-                      "        if not positive(out[0]):\n"
+                      "        if not positive(w):\n"
                       "            raise NumericalError('frequency function must stay positive')\n"
-                      f"        return out[1:{upsilon}] + out[{upsilon + n}:]\n"
+                      "        return out\n"
                       "    return rhs\n")
             namespace = {"NumericalError": NumericalError, "omega": self.system.omega,
-                         "tangent": sk.tangent(self._normalized_field, (2 * r, 2 * k), n)}
+                         "tangent": sk.tangent(self._normalized_field, (2 * r, 2 * k), n, guards=1)}
             exec(compile(source, "<normalized fast field>", "exec"), namespace)
             bind = self._fields[n] = namespace["bind"]
         return bind
@@ -247,14 +304,15 @@ class CircleAction:
 
     # -- orbit sampling -----------------------------------------------------
 
-    def orbit(self, fast, slow) -> OrbitSamples:
-        """Orbit samples for a raw kernel state (batched coordinates allowed).
+    def orbit(self, fast, slow, *, _nodes=None) -> OrbitSamples:
+        """Orbit samples for a raw kernel state (batched coordinates allowed),
+        at the cap ``nodes`` or at the node count ``resolve`` passes.
 
         The state may hold duals. ``fast_flow`` carries any of them, nested
         ones included; a numeric orbit carries one dual pass through the
         variational equation (``_orbit_numeric``).
         """
-        n = self.nodes
+        n = self.nodes if _nodes is None else _nodes
         times = TWO_PI * np.arange(n) / n
         if self.flow_mode == "analytic":
             expanded_fast = [_with_node_axis(c) for c in fast]
@@ -306,25 +364,62 @@ class CircleAction:
         return OrbitSamples(n, times, fast_out,
                             [sk.broadcast(_with_node_axis(c), shape) for c in slow])
 
-    def orbit_of_point(self, m: PhasePoint) -> OrbitSamples:
-        self.system.require_in_domain(m)
-        return self.orbit(list(m.fast), list(m.slow))
-
     def profile(self, f: Callable, orbit: OrbitSamples) -> np.ndarray:
         """Samples of ``f`` along the orbit, broadcast to the full node axis."""
         return _finite_samples(f(orbit.fast, orbit.slow), orbit, "orbit profile")
 
     # -- operators ------------------------------------------------------------
 
+    def resolve(self, evaluate: Callable, fast, slow):
+        """(``evaluate(orbit)``, N, resolved) at the smallest node count N that
+        resolves every profile ``evaluate`` feeds to ⟨·⟩ and 𝒮.
+
+        The orbit of the raw kernel state (``orbit``) is sampled at
+        N = min(8, cap), 16, 32, … up to the cap ``nodes``, one N for the
+        whole batch, until every row of every part of those profiles has a
+        resolved tail (module docstring). Below the cap the first unresolved
+        profile ends the evaluation at that N. A batch still unresolved at the
+        cap comes back evaluated there, with resolved False.
+
+        An analytic orbit is sampled at each N. A numeric orbit is integrated
+        once, to the cap's nodes, and each N takes every (cap/N)-th sample:
+        the integration, not N, sets its cost, and its samples at the nodes
+        of N do not depend on N.
+        """
+        if self.flow_mode == "analytic":
+            tol = TAIL_TOL
+
+            def orbit_at(n):
+                return self.orbit(fast, slow, _nodes=n)
+        else:
+            tol, full = max(TAIL_TOL, 10.0 * self.rtol), self.orbit(fast, slow)
+
+            def orbit_at(n):
+                return full.every(self.nodes // n)
+        n = min(FIRST_NODES, self.nodes)
+        while True:
+            loop = _Loop(tol, at_cap=n >= self.nodes)
+            _open_loops.append(loop)
+            try:
+                return evaluate(orbit_at(n)), n, loop.resolved
+            except _Unresolved:
+                n *= 2
+            finally:
+                _open_loops.pop()
+
+    def _resolve_point(self, evaluate: Callable, m: PhasePoint):
+        self.system.require_in_domain(m)
+        return self.resolve(evaluate, *m.state())[0]
+
     def average_scalar(self, f: Callable, m: PhasePoint) -> float:
         """⟨f⟩(m): mean of the orbit profile (spectrally accurate)."""
-        vals = self.profile(f, self.orbit_of_point(m))
-        return float(fourier_mean(vals))
+        return self._resolve_point(
+            lambda orbit: float(fourier_mean(self.profile(f, orbit))), m)
 
     def s_scalar(self, f: Callable, m: PhasePoint) -> float:
         """𝒮(f)(m): the zero-mean solution of L_Υ u = f − ⟨f⟩."""
-        vals = self.profile(f, self.orbit_of_point(m))
-        return float(s_from_samples(vals))
+        return self._resolve_point(
+            lambda orbit: float(s_from_samples(self.profile(f, orbit))), m)
 
     def average_slow_oneform(self, coeffs: Callable, m: PhasePoint) -> np.ndarray:
         """Componentwise average of a slow-component 1-form along the orbit.
@@ -333,14 +428,14 @@ class CircleAction:
         pullback leaves the coordinate differentials dp_i, dq_i untouched and
         only composes the coefficients with the flow.
         """
-        orbit = self.orbit_of_point(m)
-        comps = coeffs(orbit.fast, orbit.slow)
-        return np.asarray([float(fourier_mean(_finite_samples(c, orbit, "1-form coefficients")))
-                           for c in comps])
+        return self._resolve_point(lambda orbit: _oneform(fourier_mean, coeffs, orbit), m)
 
     def s_slow_oneform(self, coeffs: Callable, m: PhasePoint) -> np.ndarray:
         """Componentwise 𝒮 of a slow-component 1-form (zero-average by construction)."""
-        orbit = self.orbit_of_point(m)
-        comps = coeffs(orbit.fast, orbit.slow)
-        return np.asarray([float(s_from_samples(_finite_samples(c, orbit, "1-form coefficients")))
-                           for c in comps])
+        return self._resolve_point(lambda orbit: _oneform(s_from_samples, coeffs, orbit), m)
+
+
+def _oneform(op, coeffs: Callable, orbit: OrbitSamples) -> np.ndarray:
+    """``op`` applied to each coefficient profile of a slow-component 1-form."""
+    return np.asarray([float(op(_finite_samples(c, orbit, "1-form coefficients")))
+                       for c in coeffs(orbit.fast, orbit.slow)])

@@ -198,11 +198,18 @@ def cmd_drift(config: RunConfig, args) -> int:
         window = "ok" if fit.in_window else "OUT"
         print(f"{order:>5d}  {fit.slope:>8.4f}  {fit.residual:>10.3e}  "
               f"{fit.n_points}  {list(fit.excluded_eps) or '-'}  [{window}]")
+    print("orbit nodes  " + "  ".join(f"eps {eps!r}: {'-' if n is None else n}"
+                                      for eps, (n, _) in report.resolution.items()))
     for path in written:
         print(f"wrote {path}")
     print(f"wall time {time.perf_counter() - started:.1f} s")
 
-    ok = report.slope_contract_ok() and (f2_check is None or f2_check["ok"])
+    unresolved = report.unresolved_eps()
+    if unresolved:
+        print(f"warning: orbit profiles unresolved at the node cap {drift_cfg.outer_nodes} "
+              f"for eps {', '.join(repr(e) for e in unresolved)}", file=sys.stderr)
+    ok = (report.slope_contract_ok() and (f2_check is None or f2_check["ok"])
+          and not unresolved)
     if not ok:
         print("drift contract not met", file=sys.stderr)
         return 1

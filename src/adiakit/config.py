@@ -11,12 +11,15 @@ Sections and keys::
     [output]      dir, format
 
 ``initial`` is the flat coordinate vector in block order (y.., x.., p.., q..).
+``nodes`` caps the per-period orbit node count (a power of two): each
+evaluation takes the smallest N ≤ ``nodes`` that resolves its orbit profiles
+(``CircleAction.resolve``).
 Unknown sections or keys are rejected. Numbers are decimal literals; lists are
 comma-separated. Two removed keys are rejected with messages of their own:
 ``variant``, which chose between two readings of F₂ (F₂ now has a single
 definition), and ``inner_nodes``, which sized the orbits behind the finite
 differences that F₂ once took of F₁ (F₂ now takes the slow derivatives of F₁
-from the one orbit of ``nodes`` samples per point).
+from the one orbit per point).
 """
 
 from __future__ import annotations
@@ -38,9 +41,6 @@ _PARAM_NAMES = {
     "elastic_pendulum": ("omega", "gamma", "omega_scale"),
     "charged_particle": ("b", "lam"),
 }
-
-_FLOAT_KEYS = {"rtol", "atol", "dt", "horizon_c"}
-_INT_KEYS = {"max_steps", "nodes", "samples", "order"}
 
 
 @dataclass(frozen=True)

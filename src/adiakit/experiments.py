@@ -158,7 +158,9 @@ def _h_drift(system, coords: np.ndarray) -> float:
 
 
 def _sweep_job(payload: dict) -> dict:
-    """One ε of a sweep: integrate once, evaluate every requested order."""
+    """One ε of a sweep: integrate once, evaluate every requested order, and
+    report the orbit node count the series settled at and whether it
+    resolved the orbit profiles."""
     config: DriftConfig = payload["config"]
     eps: float = payload["eps"]
     fixture, action, initial = config.build()
@@ -166,8 +168,9 @@ def _sweep_job(payload: dict) -> dict:
     traj = _trajectory(system, initial, eps, config.horizon_c,
                        config.samples, config.integrator)
     series = InvariantSeries(system, action, max(config.orders))
-    terms = series.terms_batch(traj.states)
+    terms, nodes, resolved = series.resolve_batch(traj.states)
     return {"eps": eps, "h_drift": _h_drift(system, traj.states),
+            "nodes": nodes, "resolved": resolved,
             "orders": {order: _drift_from_terms(terms, eps, order)
                        for order in config.orders}}
 
@@ -219,9 +222,16 @@ class DriftReport:
     slopes: dict
     metadata: dict
     wall_time_s: float = 0.0  # informational only; never serialized
+    # ε -> (orbit node count, resolved), the count None when no order needs an
+    # orbit; never serialized, so the reports keep their bytes under any cap
+    resolution: dict = field(default_factory=dict)
 
     def slope_contract_ok(self) -> bool:
         return all(self.slopes[o].in_window for o in self.orders if o in self.slopes)
+
+    def unresolved_eps(self) -> list:
+        """The ε whose orbit profiles were still unresolved at the node cap."""
+        return [eps for eps, (_, resolved) in self.resolution.items() if not resolved]
 
     def to_json_dict(self) -> dict:
         return {
@@ -285,6 +295,7 @@ def order_sweep(config: DriftConfig) -> DriftReport:
             "samples": config.samples,
         },
         wall_time_s=time.perf_counter() - started,
+        resolution={res["eps"]: (res["nodes"], res["resolved"]) for res in results},
     )
     return report
 

@@ -21,7 +21,8 @@ The corrections are assembled from circle-action quadratures only:
 
 F₂ needs the slow partials of F₁, a quadrature-defined scalar, at every node
 m_j = (Fl^{t_j}(z₀), w) of the orbit of the base point m = (z₀, w). One orbit
-of N = ``action.nodes`` samples gives them all:
+of N samples gives them all, N chosen from the spectrum of the profiles up to
+the cap ``action.nodes`` (``CircleAction.resolve``):
 
 * F₁ at node j is −(𝒮_j({H,J}₁) + ⟨K₁⟩)/ω(m_j): ⟨K₁⟩ is the same at every
   node, and 𝒮 at all nodes takes one FFT of the orbit profile (the profile
@@ -48,9 +49,10 @@ numeric one to the integrator's tolerance. Cost per point: one orbit
 carrying D derivative parts.
 
 The same lifted orbit also gives F₁ at the base point: it is node 0 of the
-value part of G. So ``InvariantSeries.terms_state``, the one evaluator of
-the terms, samples one orbit per point at either order: the plain orbit for
-F₁ alone, the lifted one for F₁ and F₂.
+value part of G. So ``InvariantSeries.resolve_state``, the one evaluator of
+the terms, samples one orbit per point at each node count N its resolving
+loop tries: the plain orbit for F₁ alone, the lifted one for F₁ and F₂. A
+batch shares one N, the one its worst point needs.
 
 Every step is kernel arithmetic, so ``terms_state`` takes dual coordinates
 and keeps their derivatives, and ``lie_derivative`` of the series is exact:
@@ -211,21 +213,27 @@ def momentum_from_action(system: SlowFastSystem, action: CircleAction, m: PhaseP
     Averages the pulled-back 1-form along the orbit and contracts it with the
     unperturbed Hamiltonian field, divided by ω. The fast-block derivatives of
     the flow map come from one orbit of ``m`` with its fast block lifted to
-    duals (analytic or numeric flow alike). Up to an additive function of the
-    slow variables this reproduces any momentum map of the circle action.
+    duals (analytic or numeric flow alike), at the node count that resolves
+    the pulled-back 1-form. Up to an additive function of the slow variables
+    this reproduces any momentum map of the circle action.
     """
     system.require_in_domain(m)
     fast, slow = m.state()
     r = system.r
     tag = sk.fresh_tag()
-    orbit = action.orbit([sk.Dual(c, e, tag) for c, e in zip(fast, np.eye(2 * r))], slow)
-    full = (2 * r,) + orbit.batch_shape + (orbit.nodes,)
-    pulled_back = 0.0  # Σ_i y_i ∂x_i/∂z_l along the orbit, one row per fast direction l
-    for i in range(r):
-        dx = np.broadcast_to(sk.extract_partial(orbit.fast[r + i], tag), full)
-        pulled_back = pulled_back + sk.value(orbit.fast[i]) * dx
+
+    def average(orbit):
+        full = (2 * r,) + orbit.batch_shape + (orbit.nodes,)
+        pulled_back = 0.0  # Σ_i y_i ∂x_i/∂z_l along the orbit, one row per fast direction l
+        for i in range(r):
+            dx = np.broadcast_to(sk.extract_partial(orbit.fast[r + i], tag), full)
+            pulled_back = pulled_back + sk.value(orbit.fast[i]) * dx
+        return fourier_mean(pulled_back)
+
+    lifted = [sk.Dual(c, e, tag) for c, e in zip(fast, np.eye(2 * r))]
+    avg = action.resolve(average, lifted, slow)[0]
     omega = float(sk.value(system.omega(fast, slow)))
-    return float(np.dot(np.mean(pulled_back, axis=-1), field_fast(system, m)) / omega)
+    return float(np.dot(avg, field_fast(system, m)) / omega)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +332,9 @@ def _without(x, tag):
 
 
 def _h_f1_bracket(system, action, fast, slow):
-    """({H, F₁}₁ at every node of the orbit of a raw kernel state, F₁ there).
+    """(({H, F₁}₁ at every node, F₁ and 𝒮({H, F₁}₁) at the base point), N,
+    resolved) for the orbit of a raw kernel state, at the node count N that
+    ``action.resolve`` chooses.
 
     One multidual pass (its own tag, a leading direction axis of length
     D = 2r + 2k) lifts the base point b = (z₀, w) through the orbit (analytic
@@ -346,33 +356,36 @@ def _h_f1_bracket(system, action, fast, slow):
     tag = sk.fresh_tag()
     seeds = np.eye(dim).reshape((dim, dim) + (1,) * len(shape))
     lifted = [sk.Dual(sk.broadcast(c, shape), seeds[d], tag) for d, c in enumerate(state)]
-    orbit = action.orbit(lifted[:n_fast], lifted[n_fast:])
-    g, dh = _f1_nodes(system, orbit)
-    full = (dim,) + orbit.batch_shape + (orbit.nodes,)
+    swap = [(i + r) % n_fast for i in range(n_fast)]  # y_i <-> x_i
 
-    def columns(x):  # [∂x/∂b_d for each d] at every node
-        part = sk.broadcast(sk.extract_partial(x, tag), full)
-        return [sk.map_parts(lambda a: a[d], part) for d in range(dim)]
+    def evaluate(orbit):
+        g, dh = _f1_nodes(system, orbit)
+        full = (dim,) + orbit.batch_shape + (orbit.nodes,)
 
-    jac, grad = [columns(c) for c in orbit.fast], columns(g)  # jac[i][d] = ∂Fl_i/∂b_d
-    # ∇_zF₁ = ∂_{z₀}G·M⁻¹ with M⁻¹ = −Ω·Mᵀ·Ω: (M⁻¹)_{ji} = ±M_{σ(i)σ(j)}, where σ
-    # swaps y_i and x_i, with + when i and j lie in the same block, − across
-    swap = [(i + r) % n_fast for i in range(n_fast)]
-    grad_z = []
-    for i in range(n_fast):
-        total = 0.0
-        for j in range(n_fast):
-            term = grad[j] * jac[swap[i]][swap[j]]
-            total = total + term if (i < r) == (j < r) else total - term
-        grad_z.append(total)
-    df1 = []  # ∂_wF₁ = ∂_wG − ∇_zF₁·∂_wFl
-    for a in range(n_fast, dim):
-        total = grad[a]
+        def columns(x):  # [∂x/∂b_d for each d] at every node
+            part = sk.broadcast(sk.extract_partial(x, tag), full)
+            return [sk.map_parts(lambda a: a[d], part) for d in range(dim)]
+
+        jac, grad = [columns(c) for c in orbit.fast], columns(g)  # jac[i][d] = ∂Fl_i/∂b_d
+        # ∇_zF₁ = ∂_{z₀}G·M⁻¹ with M⁻¹ = −Ω·Mᵀ·Ω: (M⁻¹)_{ji} = ±M_{σ(i)σ(j)}, where σ
+        # swaps y_i and x_i, with + when i and j lie in the same block, − across
+        grad_z = []
         for i in range(n_fast):
-            total = total - grad_z[i] * jac[i][a]
-        df1.append(total)
-    return (bracket_of_partials([_without(c, tag) for c in dh], df1),
-            _at_base(_without(g, tag), orbit))
+            total = 0.0
+            for j in range(n_fast):
+                term = grad[j] * jac[swap[i]][swap[j]]
+                total = total + term if (i < r) == (j < r) else total - term
+            grad_z.append(total)
+        df1 = []  # ∂_wF₁ = ∂_wG − ∇_zF₁·∂_wFl
+        for a in range(n_fast, dim):
+            total = grad[a]
+            for i in range(n_fast):
+                total = total - grad_z[i] * jac[i][a]
+            df1.append(total)
+        bracket = bracket_of_partials([_without(c, tag) for c in dh], df1)
+        return bracket, _at_base(_without(g, tag), orbit), s_from_samples(bracket)
+
+    return action.resolve(evaluate, lifted[:n_fast], lifted[n_fast:])
 
 
 def f2(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
@@ -407,31 +420,45 @@ class InvariantSeries:
         self.order = int(order)
         self.strict = strict
 
-    def terms_state(self, fast, slow):
-        """(J, F₁, F₂) on a raw kernel state; terms beyond the order are 0.0.
+    def resolve_state(self, fast, slow):
+        """((J, F₁, F₂), N, resolved) on a raw kernel state; terms beyond the
+        order are 0.0, and order 0 samples no orbit (N is None).
 
-        One orbit per point: F₁ alone from the plain orbit, F₁ and
+        One orbit per point at each node count N the resolving loop tries
+        (``CircleAction.resolve``): F₁ alone from the plain orbit, F₁ and
         F₂ = −(2/ω)·𝒮({H, F₁}₁) from the one lifted orbit (module docstring).
         The coordinates may be floats, arrays of points or duals (the module
         docstring says which duals each flow mode takes), and the terms keep
         them.
         """
         system = self.system
-        j_vals, f1_vals, f2_vals = system.J(fast, slow), 0.0, 0.0
+        j_vals = system.J(fast, slow)
+        if self.order == 0:
+            return (j_vals, 0.0, 0.0), None, True
         if self.order == 1:
-            orbit = self.action.orbit(fast, slow)
-            f1_vals = _at_base(_f1_nodes(system, orbit)[0], orbit)
-        elif self.order == 2:
-            bracket, f1_vals = _h_f1_bracket(system, self.action, fast, slow)
-            f2_vals = -2.0 * s_from_samples(bracket) / _omega_at(system, fast, slow)
-        return j_vals, f1_vals, f2_vals
+            f1_vals, n, resolved = self.action.resolve(
+                lambda orbit: _at_base(_f1_nodes(system, orbit)[0], orbit), fast, slow)
+            return (j_vals, f1_vals, 0.0), n, resolved
+        (_, f1_vals, s_vals), n, resolved = _h_f1_bracket(system, self.action, fast, slow)
+        return (j_vals, f1_vals, -2.0 * s_vals / _omega_at(system, fast, slow)), n, resolved
+
+    def terms_state(self, fast, slow):
+        """(J, F₁, F₂) on a raw kernel state (``resolve_state``)."""
+        return self.resolve_state(fast, slow)[0]
+
+    def resolve_batch(self, coords: np.ndarray):
+        """((J, F₁, F₂) arrays, N, resolved) over an (n_points, dim) coordinate
+        array: one node count N for the whole batch."""
+        coords = np.asarray(coords, dtype=float)
+        n_fast = 2 * self.system.r
+        terms, n, resolved = self.resolve_state(list(coords[:, :n_fast].T),
+                                                list(coords[:, n_fast:].T))
+        return (tuple(np.broadcast_to(t, coords.shape[:1]).astype(float) for t in terms),
+                n, resolved)
 
     def terms_batch(self, coords: np.ndarray):
         """(J, F₁, F₂) arrays over an (n_points, dim) coordinate array."""
-        coords = np.asarray(coords, dtype=float)
-        n_fast = 2 * self.system.r
-        terms = self.terms_state(list(coords[:, :n_fast].T), list(coords[:, n_fast:].T))
-        return tuple(np.broadcast_to(t, coords.shape[:1]).astype(float) for t in terms)
+        return self.resolve_batch(coords)[0]
 
     def evaluate_batch(self, coords: np.ndarray, eps: float) -> np.ndarray:
         """Series values over an (n_points, dim) coordinate array."""
@@ -493,6 +520,6 @@ def ty3_residual(system: SlowFastSystem, action: CircleAction, m: PhasePoint) ->
     system.require_in_domain(m)
     fast, slow = m.state()
     deriv = _d_dt_along_flow(action, lambda p: f2(system, action, p), m)
-    hf1, _ = _h_f1_bracket(system, action, fast, slow)
+    (hf1, _, _), _, _ = _h_f1_bracket(system, action, fast, slow)
     omega = float(sk.value(system.omega(fast, slow)))
     return abs(deriv + 2.0 * float(hf1[..., 0]) / omega)

@@ -551,15 +551,19 @@ def _codes(tape, out, n):
     return tape.const(out), ["0.0"] * n  # a constant has zero tangents; anything else raises
 
 
-def _compile(tape, params, outputs, name):
-    """``def name(*params): return (*outputs,)`` from the tape, dead code left out."""
-    needed, body = set(outputs), []
+def _compile(tape, params, outputs, name, guards=()):
+    """``def name(*params): return (*guards, (*outputs,))`` from the tape, dead
+    code left out; with no ``guards``, ``return (*outputs,)``."""
+    needed, body = set(outputs) | set(guards), []
     for target, expr, operands in reversed(tape.lines):
         if target in needed:  # dead code (e.g. f's own value) is left out
             body.append(f"    {target} = {expr}\n")
             needed.update(operands)
+    result = f"({', '.join(outputs)},)"
+    if guards:
+        result = f"{', '.join(guards)}, {result}"
     source = (f"def {name}({', '.join(params)}):\n" + "".join(reversed(body))
-              + f"    return ({', '.join(outputs)},)\n")
+              + f"    return {result}\n")
     namespace = dict(_FUNCTIONS, **tape.consts)
     exec(compile(source, f"<traced {name}>", "exec"), namespace)
     fn = namespace[name]
@@ -585,22 +589,27 @@ def trace_gradient(f, blocks, seeded):
     return _compile(tape, args, _codes(tape, out, len(seeded))[1], "gradient")
 
 
-def trace_tangent(f, blocks, directions):
+def trace_tangent(f, blocks, directions, guards=0):
     """Compiled values and directional derivatives of ``f``'s outputs.
 
     ``f`` takes one list of kernel scalars per entry of ``blocks``, returns a
     list of outputs, and may take :class:`Dual` passes of its own. The
     returned function takes the flat coordinates, then ``directions`` tangent
     components per coordinate, and returns the outputs' values, then
-    ``directions`` tangent components per output. Raises :class:`TraceError`
-    like :func:`trace_gradient`.
+    ``directions`` tangent components per output. With ``guards`` = g > 0
+    the first g outputs are values to check, not results: the function
+    returns (guard values.., results), where results is that tuple of the
+    other outputs, and the guards' tangents are not computed. Raises
+    :class:`TraceError` like :func:`trace_gradient`.
     """
     dots = [tuple(f"t{i}_{d}" for d in range(directions)) for i in range(sum(blocks))]
     # no directions: plain values, not duals, so that x/y is traced as x/y
     tape, args, out = _record(f, blocks, [d or None for d in dots])
     codes = [_codes(tape, o, directions) for o in out]
+    results = codes[guards:]
     return _compile(tape, args + [t for d in dots for t in d],
-                    [v for v, _ in codes] + [t for _, d in codes for t in d], "tangent")
+                    [v for v, _ in results] + [t for _, d in results for t in d], "tangent",
+                    [v for v, _ in codes[:guards]])
 
 
 def _multidual_gradient(f, blocks, seeded):
@@ -623,7 +632,7 @@ def _multidual_gradient(f, blocks, seeded):
     return grad
 
 
-def _multidual_tangent(f, blocks, directions):
+def _multidual_tangent(f, blocks, directions, guards=0):
     """The same values and tangents from one multidual evaluation of ``f`` per call."""
     n = sum(blocks)
 
@@ -634,20 +643,22 @@ def _multidual_tangent(f, blocks, directions):
                   for i, c in enumerate(args[:n])]
         out = [o if isinstance(o, Dual) and o.tag == tag else Dual(o, np.zeros(directions), tag)
                for o in f(*_blocks(coords, blocks))]
-        return tuple(o.val for o in out) + tuple(e for o in out for e in o.eps)
+        results = out[guards:]
+        values = tuple(o.val for o in results) + tuple(e for o in results for e in o.eps)
+        return tuple(o.val for o in out[:guards]) + (values,) if guards else values
 
     return tangent
 
 
-def tangent(f, blocks, directions):
+def tangent(f, blocks, directions, guards=0):
     """Values and tangents of ``f``'s outputs as a function of the coordinates
     and their tangents: :func:`trace_tangent`, or, when ``f`` cannot be
     traced, one multidual evaluation of ``f`` per call with the same results.
     """
     try:
-        return trace_tangent(f, blocks, directions)
+        return trace_tangent(f, blocks, directions, guards)
     except TraceError:
-        return _multidual_tangent(f, blocks, directions)
+        return _multidual_tangent(f, blocks, directions, guards)
 
 
 def gradient(f, blocks, seeded):

@@ -113,7 +113,7 @@ def test_numeric_orbit_batch_equals_point_by_point(request, rng, monkeypatch, fi
             m = PhasePoint(coords[:2], coords[2:])
             single = CircleAction(fixture.system, flow_mode="numeric", nodes=nodes)
             runs.clear()
-            orbit = single.orbit_of_point(m)
+            orbit = single.orbit(*m.state())
             moved = single.flow(TWO_PI, m)
             assert [y0.shape for _, y0 in runs] == [(2,), (2,)]
             for got, want in zip(batch.fast + batch.slow, orbit.fast + orbit.slow):
@@ -188,8 +188,8 @@ def test_numeric_orbit_without_a_cache(pendulum):
     # no orbit is kept: a second orbit of the same point is integrated again
     # and equals the first bit for bit
     action = CircleAction(pendulum.system, flow_mode="numeric", nodes=8)
-    first = action.orbit_of_point(pendulum.initial)
-    second = action.orbit_of_point(pendulum.initial)
+    first = action.orbit(*pendulum.initial.state())
+    second = action.orbit(*pendulum.initial.state())
     assert all(a is not b and np.array_equal(a, b) for a, b in zip(first.fast, second.fast))
 
 
@@ -277,7 +277,7 @@ def test_slow_coordinates_preserved(pendulum_action):
     m = PhasePoint([0.9, -0.4], [0.25, 0.75])
     moved = pendulum_action.flow(1.234, m)
     assert np.array_equal(moved.slow, m.slow)  # exact in analytic mode
-    orbit = pendulum_action.orbit_of_point(m)
+    orbit = pendulum_action.orbit(*m.state())
     for comp in orbit.slow:
         assert np.all(comp == comp[..., :1])
 
@@ -430,6 +430,42 @@ def test_s_at_nodes_is_shifted_s():
     # value at node j equals S of the profile shifted by t_j: -cos(t) + 0.25 sin(2t)
     expected = -np.cos(t) + 0.25 * np.sin(2 * t)
     assert np.allclose(nodes, expected, atol=1e-13)
+
+
+# -- node count from the spectrum -----------------------------------------------
+
+def trig_poly(rng, degree):
+    """A trigonometric polynomial with every harmonic 0..degree, O(1) coefficients."""
+    a, b = rng.uniform(-1.0, 1.0, (2, degree + 1))
+    return lambda t: sum(a[k] * np.cos(k * t) + b[k] * np.sin(k * t) for k in range(degree + 1))
+
+
+@pytest.mark.parametrize("cap", [4, 16, 64])
+@pytest.mark.parametrize("op", [fourier_mean, s_from_samples, s_at_nodes])
+def test_resolve_stops_at_smallest_n_resolving_a_trig_polynomial(pendulum, rng, cap, op):
+    # a degree-d profile is resolved at N when d <= N/4: the loop runs
+    # min(8, cap), 16, ... and stops at the first such N, or at the cap, flagged
+    action = CircleAction(pendulum.system, nodes=cap)
+    tried = [min(8, cap)] + [n for n in (16, 32, 64) if n <= cap]
+    for degree in range(1, 18):
+        poly = trig_poly(rng, degree)
+        _, n, resolved = action.resolve(lambda orbit: op(poly(orbit.times)),
+                                        *pendulum.initial.state())
+        first = next((n for n in tried if degree <= n // 4), None)
+        assert (n, resolved) == ((first, True) if first else (cap, False))
+
+
+def test_every_other_sample_is_the_orbit_at_fewer_nodes(particle, rng):
+    # the node times of N are every (64/N)-th node time of 64, bit for bit
+    points = np.stack([m.coords for m in sample_points(particle, rng, 4)])
+    state = (list(points[:, :2].T), list(points[:, 2:].T))
+    full = CircleAction(particle.system, nodes=64).orbit(*state)
+    for n in (8, 16, 32):
+        want = CircleAction(particle.system, nodes=n).orbit(*state)
+        got = full.every(64 // n)
+        assert got.nodes == n and np.array_equal(got.times, want.times)
+        for a, b in zip(got.fast + got.slow, want.fast + want.slow):
+            assert np.array_equal(a, b)
 
 
 def test_nodes_must_be_power_of_two(pendulum):

@@ -100,14 +100,35 @@ def test_order_sweep_bytes_independent_of_workers(tmp_path):
     config = DriftConfig(fixture="elastic_pendulum", eps_grid=(0.2, 0.1), samples=8,
                          integrator=IntegratorConfig(method="rk45", rtol=1e-9, atol=1e-12),
                          outer_nodes=32)
-    written = {}
+    written, resolution = {}, {}
     for workers in (1, 2):
         report = order_sweep(replace(config, workers=workers))
         written[workers] = [
             Path(emit(report, fmt, tmp_path / f"drift{workers}.{fmt}")).read_bytes()
             for fmt in ("csv", "json")]
+        resolution[workers] = report.resolution
     assert written[1] == written[2]
     assert b"variant" not in written[1][1]
+    assert resolution[1] == resolution[2] == {0.2: (8, True), 0.1: (8, True)}
+
+
+def test_particle_at_cap_8_is_flagged_unresolved(tmp_path, capsys):
+    # the particle's orbit profiles need 16 nodes: at a cap of 8 each eps is
+    # evaluated at 8 and flagged, on stdout, stderr and in the exit code
+    report = order_sweep(DriftConfig(fixture="charged_particle", eps_grid=(0.2, 0.1),
+                                     samples=8, outer_nodes=8))
+    assert report.resolution == {0.2: (8, False), 0.1: (8, False)}
+    assert report.unresolved_eps() == [0.2, 0.1]
+    for cap, code in ((8, 1), (64, 0)):
+        config = _write(tmp_path, "[fixture]\nname = charged_particle\n\n"
+                                  f"[quadrature]\nnodes = {cap}\n\n"
+                                  "[experiment]\neps = 0.2,0.1\nsamples = 8\norders = 0,2\n")
+        assert main(["drift", "--config", config, "--out", str(tmp_path / "out"),
+                     "--workers", "1"]) == code
+        out, err = capsys.readouterr()
+        n = min(cap, 16)
+        assert f"orbit nodes  eps 0.2: {n}  eps 0.1: {n}\n" in out
+        assert ("unresolved at the node cap 8 for eps 0.2, 0.1" in err) == (cap == 8)
 
 
 SMALL_DRIFT = ("[fixture]\nname = elastic_pendulum\n\n[quadrature]\nnodes = 16\n\n"

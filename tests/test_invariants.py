@@ -320,6 +320,51 @@ def test_analytic_f2_samples_one_orbit_per_batch(pendulum, rng, monkeypatch):
     assert counts == [1, 1]  # F1's plain orbit; at order 2 the one lifted orbit gives F1 and F2
 
 
+def test_particle_f2_samples_orbits_at_8_then_16_nodes(particle, rng, monkeypatch):
+    # the particle's profiles alias at 8 nodes, so the loop doubles once and
+    # settles at 16, one orbit of the whole batch at each N
+    action = CircleAction(particle.system)
+    nodes = []
+    orbit = action.orbit
+
+    def counted(*args, **kwargs):
+        samples = orbit(*args, **kwargs)
+        nodes.append(samples.nodes)
+        return samples
+
+    monkeypatch.setattr(action, "orbit", counted)
+    coords = np.stack([m.coords for m in sample_points(particle, rng, 8)])
+    _, n, resolved = assemble(particle.system, action, 2).resolve_batch(coords)
+    assert nodes == [8, 16]
+    assert (n, resolved) == (16, True)
+
+
+def test_particle_terms_equal_bitwise_at_caps_16_and_64(particle, rng):
+    coords = np.stack([m.coords for m in sample_points(particle, rng, 20)])
+    (low, *low_n), (high, *high_n) = [
+        assemble(particle.system, CircleAction(particle.system, nodes=cap), 2).resolve_batch(coords)
+        for cap in (16, 64)]
+    assert low_n == high_n == [16, True]
+    for a, b in zip(low, high):
+        assert np.array_equal(a, b)
+
+
+def test_numeric_loop_integrates_once_and_settles_where_the_analytic_one_does(
+        pendulum, particle, rng, monkeypatch):
+    # a numeric orbit is integrated once, to the cap's nodes, and each N of
+    # the loop takes every (cap/N)-th sample. Its tails carry the
+    # integrator's error (up to 0.64 rtol), below the numeric tolerance
+    runs = []
+    integrate = circle.integrate
+    monkeypatch.setattr(circle, "integrate", lambda *a, **kw: runs.append(1) or integrate(*a, **kw))
+    for fixture, nodes in ((pendulum, 8), (particle, 16)):
+        coords = np.stack([m.coords for m in sample_points(fixture, rng, 3)])
+        runs.clear()
+        action = CircleAction(fixture.system, flow_mode="numeric")
+        _, n, resolved = assemble(fixture.system, action, 2).resolve_batch(coords)
+        assert (n, resolved, len(runs)) == (nodes, True, 1)
+
+
 def test_numeric_f2_integrates_each_orbit_once(pendulum, rng, monkeypatch):
     # F1 and F2 come from one dual orbit (with its variational equation):
     # one lane per point, in one run per batch. Counted in points: a 1-D y0

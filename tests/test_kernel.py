@@ -254,6 +254,22 @@ def test_untraceable_tangent_falls_back_to_multiduals():
     assert_same_partials(sk.tangent(f, (2, 2), 0)(*lanes), f(lanes[:2], lanes[2:]))
 
 
+def test_guard_outputs_come_back_apart():
+    # the first output comes back by value in front of one tuple of the other
+    # outputs' values and tangents, traced or not, with the same bits
+    def untraceable(fast, slow):
+        return [abs(fast[0]) * slow[1], fast[1] * slow[0], fast[0] / slow[1]]
+
+    point = [-0.3, 0.7, 0.4, 0.9]
+    dot = np.ravel([[1.0, 0.0], [0.0, 1.0], [0.5, 0.0], [0.0, -2.0]]).tolist()
+    for f in (normalized_field(get_fixture("charged_particle").system), untraceable):
+        whole = sk.tangent(f, (2, 2), 2)(*point, *dot)
+        guard, rest = sk.tangent(f, (2, 2), 2, guards=1)(*point, *dot)
+        n_out = len(whole) // 3
+        assert_same_partials([guard], whole[:1])
+        assert_same_partials(rest, whole[1:n_out] + whole[n_out + 2:])
+
+
 def branchy(fast, slow):
     y, x = fast
     p, q = slow
