@@ -58,8 +58,7 @@ class _Unresolved(Exception):
 
 
 class _Loop:
-    """One evaluation of an open ``CircleAction.resolve`` at one node count
-    (a plain class: a dataclass would cost about a millisecond at import)."""
+    """One evaluation of an open ``CircleAction.resolve`` at one node count."""
 
     __slots__ = ("tol", "at_cap", "resolved")
 
@@ -278,7 +277,7 @@ class CircleAction:
                       "        return out\n"
                       "    return rhs\n")
             namespace = {"NumericalError": NumericalError, "omega": self.system.omega,
-                         "tangent": sk.tangent(self._normalized_field, (2 * r, 2 * k), n, guards=1)}
+                         "tangent": sk.tangent(self._normalized_field, (2 * r, 2 * k), n)}
             exec(compile(source, "<normalized fast field>", "exec"), namespace)
             bind = self._fields[n] = namespace["bind"]
         return bind
@@ -381,10 +380,11 @@ class CircleAction:
         profile ends the evaluation at that N. A batch still unresolved at the
         cap comes back evaluated there, with resolved False.
 
-        An analytic orbit is sampled at each N. A numeric orbit is integrated
-        once, to the cap's nodes, and each N takes every (cap/N)-th sample:
-        the integration, not N, sets its cost, and its samples at the nodes
-        of N do not depend on N.
+        An analytic orbit is sampled at each N, so that no array holds more
+        nodes than the N it settles at. A numeric orbit is integrated once,
+        to the cap's nodes, and each N takes every (cap/N)-th sample: the
+        integration, not N, sets its cost, and its samples at the nodes of N
+        do not depend on N.
         """
         if self.flow_mode == "analytic":
             tol = TAIL_TOL

@@ -551,17 +551,17 @@ def _codes(tape, out, n):
     return tape.const(out), ["0.0"] * n  # a constant has zero tangents; anything else raises
 
 
-def _compile(tape, params, outputs, name, guards=()):
-    """``def name(*params): return (*guards, (*outputs,))`` from the tape, dead
-    code left out; with no ``guards``, ``return (*outputs,)``."""
-    needed, body = set(outputs) | set(guards), []
+def _compile(tape, params, outputs, name, guard=None):
+    """``def name(*params): return (*outputs,)`` from the tape, dead code left
+    out; with a ``guard``, ``return guard, (*outputs,)``."""
+    needed, body = set(outputs) | {guard} - {None}, []
     for target, expr, operands in reversed(tape.lines):
         if target in needed:  # dead code (e.g. f's own value) is left out
             body.append(f"    {target} = {expr}\n")
             needed.update(operands)
     result = f"({', '.join(outputs)},)"
-    if guards:
-        result = f"{', '.join(guards)}, {result}"
+    if guard is not None:
+        result = f"{guard}, {result}"
     source = (f"def {name}({', '.join(params)}):\n" + "".join(reversed(body))
               + f"    return {result}\n")
     namespace = dict(_FUNCTIONS, **tape.consts)
@@ -589,27 +589,24 @@ def trace_gradient(f, blocks, seeded):
     return _compile(tape, args, _codes(tape, out, len(seeded))[1], "gradient")
 
 
-def trace_tangent(f, blocks, directions, guards=0):
+def trace_tangent(f, blocks, directions):
     """Compiled values and directional derivatives of ``f``'s outputs.
 
     ``f`` takes one list of kernel scalars per entry of ``blocks``, returns a
     list of outputs, and may take :class:`Dual` passes of its own. The
     returned function takes the flat coordinates, then ``directions`` tangent
-    components per coordinate, and returns the outputs' values, then
-    ``directions`` tangent components per output. With ``guards`` = g > 0
-    the first g outputs are values to check, not results: the function
-    returns (guard values.., results), where results is that tuple of the
-    other outputs, and the guards' tangents are not computed. Raises
-    :class:`TraceError` like :func:`trace_gradient`.
+    components per coordinate. The first output is a value to check, not a
+    result (the numeric-orbit field's ω): the function returns its value, then
+    one tuple of the other outputs' values and their ``directions`` tangent
+    components each. Raises :class:`TraceError` like :func:`trace_gradient`.
     """
     dots = [tuple(f"t{i}_{d}" for d in range(directions)) for i in range(sum(blocks))]
     # no directions: plain values, not duals, so that x/y is traced as x/y
     tape, args, out = _record(f, blocks, [d or None for d in dots])
-    codes = [_codes(tape, o, directions) for o in out]
-    results = codes[guards:]
+    guard, *results = [_codes(tape, o, directions) for o in out]
     return _compile(tape, args + [t for d in dots for t in d],
                     [v for v, _ in results] + [t for _, d in results for t in d], "tangent",
-                    [v for v, _ in codes[:guards]])
+                    guard[0])
 
 
 def _multidual_gradient(f, blocks, seeded):
@@ -632,7 +629,7 @@ def _multidual_gradient(f, blocks, seeded):
     return grad
 
 
-def _multidual_tangent(f, blocks, directions, guards=0):
+def _multidual_tangent(f, blocks, directions):
     """The same values and tangents from one multidual evaluation of ``f`` per call."""
     n = sum(blocks)
 
@@ -641,24 +638,25 @@ def _multidual_tangent(f, blocks, directions, guards=0):
         coords = [Dual(c, np.reshape(args[n + i * directions:n + (i + 1) * directions],
                                      (directions,) + np.shape(c)), tag) if directions else c
                   for i, c in enumerate(args[:n])]
-        out = [o if isinstance(o, Dual) and o.tag == tag else Dual(o, np.zeros(directions), tag)
-               for o in f(*_blocks(coords, blocks))]
-        results = out[guards:]
-        values = tuple(o.val for o in results) + tuple(e for o in results for e in o.eps)
-        return tuple(o.val for o in out[:guards]) + (values,) if guards else values
+        guard, *results = [o if isinstance(o, Dual) and o.tag == tag
+                           else Dual(o, np.zeros(directions), tag)
+                           for o in f(*_blocks(coords, blocks))]
+        return guard.val, (tuple(o.val for o in results)
+                           + tuple(e for o in results for e in o.eps))
 
     return tangent
 
 
-def tangent(f, blocks, directions, guards=0):
-    """Values and tangents of ``f``'s outputs as a function of the coordinates
-    and their tangents: :func:`trace_tangent`, or, when ``f`` cannot be
-    traced, one multidual evaluation of ``f`` per call with the same results.
+def tangent(f, blocks, directions):
+    """The first output's value and the other outputs' values and tangents as
+    a function of the coordinates and their tangents: :func:`trace_tangent`,
+    or, when ``f`` cannot be traced, one multidual evaluation of ``f`` per
+    call with the same results.
     """
     try:
-        return trace_tangent(f, blocks, directions, guards)
+        return trace_tangent(f, blocks, directions)
     except TraceError:
-        return _multidual_tangent(f, blocks, directions, guards)
+        return _multidual_tangent(f, blocks, directions)
 
 
 def gradient(f, blocks, seeded):
