@@ -22,9 +22,11 @@ max_{N/4<k≤N/2} |f̂_k| of at most ``TAIL_TOL``·max_k |f̂_k|. The operators 
 the tail off the FFT that 𝒮 takes; ⟨·⟩ takes one for it while a loop is open.
 Below the cap, the first unresolved profile ends the evaluation at that N.
 Numeric orbits carry the integrator's relative error, which more nodes do
-not reduce: their tails read up to 0.64·``rtol`` where an analytic orbit's
-read 1e-14 (both fixtures, rtol 1e-8 to 1e-12), so their tolerance is the
-larger of ``TAIL_TOL`` and 10·``rtol``.
+not reduce: their nodes are read off the continuous extension of the
+integrator's steps, and their tails read up to 0.76·``rtol`` where an
+analytic orbit's read 1e-14 (both fixtures at four box points, rtol 1e-8 to
+1e-12; 0.55·``rtol`` there when the steps landed on every node), so their
+tolerance is the larger of ``TAIL_TOL`` and 10·``rtol``.
 """
 
 from __future__ import annotations
@@ -382,9 +384,10 @@ class CircleAction:
 
         An analytic orbit is sampled at each N, so that no array holds more
         nodes than the N it settles at. A numeric orbit is integrated once,
-        to the cap's nodes, and each N takes every (cap/N)-th sample: the
-        integration, not N, sets its cost, and its samples at the nodes of N
-        do not depend on N.
+        in natural steps to the cap's last node, with the cap's nodes read off
+        the steps' continuous extension, and each N takes every (cap/N)-th
+        sample: the integration, not N, sets its cost, and its samples at the
+        nodes of N do not depend on N.
         """
         if self.flow_mode == "analytic":
             tol = TAIL_TOL

@@ -121,7 +121,8 @@ def cmd_invariant(config: RunConfig, args) -> int:
     order = config.order if args.order is None else args.order
     eps = args.eps if args.eps is not None else config.eps_grid[0]
     fixture, action, initial = config.build()
-    terms = InvariantSeries(fixture.system, action, order, config.strict).terms(initial)
+    terms, _, resolved = InvariantSeries(fixture.system, action, order,
+                                         config.strict).resolve_point(initial)
     j_val, f1_val, f2_val = terms
     series = series_values(terms, eps, order)
 
@@ -134,6 +135,10 @@ def cmd_invariant(config: RunConfig, args) -> int:
     if order >= 2:
         print(f"F2      = {f2_val:.12g}")
     print(f"series  = {series:.12g}")
+    if not resolved:
+        print(f"warning: orbit profiles unresolved at the node cap {action.nodes}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

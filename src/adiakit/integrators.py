@@ -3,8 +3,10 @@
 The adaptive path is deliberately *not* symplectic: drift experiments must see
 the model's ε-expansion, not integrator energy behaviour, so the instrument is
 a high-accuracy embedded pair run at tolerances well below the smallest drift
-being measured. Requested sample times are honoured exactly by clipping steps,
-which keeps output grids independent of the adaptive step history.
+being measured. Steps are clipped to the end time only: a requested sample
+time inside an accepted step is read off the step's continuous extension
+(dense output, DOPRI5's ``contd5``; Hairer, Nørsett & Wanner, *Solving ODEs
+I*, §II.6), so the steps and the counters do not depend on the output grid.
 
 Field contract. A field is called as ``field(t, y)``, where ``y`` holds the
 ``dim`` coordinate columns of the state, and returns the ``dim`` columns of
@@ -40,7 +42,9 @@ from 0.0 below eight terms, eight interleaved partial sums from eight on).
 run equals the one-point run from its state bit for bit, states and counters,
 provided ``field`` treats each lane on its own and takes the same operations
 on floats as on arrays. (numpy's ``**`` does not: it rounds differently on
-scalars and on arrays.)
+scalars and on arrays.) Dense output keeps this: both kernels store a sampled
+step's states and stages in one float array, row by row, and the continuous
+extension is evaluated once, elementwise, when the run ends.
 """
 
 from __future__ import annotations
@@ -147,6 +151,13 @@ _LANE_C = np.array(_DP_C)[:, None]
 _LANE_A = [np.array(row)[:, None, None] for row in _DP_A]
 _LANE_B5_E = np.array([_DP_B5, _DP_E])[:, :, None, None]
 
+# Continuous extension of the step (DOPRI5 ``contd5``; Hairer, Nørsett &
+# Wanner, Solving ODEs I, §II.6): weights of k1, k3…k7 in its last coefficient
+_DENSE_STAGES = [0, 2, 3, 4, 5, 6]
+_DENSE_D = [-12715105075 / 11282082432, 87487479700 / 32700410799,
+            -10690763975 / 1880347072, 701980252875 / 199316789632,
+            -1453857185 / 822651844, 69997945 / 29380423]
+
 
 def _rms(x):
     """Per-lane root mean square over the state axis, as Python floats.
@@ -191,8 +202,10 @@ def _float_attempt(dim: int):
 
     Straight-line code with the stacked kernel's operations in its order (see
     the module docstring), emitted on first use for each ``dim``. The
-    returned ``attempt(field, t, dt, y, k1, atol, rtol)`` gives the new
-    state, its derivative (the next FSAL stage) and the error norm.
+    returned ``attempt(field, t, dt, y, k1, atol, rtol, keep)`` gives the new
+    state, its derivative (the next FSAL stage), the error norm and, when
+    ``keep`` is true, the inner stages k3…k6 that dense output needs (else
+    None).
     """
     ks = [[f"k{s}_{i}" for i in range(dim)] for s in range(7)]
     ys = [f"y{i}" for i in range(dim)]
@@ -200,7 +213,10 @@ def _float_attempt(dim: int):
     def weighted(weights, i):
         return [f"{a!r} * {ks[j][i]}" for j, a in enumerate(weights)]
 
-    lines = ["def attempt(field, t, dt, y, k1, atol, rtol):",
+    def row(names):
+        return f"({', '.join(names)},)"
+
+    lines = ["def attempt(field, t, dt, y, k1, atol, rtol, keep):",
              f"    {', '.join(ys)}, = y",
              f"    {', '.join(ks[0])}, = k1"]
     for s in range(1, 7):
@@ -219,18 +235,23 @@ def _float_attempt(dim: int):
                   f"    q{i} = dt * ({_sum_code(weighted(_DP_E, i))}) "
                   f"/ (atol + rtol * (a{i} if a{i} >= b{i} else b{i}))"]
     squares = [f"q{i} * q{i}" for i in range(dim)]
+    inner = ", ".join(row(ks[s]) for s in range(2, 6))
     lines += [f"    norm = sqrt(({_sum_code(squares)}) / {dim})",
-              f"    return ({', '.join(f'n{i}' for i in range(dim))},), "
-              f"({', '.join(ks[6])},), norm"]
+              f"    return {row(f'n{i}' for i in range(dim))}, {row(ks[6])}, norm, "
+              f"(({inner}) if keep else None)"]
     namespace = {"sqrt": math.sqrt}
     exec(compile("\n".join(lines) + "\n", f"<DP5 attempt, dim {dim}>", "exec"), namespace)
     return namespace["attempt"]
 
 
 class _FloatStages:
-    """Stage kernel of a one-point run: Python floats through emitted code."""
+    """Stage kernel of a one-point run: Python floats through emitted code.
 
-    def __init__(self, field, y0, rtol, atol):
+    A sample inside a step waits in float arrays, one row per output row,
+    until ``finish`` evaluates them all in one vectorised pass.
+    """
+
+    def __init__(self, field, y0, rtol, atol, n_rows):
         self.field, self.rtol, self.atol = field, rtol, atol
         self.attempt_code = _float_attempt(len(y0))
         self.y = tuple(y0.tolist())
@@ -238,17 +259,35 @@ class _FloatStages:
             self.k1 = field(0.0, self.y)
         except (ZeroDivisionError, OverflowError) as exc:
             raise NumericalError(f"field failed at t=0.0: {exc}") from exc
+        # per row: the step's start and end states and its stages k1, k3…k7
+        self.steps = np.empty((8, n_rows, len(y0)))
+        self.theta = np.empty(n_rows)
+        self.dt = np.empty(n_rows)
+        self.kept = np.zeros(n_rows, dtype=bool)
 
-    def attempt(self, t, dt):
+    def attempt(self, t, dt, reach):
         try:  # Python floats raise where numpy arrays give inf or nan
-            self.y_new, self.k_last, norm = self.attempt_code(
-                self.field, t[0], dt[0], self.y, self.k1, self.atol, self.rtol)
+            self.y_new, self.k_last, norm, self.inner = self.attempt_code(
+                self.field, t[0], dt[0], self.y, self.k1, self.atol, self.rtol, reach[0])
         except (ZeroDivisionError, OverflowError) as exc:
             raise NumericalError(f"field failed in a step from t={t[0]!r}: {exc}") from exc
         return [norm]
 
     def state(self, i):
         return self.y_new
+
+    def keep(self, inside, dt, rows):
+        step = (self.y, self.y_new, self.k1) + self.inner + (self.k_last,)
+        for row, _, theta in inside:
+            self.steps[:, row] = step
+            self.theta[row], self.dt[row], self.kept[row] = theta, dt[0], True
+
+    def finish(self, rows):
+        kept = self.kept
+        if kept.any():
+            steps = self.steps[:, kept]
+            rows[kept, 0] = _dense_states(steps[0], steps[1], steps[2:],
+                                          self.theta[kept], self.dt[kept])
 
     def advance(self, moved):
         self.y, self.k1 = self.y_new, self.k_last
@@ -261,7 +300,10 @@ def _fill_columns(out, columns):
 
 
 class _LaneStages:
-    """Stage kernel of a lane run: stacked (lanes, dim) numpy arrays."""
+    """Stage kernel of a lane run: stacked (lanes, dim) numpy arrays.
+
+    Samples inside the steps of one attempt are evaluated together, at once.
+    """
 
     def __init__(self, field, y0, rtol, atol):
         self.field, self.rtol, self.atol = field, rtol, atol
@@ -269,7 +311,7 @@ class _LaneStages:
         self.k1 = np.empty_like(self.y)
         _fill_columns(self.k1, field(np.zeros(len(y0)), self.y.T))
 
-    def attempt(self, t, dt):
+    def attempt(self, t, dt, reach):
         field, y = self.field, self.y
         k = np.empty((7,) + y.shape)
         k[0] = self.k1
@@ -280,11 +322,20 @@ class _LaneStages:
             stage = y + dt_col * (_LANE_A[s] * k[:s]).sum(axis=0)
             _fill_columns(k[s], field(t_stage[s], stage.T))
         increment, err = dt_col * (_LANE_B5_E * k).sum(axis=1)
-        self.y_new, self.k_last = y + increment, k[6]
+        self.y_new, self.k_last, self.k = y + increment, k[6], k
         return _rms(err / (self.atol + self.rtol * np.maximum(np.abs(y), np.abs(self.y_new))))
 
     def state(self, i):
         return self.y_new[i]
+
+    def keep(self, inside, dt, rows):
+        row, lane, theta = (np.array(c) for c in zip(*inside))
+        rows[row, lane] = _dense_states(self.y[lane], self.y_new[lane],
+                                        self.k[_DENSE_STAGES][:, lane], theta,
+                                        np.array(dt)[lane])
+
+    def finish(self, rows):
+        pass
 
     def advance(self, moved):
         if len(moved) == len(self.y):
@@ -292,6 +343,26 @@ class _LaneStages:
         else:
             self.y[moved] = self.y_new[moved]
             self.k1[moved] = self.k_last[moved]
+
+
+def _dense_states(y, y1, k, theta, dt):
+    """States inside accepted steps from the DP5 continuous extension.
+
+    Per sample: the step's start and end states ``y`` and ``y1`` (samples,
+    dim), its stages k1, k3…k7 stacked in ``k`` (6, samples, dim), the
+    sample's fraction ``theta`` of the step and the signed step ``dt``.
+    Elementwise arithmetic only, so a sample's value does not depend on
+    which other samples share the call.
+    """
+    dt, theta = dt[:, None], theta[:, None]
+    rest = 1.0 - theta
+    ydiff = y1 - y
+    bspl = dt * k[0] - ydiff
+    weighted = _DENSE_D[0] * k[0]
+    for d, k_s in zip(_DENSE_D[1:], k[1:]):
+        weighted = weighted + d * k_s
+    last = ydiff - dt * k[5] - bspl
+    return y + theta * (ydiff + rest * (bspl + theta * (last + rest * (dt * weighted))))
 
 
 def _lane_label(i, n_lanes):
@@ -324,11 +395,14 @@ def integrate(field: Callable, y0: Sequence[float], t_end: float,
     ``field`` follows the column contract of the module docstring: it gets
     the state's coordinate columns and returns the derivative's.
 
-    When ``t_eval`` is given, states are reported exactly at those times
-    (steps are clipped so each requested time is a step boundary); its
+    When ``t_eval`` is given, states are reported at those times, whose
     entries must run monotonically from 0 toward ``t_end`` without passing
-    it; a repeated entry repeats the state, without a step of its own.
-    Otherwise the initial state and every accepted step are recorded.
+    it. An entry at the end of an accepted step (``t_end`` among them) gets
+    the step's state; an entry inside one gets the step's fourth-order
+    continuous extension, whose error is of the order of the step's own.
+    Steps are clipped to ``t_end`` only, so they and the counters are the
+    same for every ``t_eval``. Otherwise the initial state and every accepted
+    step are recorded.
 
     A 2-D ``y0`` of shape (lanes, dim) integrates every lane with its own
     step control (``rk45`` only, ``t_eval`` required); each column ``field``
@@ -403,14 +477,20 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
     lanes of ``y0`` (lanes, dim): one controller, the stage kernel chosen by
     the shape (module docstring). A kernel holds each lane's first stage
     ``k1``, which a rejected step leaves valid, and serves the controller
-    through ``attempt`` (one trial step, returning per-lane error norms),
-    ``state`` (a lane's trial state) and ``advance`` (accept lanes' steps).
+    through ``attempt`` (one trial step, returning per-lane error norms; it
+    keeps the stages where ``reach`` says the step reaches a sample),
+    ``state`` (a lane's trial state), ``keep`` (samples inside the accepted
+    steps), ``finish`` (write what ``keep`` deferred) and ``advance`` (accept
+    lanes' steps).
 
     Returns (times, states of shape (times,) + ``y0.shape``, per-lane counter
     lists).
     """
     rtol, atol, max_steps = config.rtol, config.atol, config.max_steps
-    stages = (_LaneStages if y0.ndim == 2 else _FloatStages)(field, y0, rtol, atol)
+    if y0.ndim == 2:
+        stages = _LaneStages(field, y0, rtol, atol)
+    else:
+        stages = _FloatStages(field, y0, rtol, atol, 0 if t_eval is None else len(t_eval))
     points = y0.reshape(-1, y0.shape[-1])  # (lanes, dim), one lane for a 1-D y0
     n_lanes = len(points)
     direction = 1.0 if t_end > 0 else -1.0
@@ -423,6 +503,7 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
         out = np.empty((len(t_eval),) + y0.shape)
         out[:] = y0  # rows at t = 0 keep the initial states
         rows = out.reshape((len(t_eval),) + points.shape)  # (times, lanes, dim) view
+    n_targets = len(targets)
 
     # the first stage of the first attempt serves the initial-step estimate
     f0 = np.asarray(stages.k1, dtype=float).reshape(points.shape)
@@ -435,11 +516,12 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
     h_min = [np.inf] * n_lanes
     h_max = [0.0] * n_lanes
     h_try = [0.0] * n_lanes
-    hit = [False] * n_lanes
+    t_try = [0.0] * n_lanes
     active = list(range(n_lanes))
 
     while active:
         dt = [0.0] * n_lanes  # signed trial steps; lanes at t_end keep 0
+        reach = [False] * n_lanes
         for i in active:
             ti = t[i]
             if accepted[i] + rejected[i] >= max_steps:
@@ -448,26 +530,27 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
             if h[i] < 16.0 * _EPS * max(abs(ti), 1.0):
                 raise StepSizeUnderflow(f"step size underflow at t={ti!r}"
                                         + _lane_label(i, n_lanes), last_time=ti)
-            # clip the trial step to the end time and the next requested sample
-            step = min(h[i], abs(t_end - ti))
-            hit[i] = False
-            if next_target[i] < len(targets):
-                gap = abs(targets[next_target[i]] - ti)
-                if gap <= step:
-                    step = gap
-                    hit[i] = True
+            # clip the trial step to the end time only
+            gap = abs(t_end - ti)
+            if h[i] >= gap:
+                step, t_try[i] = gap, t_end
+            else:
+                step = h[i]
+                t_try[i] = ti + direction * step
             h_try[i] = step
             dt[i] = direction * step
+            reach[i] = (next_target[i] < n_targets
+                        and direction * (targets[next_target[i]] - t_try[i]) <= 0.0)
 
-        err_norm = stages.attempt(t, dt)
+        err_norm = stages.attempt(t, dt, reach)
 
-        moved = []
+        moved, inside = [], []  # inside: (row, lane, fraction of the step)
         for i in active:
             rhs_calls[i] += 6
             norm = err_norm[i]
             if norm <= 1.0:
                 step = h_try[i]
-                t[i] = targets[next_target[i]] if hit[i] else t[i] + direction * step
+                t_new = t_try[i]
                 accepted[i] += 1
                 if step < h_min[i]:
                     h_min[i] = step
@@ -475,14 +558,20 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
                     h_max[i] = step
                 moved.append(i)
                 if record_all:
-                    times.append(t[i])
+                    times.append(t_new)
                     states.append(stages.state(i))
-                elif hit[i]:
-                    # a repeated t_eval entry takes the state just reached, no step
-                    reached = targets[next_target[i]]
-                    while next_target[i] < len(targets) and targets[next_target[i]] == reached:
-                        rows[slots[next_target[i]], i] = stages.state(i)
-                        next_target[i] += 1
+                elif reach[i]:
+                    # every sample up to the step's end: the end state itself,
+                    # or a point of the step's continuous extension
+                    j = next_target[i]
+                    while j < n_targets and direction * (targets[j] - t_new) <= 0.0:
+                        if targets[j] == t_new:
+                            rows[slots[j], i] = stages.state(i)
+                        else:
+                            inside.append((slots[j], i, (targets[j] - t[i]) / dt[i]))
+                        j += 1
+                    next_target[i] = j
+                t[i] = t_new
                 factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
             else:
                 if norm != norm:  # a nan state, field value or initial step
@@ -491,6 +580,8 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
                 rejected[i] += 1  # t and y stay, and with them the first stage
                 factor = min(1.0, max(0.2, 0.9 * norm ** -0.2))
             h[i] = h_try[i] * factor
+        if inside:
+            stages.keep(inside, dt, rows)
         if moved:
             stages.advance(moved)
         active = [i for i in active if direction * (t_end - t[i]) > 0.0]
@@ -498,6 +589,7 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
     counters = (rhs_calls, accepted, rejected, h_min, h_max)
     if record_all:
         return np.asarray(times), np.asarray(states), counters
+    stages.finish(rows)
     return np.array(t_eval), out, counters
 
 

@@ -464,11 +464,17 @@ class InvariantSeries:
         """Series values over an (n_points, dim) coordinate array."""
         return series_values(self.terms_batch(coords), eps, self.order)
 
-    def terms(self, m: PhasePoint):
-        """(J, F₁, F₂) at ``m``; higher terms are zero beyond the order."""
+    def resolve_point(self, m: PhasePoint):
+        """((J, F₁, F₂), N, resolved) at ``m``, the terms as floats
+        (``resolve_state``)."""
         self.system.require_in_domain(m)
         _check_strict(self.action, m, self.strict)
-        return tuple(float(t[0]) for t in self.terms_batch(m.coords[None, :]))
+        terms, n, resolved = self.resolve_batch(m.coords[None, :])
+        return tuple(float(t[0]) for t in terms), n, resolved
+
+    def terms(self, m: PhasePoint):
+        """(J, F₁, F₂) at ``m``; higher terms are zero beyond the order."""
+        return self.resolve_point(m)[0]
 
     def evaluate(self, m: PhasePoint, eps: float) -> float:
         return float(series_values(self.terms(m), eps, self.order))

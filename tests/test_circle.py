@@ -252,7 +252,9 @@ def test_numeric_orbit_rejects_nan_frequency_on_any_lane():
 
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
 def test_numeric_orbit_stops_at_its_last_sample(request, rng, fixture_name, monkeypatch):
-    # the run to the last node equals the run to 2π at every node, for less work
+    # the run to the last node takes the steps of the run to 2π up to its own
+    # final step, clipped to end at the last node: the nodes before that step
+    # are the same bits in both runs, and the last node is the run's end state
     fixture = request.getfixturevalue(fixture_name)
     runs = []
 
@@ -263,11 +265,12 @@ def test_numeric_orbit_stops_at_its_last_sample(request, rng, fixture_name, monk
 
     monkeypatch.setattr(circle, "integrate", both_spans)
     points = np.stack([m.coords for m in sample_points(fixture, rng, 3)])
-    orbit = CircleAction(fixture.system, flow_mode="numeric", nodes=8).orbit(
-        list(points[:, :2].T), list(points[:, 2:].T))
+    action = CircleAction(fixture.system, flow_mode="numeric", nodes=8)
+    orbit = action.orbit(list(points[:, :2].T), list(points[:, 2:].T))
     (t_end, last, full), = runs
     assert t_end == orbit.times[-1] < TWO_PI
-    assert np.array_equal(last.states, full.states)
+    assert np.array_equal(last.states[:-1], full.states[:-1])
+    assert np.max(np.abs(last.states[-1] - full.states[-1])) < 10.0 * action.rtol
     assert np.all(last.rhs_calls < full.rhs_calls)
     for i, samples in enumerate(orbit.fast):
         assert np.array_equal(samples, last.states[:, :, i].T)

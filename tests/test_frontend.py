@@ -87,6 +87,21 @@ def test_numeric_invariant_integrates_one_orbit_per_point(tmp_path, monkeypatch,
     assert len(runs) == 1
 
 
+def test_invariant_flags_an_unresolved_quadrature(tmp_path, capsys):
+    # the particle's orbit profiles need 16 nodes: at a cap of 8 its F2 is
+    # aliased, which stderr and the exit code say; stdout keeps its lines
+    printed = {}
+    for cap, code in ((8, 1), (64, 0)):
+        config = _write(tmp_path, "[fixture]\nname = charged_particle\n\n"
+                                  f"[quadrature]\nnodes = {cap}\n")
+        assert main(["invariant", "--config", config, "--order", "2"]) == code
+        printed[cap], err = capsys.readouterr()
+        assert ("unresolved at the node cap 8" in err) == (cap == 8)
+    assert [line[:8] for line in printed[8].splitlines()] == \
+        [line[:8] for line in printed[64].splitlines()]
+    assert printed[8] != printed[64]
+
+
 def test_cli_rejects_removed_variant_flag(tmp_path):
     good = _write(tmp_path, "[fixture]\nname = elastic_pendulum\n")
     with pytest.raises(SystemExit) as exc:

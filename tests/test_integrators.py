@@ -69,12 +69,16 @@ def test_energy_conserved_long_horizon():
 
 
 def test_requested_sample_times_are_exact():
-    cfg = IntegratorConfig(method="rk45", rtol=1e-9, atol=1e-12)
-    t_eval = np.linspace(0.0, 7.3, 29)
-    traj = integrate(harmonic, [1.0, 0.0], 7.3, cfg, t_eval=t_eval)
-    assert traj.times == pytest.approx(t_eval)
-    exact = np.stack([np.cos(t_eval), np.sin(t_eval)], axis=1)
-    assert np.max(np.abs(traj.states - exact)) < 1e-7
+    # at 293 samples most lie inside a step, on its continuous extension
+    rtol = 1e-9
+    cfg = IntegratorConfig(method="rk45", rtol=rtol, atol=1e-12)
+    assert integrate(harmonic, [1.0, 0.0], 7.3, cfg).accepted < 200
+    for n_samples in (29, 293):
+        t_eval = np.linspace(0.0, 7.3, n_samples)
+        traj = integrate(harmonic, [1.0, 0.0], 7.3, cfg, t_eval=t_eval)
+        assert np.array_equal(traj.times, t_eval)
+        exact = np.stack([np.cos(t_eval), np.sin(t_eval)], axis=1)
+        assert np.max(np.abs(traj.states - exact)) < 2.0 * rtol
 
 
 def test_adaptive_and_fixed_agree_at_samples():
@@ -149,8 +153,10 @@ def test_lanes_equal_their_one_lane_runs(t_end):
     t_eval = np.linspace(0.0, t_end, 7)
     lanes = integrate(anharmonic(LANE_K), LANE_Y0, t_end, cfg, t_eval=t_eval)
     assert lanes.states.shape == (7, 4, 2)
-    # the lanes reject at different steps, so their controllers really differ
-    assert len(set(lanes.rejected.tolist())) == 4
+    # each lane takes its own steps, so the controllers really differ: the
+    # lanes end after different numbers of attempts, with different largest steps
+    assert len(set((lanes.accepted + lanes.rejected).tolist())) == 4
+    assert len(set(lanes.h_max.tolist())) == 4
     for i in range(4):
         one = integrate(anharmonic(LANE_K[i]), LANE_Y0[i], t_end, cfg, t_eval=t_eval)
         stacked = integrate(anharmonic(LANE_K[i:i + 1]), LANE_Y0[i:i + 1], t_end, cfg,
@@ -221,7 +227,7 @@ REPEATS = [0, 0, 1, 1, 1, 2, 3]  # rows of the plain grid that a repeated grid a
 
 @pytest.mark.parametrize("t_end", [4.0, -3.0])
 def test_repeated_t_eval_entries_repeat_the_state(t_end):
-    # served from the state already reached: no zero-length step, same counters
+    # a repeat takes its first entry's value: no zero-length step, same counters
     cfg = IntegratorConfig(method="rk45", rtol=1e-8, atol=1e-12)
     plain_eval = np.array([0.0, 0.25, 0.5, 1.0]) * t_end
     t_eval = plain_eval[REPEATS]
@@ -236,6 +242,32 @@ def test_repeated_t_eval_entries_repeat_the_state(t_end):
         assert np.array_equal(one.states, plain.states[REPEATS])
         for name in COUNTERS:
             assert getattr(lanes, name)[i] == getattr(one, name) == getattr(plain, name)
+
+
+@pytest.mark.parametrize("t_end", [4.0, -3.0])
+def test_counters_do_not_depend_on_t_eval(t_end):
+    # steps are clipped to t_end only; samples come from the continuous extension
+    cfg = IntegratorConfig(method="rk45", rtol=1e-8, atol=1e-12)
+    grids = [np.linspace(0.0, t_end, 7), np.linspace(0.0, t_end, 200),
+             np.array([0.0, 0.1, 0.1, 0.7, 0.7, 0.7, 1.0]) * t_end, [0.0, 0.5 * t_end]]
+    lane_runs = [integrate(anharmonic(LANE_K), LANE_Y0, t_end, cfg, t_eval=g) for g in grids]
+    for i in range(4):
+        steps = integrate(anharmonic(LANE_K[i]), LANE_Y0[i], t_end, cfg)
+        for grid, lanes in zip(grids, lane_runs):
+            one = integrate(anharmonic(LANE_K[i]), LANE_Y0[i], t_end, cfg, t_eval=grid)
+            for name in COUNTERS:
+                assert getattr(one, name) == getattr(lanes, name)[i] == getattr(steps, name)
+
+
+@pytest.mark.parametrize("t_end", [4.0, -3.0])
+def test_sample_at_t_end_is_the_final_state(t_end):
+    cfg = IntegratorConfig(method="rk45", rtol=1e-8, atol=1e-12)
+    t_eval = np.array([0.0, 0.3, 1.0, 1.0]) * t_end
+    lanes = integrate(anharmonic(LANE_K), LANE_Y0, t_end, cfg, t_eval=t_eval)
+    for i in range(4):
+        steps = integrate(anharmonic(LANE_K[i]), LANE_Y0[i], t_end, cfg)
+        assert steps.times[-1] == t_end
+        assert np.array_equal(lanes.states[-2:, i], [steps.final, steps.final])
 
 
 def test_repeated_t_eval_entry_one_lane_harmonic():
