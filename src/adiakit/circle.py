@@ -23,10 +23,9 @@ the tail off the FFT that 𝒮 takes; ⟨·⟩ takes one for it while a loop is 
 Below the cap, the first unresolved profile ends the evaluation at that N.
 Numeric orbits carry the integrator's relative error, which more nodes do
 not reduce: their nodes are read off the continuous extension of the
-integrator's steps, and their tails read up to 0.76·``rtol`` where an
-analytic orbit's read 1e-14 (both fixtures at four box points, rtol 1e-8 to
-1e-12; 0.55·``rtol`` there when the steps landed on every node), so their
-tolerance is the larger of ``TAIL_TOL`` and 10·``rtol``.
+integrator's steps, and their tails read up to 1.7·``rtol`` where an
+analytic orbit's read 1e-15 (both fixtures at four box points, rtol 1e-8 to
+1e-12), so their tolerance is the larger of ``TAIL_TOL`` and 10·``rtol``.
 """
 
 from __future__ import annotations
@@ -412,17 +411,17 @@ class CircleAction:
 
     def _resolve_point(self, evaluate: Callable, m: PhasePoint):
         self.system.require_in_domain(m)
-        return self.resolve(evaluate, *m.state())[0]
+        return self.resolve(evaluate, *m.state())
 
     def average_scalar(self, f: Callable, m: PhasePoint) -> float:
         """⟨f⟩(m): mean of the orbit profile (spectrally accurate)."""
         return self._resolve_point(
-            lambda orbit: float(fourier_mean(self.profile(f, orbit))), m)
+            lambda orbit: float(fourier_mean(self.profile(f, orbit))), m)[0]
 
     def s_scalar(self, f: Callable, m: PhasePoint) -> float:
         """𝒮(f)(m): the zero-mean solution of L_Υ u = f − ⟨f⟩."""
         return self._resolve_point(
-            lambda orbit: float(s_from_samples(self.profile(f, orbit))), m)
+            lambda orbit: float(s_from_samples(self.profile(f, orbit))), m)[0]
 
     def average_slow_oneform(self, coeffs: Callable, m: PhasePoint) -> np.ndarray:
         """Componentwise average of a slow-component 1-form along the orbit.
@@ -431,11 +430,16 @@ class CircleAction:
         pullback leaves the coordinate differentials dp_i, dq_i untouched and
         only composes the coefficients with the flow.
         """
+        return self.resolve_slow_oneform(coeffs, m)[0]
+
+    def resolve_slow_oneform(self, coeffs: Callable, m: PhasePoint):
+        """(``average_slow_oneform``, N, resolved): the average with the node
+        count and the flag of ``resolve``."""
         return self._resolve_point(lambda orbit: _oneform(fourier_mean, coeffs, orbit), m)
 
     def s_slow_oneform(self, coeffs: Callable, m: PhasePoint) -> np.ndarray:
         """Componentwise 𝒮 of a slow-component 1-form (zero-average by construction)."""
-        return self._resolve_point(lambda orbit: _oneform(s_from_samples, coeffs, orbit), m)
+        return self._resolve_point(lambda orbit: _oneform(s_from_samples, coeffs, orbit), m)[0]
 
 
 def _oneform(op, coeffs: Callable, orbit: OrbitSamples) -> np.ndarray:

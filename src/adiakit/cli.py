@@ -113,8 +113,10 @@ def cmd_check(config: RunConfig, args) -> int:
             print(f"{name:<14s} residual {residual:.3e}  tol {tol:.1e}  {status}")
     if not report.ok:
         print(f"failing checks: {', '.join(report.failing)}", file=sys.stderr)
-        return 1
-    return 0
+    if not report.resolved:
+        print(f"warning: orbit profiles unresolved at the node cap {action.nodes}",
+              file=sys.stderr)
+    return 0 if report.ok and report.resolved else 1
 
 
 def cmd_invariant(config: RunConfig, args) -> int:
@@ -205,6 +207,10 @@ def cmd_drift(config: RunConfig, args) -> int:
               f"{fit.n_points}  {list(fit.excluded_eps) or '-'}  [{window}]")
     print("orbit nodes  " + "  ".join(f"eps {eps!r}: {'-' if n is None else n}"
                                       for eps, (n, _) in report.resolution.items()))
+    for eps, steps in report.steps.items():
+        print(f"integrator  eps {eps!r}: {steps['rhs_calls']} rhs calls, "
+              f"{steps['accepted']} accepted, {steps['rejected']} rejected, "
+              f"|h| {steps['h_min']:.3e} to {steps['h_max']:.3e}")
     for path in written:
         print(f"wrote {path}")
     print(f"wall time {time.perf_counter() - started:.1f} s")

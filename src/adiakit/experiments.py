@@ -159,8 +159,8 @@ def _h_drift(system, coords: np.ndarray) -> float:
 
 def _sweep_job(payload: dict) -> dict:
     """One ε of a sweep: integrate once, evaluate every requested order, and
-    report the orbit node count the series settled at and whether it
-    resolved the orbit profiles."""
+    report the orbit node count the series settled at, whether it resolved
+    the orbit profiles, and the trajectory's integrator counters."""
     config: DriftConfig = payload["config"]
     eps: float = payload["eps"]
     fixture, action, initial = config.build()
@@ -171,6 +171,8 @@ def _sweep_job(payload: dict) -> dict:
     terms, nodes, resolved = series.resolve_batch(traj.states)
     return {"eps": eps, "h_drift": _h_drift(system, traj.states),
             "nodes": nodes, "resolved": resolved,
+            "steps": {name: getattr(traj, name)
+                      for name in ("rhs_calls", "accepted", "rejected", "h_min", "h_max")},
             "orders": {order: _drift_from_terms(terms, eps, order)
                        for order in config.orders}}
 
@@ -225,6 +227,9 @@ class DriftReport:
     # ε -> (orbit node count, resolved), the count None when no order needs an
     # orbit; never serialized, so the reports keep their bytes under any cap
     resolution: dict = field(default_factory=dict)
+    # ε -> the trajectory's integrator counters (``Trajectory``: rhs_calls,
+    # accepted, rejected, h_min, h_max); never serialized
+    steps: dict = field(default_factory=dict)
 
     def slope_contract_ok(self) -> bool:
         return all(self.slopes[o].in_window for o in self.orders if o in self.slopes)
@@ -296,6 +301,7 @@ def order_sweep(config: DriftConfig) -> DriftReport:
         },
         wall_time_s=time.perf_counter() - started,
         resolution={res["eps"]: (res["nodes"], res["resolved"]) for res in results},
+        steps={res["eps"]: res["steps"] for res in results},
     )
     return report
 

@@ -1,12 +1,16 @@
-"""Explicit ODE integration: fixed-step RK4 and adaptive Dormand–Prince 5(4).
+"""Explicit ODE integration: fixed-step RK4 and adaptive Dormand–Prince 8(5,3).
 
-The adaptive path is deliberately *not* symplectic: drift experiments must see
-the model's ε-expansion, not integrator energy behaviour, so the instrument is
-a high-accuracy embedded pair run at tolerances well below the smallest drift
+The adaptive method, config name ``rk45``, runs DOP853 (Prince & Dormand, J.
+Comput. Appl. Math. 7 (1981) 67–75; Hairer, Nørsett & Wanner, *Solving ODEs
+I*, §II.5–II.6): 12 stages per step, the last one the next step's first
+(FSAL), controlled by a combined fifth- and third-order error estimate. It is
+deliberately *not* symplectic: drift experiments must see the model's
+ε-expansion, not integrator energy behaviour, so the instrument is a
+high-accuracy embedded pair run at tolerances well below the smallest drift
 being measured. Steps are clipped to the end time only: a requested sample
-time inside an accepted step is read off the step's continuous extension
-(dense output, DOPRI5's ``contd5``; Hairer, Nørsett & Wanner, *Solving ODEs
-I*, §II.6), so the steps and the counters do not depend on the output grid.
+time inside an accepted step is read off the step's seventh-order continuous
+extension (dense output, three more stages), so the steps do not depend on
+the output grid.
 
 Field contract. A field is called as ``field(t, y)``, where ``y`` holds the
 ``dim`` coordinate columns of the state, and returns the ``dim`` columns of
@@ -27,24 +31,22 @@ One controller, two stage kernels. :func:`_integrate_dp` runs the step control
 for every lane; the stage arithmetic of a step attempt is split by the shape
 of ``y0``:
 
-* a 1-D ``y0`` (one point) runs on Python floats through straight-line code
-  for one attempt (:func:`_float_attempt`), emitted once per state dimension
-  and cached; no numpy call sits in its loop;
+* a 1-D ``y0`` (one point) runs on Python floats through code emitted from
+  the tableau once per process (:func:`_float_kernel`): one comprehension
+  over the coordinates per stage, so the code does not depend on ``dim``;
 * a 2-D ``y0`` runs the lanes stacked as (lanes, dim) arrays, one ``field``
   call per stage for all lanes, which pays only when lanes are many.
 
 Both kernels take the same IEEE operations in the same order: ``t + c·dt``,
-the stage sums ``Σ a_j·k_j`` left to right from 0.0 (numpy's ``add.reduce``
-over the stage axis), ``y + dt·Σ``, and the error norm's sum of squares in the
-order of numpy's ``add.reduce`` over the contiguous state axis (left to right
-from 0.0 below eight terms, eight interleaved partial sums from eight on).
-``+ − × ÷`` and ``sqrt`` round each element on its own, so lane i of a lane
-run equals the one-point run from its state bit for bit, states and counters,
-provided ``field`` treats each lane on its own and takes the same operations
-on floats as on arrays. (numpy's ``**`` does not: it rounds differently on
-scalars and on arrays.) Dense output keeps this: both kernels store a sampled
-step's states and stages in one float array, row by row, and the continuous
-extension is evaluated once, elementwise, when the run ends.
+every weighted sum of stages Σ a_j·k_j left to right over its nonzero
+weights, ``y + dt·Σ``, the scaled error estimates, their sums of squares over
+the coordinates left to right from 0.0, and :func:`_error_norm`. ``+ − × ÷``
+and ``sqrt`` round each element on its own, so lane i of a lane run equals
+the one-point run from its state bit for bit, states and counters, provided
+``field`` treats each lane on its own and takes the same operations on floats
+as on arrays. (numpy's ``**`` does not: it rounds differently on scalars and
+on arrays.) Dense output keeps this: :func:`_dense_states` is elementwise; a
+one-point run calls it once, when the run ends.
 """
 
 from __future__ import annotations
@@ -71,8 +73,9 @@ __all__ = [
 class IntegratorConfig:
     """Settings for :func:`integrate`.
 
-    ``method`` selects ``"rk45"`` (adaptive embedded 5(4) pair) or ``"rk4"``
-    (classical fixed step of size ``dt``).
+    ``method`` selects ``"rk45"``, the adaptive method, which runs the
+    Dormand–Prince 8(5,3) pair DOP853 (configuration files name it so), or
+    ``"rk4"`` (classical fixed step of size ``dt``).
     """
 
     method: str = "rk45"
@@ -127,170 +130,179 @@ def step_rk4(field: Callable, t: float, y: np.ndarray, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-# Dormand–Prince 5(4) tableau (DOPRI5); fifth-order propagation with an
-# embedded fourth-order error estimate.
-_DP_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
-_DP_A = [
+# Dormand–Prince 8(5,3), DOP853: the coefficients of scipy's transcription of
+# Hairer's dop853.f (scipy/integrate/_ivp/dop853_coefficients.py), written as
+# the shortest reprs of the same doubles. Stage s sits at t + C[s]·dt with the
+# state y + dt·Σ_j A[s][j]·k_j. Row 12 holds the eighth-order weights b: its
+# state is the step's solution, its field value the next step's first stage
+# (FSAL). Stages 13–15 serve the continuous extension only.
+_C = [0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+      0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
+      1.0, 1.0, 0.1, 0.2, 0.7777777777777778]
+_A = [
     [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0, 0.08876275643042054],
+    [0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125],
+    [0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+     0.008273789163814023],
+    [0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627],
+    [-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196],
+    [2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636],
+    [0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+     0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259],
+    [0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483, -0.2462390374708025,
+     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+     -0.008298],
+    [0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0, 0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325],
+    [-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+     0.3567271874552811, 0, 0, 0, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987],
 ]
-# fifth-order weights b5 (the last stage row of _DP_A, then 0.0: FSAL), and
-# b5 - b4: the local truncation error weights
-_DP_B5 = _DP_A[6] + [0.0]
-_DP_E = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+# weights of the fifth- and the third-order error estimate (E3 = b − bhh)
+_E5 = [0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+       1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+       -0.022355307863886294]
+_E3 = [-0.18980075407240762, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+       -0.4226823213237919, -0.1521609496625161, 0.20136540080403034, 0.02265179219836082]
+# the continuous extension's last four coefficient rows (dop853.f's contd8), as
+# weights of the stages it reads
+_DENSE_STAGES = [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]
+_D = [
+    [-8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894],
+    [10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408],
+    [19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279],
+    [-25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564],
+]
 _EPS = np.finfo(float).eps
 
-# the tableau with trailing axes for the lane kernel: nodes broadcast over
-# per-lane times (lanes,), weights over stages (lanes, dim)
-_LANE_C = np.array(_DP_C)[:, None]
-_LANE_A = [np.array(row)[:, None, None] for row in _DP_A]
-_LANE_B5_E = np.array([_DP_B5, _DP_E])[:, :, None, None]
 
-# Continuous extension of the step (DOPRI5 ``contd5``; Hairer, Nørsett &
-# Wanner, Solving ODEs I, §II.6): weights of k1, k3…k7 in its last coefficient
-_DENSE_STAGES = [0, 2, 3, 4, 5, 6]
-_DENSE_D = [-12715105075 / 11282082432, 87487479700 / 32700410799,
-            -10690763975 / 1880347072, 701980252875 / 199316789632,
-            -1453857185 / 822651844, 69997945 / 29380423]
+def _weighted(weights, k):
+    """Σ w_j·k_j over the nonzero ``weights``, left to right, elementwise: the
+    order of the float kernel's emitted sums."""
+    total = None
+    for w, k_j in zip(weights, k):
+        if w:
+            total = w * k_j if total is None else total + w * k_j
+    return total
 
 
-def _rms(x):
-    """Per-lane root mean square over the state axis, as Python floats.
+def _error_norm(dt, s5, s3, dim):
+    """DOP853's error norm |dt|·s₅/√(dim·(s₅ + 0.01·s₃)) from the sums of
+    squares of a step's scaled fifth- and third-order error estimates. Both
+    sums 0 give 0; an inf or nan sum gives inf (the step is rejected) or nan
+    (the controller raises), not inf/inf."""
+    total = s5 + 0.01 * s3
+    if 0.0 < total < math.inf:
+        return abs(dt) * s5 / math.sqrt(total * dim)
+    return 0.0 if total == 0.0 else total
 
-    The arithmetic of ``np.mean`` (a sum, then one division by the count)
-    without its Python overhead.
+
+@functools.cache
+def _float_kernel():
+    """The one-point stage kernel, emitted from the tableau on first use.
+
+    ``attempt(field, t, dt, y, k, atol, rtol)`` appends the stages k1…k12 to
+    ``k`` = [k0] and returns the step's solution and its error norm;
+    ``extend`` (same arguments) then appends the continuous extension's
+    stages k13…k15. States and stages are lists over the coordinates.
     """
-    return np.sqrt(np.add.reduce(np.square(x), axis=-1) / x.shape[-1]).tolist()
+    def weighted(weights):
+        return " + ".join(f"{w!r} * q{j}" for j, w in enumerate(weights) if w)
 
+    def stages(first, last):
+        lines = []
+        for s in range(first, last):
+            used = [j for j, w in enumerate(_A[s]) if w]
+            lines.append(f"    k.append(field(t + {_C[s]!r} * dt, state := [y_ + dt * "
+                         f"({weighted(_A[s])}) for y_, {', '.join(f'q{j}' for j in used)} "
+                         f"in zip(y, {', '.join(f'k[{j}]' for j in used)})]))")
+        return lines
 
-def _sum_code(terms):
-    """Python expression for the sum of ``terms`` in the order numpy's
-    ``add.reduce`` takes along a contiguous axis: 0.0 plus its pairwise sum.
-
-    The pairwise sum of fewer than eight terms runs left to right from 0.0;
-    up to 128 terms, eight interleaved partial sums are combined pairwise and
-    the remainder added left to right; above 128, the two halves (the first a
-    multiple of eight) are summed that way and added.
-    """
-    def pairwise(terms):
-        n = len(terms)
-        if n < 8:
-            return " + ".join(["0.0"] + list(terms))
-        if n > 128:
-            half = n // 2 - (n // 2) % 8
-            return f"({pairwise(terms[:half])}) + ({pairwise(terms[half:])})"
-        blocks = n - n % 8
-        r = [" + ".join(terms[j:blocks:8]) for j in range(8)]
-        pairs = "(({}) + ({})) + (({}) + ({}))".format(
-            *(f"({r[2 * j]}) + ({r[2 * j + 1]})" for j in range(4)))
-        return " + ".join([f"({pairs})"] + list(terms[blocks:]))
-
-    code = pairwise(terms)
-    # the reduction's initial 0.0 changes nothing after a left-to-right sum
-    # from 0.0, which never ends in -0.0
-    return code if len(terms) < 8 else f"0.0 + ({code})"
-
-
-@functools.lru_cache(maxsize=None)
-def _float_attempt(dim: int):
-    """One DP5 step attempt from a state of ``dim`` Python floats.
-
-    Straight-line code with the stacked kernel's operations in its order (see
-    the module docstring), emitted on first use for each ``dim``. The
-    returned ``attempt(field, t, dt, y, k1, atol, rtol, keep)`` gives the new
-    state, its derivative (the next FSAL stage), the error norm and, when
-    ``keep`` is true, the inner stages k3…k6 that dense output needs (else
-    None).
-    """
-    ks = [[f"k{s}_{i}" for i in range(dim)] for s in range(7)]
-    ys = [f"y{i}" for i in range(dim)]
-
-    def weighted(weights, i):
-        return [f"{a!r} * {ks[j][i]}" for j, a in enumerate(weights)]
-
-    def row(names):
-        return f"({', '.join(names)},)"
-
-    lines = ["def attempt(field, t, dt, y, k1, atol, rtol, keep):",
-             f"    {', '.join(ys)}, = y",
-             f"    {', '.join(ks[0])}, = k1"]
-    for s in range(1, 7):
-        if s == 6:  # the last stage sits at the fifth-order solution: keep its sums
-            lines += [f"    s{i} = {_sum_code(weighted(_DP_A[6], i))}" for i in range(dim)]
-            stage = [f"{ys[i]} + dt * s{i}" for i in range(dim)]
-        else:
-            stage = [f"{ys[i]} + dt * ({_sum_code(weighted(_DP_A[s], i))})"
-                     for i in range(dim)]
-        lines.append(f"    {', '.join(ks[s])}, = field(t + {_DP_C[s]!r} * dt, "
-                     f"({', '.join(stage)},))")
-    for i in range(dim):
-        lines += [f"    n{i} = {ys[i]} + dt * (s{i} + 0.0 * {ks[6][i]})",
-                  f"    a{i} = abs({ys[i]})",
-                  f"    b{i} = abs(n{i})",
-                  f"    q{i} = dt * ({_sum_code(weighted(_DP_E, i))}) "
-                  f"/ (atol + rtol * (a{i} if a{i} >= b{i} else b{i}))"]
-    squares = [f"q{i} * q{i}" for i in range(dim)]
-    inner = ", ".join(row(ks[s]) for s in range(2, 6))
-    lines += [f"    norm = sqrt(({_sum_code(squares)}) / {dim})",
-              f"    return {row(f'n{i}' for i in range(dim))}, {row(ks[6])}, norm, "
-              f"(({inner}) if keep else None)"]
-    namespace = {"sqrt": math.sqrt}
-    exec(compile("\n".join(lines) + "\n", f"<DP5 attempt, dim {dim}>", "exec"), namespace)
-    return namespace["attempt"]
+    source = "\n".join(
+        ["def attempt(field, t, dt, y, k, atol, rtol):"] + stages(1, 13)
+        + ["    s5 = s3 = 0.0",
+           f"    for y_, n_, {', '.join(f'q{j}' for j in range(12))} in zip(y, state, *k[:12]):",
+           "        a_, b_ = abs(y_), abs(n_)",
+           "        scale = atol + rtol * (a_ if a_ >= b_ else b_)",
+           f"        e5 = ({weighted(_E5)}) / scale",
+           f"        e3 = ({weighted(_E3)}) / scale",
+           "        s5 += e5 * e5",
+           "        s3 += e3 * e3",
+           "    return state, error_norm(dt, s5, s3, len(y))",
+           "def extend(field, t, dt, y, k, atol, rtol):"] + stages(13, 16)) + "\n"
+    namespace = {"error_norm": _error_norm}
+    exec(compile(source, "<DOP853 float kernel>", "exec"), namespace)
+    return namespace["attempt"], namespace["extend"]
 
 
 class _FloatStages:
     """Stage kernel of a one-point run: Python floats through emitted code.
 
-    A sample inside a step waits in float arrays, one row per output row,
-    until ``finish`` evaluates them all in one vectorised pass.
+    The steps that hold samples wait in a float array, one row per step (at
+    most one per output row), until ``finish`` evaluates every sample in one
+    vectorised pass.
     """
 
     def __init__(self, field, y0, rtol, atol, n_rows):
         self.field, self.rtol, self.atol = field, rtol, atol
-        self.attempt_code = _float_attempt(len(y0))
-        self.y = tuple(y0.tolist())
+        self.attempt_code, self.extend_code = _float_kernel()
+        self.y = y0.tolist()
         try:
-            self.k1 = field(0.0, self.y)
+            self.k0 = field(0.0, self.y)
         except (ZeroDivisionError, OverflowError) as exc:
             raise NumericalError(f"field failed at t=0.0: {exc}") from exc
-        # per row: the step's start and end states and its stages k1, k3…k7
-        self.steps = np.empty((8, n_rows, len(y0)))
-        self.theta = np.empty(n_rows)
-        self.dt = np.empty(n_rows)
-        self.kept = np.zeros(n_rows, dtype=bool)
+        # a sampled step's start and end states and stages _DENSE_STAGES, at
+        # the row of its first sample
+        self.steps = np.empty((n_rows, 2 + len(_DENSE_STAGES), len(y0)))
+        self.samples = []  # per interior sample: (row, its step's row, fraction, dt)
 
-    def attempt(self, t, dt, reach):
+    def _run(self, code):
         try:  # Python floats raise where numpy arrays give inf or nan
-            self.y_new, self.k_last, norm, self.inner = self.attempt_code(
-                self.field, t[0], dt[0], self.y, self.k1, self.atol, self.rtol, reach[0])
+            return code(self.field, self.t, self.dt, self.y, self.k, self.atol, self.rtol)
         except (ZeroDivisionError, OverflowError) as exc:
-            raise NumericalError(f"field failed in a step from t={t[0]!r}: {exc}") from exc
+            raise NumericalError(f"field failed in a step from t={self.t!r}: {exc}") from exc
+
+    def attempt(self, t, dt):
+        self.t, self.dt, self.k = t[0], dt[0], [self.k0]
+        self.y_new, norm = self._run(self.attempt_code)
         return [norm]
 
     def state(self, i):
         return self.y_new
 
-    def keep(self, inside, dt, rows):
-        step = (self.y, self.y_new, self.k1) + self.inner + (self.k_last,)
-        for row, _, theta in inside:
-            self.steps[:, row] = step
-            self.theta[row], self.dt[row], self.kept[row] = theta, dt[0], True
+    def keep(self, inside, rows):
+        self._run(self.extend_code)
+        first = inside[0][0]
+        self.samples += [(row, first, theta, self.dt) for row, _, theta in inside]
+        self.steps[first] = [self.y, self.y_new] + [self.k[j] for j in _DENSE_STAGES]
 
     def finish(self, rows):
-        kept = self.kept
-        if kept.any():
-            steps = self.steps[:, kept]
-            rows[kept, 0] = _dense_states(steps[0], steps[1], steps[2:],
-                                          self.theta[kept], self.dt[kept])
+        if self.samples:
+            row, step, theta, dt = (np.array(c) for c in zip(*self.samples))
+            data = self.steps[step].transpose(1, 0, 2)  # (14, samples, dim)
+            rows[row, 0] = _dense_states(data[0], data[1], data[2:], theta, dt)
 
     def advance(self, moved):
-        self.y, self.k1 = self.y_new, self.k_last
+        self.y, self.k0 = self.y_new, self.k[12]
 
 
 def _fill_columns(out, columns):
@@ -308,61 +320,80 @@ class _LaneStages:
     def __init__(self, field, y0, rtol, atol):
         self.field, self.rtol, self.atol = field, rtol, atol
         self.y = np.array(y0)
-        self.k1 = np.empty_like(self.y)
-        _fill_columns(self.k1, field(np.zeros(len(y0)), self.y.T))
+        self.k0 = self._call(np.zeros(len(y0)), self.y)
 
-    def attempt(self, t, dt, reach):
-        field, y = self.field, self.y
-        k = np.empty((7,) + y.shape)
-        k[0] = self.k1
-        dt = np.array(dt)
-        t_stage = np.array(t) + _LANE_C * dt
-        dt_col = dt[:, None]
-        for s in range(1, 7):
-            stage = y + dt_col * (_LANE_A[s] * k[:s]).sum(axis=0)
-            _fill_columns(k[s], field(t_stage[s], stage.T))
-        increment, err = dt_col * (_LANE_B5_E * k).sum(axis=1)
-        self.y_new, self.k_last, self.k = y + increment, k[6], k
-        return _rms(err / (self.atol + self.rtol * np.maximum(np.abs(y), np.abs(self.y_new))))
+    def _call(self, t, state):
+        out = np.empty_like(state)
+        _fill_columns(out, self.field(t, state.T))
+        return out
+
+    def _stages(self, first, last, hold=None):
+        """Append stages ``first`` … ``last`` − 1; lanes where a ``hold`` is
+        given and false stay at their state."""
+        dt_col = self.dt[:, None]
+        for s in range(first, last):
+            state = self.y + dt_col * _weighted(_A[s], self.k)
+            if hold is not None:
+                state = np.where(hold, state, self.y)
+            self.k.append(self._call(self.t + _C[s] * self.dt, state))
+        return state
+
+    def attempt(self, t, dt):
+        y = self.y
+        self.t, self.dt, self.k = np.array(t), np.array(dt), [self.k0]
+        self.y_new = self._stages(1, 13)
+        scale = self.atol + self.rtol * np.maximum(np.abs(y), np.abs(self.y_new))
+        e5 = _weighted(_E5, self.k) / scale
+        e3 = _weighted(_E3, self.k) / scale
+        s5 = s3 = 0.0
+        for c5, c3 in zip(e5.T, e3.T):
+            s5 = s5 + c5 * c5
+            s3 = s3 + c3 * c3
+        return [_error_norm(h, a, b, y.shape[1])
+                for h, a, b in zip(dt, s5.tolist(), s3.tolist())]
 
     def state(self, i):
         return self.y_new[i]
 
-    def keep(self, inside, dt, rows):
+    def keep(self, inside, rows):
         row, lane, theta = (np.array(c) for c in zip(*inside))
+        # lanes without an interior sample stay at their state, whose field
+        # value is finite; their extension stages are discarded
+        hold = np.zeros((len(self.y), 1), dtype=bool)
+        hold[lane] = True
+        self._stages(13, 16, hold)
         rows[row, lane] = _dense_states(self.y[lane], self.y_new[lane],
-                                        self.k[_DENSE_STAGES][:, lane], theta,
-                                        np.array(dt)[lane])
+                                        [self.k[j][lane] for j in _DENSE_STAGES], theta,
+                                        self.dt[lane])
 
     def finish(self, rows):
         pass
 
     def advance(self, moved):
         if len(moved) == len(self.y):
-            self.y, self.k1 = self.y_new, self.k_last  # FSAL
+            self.y, self.k0 = self.y_new, self.k[12]  # FSAL
         else:
             self.y[moved] = self.y_new[moved]
-            self.k1[moved] = self.k_last[moved]
+            self.k0[moved] = self.k[12][moved]
 
 
 def _dense_states(y, y1, k, theta, dt):
-    """States inside accepted steps from the DP5 continuous extension.
+    """States inside accepted steps from DOP853's continuous extension.
 
     Per sample: the step's start and end states ``y`` and ``y1`` (samples,
-    dim), its stages k1, k3…k7 stacked in ``k`` (6, samples, dim), the
+    dim), its stages ``_DENSE_STAGES`` in ``k`` (12 × (samples, dim)), the
     sample's fraction ``theta`` of the step and the signed step ``dt``.
     Elementwise arithmetic only, so a sample's value does not depend on
     which other samples share the call.
     """
     dt, theta = dt[:, None], theta[:, None]
-    rest = 1.0 - theta
     ydiff = y1 - y
-    bspl = dt * k[0] - ydiff
-    weighted = _DENSE_D[0] * k[0]
-    for d, k_s in zip(_DENSE_D[1:], k[1:]):
-        weighted = weighted + d * k_s
-    last = ydiff - dt * k[5] - bspl
-    return y + theta * (ydiff + rest * (bspl + theta * (last + rest * (dt * weighted))))
+    coeffs = ([ydiff, dt * k[0] - ydiff, 2.0 * ydiff - dt * (k[8] + k[0])]
+              + [dt * _weighted(row, k) for row in _D])
+    total = 0.0
+    for i, f in enumerate(reversed(coeffs)):
+        total = (total + f) * (theta if i % 2 == 0 else 1.0 - theta)
+    return y + total
 
 
 def _lane_label(i, n_lanes):
@@ -376,9 +407,11 @@ def _per_lane(values, lanes: bool):
 
 def _initial_steps(f0, y0, t_span, rtol, atol):
     """First trial step magnitude of each lane of ``y0`` (lanes, dim)."""
-    scale = atol + rtol * np.abs(y0)
+    scaled = np.stack([y0, f0]) / (atol + rtol * np.abs(y0))
+    # root mean squares over the state axis: np.mean's arithmetic, without its overhead
+    rms = np.sqrt(np.add.reduce(np.square(scaled), axis=-1) / y0.shape[-1]).tolist()
     steps = []
-    for d0, d1 in zip(_rms(y0 / scale), _rms(f0 / scale)):
+    for d0, d1 in zip(*rms):
         if d0 < 1e-5 or d1 < 1e-5:
             h = 1e-6 * max(abs(t_span), 1.0)
         else:
@@ -398,11 +431,12 @@ def integrate(field: Callable, y0: Sequence[float], t_end: float,
     When ``t_eval`` is given, states are reported at those times, whose
     entries must run monotonically from 0 toward ``t_end`` without passing
     it. An entry at the end of an accepted step (``t_end`` among them) gets
-    the step's state; an entry inside one gets the step's fourth-order
+    the step's state; an entry inside one gets the step's seventh-order
     continuous extension, whose error is of the order of the step's own.
-    Steps are clipped to ``t_end`` only, so they and the counters are the
-    same for every ``t_eval``. Otherwise the initial state and every accepted
-    step are recorded.
+    Steps are clipped to ``t_end`` only, so they are the same for every
+    ``t_eval``, and so are the counters but the right-hand-side calls: an
+    accepted step holding an entry inside it takes three more. Otherwise the
+    initial state and every accepted step are recorded.
 
     A 2-D ``y0`` of shape (lanes, dim) integrates every lane with its own
     step control (``rk45`` only, ``t_eval`` required); each column ``field``
@@ -473,15 +507,14 @@ def _integrate_fixed(field, y0, t_end, config, t_eval, stepper):
 
 
 def _integrate_dp(field, y0, t_end, config, t_eval):
-    """Dormand–Prince 5(4) over one point (``y0`` of shape (dim,)) or the
-    lanes of ``y0`` (lanes, dim): one controller, the stage kernel chosen by
-    the shape (module docstring). A kernel holds each lane's first stage
-    ``k1``, which a rejected step leaves valid, and serves the controller
-    through ``attempt`` (one trial step, returning per-lane error norms; it
-    keeps the stages where ``reach`` says the step reaches a sample),
-    ``state`` (a lane's trial state), ``keep`` (samples inside the accepted
-    steps), ``finish`` (write what ``keep`` deferred) and ``advance`` (accept
-    lanes' steps).
+    """DOP853 over one point (``y0`` of shape (dim,)) or the lanes of ``y0``
+    (lanes, dim): one controller, the stage kernel chosen by the shape (module
+    docstring). A kernel holds each lane's first stage ``k0``, which a
+    rejected step leaves valid, and serves the controller through ``attempt``
+    (one trial step from the lanes' times and signed steps, returning per-lane
+    error norms), ``state`` (a lane's trial state), ``keep`` (samples inside
+    the accepted steps of the last attempt), ``finish`` (write what ``keep``
+    deferred) and ``advance`` (accept lanes' steps).
 
     Returns (times, states of shape (times,) + ``y0.shape``, per-lane counter
     lists).
@@ -506,7 +539,7 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
     n_targets = len(targets)
 
     # the first stage of the first attempt serves the initial-step estimate
-    f0 = np.asarray(stages.k1, dtype=float).reshape(points.shape)
+    f0 = np.asarray(stages.k0, dtype=float).reshape(points.shape)
     h = _initial_steps(f0, points, t_end, rtol, atol)  # magnitudes
     t = [0.0] * n_lanes
     next_target = [0] * n_lanes
@@ -521,7 +554,6 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
 
     while active:
         dt = [0.0] * n_lanes  # signed trial steps; lanes at t_end keep 0
-        reach = [False] * n_lanes
         for i in active:
             ti = t[i]
             if accepted[i] + rejected[i] >= max_steps:
@@ -539,14 +571,12 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
                 t_try[i] = ti + direction * step
             h_try[i] = step
             dt[i] = direction * step
-            reach[i] = (next_target[i] < n_targets
-                        and direction * (targets[next_target[i]] - t_try[i]) <= 0.0)
 
-        err_norm = stages.attempt(t, dt, reach)
+        err_norm = stages.attempt(t, dt)
 
         moved, inside = [], []  # inside: (row, lane, fraction of the step)
         for i in active:
-            rhs_calls[i] += 6
+            rhs_calls[i] += 12
             norm = err_norm[i]
             if norm <= 1.0:
                 step = h_try[i]
@@ -560,10 +590,11 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
                 if record_all:
                     times.append(t_new)
                     states.append(stages.state(i))
-                elif reach[i]:
+                else:
                     # every sample up to the step's end: the end state itself,
-                    # or a point of the step's continuous extension
-                    j = next_target[i]
+                    # or a point of the step's continuous extension, whose
+                    # three stages a step holding such a point takes
+                    j, held = next_target[i], len(inside)
                     while j < n_targets and direction * (targets[j] - t_new) <= 0.0:
                         if targets[j] == t_new:
                             rows[slots[j], i] = stages.state(i)
@@ -571,17 +602,19 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
                             inside.append((slots[j], i, (targets[j] - t[i]) / dt[i]))
                         j += 1
                     next_target[i] = j
+                    if len(inside) > held:
+                        rhs_calls[i] += 3
                 t[i] = t_new
-                factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
+                factor = 10.0 if norm == 0.0 else min(10.0, max(0.2, 0.9 * norm ** -0.125))
             else:
                 if norm != norm:  # a nan state, field value or initial step
                     raise NumericalError(f"error norm is nan at t={t[i]!r}"
                                          + _lane_label(i, n_lanes))
                 rejected[i] += 1  # t and y stay, and with them the first stage
-                factor = min(1.0, max(0.2, 0.9 * norm ** -0.2))
+                factor = min(1.0, max(0.2, 0.9 * norm ** -0.125))
             h[i] = h_try[i] * factor
         if inside:
-            stages.keep(inside, dt, rows)
+            stages.keep(inside, rows)
         if moved:
             stages.advance(moved)
         active = [i for i in active if direction * (t_end - t[i]) > 0.0]

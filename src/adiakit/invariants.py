@@ -131,8 +131,13 @@ def check_momentum_map(system: SlowFastSystem, action: CircleAction, m: PhasePoi
 
 def check_adiabatic(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> float:
     """Residual ‖⟨d₁J⟩‖: the averaged slow differential of the momentum map."""
-    avg = action.average_slow_oneform(d1j_coeffs(system), m)
-    return float(np.linalg.norm(avg))
+    return _adiabatic(system, action, m)[0]
+
+
+def _adiabatic(system, action, m):
+    """(``check_adiabatic``, whether the node cap resolved its orbit profiles)."""
+    avg, _, resolved = action.resolve_slow_oneform(d1j_coeffs(system), m)
+    return float(np.linalg.norm(avg)), resolved
 
 
 def check_period_energy(system: SlowFastSystem, m: PhasePoint) -> float:
@@ -156,6 +161,7 @@ class HypothesisReport:
     adiabatic_residual: float
     period_energy_residual: float
     tolerances: dict
+    resolved: bool  # whether the node cap resolved ⟨d₁J⟩'s profiles; not in as_dict
 
     @property
     def flags(self) -> dict:
@@ -194,12 +200,14 @@ def check_hypotheses(system: SlowFastSystem, action: CircleAction,
     tols = dict.fromkeys(("periodicity", "momentum_map", "adiabatic", "period_energy"),
                          HYPOTHESIS_TOL)
     _, per = action.check_periodicity(m, HYPOTHESIS_TOL)
+    adiabatic, resolved = _adiabatic(system, action, m)
     return HypothesisReport(
         periodicity_residual=per,
         momentum_map_residual=check_momentum_map(system, action, m),
-        adiabatic_residual=check_adiabatic(system, action, m),
+        adiabatic_residual=adiabatic,
         period_energy_residual=check_period_energy(system, m),
         tolerances=tols,
+        resolved=resolved,
     )
 
 

@@ -102,6 +102,19 @@ def test_invariant_flags_an_unresolved_quadrature(tmp_path, capsys):
     assert printed[8] != printed[64]
 
 
+def test_check_flags_an_unresolved_quadrature(tmp_path, capsys):
+    # the adiabatic check averages the particle's d1J, whose profiles carry
+    # harmonics up to 2: a cap of 4 nodes leaves them unresolved, 8 resolves
+    # them
+    for cap, code in ((4, 1), (8, 0)):
+        config = _write(tmp_path, "[fixture]\nname = charged_particle\n\n"
+                                  f"[quadrature]\nnodes = {cap}\n")
+        assert main(["check", "--config", config]) == code
+        out, err = capsys.readouterr()
+        assert out.count("PASS") == 4
+        assert ("unresolved at the node cap 4" in err) == (cap == 4)
+
+
 def test_cli_rejects_removed_variant_flag(tmp_path):
     good = _write(tmp_path, "[fixture]\nname = elastic_pendulum\n")
     with pytest.raises(SystemExit) as exc:
@@ -115,16 +128,22 @@ def test_order_sweep_bytes_independent_of_workers(tmp_path):
     config = DriftConfig(fixture="elastic_pendulum", eps_grid=(0.2, 0.1), samples=8,
                          integrator=IntegratorConfig(method="rk45", rtol=1e-9, atol=1e-12),
                          outer_nodes=32)
-    written, resolution = {}, {}
+    written, resolution, steps = {}, {}, {}
     for workers in (1, 2):
         report = order_sweep(replace(config, workers=workers))
         written[workers] = [
             Path(emit(report, fmt, tmp_path / f"drift{workers}.{fmt}")).read_bytes()
             for fmt in ("csv", "json")]
         resolution[workers] = report.resolution
+        steps[workers] = report.steps
     assert written[1] == written[2]
     assert b"variant" not in written[1][1]
     assert resolution[1] == resolution[2] == {0.2: (8, True), 0.1: (8, True)}
+    assert steps[1] == steps[2]
+    assert list(steps[1]) == [0.2, 0.1]
+    for counters in steps[1].values():
+        assert counters["rhs_calls"] >= 1 + 12 * counters["accepted"] > 1
+    assert b"rhs_calls" not in written[1][1]
 
 
 def test_particle_at_cap_8_is_flagged_unresolved(tmp_path, capsys):
@@ -143,6 +162,8 @@ def test_particle_at_cap_8_is_flagged_unresolved(tmp_path, capsys):
         out, err = capsys.readouterr()
         n = min(cap, 16)
         assert f"orbit nodes  eps 0.2: {n}  eps 0.1: {n}\n" in out
+        assert [line.split(":")[0] for line in out.splitlines()
+                if line.startswith("integrator")] == ["integrator  eps 0.2", "integrator  eps 0.1"]
         assert ("unresolved at the node cap 8 for eps 0.2, 0.1" in err) == (cap == 8)
 
 

@@ -1,13 +1,15 @@
 """Fixed and adaptive integration: accuracy, error control, failure modes."""
 
+import math
+
 import numpy as np
 import pytest
 
 from adiakit import (IntegratorConfig, MaxStepsExceeded, NumericalError,
-                     StepSizeUnderflow, convergence_order, elastic_pendulum, integrate,
-                     step_rk4)
+                     StepSizeUnderflow, charged_particle, convergence_order,
+                     elastic_pendulum, integrate, step_rk4)
 from adiakit.experiments import full_field
-from adiakit.integrators import _sum_code
+from adiakit.integrators import _A, _C, _E3, _E5, _FloatStages
 
 
 def linear(t, y):
@@ -96,6 +98,49 @@ def test_negative_time_direction():
     cfg = IntegratorConfig(method="rk45", rtol=1e-11, atol=1e-14)
     traj = integrate(harmonic, [1.0, 0.0], -np.pi, cfg)
     assert traj.final == pytest.approx([-1.0, 0.0], abs=1e-9)
+
+
+def test_dop853_tableau_is_consistent():
+    # exact sums of the doubles; a row's bound scales with its weights, which
+    # reach 43 in magnitude, so that the doubles' own rounding fits it
+    for s in range(1, 16):
+        assert abs(math.fsum(_A[s]) - _C[s]) <= 1e-15 * max(1.0, math.fsum(map(abs, _A[s])))
+    assert math.fsum(_A[12]) == pytest.approx(1.0, abs=1e-15)  # the weights b
+    assert abs(math.fsum(_E5)) <= 1e-15 and abs(math.fsum(_E3)) <= 1e-15
+
+
+def one_step(field, y0, h, theta):
+    """The end state of one step of size ``h`` from t = 0, and its continuous
+    extension at ``theta``·h."""
+    stages = _FloatStages(field, np.asarray(y0, dtype=float), 1e-9, 1e-12, 1)
+    stages.attempt([0.0], [h])
+    rows = np.empty((1, 1, len(y0)))
+    stages.keep([(0, 0, theta)], rows)
+    stages.finish(rows)
+    return stages.y_new[0], rows[0, 0, 0]
+
+
+STEPS = np.array([0.6, 0.4, 0.3, 0.2])  # local errors 9e-10 … 4e-14, well above rounding
+
+
+def test_one_step_local_error_is_ninth_order():
+    errors = [abs(one_step(linear, [1.0], h, 0.5)[0] - math.exp(h)) for h in STEPS]
+    assert np.polyfit(np.log(STEPS), np.log(errors), 1)[0] == pytest.approx(9.0, abs=0.3)
+
+
+def test_continuous_extension_interior_error_is_eighth_order():
+    errors = [abs(one_step(linear, [1.0], h, 0.5)[1] - math.exp(0.5 * h)) for h in STEPS]
+    assert np.polyfit(np.log(STEPS), np.log(errors), 1)[0] == pytest.approx(8.0, abs=0.3)
+
+
+def test_particle_step_count_guard():
+    # DP5 took 632 attempts here; the counts repeat exactly, so a fall back
+    # to low-order stepping shows
+    particle = charged_particle()
+    cfg = IntegratorConfig(method="rk45", rtol=1e-10, atol=1e-13)
+    traj = integrate(full_field(particle.system, 0.05), particle.initial.coords, 20.0, cfg,
+                     t_eval=np.linspace(0.0, 20.0, 512))
+    assert traj.accepted + traj.rejected <= 100
 
 
 def test_convergence_order_rk4():
@@ -197,7 +242,7 @@ def oscillator_chain(t, y):
 
 @pytest.mark.parametrize("dim", [2, 10, 20])
 def test_lanes_equal_one_point_runs_beyond_eight_coordinates(dim):
-    # from eight coordinates on, numpy sums the error norm pairwise
+    # both kernels sum the error norm over the coordinates left to right
     rng = np.random.default_rng(dim)
     y0 = rng.standard_normal((3, dim)) * 10.0 ** rng.integers(-3, 3, (3, dim))
     cfg = IntegratorConfig(method="rk45", rtol=1e-8, atol=1e-12)
@@ -208,18 +253,6 @@ def test_lanes_equal_one_point_runs_beyond_eight_coordinates(dim):
         assert np.array_equal(lanes.states[:, i], one.states)
         for name in COUNTERS:
             assert getattr(lanes, name)[i] == getattr(one, name)
-
-
-@pytest.mark.parametrize("n", list(range(1, 20)) + [127, 128, 129, 300])
-def test_emitted_sums_take_numpys_reduction_order(n):
-    rng = np.random.default_rng(n)
-    x = rng.standard_normal((50, n)) * 10.0 ** rng.integers(-8, 8, (50, n))
-    total = eval(f"lambda x: {_sum_code([f'x[{i}]' for i in range(n)])}")
-    want = np.add.reduce(x, axis=-1)  # along the contiguous axis, as the norm
-    assert [total(row) for row in x.tolist()] == want.tolist()
-    if n < 8:  # the stage sums (at most seven terms) reduce an outer axis
-        outer = np.ascontiguousarray(x.T)[:, :, None]  # (terms, rows, 1)
-        assert [total(row) for row in x.tolist()] == outer.sum(axis=0)[:, 0].tolist()
 
 
 REPEATS = [0, 0, 1, 1, 1, 2, 3]  # rows of the plain grid that a repeated grid asks for
@@ -253,10 +286,19 @@ def test_counters_do_not_depend_on_t_eval(t_end):
     lane_runs = [integrate(anharmonic(LANE_K), LANE_Y0, t_end, cfg, t_eval=g) for g in grids]
     for i in range(4):
         steps = integrate(anharmonic(LANE_K[i]), LANE_Y0[i], t_end, cfg)
+        ends = np.abs(steps.times)  # of the accepted steps, from 0
         for grid, lanes in zip(grids, lane_runs):
             one = integrate(anharmonic(LANE_K[i]), LANE_Y0[i], t_end, cfg, t_eval=grid)
-            for name in COUNTERS:
+            for name in COUNTERS[1:]:
                 assert getattr(one, name) == getattr(lanes, name)[i] == getattr(steps, name)
+            # the continuous extension takes three more stages on each
+            # accepted step that holds a sample strictly inside it
+            targets = np.abs(np.asarray(grid))
+            holding = sum(bool(np.any((a < targets) & (targets < b)))
+                          for a, b in zip(ends[:-1], ends[1:]))
+            attempts = steps.accepted + steps.rejected
+            assert steps.rhs_calls == 1 + 12 * attempts
+            assert one.rhs_calls == lanes.rhs_calls[i] == 1 + 12 * attempts + 3 * holding
 
 
 @pytest.mark.parametrize("t_end", [4.0, -3.0])
@@ -297,8 +339,8 @@ def test_one_lane_counters_count_field_calls():
     assert traj.rhs_calls == len(calls)
     assert traj.rejected > 0
     # the initial-step probe, which is also the first attempt's first stage,
-    # then six stages per attempt: a rejected attempt keeps its first stage
-    assert traj.rhs_calls == 1 + 6 * (traj.accepted + traj.rejected)
+    # then twelve stages per attempt: a rejected attempt keeps its first stage
+    assert traj.rhs_calls == 1 + 12 * (traj.accepted + traj.rejected)
     assert len(traj) == traj.accepted + 1
     steps = np.abs(np.diff(traj.times))  # step sizes up to the rounding of t + h
     assert traj.h_min == pytest.approx(steps.min(), rel=1e-12)
