@@ -9,7 +9,7 @@ from adiakit import (IntegratorConfig, MaxStepsExceeded, NumericalError,
                      StepSizeUnderflow, charged_particle, convergence_order,
                      elastic_pendulum, integrate, step_rk4)
 from adiakit.experiments import full_field
-from adiakit.integrators import _A, _C, _E3, _E5, _FloatStages
+from adiakit.integrators import _A, _C, _E3, _E5, _FloatStages, _LaneStages, _weighted
 
 
 def linear(t, y):
@@ -253,6 +253,30 @@ def test_lanes_equal_one_point_runs_beyond_eight_coordinates(dim):
         assert np.array_equal(lanes.states[:, i], one.states)
         for name in COUNTERS:
             assert getattr(lanes, name)[i] == getattr(one, name)
+
+
+def ring(t, y):
+    """Each coordinate driven by its left neighbour, at any dim (columns)."""
+    return [y[i - 1] - 0.5 * y[i] for i in range(len(y))]
+
+
+@pytest.mark.parametrize("n", list(range(1, 20)) + [127, 128, 129, 300])
+def test_emitted_sums_take_numpys_reduction_order(n):
+    # both kernels sum left to right, elementwise: numpy's order when it
+    # reduces stacked arrays along their outer axis, at any number of terms
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 50)) * 10.0 ** rng.integers(-8, 8, (n, 50))
+    assert np.array_equal(_weighted([1.0] * n, list(x)), np.add.reduce(x, axis=0))
+    # one attempt over n coordinates: the emitted kernel's error norm and
+    # state equal the lane kernel's, lane by lane
+    y0 = rng.standard_normal((50, n)) * 10.0 ** rng.integers(-8, 8, (50, n))
+    dt = rng.uniform(0.05, 0.5, 50)
+    lanes = _LaneStages(ring, y0, 1e-8, 1e-12)
+    norms = lanes.attempt(np.zeros(50), dt)
+    for i in range(50):
+        one = _FloatStages(ring, y0[i], 1e-8, 1e-12, 0)
+        assert one.attempt([0.0], [dt[i]]) == [norms[i]]
+        assert one.state(0) == lanes.state(i).tolist()
 
 
 REPEATS = [0, 0, 1, 1, 1, 2, 3]  # rows of the plain grid that a repeated grid asks for
