@@ -11,10 +11,10 @@ from .errors import (AdiakitError, ConfigError, DegenerateFamily, DomainError,
                      HypothesisViolation, IntegrationError, InvalidParameter,
                      MaxStepsExceeded, NotFound, NumericalError,
                      SlopeUndefined, StepSizeUnderflow, TraceError,
-                     UnsupportedDerivative, UnsupportedOrder)
+                     UnresolvedQuadrature, UnsupportedDerivative, UnsupportedOrder)
 from .fixtures import (Fixture, charged_particle, elastic_pendulum,
                        get_fixture, list_fixtures, verify_transverse_momentum)
-from .integrators import IntegratorConfig, Trajectory, convergence_order, integrate, step_rk4
+from .integrators import IntegratorConfig, Trajectory, integrate
 from .invariants import (HypothesisReport, InvariantSeries, assemble, check_adiabatic, check_hypotheses,
                          check_momentum_map, check_period_energy, f1, f2, k1,
                          lie_derivative, momentum_from_action, theta,

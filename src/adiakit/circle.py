@@ -31,13 +31,14 @@ analytic orbit's read 1e-15 (both fixtures at four box points, rtol 1e-8 to
 from __future__ import annotations
 
 import functools
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import kernel as sk
-from .errors import NumericalError, UnsupportedDerivative
+from .errors import NumericalError, UnresolvedQuadrature, UnsupportedDerivative
 from .integrators import IntegratorConfig, integrate
 from .phase import DEFAULT_ENGINE, PhasePoint, SlowFastSystem
 
@@ -47,6 +48,7 @@ __all__ = [
     "fourier_mean",
     "s_from_samples",
     "s_at_nodes",
+    "resolved_value",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -85,6 +87,21 @@ def _note_tail(samples, coeff=None) -> None:
         if not loop.at_cap:
             raise _Unresolved
         loop.resolved = False
+
+
+def resolved_value(result):
+    """The value of a ``CircleAction.resolve`` result (value, N, resolved).
+
+    Entry points that return the value alone pass their result through here,
+    so that a batch still unresolved at the node cap N raises an
+    :class:`UnresolvedQuadrature` warning, attributed to the entry point's
+    caller.
+    """
+    value, n, resolved = result
+    if not resolved:
+        warnings.warn(f"orbit profiles unresolved at the node cap {n}",
+                      UnresolvedQuadrature, stacklevel=3)
+    return value
 
 
 def _per_part(op):
@@ -296,7 +313,7 @@ class CircleAction:
         y0 = np.concatenate([points[:, :n_fast], flat[:, :split]], axis=1)
         bound = np.concatenate([points[:, n_fast:], flat[:, split:]], axis=1)
         bind = self._field(tangents.shape[-1])
-        cfg = IntegratorConfig(method="rk45", rtol=self.rtol, atol=self.atol)
+        cfg = IntegratorConfig(rtol=self.rtol, atol=self.atol)
         if len(points) == 1:
             rhs = bind(*bound[0].tolist(), _positive_point)
             return integrate(rhs, y0[0], t_end, cfg, t_eval=t_eval).states[:, None]
@@ -379,7 +396,8 @@ class CircleAction:
         whole batch, until every row of every part of those profiles has a
         resolved tail (module docstring). Below the cap the first unresolved
         profile ends the evaluation at that N. A batch still unresolved at the
-        cap comes back evaluated there, with resolved False.
+        cap comes back evaluated there, with resolved False; entry points that
+        drop the flag warn instead (``resolved_value``).
 
         An analytic orbit is sampled at each N, so that no array holds more
         nodes than the N it settles at. A numeric orbit is integrated once,
@@ -415,13 +433,13 @@ class CircleAction:
 
     def average_scalar(self, f: Callable, m: PhasePoint) -> float:
         """⟨f⟩(m): mean of the orbit profile (spectrally accurate)."""
-        return self._resolve_point(
-            lambda orbit: float(fourier_mean(self.profile(f, orbit))), m)[0]
+        return resolved_value(self._resolve_point(
+            lambda orbit: float(fourier_mean(self.profile(f, orbit))), m))
 
     def s_scalar(self, f: Callable, m: PhasePoint) -> float:
         """𝒮(f)(m): the zero-mean solution of L_Υ u = f − ⟨f⟩."""
-        return self._resolve_point(
-            lambda orbit: float(s_from_samples(self.profile(f, orbit))), m)[0]
+        return resolved_value(self._resolve_point(
+            lambda orbit: float(s_from_samples(self.profile(f, orbit))), m))
 
     def average_slow_oneform(self, coeffs: Callable, m: PhasePoint) -> np.ndarray:
         """Componentwise average of a slow-component 1-form along the orbit.
@@ -430,7 +448,7 @@ class CircleAction:
         pullback leaves the coordinate differentials dp_i, dq_i untouched and
         only composes the coefficients with the flow.
         """
-        return self.resolve_slow_oneform(coeffs, m)[0]
+        return resolved_value(self.resolve_slow_oneform(coeffs, m))
 
     def resolve_slow_oneform(self, coeffs: Callable, m: PhasePoint):
         """(``average_slow_oneform``, N, resolved): the average with the node
@@ -439,7 +457,8 @@ class CircleAction:
 
     def s_slow_oneform(self, coeffs: Callable, m: PhasePoint) -> np.ndarray:
         """Componentwise 𝒮 of a slow-component 1-form (zero-average by construction)."""
-        return self._resolve_point(lambda orbit: _oneform(s_from_samples, coeffs, orbit), m)[0]
+        return resolved_value(
+            self._resolve_point(lambda orbit: _oneform(s_from_samples, coeffs, orbit), m))
 
 
 def _oneform(op, coeffs: Callable, orbit: OrbitSamples) -> np.ndarray:

@@ -5,12 +5,14 @@ Sections and keys::
     [fixture]     name, plus the fixture's own parameters
                   (elastic_pendulum: omega, gamma, omega_scale;
                    charged_particle: b, lambda)
-    [integrator]  method, rtol, atol, dt, max_steps
+    [integrator]  method (``rk45`` only), rtol, atol, max_steps
     [quadrature]  nodes, flow_mode
     [experiment]  initial, eps, horizon_c, samples, orders, order, strict
     [output]      dir, format
 
-``initial`` is the flat coordinate vector in block order (y.., x.., p.., q..).
+``method`` may only be ``rk45``, the one integrator (DOP853, see
+``integrators``), so it is checked and not stored. ``initial`` is the flat coordinate vector in block order
+(y.., x.., p.., q..).
 ``nodes`` caps the per-period orbit node count (a power of two): each
 evaluation takes the smallest N ≤ ``nodes`` that resolves its orbit profiles
 (``CircleAction.resolve``).
@@ -54,10 +56,8 @@ class RunConfig:
     orders: tuple = (0, 1, 2)
     order: int = 2
     strict: bool = False
-    method: str = "rk45"
     rtol: float = 1e-11
     atol: float = 1e-13
-    dt: float = 1e-3
     max_steps: int = 50_000_000
     nodes: int = 64
     flow_mode: str = "analytic"
@@ -100,11 +100,11 @@ class RunConfig:
                 values[target or key] = conv(key, cp.get(section, key))
 
         if cp.has_section("integrator"):
-            _reject_unknown(cp, "integrator", {"method", "rtol", "atol", "dt", "max_steps"})
-            take("integrator", "method", _parse_choice({"rk45", "rk4"}))
+            _reject_unknown(cp, "integrator", {"method", "rtol", "atol", "max_steps"})
+            if cp.has_option("integrator", "method"):
+                _parse_choice({"rk45"})("method", cp.get("integrator", "method"))
             take("integrator", "rtol", _parse_float)
             take("integrator", "atol", _parse_float)
-            take("integrator", "dt", _parse_float)
             take("integrator", "max_steps", _parse_int)
 
         if cp.has_section("quadrature"):
@@ -162,10 +162,8 @@ class RunConfig:
             if key in self.params:
                 out.write(f"{reverse_alias.get(key, key)} = {self.params[key]!r}\n")
         out.write("\n[integrator]\n")
-        out.write(f"method = {self.method}\n")
         out.write(f"rtol = {self.rtol!r}\n")
         out.write(f"atol = {self.atol!r}\n")
-        out.write(f"dt = {self.dt!r}\n")
         out.write(f"max_steps = {self.max_steps}\n")
         out.write("\n[quadrature]\n")
         out.write(f"nodes = {self.nodes}\n")
@@ -188,8 +186,7 @@ class RunConfig:
     # -- adapters ------------------------------------------------------------
 
     def integrator_config(self) -> IntegratorConfig:
-        return IntegratorConfig(method=self.method, dt=self.dt, rtol=self.rtol,
-                                atol=self.atol, max_steps=self.max_steps)
+        return IntegratorConfig(rtol=self.rtol, atol=self.atol, max_steps=self.max_steps)
 
     def drift_config(self, workers: int = 1):
         from .experiments import DriftConfig
@@ -210,15 +207,7 @@ class RunConfig:
 
     def build(self):
         """(fixture, action, initial point) for this configuration."""
-        from .circle import CircleAction
-        from .fixtures import get_fixture
-
-        fixture = get_fixture(self.fixture, **self.params)
-        action = CircleAction(fixture.system, flow_mode=self.flow_mode,
-                              nodes=self.nodes)
-        initial = (fixture.initial if self.initial is None
-                   else fixture.system.point(self.initial))
-        return fixture, action, initial
+        return self.drift_config().build()
 
 
 def _reject_unknown(cp, section, allowed):

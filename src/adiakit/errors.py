@@ -49,6 +49,10 @@ class UnsupportedDerivative(AdiakitError):
     """A derivative the numeric flow cannot carry: a nested dual base point."""
 
 
+class UnresolvedQuadrature(UserWarning):
+    """Orbit profiles were still unresolved at the node cap: ⟨·⟩ and 𝒮 alias."""
+
+
 class TraceError(AdiakitError):
     """An oracle uses an operation the gradient tracer cannot record."""
 

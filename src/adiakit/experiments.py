@@ -54,7 +54,7 @@ class DriftConfig:
     eps_grid: tuple = (0.2, 0.1, 0.05, 0.025, 0.0125)
     horizon_c: float = 1.0
     samples: int = 512
-    integrator: IntegratorConfig = IntegratorConfig(method="rk45", rtol=1e-11, atol=1e-13)
+    integrator: IntegratorConfig = IntegratorConfig(rtol=1e-11, atol=1e-13)
     orders: tuple = (0, 1, 2)
     outer_nodes: int = 64
     flow_mode: str = "analytic"

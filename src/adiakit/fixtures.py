@@ -33,18 +33,15 @@ __all__ = [
     "verify_transverse_momentum",
 ]
 
-DEFAULT_EPS_GRID = (0.2, 0.1, 0.05, 0.025, 0.0125)
-
 
 @dataclass(frozen=True)
 class Fixture:
-    """A registered system plus its reference oracles and sampling defaults."""
+    """A registered system plus its reference oracles and default initial point."""
 
     name: str
     system: SlowFastSystem
     params: dict
     initial: PhasePoint
-    eps_grid: tuple = DEFAULT_EPS_GRID
     closed_f1: Optional[Callable] = None
     closed_f2: Optional[Callable] = None
     fast_center: Optional[Callable] = None  # slow -> fast coords of the orbit center

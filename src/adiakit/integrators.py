@@ -1,6 +1,6 @@
-"""Explicit ODE integration: fixed-step RK4 and adaptive Dormand–Prince 8(5,3).
+"""Explicit ODE integration: adaptive Dormand–Prince 8(5,3).
 
-The adaptive method, config name ``rk45``, runs DOP853 (Prince & Dormand, J.
+The integrator, config name ``rk45``, is DOP853 (Prince & Dormand, J.
 Comput. Appl. Math. 7 (1981) 67–75; Hairer, Nørsett & Wanner, *Solving ODEs
 I*, §II.5–II.6): 12 stages per step, the last one the next step's first
 (FSAL), controlled by a combined fifth- and third-order error estimate. It is
@@ -17,10 +17,8 @@ Field contract. A field is called as ``field(t, y)``, where ``y`` holds the
 its derivative. For one point a column is a float; in a lane run it is an
 array over the lanes, shape (lanes,), and ``t`` holds the per-lane times. A
 field that indexes or unpacks ``y`` and computes elementwise serves both.
-The fixed-step RK4 path passes a 1-D array and takes what the field returns
-through ``np.asarray``.
 
-Lanes. The adaptive path also integrates a stack of initial states, ``y0`` of
+Lanes. :func:`integrate` also takes a stack of initial states, ``y0`` of
 shape (lanes, dim), over one span to one ``t_eval`` grid. Each lane keeps its
 own controller state (step size, time, FSAL stage, next sample target,
 counters) in Python floats, and its accept/reject decisions read only its own
@@ -63,32 +61,19 @@ from .errors import MaxStepsExceeded, NumericalError, StepSizeUnderflow
 __all__ = [
     "IntegratorConfig",
     "Trajectory",
-    "step_rk4",
     "integrate",
-    "convergence_order",
 ]
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Settings for :func:`integrate`.
+    """Tolerances and step budget of :func:`integrate`'s DOP853 pair."""
 
-    ``method`` selects ``"rk45"``, the adaptive method, which runs the
-    Dormand–Prince 8(5,3) pair DOP853 (configuration files name it so), or
-    ``"rk4"`` (classical fixed step of size ``dt``).
-    """
-
-    method: str = "rk45"
-    dt: float = 1e-3
     rtol: float = 1e-9
     atol: float = 1e-12
     max_steps: int = 50_000_000
 
     def __post_init__(self):
-        if self.method not in ("rk45", "rk4"):
-            raise ValueError(f"unknown integrator method {self.method!r}")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
         if self.rtol <= 0.0 or self.atol <= 0.0:
             raise ValueError("rtol and atol must be positive")
         if self.max_steps < 1:
@@ -119,15 +104,6 @@ class Trajectory:
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
-
-
-def step_rk4(field: Callable, t: float, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical 4-stage Runge–Kutta step (works for negative ``dt``)."""
-    k1 = np.asarray(field(t, y))
-    k2 = np.asarray(field(t + 0.5 * dt, y + 0.5 * dt * k1))
-    k3 = np.asarray(field(t + 0.5 * dt, y + 0.5 * dt * k2))
-    k4 = np.asarray(field(t + dt, y + dt * k3))
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # Dormand–Prince 8(5,3), DOP853: the coefficients of scipy's transcription of
@@ -439,9 +415,9 @@ def integrate(field: Callable, y0: Sequence[float], t_end: float,
     initial state and every accepted step are recorded.
 
     A 2-D ``y0`` of shape (lanes, dim) integrates every lane with its own
-    step control (``rk45`` only, ``t_eval`` required); each column ``field``
-    gets or returns then has shape (lanes,), and ``t`` holds the per-lane
-    times. See the module docstring.
+    step control (``t_eval`` required); each column ``field`` gets or returns
+    then has shape (lanes,), and ``t`` holds the per-lane times. See the
+    module docstring.
 
     Raises :class:`MaxStepsExceeded` or :class:`StepSizeUnderflow` carrying
     the last time the failing lane reached.
@@ -462,8 +438,6 @@ def integrate(field: Callable, y0: Sequence[float], t_end: float,
             raise ValueError(f"t_eval entries must lie between 0 and t_end = {t_end!r}")
     elif lanes:
         raise ValueError("a lane run needs t_eval: its lanes share one output grid")
-    if lanes and config.method != "rk45":
-        raise ValueError("lane runs use the adaptive method rk45")
     if t_end == 0.0:
         times = np.array([0.0]) if t_eval is None else t_eval
         n_lanes = len(y0) if lanes else 1
@@ -471,39 +445,8 @@ def integrate(field: Callable, y0: Sequence[float], t_end: float,
         return Trajectory(times, np.repeat(y0[None], len(times), axis=0),
                           *(_per_lane(c, lanes) for c in counters))
 
-    if config.method == "rk4":
-        return _integrate_fixed(field, y0, t_end, config, t_eval, step_rk4)
     times, states, counters = _integrate_dp(field, y0, t_end, config, t_eval)
     return Trajectory(times, states, *(_per_lane(c, lanes) for c in counters))
-
-
-def _integrate_fixed(field, y0, t_end, config, t_eval, stepper):
-    direction = 1.0 if t_end > 0 else -1.0
-    dt = config.dt * direction
-    # step boundaries: uniform grid unioned with requested sample times
-    boundaries = list(np.arange(dt, t_end, dt)) + [t_end]
-    if t_eval is not None:
-        boundaries = sorted(set(boundaries) | {t for t in t_eval if t != 0.0},
-                            key=lambda s: direction * s)
-    if len(boundaries) > config.max_steps:
-        raise MaxStepsExceeded("fixed grid exceeds max_steps", last_time=0.0)
-    want = set(np.asarray(t_eval).tolist()) if t_eval is not None else None
-    times = [0.0]
-    states = [y0]
-    t, y = 0.0, y0
-    for tb in boundaries:
-        y = np.asarray(stepper(field, t, y, tb - t))
-        t = tb
-        if want is None or t in want:
-            times.append(t)
-            states.append(y)
-    if t_eval is not None:  # one row per entry, repeated entries included
-        at = dict(zip(times, states))
-        times, states = t_eval, [at[t] for t in t_eval]
-    steps = np.abs(np.diff([0.0] + boundaries))
-    n = len(boundaries)
-    return Trajectory(np.asarray(times), np.asarray(states), 4 * n, n, 0,
-                      float(steps.min()), float(steps.max()))
 
 
 def _integrate_dp(field, y0, t_end, config, t_eval):
@@ -625,28 +568,3 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
     stages.finish(rows)
     return np.array(t_eval), out, counters
 
-
-def convergence_order(field: Callable, y0: Sequence[float], t_end: float,
-                      dt_list: Sequence[float], stepper: Callable = step_rk4) -> float:
-    """Fitted log-log slope of end-state error against step size.
-
-    The reference solution is a fixed-step run at ``min(dt_list)/16``.
-    Returns ``nan`` when the errors are at rounding level (degenerate field).
-    """
-    y0 = np.asarray(y0, dtype=float)
-    dt_list = sorted(dt_list, reverse=True)
-
-    def run(dt):
-        n = int(round(t_end / dt))
-        t, y = 0.0, y0
-        for _ in range(n):
-            y = stepper(field, t, y, dt)
-            t += dt
-        return y
-
-    ref = run(min(dt_list) / 16.0)
-    errs = np.array([np.linalg.norm(run(dt) - ref) for dt in dt_list])
-    if np.any(errs < 1e3 * np.finfo(float).eps * max(1.0, np.linalg.norm(ref))):
-        return float("nan")
-    slope, _ = np.polyfit(np.log(dt_list), np.log(errs), 1)
-    return float(slope)

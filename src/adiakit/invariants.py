@@ -77,7 +77,8 @@ from typing import Callable
 import numpy as np
 
 from . import kernel as sk
-from .circle import CircleAction, OrbitSamples, fourier_mean, s_at_nodes, s_from_samples
+from .circle import (CircleAction, OrbitSamples, fourier_mean, resolved_value, s_at_nodes,
+                     s_from_samples)
 from .errors import HypothesisViolation, NumericalError, UnsupportedDerivative, UnsupportedOrder
 from .phase import (DEFAULT_ENGINE, PhasePoint, SlowFastSystem,
                     bracket_of_partials, field_fast, field_full, grad_fast,
@@ -239,7 +240,7 @@ def momentum_from_action(system: SlowFastSystem, action: CircleAction, m: PhaseP
         return fourier_mean(pulled_back)
 
     lifted = [sk.Dual(c, e, tag) for c, e in zip(fast, np.eye(2 * r))]
-    avg = action.resolve(average, lifted, slow)[0]
+    avg = resolved_value(action.resolve(average, lifted, slow))
     omega = float(sk.value(system.omega(fast, slow)))
     return float(np.dot(avg, field_fast(system, m)) / omega)
 
@@ -452,7 +453,7 @@ class InvariantSeries:
 
     def terms_state(self, fast, slow):
         """(J, F₁, F₂) on a raw kernel state (``resolve_state``)."""
-        return self.resolve_state(fast, slow)[0]
+        return resolved_value(self.resolve_state(fast, slow))
 
     def resolve_batch(self, coords: np.ndarray):
         """((J, F₁, F₂) arrays, N, resolved) over an (n_points, dim) coordinate
@@ -466,7 +467,7 @@ class InvariantSeries:
 
     def terms_batch(self, coords: np.ndarray):
         """(J, F₁, F₂) arrays over an (n_points, dim) coordinate array."""
-        return self.resolve_batch(coords)[0]
+        return resolved_value(self.resolve_batch(coords))
 
     def evaluate_batch(self, coords: np.ndarray, eps: float) -> np.ndarray:
         """Series values over an (n_points, dim) coordinate array."""
@@ -482,7 +483,7 @@ class InvariantSeries:
 
     def terms(self, m: PhasePoint):
         """(J, F₁, F₂) at ``m``; higher terms are zero beyond the order."""
-        return self.resolve_point(m)[0]
+        return resolved_value(self.resolve_point(m))
 
     def evaluate(self, m: PhasePoint, eps: float) -> float:
         return float(series_values(self.terms(m), eps, self.order))

@@ -1,10 +1,13 @@
 """The names the benchmark's tracer wraps (``bench/child.py``) exist and are
-called; the benchmark is read, never edited."""
+called, and the benchmark's inputs (``bench/workloads.py``) run; the benchmark
+is read, never edited."""
 
 import importlib
+import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from adiakit import CircleAction, assemble, circle, cli, config, experiments, invariants, kernel
 from adiakit import phase
@@ -32,3 +35,29 @@ def test_tracer_wraps_the_program_and_restores_it(pendulum, monkeypatch):
         tracer.uninstall()
     for owner, names in zip(OWNERS, before):
         assert dict(vars(owner)) == names
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("workloads")
+
+
+def test_every_benchmark_config_builds(workloads):
+    for name in workloads.NAMES:
+        for seed in range(1, 5):
+            workload = workloads.build(name, seed)
+            for inv in workload.checks + workload.operation:
+                config.RunConfig.parse(inv.ini).build()
+
+
+def test_drift_order2_operation_runs_and_passes_the_benchmark_checks(workloads, tmp_path):
+    # every benchmark batch resolves at its cap, so no warning may be raised
+    for i, inv in enumerate(workloads.build("drift_order2", 1).operation):
+        path, out = tmp_path / f"{i}.ini", tmp_path / str(i)
+        path.write_text(inv.ini, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["drift", "--config", str(path), "--out", str(out),
+                             "--workers", "1"]) == 0
+        assert workloads.check_drift(out) == []

@@ -107,7 +107,7 @@ def test_numeric_orbit_batch_equals_point_by_point(request, rng, monkeypatch, fi
         runs.clear()
         batch = batched.orbit(list(points[:, :2].T), list(points[:, 2:].T))
         (lane_field, lane_y0), = runs
-        cfg = IntegratorConfig(method="rk45", rtol=batched.rtol, atol=batched.atol)
+        cfg = IntegratorConfig(rtol=batched.rtol, atol=batched.atol)
         ends = integrate(lane_field, lane_y0, TWO_PI, cfg, t_eval=[TWO_PI]).final
         for i, coords in enumerate(points):
             m = PhasePoint(coords[:2], coords[2:])

@@ -13,8 +13,7 @@ from adiakit.experiments import DriftConfig, check_f2, emit, order_sweep
 NON_DEFAULT = RunConfig(fixture="charged_particle", params={"b": 1.5, "lam": 0.25},
                         initial=(0.1, 0.4, 0.2, 1.0), eps_grid=(0.3, 0.15),
                         horizon_c=0.5, samples=33, orders=(0, 2), order=1, strict=True,
-                        method="rk4", rtol=1e-8, atol=1e-12, dt=0.01, max_steps=1000,
-                        nodes=32, flow_mode="numeric",
+                        rtol=1e-8, atol=1e-12, max_steps=1000, nodes=32, flow_mode="numeric",
                         out_dir="results", out_format="json")
 
 
@@ -43,6 +42,16 @@ def test_config_rejects_unknown_sections_and_keys(text):
 def test_config_rejects_removed_variant_key(value):
     with pytest.raises(ConfigError, match="single definition"):
         RunConfig.parse(f"[experiment]\nvariant = {value}\n")
+
+
+def test_config_takes_rk45_as_the_only_method():
+    # INI files keep naming the one integrator; the fixed-step choice and its
+    # step size are gone
+    assert RunConfig.parse("[integrator]\nmethod = rk45\nrtol = 1e-9\n") == RunConfig(rtol=1e-9)
+    with pytest.raises(ConfigError, match="'method': 'rk4' not in"):
+        RunConfig.parse("[integrator]\nmethod = rk4\n")
+    with pytest.raises(ConfigError, match="unknown keys in \\[integrator\\]: \\['dt'\\]"):
+        RunConfig.parse("[integrator]\ndt = 0.01\n")
 
 
 def test_config_rejects_removed_inner_nodes_key():
@@ -126,7 +135,7 @@ def test_cli_rejects_removed_variant_flag(tmp_path):
 
 def test_order_sweep_bytes_independent_of_workers(tmp_path):
     config = DriftConfig(fixture="elastic_pendulum", eps_grid=(0.2, 0.1), samples=8,
-                         integrator=IntegratorConfig(method="rk45", rtol=1e-9, atol=1e-12),
+                         integrator=IntegratorConfig(rtol=1e-9, atol=1e-12),
                          outer_nodes=32)
     written, resolution, steps = {}, {}, {}
     for workers in (1, 2):

@@ -1,4 +1,4 @@
-"""Fixed and adaptive integration: accuracy, error control, failure modes."""
+"""Adaptive integration: accuracy, error control, failure modes."""
 
 import math
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from adiakit import (IntegratorConfig, MaxStepsExceeded, NumericalError,
-                     StepSizeUnderflow, charged_particle, convergence_order,
-                     elastic_pendulum, integrate, step_rk4)
+                     StepSizeUnderflow, charged_particle, elastic_pendulum, integrate)
 from adiakit.experiments import full_field
 from adiakit.integrators import _A, _C, _E3, _E5, _FloatStages, _LaneStages, _weighted
 
@@ -22,25 +21,8 @@ def harmonic(t, y):
     return np.array([-y[1], y[0]])
 
 
-def test_rk4_single_step_accuracy():
-    out = step_rk4(linear, 0.0, np.array([1.0]), 0.1)
-    assert abs(out[0] - np.exp(0.1)) < 1e-7  # O(dt^5) remainder ~ 8.5e-8
-
-
-def test_rk4_zero_field_identity():
-    y = np.array([2.0, -3.0])
-    assert step_rk4(lambda t, y: 0.0 * y, 0.0, y, 0.3) == pytest.approx(y)
-
-
-def test_rk4_time_reversal():
-    y = np.array([1.0, 0.5])
-    fwd = step_rk4(harmonic, 0.0, y, 0.05)
-    back = step_rk4(harmonic, 0.05, fwd, -0.05)
-    assert np.linalg.norm(back - y) < 1e-9
-
-
 def test_adaptive_harmonic_period_return():
-    cfg = IntegratorConfig(method="rk45", rtol=1e-11, atol=1e-14)
+    cfg = IntegratorConfig(rtol=1e-11, atol=1e-14)
     traj = integrate(harmonic, [1.0, 0.0], 2.0 * np.pi, cfg)
     assert np.linalg.norm(traj.final - [1.0, 0.0]) < 1e-9
 
@@ -48,7 +30,7 @@ def test_adaptive_harmonic_period_return():
 def test_decoupled_pendulum_action_conserved():
     fx = elastic_pendulum(omega=1.0, gamma=0.0)
     system = fx.system
-    cfg = IntegratorConfig(method="rk45", rtol=1e-11, atol=1e-13)
+    cfg = IntegratorConfig(rtol=1e-11, atol=1e-13)
     rhs = full_field(system, 0.0)
     m0 = np.array([0.5, 0.2, 0.1, 1.0])
     traj = integrate(rhs, m0, 30.0, cfg, t_eval=np.linspace(0, 30.0, 40))
@@ -59,7 +41,7 @@ def test_decoupled_pendulum_action_conserved():
 def test_energy_conserved_long_horizon():
     fx = elastic_pendulum(omega=1.0, gamma=0.5)
     system = fx.system
-    cfg = IntegratorConfig(method="rk45", rtol=1e-10, atol=1e-13)
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-13)
     rhs = full_field(system, 0.2)
     m0 = np.array([0.5, 0.0, 0.1, 1.0])
     traj = integrate(rhs, m0, 100.0, cfg, t_eval=np.linspace(0, 100.0, 101))
@@ -73,7 +55,7 @@ def test_energy_conserved_long_horizon():
 def test_requested_sample_times_are_exact():
     # at 293 samples most lie inside a step, on its continuous extension
     rtol = 1e-9
-    cfg = IntegratorConfig(method="rk45", rtol=rtol, atol=1e-12)
+    cfg = IntegratorConfig(rtol=rtol, atol=1e-12)
     assert integrate(harmonic, [1.0, 0.0], 7.3, cfg).accepted < 200
     for n_samples in (29, 293):
         t_eval = np.linspace(0.0, 7.3, n_samples)
@@ -83,19 +65,8 @@ def test_requested_sample_times_are_exact():
         assert np.max(np.abs(traj.states - exact)) < 2.0 * rtol
 
 
-def test_adaptive_and_fixed_agree_at_samples():
-    t_eval = np.linspace(0.0, 5.0, 11)
-    rtol, atol = 1e-9, 1e-12
-    adaptive = integrate(harmonic, [1.0, 0.0], 5.0,
-                         IntegratorConfig(method="rk45", rtol=rtol, atol=atol),
-                         t_eval=t_eval)
-    fixed = integrate(harmonic, [1.0, 0.0], 5.0,
-                      IntegratorConfig(method="rk4", dt=1e-3), t_eval=t_eval)
-    assert np.max(np.abs(adaptive.states - fixed.states)) < max(rtol, atol) * 1e2
-
-
 def test_negative_time_direction():
-    cfg = IntegratorConfig(method="rk45", rtol=1e-11, atol=1e-14)
+    cfg = IntegratorConfig(rtol=1e-11, atol=1e-14)
     traj = integrate(harmonic, [1.0, 0.0], -np.pi, cfg)
     assert traj.final == pytest.approx([-1.0, 0.0], abs=1e-9)
 
@@ -137,40 +108,21 @@ def test_particle_step_count_guard():
     # DP5 took 632 attempts here; the counts repeat exactly, so a fall back
     # to low-order stepping shows
     particle = charged_particle()
-    cfg = IntegratorConfig(method="rk45", rtol=1e-10, atol=1e-13)
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-13)
     traj = integrate(full_field(particle.system, 0.05), particle.initial.coords, 20.0, cfg,
                      t_eval=np.linspace(0.0, 20.0, 512))
     assert traj.accepted + traj.rejected <= 100
 
 
-def test_convergence_order_rk4():
-    order = convergence_order(harmonic, [1.0, 0.0], 2.0, [0.2, 0.1, 0.05, 0.025])
-    assert order == pytest.approx(4.0, abs=0.2)
-
-
-def test_convergence_order_euler_baseline():
-    def euler(field, t, y, dt):
-        return y + dt * field(t, y)
-
-    order = convergence_order(harmonic, [1.0, 0.0], 2.0, [0.02, 0.01, 0.005],
-                              stepper=euler)
-    assert order == pytest.approx(1.0, abs=0.2)
-
-
-def test_convergence_order_degenerate_field():
-    order = convergence_order(lambda t, y: 0.0 * y, [1.0], 1.0, [0.1, 0.05])
-    assert np.isnan(order)
-
-
 def test_max_steps_exceeded_reports_last_time():
-    cfg = IntegratorConfig(method="rk45", rtol=1e-12, atol=1e-14, max_steps=25)
+    cfg = IntegratorConfig(rtol=1e-12, atol=1e-14, max_steps=25)
     with pytest.raises(MaxStepsExceeded) as err:
         integrate(harmonic, [1.0, 0.0], 1000.0, cfg)
     assert 0.0 <= err.value.last_time < 1000.0
 
 
 def test_step_size_underflow_near_blowup():
-    cfg = IntegratorConfig(method="rk45", rtol=1e-10, atol=1e-12, max_steps=10_000_000)
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, max_steps=10_000_000)
     with pytest.raises((StepSizeUnderflow, MaxStepsExceeded)) as err:
         integrate(lambda t, y: [y[0] * y[0]], np.array([1.0]), 2.0, cfg)
     # solution blows up at t = 1
@@ -194,7 +146,7 @@ COUNTERS = ("rhs_calls", "accepted", "rejected", "h_min", "h_max")
 
 @pytest.mark.parametrize("t_end", [4.0, -3.0])
 def test_lanes_equal_their_one_lane_runs(t_end):
-    cfg = IntegratorConfig(method="rk45", rtol=1e-8, atol=1e-12)
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-12)
     t_eval = np.linspace(0.0, t_end, 7)
     lanes = integrate(anharmonic(LANE_K), LANE_Y0, t_end, cfg, t_eval=t_eval)
     assert lanes.states.shape == (7, 4, 2)
@@ -221,7 +173,7 @@ def test_float_and_lane_kernels_agree_on_the_full_field(request, fixture_name):
     fixture = request.getfixturevalue(fixture_name)
     rhs = full_field(fixture.system, 0.2)
     m0 = fixture.initial.coords
-    cfg = IntegratorConfig(method="rk45", rtol=1e-9, atol=1e-12)
+    cfg = IntegratorConfig(rtol=1e-9, atol=1e-12)
     t_eval = np.linspace(0.0, 5.0, 11)
     one = integrate(rhs, m0, 5.0, cfg, t_eval=t_eval)
     two = integrate(rhs, np.stack([m0, m0 + 0.05]), 5.0, cfg, t_eval=t_eval)
@@ -245,7 +197,7 @@ def test_lanes_equal_one_point_runs_beyond_eight_coordinates(dim):
     # both kernels sum the error norm over the coordinates left to right
     rng = np.random.default_rng(dim)
     y0 = rng.standard_normal((3, dim)) * 10.0 ** rng.integers(-3, 3, (3, dim))
-    cfg = IntegratorConfig(method="rk45", rtol=1e-8, atol=1e-12)
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-12)
     t_eval = np.linspace(0.0, 2.0, 5)
     lanes = integrate(oscillator_chain, y0, 2.0, cfg, t_eval=t_eval)
     for i in range(3):
@@ -285,7 +237,7 @@ REPEATS = [0, 0, 1, 1, 1, 2, 3]  # rows of the plain grid that a repeated grid a
 @pytest.mark.parametrize("t_end", [4.0, -3.0])
 def test_repeated_t_eval_entries_repeat_the_state(t_end):
     # a repeat takes its first entry's value: no zero-length step, same counters
-    cfg = IntegratorConfig(method="rk45", rtol=1e-8, atol=1e-12)
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-12)
     plain_eval = np.array([0.0, 0.25, 0.5, 1.0]) * t_end
     t_eval = plain_eval[REPEATS]
     lanes = integrate(anharmonic(LANE_K), LANE_Y0, t_end, cfg, t_eval=t_eval)
@@ -304,7 +256,7 @@ def test_repeated_t_eval_entries_repeat_the_state(t_end):
 @pytest.mark.parametrize("t_end", [4.0, -3.0])
 def test_counters_do_not_depend_on_t_eval(t_end):
     # steps are clipped to t_end only; samples come from the continuous extension
-    cfg = IntegratorConfig(method="rk45", rtol=1e-8, atol=1e-12)
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-12)
     grids = [np.linspace(0.0, t_end, 7), np.linspace(0.0, t_end, 200),
              np.array([0.0, 0.1, 0.1, 0.7, 0.7, 0.7, 1.0]) * t_end, [0.0, 0.5 * t_end]]
     lane_runs = [integrate(anharmonic(LANE_K), LANE_Y0, t_end, cfg, t_eval=g) for g in grids]
@@ -327,7 +279,7 @@ def test_counters_do_not_depend_on_t_eval(t_end):
 
 @pytest.mark.parametrize("t_end", [4.0, -3.0])
 def test_sample_at_t_end_is_the_final_state(t_end):
-    cfg = IntegratorConfig(method="rk45", rtol=1e-8, atol=1e-12)
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-12)
     t_eval = np.array([0.0, 0.3, 1.0, 1.0]) * t_end
     lanes = integrate(anharmonic(LANE_K), LANE_Y0, t_end, cfg, t_eval=t_eval)
     for i in range(4):
@@ -342,14 +294,6 @@ def test_repeated_t_eval_entry_one_lane_harmonic():
     assert np.allclose(traj.states[3], [np.cos(1.0), np.sin(1.0)], atol=1e-8)
 
 
-def test_repeated_t_eval_entry_fixed_step():
-    cfg = IntegratorConfig(method="rk4", dt=0.05)
-    plain = integrate(harmonic, [1.0, 0.0], -1.0, cfg, t_eval=[0.0, -0.25, -0.5, -1.0])
-    traj = integrate(harmonic, [1.0, 0.0], -1.0, cfg,
-                     t_eval=np.array([0.0, -0.25, -0.5, -1.0])[REPEATS])
-    assert np.array_equal(traj.states, plain.states[REPEATS])
-
-
 def test_one_lane_counters_count_field_calls():
     calls = []
 
@@ -357,7 +301,7 @@ def test_one_lane_counters_count_field_calls():
         calls.append(t)
         return anharmonic(9.0)(t, y)
 
-    cfg = IntegratorConfig(method="rk45", rtol=1e-8, atol=1e-12)
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-12)
     traj = integrate(counted, LANE_Y0[2], 4.0, cfg)
     assert all(isinstance(t, float) for t in calls)
     assert traj.rhs_calls == len(calls)
@@ -388,14 +332,11 @@ def test_t_eval_outside_span_rejected_up_front(t_end, t_eval):
 def test_lane_run_needs_t_eval_and_rk45():
     with pytest.raises(ValueError, match="t_eval"):
         integrate(anharmonic(LANE_K), LANE_Y0, 1.0)
-    with pytest.raises(ValueError, match="rk45"):
-        integrate(anharmonic(LANE_K), LANE_Y0, 1.0, IntegratorConfig(method="rk4"),
-                  t_eval=[0.0, 1.0])
 
 
 def test_lane_failure_reports_that_lanes_time():
     # lane 1 blows up at t = 1/y0 = 0.5; lane 0 at t = 2
-    cfg = IntegratorConfig(method="rk45", rtol=1e-10, atol=1e-12, max_steps=10_000_000)
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, max_steps=10_000_000)
     with pytest.raises((StepSizeUnderflow, MaxStepsExceeded), match="lane 1") as err:
         integrate(lambda t, y: [y[0] * y[0]], np.array([[0.5], [2.0]]), 1.0, cfg,
                   t_eval=[0.0, 1.0])
@@ -406,7 +347,7 @@ def test_nan_field_raises_numerical_error():
     # a nan derivative gives a nan initial step and nan error norms, which
     # once were rejected until max_steps ran out (MaxStepsExceeded)
     nan = float("nan")
-    cfg = IntegratorConfig(method="rk45", max_steps=1000)
+    cfg = IntegratorConfig(max_steps=1000)
     with pytest.raises(NumericalError, match="nan at t=0.0"):
         integrate(lambda t, y: [nan, -y[0]], [1.0, 0.0], 1.0, cfg)
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="lane 1"):
@@ -425,8 +366,8 @@ def test_float_kernel_turns_division_by_zero_into_numerical_error():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        IntegratorConfig(method="euler")
-    with pytest.raises(ValueError):
-        IntegratorConfig(dt=-0.1)
-    with pytest.raises(ValueError):
         IntegratorConfig(rtol=0.0)
+    with pytest.raises(ValueError):
+        IntegratorConfig(atol=-1e-12)
+    with pytest.raises(ValueError):
+        IntegratorConfig(max_steps=0)

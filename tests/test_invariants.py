@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from adiakit import (CircleAction, HypothesisViolation, InvariantSeries, NotFound,
-                     NumericalError, PhasePoint, SlowFastSystem, UnsupportedDerivative, UnsupportedOrder,
+                     NumericalError, PhasePoint, SlowFastSystem, UnresolvedQuadrature,
+                     UnsupportedDerivative, UnsupportedOrder,
                      assemble, charged_particle, check_adiabatic,
                      check_hypotheses, check_momentum_map, check_period_energy,
                      elastic_pendulum, f1, f2, grad_fast, grad_full, k1, lie_derivative,
@@ -15,7 +16,7 @@ from adiakit import (CircleAction, HypothesisViolation, InvariantSeries, NotFoun
                      verify_transverse_momentum)
 from adiakit import circle
 from adiakit import kernel as sk
-from adiakit.invariants import series_values
+from adiakit.invariants import d1j_coeffs, series_values
 from adiakit.sl2 import f2_closed
 
 from conftest import nondegenerate_system, sample_points
@@ -347,6 +348,57 @@ def test_particle_terms_equal_bitwise_at_caps_16_and_64(particle, rng):
     assert low_n == high_n == [16, True]
     for a, b in zip(low, high):
         assert np.array_equal(a, b)
+
+
+def _product(fast, slow):
+    return fast[0] * fast[1]
+
+
+# every public evaluation that returns its value without resolve's flag
+FLAGLESS = {
+    "average_scalar": lambda s, a, m: a.average_scalar(_product, m),
+    "s_scalar": lambda s, a, m: a.s_scalar(_product, m),
+    "average_slow_oneform": lambda s, a, m: a.average_slow_oneform(d1j_coeffs(s), m),
+    "s_slow_oneform": lambda s, a, m: a.s_slow_oneform(d1j_coeffs(s), m),
+    "terms": lambda s, a, m: InvariantSeries(s, a, 2).terms(m),
+    "terms_state": lambda s, a, m: InvariantSeries(s, a, 2).terms_state(*m.state()),
+    "terms_batch": lambda s, a, m: InvariantSeries(s, a, 2).terms_batch(m.coords[None]),
+    "evaluate": lambda s, a, m: InvariantSeries(s, a, 1).evaluate(m, 0.1),
+    "evaluate_batch": lambda s, a, m: InvariantSeries(s, a, 1).evaluate_batch(m.coords[None], 0.1),
+    "f1": lambda s, a, m: f1(s, a, m),
+    "f2": lambda s, a, m: f2(s, a, m),
+    "theta": lambda s, a, m: theta(s, a, m),
+    "k1": lambda s, a, m: k1(s, a, m),
+    "momentum_from_action": lambda s, a, m: momentum_from_action(s, a, m),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAGLESS))
+def test_flagless_entry_points_warn_when_unresolved(particle, name):
+    # the particle's profiles carry harmonics above N/4 = 1 at 4 nodes, so
+    # every evaluation there is unresolved, and says so once; at the default
+    # cap none is, and none warns
+    system, m = particle.system, particle.initial
+    with pytest.warns(UnresolvedQuadrature, match="node cap 4$") as caught:
+        FLAGLESS[name](system, CircleAction(system, nodes=4), m)
+    assert len(caught) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        FLAGLESS[name](system, CircleAction(system), m)
+
+
+def test_particle_f2_warns_at_cap_8_and_average_of_d1j_at_cap_4(particle):
+    # F2 needs 16 nodes and <d1J> needs 8; below those caps the values alias
+    system, m = particle.system, particle.initial
+    with pytest.warns(UnresolvedQuadrature, match="node cap 8$"):
+        aliased = f2(system, CircleAction(system, nodes=8), m)
+    with pytest.warns(UnresolvedQuadrature, match="node cap 4$"):
+        CircleAction(system, nodes=4).average_slow_oneform(d1j_coeffs(system), m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        resolved = f2(system, CircleAction(system), m)
+        CircleAction(system).average_slow_oneform(d1j_coeffs(system), m)
+    assert aliased != resolved
 
 
 def test_numeric_loop_integrates_once_and_settles_where_the_analytic_one_does(
