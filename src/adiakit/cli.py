@@ -8,6 +8,8 @@ Subcommands::
     adiakit drift    --config cfg.ini            drift-order study + F2 check
 
 Exit codes: 0 success, 1 contract or check failure, 2 usage/config error.
+``simulate`` writes its CSV and exits 1 when the node cap leaves the series'
+orbit profiles unresolved, as ``invariant``, ``check`` and ``drift`` do.
 """
 
 from __future__ import annotations
@@ -114,8 +116,7 @@ def cmd_check(config: RunConfig, args) -> int:
     if not report.ok:
         print(f"failing checks: {', '.join(report.failing)}", file=sys.stderr)
     if not report.resolved:
-        print(f"warning: orbit profiles unresolved at the node cap {action.nodes}",
-              file=sys.stderr)
+        _warn_unresolved(action.nodes)
     return 0 if report.ok and report.resolved else 1
 
 
@@ -138,8 +139,7 @@ def cmd_invariant(config: RunConfig, args) -> int:
         print(f"F2      = {f2_val:.12g}")
     print(f"series  = {series:.12g}")
     if not resolved:
-        print(f"warning: orbit profiles unresolved at the node cap {action.nodes}",
-              file=sys.stderr)
+        _warn_unresolved(action.nodes)
         return 1
     return 0
 
@@ -149,20 +149,17 @@ def cmd_simulate(config: RunConfig, args) -> int:
     fixture, action, initial = config.build()
     system = fixture.system
     t_end = config.horizon_c / eps
-    t_eval = np.linspace(0.0, t_end, config.samples)
-    traj = integrate(full_field(system, eps), initial.coords, t_end,
-                     config.integrator_config(), t_eval=t_eval)
+    traj = integrate(full_field(system, eps), initial.coords, t_end, config.integrator_config(),
+                     t_eval=np.linspace(0.0, t_end, config.samples))
 
     r, k = system.r, system.k
     header = (["t"]
               + [f"y{i+1}" for i in range(r)] + [f"x{i+1}" for i in range(r)]
               + [f"p{i+1}" for i in range(k)] + [f"q{i+1}" for i in range(k)]
               + ["H", "F0", "F1s", "F2s"])
-    series = InvariantSeries(system, action, 2)
-    terms = series.terms_batch(traj.states)
+    terms, _, resolved = InvariantSeries(system, action, 2).resolve_batch(traj.states)
     columns = [series_values(terms, eps, order) for order in (0, 1, 2)]
-    fast = [traj.states[:, i] for i in range(2 * r)]
-    slow = [traj.states[:, 2 * r + i] for i in range(2 * k)]
+    fast, slow = list(traj.states[:, :2 * r].T), list(traj.states[:, 2 * r:].T)
     h_vals = np.broadcast_to(np.asarray(sk.value(system.H(fast, slow)), dtype=float),
                              traj.times.shape)
 
@@ -174,6 +171,9 @@ def cmd_simulate(config: RunConfig, args) -> int:
                      + [col[row] for col in columns])
             fh.write(",".join(repr(float(v)) for v in cells) + "\n")
     print(f"trajectory written to {path}")
+    if not resolved:
+        _warn_unresolved(action.nodes)
+        return 1
     return 0
 
 
@@ -215,16 +215,22 @@ def cmd_drift(config: RunConfig, args) -> int:
         print(f"wrote {path}")
     print(f"wall time {time.perf_counter() - started:.1f} s")
 
+    if f2_check is not None and not f2_check["resolved"]:
+        _warn_unresolved(drift_cfg.outer_nodes, " for the F2 check")
     unresolved = report.unresolved_eps()
     if unresolved:
-        print(f"warning: orbit profiles unresolved at the node cap {drift_cfg.outer_nodes} "
-              f"for eps {', '.join(repr(e) for e in unresolved)}", file=sys.stderr)
+        _warn_unresolved(drift_cfg.outer_nodes,
+                         f" for eps {', '.join(repr(e) for e in unresolved)}")
     ok = (report.slope_contract_ok() and (f2_check is None or f2_check["ok"])
           and not unresolved)
     if not ok:
         print("drift contract not met", file=sys.stderr)
         return 1
     return 0
+
+
+def _warn_unresolved(cap: int, what: str = "") -> None:
+    print(f"warning: orbit profiles unresolved at the node cap {cap}{what}", file=sys.stderr)
 
 
 def _fmt_vec(vec) -> str:

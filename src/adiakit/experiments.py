@@ -26,7 +26,7 @@ from .circle import CircleAction
 from .errors import SlopeUndefined
 from .fixtures import get_fixture
 from .integrators import IntegratorConfig, integrate
-from .invariants import InvariantSeries, f2 as f2_point, series_values, ty3_residual
+from .invariants import InvariantSeries, resolve_ty3, series_values
 from .phase import PhasePoint
 
 __all__ = [
@@ -138,10 +138,8 @@ def full_field(system, eps: float):
 def _trajectory(system, initial: PhasePoint, eps: float, horizon_c: float,
                 samples: int, integrator: IntegratorConfig):
     t_end = horizon_c / eps
-    t_eval = np.linspace(0.0, t_end, samples)
-    rhs = full_field(system, eps)
-    traj = integrate(rhs, initial.coords, t_end, integrator, t_eval=t_eval)
-    return traj
+    return integrate(full_field(system, eps), initial.coords, t_end, integrator,
+                     t_eval=np.linspace(0.0, t_end, samples))
 
 
 def _drift_from_terms(terms, eps: float, order: int) -> float:
@@ -316,19 +314,19 @@ def _run_jobs(payloads, workers: int):
 def check_f2(config: DriftConfig, tol: float = 1e-4) -> dict:
     """Check F₂ at the initial point before it is trusted along trajectories.
 
-    F₂ passes when the defect of its homological equation (``ty3_residual``)
-    is at most ``tol`` and, when the fixture carries a closed-form second
-    correction, when it reproduces that value to ``tol``.
+    F₂ passes when its orbit profiles are resolved at the node cap, when the
+    defect of its homological equation (``resolve_ty3``) is at most ``tol``
+    and, when the fixture carries a closed-form second correction, when it
+    reproduces that value to ``tol``.
     """
     fixture, action, initial = config.build()
-    system = fixture.system
-    value = f2_point(system, action, initial)
-    residual = ty3_residual(system, action, initial)
+    (value, residual), _, resolved = resolve_ty3(fixture.system, action, initial)
     closed_diff = None
     if fixture.closed_f2 is not None:
         closed_diff = abs(value - float(sk.value(fixture.closed_f2(*initial.state()))))
     return {"f2": value, "ty3_residual": residual, "closed_diff": closed_diff,
-            "ok": residual <= tol and (closed_diff is None or closed_diff <= tol)}
+            "resolved": resolved,
+            "ok": resolved and residual <= tol and (closed_diff is None or closed_diff <= tol)}
 
 
 def emit(report, fmt: str, path) -> str:

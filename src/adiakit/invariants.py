@@ -65,8 +65,10 @@ and keeps their derivatives, and ``lie_derivative`` of the series is exact:
   the variational equation. F₂ of a dual point would need the tangents of V,
   a second variational equation, and raises ``UnsupportedDerivative``.
 
-The one difference quotient left is the flow derivative of the homological
-residuals (``ty2_residual``, ``ty3_residual``).
+The homological residuals take no derivative along the flow: 𝒮 inverts L_Υ on
+zero-mean profiles, L_Υ𝒮(f) = f − ⟨f⟩, and ω is constant on an orbit (the
+period–energy hypothesis), so the defects of F₁'s and F₂'s equations are
+exactly ⟨{H, J}₁⟩/ω and (2/ω)·⟨{H, F₁}₁⟩, their solvability conditions.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ from .circle import (CircleAction, OrbitSamples, fourier_mean, resolved_value, s
 from .errors import HypothesisViolation, NumericalError, UnsupportedDerivative, UnsupportedOrder
 from .phase import (DEFAULT_ENGINE, PhasePoint, SlowFastSystem,
                     bracket_of_partials, field_fast, field_full, grad_fast,
-                    grad_full, state_bracket1)
+                    grad_full)
 
 __all__ = [
     "HypothesisReport",
@@ -101,10 +103,10 @@ __all__ = [
     "lie_derivative",
     "ty2_residual",
     "ty3_residual",
+    "resolve_ty3",
 ]
 
 HYPOTHESIS_TOL = 1e-8  # every structural check of ``check_hypotheses``
-FLOW_STEP = 1e-4  # phase step of the central difference along the flow
 
 
 def d1j_coeffs(system: SlowFastSystem) -> Callable:
@@ -124,21 +126,18 @@ def check_momentum_map(system: SlowFastSystem, action: CircleAction, m: PhasePoi
     """Residual ‖d₀J − d₀H/ω‖ of the momentum-map relation at ``m``."""
     dj = grad_fast(system, system.J, m)
     dh = grad_fast(system, system.H, m)
-    omega = float(sk.value(system.omega(*m.state())))
-    if not omega > 0.0:
-        raise NumericalError("frequency must be positive")
-    return float(np.linalg.norm(dj - dh / omega))
+    return float(np.linalg.norm(dj - dh / float(sk.value(_omega_at(system, *m.state())))))
 
 
 def check_adiabatic(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> float:
     """Residual ‖⟨d₁J⟩‖: the averaged slow differential of the momentum map."""
-    return _adiabatic(system, action, m)[0]
+    return resolved_value(_adiabatic(system, action, m))
 
 
 def _adiabatic(system, action, m):
-    """(``check_adiabatic``, whether the node cap resolved its orbit profiles)."""
-    avg, _, resolved = action.resolve_slow_oneform(d1j_coeffs(system), m)
-    return float(np.linalg.norm(avg)), resolved
+    """(``check_adiabatic``, N, whether the node cap resolved its orbit profiles)."""
+    avg, n, resolved = action.resolve_slow_oneform(d1j_coeffs(system), m)
+    return float(np.linalg.norm(avg)), n, resolved
 
 
 def check_period_energy(system: SlowFastSystem, m: PhasePoint) -> float:
@@ -201,7 +200,7 @@ def check_hypotheses(system: SlowFastSystem, action: CircleAction,
     tols = dict.fromkeys(("periodicity", "momentum_map", "adiabatic", "period_energy"),
                          HYPOTHESIS_TOL)
     _, per = action.check_periodicity(m, HYPOTHESIS_TOL)
-    adiabatic, resolved = _adiabatic(system, action, m)
+    adiabatic, _, resolved = _adiabatic(system, action, m)
     return HypothesisReport(
         periodicity_residual=per,
         momentum_map_residual=check_momentum_map(system, action, m),
@@ -316,17 +315,19 @@ def _check_strict(action: CircleAction, m: PhasePoint, strict: bool):
 
 
 def theta(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> np.ndarray:
-    """Θ = 𝒮(d₁J) at ``m`` as a slow-component vector of length 2k."""
-    return action.s_slow_oneform(d1j_coeffs(system), m)
+    """Θ = 𝒮(d₁J) at ``m``, a slow vector of length 2k: node 0 of ``_theta_nodes``."""
+    system.require_in_domain(m)
+    return resolved_value(action.resolve(lambda orbit: np.array([
+        float(_at_base(c, orbit)) for c in _theta_nodes(_slow_partials(system, orbit)[1], orbit)]),
+        *m.state()))
 
 
 def k1(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> float:
-    """K₁(m) = ½·(Θ_p·∂H/∂q − Θ_q·∂H/∂p), the slow contraction of Θ with dH."""
+    """K₁(m) = ½·(Θ_p·∂H/∂q − Θ_q·∂H/∂p): node 0 of ``_k1_nodes``."""
     system.require_in_domain(m)
-    fast, slow = m.state()
-    th = theta(system, action, m)
-    dh = [float(sk.value(d)) for d in DEFAULT_ENGINE.partials(system.H, fast, slow, "slow")]
-    return float(0.5 * bracket_of_partials(th, dh))
+    return float(resolved_value(action.resolve(
+        lambda orbit: _at_base(_k1_nodes(*_slow_partials(system, orbit), orbit), orbit),
+        *m.state())))
 
 
 def f1(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
@@ -507,34 +508,38 @@ def lie_derivative(system: SlowFastSystem, F: Callable, m: PhasePoint, eps: floa
     return float(np.dot(grad, vel))
 
 
-def _d_dt_along_flow(action: CircleAction, point_fn: Callable, m: PhasePoint) -> float:
-    """Central difference of t ↦ point_fn(Fl^t m) at t = 0 (equals L_Υ)."""
-    plus = point_fn(action.flow(FLOW_STEP, m))
-    minus = point_fn(action.flow(-FLOW_STEP, m))
-    return (plus - minus) / (2.0 * FLOW_STEP)
-
-
 def ty2_residual(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> float:
-    """|L_Υ F₁ + (1/ω){H,J}₁| — defect of the first-order homological equation."""
+    """|L_Υ F₁ + (1/ω){H,J}₁| — defect of the first-order homological equation:
+    exactly |⟨{H,J}₁⟩|/ω, as F₁ = −(1/ω)(𝒮({H,J}₁) + ⟨K₁⟩), L_Υ𝒮(f) = f − ⟨f⟩
+    and ω is constant on the orbit by the period–energy hypothesis."""
     system.require_in_domain(m)
     fast, slow = m.state()
-    deriv = _d_dt_along_flow(action, lambda p: f1(system, action, p), m)
-    hj = float(sk.value(state_bracket1(system.H, system.J, fast, slow)))
-    omega = float(sk.value(system.omega(fast, slow)))
-    return abs(deriv + hj / omega)
+    avg = resolved_value(action.resolve(
+        lambda orbit: fourier_mean(_bracket1_profile(*_slow_partials(system, orbit), orbit)),
+        fast, slow))
+    return abs(float(avg)) / float(sk.value(_omega_at(system, fast, slow)))
+
+
+def resolve_ty3(system: SlowFastSystem, action: CircleAction, m: PhasePoint):
+    """((F₂, ``ty3_residual``), N, resolved) at ``m`` from one ``_h_f1_bracket``
+    pass on ``m`` as a one-point batch, as ``InvariantSeries.resolve_point``
+    takes it, so F₂ keeps the series' bits; ⟨{H, F₁}₁⟩ is the node mean of
+    the bracket's value part at the settled N."""
+    system.require_in_domain(m)
+    fast, slow = ([np.array([c]) for c in block] for block in (m.fast, m.slow))
+    (bracket, _, s_vals), n, resolved = _h_f1_bracket(system, action, fast, slow)
+    omega = np.ravel(sk.value(_omega_at(system, fast, slow)))[0]
+    mean = np.ravel(fourier_mean(sk.value(bracket)))[0]
+    return (float(-2.0 * s_vals[0] / omega), float(2.0 * abs(mean) / omega)), n, resolved
 
 
 def ty3_residual(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> float:
     """Defect of the second-order homological equation, |L_Υ F₂ + (2/ω){H,F₁}₁|.
 
     With the series normalized as J + εF₁ + ε²/2·F₂, order-by-order expansion
-    of the invariance condition forces L_Υ F₂ = −(2/ω){H,F₁}₁. ``F₂`` is
-    differentiated along the flow; {H,F₁}₁ is the one F₂ is built from, read
-    at the orbit's first node (the point itself).
+    of the invariance condition forces L_Υ F₂ = −(2/ω){H,F₁}₁. As F₂ =
+    −(2/ω)·𝒮({H,F₁}₁), L_Υ𝒮(f) = f − ⟨f⟩ and ω is constant on the orbit by the
+    period–energy hypothesis, the defect is exactly (2/ω)·|⟨{H,F₁}₁⟩|
+    (``resolve_ty3``).
     """
-    system.require_in_domain(m)
-    fast, slow = m.state()
-    deriv = _d_dt_along_flow(action, lambda p: f2(system, action, p), m)
-    (hf1, _, _), _, _ = _h_f1_bracket(system, action, fast, slow)
-    omega = float(sk.value(system.omega(fast, slow)))
-    return abs(deriv + 2.0 * float(hf1[..., 0]) / omega)
+    return resolved_value(resolve_ty3(system, action, m))[1]

@@ -251,13 +251,3 @@ def field_full(system: SlowFastSystem, m: PhasePoint, eps: float) -> np.ndarray:
     """Full vector field: fast block plus ε times the slow block."""
     return np.concatenate([field_fast(system, m), eps * field_slow(system, m)], axis=-1)
 
-
-# ---------------------------------------------------------------------------
-# Kernel-state helpers shared by the quadrature pipeline. States are pairs of
-# coordinate lists whose entries may be arrays (batched points) or duals.
-# ---------------------------------------------------------------------------
-
-def state_bracket1(f, g, fast, slow):
-    """Slow bracket of two oracles on a raw kernel state (batch friendly)."""
-    return bracket_of_partials(DEFAULT_ENGINE.partials(f, fast, slow, "slow"),
-                               DEFAULT_ENGINE.partials(g, fast, slow, "slow"))

@@ -1,13 +1,14 @@
 """Circle-action flows and the averaging/integrating operators."""
 
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from adiakit import (CircleAction, IntegratorConfig, NumericalError, PhasePoint,
-                     SlowFastSystem, UnsupportedDerivative, charged_particle,
-                     elastic_pendulum, integrate)
+                     SlowFastSystem, UnresolvedQuadrature, UnsupportedDerivative,
+                     charged_particle, elastic_pendulum, integrate)
 from adiakit import circle
 from adiakit import kernel as sk
 from adiakit.circle import TWO_PI, fourier_mean, s_at_nodes, s_from_samples
@@ -320,8 +321,10 @@ def test_quadrature_exact_for_trig_polynomials(harmonic_action):
     expected = 0.25 * (3.0 * (-1.0) - (-1.0 / 3.0))
     for nodes in (8, 64):
         action = CircleAction(harmonic_action.system, nodes=nodes)
-        assert action.s_scalar(cube, m) == pytest.approx(expected, abs=1e-12)
-        assert action.average_scalar(cube, m) == pytest.approx(0.0, abs=1e-12)
+        # degree 3 lies above N/4 = 2 at 8 nodes: exact there, but flagged unresolved
+        with pytest.warns(UnresolvedQuadrature) if nodes == 8 else nullcontext():
+            assert action.s_scalar(cube, m) == pytest.approx(expected, abs=1e-12)
+            assert action.average_scalar(cube, m) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_projection_properties(pendulum_action, pendulum, rng):

@@ -1,5 +1,6 @@
 """Configuration files, CLI exit codes, drift sweeps and the F2 check."""
 
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -174,6 +175,32 @@ def test_particle_at_cap_8_is_flagged_unresolved(tmp_path, capsys):
         assert [line.split(":")[0] for line in out.splitlines()
                 if line.startswith("integrator")] == ["integrator  eps 0.2", "integrator  eps 0.1"]
         assert ("unresolved at the node cap 8 for eps 0.2, 0.1" in err) == (cap == 8)
+        assert ("unresolved at the node cap 8 for the F2 check" in err) == (cap == 8)
+        assert "UnresolvedQuadrature" not in err
+
+
+def test_check_f2_carries_the_unresolved_flag():
+    # the particle's F2 needs 16 nodes: at a cap of 8 the check fails on its
+    # flag, which comes back in the result rather than as a warning
+    config = DriftConfig(fixture="charged_particle", outer_nodes=8)
+    check = check_f2(config)
+    assert not check["resolved"] and not check["ok"]
+    assert check_f2(replace(config, outer_nodes=64))["ok"]
+
+
+@pytest.mark.parametrize("cap, code", [(8, 1), (64, 0)])
+def test_simulate_flags_an_unresolved_cap(tmp_path, capsys, cap, code):
+    # the series columns are still written, and the exit code says whether
+    # the node cap resolved their orbit profiles
+    config = _write(tmp_path, "[fixture]\nname = charged_particle\n\n"
+                              f"[quadrature]\nnodes = {cap}\n\n"
+                              "[experiment]\neps = 0.2\nsamples = 8\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == code
+    assert len((tmp_path / "out" / "trajectory.csv").read_text().splitlines()) == 9
+    err = capsys.readouterr().err
+    assert ("warning: orbit profiles unresolved at the node cap 8" in err) == (cap == 8)
 
 
 SMALL_DRIFT = ("[fixture]\nname = elastic_pendulum\n\n[quadrature]\nnodes = 16\n\n"
@@ -204,6 +231,6 @@ def test_drift_json_independent_of_report_format(tmp_path):
 
 def test_check_f2_on_pendulum_initial_point():
     check = check_f2(DriftConfig(fixture="elastic_pendulum"))
-    assert check["ok"]
+    assert check["ok"] and check["resolved"]
     assert check["closed_diff"] <= 1e-13
-    assert check["ty3_residual"] <= 1e-4
+    assert check["ty3_residual"] <= 1e-12

@@ -1,6 +1,7 @@
 """Hypothesis checks, the action construction, and the F1/F2 pipeline."""
 
 import warnings
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -14,9 +15,9 @@ from adiakit import (CircleAction, HypothesisViolation, InvariantSeries, NotFoun
                      elastic_pendulum, f1, f2, grad_fast, grad_full, k1, lie_derivative,
                      momentum_from_action, theta, ty2_residual, ty3_residual,
                      verify_transverse_momentum)
-from adiakit import circle
+from adiakit import circle, invariants
 from adiakit import kernel as sk
-from adiakit.invariants import d1j_coeffs, series_values
+from adiakit.invariants import d1j_coeffs, resolve_ty3, series_values
 from adiakit.sl2 import f2_closed
 
 from conftest import nondegenerate_system, sample_points
@@ -242,9 +243,12 @@ def test_numeric_flow_f2_matches_analytic(request, fixture_name):
     fixture = request.getfixturevalue(fixture_name)
     system, m = fixture.system, fixture.initial
     for nodes in (8, 64):
-        numeric = f2(system, CircleAction(system, flow_mode="numeric", nodes=nodes), m)
-        assert numeric == pytest.approx(f2(system, CircleAction(system, nodes=nodes), m),
-                                        rel=0.0, abs=1e-10)
+        # the particle needs 16 nodes, so both F2 are flagged unresolved at a cap of 8
+        unresolved = fixture_name == "particle" and nodes == 8
+        with pytest.warns(UnresolvedQuadrature) if unresolved else nullcontext():
+            numeric = f2(system, CircleAction(system, flow_mode="numeric", nodes=nodes), m)
+            analytic = f2(system, CircleAction(system, nodes=nodes), m)
+        assert numeric == pytest.approx(analytic, rel=0.0, abs=1e-10)
 
 
 # -- duals through the series ---------------------------------------------------------
@@ -370,6 +374,9 @@ FLAGLESS = {
     "theta": lambda s, a, m: theta(s, a, m),
     "k1": lambda s, a, m: k1(s, a, m),
     "momentum_from_action": lambda s, a, m: momentum_from_action(s, a, m),
+    "check_adiabatic": lambda s, a, m: check_adiabatic(s, a, m),
+    "ty2_residual": lambda s, a, m: ty2_residual(s, a, m),
+    "ty3_residual": lambda s, a, m: ty3_residual(s, a, m),
 }
 
 
@@ -510,14 +517,44 @@ def test_homological_residuals(pendulum, particle, rng):
     for fixture in (pendulum, particle):
         action = CircleAction(fixture.system)
         for m in sample_points(fixture, rng, 8):
-            assert ty2_residual(fixture.system, action, m) <= 1e-5
+            assert ty2_residual(fixture.system, action, m) <= 1e-12
         m = sample_points(fixture, rng, 1)[0]
-        assert ty3_residual(fixture.system, action, m) <= 1e-4
+        assert ty3_residual(fixture.system, action, m) <= 1e-12
     # omega varying with the slow variables, where F2 needs the <K1>/omega part
     system = nondegenerate_system(constant_omega=False).system()
     action = CircleAction(system)
     for coords in rng.uniform(-0.8, 0.8, size=(2, 4)):
-        assert ty3_residual(system, action, PhasePoint(coords[:2], coords[2:])) <= 1e-4
+        assert ty3_residual(system, action, PhasePoint(coords[:2], coords[2:])) <= 1e-12
+
+
+@pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
+@pytest.mark.parametrize("flow_mode", ["analytic", "numeric"])
+def test_ty3_residual_at_rounding_and_f2_bitwise(request, fixture_name, flow_mode):
+    # the defect is (2/omega)<{H, F1}_1>, read off the one orbit F2 samples:
+    # no step along the flow, and F2 is the series' own value, bit for bit
+    fixture = request.getfixturevalue(fixture_name)
+    system, m = fixture.system, fixture.initial
+    action = CircleAction(system, flow_mode=flow_mode)
+    (value, residual), n, resolved = resolve_ty3(system, action, m)
+    assert resolved and residual <= 1e-12 and ty3_residual(system, action, m) == residual
+    assert value == f2(system, action, m)
+    assert (n, resolved) == InvariantSeries(system, action, 2).resolve_point(m)[1:]
+
+
+def test_ty3_residual_sees_a_dropped_k1_average(rng, monkeypatch):
+    # F1 without <K1> still solves its own homological equation, but {H, F1}_1
+    # then has a nonzero average when omega varies with the slow variables,
+    # and the second-order defect reads it (3.6e-4 at this point)
+    def f1_nodes_without_k1(system, orbit):
+        dh, dj = invariants._slow_partials(system, orbit)
+        omega = invariants._omega_at(system, orbit.fast, orbit.slow)
+        return -circle.s_at_nodes(invariants._bracket1_profile(dh, dj, orbit)) / omega, dh
+
+    system = nondegenerate_system(constant_omega=False).system()
+    m = PhasePoint(*np.split(rng.uniform(-0.8, 0.8, 4), 2))
+    assert ty3_residual(system, CircleAction(system), m) <= 1e-12
+    monkeypatch.setattr(invariants, "_f1_nodes", f1_nodes_without_k1)
+    assert ty3_residual(system, CircleAction(system), m) > 1e-6
 
 
 def _flat_bracket_system():
