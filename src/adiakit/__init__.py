@@ -8,7 +8,7 @@ horizons T ~ 1/ε.
 
 from .circle import CircleAction, OrbitSamples
 from .errors import (AdiakitError, ConfigError, DegenerateFamily, DomainError,
-                     HypothesisViolation, IntegrationError, InvalidParameter,
+                     IntegrationError, InvalidParameter,
                      MaxStepsExceeded, NotFound, NumericalError,
                      SlopeUndefined, StepSizeUnderflow, TraceError,
                      UnresolvedQuadrature, UnsupportedDerivative, UnsupportedOrder)

@@ -453,15 +453,6 @@ class CircleAction:
     def resolve_slow_oneform(self, coeffs: Callable, m: PhasePoint):
         """(``average_slow_oneform``, N, resolved): the average with the node
         count and the flag of ``resolve``."""
-        return self._resolve_point(lambda orbit: _oneform(fourier_mean, coeffs, orbit), m)
-
-    def s_slow_oneform(self, coeffs: Callable, m: PhasePoint) -> np.ndarray:
-        """Componentwise 𝒮 of a slow-component 1-form (zero-average by construction)."""
-        return resolved_value(
-            self._resolve_point(lambda orbit: _oneform(s_from_samples, coeffs, orbit), m))
-
-
-def _oneform(op, coeffs: Callable, orbit: OrbitSamples) -> np.ndarray:
-    """``op`` applied to each coefficient profile of a slow-component 1-form."""
-    return np.asarray([float(op(_finite_samples(c, orbit, "1-form coefficients")))
-                       for c in coeffs(orbit.fast, orbit.slow)])
+        return self._resolve_point(lambda orbit: np.asarray([
+            float(fourier_mean(_finite_samples(c, orbit, "1-form coefficients")))
+            for c in coeffs(orbit.fast, orbit.slow)]), m)

@@ -7,6 +7,10 @@ Subcommands::
     adiakit simulate --config cfg.ini            trajectory CSV with series columns
     adiakit drift    --config cfg.ini            drift-order study + F2 check
 
+Every subcommand reads one ``RunConfig`` (``config``); ``--out`` and
+``--format`` override its ``[output]`` keys, and ``drift`` runs
+``order_sweep(config, workers)`` with ``--workers``.
+
 Exit codes: 0 success, 1 contract or check failure, 2 usage/config error.
 ``simulate`` writes its CSV and exits 1 when the node cap leaves the series'
 orbit profiles unresolved, as ``invariant``, ``check`` and ``drift`` do.
@@ -60,8 +64,6 @@ def _build_parser():
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                        help="parallel workers for experiment grids")
-        p.add_argument("--strict", action="store_true",
-                       help="enforce hypothesis checks inside the construction")
         p.add_argument("--format", choices=("csv", "json", "both"), default=None,
                        help="report format override")
 
@@ -93,8 +95,6 @@ def _load_config(args) -> RunConfig:
         config = replace(config, out_dir=args.out)
     if getattr(args, "format", None):
         config = replace(config, out_format=args.format)
-    if args.strict:
-        config = replace(config, strict=True)
     return config
 
 
@@ -124,8 +124,7 @@ def cmd_invariant(config: RunConfig, args) -> int:
     order = config.order if args.order is None else args.order
     eps = args.eps if args.eps is not None else config.eps_grid[0]
     fixture, action, initial = config.build()
-    terms, _, resolved = InvariantSeries(fixture.system, action, order,
-                                         config.strict).resolve_point(initial)
+    terms, _, resolved = InvariantSeries(fixture.system, action, order).resolve_point(initial)
     j_val, f1_val, f2_val = terms
     series = series_values(terms, eps, order)
 
@@ -179,10 +178,9 @@ def cmd_simulate(config: RunConfig, args) -> int:
 
 def cmd_drift(config: RunConfig, args) -> int:
     started = time.perf_counter()
-    drift_cfg = config.drift_config(workers=args.workers)
-    f2_check = check_f2(drift_cfg) if 2 in drift_cfg.orders else None
+    f2_check = check_f2(config) if 2 in config.orders else None
 
-    report = order_sweep(drift_cfg)
+    report = order_sweep(config, args.workers)
     report.metadata["config"] = config.serialize(output=False)
 
     out_dir = _outdir(config)
@@ -216,11 +214,10 @@ def cmd_drift(config: RunConfig, args) -> int:
     print(f"wall time {time.perf_counter() - started:.1f} s")
 
     if f2_check is not None and not f2_check["resolved"]:
-        _warn_unresolved(drift_cfg.outer_nodes, " for the F2 check")
+        _warn_unresolved(config.nodes, " for the F2 check")
     unresolved = report.unresolved_eps()
     if unresolved:
-        _warn_unresolved(drift_cfg.outer_nodes,
-                         f" for eps {', '.join(repr(e) for e in unresolved)}")
+        _warn_unresolved(config.nodes, f" for eps {', '.join(repr(e) for e in unresolved)}")
     ok = (report.slope_contract_ok() and (f2_check is None or f2_check["ok"])
           and not unresolved)
     if not ok:

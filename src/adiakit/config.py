@@ -7,12 +7,18 @@ Sections and keys::
                    charged_particle: b, lambda)
     [integrator]  method (``rk45`` only), rtol, atol, max_steps
     [quadrature]  nodes, flow_mode
-    [experiment]  initial, eps, horizon_c, samples, orders, order, strict
+    [experiment]  initial, eps, horizon_c, samples, orders, order
     [output]      dir, format
 
+``RunConfig`` is the one description of a run: the commands, the drift sweep
+(``experiments.order_sweep(config, workers)``) and the F₂ check all take it.
+Every key outside ``[fixture]`` is one row of ``_KEYS`` (section, key, field,
+parser, formatter), and that table alone drives ``parse``, the keys each
+section allows and ``serialize``: a new key is one field plus one row.
+
 ``method`` may only be ``rk45``, the one integrator (DOP853, see
-``integrators``), so it is checked and not stored. ``initial`` is the flat coordinate vector in block order
-(y.., x.., p.., q..).
+``integrators``), so its row checks it and stores nothing. ``initial`` is the
+flat coordinate vector in block order (y.., x.., p.., q..).
 ``nodes`` caps the per-period orbit node count (a power of two): each
 evaluation takes the smallest N ≤ ``nodes`` that resolves its orbit profiles
 (``CircleAction.resolve``).
@@ -27,12 +33,12 @@ from the one orbit per point).
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .circle import CircleAction
 from .errors import ConfigError
-from .fixtures import list_fixtures
+from .fixtures import get_fixture, list_fixtures
 from .integrators import IntegratorConfig
 
 __all__ = ["RunConfig"]
@@ -47,15 +53,16 @@ _PARAM_NAMES = {
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Fully describes one run; picklable for worker processes."""
+
     fixture: str = "elastic_pendulum"
     params: dict = field(default_factory=dict)
-    initial: Optional[tuple] = None
+    initial: Optional[tuple] = None  # flat (y.., x.., p.., q..); fixture default if None
     eps_grid: tuple = (0.2, 0.1, 0.05, 0.025, 0.0125)
     horizon_c: float = 1.0
     samples: int = 512
     orders: tuple = (0, 1, 2)
     order: int = 2
-    strict: bool = False
     rtol: float = 1e-11
     atol: float = 1e-13
     max_steps: int = 50_000_000
@@ -74,70 +81,34 @@ class RunConfig:
         except configparser.Error as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
 
-        known_sections = {"fixture", "integrator", "quadrature", "experiment", "output"}
-        unknown = set(cp.sections()) - known_sections
+        unknown = set(cp.sections()) - {"fixture"} - {row[0] for row in _KEYS}
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-
-        values = {}
+        for (section, key), why in _REMOVED.items():
+            if cp.has_option(section, key):
+                raise ConfigError(f"key {key!r} was removed: {why}")
+        for section in cp.sections():
+            unknown = set(cp[section]) - {row[1] for row in _KEYS if row[0] == section}
+            if section != "fixture" and unknown:
+                raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
 
         fix = dict(cp["fixture"]) if cp.has_section("fixture") else {}
         name = fix.pop("name", cls.fixture)
         if name not in list_fixtures():
             raise ConfigError(f"unknown fixture {name!r}")
         params = {}
-        allowed = _PARAM_NAMES[name]
         for key, raw in fix.items():
             canonical = _PARAM_ALIASES.get(key, key)
-            if canonical not in allowed:
+            if canonical not in _PARAM_NAMES[name]:
                 raise ConfigError(f"unknown key {key!r} in [fixture] for {name!r}")
             params[canonical] = _parse_float(key, raw)
-        values["fixture"] = name
-        values["params"] = params
 
-        def take(section, key, conv, target=None):
+        values = {"fixture": name, "params": params}
+        for section, key, target, parse, _ in _KEYS:
             if cp.has_option(section, key):
-                values[target or key] = conv(key, cp.get(section, key))
-
-        if cp.has_section("integrator"):
-            _reject_unknown(cp, "integrator", {"method", "rtol", "atol", "max_steps"})
-            if cp.has_option("integrator", "method"):
-                _parse_choice({"rk45"})("method", cp.get("integrator", "method"))
-            take("integrator", "rtol", _parse_float)
-            take("integrator", "atol", _parse_float)
-            take("integrator", "max_steps", _parse_int)
-
-        if cp.has_section("quadrature"):
-            if cp.has_option("quadrature", "inner_nodes"):
-                raise ConfigError(
-                    "key 'inner_nodes' was removed: F2 takes the slow derivatives of F1 "
-                    "from one orbit of 'nodes' samples per point, so there are no "
-                    "inner orbits to size")
-            _reject_unknown(cp, "quadrature", {"nodes", "flow_mode"})
-            take("quadrature", "nodes", _parse_int)
-            take("quadrature", "flow_mode", _parse_choice({"analytic", "numeric"}))
-
-        if cp.has_section("experiment"):
-            if cp.has_option("experiment", "variant"):
-                raise ConfigError(
-                    "key 'variant' was removed: F2 now has a single definition, "
-                    "-(2/omega) S({H, F1}_1), so there is no variant to choose")
-            _reject_unknown(cp, "experiment",
-                            {"initial", "eps", "horizon_c", "samples", "orders",
-                             "order", "strict"})
-            take("experiment", "initial", _parse_float_list, "initial")
-            take("experiment", "eps", _parse_float_list, "eps_grid")
-            take("experiment", "horizon_c", _parse_float)
-            take("experiment", "samples", _parse_int)
-            take("experiment", "orders", _parse_int_list, "orders")
-            take("experiment", "order", _parse_int)
-            take("experiment", "strict", _parse_bool)
-
-        if cp.has_section("output"):
-            _reject_unknown(cp, "output", {"dir", "format"})
-            take("output", "dir", lambda _k, v: v, "out_dir")
-            take("output", "format", _parse_choice({"csv", "json", "both"}), "out_format")
-
+                value = parse(key, cp.get(section, key))
+                if target is not None:
+                    values[target] = value
         return cls(**values)
 
     @classmethod
@@ -154,66 +125,45 @@ class RunConfig:
         the text describes the run alone, not where or in which formats its
         reports were written.
         """
-        out = io.StringIO()
-        out.write("[fixture]\n")
-        out.write(f"name = {self.fixture}\n")
         reverse_alias = {v: k for k, v in _PARAM_ALIASES.items()}
-        for key in _PARAM_NAMES[self.fixture]:
-            if key in self.params:
-                out.write(f"{reverse_alias.get(key, key)} = {self.params[key]!r}\n")
-        out.write("\n[integrator]\n")
-        out.write(f"rtol = {self.rtol!r}\n")
-        out.write(f"atol = {self.atol!r}\n")
-        out.write(f"max_steps = {self.max_steps}\n")
-        out.write("\n[quadrature]\n")
-        out.write(f"nodes = {self.nodes}\n")
-        out.write(f"flow_mode = {self.flow_mode}\n")
-        out.write("\n[experiment]\n")
-        if self.initial is not None:
-            out.write(f"initial = {_fmt_list(self.initial)}\n")
-        out.write(f"eps = {_fmt_list(self.eps_grid)}\n")
-        out.write(f"horizon_c = {self.horizon_c!r}\n")
-        out.write(f"samples = {self.samples}\n")
-        out.write(f"orders = {_fmt_list(self.orders)}\n")
-        out.write(f"order = {self.order}\n")
-        out.write(f"strict = {'true' if self.strict else 'false'}\n")
-        if output:
-            out.write("\n[output]\n")
-            out.write(f"dir = {self.out_dir}\n")
-            out.write(f"format = {self.out_format}\n")
-        return out.getvalue()
+        lines = ["[fixture]", f"name = {self.fixture}"]
+        lines += [f"{reverse_alias.get(key, key)} = {self.params[key]!r}"
+                  for key in _PARAM_NAMES[self.fixture] if key in self.params]
+        current = "fixture"
+        for section, key, target, _, fmt in _KEYS:
+            value = None if target is None else getattr(self, target)
+            if value is None or (section == "output" and not output):
+                continue
+            if section != current:
+                lines += ["", f"[{section}]"]
+                current = section
+            lines.append(f"{key} = {fmt(value)}")
+        return "\n".join(lines) + "\n"
 
     # -- adapters ------------------------------------------------------------
 
     def integrator_config(self) -> IntegratorConfig:
         return IntegratorConfig(rtol=self.rtol, atol=self.atol, max_steps=self.max_steps)
 
-    def drift_config(self, workers: int = 1):
-        from .experiments import DriftConfig
-
-        return DriftConfig(
-            fixture=self.fixture,
-            params=dict(self.params),
-            initial=self.initial,
-            eps_grid=self.eps_grid,
-            horizon_c=self.horizon_c,
-            samples=self.samples,
-            integrator=self.integrator_config(),
-            orders=self.orders,
-            outer_nodes=self.nodes,
-            flow_mode=self.flow_mode,
-            workers=workers,
-        )
+    def drift_config(self) -> "RunConfig":
+        return self  # the run itself; bench/child.py's trace mode still calls this
 
     def build(self):
-        """(fixture, action, initial point) for this configuration."""
-        return self.drift_config().build()
-
-
-def _reject_unknown(cp, section, allowed):
-    unknown = set(cp[section]) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
+        """(fixture, action, initial point) for this configuration, after
+        checking the values no INI parser rejects: distinct ε in (0, 1), at
+        least two samples per trajectory, and the integrator's tolerances."""
+        if len(set(self.eps_grid)) != len(self.eps_grid):
+            raise ValueError("eps grid values must be distinct")
+        if any(not 0.0 < e < 1.0 for e in self.eps_grid):
+            raise ValueError("eps grid values must lie in (0, 1)")
+        if self.samples < 2:
+            raise ValueError("need at least two samples per trajectory")
+        self.integrator_config()  # raises on a bad rtol, atol or max_steps
+        fixture = get_fixture(self.fixture, **self.params)
+        action = CircleAction(fixture.system, flow_mode=self.flow_mode, nodes=self.nodes)
+        initial = (fixture.initial if self.initial is None
+                   else fixture.system.point(self.initial))
+        return fixture, action, initial
 
 
 def _parse_float(key, raw):
@@ -230,15 +180,6 @@ def _parse_int(key, raw):
         raise ConfigError(f"key {key!r}: {raw!r} is not an integer") from exc
 
 
-def _parse_bool(key, raw):
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"key {key!r}: {raw!r} is not a boolean")
-
-
 def _parse_float_list(key, raw):
     return tuple(_parse_float(key, part.strip()) for part in raw.split(",") if part.strip())
 
@@ -247,7 +188,7 @@ def _parse_int_list(key, raw):
     return tuple(_parse_int(key, part.strip()) for part in raw.split(",") if part.strip())
 
 
-def _parse_choice(options):
+def _parse_choice(*options):
     def conv(key, raw):
         if raw not in options:
             raise ConfigError(f"key {key!r}: {raw!r} not in {sorted(options)}")
@@ -258,3 +199,32 @@ def _parse_choice(options):
 
 def _fmt_list(values):
     return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
+
+
+# (section, key, RunConfig field or None to check and not store, parser, formatter),
+# in the order ``serialize`` writes them
+_KEYS = (
+    ("integrator", "method", None, _parse_choice("rk45"), None),
+    ("integrator", "rtol", "rtol", _parse_float, repr),
+    ("integrator", "atol", "atol", _parse_float, repr),
+    ("integrator", "max_steps", "max_steps", _parse_int, str),
+    ("quadrature", "nodes", "nodes", _parse_int, str),
+    ("quadrature", "flow_mode", "flow_mode", _parse_choice("analytic", "numeric"), str),
+    ("experiment", "initial", "initial", _parse_float_list, _fmt_list),
+    ("experiment", "eps", "eps_grid", _parse_float_list, _fmt_list),
+    ("experiment", "horizon_c", "horizon_c", _parse_float, repr),
+    ("experiment", "samples", "samples", _parse_int, str),
+    ("experiment", "orders", "orders", _parse_int_list, _fmt_list),
+    ("experiment", "order", "order", _parse_int, str),
+    ("output", "dir", "out_dir", lambda _key, raw: raw, str),
+    ("output", "format", "out_format", _parse_choice("csv", "json", "both"), str),
+)
+
+_REMOVED = {
+    ("quadrature", "inner_nodes"): (
+        "F2 takes the slow derivatives of F1 from one orbit of 'nodes' samples per "
+        "point, so there are no inner orbits to size"),
+    ("experiment", "variant"): (
+        "F2 now has a single definition, -(2/omega) S({H, F1}_1), so there is no "
+        "variant to choose"),
+}

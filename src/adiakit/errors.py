@@ -33,10 +33,6 @@ class StepSizeUnderflow(IntegrationError):
         self.last_time = last_time
 
 
-class HypothesisViolation(AdiakitError):
-    """A structural hypothesis check failed while strict mode is on."""
-
-
 class InvalidParameter(AdiakitError):
     """A fixture or configuration parameter is out of range."""
 

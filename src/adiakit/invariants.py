@@ -81,7 +81,7 @@ import numpy as np
 from . import kernel as sk
 from .circle import (CircleAction, OrbitSamples, fourier_mean, resolved_value, s_at_nodes,
                      s_from_samples)
-from .errors import HypothesisViolation, NumericalError, UnsupportedDerivative, UnsupportedOrder
+from .errors import NumericalError, UnsupportedDerivative, UnsupportedOrder
 from .phase import (DEFAULT_ENGINE, PhasePoint, SlowFastSystem,
                     bracket_of_partials, field_fast, field_full, grad_fast,
                     grad_full)
@@ -305,15 +305,6 @@ def _at_base(profile, orbit: OrbitSamples):
     return sk.map_parts(lambda a: a[..., 0], _profile_of(profile, orbit))
 
 
-def _check_strict(action: CircleAction, m: PhasePoint, strict: bool):
-    if not strict:
-        return
-    ok, residual = action.check_periodicity(m, tol=1e-6)
-    if not ok:
-        raise HypothesisViolation(
-            f"fast flow is not 2π-periodic at this point (residual {residual:.3e})")
-
-
 def theta(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> np.ndarray:
     """Θ = 𝒮(d₁J) at ``m``, a slow vector of length 2k: node 0 of ``_theta_nodes``."""
     system.require_in_domain(m)
@@ -330,10 +321,9 @@ def k1(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> float:
         *m.state())))
 
 
-def f1(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-       strict: bool = False) -> float:
+def f1(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> float:
     """First-order correction F₁(m) = −(1/ω)(𝒮({H,J}₁) + ⟨K₁⟩)."""
-    return InvariantSeries(system, action, 1, strict).terms(m)[1]
+    return resolved_value(InvariantSeries(system, action, 1).resolve_point(m))[1]
 
 
 def _without(x, tag):
@@ -398,10 +388,9 @@ def _h_f1_bracket(system, action, fast, slow):
     return action.resolve(evaluate, lifted[:n_fast], lifted[n_fast:])
 
 
-def f2(system: SlowFastSystem, action: CircleAction, m: PhasePoint,
-       strict: bool = False) -> float:
+def f2(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> float:
     """Second-order correction F₂(m) = −(2/ω)·𝒮({H, F₁}₁)."""
-    return InvariantSeries(system, action, 2, strict).terms(m)[2]
+    return resolved_value(InvariantSeries(system, action, 2).resolve_point(m))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +411,12 @@ def series_values(terms, eps: float, order: int):
 class InvariantSeries:
     """Truncated invariant F(m; ε) = J + ε·F₁ + ε²/2·F₂ up to ``order``."""
 
-    def __init__(self, system, action, order, strict: bool = False):
+    def __init__(self, system, action, order):
         if order not in (0, 1, 2):
             raise UnsupportedOrder(f"order must be 0, 1 or 2, got {order}")
         self.system = system
         self.action = action
         self.order = int(order)
-        self.strict = strict
 
     def resolve_state(self, fast, slow):
         """((J, F₁, F₂), N, resolved) on a raw kernel state; terms beyond the
@@ -472,13 +460,12 @@ class InvariantSeries:
 
     def evaluate_batch(self, coords: np.ndarray, eps: float) -> np.ndarray:
         """Series values over an (n_points, dim) coordinate array."""
-        return series_values(self.terms_batch(coords), eps, self.order)
+        return series_values(resolved_value(self.resolve_batch(coords)), eps, self.order)
 
     def resolve_point(self, m: PhasePoint):
         """((J, F₁, F₂), N, resolved) at ``m``, the terms as floats
         (``resolve_state``)."""
         self.system.require_in_domain(m)
-        _check_strict(self.action, m, self.strict)
         terms, n, resolved = self.resolve_batch(m.coords[None, :])
         return tuple(float(t[0]) for t in terms), n, resolved
 
@@ -487,13 +474,12 @@ class InvariantSeries:
         return resolved_value(self.resolve_point(m))
 
     def evaluate(self, m: PhasePoint, eps: float) -> float:
-        return float(series_values(self.terms(m), eps, self.order))
+        return float(series_values(resolved_value(self.resolve_point(m)), eps, self.order))
 
 
-def assemble(system: SlowFastSystem, action: CircleAction, order: int,
-             strict: bool = False) -> InvariantSeries:
+def assemble(system: SlowFastSystem, action: CircleAction, order: int) -> InvariantSeries:
     """Build the truncated invariant series of the requested order."""
-    return InvariantSeries(system, action, order, strict)
+    return InvariantSeries(system, action, order)
 
 
 def lie_derivative(system: SlowFastSystem, F: Callable, m: PhasePoint, eps: float) -> float:

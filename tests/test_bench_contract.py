@@ -3,6 +3,7 @@ called, and the benchmark's inputs (``bench/workloads.py``) run; the benchmark
 is read, never edited."""
 
 import importlib
+import json
 import warnings
 from pathlib import Path
 
@@ -44,11 +45,45 @@ def workloads(monkeypatch):
 
 
 def test_every_benchmark_config_builds(workloads):
+    # and parse -> serialize -> parse gives it back, text and all
     for name in workloads.NAMES:
         for seed in range(1, 5):
             workload = workloads.build(name, seed)
             for inv in workload.checks + workload.operation:
-                config.RunConfig.parse(inv.ini).build()
+                parsed = config.RunConfig.parse(inv.ini)
+                text = parsed.serialize()
+                assert config.RunConfig.parse(text) == parsed
+                assert config.RunConfig.parse(text).serialize() == text
+                parsed.build()
+
+
+def _run_child(bench_argv, inv, tmp_path, key):
+    """``bench/child.py``'s ``main`` in this process, on one invocation as the
+    benchmark runs it: its result JSON."""
+    child = importlib.import_module("child")
+    ini, result = tmp_path / f"{key}.ini", tmp_path / f"{key}.json"
+    ini.write_text(inv.ini, encoding="utf-8")
+    assert child.main([str(result), *bench_argv, "--", *inv.argv, "--config", str(ini),
+                       "--out", str(tmp_path / key), "--workers", "1"]) == 0
+    return json.loads(result.read_text(encoding="utf-8"))
+
+
+def test_benchmark_child_sets_up_every_workload(workloads, tmp_path):
+    # the child loads and builds each config outside the CLI's error handling
+    for name in workloads.NAMES:
+        workload = workloads.build(name, 1)
+        for i, inv in enumerate(workload.checks + workload.operation):
+            result = _run_child(["--setup-only"], inv, tmp_path, f"{name}-{i}")
+            assert result["exit_code"] == 0
+
+
+def test_benchmark_child_traces_a_numeric_flow_invocation(workloads, tmp_path):
+    # the traced run re-evaluates the series through the config it loaded
+    inv = workloads.build("numeric_flow", 1).operation[0]
+    result = _run_child(["--trace", str(tmp_path / "spans.json")], inv, tmp_path, "traced")
+    assert result["exit_code"] == 0
+    assert result["layers"]["invariants.f2_s"] >= 0.0
+    assert result["layers"]["invariants.samples"] == 1
 
 
 def test_drift_order2_operation_runs_and_passes_the_benchmark_checks(workloads, tmp_path):

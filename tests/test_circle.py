@@ -12,7 +12,7 @@ from adiakit import (CircleAction, IntegratorConfig, NumericalError, PhasePoint,
 from adiakit import circle
 from adiakit import kernel as sk
 from adiakit.circle import TWO_PI, fourier_mean, s_at_nodes, s_from_samples
-from adiakit.invariants import d1j_coeffs
+from adiakit.invariants import d1j_coeffs, theta
 from adiakit.sl2 import QuadraticSystem, Sl2Field, linear_flow
 
 from conftest import sample_points
@@ -383,7 +383,6 @@ def test_oneform_average_of_constants(pendulum_action):
     m = PhasePoint([0.3, 0.2], [0.1, 0.4])
     coeffs = lambda fast, slow: [1.5, -2.5]
     assert pendulum_action.average_slow_oneform(coeffs, m) == pytest.approx([1.5, -2.5])
-    assert pendulum_action.s_slow_oneform(coeffs, m) == pytest.approx([0.0, 0.0])
 
 
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
@@ -416,7 +415,7 @@ def test_theta_value_matches_closed_form():
     fx = elastic_pendulum(omega=1.0, gamma=1.0)
     action = CircleAction(fx.system)
     m = PhasePoint([1.0, 0.0], [1.0, 1.0])  # (p,q,y,x) = (1,1,1,0)
-    th = action.s_slow_oneform(d1j_coeffs(fx.system), m)
+    th = theta(fx.system, action, m)
     assert th == pytest.approx([0.0, -1.0], abs=1e-12)
 
 

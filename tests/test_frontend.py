@@ -6,14 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from adiakit import ConfigError, IntegratorConfig, circle
+from adiakit import ConfigError, circle, experiments
 from adiakit.cli import main
 from adiakit.config import RunConfig
-from adiakit.experiments import DriftConfig, check_f2, emit, order_sweep
+from adiakit.experiments import check_f2, emit, order_sweep
 
 NON_DEFAULT = RunConfig(fixture="charged_particle", params={"b": 1.5, "lam": 0.25},
                         initial=(0.1, 0.4, 0.2, 1.0), eps_grid=(0.3, 0.15),
-                        horizon_c=0.5, samples=33, orders=(0, 2), order=1, strict=True,
+                        horizon_c=0.5, samples=33, orders=(0, 2), order=1,
                         rtol=1e-8, atol=1e-12, max_steps=1000, nodes=32, flow_mode="numeric",
                         out_dir="results", out_format="json")
 
@@ -33,6 +33,7 @@ def test_config_round_trip(config):
     "[fixture]\nname = elastic_pendulum\nmass = 2.0\n",
     "[fixture]\nname = rigid_body\n",
     "[quadrature]\ninner_nodes = 32\n",
+    "[experiment]\nstrict = true\n",
 ])
 def test_config_rejects_unknown_sections_and_keys(text):
     with pytest.raises(ConfigError):
@@ -53,6 +54,17 @@ def test_config_takes_rk45_as_the_only_method():
         RunConfig.parse("[integrator]\nmethod = rk4\n")
     with pytest.raises(ConfigError, match="unknown keys in \\[integrator\\]: \\['dt'\\]"):
         RunConfig.parse("[integrator]\ndt = 0.01\n")
+
+
+@pytest.mark.parametrize("config, message", [
+    (RunConfig(eps_grid=(0.2, 0.2)), "distinct"),
+    (RunConfig(eps_grid=(1.5, 0.1)), "in \\(0, 1\\)"),
+    (RunConfig(samples=1), "two samples"),
+    (RunConfig(rtol=0.0), "positive"),
+])
+def test_build_rejects_a_run_no_sweep_can_take(config, message):
+    with pytest.raises(ValueError, match=message):
+        config.build()
 
 
 def test_config_rejects_removed_inner_nodes_key():
@@ -135,12 +147,11 @@ def test_cli_rejects_removed_variant_flag(tmp_path):
 # -- drift sweeps and the F2 check -----------------------------------------------
 
 def test_order_sweep_bytes_independent_of_workers(tmp_path):
-    config = DriftConfig(fixture="elastic_pendulum", eps_grid=(0.2, 0.1), samples=8,
-                         integrator=IntegratorConfig(rtol=1e-9, atol=1e-12),
-                         outer_nodes=32)
+    config = RunConfig(fixture="elastic_pendulum", eps_grid=(0.2, 0.1), samples=8,
+                       rtol=1e-9, atol=1e-12, nodes=32)
     written, resolution, steps = {}, {}, {}
     for workers in (1, 2):
-        report = order_sweep(replace(config, workers=workers))
+        report = order_sweep(config, workers)
         written[workers] = [
             Path(emit(report, fmt, tmp_path / f"drift{workers}.{fmt}")).read_bytes()
             for fmt in ("csv", "json")]
@@ -156,11 +167,21 @@ def test_order_sweep_bytes_independent_of_workers(tmp_path):
     assert b"rhs_calls" not in written[1][1]
 
 
+def test_order_sweep_takes_eps_descending_and_serialize_keeps_their_order():
+    config = RunConfig.parse("[quadrature]\nnodes = 16\n\n"
+                             "[experiment]\neps = 0.1,0.2\nsamples = 8\norders = 0,1\n")
+    assert "eps = 0.1,0.2\n" in config.serialize()
+    report = order_sweep(config)
+    assert report.eps_grid == (0.2, 0.1)
+    assert [c.eps for c in report.cells] == [0.2, 0.2, 0.1, 0.1]
+    assert list(report.steps) == [0.2, 0.1]
+
+
 def test_particle_at_cap_8_is_flagged_unresolved(tmp_path, capsys):
     # the particle's orbit profiles need 16 nodes: at a cap of 8 each eps is
     # evaluated at 8 and flagged, on stdout, stderr and in the exit code
-    report = order_sweep(DriftConfig(fixture="charged_particle", eps_grid=(0.2, 0.1),
-                                     samples=8, outer_nodes=8))
+    report = order_sweep(RunConfig(fixture="charged_particle", eps_grid=(0.2, 0.1),
+                                   samples=8, nodes=8))
     assert report.resolution == {0.2: (8, False), 0.1: (8, False)}
     assert report.unresolved_eps() == [0.2, 0.1]
     for cap, code in ((8, 1), (64, 0)):
@@ -182,10 +203,10 @@ def test_particle_at_cap_8_is_flagged_unresolved(tmp_path, capsys):
 def test_check_f2_carries_the_unresolved_flag():
     # the particle's F2 needs 16 nodes: at a cap of 8 the check fails on its
     # flag, which comes back in the result rather than as a warning
-    config = DriftConfig(fixture="charged_particle", outer_nodes=8)
+    config = RunConfig(fixture="charged_particle", nodes=8)
     check = check_f2(config)
     assert not check["resolved"] and not check["ok"]
-    assert check_f2(replace(config, outer_nodes=64))["ok"]
+    assert check_f2(replace(config, nodes=64))["ok"]
 
 
 @pytest.mark.parametrize("cap, code", [(8, 1), (64, 0)])
@@ -230,7 +251,22 @@ def test_drift_json_independent_of_report_format(tmp_path):
 
 
 def test_check_f2_on_pendulum_initial_point():
-    check = check_f2(DriftConfig(fixture="elastic_pendulum"))
+    check = check_f2(RunConfig(fixture="elastic_pendulum"))
     assert check["ok"] and check["resolved"]
     assert check["closed_diff"] <= 1e-13
     assert check["ty3_residual"] <= 1e-12
+
+
+def test_check_f2_fails_on_a_residual_far_above_rounding(monkeypatch):
+    # a resolved F2 that matches its closed form still fails when the defect
+    # of its homological equation is 1e-6: rounding leaves it below 1e-12
+    resolve_ty3 = experiments.resolve_ty3
+
+    def off_by_1e_6(*args):
+        (value, _), n, resolved = resolve_ty3(*args)
+        return (value, 1e-6), n, resolved
+
+    monkeypatch.setattr(experiments, "resolve_ty3", off_by_1e_6)
+    check = check_f2(RunConfig(fixture="elastic_pendulum"))
+    assert check["resolved"] and check["closed_diff"] <= 1e-13
+    assert not check["ok"]

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adiakit import (CircleAction, HypothesisViolation, InvariantSeries, NotFound,
+from adiakit import (CircleAction, InvariantSeries, NotFound,
                      NumericalError, PhasePoint, SlowFastSystem, UnresolvedQuadrature,
                      UnsupportedDerivative, UnsupportedOrder,
                      assemble, charged_particle, check_adiabatic,
@@ -363,7 +363,6 @@ FLAGLESS = {
     "average_scalar": lambda s, a, m: a.average_scalar(_product, m),
     "s_scalar": lambda s, a, m: a.s_scalar(_product, m),
     "average_slow_oneform": lambda s, a, m: a.average_slow_oneform(d1j_coeffs(s), m),
-    "s_slow_oneform": lambda s, a, m: a.s_slow_oneform(d1j_coeffs(s), m),
     "terms": lambda s, a, m: InvariantSeries(s, a, 2).terms(m),
     "terms_state": lambda s, a, m: InvariantSeries(s, a, 2).terms_state(*m.state()),
     "terms_batch": lambda s, a, m: InvariantSeries(s, a, 2).terms_batch(m.coords[None]),
@@ -383,12 +382,13 @@ FLAGLESS = {
 @pytest.mark.parametrize("name", sorted(FLAGLESS))
 def test_flagless_entry_points_warn_when_unresolved(particle, name):
     # the particle's profiles carry harmonics above N/4 = 1 at 4 nodes, so
-    # every evaluation there is unresolved, and says so once; at the default
-    # cap none is, and none warns
+    # every evaluation there is unresolved, and says so once, at the line that
+    # called the entry point; at the default cap none is, and none warns
     system, m = particle.system, particle.initial
     with pytest.warns(UnresolvedQuadrature, match="node cap 4$") as caught:
         FLAGLESS[name](system, CircleAction(system, nodes=4), m)
     assert len(caught) == 1
+    assert caught[0].filename == __file__
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         FLAGLESS[name](system, CircleAction(system), m)
@@ -653,14 +653,6 @@ def test_series_batch_matches_pointwise(pendulum, rng):
               + 0.05 * f1(pendulum.system, action, m)
               + 0.5 * 0.05 ** 2 * f2(pendulum.system, action, m) for m in pts]
     assert np.allclose(batch, single, rtol=0.0, atol=1e-12)
-
-
-def test_strict_mode_raises_on_broken_periodicity():
-    fx = elastic_pendulum(omega=1.0, gamma=1.0, omega_scale=2.0)
-    action = CircleAction(fx.system, flow_mode="numeric", rtol=1e-9, atol=1e-12)
-    m = PhasePoint([0.5, 0.2], [0.3, 1.0])
-    with pytest.raises(HypothesisViolation):
-        f1(fx.system, action, m, strict=True)
 
 
 # -- Lie derivative and order scaling ----------------------------------------------
