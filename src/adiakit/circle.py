@@ -23,9 +23,9 @@ the tail off the FFT that 𝒮 takes; ⟨·⟩ takes one for it while a loop is 
 Below the cap, the first unresolved profile ends the evaluation at that N.
 Numeric orbits carry the integrator's relative error, which more nodes do
 not reduce: their nodes are read off the continuous extension of the
-integrator's steps, and their tails read up to 1.7·``rtol`` where an
-analytic orbit's read 1e-15 (both fixtures at four box points, rtol 1e-8 to
-1e-12), so their tolerance is the larger of ``TAIL_TOL`` and 10·``rtol``.
+integrator's steps, and their tails read up to 1.7·rtol where an analytic
+orbit's read 1e-15 (both fixtures at four box points, rtol 1e-8 to 1e-12), so
+their tolerance is the larger of ``TAIL_TOL`` and 10·``ORBIT_RTOL``.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 FIRST_NODES = 8  # the node count a resolving loop starts at (below the cap)
 TAIL_TOL = 1e-12  # largest resolved tail, relative to a profile's largest harmonic
+ORBIT_RTOL, ORBIT_ATOL = 1e-11, 1e-14  # integrator tolerances of numeric orbits and flows
 
 
 class _Unresolved(Exception):
@@ -208,20 +209,18 @@ class CircleAction:
     runs at the smallest N ≤ ``nodes`` that resolves its profiles
     (``resolve``), and ``orbit`` samples ``nodes`` phases.
 
-    Numeric flows and orbits integrate Υ through code traced once per action
-    (``_field``). An orbit of a dual state integrates Υ's variational equation
-    in the same run, so its samples carry exact derivatives too. A single
-    point (``flow``, ``check_periodicity``, the orbit of one point) runs as a
-    1-D state on ``integrate``'s float kernel; a batch of two or more points
-    runs as the lanes of one stacked run. A point gives the same bits either
-    way.
+    Numeric flows and orbits integrate Υ to ``ORBIT_RTOL`` and ``ORBIT_ATOL``
+    through code traced once per action (``_field``). An orbit of a dual state
+    integrates Υ's variational equation in the same run, so its samples carry
+    exact derivatives too. A single point (``flow``, ``check_periodicity``, the
+    orbit of one point) runs as a 1-D state on ``integrate``'s float kernel; a
+    batch of two or more points runs as the lanes of one stacked run. A point
+    gives the same bits either way. ``check_periodicity`` returns a residual.
     """
 
     system: SlowFastSystem
     flow_mode: str = "analytic"
     nodes: int = 64
-    rtol: float = 1e-11
-    atol: float = 1e-14
 
     def __post_init__(self):
         if self.flow_mode not in ("analytic", "numeric"):
@@ -246,11 +245,9 @@ class CircleAction:
         end = self._integrate_points(m.coords[None], t, [t], np.zeros((1, self.system.dim, 0)))
         return PhasePoint(end[-1, 0], m.slow)
 
-    def check_periodicity(self, m: PhasePoint, tol: float = 1e-9):
-        """(pass flag, residual) with residual = ‖Fl^{2π}(m) − m‖."""
-        back = self.flow(TWO_PI, m)
-        residual = float(np.linalg.norm(back.coords - m.coords))
-        return residual <= tol, residual
+    def check_periodicity(self, m: PhasePoint) -> float:
+        """Residual ‖Fl^{2π}(m) − m‖ of the flow's periodicity at ``m``."""
+        return float(np.linalg.norm(self.flow(TWO_PI, m).coords - m.coords))
 
     def _normalized_field(self, fast, slow):
         """[ω, Υ] on kernel scalars, Υ = (−∂_xH, ∂_yH)/ω, with the fast
@@ -313,7 +310,7 @@ class CircleAction:
         y0 = np.concatenate([points[:, :n_fast], flat[:, :split]], axis=1)
         bound = np.concatenate([points[:, n_fast:], flat[:, split:]], axis=1)
         bind = self._field(tangents.shape[-1])
-        cfg = IntegratorConfig(rtol=self.rtol, atol=self.atol)
+        cfg = IntegratorConfig(rtol=ORBIT_RTOL, atol=ORBIT_ATOL)
         if len(points) == 1:
             rhs = bind(*bound[0].tolist(), _positive_point)
             return integrate(rhs, y0[0], t_end, cfg, t_eval=t_eval).states[:, None]
@@ -412,7 +409,7 @@ class CircleAction:
             def orbit_at(n):
                 return self.orbit(fast, slow, _nodes=n)
         else:
-            tol, full = max(TAIL_TOL, 10.0 * self.rtol), self.orbit(fast, slow)
+            tol, full = max(TAIL_TOL, 10.0 * ORBIT_RTOL), self.orbit(fast, slow)
 
             def orbit_at(n):
                 return full.every(self.nodes // n)

@@ -122,8 +122,8 @@ def cmd_check(config: RunConfig, args) -> int:
 
 def cmd_invariant(config: RunConfig, args) -> int:
     order = config.order if args.order is None else args.order
-    eps = args.eps if args.eps is not None else config.eps_grid[0]
     fixture, action, initial = config.build()
+    eps = _eps(config, args)
     terms, _, resolved = InvariantSeries(fixture.system, action, order).resolve_point(initial)
     j_val, f1_val, f2_val = terms
     series = series_values(terms, eps, order)
@@ -144,8 +144,8 @@ def cmd_invariant(config: RunConfig, args) -> int:
 
 
 def cmd_simulate(config: RunConfig, args) -> int:
-    eps = args.eps if hasattr(args, "eps") and args.eps is not None else config.eps_grid[0]
     fixture, action, initial = config.build()
+    eps = _eps(config, args)
     system = fixture.system
     t_end = config.horizon_c / eps
     traj = integrate(full_field(system, eps), initial.coords, t_end, config.integrator_config(),
@@ -224,6 +224,14 @@ def cmd_drift(config: RunConfig, args) -> int:
         print("drift contract not met", file=sys.stderr)
         return 1
     return 0
+
+
+def _eps(config: RunConfig, args) -> float:
+    """``--eps``, which must lie in (0, 1) as the ``eps`` key's values do, or the grid's first."""
+    eps = config.eps_grid[0] if args.eps is None else args.eps
+    if not 0.0 < eps < 1.0:
+        raise InvalidParameter(f"--eps {eps!r} must lie in (0, 1)")
+    return eps
 
 
 def _warn_unresolved(cap: int, what: str = "") -> None:

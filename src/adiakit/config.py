@@ -3,7 +3,7 @@
 Sections and keys::
 
     [fixture]     name, plus the fixture's own parameters
-                  (elastic_pendulum: omega, gamma, omega_scale;
+                  (elastic_pendulum: omega, gamma;
                    charged_particle: b, lambda)
     [integrator]  method (``rk45`` only), rtol, atol, max_steps
     [quadrature]  nodes, flow_mode
@@ -23,11 +23,7 @@ flat coordinate vector in block order (y.., x.., p.., q..).
 evaluation takes the smallest N ≤ ``nodes`` that resolves its orbit profiles
 (``CircleAction.resolve``).
 Unknown sections or keys are rejected. Numbers are decimal literals; lists are
-comma-separated. Two removed keys are rejected with messages of their own:
-``variant``, which chose between two readings of F₂ (F₂ now has a single
-definition), and ``inner_nodes``, which sized the orbits behind the finite
-differences that F₂ once took of F₁ (F₂ now takes the slow derivatives of F₁
-from the one orbit per point).
+comma-separated.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ __all__ = ["RunConfig"]
 # canonical builder-keyword spelling for config keys that differ
 _PARAM_ALIASES = {"lambda": "lam"}
 _PARAM_NAMES = {
-    "elastic_pendulum": ("omega", "gamma", "omega_scale"),
+    "elastic_pendulum": ("omega", "gamma"),
     "charged_particle": ("b", "lam"),
 }
 
@@ -84,9 +80,6 @@ class RunConfig:
         unknown = set(cp.sections()) - {"fixture"} - {row[0] for row in _KEYS}
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-        for (section, key), why in _REMOVED.items():
-            if cp.has_option(section, key):
-                raise ConfigError(f"key {key!r} was removed: {why}")
         for section in cp.sections():
             unknown = set(cp[section]) - {row[1] for row in _KEYS if row[0] == section}
             if section != "fixture" and unknown:
@@ -150,12 +143,17 @@ class RunConfig:
 
     def build(self):
         """(fixture, action, initial point) for this configuration, after
-        checking the values no INI parser rejects: distinct ε in (0, 1), at
-        least two samples per trajectory, and the integrator's tolerances."""
+        checking the values no INI parser rejects: distinct ε in (0, 1), orders
+        among 0, 1 and 2 (one or more of each), a positive finite ``horizon_c``,
+        two or more samples, the integrator's tolerances and the domain box."""
         if len(set(self.eps_grid)) != len(self.eps_grid):
             raise ValueError("eps grid values must be distinct")
-        if any(not 0.0 < e < 1.0 for e in self.eps_grid):
-            raise ValueError("eps grid values must lie in (0, 1)")
+        if not self.eps_grid or any(not 0.0 < e < 1.0 for e in self.eps_grid):
+            raise ValueError("need one or more eps grid values, all in (0, 1)")
+        if not self.orders or not set(self.orders) <= {0, 1, 2}:
+            raise ValueError(f"need one or more orders, all among 0, 1 and 2: {list(self.orders)}")
+        if not 0.0 < self.horizon_c < float("inf"):
+            raise ValueError(f"horizon_c {self.horizon_c!r} must be positive and finite")
         if self.samples < 2:
             raise ValueError("need at least two samples per trajectory")
         self.integrator_config()  # raises on a bad rtol, atol or max_steps
@@ -163,6 +161,7 @@ class RunConfig:
         action = CircleAction(fixture.system, flow_mode=self.flow_mode, nodes=self.nodes)
         initial = (fixture.initial if self.initial is None
                    else fixture.system.point(self.initial))
+        fixture.system.require_in_domain(initial)
         return fixture, action, initial
 
 
@@ -219,12 +218,3 @@ _KEYS = (
     ("output", "dir", "out_dir", lambda _key, raw: raw, str),
     ("output", "format", "out_format", _parse_choice("csv", "json", "both"), str),
 )
-
-_REMOVED = {
-    ("quadrature", "inner_nodes"): (
-        "F2 takes the slow derivatives of F1 from one orbit of 'nodes' samples per "
-        "point, so there are no inner orbits to size"),
-    ("experiment", "variant"): (
-        "F2 now has a single definition, -(2/omega) S({H, F1}_1), so there is no "
-        "variant to choose"),
-}

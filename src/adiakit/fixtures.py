@@ -47,14 +47,11 @@ class Fixture:
     fast_center: Optional[Callable] = None  # slow -> fast coords of the orbit center
 
 
-def elastic_pendulum(omega: float = 1.0, gamma: float = 1.0,
-                     omega_scale: float = 1.0) -> Fixture:
+def elastic_pendulum(omega: float = 1.0, gamma: float = 1.0) -> Fixture:
     """Spring pendulum in slow-fast form.
 
     ``omega`` is the fast spring frequency Ω (> 0) and ``gamma`` the
-    swing-spring coupling. ``omega_scale`` deliberately corrupts the reported
-    frequency function (validation hook for hypothesis-check failure paths;
-    leave at 1.0 for physics).
+    swing-spring coupling.
     """
     if not omega > 0.0:
         raise InvalidParameter("pendulum frequency must be positive")
@@ -67,7 +64,7 @@ def elastic_pendulum(omega: float = 1.0, gamma: float = 1.0,
         return 0.5 * (p * p + q * q) + 0.5 * (y * y + om ** 2 * x * x + ga * q * q * x)
 
     def omega_fn(fast, slow):
-        return om * omega_scale
+        return om
 
     def J(fast, slow):
         y, x = fast
@@ -109,7 +106,7 @@ def elastic_pendulum(omega: float = 1.0, gamma: float = 1.0,
     return Fixture(
         name="elastic_pendulum",
         system=system,
-        params={"omega": om, "gamma": ga, "omega_scale": float(omega_scale)},
+        params={"omega": om, "gamma": ga},
         initial=PhasePoint([0.5, 0.0], [0.1, 1.0]),
         closed_f1=closed_f1,
         closed_f2=closed_f2,

@@ -154,23 +154,20 @@ def check_period_energy(system: SlowFastSystem, m: PhasePoint) -> float:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Aggregated structural checks at one phase point."""
+    """The structural checks at one phase point: ``residuals`` maps each check
+    (periodicity, momentum_map, adiabatic, period_energy, in this order) to
+    its residual, and a check passes at or below ``HYPOTHESIS_TOL``."""
 
-    periodicity_residual: float
-    momentum_map_residual: float
-    adiabatic_residual: float
-    period_energy_residual: float
-    tolerances: dict
+    residuals: dict
     resolved: bool  # whether the node cap resolved ⟨d₁J⟩'s profiles; not in as_dict
 
     @property
+    def tolerances(self) -> dict:
+        return dict.fromkeys(self.residuals, HYPOTHESIS_TOL)
+
+    @property
     def flags(self) -> dict:
-        return {
-            "periodicity": self.periodicity_residual <= self.tolerances["periodicity"],
-            "momentum_map": self.momentum_map_residual <= self.tolerances["momentum_map"],
-            "adiabatic": self.adiabatic_residual <= self.tolerances["adiabatic"],
-            "period_energy": self.period_energy_residual <= self.tolerances["period_energy"],
-        }
+        return {name: residual <= HYPOTHESIS_TOL for name, residual in self.residuals.items()}
 
     @property
     def ok(self) -> bool:
@@ -181,34 +178,20 @@ class HypothesisReport:
         return sorted(name for name, good in self.flags.items() if not good)
 
     def as_dict(self) -> dict:
-        return {
-            "residuals": {
-                "periodicity": self.periodicity_residual,
-                "momentum_map": self.momentum_map_residual,
-                "adiabatic": self.adiabatic_residual,
-                "period_energy": self.period_energy_residual,
-            },
-            "tolerances": dict(self.tolerances),
-            "flags": self.flags,
-            "ok": self.ok,
-        }
+        return {"residuals": dict(self.residuals), "tolerances": self.tolerances,
+                "flags": self.flags, "ok": self.ok}
 
 
 def check_hypotheses(system: SlowFastSystem, action: CircleAction,
                      m: PhasePoint) -> HypothesisReport:
     """Run all four structural checks at ``m``, each against ``HYPOTHESIS_TOL``."""
-    tols = dict.fromkeys(("periodicity", "momentum_map", "adiabatic", "period_energy"),
-                         HYPOTHESIS_TOL)
-    _, per = action.check_periodicity(m, HYPOTHESIS_TOL)
     adiabatic, _, resolved = _adiabatic(system, action, m)
-    return HypothesisReport(
-        periodicity_residual=per,
-        momentum_map_residual=check_momentum_map(system, action, m),
-        adiabatic_residual=adiabatic,
-        period_energy_residual=check_period_energy(system, m),
-        tolerances=tols,
-        resolved=resolved,
-    )
+    return HypothesisReport({
+        "periodicity": action.check_periodicity(m),
+        "momentum_map": check_momentum_map(system, action, m),
+        "adiabatic": adiabatic,
+        "period_energy": check_period_energy(system, m),
+    }, resolved)
 
 
 # ---------------------------------------------------------------------------

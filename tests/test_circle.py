@@ -58,29 +58,28 @@ def test_flow_charged_particle_quarter_period():
 def test_periodicity_analytic_exact():
     qs = rotation_family()
     action = CircleAction(qs.system())
-    ok, residual = action.check_periodicity(PhasePoint([1.0, 0.4], [0.2, 0.1]))
-    assert ok and residual < 1e-12
+    assert action.check_periodicity(PhasePoint([1.0, 0.4], [0.2, 0.1])) < 1e-12
 
 
 def test_periodicity_numeric_pendulum():
     system = elastic_pendulum(omega=1.0, gamma=1.0).system
-    action = CircleAction(system, flow_mode="numeric", rtol=1e-11, atol=1e-14)
-    ok, residual = action.check_periodicity(PhasePoint([0.5, 0.2], [0.3, 1.0]), tol=1e-9)
-    assert ok and residual <= 1e-9
+    action = CircleAction(system, flow_mode="numeric")
+    assert action.check_periodicity(PhasePoint([0.5, 0.2], [0.3, 1.0])) <= 1e-9
 
 
-def test_periodicity_fails_with_corrupted_frequency():
+def test_periodicity_fails_with_corrupted_frequency(monkeypatch):
     # halved generator speed: the 2π flow lands mid-orbit
-    system = elastic_pendulum(omega=1.0, gamma=1.0, omega_scale=2.0).system
-    action = CircleAction(system, flow_mode="numeric", rtol=1e-10, atol=1e-13)
-    ok, residual = action.check_periodicity(PhasePoint([0.5, 0.2], [0.3, 1.0]), tol=1e-6)
-    assert not ok and residual > 0.1
+    monkeypatch.setattr(circle, "ORBIT_RTOL", 1e-10)
+    monkeypatch.setattr(circle, "ORBIT_ATOL", 1e-13)
+    system = replace(elastic_pendulum(omega=1.0, gamma=1.0).system, omega=lambda f, s: 2.0)
+    action = CircleAction(system, flow_mode="numeric")
+    assert action.check_periodicity(PhasePoint([0.5, 0.2], [0.3, 1.0])) > 0.1
 
 
 def test_numeric_and_analytic_flows_agree():
     system = elastic_pendulum(omega=1.0, gamma=0.8).system
     analytic = CircleAction(system)
-    numeric = CircleAction(system, flow_mode="numeric", rtol=1e-11, atol=1e-14)
+    numeric = CircleAction(system, flow_mode="numeric")
     m = PhasePoint([0.4, -0.1], [0.2, 0.7])
     for t in (0.5, 2.0):
         pa = analytic.flow(t, m)
@@ -108,7 +107,7 @@ def test_numeric_orbit_batch_equals_point_by_point(request, rng, monkeypatch, fi
         runs.clear()
         batch = batched.orbit(list(points[:, :2].T), list(points[:, 2:].T))
         (lane_field, lane_y0), = runs
-        cfg = IntegratorConfig(rtol=batched.rtol, atol=batched.atol)
+        cfg = IntegratorConfig(rtol=circle.ORBIT_RTOL, atol=circle.ORBIT_ATOL)
         ends = integrate(lane_field, lane_y0, TWO_PI, cfg, t_eval=[TWO_PI]).final
         for i, coords in enumerate(points):
             m = PhasePoint(coords[:2], coords[2:])
@@ -271,7 +270,7 @@ def test_numeric_orbit_stops_at_its_last_sample(request, rng, fixture_name, monk
     (t_end, last, full), = runs
     assert t_end == orbit.times[-1] < TWO_PI
     assert np.array_equal(last.states[:-1], full.states[:-1])
-    assert np.max(np.abs(last.states[-1] - full.states[-1])) < 10.0 * action.rtol
+    assert np.max(np.abs(last.states[-1] - full.states[-1])) < 10.0 * circle.ORBIT_RTOL
     assert np.all(last.rhs_calls < full.rhs_calls)
     for i, samples in enumerate(orbit.fast):
         assert np.array_equal(samples, last.states[:, :, i].T)

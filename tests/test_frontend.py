@@ -1,15 +1,17 @@
 """Configuration files, CLI exit codes, drift sweeps and the F2 check."""
 
+import json
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from adiakit import ConfigError, circle, experiments
+from adiakit import ConfigError, DomainError, circle, experiments, fixtures
 from adiakit.cli import main
 from adiakit.config import RunConfig
 from adiakit.experiments import check_f2, emit, order_sweep
+from adiakit.invariants import HYPOTHESIS_TOL
 
 NON_DEFAULT = RunConfig(fixture="charged_particle", params={"b": 1.5, "lam": 0.25},
                         initial=(0.1, 0.4, 0.2, 1.0), eps_grid=(0.3, 0.15),
@@ -32,18 +34,14 @@ def test_config_round_trip(config):
     "[experiment]\nsamples = 8\nwindow = 3\n",
     "[fixture]\nname = elastic_pendulum\nmass = 2.0\n",
     "[fixture]\nname = rigid_body\n",
+    "[fixture]\nname = elastic_pendulum\nomega_scale = 2.0\n",
     "[quadrature]\ninner_nodes = 32\n",
+    "[experiment]\nvariant = ai3\n",
     "[experiment]\nstrict = true\n",
 ])
 def test_config_rejects_unknown_sections_and_keys(text):
     with pytest.raises(ConfigError):
         RunConfig.parse(text)
-
-
-@pytest.mark.parametrize("value", ["auto", "ai3", "ty3"])
-def test_config_rejects_removed_variant_key(value):
-    with pytest.raises(ConfigError, match="single definition"):
-        RunConfig.parse(f"[experiment]\nvariant = {value}\n")
 
 
 def test_config_takes_rk45_as_the_only_method():
@@ -61,15 +59,28 @@ def test_config_takes_rk45_as_the_only_method():
     (RunConfig(eps_grid=(1.5, 0.1)), "in \\(0, 1\\)"),
     (RunConfig(samples=1), "two samples"),
     (RunConfig(rtol=0.0), "positive"),
+    (RunConfig(eps_grid=()), "in \\(0, 1\\)"),
+    (RunConfig(orders=(-1, 1)), "among 0, 1 and 2: \\[-1, 1\\]"),
+    (RunConfig(orders=()), "among 0, 1 and 2: \\[\\]"),
+    (RunConfig(horizon_c=-1.0), "positive and finite"),
+    (RunConfig(horizon_c=float("inf")), "positive and finite"),
 ])
 def test_build_rejects_a_run_no_sweep_can_take(config, message):
     with pytest.raises(ValueError, match=message):
         config.build()
 
 
-def test_config_rejects_removed_inner_nodes_key():
-    with pytest.raises(ConfigError, match="one orbit"):
-        RunConfig.parse("[quadrature]\nnodes = 64\ninner_nodes = 32\n")
+@pytest.mark.parametrize("command", ["drift", "invariant", "simulate"])
+def test_build_rejects_an_initial_point_outside_the_box(tmp_path, capsys, command):
+    # q2 = 0.3 lies below the particle's box, which starts at 0.5; no command
+    # integrates from there or writes a report
+    config = RunConfig(fixture="charged_particle", initial=(0.1, 0.3, 0.2, 0.3), orders=(0, 1))
+    with pytest.raises(DomainError, match="outside the system domain"):
+        config.build()
+    path = _write(tmp_path, config.serialize())
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "outside the system domain" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # -- CLI exit codes ---------------------------------------------------------------
@@ -80,21 +91,54 @@ def _write(tmp_path, text, name="run.ini"):
     return str(path)
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     good = _write(tmp_path, "[fixture]\nname = elastic_pendulum\n")
     assert main(["check", "--config", good]) == 0
     assert main(["invariant", "--config", good, "--order", "1"]) == 0
     assert "F1" in capsys.readouterr().out
 
-    # omega_scale != 1 breaks the momentum-map relation: a failed check
-    broken = _write(tmp_path, "[fixture]\nname = elastic_pendulum\nomega_scale = 2.0\n",
-                    "broken.ini")
-    assert main(["check", "--config", broken]) == 1
-
     bad = _write(tmp_path, "[experiment]\nvariant = ai3\n", "bad.ini")
     assert main(["check", "--config", bad]) == 2
     assert main(["invariant", "--config", good, "--order", "3"]) == 2
-    assert "single definition" in capsys.readouterr().err
+    assert "variant" in capsys.readouterr().err
+
+    # a doubled frequency breaks the momentum-map relation: a failed check
+    def broken(**params):
+        fixture = fixtures.elastic_pendulum(**params)
+        return replace(fixture, system=replace(fixture.system, omega=lambda f, s: 2.0))
+
+    monkeypatch.setitem(fixtures._REGISTRY, "elastic_pendulum", broken)
+    assert main(["check", "--config", good]) == 1
+    assert "momentum_map" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--eps", "0"],
+    ["simulate", "--eps", "-0.1"],
+    ["simulate", "--eps", "1.5"],
+    ["invariant", "--eps", "-3"],
+])
+def test_cli_rejects_an_eps_flag_outside_the_unit_interval(tmp_path, capsys, argv):
+    config = _write(tmp_path, "[experiment]\nsamples = 8\n")
+    assert main([argv[0], "--config", config, "--out", str(tmp_path / "out"), *argv[1:]]) == 2
+    assert f"--eps {float(argv[2])!r} must lie in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_check_prints_four_checks_in_order_as_text_and_json(tmp_path, capsys):
+    config = _write(tmp_path, "[fixture]\nname = elastic_pendulum\n")
+    names = ["periodicity", "momentum_map", "adiabatic", "period_energy"]
+    assert main(["check", "--config", config]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == names
+    assert all(line.endswith(f"tol {HYPOTHESIS_TOL:.1e}  PASS") for line in lines)
+    assert main(["check", "--config", config, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert sorted(report) == ["flags", "ok", "residuals", "tolerances"]
+    assert report["ok"] is True
+    for part in ("residuals", "tolerances", "flags"):
+        assert sorted(report[part]) == sorted(names)
+    assert set(report["tolerances"].values()) == {HYPOTHESIS_TOL}
 
 
 def test_numeric_invariant_integrates_one_orbit_per_point(tmp_path, monkeypatch, capsys):

@@ -484,7 +484,8 @@ def test_numeric_momentum_integrates_shifted_orbits_as_lanes(request, fixture_na
     monkeypatch.setattr(circle, "integrate", counted)
     # rtol 1e-12: the numeric value follows the integrator's tolerance (at the
     # default 1e-11 the pendulum's differs from the analytic one by 1.5e-12)
-    numeric = CircleAction(system, flow_mode="numeric", nodes=16, rtol=1e-12)
+    monkeypatch.setattr(circle, "ORBIT_RTOL", 1e-12)
+    numeric = CircleAction(system, flow_mode="numeric", nodes=16)
     value = momentum_from_action(system, numeric, m)
     assert runs == [1]  # one dual orbit of m carries the fast derivatives of the flow
     analytic = momentum_from_action(system, CircleAction(system, nodes=16), m)
@@ -605,9 +606,11 @@ def test_flat_bracket_exact_on_analytic_path():
     pytest.param(f2, id="ai3"),
     pytest.param(ty3_residual, id="ty3"),
 ])
-def test_f2_exact_on_decoupled_and_silent_at_adjudication_point(evaluate):
+def test_f2_exact_on_decoupled_and_silent_at_adjudication_point(evaluate, monkeypatch):
     m = PhasePoint([1.0, 0.0], [1.0, 1.0])
-    modes = [{}, {"flow_mode": "numeric", "nodes": 8, "rtol": 1e-8, "atol": 1e-10}]
+    monkeypatch.setattr(circle, "ORBIT_RTOL", 1e-8)
+    monkeypatch.setattr(circle, "ORBIT_ATOL", 1e-10)
+    modes = [{}, {"flow_mode": "numeric", "nodes": 8}]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for mode in modes:
