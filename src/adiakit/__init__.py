@@ -15,12 +15,10 @@ from .errors import (AdiakitError, ConfigError, DegenerateFamily, DomainError,
 from .fixtures import (Fixture, charged_particle, elastic_pendulum,
                        get_fixture, list_fixtures, verify_transverse_momentum)
 from .integrators import IntegratorConfig, Trajectory, integrate
-from .invariants import (HypothesisReport, InvariantSeries, assemble, check_adiabatic, check_hypotheses,
-                         check_momentum_map, check_period_energy, f1, f2, k1,
-                         lie_derivative, momentum_from_action, theta,
-                         ty2_residual, ty3_residual)
-from .phase import (Box, DiffEngine, PhasePoint, SlowFastSystem, bracket0,
-                    bracket1, field_fast, field_full, field_slow, grad_fast,
-                    grad_full, grad_slow)
+from .invariants import (HypothesisReport, InvariantSeries, assemble, check_hypotheses,
+                         check_momentum_map, check_period_energy, f1, f2,
+                         lie_derivative, momentum_from_action, ty2_residual)
+from .phase import (Box, DiffEngine, PhasePoint, SlowFastSystem, field_fast,
+                    field_full, field_slow, grad_fast, grad_full, grad_slow)
 
 __version__ = "0.1.0"

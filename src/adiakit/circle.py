@@ -200,7 +200,9 @@ class OrbitSamples:
 
 @dataclass
 class CircleAction:
-    """Circle-action engine: flow evaluation plus ⟨·⟩ and 𝒮 on observables.
+    """Circle-action engine: the normalized fast flow, its orbit samples, and
+    the node count at which ⟨·⟩ and 𝒮 (``fourier_mean``, ``s_from_samples``,
+    ``s_at_nodes``) act on orbit profiles.
 
     ``flow_mode`` selects the analytic flow closure carried by the system or
     numeric integration of the normalized fast field (slow block frozen, so
@@ -378,10 +380,6 @@ class CircleAction:
         return OrbitSamples(n, times, fast_out,
                             [sk.broadcast(_with_node_axis(c), shape) for c in slow])
 
-    def profile(self, f: Callable, orbit: OrbitSamples) -> np.ndarray:
-        """Samples of ``f`` along the orbit, broadcast to the full node axis."""
-        return _finite_samples(f(orbit.fast, orbit.slow), orbit, "orbit profile")
-
     # -- operators ------------------------------------------------------------
 
     def resolve(self, evaluate: Callable, fast, slow):
@@ -424,32 +422,15 @@ class CircleAction:
             finally:
                 _open_loops.pop()
 
-    def _resolve_point(self, evaluate: Callable, m: PhasePoint):
-        self.system.require_in_domain(m)
-        return self.resolve(evaluate, *m.state())
-
-    def average_scalar(self, f: Callable, m: PhasePoint) -> float:
-        """⟨f⟩(m): mean of the orbit profile (spectrally accurate)."""
-        return resolved_value(self._resolve_point(
-            lambda orbit: float(fourier_mean(self.profile(f, orbit))), m))
-
-    def s_scalar(self, f: Callable, m: PhasePoint) -> float:
-        """𝒮(f)(m): the zero-mean solution of L_Υ u = f − ⟨f⟩."""
-        return resolved_value(self._resolve_point(
-            lambda orbit: float(s_from_samples(self.profile(f, orbit))), m))
-
-    def average_slow_oneform(self, coeffs: Callable, m: PhasePoint) -> np.ndarray:
-        """Componentwise average of a slow-component 1-form along the orbit.
+    def resolve_slow_oneform(self, coeffs: Callable, m: PhasePoint):
+        """(⟨c⟩ for each slow-component coefficient c of ``coeffs``, N,
+        resolved) at ``m``, with the node count and the flag of ``resolve``.
 
         Valid because slow coordinates are invariant under the flow, so the
         pullback leaves the coordinate differentials dp_i, dq_i untouched and
         only composes the coefficients with the flow.
         """
-        return resolved_value(self.resolve_slow_oneform(coeffs, m))
-
-    def resolve_slow_oneform(self, coeffs: Callable, m: PhasePoint):
-        """(``average_slow_oneform``, N, resolved): the average with the node
-        count and the flag of ``resolve``."""
-        return self._resolve_point(lambda orbit: np.asarray([
+        self.system.require_in_domain(m)
+        return self.resolve(lambda orbit: np.asarray([
             float(fourier_mean(_finite_samples(c, orbit, "1-form coefficients")))
-            for c in coeffs(orbit.fast, orbit.slow)]), m)
+            for c in coeffs(orbit.fast, orbit.slow)]), *m.state())

@@ -41,10 +41,6 @@ __all__ = ["RunConfig"]
 
 # canonical builder-keyword spelling for config keys that differ
 _PARAM_ALIASES = {"lambda": "lam"}
-_PARAM_NAMES = {
-    "elastic_pendulum": ("omega", "gamma"),
-    "charged_particle": ("b", "lam"),
-}
 
 
 @dataclass(frozen=True)
@@ -89,10 +85,10 @@ class RunConfig:
         name = fix.pop("name", cls.fixture)
         if name not in list_fixtures():
             raise ConfigError(f"unknown fixture {name!r}")
-        params = {}
+        params, names = {}, tuple(get_fixture(name).params)  # the builder's keywords
         for key, raw in fix.items():
             canonical = _PARAM_ALIASES.get(key, key)
-            if canonical not in _PARAM_NAMES[name]:
+            if canonical not in names:
                 raise ConfigError(f"unknown key {key!r} in [fixture] for {name!r}")
             params[canonical] = _parse_float(key, raw)
 
@@ -121,7 +117,7 @@ class RunConfig:
         reverse_alias = {v: k for k, v in _PARAM_ALIASES.items()}
         lines = ["[fixture]", f"name = {self.fixture}"]
         lines += [f"{reverse_alias.get(key, key)} = {self.params[key]!r}"
-                  for key in _PARAM_NAMES[self.fixture] if key in self.params]
+                  for key in get_fixture(self.fixture).params if key in self.params]
         current = "fixture"
         for section, key, target, _, fmt in _KEYS:
             value = None if target is None else getattr(self, target)

@@ -17,6 +17,7 @@ Two physical fixtures are registered:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -47,15 +48,24 @@ class Fixture:
     fast_center: Optional[Callable] = None  # slow -> fast coords of the orbit center
 
 
+def _finite(**params) -> dict:
+    """``params`` as floats; a non-finite one raises :class:`InvalidParameter`."""
+    params = {name: float(value) for name, value in params.items()}
+    if not all(map(math.isfinite, params.values())):
+        raise InvalidParameter(f"fixture parameters must be finite, got {params}")
+    return params
+
+
 def elastic_pendulum(omega: float = 1.0, gamma: float = 1.0) -> Fixture:
     """Spring pendulum in slow-fast form.
 
     ``omega`` is the fast spring frequency Ω (> 0) and ``gamma`` the
     swing-spring coupling.
     """
-    if not omega > 0.0:
+    params = _finite(omega=omega, gamma=gamma)
+    om, ga = params["omega"], params["gamma"]
+    if not om > 0.0:
         raise InvalidParameter("pendulum frequency must be positive")
-    om, ga = float(omega), float(gamma)
     shift = ga / (2.0 * om ** 2)  # fast center offset is -shift * q^2
 
     def H(fast, slow):
@@ -106,7 +116,7 @@ def elastic_pendulum(omega: float = 1.0, gamma: float = 1.0) -> Fixture:
     return Fixture(
         name="elastic_pendulum",
         system=system,
-        params={"omega": om, "gamma": ga},
+        params=params,
         initial=PhasePoint([0.5, 0.0], [0.1, 1.0]),
         closed_f1=closed_f1,
         closed_f2=closed_f2,
@@ -121,9 +131,10 @@ def charged_particle(b: float = 1.0, lam: float = 0.3) -> Fixture:
     the cyclic angle. Fast pair: gyration (p3, q3); slow pair: (p2, q2) along
     the field line. The domain box keeps q2 away from the axis singularity.
     """
-    if not b > 0.0:
+    params = _finite(b=b, lam=lam)
+    B, lm = params["b"], params["lam"]
+    if not B > 0.0:
         raise InvalidParameter("field strength must be positive")
-    B, lm = float(b), float(lam)
 
     def H(fast, slow):
         p3, q3 = fast
@@ -180,7 +191,7 @@ def charged_particle(b: float = 1.0, lam: float = 0.3) -> Fixture:
     return Fixture(
         name="charged_particle",
         system=system,
-        params={"b": B, "lam": lm},
+        params=params,
         initial=PhasePoint([0.1, 0.3], [0.2, 1.0]),
         closed_f1=closed_f1,
         fast_center=fast_center,

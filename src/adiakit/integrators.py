@@ -98,13 +98,6 @@ class Trajectory:
     h_min: float | np.ndarray
     h_max: float | np.ndarray
 
-    def __len__(self):
-        return len(self.times)
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
 
 # Dormand–Prince 8(5,3), DOP853: the coefficients of scipy's transcription of
 # Hairer's dop853.f (scipy/integrate/_ivp/dop853_coefficients.py), written as

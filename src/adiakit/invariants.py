@@ -90,19 +90,15 @@ __all__ = [
     "HypothesisReport",
     "InvariantSeries",
     "check_momentum_map",
-    "check_adiabatic",
     "check_period_energy",
     "check_hypotheses",
     "momentum_from_action",
-    "theta",
-    "k1",
     "f1",
     "f2",
     "assemble",
     "series_values",
     "lie_derivative",
     "ty2_residual",
-    "ty3_residual",
     "resolve_ty3",
 ]
 
@@ -122,22 +118,11 @@ def d1j_coeffs(system: SlowFastSystem) -> Callable:
 # hypothesis checks
 # ---------------------------------------------------------------------------
 
-def check_momentum_map(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> float:
+def check_momentum_map(system: SlowFastSystem, m: PhasePoint) -> float:
     """Residual ‖d₀J − d₀H/ω‖ of the momentum-map relation at ``m``."""
     dj = grad_fast(system, system.J, m)
     dh = grad_fast(system, system.H, m)
     return float(np.linalg.norm(dj - dh / float(sk.value(_omega_at(system, *m.state())))))
-
-
-def check_adiabatic(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> float:
-    """Residual ‖⟨d₁J⟩‖: the averaged slow differential of the momentum map."""
-    return resolved_value(_adiabatic(system, action, m))
-
-
-def _adiabatic(system, action, m):
-    """(``check_adiabatic``, N, whether the node cap resolved its orbit profiles)."""
-    avg, n, resolved = action.resolve_slow_oneform(d1j_coeffs(system), m)
-    return float(np.linalg.norm(avg)), n, resolved
 
 
 def check_period_energy(system: SlowFastSystem, m: PhasePoint) -> float:
@@ -184,12 +169,13 @@ class HypothesisReport:
 
 def check_hypotheses(system: SlowFastSystem, action: CircleAction,
                      m: PhasePoint) -> HypothesisReport:
-    """Run all four structural checks at ``m``, each against ``HYPOTHESIS_TOL``."""
-    adiabatic, _, resolved = _adiabatic(system, action, m)
+    """Run all four structural checks at ``m``, each against ``HYPOTHESIS_TOL``;
+    the adiabatic residual is ‖⟨d₁J⟩‖, the averaged slow differential of J."""
+    avg, _, resolved = action.resolve_slow_oneform(d1j_coeffs(system), m)
     return HypothesisReport({
         "periodicity": action.check_periodicity(m),
-        "momentum_map": check_momentum_map(system, action, m),
-        "adiabatic": adiabatic,
+        "momentum_map": check_momentum_map(system, m),
+        "adiabatic": float(np.linalg.norm(avg)),
         "period_energy": check_period_energy(system, m),
     }, resolved)
 
@@ -286,22 +272,6 @@ def _f1_nodes(system, orbit: OrbitSamples):
 def _at_base(profile, orbit: OrbitSamples):
     """Node 0 (the base point) of a profile over the orbit, duals kept."""
     return sk.map_parts(lambda a: a[..., 0], _profile_of(profile, orbit))
-
-
-def theta(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> np.ndarray:
-    """Θ = 𝒮(d₁J) at ``m``, a slow vector of length 2k: node 0 of ``_theta_nodes``."""
-    system.require_in_domain(m)
-    return resolved_value(action.resolve(lambda orbit: np.array([
-        float(_at_base(c, orbit)) for c in _theta_nodes(_slow_partials(system, orbit)[1], orbit)]),
-        *m.state()))
-
-
-def k1(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> float:
-    """K₁(m) = ½·(Θ_p·∂H/∂q − Θ_q·∂H/∂p): node 0 of ``_k1_nodes``."""
-    system.require_in_domain(m)
-    return float(resolved_value(action.resolve(
-        lambda orbit: _at_base(_k1_nodes(*_slow_partials(system, orbit), orbit), orbit),
-        *m.state())))
 
 
 def f1(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> float:
@@ -437,10 +407,6 @@ class InvariantSeries:
         return (tuple(np.broadcast_to(t, coords.shape[:1]).astype(float) for t in terms),
                 n, resolved)
 
-    def terms_batch(self, coords: np.ndarray):
-        """(J, F₁, F₂) arrays over an (n_points, dim) coordinate array."""
-        return resolved_value(self.resolve_batch(coords))
-
     def evaluate_batch(self, coords: np.ndarray, eps: float) -> np.ndarray:
         """Series values over an (n_points, dim) coordinate array."""
         return series_values(resolved_value(self.resolve_batch(coords)), eps, self.order)
@@ -490,25 +456,15 @@ def ty2_residual(system: SlowFastSystem, action: CircleAction, m: PhasePoint) ->
 
 
 def resolve_ty3(system: SlowFastSystem, action: CircleAction, m: PhasePoint):
-    """((F₂, ``ty3_residual``), N, resolved) at ``m`` from one ``_h_f1_bracket``
-    pass on ``m`` as a one-point batch, as ``InvariantSeries.resolve_point``
-    takes it, so F₂ keeps the series' bits; ⟨{H, F₁}₁⟩ is the node mean of
-    the bracket's value part at the settled N."""
+    """((F₂, residual), N, resolved) at ``m``. The residual is the defect
+    |L_Υ F₂ + (2/ω){H,F₁}₁| of the second-order homological equation, exactly
+    (2/ω)·|⟨{H,F₁}₁⟩| (module docstring): the node mean of the bracket's value
+    part at the settled N. One ``_h_f1_bracket`` pass on ``m`` as a one-point
+    batch, as ``InvariantSeries.resolve_point`` takes it, so F₂ keeps the
+    series' bits."""
     system.require_in_domain(m)
     fast, slow = ([np.array([c]) for c in block] for block in (m.fast, m.slow))
     (bracket, _, s_vals), n, resolved = _h_f1_bracket(system, action, fast, slow)
     omega = np.ravel(sk.value(_omega_at(system, fast, slow)))[0]
     mean = np.ravel(fourier_mean(sk.value(bracket)))[0]
     return (float(-2.0 * s_vals[0] / omega), float(2.0 * abs(mean) / omega)), n, resolved
-
-
-def ty3_residual(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> float:
-    """Defect of the second-order homological equation, |L_Υ F₂ + (2/ω){H,F₁}₁|.
-
-    With the series normalized as J + εF₁ + ε²/2·F₂, order-by-order expansion
-    of the invariance condition forces L_Υ F₂ = −(2/ω){H,F₁}₁. As F₂ =
-    −(2/ω)·𝒮({H,F₁}₁), L_Υ𝒮(f) = f − ⟨f⟩ and ω is constant on the orbit by the
-    period–energy hypothesis, the defect is exactly (2/ω)·|⟨{H,F₁}₁⟩|
-    (``resolve_ty3``).
-    """
-    return resolved_value(resolve_ty3(system, action, m))[1]

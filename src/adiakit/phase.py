@@ -34,8 +34,6 @@ __all__ = [
     "grad_fast",
     "grad_slow",
     "grad_full",
-    "bracket0",
-    "bracket1",
     "bracket_of_partials",
     "field_fast",
     "field_slow",
@@ -83,12 +81,6 @@ class PhasePoint:
     def state(self):
         """Kernel-state view: (list of fast scalars, list of slow scalars)."""
         return list(self.fast), list(self.slow)
-
-    def replace(self, fast=None, slow=None) -> "PhasePoint":
-        return PhasePoint(
-            self.fast if fast is None else fast,
-            self.slow if slow is None else slow,
-        )
 
 
 @dataclass(frozen=True)
@@ -217,20 +209,6 @@ def bracket_of_partials(df, dg):
     for i in range(n):
         total = total + df[i] * dg[n + i] - df[n + i] * dg[i]
     return total
-
-
-def bracket0(system: SlowFastSystem, f: Callable, g: Callable, m: PhasePoint) -> float:
-    """Fast Poisson bracket Σ_i (∂f/∂y_i ∂g/∂x_i − ∂f/∂x_i ∂g/∂y_i)."""
-    df = grad_fast(system, f, m)
-    dg = grad_fast(system, g, m)
-    return float(_check_finite(bracket_of_partials(df, dg), "bracket0"))
-
-
-def bracket1(system: SlowFastSystem, f: Callable, g: Callable, m: PhasePoint) -> float:
-    """Slow Poisson bracket Σ_i (∂f/∂p_i ∂g/∂q_i − ∂f/∂q_i ∂g/∂p_i)."""
-    df = grad_slow(system, f, m)
-    dg = grad_slow(system, g, m)
-    return float(_check_finite(bracket_of_partials(df, dg), "bracket1"))
 
 
 def field_fast(system: SlowFastSystem, m: PhasePoint) -> np.ndarray:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from adiakit import CircleAction, PhasePoint, elastic_pendulum, charged_particle
+from adiakit import invariants
 from adiakit import kernel as sk
+from adiakit.circle import resolved_value
 from adiakit.sl2 import QuadraticSystem, Sl2Field
 
 
@@ -87,3 +89,14 @@ def random_polynomial(rng, degree=3):
         return total
 
     return poly
+
+
+def theta_and_k1(system, action, m):
+    """(Θ = 𝒮(d₁J), K₁) at ``m``: node 0 of the profiles F₁ is built from."""
+    def evaluate(orbit):
+        dh, dj = invariants._slow_partials(system, orbit)
+        theta = [float(invariants._at_base(c, orbit)) for c in invariants._theta_nodes(dj, orbit)]
+        k1 = float(invariants._at_base(invariants._k1_nodes(dh, dj, orbit), orbit))
+        return np.array(theta), k1
+
+    return resolved_value(action.resolve(evaluate, *m.state()))

@@ -30,7 +30,7 @@ def test_tracer_wraps_the_program_and_restores_it(pendulum, monkeypatch):
                                       "adiakit.experiments.compare_variants"}
         system = pendulum.system
         coords = np.array([pendulum.initial.coords, pendulum.initial.coords + 0.01])
-        assemble(system, CircleAction(system, nodes=8), 2).terms_batch(coords)
+        assemble(system, CircleAction(system, nodes=8), 2).resolve_batch(coords)
         assert tracer.calls("phase.partials") > 0
     finally:
         tracer.uninstall()

@@ -11,11 +11,11 @@ from adiakit import (CircleAction, IntegratorConfig, NumericalError, PhasePoint,
                      charged_particle, elastic_pendulum, integrate)
 from adiakit import circle
 from adiakit import kernel as sk
-from adiakit.circle import TWO_PI, fourier_mean, s_at_nodes, s_from_samples
-from adiakit.invariants import d1j_coeffs, theta
+from adiakit.circle import TWO_PI, fourier_mean, resolved_value, s_at_nodes, s_from_samples
+from adiakit.invariants import d1j_coeffs
 from adiakit.sl2 import QuadraticSystem, Sl2Field, linear_flow
 
-from conftest import sample_points
+from conftest import sample_points, theta_and_k1
 
 
 @pytest.fixture
@@ -108,7 +108,7 @@ def test_numeric_orbit_batch_equals_point_by_point(request, rng, monkeypatch, fi
         batch = batched.orbit(list(points[:, :2].T), list(points[:, 2:].T))
         (lane_field, lane_y0), = runs
         cfg = IntegratorConfig(rtol=circle.ORBIT_RTOL, atol=circle.ORBIT_ATOL)
-        ends = integrate(lane_field, lane_y0, TWO_PI, cfg, t_eval=[TWO_PI]).final
+        ends = integrate(lane_field, lane_y0, TWO_PI, cfg, t_eval=[TWO_PI]).states[-1]
         for i, coords in enumerate(points):
             m = PhasePoint(coords[:2], coords[2:])
             single = CircleAction(fixture.system, flow_mode="numeric", nodes=nodes)
@@ -287,30 +287,48 @@ def test_slow_coordinates_preserved(pendulum_action):
 
 # -- scalar operators -----------------------------------------------------------
 
+def _profile(f, orbit):
+    """Samples of the oracle ``f`` along the orbit, over its full node axis."""
+    return np.broadcast_to(np.asarray(sk.value(f(orbit.fast, orbit.slow)), dtype=float),
+                           orbit.batch_shape + (orbit.nodes,))
+
+
+def average(action, f, m):
+    """⟨f⟩(m) through ``CircleAction.resolve`` and ``fourier_mean``."""
+    return float(resolved_value(action.resolve(
+        lambda orbit: fourier_mean(_profile(f, orbit)), *m.state())))
+
+
+def s_of(action, f, m):
+    """𝒮(f)(m) through ``CircleAction.resolve`` and ``s_from_samples``."""
+    return float(resolved_value(action.resolve(
+        lambda orbit: s_from_samples(_profile(f, orbit)), *m.state())))
+
+
 def test_average_of_constant(pendulum_action):
     m = PhasePoint([0.2, 0.4], [0.1, 0.3])
-    assert pendulum_action.average_scalar(lambda f, s: 3.5, m) == pytest.approx(3.5)
+    assert average(pendulum_action, lambda f, s: 3.5, m) == pytest.approx(3.5)
 
 
 def test_average_of_cosine_profile(harmonic_action):
     # at (y,x) = (0,1) the x-coordinate profile is cos t
     m = PhasePoint([0.0, 1.0], [0.0, 0.0])
-    assert harmonic_action.average_scalar(lambda f, s: f[1], m) == pytest.approx(0.0, abs=1e-14)
-    assert harmonic_action.s_scalar(lambda f, s: f[1], m) == pytest.approx(0.0, abs=1e-14)
+    assert average(harmonic_action, lambda f, s: f[1], m) == pytest.approx(0.0, abs=1e-14)
+    assert s_of(harmonic_action, lambda f, s: f[1], m) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_average_of_squared_momentum(harmonic_action):
     # <y^2> = (y^2 + x^2)/2 for the unit harmonic flow
     m = PhasePoint([0.8, -0.5], [0.0, 0.0])
     expected = (0.8 ** 2 + 0.5 ** 2) / 2.0
-    assert harmonic_action.average_scalar(lambda f, s: f[0] ** 2, m) == pytest.approx(expected, abs=1e-13)
+    assert average(harmonic_action, lambda f, s: f[0] ** 2, m) == pytest.approx(expected, abs=1e-13)
 
 
 def test_s_of_sine_profile(harmonic_action):
     # at (y,x) = (1,0) the x-profile is sin t; S(sin t) = -1
     m = PhasePoint([1.0, 0.0], [0.0, 0.0])
-    assert harmonic_action.s_scalar(lambda f, s: f[1], m) == pytest.approx(-1.0, abs=1e-13)
-    assert harmonic_action.s_scalar(lambda f, s: 2.0, m) == pytest.approx(0.0, abs=1e-14)
+    assert s_of(harmonic_action, lambda f, s: f[1], m) == pytest.approx(-1.0, abs=1e-13)
+    assert s_of(harmonic_action, lambda f, s: 2.0, m) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_quadrature_exact_for_trig_polynomials(harmonic_action):
@@ -322,28 +340,23 @@ def test_quadrature_exact_for_trig_polynomials(harmonic_action):
         action = CircleAction(harmonic_action.system, nodes=nodes)
         # degree 3 lies above N/4 = 2 at 8 nodes: exact there, but flagged unresolved
         with pytest.warns(UnresolvedQuadrature) if nodes == 8 else nullcontext():
-            assert action.s_scalar(cube, m) == pytest.approx(expected, abs=1e-12)
-            assert action.average_scalar(cube, m) == pytest.approx(0.0, abs=1e-12)
+            assert s_of(action, cube, m) == pytest.approx(expected, abs=1e-12)
+            assert average(action, cube, m) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_projection_properties(pendulum_action, pendulum, rng):
     for m in sample_points(pendulum, rng, 5):
         f = lambda fast, slow: fast[0] ** 2 * fast[1] + slow[1] * fast[0]
-        avg_f = pendulum_action.average_scalar(f, m)
+        avg_f = average(pendulum_action, f, m)
 
         def avg_oracle(fast, slow):
-            return fourier_mean(_profile(pendulum_action, f, fast, slow))
+            return fourier_mean(_profile(f, pendulum_action.orbit(fast, slow)))
 
         def s_oracle(fast, slow):
-            return s_from_samples(_profile(pendulum_action, f, fast, slow))
+            return s_from_samples(_profile(f, pendulum_action.orbit(fast, slow)))
 
-        assert pendulum_action.average_scalar(avg_oracle, m) == pytest.approx(avg_f, abs=1e-10)
-        assert pendulum_action.average_scalar(s_oracle, m) == pytest.approx(0.0, abs=1e-10)
-
-
-def _profile(action, f, fast, slow):
-    orbit = action.orbit(fast, slow)
-    return action.profile(f, orbit)
+        assert average(pendulum_action, avg_oracle, m) == pytest.approx(avg_f, abs=1e-10)
+        assert average(pendulum_action, s_oracle, m) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_homological_identity(pendulum_action, pendulum, rng):
@@ -351,17 +364,17 @@ def test_homological_identity(pendulum_action, pendulum, rng):
     f = lambda fast, slow: fast[0] ** 2 * fast[1] + 0.3 * fast[0] * slow[0]
     h = 1e-4
     for m in sample_points(pendulum, rng, 10):
-        plus = pendulum_action.s_scalar(f, pendulum_action.flow(h, m))
-        minus = pendulum_action.s_scalar(f, pendulum_action.flow(-h, m))
+        plus = s_of(pendulum_action, f, pendulum_action.flow(h, m))
+        minus = s_of(pendulum_action, f, pendulum_action.flow(-h, m))
         lhs = (plus - minus) / (2.0 * h)
-        rhs = float(sk.value(f(*m.state()))) - pendulum_action.average_scalar(f, m)
+        rhs = float(sk.value(f(*m.state()))) - average(pendulum_action, f, m)
         assert lhs == pytest.approx(rhs, abs=1e-6)
 
 
 def test_solve_homological_invariant_input(pendulum_action):
     m = PhasePoint([0.5, 0.1], [0.2, 0.8])
     system = pendulum_action.system
-    assert pendulum_action.s_scalar(system.J, m) == pytest.approx(0.0, abs=1e-12)
+    assert s_of(pendulum_action, system.J, m) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_average_invariant_along_flow(pendulum_action, rng):
@@ -370,10 +383,10 @@ def test_average_invariant_along_flow(pendulum_action, rng):
     for _ in range(5):
         coords = rng.uniform(-1.0, 1.0, 4)
         m = PhasePoint(coords[:2], coords[2:])
-        base = pendulum_action.average_scalar(f, m)
+        base = average(pendulum_action, f, m)
         for s in rng.uniform(0.0, 2.0 * np.pi, 3):
             moved = pendulum_action.flow(float(s), m)
-            assert pendulum_action.average_scalar(f, moved) == pytest.approx(base, abs=1e-9)
+            assert average(pendulum_action, f, moved) == pytest.approx(base, abs=1e-9)
 
 
 # -- slow 1-forms -----------------------------------------------------------------
@@ -381,7 +394,8 @@ def test_average_invariant_along_flow(pendulum_action, rng):
 def test_oneform_average_of_constants(pendulum_action):
     m = PhasePoint([0.3, 0.2], [0.1, 0.4])
     coeffs = lambda fast, slow: [1.5, -2.5]
-    assert pendulum_action.average_slow_oneform(coeffs, m) == pytest.approx([1.5, -2.5])
+    avg = resolved_value(pendulum_action.resolve_slow_oneform(coeffs, m))
+    assert avg == pytest.approx([1.5, -2.5])
 
 
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
@@ -390,7 +404,7 @@ def test_adiabatic_oneform_average_vanishes(request, fixture_name, rng):
     action = CircleAction(fixture.system)
     coeffs = d1j_coeffs(fixture.system)
     for m in sample_points(fixture, rng, 10):
-        avg = action.average_slow_oneform(coeffs, m)
+        avg = resolved_value(action.resolve_slow_oneform(coeffs, m))
         assert np.linalg.norm(avg) <= 1e-9
 
 
@@ -405,7 +419,7 @@ def test_theta_reaveraged_vanishes(pendulum, pendulum_action):
         return [s_from_samples(np.broadcast_to(np.asarray(sk.value(c), dtype=float), shape))
                 for c in d1j_coeffs(system)(orbit.fast, orbit.slow)]
 
-    avg = pendulum_action.average_slow_oneform(theta_coeffs, m)
+    avg = resolved_value(pendulum_action.resolve_slow_oneform(theta_coeffs, m))
     assert np.linalg.norm(avg) <= 1e-9
 
 
@@ -414,7 +428,7 @@ def test_theta_value_matches_closed_form():
     fx = elastic_pendulum(omega=1.0, gamma=1.0)
     action = CircleAction(fx.system)
     m = PhasePoint([1.0, 0.0], [1.0, 1.0])  # (p,q,y,x) = (1,1,1,0)
-    th = theta(fx.system, action, m)
+    th, _ = theta_and_k1(fx.system, action, m)
     assert th == pytest.approx([0.0, -1.0], abs=1e-12)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from adiakit import ConfigError, DomainError, circle, experiments, fixtures
+from adiakit import ConfigError, DomainError, InvalidParameter, circle, experiments, fixtures
 from adiakit.cli import main
 from adiakit.config import RunConfig
 from adiakit.experiments import check_f2, emit, order_sweep
@@ -81,6 +81,27 @@ def test_build_rejects_an_initial_point_outside_the_box(tmp_path, capsys, comman
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert "outside the system domain" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fixture, param", [("elastic_pendulum", "omega"),
+                                            ("elastic_pendulum", "gamma"),
+                                            ("charged_particle", "b"),
+                                            ("charged_particle", "lam")])
+def test_fixtures_reject_a_non_finite_parameter(fixture, param, value):
+    with pytest.raises(InvalidParameter, match="must be finite"):
+        fixtures.get_fixture(fixture, **{param: float(value)})
+
+
+@pytest.mark.parametrize("command", ["invariant", "check"])
+@pytest.mark.parametrize("fixture", ["name = elastic_pendulum\ngamma = nan",
+                                     "name = charged_particle\nlambda = inf"],
+                         ids=["gamma_nan", "lambda_inf"])
+def test_cli_rejects_a_non_finite_fixture_parameter(tmp_path, capsys, command, fixture):
+    # a usage error (exit 2), not an unresolved quadrature or a NumericalError (exit 1)
+    path = _write(tmp_path, f"[fixture]\n{fixture}\n")
+    assert main([command, "--config", path]) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 # -- CLI exit codes ---------------------------------------------------------------

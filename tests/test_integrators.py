@@ -24,7 +24,7 @@ def harmonic(t, y):
 def test_adaptive_harmonic_period_return():
     cfg = IntegratorConfig(rtol=1e-11, atol=1e-14)
     traj = integrate(harmonic, [1.0, 0.0], 2.0 * np.pi, cfg)
-    assert np.linalg.norm(traj.final - [1.0, 0.0]) < 1e-9
+    assert np.linalg.norm(traj.states[-1] - [1.0, 0.0]) < 1e-9
 
 
 def test_decoupled_pendulum_action_conserved():
@@ -68,7 +68,7 @@ def test_requested_sample_times_are_exact():
 def test_negative_time_direction():
     cfg = IntegratorConfig(rtol=1e-11, atol=1e-14)
     traj = integrate(harmonic, [1.0, 0.0], -np.pi, cfg)
-    assert traj.final == pytest.approx([-1.0, 0.0], abs=1e-9)
+    assert traj.states[-1] == pytest.approx([-1.0, 0.0], abs=1e-9)
 
 
 def test_dop853_tableau_is_consistent():
@@ -285,7 +285,7 @@ def test_sample_at_t_end_is_the_final_state(t_end):
     for i in range(4):
         steps = integrate(anharmonic(LANE_K[i]), LANE_Y0[i], t_end, cfg)
         assert steps.times[-1] == t_end
-        assert np.array_equal(lanes.states[-2:, i], [steps.final, steps.final])
+        assert np.array_equal(lanes.states[-2:, i], [steps.states[-1], steps.states[-1]])
 
 
 def test_repeated_t_eval_entry_one_lane_harmonic():
@@ -309,7 +309,7 @@ def test_one_lane_counters_count_field_calls():
     # the initial-step probe, which is also the first attempt's first stage,
     # then twelve stages per attempt: a rejected attempt keeps its first stage
     assert traj.rhs_calls == 1 + 12 * (traj.accepted + traj.rejected)
-    assert len(traj) == traj.accepted + 1
+    assert len(traj.times) == traj.accepted + 1
     steps = np.abs(np.diff(traj.times))  # step sizes up to the rounding of t + h
     assert traj.h_min == pytest.approx(steps.min(), rel=1e-12)
     assert traj.h_max == pytest.approx(steps.max(), rel=1e-12)

@@ -1,8 +1,10 @@
 """Hypothesis checks, the action construction, and the F1/F2 pipeline."""
 
+import ast
 import warnings
 from contextlib import nullcontext
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,17 +12,17 @@ import pytest
 from adiakit import (CircleAction, InvariantSeries, NotFound,
                      NumericalError, PhasePoint, SlowFastSystem, UnresolvedQuadrature,
                      UnsupportedDerivative, UnsupportedOrder,
-                     assemble, charged_particle, check_adiabatic,
-                     check_hypotheses, check_momentum_map, check_period_energy,
-                     elastic_pendulum, f1, f2, grad_fast, grad_full, k1, lie_derivative,
-                     momentum_from_action, theta, ty2_residual, ty3_residual,
+                     assemble, charged_particle, check_hypotheses, check_momentum_map,
+                     check_period_energy, elastic_pendulum, f1, f2, grad_fast, grad_full,
+                     lie_derivative, momentum_from_action, ty2_residual,
                      verify_transverse_momentum)
 from adiakit import circle, invariants
 from adiakit import kernel as sk
+from adiakit.circle import resolved_value
 from adiakit.invariants import d1j_coeffs, resolve_ty3, series_values
 from adiakit.sl2 import f2_closed
 
-from conftest import nondegenerate_system, sample_points
+from conftest import nondegenerate_system, sample_points, theta_and_k1
 
 
 # -- structural checks -----------------------------------------------------------
@@ -28,9 +30,8 @@ from conftest import nondegenerate_system, sample_points
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
 def test_momentum_map_residuals(request, fixture_name, rng):
     fixture = request.getfixturevalue(fixture_name)
-    action = CircleAction(fixture.system)
     for m in sample_points(fixture, rng, 20):
-        assert check_momentum_map(fixture.system, action, m) <= 1e-8
+        assert check_momentum_map(fixture.system, m) <= 1e-8
 
 
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
@@ -54,10 +55,17 @@ def test_momentum_map_detects_corruption(pendulum, pendulum_action, rng):
     system = pendulum.system
     doubled = replace(system, J=lambda f, s: 2.0 * system.J(f, s))
     m = sample_points(pendulum, rng, 1)[0]
-    residual = check_momentum_map(doubled, pendulum_action, m)
+    residual = check_momentum_map(doubled, m)
     expected = float(np.linalg.norm(grad_fast(system, system.J, m)))
     assert residual == pytest.approx(expected, rel=1e-10)
     assert residual > 1e-8
+
+
+def _adiabatic(system, action, m):
+    """‖⟨d₁J⟩‖ at ``m``, as ``check_hypotheses`` reports it, resolved."""
+    report = check_hypotheses(system, action, m)
+    assert report.resolved
+    return report.residuals["adiabatic"]
 
 
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
@@ -65,7 +73,7 @@ def test_adiabatic_residuals(request, fixture_name, rng):
     fixture = request.getfixturevalue(fixture_name)
     action = CircleAction(fixture.system)
     for m in sample_points(fixture, rng, 20):
-        assert check_adiabatic(fixture.system, action, m) <= 1e-9
+        assert _adiabatic(fixture.system, action, m) <= 1e-9
 
 
 def test_adiabatic_gauge_shift_breaks_by_its_gradient(pendulum, pendulum_action, rng):
@@ -73,7 +81,7 @@ def test_adiabatic_gauge_shift_breaks_by_its_gradient(pendulum, pendulum_action,
     system = pendulum.system
     shifted = replace(system, J=lambda f, s: system.J(f, s) + s[0])
     m = sample_points(pendulum, rng, 1)[0]
-    assert check_adiabatic(shifted, pendulum_action, m) == pytest.approx(1.0, abs=1e-12)
+    assert _adiabatic(shifted, pendulum_action, m) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gauge_covariance_general_shift(pendulum, pendulum_action, rng):
@@ -81,7 +89,7 @@ def test_gauge_covariance_general_shift(pendulum, pendulum_action, rng):
     system = pendulum.system
     shifted = replace(system, J=lambda f, s: system.J(f, s) + 0.3 * s[0] - 0.4 * s[1])
     m = sample_points(pendulum, rng, 1)[0]
-    assert check_adiabatic(shifted, pendulum_action, m) == pytest.approx(0.5, abs=1e-12)
+    assert _adiabatic(shifted, pendulum_action, m) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_period_energy_fixtures_and_adversary(pendulum, rng):
@@ -144,8 +152,8 @@ def test_action_from_primitive_matches_pendulum_gradients(pendulum, pendulum_act
             lo = m.fast.copy()
             hi[i] += h
             lo[i] -= h
-            grads.append((momentum_from_action(system, pendulum_action, m.replace(fast=hi))
-                          - momentum_from_action(system, pendulum_action, m.replace(fast=lo)))
+            grads.append((momentum_from_action(system, pendulum_action, PhasePoint(hi, m.slow))
+                          - momentum_from_action(system, pendulum_action, PhasePoint(lo, m.slow)))
                          / (2 * h))
         expected = grad_fast(system, system.J, m)
         assert np.allclose(grads, expected, atol=1e-6)
@@ -158,8 +166,9 @@ def test_theta_and_k1_trivial_zeros():
     fx = elastic_pendulum(omega=1.0, gamma=0.0)
     action = CircleAction(fx.system)
     m = PhasePoint([0.4, 0.3], [0.1, 0.9])
-    assert theta(fx.system, action, m) == pytest.approx([0.0, 0.0], abs=1e-14)
-    assert k1(fx.system, action, m) == pytest.approx(0.0, abs=1e-14)
+    theta, k1 = theta_and_k1(fx.system, action, m)
+    assert theta == pytest.approx([0.0, 0.0], abs=1e-14)
+    assert k1 == pytest.approx(0.0, abs=1e-14)
 
 
 def test_k1_vanishes_without_slow_hamiltonian_dependence():
@@ -178,8 +187,9 @@ def test_k1_vanishes_without_slow_hamiltonian_dependence():
                             fast_flow=flow)
     action = CircleAction(system)
     m = PhasePoint([0.7, 0.4], [0.3, 0.2])
-    assert np.linalg.norm(theta(system, action, m)) > 1e-3
-    assert k1(system, action, m) == pytest.approx(0.0, abs=1e-14)
+    theta, k1 = theta_and_k1(system, action, m)
+    assert np.linalg.norm(theta) > 1e-3
+    assert k1 == pytest.approx(0.0, abs=1e-14)
 
 
 def test_f1_pendulum_printed_value():
@@ -223,15 +233,16 @@ def test_f2_terms_batch_matches_closed_forms(pendulum, rng):
     # (measured 2.3e-13 on |F2| up to 1e3 for the pendulum, 2e-16 for sl(2))
     action = CircleAction(pendulum.system)
     pts = sample_points(pendulum, rng, 16)
-    _, _, f2_vals = assemble(pendulum.system, action, 2).terms_batch(
-        np.stack([m.coords for m in pts]))
+    _, _, f2_vals = resolved_value(assemble(pendulum.system, action, 2).resolve_batch(
+        np.stack([m.coords for m in pts])))
     closed = [float(sk.value(pendulum.closed_f2(*m.state()))) for m in pts]
     assert f2_vals == pytest.approx(closed, rel=1e-13, abs=1e-13)
     for constant_omega in (True, False):
         qs = nondegenerate_system(constant_omega)
         system = qs.system()
         coords = rng.uniform(-1.0, 1.0, size=(6, 4))
-        _, _, f2_vals = assemble(system, CircleAction(system), 2).terms_batch(coords)
+        series = assemble(system, CircleAction(system), 2)
+        _, _, f2_vals = resolved_value(series.resolve_batch(coords))
         closed = [f2_closed(qs, PhasePoint(c[:2], c[2:])) for c in coords]
         assert f2_vals == pytest.approx(closed, rel=0.0, abs=1e-13)
 
@@ -320,7 +331,7 @@ def test_analytic_f2_samples_one_orbit_per_batch(pendulum, rng, monkeypatch):
     counts = []
     for order in (1, 2):
         calls.clear()
-        assemble(pendulum.system, action, order).terms_batch(coords)
+        assemble(pendulum.system, action, order).resolve_batch(coords)
         counts.append(len(calls))
     assert counts == [1, 1]  # F1's plain orbit; at order 2 the one lifted orbit gives F1 and F2
 
@@ -354,29 +365,29 @@ def test_particle_terms_equal_bitwise_at_caps_16_and_64(particle, rng):
         assert np.array_equal(a, b)
 
 
-def _product(fast, slow):
-    return fast[0] * fast[1]
-
-
 # every public evaluation that returns its value without resolve's flag
 FLAGLESS = {
-    "average_scalar": lambda s, a, m: a.average_scalar(_product, m),
-    "s_scalar": lambda s, a, m: a.s_scalar(_product, m),
-    "average_slow_oneform": lambda s, a, m: a.average_slow_oneform(d1j_coeffs(s), m),
     "terms": lambda s, a, m: InvariantSeries(s, a, 2).terms(m),
     "terms_state": lambda s, a, m: InvariantSeries(s, a, 2).terms_state(*m.state()),
-    "terms_batch": lambda s, a, m: InvariantSeries(s, a, 2).terms_batch(m.coords[None]),
     "evaluate": lambda s, a, m: InvariantSeries(s, a, 1).evaluate(m, 0.1),
     "evaluate_batch": lambda s, a, m: InvariantSeries(s, a, 1).evaluate_batch(m.coords[None], 0.1),
     "f1": lambda s, a, m: f1(s, a, m),
     "f2": lambda s, a, m: f2(s, a, m),
-    "theta": lambda s, a, m: theta(s, a, m),
-    "k1": lambda s, a, m: k1(s, a, m),
     "momentum_from_action": lambda s, a, m: momentum_from_action(s, a, m),
-    "check_adiabatic": lambda s, a, m: check_adiabatic(s, a, m),
     "ty2_residual": lambda s, a, m: ty2_residual(s, a, m),
-    "ty3_residual": lambda s, a, m: ty3_residual(s, a, m),
 }
+
+
+def test_flagless_table_lists_every_value_only_entry_point():
+    # the functions of the package that drop resolve's flag through resolved_value
+    droppers = set()
+    for path in Path(circle.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call) and getattr(call.func, "id", None) == "resolved_value"
+                    for call in ast.walk(node)):
+                droppers.add(node.name)
+    assert droppers == set(FLAGLESS)
 
 
 @pytest.mark.parametrize("name", sorted(FLAGLESS))
@@ -400,11 +411,11 @@ def test_particle_f2_warns_at_cap_8_and_average_of_d1j_at_cap_4(particle):
     with pytest.warns(UnresolvedQuadrature, match="node cap 8$"):
         aliased = f2(system, CircleAction(system, nodes=8), m)
     with pytest.warns(UnresolvedQuadrature, match="node cap 4$"):
-        CircleAction(system, nodes=4).average_slow_oneform(d1j_coeffs(system), m)
+        resolved_value(CircleAction(system, nodes=4).resolve_slow_oneform(d1j_coeffs(system), m))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         resolved = f2(system, CircleAction(system), m)
-        CircleAction(system).average_slow_oneform(d1j_coeffs(system), m)
+        resolved_value(CircleAction(system).resolve_slow_oneform(d1j_coeffs(system), m))
     assert aliased != resolved
 
 
@@ -438,7 +449,7 @@ def test_numeric_f2_integrates_each_orbit_once(pendulum, rng, monkeypatch):
     monkeypatch.setattr(circle, "integrate", counted)
     action = CircleAction(pendulum.system, flow_mode="numeric", nodes=8)
     points = sample_points(pendulum, rng, 2)
-    assemble(pendulum.system, action, 2).terms_batch(np.stack([m.coords for m in points]))
+    assemble(pendulum.system, action, 2).resolve_batch(np.stack([m.coords for m in points]))
     assert runs == [2]
     runs.clear()
     f1(pendulum.system, action, points[0])
@@ -454,7 +465,7 @@ def test_f1_is_the_same_at_orders_one_and_two(pendulum, particle, rng):
     for fixture, rel in ((pendulum, 0.0), (particle, 1e-13)):
         coords = np.stack([m.coords for m in sample_points(fixture, rng, 8)])
         action = CircleAction(fixture.system)
-        by_order = [assemble(fixture.system, action, order).terms_batch(coords)[1]
+        by_order = [resolved_value(assemble(fixture.system, action, order).resolve_batch(coords))[1]
                     for order in (1, 2)]
         assert np.allclose(by_order[0], by_order[1], rtol=rel, atol=0.0)
         assert rel or np.array_equal(by_order[0], by_order[1])
@@ -467,7 +478,7 @@ def test_nan_frequency_raises(particle):
     coords[1, 3] = np.nan
     for order in (1, 2):
         with pytest.raises(NumericalError):
-            assemble(particle.system, CircleAction(particle.system), order).terms_batch(coords)
+            assemble(particle.system, CircleAction(particle.system), order).resolve_batch(coords)
 
 
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
@@ -514,18 +525,23 @@ def test_f2_trivial_zeros():
     assert f2(fx.system, act, m) == pytest.approx(0.0, abs=1e-10)
 
 
+def _ty3(system, action, m):
+    """F₂'s homological residual at ``m`` (``resolve_ty3``)."""
+    return resolved_value(resolve_ty3(system, action, m))[1]
+
+
 def test_homological_residuals(pendulum, particle, rng):
     for fixture in (pendulum, particle):
         action = CircleAction(fixture.system)
         for m in sample_points(fixture, rng, 8):
             assert ty2_residual(fixture.system, action, m) <= 1e-12
         m = sample_points(fixture, rng, 1)[0]
-        assert ty3_residual(fixture.system, action, m) <= 1e-12
+        assert _ty3(fixture.system, action, m) <= 1e-12
     # omega varying with the slow variables, where F2 needs the <K1>/omega part
     system = nondegenerate_system(constant_omega=False).system()
     action = CircleAction(system)
     for coords in rng.uniform(-0.8, 0.8, size=(2, 4)):
-        assert ty3_residual(system, action, PhasePoint(coords[:2], coords[2:])) <= 1e-12
+        assert _ty3(system, action, PhasePoint(coords[:2], coords[2:])) <= 1e-12
 
 
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
@@ -537,7 +553,7 @@ def test_ty3_residual_at_rounding_and_f2_bitwise(request, fixture_name, flow_mod
     system, m = fixture.system, fixture.initial
     action = CircleAction(system, flow_mode=flow_mode)
     (value, residual), n, resolved = resolve_ty3(system, action, m)
-    assert resolved and residual <= 1e-12 and ty3_residual(system, action, m) == residual
+    assert resolved and residual <= 1e-12 and _ty3(system, action, m) == residual
     assert value == f2(system, action, m)
     assert (n, resolved) == InvariantSeries(system, action, 2).resolve_point(m)[1:]
 
@@ -553,9 +569,9 @@ def test_ty3_residual_sees_a_dropped_k1_average(rng, monkeypatch):
 
     system = nondegenerate_system(constant_omega=False).system()
     m = PhasePoint(*np.split(rng.uniform(-0.8, 0.8, 4), 2))
-    assert ty3_residual(system, CircleAction(system), m) <= 1e-12
+    assert _ty3(system, CircleAction(system), m) <= 1e-12
     monkeypatch.setattr(invariants, "_f1_nodes", f1_nodes_without_k1)
-    assert ty3_residual(system, CircleAction(system), m) > 1e-6
+    assert _ty3(system, CircleAction(system), m) > 1e-6
 
 
 def _flat_bracket_system():
@@ -604,7 +620,7 @@ def test_flat_bracket_exact_on_analytic_path():
 # with the numeric one (variational equation), and nothing warns.
 @pytest.mark.parametrize("evaluate", [
     pytest.param(f2, id="ai3"),
-    pytest.param(ty3_residual, id="ty3"),
+    pytest.param(_ty3, id="ty3"),
 ])
 def test_f2_exact_on_decoupled_and_silent_at_adjudication_point(evaluate, monkeypatch):
     m = PhasePoint([1.0, 0.0], [1.0, 1.0])

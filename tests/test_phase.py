@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adiakit import (DomainError, NumericalError, PhasePoint,
-                     bracket0, bracket1, charged_particle, elastic_pendulum,
+                     charged_particle, elastic_pendulum,
                      field_fast, field_full, field_slow, grad_fast, grad_full,
                      grad_slow)
 from adiakit import kernel as sk
@@ -62,6 +62,16 @@ def test_fd_and_dual_gradients_agree(rng):
 
 
 # -- brackets -----------------------------------------------------------------
+
+def bracket0(system, f, g, m):
+    """Fast bracket {f, g}₀ at ``m``, from the fast gradients."""
+    return float(bracket_of_partials(grad_fast(system, f, m), grad_fast(system, g, m)))
+
+
+def bracket1(system, f, g, m):
+    """Slow bracket {f, g}₁ at ``m``, from the slow gradients."""
+    return float(bracket_of_partials(grad_slow(system, f, m), grad_slow(system, g, m)))
+
 
 def test_bracket0_canonical_pair(pendulum):
     m = point(0.3, -0.2, 0.5, 1.0)
