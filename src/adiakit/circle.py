@@ -215,7 +215,7 @@ class CircleAction:
     through code traced once per action (``_field``). An orbit of a dual state
     integrates Υ's variational equation in the same run, so its samples carry
     exact derivatives too. A single point (``flow``, ``check_periodicity``, the
-    orbit of one point) runs as a 1-D state on ``integrate``'s float kernel; a
+    orbit of one point) runs as ``integrate``'s emitted 1-D run on floats; a
     batch of two or more points runs as the lanes of one stacked run. A point
     gives the same bits either way. ``check_periodicity`` returns a residual.
     """
@@ -304,7 +304,7 @@ class CircleAction:
         (points, 2r + 2k) and their tangents (points, 2r + 2k, D): the fast
         coordinates, then their tangents (``_field``).
 
-        A single point runs as a 1-D state on ``integrate``'s float kernel,
+        A single point runs as a 1-D state (``integrate``'s one-point run),
         two or more points as lanes of one run.
         """
         n_fast, split = 2 * self.system.r, 2 * self.system.r * tangents.shape[-1]

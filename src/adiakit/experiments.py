@@ -16,6 +16,7 @@ multi-process sweeps.
 
 from __future__ import annotations
 
+import functools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -87,7 +88,7 @@ def full_field(system, eps: float):
     the whole gradient.
     """
     r, k = system.r, system.k
-    grad = sk.gradient(system.H, (2 * r, 2 * k), range(system.dim))
+    grad = _h_gradient(system.H, r, k)
     # (ẏ, ẋ, ṗ, q̇) = (−∂H/∂x, ∂H/∂y, −ε·∂H/∂q, ε·∂H/∂p) from the gradient
     # (∂H/∂y, ∂H/∂x, ∂H/∂p, ∂H/∂q), emitted as straight-line code. One
     # point's coordinates arrive as Python floats, which round as numpy's
@@ -103,6 +104,21 @@ def full_field(system, eps: float):
     namespace = {"grad": grad, "eps": float(eps), "neg_eps": -float(eps)}
     exec(compile(source, "<full field>", "exec"), namespace)
     return namespace["rhs"]
+
+
+@functools.lru_cache(maxsize=1)
+def _h_gradient(h, r, k):
+    """H's compiled gradient over all 2r + 2k coordinates, kept for the last H."""
+    return sk.gradient(h, (2 * r, 2 * k), range(2 * r + 2 * k))
+
+
+_last_build = []  # the last config a sweep built, and its build, shared by its ε
+
+
+def _build(config: RunConfig):
+    if _last_build[:1] != [config]:
+        _last_build[:] = config, config.build()
+    return _last_build[1]
 
 
 def _trajectory(system, initial: PhasePoint, eps: float, horizon_c: float,
@@ -131,7 +147,7 @@ def _sweep_job(payload: dict) -> dict:
     the orbit profiles, and the trajectory's integrator counters."""
     config: RunConfig = payload["config"]
     eps: float = payload["eps"]
-    fixture, action, initial = config.build()
+    fixture, action, initial = _build(config)
     system = fixture.system
     traj = _trajectory(system, initial, eps, config.horizon_c,
                        config.samples, config.integrator_config())
@@ -228,7 +244,7 @@ class DriftReport:
 def order_sweep(config: RunConfig, workers: int = 1) -> DriftReport:
     """Full ε×order drift grid with slope fits, ε descending, one job per ε
     on up to ``workers`` processes; deterministic given config."""
-    fixture, _, initial = config.build()
+    fixture, _, initial = _build(config)
     eps_grid = tuple(sorted(config.eps_grid, reverse=True))
     if len(eps_grid) < 2:
         raise SlopeUndefined("slope fits need at least two eps grid values")

@@ -18,40 +18,46 @@ its derivative. For one point a column is a float; in a lane run it is an
 array over the lanes, shape (lanes,), and ``t`` holds the per-lane times. A
 field that indexes or unpacks ``y`` and computes elementwise serves both.
 
-Lanes. :func:`integrate` also takes a stack of initial states, ``y0`` of
-shape (lanes, dim), over one span to one ``t_eval`` grid. Each lane keeps its
-own controller state (step size, time, FSAL stage, next sample target,
-counters) in Python floats, and its accept/reject decisions read only its own
-error norm. A lane that has reached ``t_end`` rides along with a zero step and
-its derivatives are discarded.
+One point: one emitted run. A 1-D ``y0`` runs as one function emitted from
+the tableau (:func:`_one_point_run`), as Hairer's ``dop853.f`` runs its step
+loop: controller, stages 1–15, error norm, dense-output bookkeeping and
+counters, all on local Python floats. It comes in two forms from the same
+text: over coordinate lists, compiled once per process, and unrolled over the
+coordinates of one dimension, compiled once per dimension. At dim 4 the
+unrolled form saves about 25 µs of an attempt and costs 6.3 ms to compile,
+what 250 attempts save, so a run takes it once its process has run
+``UNROLL_AFTER`` = 250 attempts at that dimension: the ski-rental rule. A
+numeric orbit takes about 30 attempts, a drift sweep several hundred. Sampled
+steps keep their dense data in an ``array('d')``, read once the run ends.
 
-One controller, two stage kernels. :func:`_integrate_dp` runs the step control
-for every lane; the stage arithmetic of a step attempt is split by the shape
-of ``y0``:
+Lanes. A 2-D ``y0`` of shape (lanes, dim) integrates a stack of initial
+states to one ``t_eval`` grid (:func:`_integrate_lanes`). Each lane keeps its
+own controller state in Python floats, and its accept/reject decisions read
+only its own error norm. The stages are stacked (lanes, dim) arrays, one
+``field`` call per stage for all lanes, which pays only when lanes are many. A
+lane that has reached ``t_end`` rides along with a zero step and its
+derivatives are discarded.
 
-* a 1-D ``y0`` (one point) runs on Python floats through code emitted from
-  the tableau once per process (:func:`_float_kernel`): one comprehension
-  over the coordinates per stage, so the code does not depend on ``dim``;
-* a 2-D ``y0`` runs the lanes stacked as (lanes, dim) arrays, one ``field``
-  call per stage for all lanes, which pays only when lanes are many.
-
-Both kernels take the same IEEE operations in the same order: ``t + c·dt``,
-every weighted sum of stages Σ a_j·k_j left to right over its nonzero
-weights, ``y + dt·Σ``, the scaled error estimates, their sums of squares over
-the coordinates left to right from 0.0, and :func:`_error_norm`. ``+ − × ÷``
-and ``sqrt`` round each element on its own, so lane i of a lane run equals
-the one-point run from its state bit for bit, states and counters, provided
-``field`` treats each lane on its own and takes the same operations on floats
-as on arrays. (numpy's ``**`` does not: it rounds differently on scalars and
-on arrays.) Dense output keeps this: :func:`_dense_states` is elementwise; a
-one-point run calls it once, when the run ends.
+Both forms and the lanes take the same IEEE operations in the same order:
+``t + c·dt``, every weighted sum of stages Σ a_j·k_j left to right over its
+nonzero weights, ``y + dt·Σ``, the scaled error estimates, their sums of
+squares over the coordinates left to right from 0.0, :func:`_error_norm`, and
+``norm ** -0.125`` on Python floats. ``+ − × ÷`` and ``sqrt`` round each
+element on its own, so lane i of a lane run equals the one-point run from its
+state bit for bit, states and counters, provided ``field`` treats each lane on
+its own and takes the same operations on floats as on arrays. (numpy's ``**``
+does not: it rounds differently on scalars and on arrays.) Dense output keeps
+this: :func:`_dense_states` is elementwise.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass
+from struct import Struct
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -166,7 +172,7 @@ _EPS = np.finfo(float).eps
 
 def _weighted(weights, k):
     """Σ w_j·k_j over the nonzero ``weights``, left to right, elementwise: the
-    order of the float kernel's emitted sums."""
+    order of the emitted one-point run's sums."""
     total = None
     for w, k_j in zip(weights, k):
         if w:
@@ -185,165 +191,187 @@ def _error_norm(dt, s5, s3, dim):
     return 0.0 if total == 0.0 else total
 
 
-@functools.cache
-def _float_kernel():
-    """The one-point stage kernel, emitted from the tableau on first use.
+# The ski-rental rule of one-point runs (module docstring). Compiling the
+# unrolled form costs about 2 ms + 1 ms per coordinate (4.2 ms at dim 2, 6.3 ms
+# at dim 4, 12.4 ms at dim 10), and it saves about 25 µs of an attempt (of
+# 60–85 µs on the drift fields at dim 4; 24 µs at dim 2, 29 µs at dim 10): it
+# pays for itself after about 250 attempts at dim 4, the drift trajectories'
+# dimension (180 at dim 2, 430 at dim 10). Timed interleaved on one CPU.
+UNROLL_AFTER = 250
+_generic_attempts = Counter()  # attempts run in the generic form, per dimension
 
-    ``attempt(field, t, dt, y, k, atol, rtol)`` appends the stages k1…k12 to
-    ``k`` = [k0] and returns the step's solution and its error norm;
-    ``extend`` (same arguments) then appends the continuous extension's
-    stages k13…k15. States and stages are lists over the coordinates.
+# The one-point run: ``_integrate_lanes``' controller for one lane, on floats,
+# whose stages, error norm and coordinate names ``_one_point_run`` fills in.
+_RUN = '''\
+def run(field, y0, f0, h, t_end, targets, slots, out, rtol, atol, max_steps):
+    {y} = y0
+    {k0} = f0
+    dim, n_targets, j, sampled = len(y0), len(targets), 0, 0
+    direction = 1.0 if t_end > 0 else -1.0
+    t, rhs_calls, accepted, rejected, h_min, h_max = 0.0, 1, 0, 0, inf, 0.0
+    # times and states of the accepted steps, or the sampled steps' dense
+    # data and the samples inside them
+    first, second = (array("d", [0.0]), array("d", y0)) if out is None else (array("d"), array("d"))
+    pack = Struct(f"{{14 * dim}}d").pack
+    try:
+        while direction * (t_end - t) > 0.0:
+            if accepted + rejected >= max_steps:
+                raise MaxStepsExceeded(f"exceeded {{max_steps}} step attempts at t={{t!r}}",
+                                       last_time=t)
+            if h < 16.0 * EPS * max(abs(t), 1.0):
+                raise StepSizeUnderflow(f"step size underflow at t={{t!r}}", last_time=t)
+            gap = abs(t_end - t)
+            if h >= gap:
+                step, t_new = gap, t_end
+            else:
+                step = h
+                t_new = t + direction * step
+            dt = direction * step
+{attempt}
+            s5 = s3 = 0.0
+{error}
+            norm = error_norm(dt, s5, s3, dim)
+            rhs_calls += 12
+            if norm <= 1.0:
+                accepted += 1
+                if step < h_min:
+                    h_min = step
+                if step > h_max:
+                    h_max = step
+                if out is None:
+                    first.append(t_new)
+                    second.extend({state})
+                held = sampled
+                while j < n_targets and direction * (targets[j] - t_new) <= 0.0:
+                    if targets[j] == t_new:
+                        out[slots[j]] = {state}
+                    else:
+                        if sampled == held:
+{extension}
+                            first.frombytes(pack({dense}))
+                            rhs_calls += 3
+                            sampled += 1
+                        second.extend((slots[j], held, (targets[j] - t) / dt, dt))
+                    j += 1
+                t = t_new
+                factor = 10.0 if norm == 0.0 else min(10.0, max(0.2, 0.9 * norm ** -0.125))
+                {y} = {n}
+                {k0} = {k12}
+            else:
+                if norm != norm:  # a nan state, field value or initial step
+                    raise NumericalError(f"error norm is nan at t={{t!r}}")
+                rejected += 1  # t and y stay, and with them the first stage
+                factor = min(1.0, max(0.2, 0.9 * norm ** -0.125))
+            h = step * factor
+    except (ZeroDivisionError, OverflowError) as exc:  # where numpy gives inf or nan
+        raise NumericalError(f"field failed in a step from t={{t!r}}: {{exc}}") from exc
+    return rhs_calls, accepted, rejected, h_min, h_max, first, second
+'''
+
+
+@functools.cache
+def _one_point_run(dim=None):
+    """``_RUN`` emitted and compiled on first use, over coordinate lists when
+    ``dim`` is None, else unrolled over ``dim`` coordinates: the same text, so
+    the same operations in the same order.
+
+    ``run(field, y0, f0, h, t_end, targets, slots, out, rtol, atol, max_steps)``
+    steps from t = 0, state list ``y0`` and first stage ``f0``, at first trial
+    step ``h``. It returns the counters and two ``array('d')``: with ``out``
+    None, the times and flat states of t = 0 and every accepted step; else
+    (having written the states at ``targets`` that end a step into rows
+    ``slots`` of ``out``) the flat data of the steps holding targets inside
+    them and (row, step, fraction, signed step) per such target.
     """
+    def names(v):  # a coordinate list, or its coordinates as a target list
+        return v if dim is None else "".join(f"{v}_{i}, " for i in range(dim))
+
+    solution = "n" if dim is None else f"[{names('n')}]"  # the step's solution, a list
+
+    def unpacked(vs):  # the coordinates of the lists ``vs`` as arguments
+        return ", ".join("*" + v for v in vs) if dim is None else "".join(map(names, vs))
+
+    def loop(used):  # ``{i}`` becomes ``_``: the loop's coordinate of each list
+        return f"for {''.join(v + '_, ' for v in used)}in zip({', '.join(used)})"
+
+    def each(used, template):  # the list of ``template`` over the coordinates
+        if dim is None:
+            return f"[{template.format(i='')} {loop(used)}]"
+        return f"[{', '.join(template.format(i=i) for i in range(dim))}]"
+
+    def per_coordinate(used, template):  # the statements, per coordinate
+        if dim is None:
+            return [loop(used) + ":", *("    " + line.format(i="") for line in template)]
+        return [line.format(i=i) for i in range(dim) for line in template]
+
     def weighted(weights):
-        return " + ".join(f"{w!r} * q{j}" for j, w in enumerate(weights) if w)
+        return " + ".join(f"{w!r} * k{j}_{{i}}" for j, w in enumerate(weights) if w)
 
     def stages(first, last):
         lines = []
         for s in range(first, last):
-            used = [j for j, w in enumerate(_A[s]) if w]
-            lines.append(f"    k.append(field(t + {_C[s]!r} * dt, state := [y_ + dt * "
-                         f"({weighted(_A[s])}) for y_, {', '.join(f'q{j}' for j in used)} "
-                         f"in zip(y, {', '.join(f'k[{j}]' for j in used)})]))")
+            used = ["y"] + [f"k{j}" for j, w in enumerate(_A[s]) if w]
+            state = each(used, f"y_{{i}} + dt * ({weighted(_A[s])})")
+            if s == 12:
+                lines.append(f"{names('n')} = {state}")
+                state = solution
+            lines.append(f"{names(f'k{s}')} = field(t + {_C[s]!r} * dt, {state})")
         return lines
 
-    source = "\n".join(
-        ["def attempt(field, t, dt, y, k, atol, rtol):"] + stages(1, 13)
-        + ["    s5 = s3 = 0.0",
-           f"    for y_, n_, {', '.join(f'q{j}' for j in range(12))} in zip(y, state, *k[:12]):",
-           "        a_, b_ = abs(y_), abs(n_)",
-           "        scale = atol + rtol * (a_ if a_ >= b_ else b_)",
-           f"        e5 = ({weighted(_E5)}) / scale",
-           f"        e3 = ({weighted(_E3)}) / scale",
-           "        s5 += e5 * e5",
-           "        s3 += e3 * e3",
-           "    return state, error_norm(dt, s5, s3, len(y))",
-           "def extend(field, t, dt, y, k, atol, rtol):"] + stages(13, 16)) + "\n"
-    namespace = {"error_norm": _error_norm}
-    exec(compile(source, "<DOP853 float kernel>", "exec"), namespace)
-    return namespace["attempt"], namespace["extend"]
+    def block(lines, depth):
+        return "\n".join(" " * depth + line for line in lines)
+
+    error = per_coordinate(["y", "n"] + [f"k{j}" for j, w in enumerate(_E3) if w], [
+        "a_, b_ = abs(y_{i}), abs(n_{i})",
+        "scale = atol + rtol * (a_ if a_ >= b_ else b_)",
+        f"e5 = ({weighted(_E5)}) / scale",
+        f"e3 = ({weighted(_E3)}) / scale",
+        "s5 += e5 * e5",
+        "s3 += e3 * e3"])
+    source = _RUN.format(
+        y=names("y"), k0=names("k0"), n=names("n"), k12=names("k12"), state=solution,
+        dense=unpacked(["y", "n"] + [f"k{j}" for j in _DENSE_STAGES]),
+        attempt=block(stages(1, 13), 12), error=block(error, 12),
+        extension=block(stages(13, 16), 28))
+    namespace = {"array": array, "Struct": Struct, "inf": math.inf, "EPS": float(_EPS),
+                 "error_norm": _error_norm, "MaxStepsExceeded": MaxStepsExceeded,
+                 "StepSizeUnderflow": StepSizeUnderflow, "NumericalError": NumericalError}
+    form = "coordinate lists" if dim is None else f"dim {dim}"
+    exec(compile(source, f"<DOP853 run, {form}>", "exec"), namespace)
+    return namespace["run"]
 
 
-class _FloatStages:
-    """Stage kernel of a one-point run: Python floats through emitted code.
-
-    The steps that hold samples wait in a float array, one row per step (at
-    most one per output row), until ``finish`` evaluates every sample in one
-    vectorised pass.
-    """
-
-    def __init__(self, field, y0, rtol, atol, n_rows):
-        self.field, self.rtol, self.atol = field, rtol, atol
-        self.attempt_code, self.extend_code = _float_kernel()
-        self.y = y0.tolist()
-        try:
-            self.k0 = field(0.0, self.y)
-        except (ZeroDivisionError, OverflowError) as exc:
-            raise NumericalError(f"field failed at t=0.0: {exc}") from exc
-        # a sampled step's start and end states and stages _DENSE_STAGES, at
-        # the row of its first sample
-        self.steps = np.empty((n_rows, 2 + len(_DENSE_STAGES), len(y0)))
-        self.samples = []  # per interior sample: (row, its step's row, fraction, dt)
-
-    def _run(self, code):
-        try:  # Python floats raise where numpy arrays give inf or nan
-            return code(self.field, self.t, self.dt, self.y, self.k, self.atol, self.rtol)
-        except (ZeroDivisionError, OverflowError) as exc:
-            raise NumericalError(f"field failed in a step from t={self.t!r}: {exc}") from exc
-
-    def attempt(self, t, dt):
-        self.t, self.dt, self.k = t[0], dt[0], [self.k0]
-        self.y_new, norm = self._run(self.attempt_code)
-        return [norm]
-
-    def state(self, i):
-        return self.y_new
-
-    def keep(self, inside, rows):
-        self._run(self.extend_code)
-        first = inside[0][0]
-        self.samples += [(row, first, theta, self.dt) for row, _, theta in inside]
-        self.steps[first] = [self.y, self.y_new] + [self.k[j] for j in _DENSE_STAGES]
-
-    def finish(self, rows):
-        if self.samples:
-            row, step, theta, dt = (np.array(c) for c in zip(*self.samples))
-            data = self.steps[step].transpose(1, 0, 2)  # (14, samples, dim)
-            rows[row, 0] = _dense_states(data[0], data[1], data[2:], theta, dt)
-
-    def advance(self, moved):
-        self.y, self.k0 = self.y_new, self.k[12]
-
-
-def _fill_columns(out, columns):
-    """Write the ``dim`` columns a field returned into ``out`` (lanes, dim)."""
-    for row, column in zip(out.T, columns, strict=True):
-        row[...] = column
-
-
-class _LaneStages:
-    """Stage kernel of a lane run: stacked (lanes, dim) numpy arrays.
-
-    Samples inside the steps of one attempt are evaluated together, at once.
-    """
-
-    def __init__(self, field, y0, rtol, atol):
-        self.field, self.rtol, self.atol = field, rtol, atol
-        self.y = np.array(y0)
-        self.k0 = self._call(np.zeros(len(y0)), self.y)
-
-    def _call(self, t, state):
-        out = np.empty_like(state)
-        _fill_columns(out, self.field(t, state.T))
-        return out
-
-    def _stages(self, first, last, hold=None):
-        """Append stages ``first`` … ``last`` − 1; lanes where a ``hold`` is
-        given and false stay at their state."""
-        dt_col = self.dt[:, None]
-        for s in range(first, last):
-            state = self.y + dt_col * _weighted(_A[s], self.k)
-            if hold is not None:
-                state = np.where(hold, state, self.y)
-            self.k.append(self._call(self.t + _C[s] * self.dt, state))
-        return state
-
-    def attempt(self, t, dt):
-        y = self.y
-        self.t, self.dt, self.k = np.array(t), np.array(dt), [self.k0]
-        self.y_new = self._stages(1, 13)
-        scale = self.atol + self.rtol * np.maximum(np.abs(y), np.abs(self.y_new))
-        e5 = _weighted(_E5, self.k) / scale
-        e3 = _weighted(_E3, self.k) / scale
-        s5 = s3 = 0.0
-        for c5, c3 in zip(e5.T, e3.T):
-            s5 = s5 + c5 * c5
-            s3 = s3 + c3 * c3
-        return [_error_norm(h, a, b, y.shape[1])
-                for h, a, b in zip(dt, s5.tolist(), s3.tolist())]
-
-    def state(self, i):
-        return self.y_new[i]
-
-    def keep(self, inside, rows):
-        row, lane, theta = (np.array(c) for c in zip(*inside))
-        # lanes without an interior sample stay at their state, whose field
-        # value is finite; their extension stages are discarded
-        hold = np.zeros((len(self.y), 1), dtype=bool)
-        hold[lane] = True
-        self._stages(13, 16, hold)
-        rows[row, lane] = _dense_states(self.y[lane], self.y_new[lane],
-                                        [self.k[j][lane] for j in _DENSE_STAGES], theta,
-                                        self.dt[lane])
-
-    def finish(self, rows):
-        pass
-
-    def advance(self, moved):
-        if len(moved) == len(self.y):
-            self.y, self.k0 = self.y_new, self.k[12]  # FSAL
-        else:
-            self.y[moved] = self.y_new[moved]
-            self.k0[moved] = self.k[12][moved]
+def _integrate_point(field, y0, t_end, config, t_eval):
+    """DOP853 over one point ``y0`` (dim,) by an emitted run, unrolled once this
+    process has run ``UNROLL_AFTER`` attempts at ``dim`` in the generic form.
+    Returns (times, states of shape (times, dim), then the counters)."""
+    y, dim = y0.tolist(), len(y0)
+    unrolled = _generic_attempts[dim] >= UNROLL_AFTER
+    run = _one_point_run(dim if unrolled else None)
+    try:
+        k0 = field(0.0, y)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise NumericalError(f"field failed at t=0.0: {exc}") from exc
+    # the first stage of the first attempt serves the initial-step estimate
+    h = _initial_steps(np.asarray(k0, dtype=float).reshape(1, dim), y0[None], t_end,
+                       config.rtol, config.atol)[0]
+    grid = [] if t_eval is None else t_eval
+    targets = [float(tt) for tt in grid if tt != 0.0]
+    slots = [j for j, tt in enumerate(grid) if tt != 0.0]
+    # rows at t = 0 keep the initial state
+    out = None if t_eval is None else np.repeat(y0[None], len(t_eval), axis=0)
+    *counters, first, second = run(field, y, k0, h, t_end, targets, slots, out, config.rtol,
+                                   config.atol, config.max_steps)
+    if not unrolled:
+        _generic_attempts[dim] += counters[1] + counters[2]
+    if out is None:
+        return np.array(first), np.array(second).reshape(-1, dim), *counters
+    if second:
+        row, step, theta, dt = np.frombuffer(second).reshape(-1, 4).T
+        steps = np.frombuffer(first).reshape(-1, 2 + len(_DENSE_STAGES), dim)
+        y_start, y_end, *k = steps[step.astype(int)].transpose(1, 0, 2)
+        out[row.astype(int)] = _dense_states(y_start, y_end, k, theta, dt)
+    return np.array(t_eval), out, *counters
 
 
 def _dense_states(y, y1, k, theta, dt):
@@ -367,11 +395,6 @@ def _dense_states(y, y1, k, theta, dt):
 
 def _lane_label(i, n_lanes):
     return f" in lane {i}" if n_lanes > 1 else ""
-
-
-def _per_lane(values, lanes: bool):
-    """Counter values as an array over lanes, or the one lane's value."""
-    return np.asarray(values) if lanes else values[0]
 
 
 def _initial_steps(f0, y0, t_span, rtol, atol):
@@ -433,59 +456,48 @@ def integrate(field: Callable, y0: Sequence[float], t_end: float,
         raise ValueError("a lane run needs t_eval: its lanes share one output grid")
     if t_end == 0.0:
         times = np.array([0.0]) if t_eval is None else t_eval
-        n_lanes = len(y0) if lanes else 1
-        counters = ([0] * n_lanes,) * 3 + ([np.nan] * n_lanes,) * 2
+        zero, nan = (np.zeros(len(y0), int), np.full(len(y0), np.nan)) if lanes else (0, np.nan)
         return Trajectory(times, np.repeat(y0[None], len(times), axis=0),
-                          *(_per_lane(c, lanes) for c in counters))
+                          zero, zero, zero, nan, nan)
+    return Trajectory(*(_integrate_lanes if lanes else _integrate_point)(
+        field, y0, t_end, config, t_eval))
 
-    times, states, counters = _integrate_dp(field, y0, t_end, config, t_eval)
-    return Trajectory(times, states, *(_per_lane(c, lanes) for c in counters))
 
-
-def _integrate_dp(field, y0, t_end, config, t_eval):
-    """DOP853 over one point (``y0`` of shape (dim,)) or the lanes of ``y0``
-    (lanes, dim): one controller, the stage kernel chosen by the shape (module
-    docstring). A kernel holds each lane's first stage ``k0``, which a
-    rejected step leaves valid, and serves the controller through ``attempt``
-    (one trial step from the lanes' times and signed steps, returning per-lane
-    error norms), ``state`` (a lane's trial state), ``keep`` (samples inside
-    the accepted steps of the last attempt), ``finish`` (write what ``keep``
-    deferred) and ``advance`` (accept lanes' steps).
-
-    Returns (times, states of shape (times,) + ``y0.shape``, per-lane counter
-    lists).
-    """
+def _integrate_lanes(field, y0, t_end, config, t_eval):
+    """DOP853 over the lanes of ``y0`` (lanes, dim), one controller per lane
+    (module docstring). Returns (times, states of shape (times, lanes, dim),
+    then one array over the lanes per counter)."""
     rtol, atol, max_steps = config.rtol, config.atol, config.max_steps
-    if y0.ndim == 2:
-        stages = _LaneStages(field, y0, rtol, atol)
-    else:
-        stages = _FloatStages(field, y0, rtol, atol, 0 if t_eval is None else len(t_eval))
-    points = y0.reshape(-1, y0.shape[-1])  # (lanes, dim), one lane for a 1-D y0
-    n_lanes = len(points)
+    n_lanes, dim = y0.shape
+
+    def call(t, state):  # the field's columns, stacked (lanes, dim)
+        out = np.empty_like(state)
+        for row, column in zip(out.T, field(t, state.T), strict=True):
+            row[...] = column
+        return out
+
+    def stages(k, t, dt, y, first, last, hold=None):  # lanes not held stay at y
+        for s in range(first, last):
+            state = y + dt[:, None] * _weighted(_A[s], k)
+            if hold is not None:
+                state = np.where(hold, state, y)
+            k.append(call(t + _C[s] * dt, state))
+        return state
+
+    y = np.array(y0)
+    k0 = call(np.zeros(n_lanes), y)
     direction = 1.0 if t_end > 0 else -1.0
-    record_all = t_eval is None
-    if record_all:
-        targets, times, states = [], [0.0], [y0]
-    else:
-        targets = [float(tt) for tt in t_eval if tt != 0.0]
-        slots = [j for j, tt in enumerate(t_eval) if tt != 0.0]
-        out = np.empty((len(t_eval),) + y0.shape)
-        out[:] = y0  # rows at t = 0 keep the initial states
-        rows = out.reshape((len(t_eval),) + points.shape)  # (times, lanes, dim) view
+    targets = [float(tt) for tt in t_eval if tt != 0.0]
+    slots = [j for j, tt in enumerate(t_eval) if tt != 0.0]
     n_targets = len(targets)
+    rows = np.empty((len(t_eval), n_lanes, dim))
+    rows[:] = y0  # rows at t = 0 keep the initial states
 
     # the first stage of the first attempt serves the initial-step estimate
-    f0 = np.asarray(stages.k0, dtype=float).reshape(points.shape)
-    h = _initial_steps(f0, points, t_end, rtol, atol)  # magnitudes
-    t = [0.0] * n_lanes
-    next_target = [0] * n_lanes
-    rhs_calls = [1] * n_lanes
-    accepted = [0] * n_lanes
-    rejected = [0] * n_lanes
-    h_min = [np.inf] * n_lanes
-    h_max = [0.0] * n_lanes
-    h_try = [0.0] * n_lanes
-    t_try = [0.0] * n_lanes
+    h = _initial_steps(k0, y, t_end, rtol, atol)  # magnitudes
+    t, h_try, t_try = [0.0] * n_lanes, [0.0] * n_lanes, [0.0] * n_lanes
+    rhs_calls, accepted, rejected = [1] * n_lanes, [0] * n_lanes, [0] * n_lanes
+    h_min, h_max, next_target = [np.inf] * n_lanes, [0.0] * n_lanes, [0] * n_lanes
     active = list(range(n_lanes))
 
     while active:
@@ -508,7 +520,16 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
             h_try[i] = step
             dt[i] = direction * step
 
-        err_norm = stages.attempt(t, dt)
+        t_arr, dt_arr, k = np.array(t), np.array(dt), [k0]
+        y_new = stages(k, t_arr, dt_arr, y, 1, 13)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        e5 = _weighted(_E5, k) / scale
+        e3 = _weighted(_E3, k) / scale
+        s5 = s3 = 0.0
+        for c5, c3 in zip(e5.T, e3.T):
+            s5 = s5 + c5 * c5
+            s3 = s3 + c3 * c3
+        err_norm = [_error_norm(d, a, b, dim) for d, a, b in zip(dt, s5.tolist(), s3.tolist())]
 
         moved, inside = [], []  # inside: (row, lane, fraction of the step)
         for i in active:
@@ -523,23 +544,19 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
                 if step > h_max[i]:
                     h_max[i] = step
                 moved.append(i)
-                if record_all:
-                    times.append(t_new)
-                    states.append(stages.state(i))
-                else:
-                    # every sample up to the step's end: the end state itself,
-                    # or a point of the step's continuous extension, whose
-                    # three stages a step holding such a point takes
-                    j, held = next_target[i], len(inside)
-                    while j < n_targets and direction * (targets[j] - t_new) <= 0.0:
-                        if targets[j] == t_new:
-                            rows[slots[j], i] = stages.state(i)
-                        else:
-                            inside.append((slots[j], i, (targets[j] - t[i]) / dt[i]))
-                        j += 1
-                    next_target[i] = j
-                    if len(inside) > held:
-                        rhs_calls[i] += 3
+                # every sample up to the step's end: the end state itself, or a
+                # point of the step's continuous extension, whose three stages
+                # a step holding such a point takes
+                j, held = next_target[i], len(inside)
+                while j < n_targets and direction * (targets[j] - t_new) <= 0.0:
+                    if targets[j] == t_new:
+                        rows[slots[j], i] = y_new[i]
+                    else:
+                        inside.append((slots[j], i, (targets[j] - t[i]) / dt[i]))
+                    j += 1
+                next_target[i] = j
+                if len(inside) > held:
+                    rhs_calls[i] += 3
                 t[i] = t_new
                 factor = 10.0 if norm == 0.0 else min(10.0, max(0.2, 0.9 * norm ** -0.125))
             else:
@@ -550,14 +567,21 @@ def _integrate_dp(field, y0, t_end, config, t_eval):
                 factor = min(1.0, max(0.2, 0.9 * norm ** -0.125))
             h[i] = h_try[i] * factor
         if inside:
-            stages.keep(inside, rows)
-        if moved:
-            stages.advance(moved)
+            row, lane, theta = (np.array(c) for c in zip(*inside))
+            # lanes without an interior sample stay at their state, whose field
+            # value is finite; their extension stages are discarded
+            hold = np.zeros((n_lanes, 1), dtype=bool)
+            hold[lane] = True
+            stages(k, t_arr, dt_arr, y, 13, 16, hold)
+            rows[row, lane] = _dense_states(y[lane], y_new[lane],
+                                            [k[j][lane] for j in _DENSE_STAGES], theta,
+                                            dt_arr[lane])
+        if len(moved) == n_lanes:
+            y, k0 = y_new, k[12]  # FSAL
+        elif moved:
+            y[moved] = y_new[moved]
+            k0[moved] = k[12][moved]
         active = [i for i in active if direction * (t_end - t[i]) > 0.0]
 
     counters = (rhs_calls, accepted, rejected, h_min, h_max)
-    if record_all:
-        return np.asarray(times), np.asarray(states), counters
-    stages.finish(rows)
-    return np.array(t_eval), out, counters
-
+    return (np.array(t_eval), rows, *(np.asarray(c) for c in counters))

@@ -90,7 +90,7 @@ def test_numeric_and_analytic_flows_agree():
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
 def test_numeric_orbit_batch_equals_point_by_point(request, rng, monkeypatch, fixture_name):
     # a batch is one lane run (stacked kernel); a single point's orbit and its
-    # flow are each one 1-D run (float kernel); both give the same bits. The
+    # flow are each one 1-D run (the one-point run); both give the same bits. The
     # batch stays small: on wide lanes numpy's array ** (the particle's
     # q2 ** 4) rounds unlike the scalar one
     fixture = request.getfixturevalue(fixture_name)
@@ -148,7 +148,7 @@ def test_numeric_dual_orbit_matches_analytic_dual_parts(request, fixture_name):
 def test_numeric_dual_orbit_batch_equals_point_by_point(request, rng, monkeypatch,
                                                         fixture_name):
     # a batch's variational run is one lane run (stacked kernel), a single
-    # point's one 1-D run of 2r + 2r·D floats (float kernel): the same bits
+    # point's one 1-D run of 2r + 2r·D floats (the one-point run): the same bits
     fixture = request.getfixturevalue(fixture_name)
     dims = []
 

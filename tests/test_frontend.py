@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from adiakit import ConfigError, DomainError, InvalidParameter, circle, experiments, fixtures
+from adiakit import (ConfigError, DomainError, InvalidParameter, circle, experiments, fixtures,
+                     kernel)
 from adiakit.cli import main
 from adiakit.config import RunConfig
 from adiakit.experiments import check_f2, emit, order_sweep
@@ -230,6 +231,19 @@ def test_order_sweep_bytes_independent_of_workers(tmp_path):
     for counters in steps[1].values():
         assert counters["rhs_calls"] >= 1 + 12 * counters["accepted"] > 1
     assert b"rhs_calls" not in written[1][1]
+
+
+def test_order_sweep_traces_h_gradient_once(monkeypatch):
+    # the ε jobs of a one-worker sweep share one build, and so one trace of
+    # H's gradient; a pool worker keeps its own
+    traces = []
+    trace = kernel.trace_gradient
+    monkeypatch.setattr(kernel, "trace_gradient", lambda *a: traces.append(1) or trace(*a))
+    monkeypatch.setattr(experiments, "_last_build", [])
+    config = RunConfig(fixture="elastic_pendulum", eps_grid=(0.2, 0.1, 0.05), samples=8,
+                       rtol=1e-9, atol=1e-12, nodes=32)
+    order_sweep(config, 1)
+    assert len(traces) == 1
 
 
 def test_order_sweep_takes_eps_descending_and_serialize_keeps_their_order():

@@ -1,14 +1,19 @@
 """Adaptive integration: accuracy, error control, failure modes."""
 
 import math
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from adiakit import (IntegratorConfig, MaxStepsExceeded, NumericalError,
-                     StepSizeUnderflow, charged_particle, elastic_pendulum, integrate)
-from adiakit.experiments import full_field
-from adiakit.integrators import _A, _C, _E3, _E5, _FloatStages, _LaneStages, _weighted
+                     StepSizeUnderflow, charged_particle, elastic_pendulum, integrate,
+                     integrators)
+from adiakit.cli import main
+from adiakit.config import RunConfig
+from adiakit.experiments import full_field, order_sweep
+from adiakit.integrators import _A, _C, _E3, _E5, _weighted
 
 
 def linear(t, y):
@@ -82,13 +87,12 @@ def test_dop853_tableau_is_consistent():
 
 def one_step(field, y0, h, theta):
     """The end state of one step of size ``h`` from t = 0, and its continuous
-    extension at ``theta``·h."""
-    stages = _FloatStages(field, np.asarray(y0, dtype=float), 1e-9, 1e-12, 1)
-    stages.attempt([0.0], [h])
-    rows = np.empty((1, 1, len(y0)))
-    stages.keep([(0, 0, theta)], rows)
-    stages.finish(rows)
-    return stages.y_new[0], rows[0, 0, 0]
+    extension at ``theta``·h: a one-point run to ``h`` whose first trial step
+    is ``h``, at tolerances that accept it (they do not change its values)."""
+    cfg = IntegratorConfig(rtol=1.0, atol=1.0, max_steps=1)
+    with mock.patch.object(integrators, "_initial_steps", lambda *args: [h]):
+        traj = integrate(field, y0, h, cfg, t_eval=[0.0, theta * h, h])
+    return traj.states[2, 0], traj.states[1, 0]
 
 
 STEPS = np.array([0.6, 0.4, 0.3, 0.2])  # local errors 9e-10 … 4e-14, well above rounding
@@ -212,23 +216,136 @@ def ring(t, y):
     return [y[i - 1] - 0.5 * y[i] for i in range(len(y))]
 
 
+def both_forms(monkeypatch, *args, **kwargs):
+    """The one-point run of ``integrate(*args, **kwargs)`` over coordinate
+    lists, then unrolled."""
+    runs = []
+    for unroll_after in (math.inf, 0):
+        monkeypatch.setattr(integrators, "UNROLL_AFTER", unroll_after)
+        runs.append(integrate(*args, **kwargs))
+    return runs
+
+
 @pytest.mark.parametrize("n", list(range(1, 20)) + [127, 128, 129, 300])
-def test_emitted_sums_take_numpys_reduction_order(n):
-    # both kernels sum left to right, elementwise: numpy's order when it
-    # reduces stacked arrays along their outer axis, at any number of terms
+def test_emitted_sums_take_numpys_reduction_order(n, monkeypatch):
+    # both forms of the one-point run and the lanes sum left to right,
+    # elementwise: numpy's order when it reduces stacked arrays along their
+    # outer axis, at any number of terms
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n, 50)) * 10.0 ** rng.integers(-8, 8, (n, 50))
     assert np.array_equal(_weighted([1.0] * n, list(x)), np.add.reduce(x, axis=0))
-    # one attempt over n coordinates: the emitted kernel's error norm and
-    # state equal the lane kernel's, lane by lane
+    # a run over n coordinates: each form's states and counters equal the
+    # lane run's, lane by lane
     y0 = rng.standard_normal((50, n)) * 10.0 ** rng.integers(-8, 8, (50, n))
-    dt = rng.uniform(0.05, 0.5, 50)
-    lanes = _LaneStages(ring, y0, 1e-8, 1e-12)
-    norms = lanes.attempt(np.zeros(50), dt)
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-12)
+    t_eval = [0.0, 0.004, 0.01]
+    lanes = integrate(ring, y0, 0.01, cfg, t_eval=t_eval)
     for i in range(50):
-        one = _FloatStages(ring, y0[i], 1e-8, 1e-12, 0)
-        assert one.attempt([0.0], [dt[i]]) == [norms[i]]
-        assert one.state(0) == lanes.state(i).tolist()
+        for one in both_forms(monkeypatch, ring, y0[i], 0.01, cfg, t_eval=t_eval):
+            assert np.array_equal(one.states, lanes.states[:, i])
+            for name in COUNTERS:
+                assert getattr(one, name) == getattr(lanes, name)[i]
+
+
+def forced_ring(t, y):
+    """Each coordinate turned by its two neighbours, with a weak cubic term and
+    a forcing in t, bounded in both time directions (floats or lane columns)."""
+    n = len(y)
+    return [y[i - 1] - y[(i + 1) % n] - 0.005 * y[i] * y[i] * y[i] + 0.3 * t for i in range(n)]
+
+
+@pytest.mark.parametrize("t_end", [6.0, -4.0])
+@pytest.mark.parametrize("grid", ["none", "inside", "repeated", "to_end"])
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_both_forms_equal_each_other_and_the_lanes(monkeypatch, dim, grid, t_end):
+    rng = np.random.default_rng(dim)
+    y0 = rng.uniform(-1.0, 1.0, (2, dim))
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-12)
+    t_eval = {"none": None, "inside": np.linspace(0.0, 0.7 * t_end, 6),
+              "repeated": np.array([0.0, 0.0, 0.1, 0.1, 0.5, 0.5, 1.0]) * t_end,
+              "to_end": np.linspace(0.0, t_end, 9)}[grid]
+    for i in range(2):
+        lists, unrolled = both_forms(monkeypatch, forced_ring, y0[i], t_end, cfg, t_eval=t_eval)
+        assert unrolled.accepted + unrolled.rejected > 5
+        # with no grid the states are the accepted steps' ends, where a lane
+        # run sampled at those times reads its own step ends
+        lanes = integrate(forced_ring, y0, t_end, cfg,
+                          t_eval=lists.times if t_eval is None else t_eval)
+        assert np.array_equal(lists.times, unrolled.times)
+        assert np.array_equal(lists.times, lanes.times)
+        assert np.array_equal(lists.states, unrolled.states)
+        assert np.array_equal(lists.states, lanes.states[:, i])
+        for name in COUNTERS:
+            assert getattr(lists, name) == getattr(unrolled, name) == getattr(lanes, name)[i]
+
+
+NAN = float("nan")
+FAILING = {  # field, y0, t_end, config, the error's type and a part of its message
+    "max_steps": (harmonic, [1.0, 0.0], 1000.0, IntegratorConfig(max_steps=25),
+                  MaxStepsExceeded, "exceeded 25 step attempts at t="),
+    "underflow": (lambda t, y: [y[0] * y[0]], [1.0], 2.0,
+                  IntegratorConfig(rtol=1e-10, atol=1e-12, max_steps=10_000_000),
+                  StepSizeUnderflow, "step size underflow at t="),
+    "division": (lambda t, y: [1.0 / (0.0 if t > 0.3 else 1.0), y[1], -y[0]], [0.0, 1.0, 0.0],
+                 1.0, IntegratorConfig(), NumericalError, "float division by zero"),
+    "overflow": (lambda t, y: [(1e200 if t > 0.3 else 1.0) ** 2.0, -y[0]], [1.0, 0.0], 1.0,
+                 IntegratorConfig(), NumericalError, "Numerical result out of range"),
+    "nan_norm": (lambda t, y: [NAN if t > 0.3 else 1.0, -y[0]], [1.0, 0.0], 1.0,
+                 IntegratorConfig(), NumericalError, "error norm is nan at t="),
+    "at_zero": (lambda t, y: [1.0 / y[0], 1.0], [0.0, 1.0], 1.0, IntegratorConfig(),
+                NumericalError, "field failed at t=0.0: float division by zero"),
+}
+
+
+@pytest.mark.parametrize("case", FAILING)
+def test_both_forms_fail_alike(monkeypatch, case):
+    field, y0, t_end, cfg, error, message = FAILING[case]
+    raised = []
+    for unroll_after in (math.inf, 0):
+        monkeypatch.setattr(integrators, "UNROLL_AFTER", unroll_after)
+        with pytest.raises(error, match=message) as err:
+            integrate(field, y0, t_end, cfg)
+        raised.append((type(err.value), str(err.value), getattr(err.value, "last_time", None)))
+    assert raised[0] == raised[1]
+
+
+def unrolled_compiles(monkeypatch):
+    """Record the dimensions of the unrolled forms compiled from now on, in a
+    process that has run no attempt yet."""
+    dims = []
+
+    def counted(source, filename, mode):
+        if filename.startswith("<DOP853 run, dim "):
+            dims.append(int(filename[len("<DOP853 run, dim "):-1]))
+        return compile(source, filename, mode)
+
+    integrators._one_point_run.cache_clear()
+    monkeypatch.setattr(integrators, "_generic_attempts", Counter())
+    monkeypatch.setattr(integrators, "compile", counted, raising=False)
+    return dims
+
+
+@pytest.mark.parametrize("command", [["invariant", "--order", "2"], ["check"]])
+def test_numeric_flow_commands_compile_no_unrolled_run(tmp_path, monkeypatch, capsys, command):
+    # a numeric orbit takes about 30 attempts, far from paying for a compile
+    dims = unrolled_compiles(monkeypatch)
+    config = tmp_path / "run.ini"
+    config.write_text("[fixture]\nname = elastic_pendulum\n\n"
+                      "[quadrature]\nnodes = 8\nflow_mode = numeric\n", encoding="utf-8")
+    assert main([*command, "--config", str(config), "--workers", "1"]) == 0
+    capsys.readouterr()
+    assert dims == []
+    assert 0 < max(integrators._generic_attempts.values()) < integrators.UNROLL_AFTER
+
+
+def test_long_horizon_sweep_compiles_one_unrolled_run(monkeypatch):
+    # its trajectories take 64, 126, 249 and 496 attempts: the fourth runs
+    # unrolled
+    dims = unrolled_compiles(monkeypatch)
+    order_sweep(RunConfig(fixture="charged_particle", eps_grid=(0.05, 0.025, 0.0125, 0.00625),
+                          orders=(0, 1), rtol=1e-10, atol=1e-13))
+    assert dims == [4]
+    assert integrators._generic_attempts == {4: 64 + 126 + 249}
 
 
 REPEATS = [0, 0, 1, 1, 1, 2, 3]  # rows of the plain grid that a repeated grid asks for
