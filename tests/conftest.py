@@ -4,10 +4,43 @@ import numpy as np
 import pytest
 
 from adiakit import CircleAction, PhasePoint, elastic_pendulum, charged_particle
-from adiakit import invariants
+from adiakit import experiments, integrators, invariants
 from adiakit import kernel as sk
 from adiakit.circle import resolved_value
 from adiakit.sl2 import QuadraticSystem, Sl2Field
+
+
+class CodeCache:
+    """``kernel``'s code cache pointed at ``directory``, with empty in-process
+    caches and each compile from now on recorded in ``compiled`` as
+    (filename, source)."""
+
+    def __init__(self, monkeypatch, directory):
+        self.directory = directory
+        self.compiled = []
+        monkeypatch.setattr(sk, "_CODE_CACHE", str(directory))
+        monkeypatch.setattr(sk, "_CODE", {})
+        monkeypatch.setattr(sk, "compile", self._compile, raising=False)
+        self.restart()
+
+    def _compile(self, source, filename, mode):
+        self.compiled.append((filename, source))
+        return compile(source, filename, mode)
+
+    def restart(self):
+        """Empty the in-process caches of emitted code and the record of
+        compiles, as a new process starts."""
+        sk._CODE.clear()
+        integrators._one_point_run.cache_clear()
+        experiments._h_gradient.cache_clear()
+        experiments._last_build.clear()
+        self.compiled.clear()
+
+
+@pytest.fixture
+def code_cache(monkeypatch, tmp_path):
+    """A cold code cache in a directory of its own (:class:`CodeCache`)."""
+    return CodeCache(monkeypatch, tmp_path / "code")
 
 
 @pytest.fixture

@@ -329,6 +329,21 @@ def test_drift_json_independent_of_report_format(tmp_path):
     assert b"[output]" not in reports[0]
 
 
+def test_drift_workers_on_a_cold_code_cache_write_the_same_reports(tmp_path, code_cache):
+    # the worker processes compile and write the same entries at once
+    config = _write(tmp_path, SMALL_DRIFT)
+    reports = []
+    for workers in ("2", "1"):
+        out = tmp_path / workers
+        code = main(["drift", "--config", config, "--out", str(out), "--workers", workers,
+                     "--format", "both"])
+        reports.append([code] + [(out / name).read_bytes() for name in ("drift.csv", "drift.json")])
+        code_cache.restart()
+    assert reports[0] == reports[1]
+    entries = [p.name for p in code_cache.directory.iterdir()]
+    assert entries and not [name for name in entries if "." in name]  # no temporary file left
+
+
 def test_check_f2_on_pendulum_initial_point():
     check = check_f2(RunConfig(fixture="elastic_pendulum"))
     assert check["ok"] and check["resolved"]

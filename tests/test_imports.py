@@ -20,6 +20,21 @@ def test_no_private_imports_across_modules():
     assert offenders == []
 
 
+def test_emitted_code_runs_only_through_the_code_cache():
+    # ``kernel.exec_emitted`` is the one place that compiles and runs code
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        helper = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "exec_emitted"]
+        inside = {id(node) for h in helper for node in ast.walk(h)}
+        offenders += [f"{path.name}:{node.lineno}: {node.func.id}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id in ("compile", "exec") and id(node) not in inside]
+    assert offenders == []
+
+
 def test_every_exported_name_exists():
     missing = []
     for path in sorted(PACKAGE.glob("*.py")):

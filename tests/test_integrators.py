@@ -1,7 +1,6 @@
 """Adaptive integration: accuracy, error control, failure modes."""
 
 import math
-from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -216,35 +215,25 @@ def ring(t, y):
     return [y[i - 1] - 0.5 * y[i] for i in range(len(y))]
 
 
-def both_forms(monkeypatch, *args, **kwargs):
-    """The one-point run of ``integrate(*args, **kwargs)`` over coordinate
-    lists, then unrolled."""
-    runs = []
-    for unroll_after in (math.inf, 0):
-        monkeypatch.setattr(integrators, "UNROLL_AFTER", unroll_after)
-        runs.append(integrate(*args, **kwargs))
-    return runs
-
-
 @pytest.mark.parametrize("n", list(range(1, 20)) + [127, 128, 129, 300])
-def test_emitted_sums_take_numpys_reduction_order(n, monkeypatch):
-    # both forms of the one-point run and the lanes sum left to right,
-    # elementwise: numpy's order when it reduces stacked arrays along their
-    # outer axis, at any number of terms
+def test_emitted_sums_take_numpys_reduction_order(n):
+    # the one-point run and the lanes sum left to right, elementwise: numpy's
+    # order when it reduces stacked arrays along their outer axis, at any
+    # number of terms
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n, 50)) * 10.0 ** rng.integers(-8, 8, (n, 50))
     assert np.array_equal(_weighted([1.0] * n, list(x)), np.add.reduce(x, axis=0))
-    # a run over n coordinates: each form's states and counters equal the
-    # lane run's, lane by lane
+    # a run over n coordinates: the one-point run's states and counters equal
+    # the lane run's, lane by lane
     y0 = rng.standard_normal((50, n)) * 10.0 ** rng.integers(-8, 8, (50, n))
     cfg = IntegratorConfig(rtol=1e-8, atol=1e-12)
     t_eval = [0.0, 0.004, 0.01]
     lanes = integrate(ring, y0, 0.01, cfg, t_eval=t_eval)
     for i in range(50):
-        for one in both_forms(monkeypatch, ring, y0[i], 0.01, cfg, t_eval=t_eval):
-            assert np.array_equal(one.states, lanes.states[:, i])
-            for name in COUNTERS:
-                assert getattr(one, name) == getattr(lanes, name)[i]
+        one = integrate(ring, y0[i], 0.01, cfg, t_eval=t_eval)
+        assert np.array_equal(one.states, lanes.states[:, i])
+        for name in COUNTERS:
+            assert getattr(one, name) == getattr(lanes, name)[i]
 
 
 def forced_ring(t, y):
@@ -257,7 +246,8 @@ def forced_ring(t, y):
 @pytest.mark.parametrize("t_end", [6.0, -4.0])
 @pytest.mark.parametrize("grid", ["none", "inside", "repeated", "to_end"])
 @pytest.mark.parametrize("dim", range(1, 13))
-def test_both_forms_equal_each_other_and_the_lanes(monkeypatch, dim, grid, t_end):
+def test_both_forms_equal_each_other_and_the_lanes(dim, grid, t_end):
+    # the one-point run, unrolled for its dimension, against the lane run
     rng = np.random.default_rng(dim)
     y0 = rng.uniform(-1.0, 1.0, (2, dim))
     cfg = IntegratorConfig(rtol=1e-8, atol=1e-12)
@@ -265,18 +255,16 @@ def test_both_forms_equal_each_other_and_the_lanes(monkeypatch, dim, grid, t_end
               "repeated": np.array([0.0, 0.0, 0.1, 0.1, 0.5, 0.5, 1.0]) * t_end,
               "to_end": np.linspace(0.0, t_end, 9)}[grid]
     for i in range(2):
-        lists, unrolled = both_forms(monkeypatch, forced_ring, y0[i], t_end, cfg, t_eval=t_eval)
-        assert unrolled.accepted + unrolled.rejected > 5
+        one = integrate(forced_ring, y0[i], t_end, cfg, t_eval=t_eval)
+        assert one.accepted + one.rejected > 5
         # with no grid the states are the accepted steps' ends, where a lane
         # run sampled at those times reads its own step ends
         lanes = integrate(forced_ring, y0, t_end, cfg,
-                          t_eval=lists.times if t_eval is None else t_eval)
-        assert np.array_equal(lists.times, unrolled.times)
-        assert np.array_equal(lists.times, lanes.times)
-        assert np.array_equal(lists.states, unrolled.states)
-        assert np.array_equal(lists.states, lanes.states[:, i])
+                          t_eval=one.times if t_eval is None else t_eval)
+        assert np.array_equal(one.times, lanes.times)
+        assert np.array_equal(one.states, lanes.states[:, i])
         for name in COUNTERS:
-            assert getattr(lists, name) == getattr(unrolled, name) == getattr(lanes, name)[i]
+            assert getattr(one, name) == getattr(lanes, name)[i]
 
 
 NAN = float("nan")
@@ -297,55 +285,65 @@ FAILING = {  # field, y0, t_end, config, the error's type and a part of its mess
 }
 
 
+# the cases whose field serves lanes too; the others branch on t or divide
+# by zero, which lanes take as numpy's inf
+LANE_CASES = ("max_steps", "underflow")
+
+
 @pytest.mark.parametrize("case", FAILING)
-def test_both_forms_fail_alike(monkeypatch, case):
+def test_both_forms_fail_alike(case):
     field, y0, t_end, cfg, error, message = FAILING[case]
-    raised = []
-    for unroll_after in (math.inf, 0):
-        monkeypatch.setattr(integrators, "UNROLL_AFTER", unroll_after)
-        with pytest.raises(error, match=message) as err:
-            integrate(field, y0, t_end, cfg)
-        raised.append((type(err.value), str(err.value), getattr(err.value, "last_time", None)))
-    assert raised[0] == raised[1]
+    with pytest.raises(error, match=message) as point:
+        integrate(field, y0, t_end, cfg)
+    assert "np.float64(" not in str(point.value)
+    if case in LANE_CASES:
+        with pytest.raises(error) as lane:
+            integrate(field, [y0], t_end, cfg, t_eval=[0.0, t_end])
+        assert ((type(lane.value), str(lane.value), lane.value.last_time)
+                == (type(point.value), str(point.value), point.value.last_time))
 
 
-def unrolled_compiles(monkeypatch):
-    """Record the dimensions of the unrolled forms compiled from now on, in a
-    process that has run no attempt yet."""
-    dims = []
-
-    def counted(source, filename, mode):
-        if filename.startswith("<DOP853 run, dim "):
-            dims.append(int(filename[len("<DOP853 run, dim "):-1]))
-        return compile(source, filename, mode)
-
-    integrators._one_point_run.cache_clear()
-    monkeypatch.setattr(integrators, "_generic_attempts", Counter())
-    monkeypatch.setattr(integrators, "compile", counted, raising=False)
-    return dims
+@pytest.mark.parametrize("t_end", [1000.0, np.float64(1000.0)])
+def test_one_point_times_are_python_floats(t_end):
+    # a field returning an ndarray gives numpy scalars; the controller's times
+    # stay Python floats
+    with pytest.raises(MaxStepsExceeded) as err:
+        integrate(harmonic, [1.0, 0.0], t_end, IntegratorConfig(max_steps=25))
+    assert "np.float64(" not in str(err.value)
+    assert type(err.value.last_time) is float
 
 
 @pytest.mark.parametrize("command", [["invariant", "--order", "2"], ["check"]])
-def test_numeric_flow_commands_compile_no_unrolled_run(tmp_path, monkeypatch, capsys, command):
-    # a numeric orbit takes about 30 attempts, far from paying for a compile
-    dims = unrolled_compiles(monkeypatch)
+def test_numeric_flow_commands_compile_each_source_once(tmp_path, capsys, code_cache, command):
+    # a cold code cache compiles each emitted source once, the one-point run
+    # once per dimension; a new process then loads them all
     config = tmp_path / "run.ini"
     config.write_text("[fixture]\nname = elastic_pendulum\n\n"
                       "[quadrature]\nnodes = 8\nflow_mode = numeric\n", encoding="utf-8")
-    assert main([*command, "--config", str(config), "--workers", "1"]) == 0
-    capsys.readouterr()
-    assert dims == []
-    assert 0 < max(integrators._generic_attempts.values()) < integrators.UNROLL_AFTER
+    argv = [*command, "--config", str(config), "--workers", "1"]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    runs = [filename for filename, _ in code_cache.compiled if filename.startswith("<DOP853")]
+    assert 0 < len(runs) == len(set(runs))
+    assert len(set(code_cache.compiled)) == len(code_cache.compiled)
+    code_cache.restart()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold
+    assert code_cache.compiled == []
 
 
-def test_long_horizon_sweep_compiles_one_unrolled_run(monkeypatch):
-    # its trajectories take 64, 126, 249 and 496 attempts: the fourth runs
-    # unrolled
-    dims = unrolled_compiles(monkeypatch)
-    order_sweep(RunConfig(fixture="charged_particle", eps_grid=(0.05, 0.025, 0.0125, 0.00625),
-                          orders=(0, 1), rtol=1e-10, atol=1e-13))
-    assert dims == [4]
-    assert integrators._generic_attempts == {4: 64 + 126 + 249}
+def test_long_horizon_sweep_compiles_one_unrolled_run(code_cache):
+    # its four trajectories take 64, 126, 249 and 496 attempts at dim 4, all
+    # on the one run a cold cache compiles; a new process loads it
+    config = RunConfig(fixture="charged_particle", eps_grid=(0.05, 0.025, 0.0125, 0.00625),
+                       orders=(0, 1), rtol=1e-10, atol=1e-13)
+    cold = order_sweep(config)
+    assert [c["accepted"] + c["rejected"] for c in cold.steps.values()] == [64, 126, 249, 496]
+    runs = [filename for filename, _ in code_cache.compiled if filename.startswith("<DOP853")]
+    assert runs == ["<DOP853 run, dim 4>"]
+    code_cache.restart()
+    assert list(order_sweep(config).csv_rows()) == list(cold.csv_rows())
+    assert code_cache.compiled == []
 
 
 REPEATS = [0, 0, 1, 1, 1, 2, 3]  # rows of the plain grid that a repeated grid asks for

@@ -1,5 +1,6 @@
 """Dual-number arithmetic against analytic derivatives."""
 
+import marshal
 import re
 
 import numpy as np
@@ -321,3 +322,67 @@ def test_integer_powers_match_on_scalars_and_arrays():
 def test_non_integer_power_is_not_traced():
     with pytest.raises(TraceError):
         sk.trace_gradient(lambda fast, slow: fast[0] ** 0.5, (2, 2), range(4))
+
+
+# -- the code cache -----------------------------------------------------------------
+
+DOUBLE = "def f(x):\n    return 2.0 * x\n"
+TRIPLE = "def f(x):\n    return 3.0 * x\n"
+
+
+def run_double():
+    return sk.exec_emitted(DOUBLE, "<test>", {})["f"](1.5)
+
+
+def test_code_cache_compiles_a_source_once_per_machine(code_cache):
+    assert run_double() == run_double() == 3.0
+    assert code_cache.compiled == [("<test>", DOUBLE)]  # the second came from memory
+    assert len(list(code_cache.directory.iterdir())) == 1
+    code_cache.restart()  # a new process loads the entry
+    assert run_double() == 3.0
+    assert code_cache.compiled == []
+
+
+DAMAGE = {  # an entry's bytes, from its good bytes
+    "truncated": lambda good: good[:len(good) // 2],
+    "garbage": lambda good: b"\x00garbage",
+    "not_a_tuple": lambda good: marshal.dumps(7),
+    "short_tuple": lambda good: marshal.dumps(("<test>", DOUBLE)),
+    "not_code": lambda good: marshal.dumps(("<test>", DOUBLE, "x = 1")),
+    "other_source": lambda good: marshal.dumps(("<test>", TRIPLE,
+                                                compile(TRIPLE, "<test>", "exec"))),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+def test_a_damaged_code_cache_entry_is_compiled_and_rewritten(code_cache, damage):
+    run_double()
+    [entry] = code_cache.directory.iterdir()
+    entry.write_bytes(DAMAGE[damage](entry.read_bytes()))
+    code_cache.restart()
+    assert run_double() == 3.0
+    assert code_cache.compiled == [("<test>", DOUBLE)]
+    assert marshal.loads(entry.read_bytes())[:2] == ("<test>", DOUBLE)
+    assert list(code_cache.directory.iterdir()) == [entry]
+
+
+def test_an_unwritable_code_cache_compiles_in_memory(code_cache, monkeypatch, tmp_path):
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(sk, "_CODE_CACHE", str(tmp_path / "file" / "code"))
+    assert run_double() == run_double() == 3.0
+    assert code_cache.compiled == [("<test>", DOUBLE)]
+    code_cache.restart()
+    assert run_double() == 3.0
+    assert code_cache.compiled == [("<test>", DOUBLE)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_an_entry_that_cannot_be_replaced_leaves_no_temporary_file(code_cache):
+    run_double()
+    [entry] = code_cache.directory.iterdir()
+    entry.unlink()
+    entry.mkdir()  # reads and os.replace fail on a directory
+    code_cache.restart()
+    assert run_double() == 3.0
+    assert code_cache.compiled == [("<test>", DOUBLE)]
+    assert list(code_cache.directory.iterdir()) == [entry]
