@@ -24,38 +24,39 @@ tracer objects, which record each operation as one assignment; the recorded
 code is run once (:func:`exec_emitted`) and then called with plain floats or
 arrays.
 
-The recording mirrors :class:`Dual` op by op. An operand counts as dual when
-it depends on a seeded coordinate, and each operation takes the branch and
-the formula that ``Dual`` takes with those operands: ``Dual/Dual`` computes
-``inv = 1.0/y; v = x*inv; t = (x' - v*y')*inv``, ``Dual/const`` computes
-``x/y`` and ``x'/y``, ``const/Dual`` computes ``-v*inv*y'``, and so on. Each
-tangent component of a multidual pass is that formula applied to the
-matching components, and IEEE + - * / and ``sqrt`` round each element on its
-own, so the compiled gradient equals the multidual gradient bit for bit. Only
-exact no-ops are left out: adding a zero tangent component, which can change
-the sign of a zero and nothing else, and a product by the literal 1.0 (the
-seed's tangent, or a constant such as a parameter B = 1.0) or a quotient by
-it, which returns a float or float array unchanged. An expression recorded twice is computed
-once, and code the gradient does not use (such as the oracle's own value) is
-dropped. The emitted code is kept as the compiled function's ``source``.
-The compiled code computes with the floats or arrays it is called with, so
-``**`` and the elementary functions see scalars where a multidual pass over
-the same coordinates holds scalars and arrays where it holds arrays; that
-matters because numpy's scalar and array ``**`` round differently. (Python
-floats and numpy float64 scalars round alike: both ``**`` call the C
-library's ``pow``.) The emitted code calls numpy's ``sqrt/sin/cos/exp/log``
-and no ``math`` function.
+The recording is :class:`Dual`'s own arithmetic on traced parts. A tracer
+value records only its value's code; each seeded coordinate is a ``Dual``
+of such a value and a tangent that holds one code per seeded direction.
+``Dual``'s operators and this module's ``sqrt/sin/cos/exp/log`` then take
+the same branches and formulas as in a multidual pass over the same
+coordinates, and record them; an inner ``Dual`` pass the oracle takes for
+itself nests on top in the same way. Each tangent component of a multidual
+pass is that formula applied to the matching components, and IEEE + - * /
+and ``sqrt`` round each element on its own, so the compiled gradient equals
+the multidual gradient bit for bit. Only exact no-ops are left out: adding a
+zero tangent component, which can change the sign of a zero and nothing
+else, and a product by the literal 1.0 (the seed's tangent, or a constant
+such as a parameter B = 1.0) or a quotient by it, which returns a float or
+float array unchanged. An expression recorded twice is computed once, and
+code the gradient does not use (such as the oracle's own value) is dropped.
+The emitted code is kept as the compiled function's ``source``. The compiled
+code computes with the floats or arrays it is called with, so ``**`` and the
+elementary functions see scalars where a multidual pass over the same
+coordinates holds scalars and arrays where it holds arrays; that matters
+because numpy's scalar and array ``**`` round differently. (Python floats
+and numpy float64 scalars round alike: both ``**`` call the C library's
+``pow``.) The emitted code calls numpy's ``sqrt/sin/cos/exp/log`` and no
+``math`` function.
 
 :func:`tangent` compiles an oracle's outputs with their derivatives along
-given input tangents (Jacobian-vector products, as in a variational equation).
-The oracle may differentiate internally with a :class:`Dual` pass: a tracer
-operation with a ``Dual`` operand returns ``NotImplemented``, so ``Dual``'s
-reflected operator runs and its formula is recorded on the traced parts.
+given input tangents (Jacobian-vector products, as in a variational
+equation), seeding each coordinate with its tangent codes.
 
 The tracer knows ``+ - * /``, unary minus, integer ``**`` and this module's
 ``sqrt/sin/cos/exp/log``. Anything else raises
-:class:`~adiakit.errors.TraceError` while tracing: a comparison, ``bool``,
-``abs``, ``float()``, a numpy ufunc, :func:`value`. :func:`gradient` and
+:class:`~adiakit.errors.TraceError` while tracing: a comparison or ``bool``
+(``Dual``'s act on values, which a trace does not have), ``abs``,
+``float()``, a numpy ufunc, :func:`value`. :func:`gradient` and
 :func:`tangent` then fall back to one multidual evaluation per call behind
 the same signature, so an oracle that branches on its inputs still gets its
 exact derivatives, and an oracle's own errors surface when it is evaluated.
@@ -119,9 +120,9 @@ class Dual:
     """First-order dual number ``val + eps·δ`` with ``δ² = 0``.
 
     ``val`` and ``eps`` may be floats, numpy arrays, or ``Dual`` instances of
-    a lower tag (nesting gives higher derivatives). Comparisons act on the
-    underlying values so that domain checks and branches behave exactly as in
-    plain evaluation.
+    a lower tag (nesting gives higher derivatives). Comparisons and the truth
+    value act on the underlying values so that domain checks and branches
+    behave exactly as in plain evaluation.
     """
 
     __slots__ = ("val", "eps", "tag")
@@ -158,10 +159,15 @@ class Dual:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self.__add__(-other)
+        tag, xv, xe, yv, ye = self._parts(other)
+        if xe is None:
+            return Dual(xv - yv, -ye, tag)
+        if ye is None:
+            return Dual(xv - yv, xe, tag)
+        return Dual(xv - yv, xe - ye, tag)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        return Dual(other - self.val, -self.eps, self.tag)
 
     def __mul__(self, other):
         tag, xv, xe, yv, ye = self._parts(other)
@@ -219,6 +225,17 @@ class Dual:
     def __ge__(self, other):
         return value(self) >= value(other)
 
+    def __eq__(self, other):
+        return value(self) == value(other)
+
+    def __ne__(self, other):
+        return value(self) != value(other)
+
+    def __bool__(self):
+        return bool(value(self))
+
+    __hash__ = None
+
     def __float__(self):
         return float(value(self))
 
@@ -236,8 +253,10 @@ def extract_partial(out, tag):
     """Derivative of an evaluation result with respect to the given tag."""
     if isinstance(out, Dual) and out.tag == tag:
         return out.eps
+    while isinstance(out, Dual):
+        out = out.val
     # no dependence on the seeded coordinate
-    return 0.0 if isinstance(out, _Trace) else np.zeros(np.shape(value(out)))
+    return 0.0 if isinstance(out, _Trace) else np.zeros(np.shape(out))
 
 
 def map_parts(fn, x):
@@ -272,7 +291,7 @@ def sin(x):
     if isinstance(x, Dual):
         return Dual(sin(x.val), cos(x.val) * x.eps, x.tag)
     if isinstance(x, _Trace):
-        return x.sin()
+        return x.call("sin")
     return np.sin(x)
 
 
@@ -280,7 +299,7 @@ def cos(x):
     if isinstance(x, Dual):
         return Dual(cos(x.val), -sin(x.val) * x.eps, x.tag)
     if isinstance(x, _Trace):
-        return x.cos()
+        return x.call("cos")
     return np.cos(x)
 
 
@@ -289,7 +308,7 @@ def sqrt(x):
         root = sqrt(x.val)
         return Dual(root, x.eps / (2.0 * root), x.tag)
     if isinstance(x, _Trace):
-        return x.sqrt()
+        return x.call("sqrt")
     return np.sqrt(x)
 
 
@@ -298,7 +317,7 @@ def exp(x):
         e = exp(x.val)
         return Dual(e, e * x.eps, x.tag)
     if isinstance(x, _Trace):
-        return x.exp()
+        return x.call("exp")
     return np.exp(x)
 
 
@@ -306,7 +325,7 @@ def log(x):
     if isinstance(x, Dual):
         return Dual(log(x.val), x.eps / x.val, x.tag)
     if isinstance(x, _Trace):
-        return x.log()
+        return x.call("log")
     return np.log(x)
 
 
@@ -322,12 +341,13 @@ class _Tape:
     """Straight-line code being recorded: one assignment per operation.
 
     Operands are code strings: tape variables ``v<n>``, bound constants
-    ``k<n>``, or literals. A tangent component of ``None`` is an exact zero.
+    ``k<n>``, or literals. The recording seeds its coordinates with ``tag``.
     """
 
     def __init__(self):
         self.lines = []  # (target, expression, operands)
         self.consts = {}
+        self.tag = fresh_tag()
         self._seen = {}
         self._names = itertools.count()
 
@@ -342,18 +362,24 @@ class _Tape:
             self.lines.append((target, expr, operands))
         return target
 
-    def const(self, c):
-        """Code for a constant operand, with its exact value and type."""
-        if type(c) is int or (type(c) is float and np.isfinite(c)):
-            code = repr(c)
+    def code(self, x):
+        """Code for an operand: a value traced on this tape, or a constant
+        with its exact value and type."""
+        if isinstance(x, _Trace):
+            if x.tape is not self:
+                raise TraceError("operands from two different traces")
+            return x.v
+        if type(x) is int or (type(x) is float and np.isfinite(x)):
+            code = repr(x)
             return f"({code})" if code.startswith("-") else code
-        if isinstance(c, (int, float, np.integer, np.floating)) and not isinstance(c, bool):
+        if isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool):
             code = f"k{len(self.consts)}"
-            self.consts[code] = c
+            self.consts[code] = x
             return code
-        raise TraceError(f"cannot trace an operand of type {type(c).__name__}")
+        raise TraceError(f"cannot trace an operand of type {type(x).__name__}")
 
-    # tangent arithmetic; dropping a None term or a factor 1.0 is exact
+    # a tangent component of None is an exact zero; dropping a None term, a
+    # factor 1.0 or a divisor 1.0 is exact
     def mul(self, a, b):
         if a is None or b is None:
             return None
@@ -362,6 +388,11 @@ class _Tape:
         if b == _ONE:
             return a
         return self.emit("{} * {}", a, b)
+
+    def div(self, a, b):
+        if a is None or b == _ONE:
+            return a
+        return self.emit("{} / {}", a, b)
 
     def add(self, a, b):
         if a is None:
@@ -380,159 +411,59 @@ class _Tape:
     def neg(self, a):
         return None if a is None else self.emit("-{}", a)
 
-    def divide(self, xv, xd, yv, yd):
-        """The quotient x/y as :class:`Dual` forms it, for dual or plain operands."""
-        if yd is None:
-            v = self.emit("{} / {}", xv, yv)
-            if xd is None:
-                return _Trace(self, v)
-            return _Trace(self, v, tuple(None if a is None else self.emit("{} / {}", a, yv)
-                                         for a in xd))
-        inv = self.emit("1.0 / {}", yv)
-        v = self.emit("{} * {}", xv, inv)
-        if xd is None:  # Dual.__rtruediv__
-            w = self.emit("-{} * {}", v, inv)
-            return _Trace(self, v, tuple(self.mul(w, b) for b in yd))
-        d = []
-        for a, b in zip(xd, yd):
-            if b is None:
-                d.append(self.mul(a, inv))
-            elif a is None:
-                d.append(self.emit("-{} * {}", self.mul(v, b), inv))
-            else:
-                d.append(self.emit("{} * {}", self.emit("{} - {}", a, self.mul(v, b)), inv))
-        return _Trace(self, v, tuple(d))
-
 
 class _Trace:
-    """A value recorded on a tape: code ``v`` and, when it depends on a seeded
-    coordinate, its tangent ``d`` (one code per seeded direction)."""
+    """A value recorded on a tape as the code ``v``. It carries no derivative:
+    a seeded coordinate is a :class:`Dual` of a trace and a :class:`_Tangent`,
+    so ``Dual``'s own rules record every derivative."""
 
-    __slots__ = ("tape", "v", "d")
+    __slots__ = ("tape", "v")
     __array_ufunc__ = None  # numpy defers its operators to ours; its ufuncs raise
 
-    def __init__(self, tape, v, d=None):
+    def __init__(self, tape, v):
         self.tape = tape
         self.v = v
-        self.d = d
 
-    def _operand(self, other):
-        if isinstance(other, _Trace):
-            if other.tape is not self.tape:
-                raise TraceError("operands from two different traces")
-            return other.v, other.d
-        return self.tape.const(other), None
+    def _op(self, op, other, reflected=False):
+        if isinstance(other, (Dual, _Tangent)):
+            return NotImplemented  # their operator records the operation
+        y = self.tape.code(other)
+        return _Trace(self.tape, op(y, self.v) if reflected else op(self.v, y))
 
     def __add__(self, other):
-        if isinstance(other, Dual):  # Dual's reflected operator records the operation
-            return NotImplemented
-        yv, yd = self._operand(other)
-        tape = self.tape
-        v = tape.emit("{} + {}", self.v, yv)
-        if self.d is None or yd is None:
-            return _Trace(tape, v, yd if self.d is None else self.d)
-        return _Trace(tape, v, tuple(tape.add(a, b) for a, b in zip(self.d, yd)))
-
-    __radd__ = __add__
+        return self._op(self.tape.add, other)
 
     def __sub__(self, other):
-        if isinstance(other, Dual):
-            return NotImplemented
-        yv, yd = self._operand(other)
-        tape = self.tape
-        v = tape.emit("{} - {}", self.v, yv)
-        if yd is None:
-            return _Trace(tape, v, self.d)
-        if self.d is None:
-            return _Trace(tape, v, tuple(tape.neg(b) for b in yd))
-        return _Trace(tape, v, tuple(tape.sub(a, b) for a, b in zip(self.d, yd)))
+        return self._op(self.tape.sub, other)
 
     def __rsub__(self, other):
-        tape = self.tape
-        v = tape.emit("{} - {}", tape.const(other), self.v)
-        return _Trace(tape, v, None if self.d is None else tuple(tape.neg(a) for a in self.d))
+        return self._op(self.tape.sub, other, reflected=True)
 
     def __mul__(self, other):
-        if isinstance(other, Dual):
-            return NotImplemented
-        yv, yd = self._operand(other)
-        if yv == _ONE:  # x·1.0 and its tangent x'·1.0 are x and x' exactly
-            return self
-        tape = self.tape
-        v = tape.emit("{} * {}", self.v, yv)
-        if yd is None:
-            d = None if self.d is None else tuple(tape.mul(a, yv) for a in self.d)
-        elif self.d is None:
-            d = tuple(tape.mul(self.v, b) for b in yd)
-        else:
-            d = tuple(tape.add(tape.mul(self.v, b), tape.mul(a, yv))
-                      for a, b in zip(self.d, yd))
-        return _Trace(tape, v, d)
-
-    __rmul__ = __mul__
+        return self._op(self.tape.mul, other)
 
     def __truediv__(self, other):
-        if isinstance(other, Dual):
-            return NotImplemented
-        yv, yd = self._operand(other)
-        if yv == _ONE:  # x/1.0 and x'/1.0 are x and x' exactly
-            return self
-        return self.tape.divide(self.v, self.d, yv, yd)
+        return self._op(self.tape.div, other)
 
     def __rtruediv__(self, other):
-        return self.tape.divide(self.tape.const(other), None, self.v, self.d)
+        return self._op(self.tape.div, other, reflected=True)
+
+    __radd__, __rmul__ = __add__, __mul__
 
     def __pow__(self, n):
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise TraceError("only integer powers are traced")
-        tape = self.tape
-        v = tape.emit("{} ** {}", self.v, tape.const(n))
-        if self.d is None:
-            return _Trace(tape, v)
-        if n == 0:
-            return _Trace(tape, v, tuple(tape.mul(a, "0.0") for a in self.d))
-        slope = tape.emit("{} * {} ** {}", tape.const(n), self.v, tape.const(n - 1))
-        return _Trace(tape, v, tuple(tape.mul(slope, a) for a in self.d))
+        return _Trace(self.tape, self.tape.emit("{} ** {}", self.v, self.tape.code(n)))
 
     def __neg__(self):
-        tape = self.tape
-        v = tape.emit("-{}", self.v)
-        return _Trace(tape, v, None if self.d is None else tuple(tape.neg(a) for a in self.d))
+        return _Trace(self.tape, self.tape.neg(self.v))
 
     def __pos__(self):
         return self
 
-    def _chain(self, result, factor=None, divisor=None):
-        """Trace of ``result``, whose tangent is this tangent times the code
-        ``factor`` or over ``divisor`` (left unused, and so dropped, when
-        this value is not dual)."""
-        tape = self.tape
-        if self.d is None:
-            return _Trace(tape, result)
-        if factor is not None:
-            return _Trace(tape, result, tuple(tape.mul(factor, a) for a in self.d))
-        return _Trace(tape, result, tuple(None if a is None else tape.emit("{} / {}", a, divisor)
-                                          for a in self.d))
-
-    def sin(self):
-        tape = self.tape
-        return self._chain(tape.emit("sin({})", self.v), factor=tape.emit("cos({})", self.v))
-
-    def cos(self):
-        tape = self.tape
-        return self._chain(tape.emit("cos({})", self.v), factor=tape.emit("-sin({})", self.v))
-
-    def sqrt(self):
-        tape = self.tape
-        root = tape.emit("sqrt({})", self.v)
-        return self._chain(root, divisor=tape.emit("2.0 * {}", root))
-
-    def exp(self):
-        e = self.tape.emit("exp({})", self.v)
-        return self._chain(e, factor=e)
-
-    def log(self):
-        return self._chain(self.tape.emit("log({})", self.v), divisor=self.v)
+    def call(self, function):
+        """This value through one of the emitted code's ``_FUNCTIONS``."""
+        return _Trace(self.tape, self.tape.emit(function + "({})", self.v))
 
     def _refuse(self, *args, **kwargs):
         raise TraceError("the oracle branches on, or converts, a traced value")
@@ -540,6 +471,39 @@ class _Trace:
     __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _refuse
     __bool__ = __abs__ = __float__ = __int__ = __index__ = __array__ = _refuse
     __hash__ = None
+
+
+class _Tangent:
+    """The tangent part of a seeded :class:`Dual` on a tape: one code per
+    seeded direction, ``None`` for an exact zero. It knows the operations
+    ``Dual`` applies to tangents: a sum or difference of two tangents, and a
+    product or quotient by a value."""
+
+    __slots__ = ("tape", "d")
+    __array_ufunc__ = None  # numpy defers its operators to ours
+
+    def __init__(self, tape, d):
+        self.tape = tape
+        self.d = tuple(d)
+
+    def __add__(self, other):
+        return _Tangent(self.tape, map(self.tape.add, self.d, other.d))
+
+    def __sub__(self, other):
+        return _Tangent(self.tape, map(self.tape.sub, self.d, other.d))
+
+    def __neg__(self):
+        return _Tangent(self.tape, map(self.tape.neg, self.d))
+
+    def __mul__(self, other):
+        y = self.tape.code(other)
+        return _Tangent(self.tape, [self.tape.mul(a, y) for a in self.d])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        y = self.tape.code(other)
+        return _Tangent(self.tape, [self.tape.div(a, y) for a in self.d])
 
 
 def _blocks(items, blocks):
@@ -552,11 +516,14 @@ def _blocks(items, blocks):
 
 
 def _record(f, blocks, tangents):
-    """(tape, argument names, output) of ``f`` run once on tracer coordinates
-    carrying ``tangents``; :class:`TraceError` if ``f`` cannot be recorded."""
+    """(tape, argument names, output) of ``f`` run once on traced coordinates:
+    coordinate ``i`` is a :class:`Dual` of the tape's tag with the tangent
+    codes ``tangents[i]``, or a plain trace where that is None.
+    :class:`TraceError` if ``f`` cannot be recorded."""
     tape = _Tape()
     args = [tape.name() for _ in range(sum(blocks))]
-    coords = [_Trace(tape, a, d) for a, d in zip(args, tangents)]
+    coords = [_Trace(tape, a) if d is None else Dual(_Trace(tape, a), _Tangent(tape, d), tape.tag)
+              for a, d in zip(args, tangents)]
     try:
         out = f(*_blocks(coords, blocks))
     except Exception as exc:  # whatever stops the trace, the Dual path reproduces
@@ -565,10 +532,12 @@ def _record(f, blocks, tangents):
 
 
 def _codes(tape, out, n):
-    """(value code, ``n`` tangent codes) of one recorded output."""
-    if isinstance(out, _Trace) and out.tape is tape:
-        return out.v, ["0.0" if a is None else a for a in (out.d or (None,) * n)]
-    return tape.const(out), ["0.0"] * n  # a constant has zero tangents; anything else raises
+    """(value code, ``n`` tangent codes) of one recorded output; a constant
+    has zero tangents, and anything else raises."""
+    d = (None,) * n
+    if isinstance(out, Dual) and out.tag == tape.tag:
+        out, d = out.val, out.eps.d
+    return tape.code(out), ["0.0" if a is None else a for a in d]
 
 
 def _compile(tape, params, outputs, name, guard=None):

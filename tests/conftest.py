@@ -37,6 +37,15 @@ class CodeCache:
         self.compiled.clear()
 
 
+@pytest.fixture(autouse=True, scope="session")
+def session_code_cache(tmp_path_factory):
+    """``kernel``'s code cache in a directory of the session's own, so that
+    tests leave no entries beside the package's bytecode."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sk, "_CODE_CACHE", str(tmp_path_factory.mktemp("code")))
+        yield
+
+
 @pytest.fixture
 def code_cache(monkeypatch, tmp_path):
     """A cold code cache in a directory of its own (:class:`CodeCache`)."""

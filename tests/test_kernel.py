@@ -98,6 +98,18 @@ def test_comparisons_follow_values():
     assert float(x) == 2.0
 
 
+def test_equality_and_truth_follow_values():
+    # a branch on == or on a truth value takes the plain evaluation's way
+    tag = sk.fresh_tag()
+    x = sk.Dual(2.0, 1.0, tag)
+    assert x == 2.0 and 2.0 == x and x != 3.0 and not (x != 2.0)
+    assert not sk.Dual(0.0, 1.0, tag) and sk.Dual(-0.5, 0.0, tag)
+    with pytest.raises(TypeError):
+        hash(x)
+    with pytest.raises(TraceError):  # on a traced coordinate, the branch stops the trace
+        sk.trace_gradient(lambda fast, slow: fast[0] if slow[0] else fast[1], (2, 2), range(4))
+
+
 def test_dual_exponent_rejected():
     tag = sk.fresh_tag()
     x = sk.Dual(2.0, 1.0, tag)
@@ -150,16 +162,25 @@ def without_x():
                           omega=lambda f, s: 1.0 + s[1] * s[1])
 
 
+def fast_partials_sum():
+    """The charged particle with H the sum of its fast partials, which H
+    takes by a Dual pass of its own."""
+    particle = get_fixture("charged_particle").system
+    return SlowFastSystem(r=1, k=1, omega=particle.omega, domain=particle.domain,
+                          H=lambda f, s: sum(DiffEngine().partials(particle.H, f, s, "fast")))
+
+
 def system_and_box(name):
     if name == "quadratic_k2":
         return quadratic_k2(), -np.ones(6), np.ones(6)
     if name == "without_x":
         return without_x(), -np.ones(4), np.ones(4)
-    system = get_fixture(name).system
+    system = fast_partials_sum() if name == "fast_partials_sum" else get_fixture(name).system
     return system, system.domain.low, system.domain.high
 
 
-@pytest.mark.parametrize("name", ["elastic_pendulum", "charged_particle", "quadratic_k2"])
+@pytest.mark.parametrize("name", ["elastic_pendulum", "charged_particle", "quadratic_k2",
+                                  "fast_partials_sum"])
 @pytest.mark.parametrize("seeding", ["all", "fast"])
 def test_compiled_gradient_equals_multidual_bitwise(name, seeding):
     system, low, high = system_and_box(name)
@@ -276,7 +297,13 @@ def uses_value(fast, slow):
     return y * x * sk.value(q) ** 2 + p * sk.sqrt(q)
 
 
-@pytest.mark.parametrize("f", [branchy, uses_value])
+def branches_on_equality(fast, slow):
+    y, x = fast
+    p, q = slow
+    return y * x * q if p == 0.4 else y * p - x * q
+
+
+@pytest.mark.parametrize("f", [branchy, uses_value, branches_on_equality])
 def test_untraceable_oracle_falls_back_to_dual_result(f):
     with pytest.raises(TraceError):
         sk.trace_gradient(f, (2, 2), range(4))
