@@ -458,6 +458,48 @@ def test_lane_failure_reports_that_lanes_time():
     assert err.value.last_time == pytest.approx(0.5, abs=0.05)
 
 
+def blowup_beside_spin(t, y):
+    """A coordinate that blows up at t = 1/y0, beside a fast oscillator."""
+    return [y[0] * y[0], 1000.0 * y[2], -1000.0 * y[1]]
+
+
+def test_first_failing_lane_raises_and_max_steps_before_underflow():
+    blowup, spin = [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return blowup_beside_spin(t, y)
+
+    # the blowup underflows near t = 0.5 after n attempts; the spin is then
+    # still stepping, so with max_steps = n every lane is over the budget at
+    # the check where the blowup underflows
+    with pytest.raises(StepSizeUnderflow) as alone:
+        integrate(counted, blowup, 1.0, IntegratorConfig(rtol=1e-10, atol=1e-12, max_steps=10**7))
+    n = (len(calls) - 1) // 12
+    spin_run = integrate(blowup_beside_spin, [spin], 1.0, IntegratorConfig(rtol=1e-10, atol=1e-12),
+                         t_eval=[0.0, 1.0])
+    assert spin_run.accepted[0] + spin_run.rejected[0] > n
+
+    def failure(lanes, max_steps):
+        cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, max_steps=max_steps)
+        with pytest.raises((MaxStepsExceeded, StepSizeUnderflow)) as err:
+            integrate(blowup_beside_spin, lanes, 1.0, cfg, t_eval=[0.0, 1.0])
+        return type(err.value), str(err.value), err.value.last_time
+
+    blowup_time = alone.value.last_time
+    assert failure([spin, blowup], n + 1) == (
+        StepSizeUnderflow, f"step size underflow at t={blowup_time!r} in lane 1", blowup_time)
+    # lane 0 is over the budget, lane 1 also underflows: the lower lane raises
+    kind, message, last_time = failure([spin, blowup], n)
+    assert (kind, message) == (MaxStepsExceeded,
+                               f"exceeded {n} step attempts at t={last_time!r} in lane 0")
+    assert last_time < blowup_time - 0.1
+    # within one lane, max steps is reported before underflow
+    assert failure([blowup, spin], n) == (
+        MaxStepsExceeded, f"exceeded {n} step attempts at t={blowup_time!r} in lane 0", blowup_time)
+
+
 def test_nan_field_raises_numerical_error():
     # a nan derivative gives a nan initial step and nan error norms, which
     # once were rejected until max_steps ran out (MaxStepsExceeded)
