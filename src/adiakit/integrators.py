@@ -221,7 +221,7 @@ def run(field, y0, f0, h, t_end, targets, slots, out, rtol, atol, max_steps):
 {attempt}
             s5 = s3 = 0.0
 {error}
-            norm = error_norm(dt, s5, s3, dim)
+            norm = error_norm(dt, s5, s3, {steer})
             rhs_calls += 12
             if norm <= 1.0:
                 accepted += 1
@@ -261,9 +261,10 @@ def run(field, y0, f0, h, t_end, targets, slots, out, rtol, atol, max_steps):
 
 
 @functools.cache
-def _one_point_run(dim):
-    """``_RUN`` emitted unrolled over ``dim`` coordinates, and run from the
-    code cache (``kernel.exec_emitted``) on first use.
+def _one_point_run(dim, steer):
+    """``_RUN`` emitted unrolled over ``dim`` coordinates, its error norm over
+    the first ``steer`` of them, and run from the code cache
+    (``kernel.exec_emitted``) on first use.
 
     ``run(field, y0, f0, h, t_end, targets, slots, out, rtol, atol, max_steps)``
     steps from t = 0, state list ``y0`` and first stage ``f0``, at first trial
@@ -293,7 +294,7 @@ def _one_point_run(dim):
     def block(lines, depth):
         return "\n".join(" " * depth + line for line in lines)
 
-    error = [line.format(i=i) for i in range(dim) for line in [
+    error = [line.format(i=i) for i in range(steer) for line in [
         "a_, b_ = abs(y_{i}), abs(n_{i})",
         "scale = atol + rtol * (a_ if a_ >= b_ else b_)",
         f"e5 = ({weighted(_E5)}) / scale",
@@ -304,14 +305,15 @@ def _one_point_run(dim):
         y=names("y"), k0=names("k0"), n=names("n"), k12=names("k12"), state=f"[{names('n')}]",
         dense="".join(map(names, ["y", "n"] + [f"k{j}" for j in _DENSE_STAGES])),
         attempt=block(stages(1, 13), 12), error=block(error, 12),
-        extension=block(stages(13, 16), 28))
+        extension=block(stages(13, 16), 28), steer="dim" if steer == dim else steer)
     namespace = {"array": array, "Struct": Struct, "inf": math.inf, "EPS": float(_EPS),
                  "error_norm": _error_norm, "MaxStepsExceeded": MaxStepsExceeded,
                  "StepSizeUnderflow": StepSizeUnderflow, "NumericalError": NumericalError}
-    return exec_emitted(source, f"<DOP853 run, dim {dim}>", namespace)["run"]
+    name = f"dim {dim}" if steer == dim else f"dim {dim}, steered by {steer}"
+    return exec_emitted(source, f"<DOP853 run, {name}>", namespace)["run"]
 
 
-def _integrate_point(field, y0, t_end, config, t_eval):
+def _integrate_point(field, y0, t_end, config, t_eval, steer):
     """DOP853 over one point ``y0`` (dim,) by the emitted run of its dimension.
     Returns (times, states of shape (times, dim), then the counters)."""
     y, dim, t_end = y0.tolist(), len(y0), float(t_end)
@@ -320,14 +322,14 @@ def _integrate_point(field, y0, t_end, config, t_eval):
     except (ZeroDivisionError, OverflowError) as exc:
         raise NumericalError(f"field failed at t=0.0: {exc}") from exc
     # the first stage of the first attempt serves the initial-step estimate
-    h = float(_initial_steps(np.asarray(k0, dtype=float).reshape(1, dim), y0[None], t_end,
-                             config.rtol, config.atol)[0])
+    h = float(_initial_steps(np.asarray(k0, dtype=float).reshape(1, dim)[:, :steer],
+                             y0[None, :steer], t_end, config.rtol, config.atol)[0])
     grid = [] if t_eval is None else t_eval
     targets = [float(tt) for tt in grid if tt != 0.0]
     slots = [j for j, tt in enumerate(grid) if tt != 0.0]
     # rows at t = 0 keep the initial state
     out = None if t_eval is None else np.repeat(y0[None], len(t_eval), axis=0)
-    *counters, first, second = _one_point_run(dim)(field, y, k0, h, t_end, targets, slots, out,
+    *counters, first, second = _one_point_run(dim, steer)(field, y, k0, h, t_end, targets, slots, out,
                                                    config.rtol, config.atol, config.max_steps)
     if out is None:
         return np.array(first), np.array(second).reshape(-1, dim), *counters
@@ -370,7 +372,8 @@ def _initial_steps(f0, y0, t_span, rtol, atol):
 
 def integrate(field: Callable, y0: Sequence[float], t_end: float,
               config: IntegratorConfig = IntegratorConfig(),
-              t_eval: Optional[Sequence[float]] = None) -> Trajectory:
+              t_eval: Optional[Sequence[float]] = None, steer: Optional[int] = None
+              ) -> Trajectory:
     """Integrate ``y' = field(t, y)`` from ``t = 0`` to ``t_end``.
 
     ``field`` follows the column contract of the module docstring: it gets
@@ -391,6 +394,11 @@ def integrate(field: Callable, y0: Sequence[float], t_end: float,
     then has shape (lanes,), and ``t`` holds the per-lane times. See the
     module docstring.
 
+    Only the first ``steer`` columns of the state (default: all) steer the
+    step: the error norm and the first step's estimate read them alone. A
+    variational run that steers by its base coordinates takes the steps of
+    the plain run.
+
     Raises :class:`MaxStepsExceeded` or :class:`StepSizeUnderflow` carrying
     the last time the failing lane reached.
     """
@@ -398,6 +406,9 @@ def integrate(field: Callable, y0: Sequence[float], t_end: float,
     if y0.ndim not in (1, 2):
         raise ValueError("y0 must be one state (dim,) or a stack of lanes (lanes, dim)")
     lanes = y0.ndim == 2
+    steer = y0.shape[-1] if steer is None else steer
+    if not 0 < steer <= y0.shape[-1]:
+        raise ValueError("steer must count between one and all columns of the state")
     if not np.isfinite(t_end):
         raise ValueError("t_end must be finite")
     if t_eval is not None:
@@ -416,10 +427,10 @@ def integrate(field: Callable, y0: Sequence[float], t_end: float,
         return Trajectory(times, np.repeat(y0[None], len(times), axis=0),
                           zero, zero, zero, nan, nan)
     return Trajectory(*(_integrate_lanes if lanes else _integrate_point)(
-        field, y0, t_end, config, t_eval))
+        field, y0, t_end, config, t_eval, steer))
 
 
-def _integrate_lanes(field, y0, t_end, config, t_eval):
+def _integrate_lanes(field, y0, t_end, config, t_eval, steer):
     """DOP853 over the lanes of ``y0`` (lanes, dim): the controller state is
     held in arrays over the lanes, and each attempt takes masked updates
     (module docstring). Returns (times, states of shape (times, lanes, dim),
@@ -455,7 +466,7 @@ def _integrate_lanes(field, y0, t_end, config, t_eval):
     rows = np.repeat(y0[None], len(t_eval), axis=0)  # rows at t = 0 keep the initial states
 
     # the first stage of the first attempt serves the initial-step estimate
-    h = _initial_steps(k0, y, t_end, rtol, atol)  # magnitudes
+    h = _initial_steps(k0[:, :steer], y[:, :steer], t_end, rtol, atol)  # magnitudes
     rhs_calls = np.ones(n_lanes, int)
     accepted, rejected, next_target = np.zeros((3, n_lanes), int)
     h_min, h_max = np.full(n_lanes, np.inf), np.zeros(n_lanes)
@@ -479,15 +490,16 @@ def _integrate_lanes(field, y0, t_end, config, t_eval):
 
         k = [k0]
         y_new = stages(k, t, dt, y, 1, 13)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        e5 = _weighted(_E5, k) / scale
-        e3 = _weighted(_E3, k) / scale
+        head = [k_j[:, :steer] for k_j in k]  # the columns that steer the step
+        scale = atol + rtol * np.maximum(np.abs(y[:, :steer]), np.abs(y_new[:, :steer]))
+        e5 = _weighted(_E5, head) / scale
+        e3 = _weighted(_E3, head) / scale
         s5 = s3 = 0.0
         for c5, c3 in zip(e5.T, e3.T):
             s5 = s5 + c5 * c5
             s3 = s3 + c3 * c3
         # the norm and its power on floats: numpy's ** rounds differently on arrays
-        norm = [_error_norm(*args, dim) for args in zip(dt.tolist(), s5.tolist(), s3.tolist())]
+        norm = [_error_norm(*args, steer) for args in zip(dt.tolist(), s5.tolist(), s3.tolist())]
         power = np.array([0.9 * n ** -0.125 if n else math.inf for n in norm])
         norm = np.array(norm)
         accept = active & (norm <= 1.0)

@@ -258,9 +258,10 @@ def test_numeric_orbit_stops_at_its_last_sample(request, rng, fixture_name, monk
     fixture = request.getfixturevalue(fixture_name)
     runs = []
 
-    def both_spans(field, y0, t_end, config, t_eval):
-        traj = integrate(field, y0, t_end, config, t_eval=t_eval)
-        runs.append((t_end, traj, integrate(field, y0, TWO_PI, config, t_eval=t_eval)))
+    def both_spans(field, y0, t_end, config, t_eval, steer):
+        traj = integrate(field, y0, t_end, config, t_eval=t_eval, steer=steer)
+        runs.append((t_end, traj, integrate(field, y0, TWO_PI, config, t_eval=t_eval,
+                                            steer=steer)))
         return traj
 
     monkeypatch.setattr(circle, "integrate", both_spans)

@@ -403,6 +403,29 @@ def test_sample_at_t_end_is_the_final_state(t_end):
         assert np.array_equal(lanes.states[-2:, i], [steps.states[-1], steps.states[-1]])
 
 
+def with_rider(t, y):
+    """The harmonic oscillator and a third column it drives, which grows."""
+    return [-y[1], y[0], 30.0 * y[0] * y[2]]
+
+
+@pytest.mark.parametrize("y0", [[1.0, 0.0], [[1.0, 0.0], [0.5, 0.2]]])
+def test_columns_beyond_steer_do_not_steer(y0):
+    # the rider would shrink the steps; outside the steering columns it does not
+    cfg = IntegratorConfig(rtol=1e-9, atol=1e-12)
+    t_eval = np.linspace(0.0, 3.0, 7)
+    ridden_y0 = np.concatenate([y0, np.ones(np.shape(y0)[:-1] + (1,))], axis=-1)
+    plain = integrate(harmonic, y0, 3.0, cfg, t_eval=t_eval)
+    ridden = integrate(with_rider, ridden_y0, 3.0, cfg, t_eval=t_eval, steer=2)
+    assert np.array_equal(ridden.states[..., :2], plain.states)
+    for name in COUNTERS:
+        assert np.array_equal(getattr(ridden, name), getattr(plain, name))
+    steered = integrate(with_rider, ridden_y0, 3.0, cfg, t_eval=t_eval)
+    assert np.all(steered.accepted > plain.accepted)
+    for steer in (0, 4):
+        with pytest.raises(ValueError, match="steer"):
+            integrate(with_rider, ridden_y0, 3.0, cfg, t_eval=t_eval, steer=steer)
+
+
 def test_repeated_t_eval_entry_one_lane_harmonic():
     traj = integrate(harmonic, [1.0, 0.0], 1.0, t_eval=[0.0, 0.5, 0.5, 1.0])
     assert np.array_equal(traj.states[1], traj.states[2])

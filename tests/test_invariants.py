@@ -459,16 +459,21 @@ def test_numeric_f2_integrates_each_orbit_once(pendulum, rng, monkeypatch):
 
 def test_f1_is_the_same_at_orders_one_and_two(pendulum, particle, rng):
     # order 1 reads F1 off the plain orbit, order 2 off the value part of its
-    # lifted orbit. The pendulum's oracles divide by no dual, so the bits
-    # agree; a Dual quotient's value is x·(1/y), which moves the particle's
-    # F1 by rounding (measured <= 1.1e-14 relative)
-    for fixture, rel in ((pendulum, 0.0), (particle, 1e-13)):
-        coords = np.stack([m.coords for m in sample_points(fixture, rng, 8)])
-        action = CircleAction(fixture.system)
-        by_order = [resolved_value(assemble(fixture.system, action, order).resolve_batch(coords))[1]
-                    for order in (1, 2)]
-        assert np.allclose(by_order[0], by_order[1], rtol=rel, atol=0.0)
-        assert rel or np.array_equal(by_order[0], by_order[1])
+    # lifted orbit; on a numeric orbit the fast coordinates alone steer the
+    # steps, so both orders step alike, as a batch (lanes) and as one point.
+    # The pendulum's oracles divide by no dual, so the bits agree; a Dual
+    # quotient's value is x·(1/y), which moves the particle's F1 by rounding
+    # (measured <= 1.1e-14 relative, and 3.1e-17 on a numeric orbit)
+    for flow_mode, points, particle_bounds in (("analytic", 8, (1e-13, 0.0)),
+                                               ("numeric", 8, (0.0, 1e-15)),
+                                               ("numeric", 1, (0.0, 1e-15))):
+        for fixture, (rel, tol) in ((pendulum, (0.0, 0.0)), (particle, particle_bounds)):
+            coords = np.stack([m.coords for m in sample_points(fixture, rng, points)])
+            action = CircleAction(fixture.system, flow_mode=flow_mode)
+            by_order = [resolved_value(assemble(fixture.system, action, order)
+                                       .resolve_batch(coords))[1] for order in (1, 2)]
+            assert np.allclose(by_order[0], by_order[1], rtol=rel, atol=tol)
+            assert fixture is particle or np.array_equal(by_order[0], by_order[1])
 
 
 def test_nan_frequency_raises(particle):
