@@ -341,7 +341,9 @@ class _Tape:
     """Straight-line code being recorded: one assignment per operation.
 
     Operands are code strings: tape variables ``v<n>``, bound constants
-    ``k<n>``, or literals. The recording seeds its coordinates with ``tag``.
+    ``k<n>``, literals, or the negation ``-a`` of one of these, which is
+    folded into the expression that uses it. The recording seeds its
+    coordinates with ``tag``.
     """
 
     def __init__(self):
@@ -359,7 +361,7 @@ class _Tape:
         target = self._seen.get(expr)  # the same expression twice gives the same bits
         if target is None:
             target = self._seen[expr] = self.name()
-            self.lines.append((target, expr, operands))
+            self.lines.append((target, expr, [_operand(a) for a in operands]))
         return target
 
     def code(self, x):
@@ -408,8 +410,15 @@ class _Tape:
             return self.neg(b)
         return self.emit("{} - {}", a, b)
 
-    def neg(self, a):
-        return None if a is None else self.emit("-{}", a)
+    def neg(self, a):  # no assignment of its own; −(−a) is a, bit for bit
+        if a is None:
+            return None
+        return a[1:] if a.startswith("-") else f"-{a}"
+
+
+def _operand(code):
+    """The tape variable, constant or literal that ``code`` reads."""
+    return code.lstrip("-")
 
 
 class _Trace:
@@ -453,7 +462,8 @@ class _Trace:
     def __pow__(self, n):
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise TraceError("only integer powers are traced")
-        return _Trace(self.tape, self.tape.emit("{} ** {}", self.v, self.tape.code(n)))
+        base = f"({self.v})" if self.v.startswith("-") else self.v  # −a ** n is −(a ** n)
+        return _Trace(self.tape, self.tape.emit("{} ** {}", base, self.tape.code(n)))
 
     def __neg__(self):
         return _Trace(self.tape, self.tape.neg(self.v))
@@ -543,7 +553,7 @@ def _codes(tape, out, n):
 def _compile(tape, params, outputs, name, guard=None):
     """``def name(*params): return (*outputs,)`` from the tape, dead code left
     out; with a ``guard``, ``return guard, (*outputs,)``."""
-    needed, body = set(outputs) | {guard} - {None}, []
+    needed, body = {_operand(o) for o in [*outputs, guard] if o is not None}, []
     for target, expr, operands in reversed(tape.lines):
         if target in needed:  # dead code (e.g. f's own value) is left out
             body.append(f"    {target} = {expr}\n")

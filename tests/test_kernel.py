@@ -162,6 +162,13 @@ def without_x():
                           omega=lambda f, s: 1.0 + s[1] * s[1])
 
 
+def negations():
+    """H with negated operands under a power, and a value negated twice."""
+    return SlowFastSystem(r=1, k=1, H=lambda f, s: ((-f[0]) ** 3 - (-(-f[1])) * s[0]
+                                                    + (-s[1]) ** 2 * f[0]),
+                          omega=lambda f, s: 1.0 + s[1] * s[1])
+
+
 def fast_partials_sum():
     """The charged particle with H the sum of its fast partials, which H
     takes by a Dual pass of its own."""
@@ -173,14 +180,14 @@ def fast_partials_sum():
 def system_and_box(name):
     if name == "quadratic_k2":
         return quadratic_k2(), -np.ones(6), np.ones(6)
-    if name == "without_x":
-        return without_x(), -np.ones(4), np.ones(4)
+    if name in ("without_x", "negations"):
+        return {"without_x": without_x, "negations": negations}[name](), -np.ones(4), np.ones(4)
     system = fast_partials_sum() if name == "fast_partials_sum" else get_fixture(name).system
     return system, system.domain.low, system.domain.high
 
 
 @pytest.mark.parametrize("name", ["elastic_pendulum", "charged_particle", "quadratic_k2",
-                                  "fast_partials_sum"])
+                                  "fast_partials_sum", "negations"])
 @pytest.mark.parametrize("seeding", ["all", "fast"])
 def test_compiled_gradient_equals_multidual_bitwise(name, seeding):
     system, low, high = system_and_box(name)
@@ -206,6 +213,20 @@ def test_compiled_gradient_has_no_product_by_one(name, seeding):
     seeded = range(system.dim if seeding == "all" else 2 * system.r)
     source = sk.trace_gradient(system.H, (2 * system.r, 2 * system.k), seeded).source
     assert not re.search(r"(?<![\w.])1\.0 \*|\* 1\.0(?![\d.e])", source), source
+
+
+def test_compiled_gradient_folds_negations():
+    # a negation is read where it is used (-v * w), not assigned on its own
+    system = get_fixture("charged_particle").system
+    source = sk.trace_gradient(system.H, (2, 2), range(4)).source
+    assignments = re.findall(r"^    (v\d+) = (.*)$", source, re.MULTILINE)
+    assert len(assignments) == 35, source
+    assert not [a for a in assignments if re.fullmatch(r"-v\d+", a[1])], source
+    assert re.search(r"= -v\d+ \* v\d+$", source, re.MULTILINE), source
+    # under a power the negation keeps its parentheses: (-x) ** 3 has the
+    # partial 3 * (-x) ** 2 * -1.0
+    source = sk.trace_gradient(negations().H, (2, 2), range(4)).source
+    assert re.search(r"= \(-v\d+\) \*\* 2$", source, re.MULTILINE), source
 
 
 def test_compiled_tangent_has_no_quotient_by_one():
