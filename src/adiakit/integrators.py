@@ -29,25 +29,24 @@ data in an ``array('d')``, read once the run ends.
 
 Lanes. A 2-D ``y0`` of shape (lanes, dim) integrates a stack of initial
 states to one ``t_eval`` grid (:func:`_integrate_lanes`). Each lane has its
-own step control, whose state (time, step, trial step, next target, counters)
-is held in arrays over the lanes, so that an attempt costs a fixed number of
-numpy calls: masks select the failing, accepted and rejected lanes, and
-``np.searchsorted`` finds the samples each accepted step passes. Only the
-error norm and the step factor are computed lane by lane, on Python floats.
-The stages are stacked (lanes, dim) arrays, one ``field`` call per stage for
-all lanes, which pays only when lanes are many. A lane that has reached
-``t_end`` rides along with a zero step and its derivatives are discarded.
+own step control, whose state is held in arrays over the lanes: an attempt
+costs a fixed number of numpy calls, with masks for the failing, accepted and
+rejected lanes. Only the error norm and the step factor are computed lane by
+lane, on Python floats. The stages are stacked (lanes, dim) arrays, one
+``field`` call per stage for all lanes, which pays only when lanes are many. A
+lane that has reached ``t_end`` rides along with a zero step.
 
 The one-point run and the lanes take the same IEEE operations in the same
 order: ``t + c·dt``, every weighted sum of stages Σ a_j·k_j left to right
 over its nonzero weights, ``y + dt·Σ``, the scaled error estimates, their
-sums of squares over the coordinates left to right from 0.0,
-:func:`_error_norm`, and ``norm ** -0.125`` on Python floats. ``+ − × ÷`` and ``sqrt`` round each
-element on its own, so lane i of a lane run equals the one-point run from its
-state bit for bit, states and counters, provided ``field`` treats each lane on
-its own and takes the same operations on floats as on arrays. (numpy's ``**``
-does not: it rounds differently on scalars and on arrays.) Dense output keeps
-this: :func:`_dense_states` is elementwise.
+sums of squares over the steering coordinates left to right from 0.0,
+:func:`_error_norm`, and ``norm ** -0.125`` on Python floats. ``+ − × ÷``
+and ``sqrt`` round each element on its own, so lane i of a lane run equals
+the one-point run from its state bit for bit, states and counters, provided
+``field`` treats each lane on its own and takes the same operations on
+floats as on arrays. (numpy's ``**`` does not: it rounds differently on
+scalars and on arrays.) Dense output keeps this: :func:`_dense_states` is
+elementwise.
 """
 
 from __future__ import annotations
@@ -329,8 +328,8 @@ def _integrate_point(field, y0, t_end, config, t_eval, steer):
     slots = [j for j, tt in enumerate(grid) if tt != 0.0]
     # rows at t = 0 keep the initial state
     out = None if t_eval is None else np.repeat(y0[None], len(t_eval), axis=0)
-    *counters, first, second = _one_point_run(dim, steer)(field, y, k0, h, t_end, targets, slots, out,
-                                                   config.rtol, config.atol, config.max_steps)
+    *counters, first, second = _one_point_run(dim, steer)(
+        field, y, k0, h, t_end, targets, slots, out, config.rtol, config.atol, config.max_steps)
     if out is None:
         return np.array(first), np.array(second).reshape(-1, dim), *counters
     if second:
@@ -394,10 +393,8 @@ def integrate(field: Callable, y0: Sequence[float], t_end: float,
     then has shape (lanes,), and ``t`` holds the per-lane times. See the
     module docstring.
 
-    Only the first ``steer`` columns of the state (default: all) steer the
-    step: the error norm and the first step's estimate read them alone. A
-    variational run that steers by its base coordinates takes the steps of
-    the plain run.
+    The error norm and the first step's estimate read only the first
+    ``steer`` columns of the state (default: all), which steer the steps.
 
     Raises :class:`MaxStepsExceeded` or :class:`StepSizeUnderflow` carrying
     the last time the failing lane reached.

@@ -361,7 +361,8 @@ class _Tape:
         target = self._seen.get(expr)  # the same expression twice gives the same bits
         if target is None:
             target = self._seen[expr] = self.name()
-            self.lines.append((target, expr, [_operand(a) for a in operands]))
+            # an operand's code is a variable or constant, or its negation
+            self.lines.append((target, expr, [a.lstrip("-") for a in operands]))
         return target
 
     def code(self, x):
@@ -411,14 +412,7 @@ class _Tape:
         return self.emit("{} - {}", a, b)
 
     def neg(self, a):  # no assignment of its own; −(−a) is a, bit for bit
-        if a is None:
-            return None
-        return a[1:] if a.startswith("-") else f"-{a}"
-
-
-def _operand(code):
-    """The tape variable, constant or literal that ``code`` reads."""
-    return code.lstrip("-")
+        return a if a is None else a[1:] if a.startswith("-") else f"-{a}"
 
 
 class _Trace:
@@ -553,7 +547,7 @@ def _codes(tape, out, n):
 def _compile(tape, params, outputs, name, guard=None):
     """``def name(*params): return (*outputs,)`` from the tape, dead code left
     out; with a ``guard``, ``return guard, (*outputs,)``."""
-    needed, body = {_operand(o) for o in [*outputs, guard] if o is not None}, []
+    needed, body = {o.lstrip("-") for o in [*outputs, guard] if o is not None}, []
     for target, expr, operands in reversed(tape.lines):
         if target in needed:  # dead code (e.g. f's own value) is left out
             body.append(f"    {target} = {expr}\n")
