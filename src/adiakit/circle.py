@@ -1,9 +1,11 @@
 """The circle action generated by the normalized fast flow, and its operators.
 
-The fast Hamiltonian field divided by the frequency function generates a
-2π-periodic flow. Averaging ⟨f⟩ and the zero-mean integrating operator 𝒮(f)
-are evaluated spectrally: sample the orbit profile at N equispaced phases,
-take discrete Fourier coefficients f̂_n, then
+The fast Hamiltonian field divided by the frequency function ω generates a
+2π-periodic flow. ω is constant along each fast orbit (the period–energy
+hypothesis), so a numeric run checks ω > 0 once, at its base points.
+Averaging ⟨f⟩ and the zero-mean integrating operator 𝒮(f) are evaluated
+spectrally: sample the orbit profile at N equispaced phases, take discrete
+Fourier coefficients f̂_n, then
 
     ⟨f⟩ = f̂_0,          𝒮(f) = Σ_{n≠0} f̂_n / (i n).
 
@@ -40,7 +42,7 @@ import numpy as np
 from . import kernel as sk
 from .errors import NumericalError, UnresolvedQuadrature, UnsupportedDerivative
 from .integrators import IntegratorConfig, integrate
-from .phase import DEFAULT_ENGINE, PhasePoint, SlowFastSystem
+from .phase import DEFAULT_ENGINE, PhasePoint, SlowFastSystem, positive_omega
 
 __all__ = [
     "CircleAction",
@@ -159,14 +161,6 @@ def _finite_samples(values, orbit, what: str) -> np.ndarray:
     return vals
 
 
-def _positive_point(omega):
-    return omega > 0.0  # a NaN fails the comparison too
-
-
-def _positive_lanes(omega):
-    return np.greater(omega, 0.0).all()
-
-
 def _with_node_axis(c):
     return sk.map_parts(lambda a: np.asarray(a, dtype=float)[..., None], c)
 
@@ -211,13 +205,13 @@ class CircleAction:
     runs at the smallest N ≤ ``nodes`` that resolves its profiles
     (``resolve``), and ``orbit`` samples ``nodes`` phases.
 
-    Numeric flows and orbits integrate Υ to ``ORBIT_RTOL`` and ``ORBIT_ATOL``
-    through code traced once per action (``_field``). An orbit of a dual state
-    integrates Υ's variational equation in the same run, so its samples carry
-    exact derivatives too. A single point (``flow``, ``check_periodicity``, the
-    orbit of one point) runs as ``integrate``'s emitted 1-D run on floats; a
-    batch of two or more points runs as the lanes of one stacked run. A point
-    gives the same bits either way. ``check_periodicity`` returns a residual.
+    Numeric flows and orbits check ω > 0 once per run, at the base points, and
+    integrate Υ to ``ORBIT_RTOL`` and ``ORBIT_ATOL`` through code traced once
+    per action (``_field``). An orbit of a dual state integrates Υ's
+    variational equation in the same run, so its samples carry exact
+    derivatives too. A single point (``flow``, ``check_periodicity``, the orbit
+    of one point) runs as ``integrate``'s emitted 1-D run on floats; a batch of
+    two or more points runs as the lanes of one stacked run, with the same bits.
     """
 
     system: SlowFastSystem
@@ -252,49 +246,37 @@ class CircleAction:
         return float(np.linalg.norm(self.flow(TWO_PI, m).coords - m.coords))
 
     def _normalized_field(self, fast, slow):
-        """[ω, Υ] on kernel scalars, Υ = (−∂_xH, ∂_yH)/ω, with the fast
-        gradient of H taken by one Dual pass per fast coordinate."""
+        """Υ = (−∂_xH, ∂_yH)/ω on kernel scalars, with the fast gradient of H
+        taken by one Dual pass per fast coordinate."""
         r = self.system.r
         g = DEFAULT_ENGINE.partials(self.system.H, fast, slow, "fast")
         w = self.system.omega(fast, slow)
-        return [w] + [-d / w for d in g[r:]] + [d / w for d in g[:r]]
+        return [-d / w for d in g[r:]] + [d / w for d in g[:r]]
 
     def _field(self, directions: int):
         """The normalized fast field Υ and, along D = ``directions`` tangent
         directions, its variational equation V' = ∂_zΥ·V + ∂_wΥ·W: code traced
         from ``_normalized_field`` once per D (``kernel.tangent``).
 
-        ``bind(*slow, *W, positive)`` binds the 2k slow values and their
-        tangents W and returns ``rhs(t, y)`` over the 2r fast columns and their
-        tangents V (tangents coordinate by coordinate, D each). It serves one
-        point (floats) and lanes ((lanes,) arrays) alike. ω is a traced guard
-        output, returned apart from Υ and its tangents, so a call computes it
-        once, and ``rhs`` raises :class:`NumericalError` unless ``positive(ω)``
-        holds. On floats ω = 0 divides by zero inside the traced code, before
-        the check: only then is ω evaluated again, to tell that case from other
-        divisions by zero.
+        ``bind(*slow, *W)`` binds the 2k slow values and their tangents W and
+        returns ``rhs(t, y)`` over the 2r fast columns and their tangents V
+        (tangents coordinate by coordinate, D each). It serves one point
+        (floats) and lanes ((lanes,) arrays) alike. ``rhs`` is one call of the
+        traced code and checks nothing: ω is constant along each orbit (the
+        period–energy hypothesis), so ``_integrate_points`` checks it once per
+        base point.
         """
         bind = self._fields.get(directions)
         if bind is None:
             r, k, n = self.system.r, self.system.k, directions
             z, s = [f"z{i}" for i in range(2 * r)], [f"s{i}" for i in range(2 * k)]
             v, w_dot = [f"v{i}" for i in range(2 * r * n)], [f"ws{i}" for i in range(2 * k * n)]
-            source = (f"def bind({', '.join(s + w_dot + ['positive'])}):\n"
-                      f"    slow = [{', '.join(s)}]\n"
+            source = (f"def bind({', '.join(s + w_dot)}):\n"
                       "    def rhs(t, y):\n"
                       f"        {', '.join(z + v)}, = y\n"
-                      "        try:\n"
-                      f"            w, out = tangent({', '.join(z + s + v + w_dot)})\n"
-                      "        except ZeroDivisionError:\n"
-                      f"            w = omega([{', '.join(z)}], slow)\n"
-                      "            if positive(w):\n"
-                      "                raise\n"
-                      "        if not positive(w):\n"
-                      "            raise NumericalError('frequency function must stay positive')\n"
-                      "        return out\n"
+                      f"        return tangent({', '.join(z + s + v + w_dot)})\n"
                       "    return rhs\n")
             bind = self._fields[n] = sk.exec_emitted(source, "<normalized fast field>", {
-                "NumericalError": NumericalError, "omega": self.system.omega,
                 "tangent": sk.tangent(self._normalized_field, (2 * r, 2 * k), n)})["bind"]
         return bind
 
@@ -306,18 +288,19 @@ class CircleAction:
         A single point runs as a 1-D state (``integrate``'s one-point run),
         two or more points as lanes of one run. The fast coordinates alone
         steer the steps, so that a lifted orbit steps as its plain orbit does.
+        ω is checked once, at the base points (``positive_omega``).
         """
         n_fast, split = 2 * self.system.r, 2 * self.system.r * tangents.shape[-1]
         flat = tangents.reshape(len(points), -1)
         y0 = np.concatenate([points[:, :n_fast], flat[:, :split]], axis=1)
         bound = np.concatenate([points[:, n_fast:], flat[:, split:]], axis=1)
+        positive_omega(self.system, list(points.T[:n_fast]), list(points.T[n_fast:]))
         bind = self._field(tangents.shape[-1])
         cfg = IntegratorConfig(rtol=ORBIT_RTOL, atol=ORBIT_ATOL)
         if len(points) == 1:
-            rhs = bind(*bound[0].tolist(), _positive_point)
+            rhs = bind(*bound[0].tolist())
             return integrate(rhs, y0[0], t_end, cfg, t_eval=t_eval, steer=n_fast).states[:, None]
-        return integrate(bind(*bound.T, _positive_lanes), y0, t_end, cfg, t_eval=t_eval,
-                         steer=n_fast).states
+        return integrate(bind(*bound.T), y0, t_end, cfg, t_eval=t_eval, steer=n_fast).states
 
     # -- orbit sampling -----------------------------------------------------
 

@@ -111,7 +111,7 @@ def _h_gradient(h, r, k):
     return sk.gradient(h, (2 * r, 2 * k), range(2 * r + 2 * k))
 
 
-_last_build = []  # the last config a sweep built, and its build, shared by its ε
+_last_build = []  # the last config built, and its build: shared by a sweep and its F₂ check
 
 
 def _build(config: RunConfig):
@@ -301,7 +301,7 @@ def check_f2(config: RunConfig) -> dict:
     ``F2_RESIDUAL_TOL`` and, when the fixture carries a closed-form second
     correction, when it reproduces that value to ``F2_CLOSED_TOL``.
     """
-    fixture, action, initial = config.build()
+    fixture, action, initial = _build(config)
     (value, residual), _, resolved = resolve_ty3(fixture.system, action, initial)
     closed_diff = None
     if fixture.closed_f2 is not None:

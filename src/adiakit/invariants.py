@@ -81,10 +81,10 @@ import numpy as np
 from . import kernel as sk
 from .circle import (CircleAction, OrbitSamples, fourier_mean, resolved_value, s_at_nodes,
                      s_from_samples)
-from .errors import NumericalError, UnsupportedDerivative, UnsupportedOrder
+from .errors import UnsupportedDerivative, UnsupportedOrder
 from .phase import (DEFAULT_ENGINE, PhasePoint, SlowFastSystem,
                     bracket_of_partials, field_fast, field_full, grad_fast,
-                    grad_full)
+                    grad_full, positive_omega)
 
 __all__ = [
     "HypothesisReport",
@@ -122,7 +122,7 @@ def check_momentum_map(system: SlowFastSystem, m: PhasePoint) -> float:
     """Residual ‖d₀J − d₀H/ω‖ of the momentum-map relation at ``m``."""
     dj = grad_fast(system, system.J, m)
     dh = grad_fast(system, system.H, m)
-    return float(np.linalg.norm(dj - dh / float(sk.value(_omega_at(system, *m.state())))))
+    return float(np.linalg.norm(dj - dh / float(sk.value(positive_omega(system, *m.state())))))
 
 
 def check_period_energy(system: SlowFastSystem, m: PhasePoint) -> float:
@@ -209,7 +209,7 @@ def momentum_from_action(system: SlowFastSystem, action: CircleAction, m: PhaseP
 
     lifted = [sk.Dual(c, e, tag) for c, e in zip(fast, np.eye(2 * r))]
     avg = resolved_value(action.resolve(average, lifted, slow))
-    omega = float(sk.value(system.omega(fast, slow)))
+    omega = float(sk.value(positive_omega(system, fast, slow)))
     return float(np.dot(avg, field_fast(system, m)) / omega)
 
 
@@ -247,14 +247,6 @@ def _k1_nodes(dh, dj, orbit: OrbitSamples):
     return 0.5 * _profile_of(bracket_of_partials(_theta_nodes(dj, orbit), dh), orbit)
 
 
-def _omega_at(system, fast, slow):
-    """ω on a raw state (duals kept), checked positive (a NaN fails too)."""
-    om = system.omega(fast, slow)
-    if not np.all(np.asarray(sk.value(om)) > 0.0):
-        raise NumericalError("frequency must be positive on the evaluation set")
-    return om
-
-
 def _f1_nodes(system, orbit: OrbitSamples):
     """(F₁ at every node m_j of one orbit, slow partials of H there).
 
@@ -265,7 +257,7 @@ def _f1_nodes(system, orbit: OrbitSamples):
     dh, dj = _slow_partials(system, orbit)
     shj = s_at_nodes(_bracket1_profile(dh, dj, orbit))
     k1_avg = fourier_mean(_k1_nodes(dh, dj, orbit), keepdims=True)
-    omega = _profile_of(_omega_at(system, orbit.fast, orbit.slow), orbit)
+    omega = _profile_of(positive_omega(system, orbit.fast, orbit.slow), orbit)
     return -(shj + k1_avg) / omega, dh
 
 
@@ -391,7 +383,7 @@ class InvariantSeries:
                 lambda orbit: _at_base(_f1_nodes(system, orbit)[0], orbit), fast, slow)
             return (j_vals, f1_vals, 0.0), n, resolved
         (_, f1_vals, s_vals), n, resolved = _h_f1_bracket(system, self.action, fast, slow)
-        return (j_vals, f1_vals, -2.0 * s_vals / _omega_at(system, fast, slow)), n, resolved
+        return (j_vals, f1_vals, -2.0 * s_vals / positive_omega(system, fast, slow)), n, resolved
 
     def terms_state(self, fast, slow):
         """(J, F₁, F₂) on a raw kernel state (``resolve_state``)."""
@@ -452,7 +444,7 @@ def ty2_residual(system: SlowFastSystem, action: CircleAction, m: PhasePoint) ->
     avg = resolved_value(action.resolve(
         lambda orbit: fourier_mean(_bracket1_profile(*_slow_partials(system, orbit), orbit)),
         fast, slow))
-    return abs(float(avg)) / float(sk.value(_omega_at(system, fast, slow)))
+    return abs(float(avg)) / float(sk.value(positive_omega(system, fast, slow)))
 
 
 def resolve_ty3(system: SlowFastSystem, action: CircleAction, m: PhasePoint):
@@ -465,6 +457,6 @@ def resolve_ty3(system: SlowFastSystem, action: CircleAction, m: PhasePoint):
     system.require_in_domain(m)
     fast, slow = ([np.array([c]) for c in block] for block in (m.fast, m.slow))
     (bracket, _, s_vals), n, resolved = _h_f1_bracket(system, action, fast, slow)
-    omega = np.ravel(sk.value(_omega_at(system, fast, slow)))[0]
+    omega = np.ravel(sk.value(positive_omega(system, fast, slow)))[0]
     mean = np.ravel(fourier_mean(sk.value(bracket)))[0]
     return (float(-2.0 * s_vals[0] / omega), float(2.0 * abs(mean) / omega)), n, resolved

@@ -50,7 +50,8 @@ and numpy float64 scalars round alike: both ``**`` call the C library's
 
 :func:`tangent` compiles an oracle's outputs with their derivatives along
 given input tangents (Jacobian-vector products, as in a variational
-equation), seeding each coordinate with its tangent codes.
+equation), seeding each coordinate with its tangent codes; it returns the
+values, then the tangents, as one flat tuple.
 
 The tracer knows ``+ - * /``, unary minus, integer ``**`` and this module's
 ``sqrt/sin/cos/exp/log``. Anything else raises
@@ -544,19 +545,15 @@ def _codes(tape, out, n):
     return tape.code(out), ["0.0" if a is None else a for a in d]
 
 
-def _compile(tape, params, outputs, name, guard=None):
-    """``def name(*params): return (*outputs,)`` from the tape, dead code left
-    out; with a ``guard``, ``return guard, (*outputs,)``."""
-    needed, body = {o.lstrip("-") for o in [*outputs, guard] if o is not None}, []
+def _compile(tape, params, outputs, name):
+    """``def name(*params): return (*outputs,)`` from the tape, dead code left out."""
+    needed, body = {o.lstrip("-") for o in outputs}, []
     for target, expr, operands in reversed(tape.lines):
         if target in needed:  # dead code (e.g. f's own value) is left out
             body.append(f"    {target} = {expr}\n")
             needed.update(operands)
-    result = f"({', '.join(outputs)},)"
-    if guard is not None:
-        result = f"{guard}, {result}"
     source = (f"def {name}({', '.join(params)}):\n" + "".join(reversed(body))
-              + f"    return {result}\n")
+              + f"    return ({', '.join(outputs)},)\n")
     fn = exec_emitted(source, f"<traced {name}>", dict(_FUNCTIONS, **tape.consts))[name]
     fn.source = source
     return fn
@@ -586,18 +583,16 @@ def trace_tangent(f, blocks, directions):
     ``f`` takes one list of kernel scalars per entry of ``blocks``, returns a
     list of outputs, and may take :class:`Dual` passes of its own. The
     returned function takes the flat coordinates, then ``directions`` tangent
-    components per coordinate. The first output is a value to check, not a
-    result (the numeric-orbit field's ω): the function returns its value, then
-    one tuple of the other outputs' values and their ``directions`` tangent
-    components each. Raises :class:`TraceError` like :func:`trace_gradient`.
+    components per coordinate, and returns one flat tuple: the outputs'
+    values, then their ``directions`` tangent components each. Raises
+    :class:`TraceError` like :func:`trace_gradient`.
     """
     dots = [tuple(f"t{i}_{d}" for d in range(directions)) for i in range(sum(blocks))]
     # no directions: plain values, not duals, so that x/y is traced as x/y
     tape, args, out = _record(f, blocks, [d or None for d in dots])
-    guard, *results = [_codes(tape, o, directions) for o in out]
+    results = [_codes(tape, o, directions) for o in out]
     return _compile(tape, args + [t for d in dots for t in d],
-                    [v for v, _ in results] + [t for _, d in results for t in d], "tangent",
-                    guard[0])
+                    [v for v, _ in results] + [t for _, d in results for t in d], "tangent")
 
 
 def _multidual_gradient(f, blocks, seeded):
@@ -629,20 +624,19 @@ def _multidual_tangent(f, blocks, directions):
         coords = [Dual(c, np.reshape(args[n + i * directions:n + (i + 1) * directions],
                                      (directions,) + np.shape(c)), tag) if directions else c
                   for i, c in enumerate(args[:n])]
-        guard, *results = [o if isinstance(o, Dual) and o.tag == tag
-                           else Dual(o, np.zeros(directions), tag)
-                           for o in f(*_blocks(coords, blocks))]
-        return guard.val, (tuple(o.val for o in results)
-                           + tuple(e for o in results for e in o.eps))
+        results = [o if isinstance(o, Dual) and o.tag == tag
+                   else Dual(o, np.zeros(directions), tag)
+                   for o in f(*_blocks(coords, blocks))]
+        return tuple(o.val for o in results) + tuple(e for o in results for e in o.eps)
 
     return tangent
 
 
 def tangent(f, blocks, directions):
-    """The first output's value and the other outputs' values and tangents as
-    a function of the coordinates and their tangents: :func:`trace_tangent`,
-    or, when ``f`` cannot be traced, one multidual evaluation of ``f`` per
-    call with the same results.
+    """The outputs' values and tangents, flat, as a function of the
+    coordinates and their tangents: :func:`trace_tangent`, or, when ``f``
+    cannot be traced, one multidual evaluation of ``f`` per call with the same
+    results.
     """
     try:
         return trace_tangent(f, blocks, directions)

@@ -31,6 +31,7 @@ __all__ = [
     "Box",
     "SlowFastSystem",
     "DiffEngine",
+    "positive_omega",
     "grad_fast",
     "grad_slow",
     "grad_full",
@@ -161,6 +162,14 @@ class DiffEngine:
 
 
 DEFAULT_ENGINE = DiffEngine()
+
+
+def positive_omega(system: SlowFastSystem, fast, slow):
+    """ω on a raw state (duals kept), checked positive (a NaN fails too)."""
+    om = system.omega(fast, slow)
+    if not np.all(np.asarray(sk.value(om)) > 0.0):
+        raise NumericalError("frequency must be positive on the evaluation set")
+    return om
 
 
 def _stack(parts):

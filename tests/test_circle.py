@@ -144,6 +144,26 @@ def test_numeric_dual_orbit_matches_analytic_dual_parts(request, fixture_name):
             assert np.allclose(got.eps, want.eps, rtol=0.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("flow_mode, bound", [("analytic", 2e-15), ("numeric", 1e-9)])
+@pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
+def test_lifted_orbit_jacobians_are_symplectic(request, rng, fixture_name, flow_mode, bound):
+    # at frozen slow coordinates the fast flow is Hamiltonian, so M = ∂Fl/∂z₀
+    # at every node satisfies MᵀΩM = Ω. A numeric M is read off the variational
+    # columns, which do not steer the steps: the defect ‖MᵀΩM − Ω‖ (Frobenius)
+    # gates their error. Measured over 20 box points for each of 31 seeds:
+    # at most 2.6e-10 numeric (2.2e-10 at this seed) and 6.3e-16 analytic
+    fixture = request.getfixturevalue(fixture_name)
+    points = np.stack([m.coords for m in sample_points(fixture, rng, 20)])
+    action = CircleAction(fixture.system, flow_mode=flow_mode, nodes=64)
+    orbit = action.orbit(*_dual_state(points.T, np.eye(4)[:, :, None], sk.fresh_tag()))
+    shape = (4, 20, 64)  # directions, lanes, nodes
+    jac = np.stack([np.broadcast_to(c.eps, shape)[:2] for c in orbit.fast])
+    jac = np.moveaxis(jac, (0, 1), (-2, -1))  # (lanes, nodes, 2, 2): ∂(y, x)/∂(y₀, x₀)
+    omega = np.array([[0.0, -1.0], [1.0, 0.0]])
+    defect = np.linalg.norm(np.swapaxes(jac, -1, -2) @ omega @ jac - omega, axis=(-2, -1))
+    assert defect.max() <= bound
+
+
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
 def test_numeric_dual_orbit_batch_equals_point_by_point(request, rng, monkeypatch,
                                                         fixture_name):
@@ -204,18 +224,19 @@ def test_numeric_orbit_rejects_nested_duals(pendulum):
 
 
 def test_numeric_rhs_evaluates_omega_once(particle):
-    # omega is an output of the traced field: after tracing, the oracle is
-    # not called again, however many RHS calls the runs make
+    # omega is checked once per run, at its base points, and the traced field
+    # divides by the omega it computes itself: the oracle is called by the
+    # trace and then once per run, however many RHS calls the runs make
     calls, omega = [], particle.system.omega
     system = replace(particle.system, omega=lambda f, s: calls.append(1) or omega(f, s))
     action = CircleAction(system, flow_mode="numeric", nodes=8)
     m = particle.initial
     action.flow(0.1, m)
-    traced = len(calls)
+    assert len(calls) == 2
     action.flow(TWO_PI, m)
     pair = [np.array([c, c + 0.01]) for c in m.coords]
     action.orbit(pair[:2], pair[2:])
-    assert len(calls) == traced
+    assert len(calls) == 4
 
 
 def scaled_oscillator():

@@ -246,6 +246,30 @@ def test_order_sweep_traces_h_gradient_once(monkeypatch):
     assert len(traces) == 1
 
 
+@pytest.mark.parametrize("fixture", ["elastic_pendulum", "charged_particle"])
+def test_numeric_drift_traces_the_orbit_field_once_per_direction_count(tmp_path, capsys,
+                                                                        monkeypatch, fixture):
+    # the F2 check and the sweep share one build, and so one action, which
+    # traces its orbit field once for each number D of tangent directions
+    traces = []
+    record = kernel._record
+
+    def counted(f, blocks, tangents):
+        if getattr(f, "__qualname__", "") == "CircleAction._normalized_field":
+            traces.append(len(next((d for d in tangents if d), ())))
+        return record(f, blocks, tangents)
+
+    monkeypatch.setattr(kernel, "_record", counted)
+    monkeypatch.setattr(experiments, "_last_build", [])
+    config = tmp_path / "numeric.ini"
+    config.write_text(f"[fixture]\nname = {fixture}\n\n[quadrature]\nnodes = 16\n"
+                      "flow_mode = numeric\n\n[experiment]\neps = 0.2,0.1\nsamples = 8\n",
+                      encoding="utf-8")
+    main(["drift", "--config", str(config), "--out", str(tmp_path / "out"), "--workers", "1"])
+    assert "F2 check" in capsys.readouterr().out
+    assert traces == [4]  # order 2 reads F1 off the lifted orbit too
+
+
 def test_order_sweep_takes_eps_descending_and_serialize_keeps_their_order():
     config = RunConfig.parse("[quadrature]\nnodes = 16\n\n"
                              "[experiment]\neps = 0.1,0.2\nsamples = 8\norders = 0,1\n")

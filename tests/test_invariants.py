@@ -20,6 +20,7 @@ from adiakit import circle, invariants
 from adiakit import kernel as sk
 from adiakit.circle import resolved_value
 from adiakit.invariants import d1j_coeffs, resolve_ty3, series_values
+from adiakit.phase import positive_omega
 from adiakit.sl2 import f2_closed
 
 from conftest import nondegenerate_system, sample_points, theta_and_k1
@@ -135,6 +136,24 @@ def test_action_from_primitive_harmonic_oscillator():
     assert momentum_from_action(system, action, m) == pytest.approx(expected, abs=1e-12)
     center = PhasePoint([0.0, 0.0], [0.0, 0.0])
     assert momentum_from_action(system, action, center) == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("omega", [-1.0, 0.0, np.nan])
+def test_action_from_primitive_rejects_a_nonpositive_frequency(omega):
+    # the action divides by ω: a nonpositive or NaN ω raises instead of
+    # giving a value of the wrong sign, an inf or a NaN
+    def H(fast, slow):
+        y, x = fast
+        return 0.5 * (y * y + x * x)
+
+    def flow(t, fast, slow):
+        y, x = fast
+        c, s = sk.cos(t), sk.sin(t)
+        return [y * c - x * s, x * c + y * s]
+
+    system = SlowFastSystem(r=1, k=1, H=H, omega=lambda f, s: omega, fast_flow=flow)
+    with pytest.raises(NumericalError, match="positive"):
+        momentum_from_action(system, CircleAction(system), PhasePoint([0.6, -0.4], [0.0, 0.0]))
 
 
 def test_action_from_primitive_matches_pendulum_gradients(pendulum, pendulum_action, rng):
@@ -569,7 +588,7 @@ def test_ty3_residual_sees_a_dropped_k1_average(rng, monkeypatch):
     # and the second-order defect reads it (3.6e-4 at this point)
     def f1_nodes_without_k1(system, orbit):
         dh, dj = invariants._slow_partials(system, orbit)
-        omega = invariants._omega_at(system, orbit.fast, orbit.slow)
+        omega = positive_omega(system, orbit.fast, orbit.slow)
         return -circle.s_at_nodes(invariants._bracket1_profile(dh, dj, orbit)) / omega, dh
 
     system = nondegenerate_system(constant_omega=False).system()
