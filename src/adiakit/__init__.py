@@ -19,6 +19,6 @@ from .invariants import (HypothesisReport, InvariantSeries, assemble, check_hypo
                          check_momentum_map, check_period_energy, f1, f2,
                          lie_derivative, momentum_from_action, ty2_residual)
 from .phase import (Box, DiffEngine, PhasePoint, SlowFastSystem, field_fast,
-                    field_full, field_slow, grad_fast, grad_full, grad_slow)
+                    field_full, field_slow, grad_fast, grad_full)
 
 __version__ = "0.1.0"

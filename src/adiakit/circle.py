@@ -42,7 +42,7 @@ import numpy as np
 from . import kernel as sk
 from .errors import NumericalError, UnresolvedQuadrature, UnsupportedDerivative
 from .integrators import IntegratorConfig, integrate
-from .phase import DEFAULT_ENGINE, PhasePoint, SlowFastSystem, positive_omega
+from .phase import PhasePoint, SlowFastSystem, positive_omega, velocity
 
 __all__ = [
     "CircleAction",
@@ -246,12 +246,10 @@ class CircleAction:
         return float(np.linalg.norm(self.flow(TWO_PI, m).coords - m.coords))
 
     def _normalized_field(self, fast, slow):
-        """Υ = (−∂_xH, ∂_yH)/ω on kernel scalars, with the fast gradient of H
-        taken by one Dual pass per fast coordinate."""
-        r = self.system.r
-        g = DEFAULT_ENGINE.partials(self.system.H, fast, slow, "fast")
+        """Υ = (−∂_xH, ∂_yH)/ω on kernel scalars (``phase.velocity``)."""
+        v = velocity(self.system.H, fast, slow, "fast")
         w = self.system.omega(fast, slow)
-        return [-d / w for d in g[r:]] + [d / w for d in g[:r]]
+        return [d / w for d in v]
 
     def _field(self, directions: int):
         """The normalized fast field Υ and, along D = ``directions`` tangent

@@ -50,7 +50,7 @@ class UnresolvedQuadrature(UserWarning):
 
 
 class TraceError(AdiakitError):
-    """An oracle uses an operation the gradient tracer cannot record."""
+    """An oracle uses an operation the tracer cannot record."""
 
 
 class NotFound(AdiakitError):

@@ -28,7 +28,7 @@ from .config import RunConfig
 from .errors import SlopeUndefined
 from .integrators import IntegratorConfig, integrate
 from .invariants import InvariantSeries, resolve_ty3, series_values
-from .phase import PhasePoint
+from .phase import PhasePoint, velocity
 
 __all__ = [
     "DriftCell",
@@ -80,35 +80,35 @@ class SlopeFit:
 # ---------------------------------------------------------------------------
 
 def full_field(system, eps: float):
-    """Vector field of the perturbed system as a (t, y) -> dy callable on
-    coordinate columns (``integrators``' contract: floats for one point,
-    arrays over lanes for a lane run).
+    """Vector field of the perturbed system, (ẏ, ẋ, ṗ, q̇) = (−∂H/∂x, ∂H/∂y,
+    −ε·∂H/∂q, ε·∂H/∂p), as a (t, y) -> dy callable on coordinate columns
+    (``integrators``' contract), equal bit for bit to ``phase.field_full``.
 
-    One call of H's compiled gradient (``kernel.gradient``) per call delivers
-    the whole gradient.
+    It is ``phase.velocity`` of each block, traced once per H with ε as one
+    more input (``kernel.tangent``, no tangent directions): a call is one call
+    of the traced code. One point's Python floats round as numpy's float64
+    scalars do, but raise where numpy returns inf (a division by an exact 0.0,
+    an overflowing ``**``). An H that the tracer cannot record costs 2r + 2k
+    dual passes per call instead.
     """
-    r, k = system.r, system.k
-    grad = _h_gradient(system.H, r, k)
-    # (ẏ, ẋ, ṗ, q̇) = (−∂H/∂x, ∂H/∂y, −ε·∂H/∂q, ε·∂H/∂p) from the gradient
-    # (∂H/∂y, ∂H/∂x, ∂H/∂p, ∂H/∂q), emitted as straight-line code. One
-    # point's coordinates arrive as Python floats, which round as numpy's
-    # float64 scalars do (``**`` calls the C pow in both), only faster; where
-    # numpy returns inf (a division by an exact 0.0, an overflowing ``**``)
-    # they raise instead
-    g = [f"g{i}" for i in range(system.dim)]
-    velocity = ([f"-{d}" for d in g[r:2 * r]] + g[:r]
-                + [f"neg_eps * {d}" for d in g[2 * r + k:]]
-                + [f"eps * {d}" for d in g[2 * r:2 * r + k]])
-    source = (f"def rhs(t, coords):\n    {', '.join(g)}, = grad(*coords)\n"
-              f"    return [{', '.join(velocity)}]\n")
-    namespace = {"grad": grad, "eps": float(eps), "neg_eps": -float(eps)}
-    return sk.exec_emitted(source, "<full field>", namespace)["rhs"]
+    return _drift_field(system.H, system.r, system.k)(float(eps))
 
 
 @functools.lru_cache(maxsize=1)
-def _h_gradient(h, r, k):
-    """H's compiled gradient over all 2r + 2k coordinates, kept for the last H."""
-    return sk.gradient(h, (2 * r, 2 * k), range(2 * r + 2 * k))
+def _drift_field(h, r, k):
+    """``bind(eps)`` of H's emitted drift field, kept for the last H."""
+    def field(fast, slow, eps):
+        return (velocity(h, fast, slow, "fast")
+                + [eps[0] * v for v in velocity(h, fast, slow, "slow")])
+
+    coords = ", ".join(f"c{i}" for i in range(2 * r + 2 * k))
+    source = ("def bind(eps):\n"
+              "    def rhs(t, coords):\n"
+              f"        {coords}, = coords\n"
+              f"        return tangent({coords}, eps)\n"
+              "    return rhs\n")
+    return sk.exec_emitted(source, "<drift field>", {
+        "tangent": sk.tangent(field, (2 * r, 2 * k, 1), 0)})["bind"]
 
 
 _last_build = []  # the last config built, and its build: shared by a sweep and its F₂ check

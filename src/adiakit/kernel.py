@@ -14,32 +14,36 @@ between duals of different tags treats the lower-tagged one as a constant.
 This keeps nested passes (second derivatives, derivatives through closed
 forms that differentiate internally) from confusing their perturbations.
 
-Compiled gradients
-------------------
-:func:`gradient` turns an oracle into straight-line Python for its gradient
-along chosen coordinates: the evaluation trace and source transformation of
-forward-mode differentiation (Griewank & Walther, *Evaluating Derivatives*,
-2nd ed., ch. 2-3; Wengert, Commun. ACM 7, 1964). The oracle runs once on
-tracer objects, which record each operation as one assignment; the recorded
-code is run once (:func:`exec_emitted`) and then called with plain floats or
-arrays.
+Compiled code
+-------------
+:func:`tangent` is the package's one compiler. It turns an oracle's outputs,
+and their derivatives along given input tangents (Jacobian-vector products,
+as in a variational equation), into straight-line Python: the evaluation
+trace and source transformation of forward-mode differentiation (Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., ch. 2-3; Wengert, Commun. ACM 7,
+1964). The oracle runs once on tracer objects, which record each operation
+as one assignment; the recorded code is run once (:func:`exec_emitted`) and
+then called with plain floats or arrays. It returns the values, then the
+tangents, as one flat tuple. With no tangent directions it compiles values
+alone: the drift field, whose oracle takes H's partials by ``Dual`` passes of
+its own (``phase.velocity``), as the orbit field's does.
 
 The recording is :class:`Dual`'s own arithmetic on traced parts. A tracer
-value records only its value's code; each seeded coordinate is a ``Dual``
-of such a value and a tangent that holds one code per seeded direction.
+value records only its value's code; each coordinate with tangents is a
+``Dual`` of such a value and a tangent that holds one code per direction.
 ``Dual``'s operators and this module's ``sqrt/sin/cos/exp/log`` then take
-the same branches and formulas as in a multidual pass over the same
-coordinates, and record them; an inner ``Dual`` pass the oracle takes for
-itself nests on top in the same way. Each tangent component of a multidual
-pass is that formula applied to the matching components, and IEEE + - * /
-and ``sqrt`` round each element on its own, so the compiled gradient equals
-the multidual gradient bit for bit. Only exact no-ops are left out: adding a
+the same branches and formulas as in a multidual pass with the same
+tangents, and record them; a ``Dual`` pass the oracle takes for itself
+nests on top in the same way. Each tangent component of a multidual pass is
+that formula applied to the matching components, and IEEE + - * / and
+``sqrt`` round each element on its own, so the compiled code equals the
+multidual evaluation bit for bit. Only exact no-ops are left out: adding a
 zero tangent component, which can change the sign of a zero and nothing
-else, and a product by the literal 1.0 (the seed's tangent, or a constant
-such as a parameter B = 1.0) or a quotient by it, which returns a float or
-float array unchanged. An expression recorded twice is computed once, and
-code the gradient does not use (such as the oracle's own value) is dropped.
-The emitted code is kept as the compiled function's ``source``. The compiled
+else, and a product by the literal 1.0 (the seed's tangent of an inner
+``Dual`` pass, or a constant such as a parameter B = 1.0) or a quotient by
+it, which returns a float or float array unchanged. An expression recorded
+twice is computed once, and code the outputs do not use is dropped. The
+emitted code is kept as the compiled function's ``source``. The compiled
 code computes with the floats or arrays it is called with, so ``**`` and the
 elementary functions see scalars where a multidual pass over the same
 coordinates holds scalars and arrays where it holds arrays; that matters
@@ -48,19 +52,14 @@ and numpy float64 scalars round alike: both ``**`` call the C library's
 ``pow``.) The emitted code calls numpy's ``sqrt/sin/cos/exp/log`` and no
 ``math`` function.
 
-:func:`tangent` compiles an oracle's outputs with their derivatives along
-given input tangents (Jacobian-vector products, as in a variational
-equation), seeding each coordinate with its tangent codes; it returns the
-values, then the tangents, as one flat tuple.
-
 The tracer knows ``+ - * /``, unary minus, integer ``**`` and this module's
 ``sqrt/sin/cos/exp/log``. Anything else raises
 :class:`~adiakit.errors.TraceError` while tracing: a comparison or ``bool``
 (``Dual``'s act on values, which a trace does not have), ``abs``,
-``float()``, a numpy ufunc, :func:`value`. :func:`gradient` and
-:func:`tangent` then fall back to one multidual evaluation per call behind
-the same signature, so an oracle that branches on its inputs still gets its
-exact derivatives, and an oracle's own errors surface when it is evaluated.
+``float()``, a numpy ufunc, :func:`value`. :func:`tangent` then falls back
+to one multidual evaluation per call behind the same signature, so an oracle
+that branches on its inputs still gets its exact derivatives, and an
+oracle's own errors surface when it is evaluated.
 
 Code cache
 ----------
@@ -71,9 +70,11 @@ beside this package's own bytecode, as ``__pycache__`` keeps a module's (PEP
 and source and by ``MAGIC_NUMBER``, used only if it holds the same source.
 Any other entry is compiled and rewritten, through a file named with the
 process id and ``os.replace``, so that workers may race; where it cannot be
-written, the code stays in memory. ``PYTHONDONTWRITEBYTECODE`` is not
-consulted: it governs imported modules' ``.pyc`` files, and environments that
-set it would compile every emitted source in every process again.
+written, the code stays in memory. A load refreshes its entry's mtime, and a
+write removes the least recently used entries beyond ``_CODE_CACHE_CAP``.
+``PYTHONDONTWRITEBYTECODE`` is not consulted: it governs imported modules'
+``.pyc`` files, and environments that set it would compile every emitted
+source in every process again.
 """
 
 from __future__ import annotations
@@ -97,8 +98,6 @@ __all__ = [
     "extract_partial",
     "map_parts",
     "broadcast",
-    "gradient",
-    "trace_gradient",
     "tangent",
     "trace_tangent",
     "exec_emitted",
@@ -331,10 +330,10 @@ def log(x):
 
 
 # ---------------------------------------------------------------------------
-# Gradient tracer (see "Compiled gradients" in the module docstring)
+# Tracer (see "Compiled code" in the module docstring)
 # ---------------------------------------------------------------------------
 
-_ONE = "1.0"  # a seed's tangent along its own direction, and the constant 1.0
+_ONE = "1.0"  # an inner Dual pass's seed tangent, and the constant 1.0
 _FUNCTIONS = {"sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}
 
 
@@ -545,38 +544,6 @@ def _codes(tape, out, n):
     return tape.code(out), ["0.0" if a is None else a for a in d]
 
 
-def _compile(tape, params, outputs, name):
-    """``def name(*params): return (*outputs,)`` from the tape, dead code left out."""
-    needed, body = {o.lstrip("-") for o in outputs}, []
-    for target, expr, operands in reversed(tape.lines):
-        if target in needed:  # dead code (e.g. f's own value) is left out
-            body.append(f"    {target} = {expr}\n")
-            needed.update(operands)
-    source = (f"def {name}({', '.join(params)}):\n" + "".join(reversed(body))
-              + f"    return ({', '.join(outputs)},)\n")
-    fn = exec_emitted(source, f"<traced {name}>", dict(_FUNCTIONS, **tape.consts))[name]
-    fn.source = source
-    return fn
-
-
-def trace_gradient(f, blocks, seeded):
-    """Compiled gradient of ``f`` along the flat coordinates ``seeded``.
-
-    ``f`` takes one list of kernel scalars per entry of ``blocks`` (the list
-    lengths), like the ``(fast, slow)`` oracles of a system. The returned
-    function takes the flat coordinates as positional floats or arrays and
-    returns the partials along ``seeded`` as a tuple, equal bit for bit to a
-    multidual pass (module docstring). Raises :class:`TraceError` when ``f``
-    uses an operation the tracer does not know.
-    """
-    seeded = list(seeded)
-    tangents = [None] * sum(blocks)
-    for j, i in enumerate(seeded):
-        tangents[i] = tuple(_ONE if jj == j else None for jj in range(len(seeded)))
-    tape, args, out = _record(f, blocks, tangents)
-    return _compile(tape, args, _codes(tape, out, len(seeded))[1], "gradient")
-
-
 def trace_tangent(f, blocks, directions):
     """Compiled values and directional derivatives of ``f``'s outputs.
 
@@ -585,34 +552,23 @@ def trace_tangent(f, blocks, directions):
     returned function takes the flat coordinates, then ``directions`` tangent
     components per coordinate, and returns one flat tuple: the outputs'
     values, then their ``directions`` tangent components each. Raises
-    :class:`TraceError` like :func:`trace_gradient`.
+    :class:`TraceError` on an operation the tracer does not know.
     """
     dots = [tuple(f"t{i}_{d}" for d in range(directions)) for i in range(sum(blocks))]
     # no directions: plain values, not duals, so that x/y is traced as x/y
     tape, args, out = _record(f, blocks, [d or None for d in dots])
     results = [_codes(tape, o, directions) for o in out]
-    return _compile(tape, args + [t for d in dots for t in d],
-                    [v for v, _ in results] + [t for _, d in results for t in d], "tangent")
-
-
-def _multidual_gradient(f, blocks, seeded):
-    """The same partials from one multidual evaluation of ``f`` per call."""
-    seeded = list(seeded)
-    n = len(seeded)
-
-    def grad(*coords):
-        tag = fresh_tag()
-        # one direction axis in front of the coordinates' own axes
-        basis = np.eye(n).reshape((n, n) + (1,) * max(np.ndim(c) for c in coords))
-        coords = list(coords)
-        for j, i in enumerate(seeded):
-            coords[i] = Dual(coords[i], basis[j], tag)
-        out = f(*_blocks(coords, blocks))
-        if isinstance(out, Dual) and out.tag == tag:
-            return tuple(out.eps)
-        return (0.0,) * n
-
-    return grad
+    outputs = [v for v, _ in results] + [t for _, d in results for t in d]
+    needed, body = {o.lstrip("-") for o in outputs}, []
+    for target, expr, operands in reversed(tape.lines):
+        if target in needed:  # dead code (e.g. f's own value) is left out
+            body.append(f"    {target} = {expr}\n")
+            needed.update(operands)
+    source = (f"def tangent({', '.join(args + [t for d in dots for t in d])}):\n"
+              + "".join(reversed(body)) + f"    return ({', '.join(outputs)},)\n")
+    fn = exec_emitted(source, "<traced tangent>", dict(_FUNCTIONS, **tape.consts))["tangent"]
+    fn.source = source
+    return fn
 
 
 def _multidual_tangent(f, blocks, directions):
@@ -644,21 +600,26 @@ def tangent(f, blocks, directions):
         return _multidual_tangent(f, blocks, directions)
 
 
-def gradient(f, blocks, seeded):
-    """Partials of ``f`` along ``seeded`` as a function of the flat coordinates.
-
-    Same arguments and returned function as :func:`trace_gradient`. When
-    ``f`` cannot be traced, the function evaluates ``f`` once on multiduals
-    per call instead, with the same results.
-    """
-    try:
-        return trace_gradient(f, blocks, seeded)
-    except TraceError:
-        return _multidual_gradient(f, blocks, seeded)
-
-
 _CODE_CACHE = os.path.dirname(importlib.util.cache_from_source(__file__))
 _CODE = {}  # (filename, source) -> code object, compiled or loaded by this process
+# Entries kept, the most recently used: each source emitted with other literals
+# or by an older version of the package adds one for good. A tier-1 test run,
+# which emits more distinct sources than any command, writes 71 (8.9 MB)
+_CODE_CACHE_CAP = 128
+
+
+def _prune_code_cache():
+    """Remove the least recently used entries beyond ``_CODE_CACHE_CAP``
+    (a write sets an entry's mtime, a load refreshes it)."""
+    entries = []
+    with contextlib.suppress(OSError), os.scandir(_CODE_CACHE) as found:
+        for entry in found:
+            if entry.name.startswith("emitted-") and "." not in entry.name:  # no temp file
+                with contextlib.suppress(OSError):  # another process removed it
+                    entries.append((entry.stat().st_mtime_ns, entry.path))
+    for _, path in sorted(entries)[:-_CODE_CACHE_CAP]:
+        with contextlib.suppress(OSError):  # another process removed it first
+            os.remove(path)
 
 
 def exec_emitted(source, filename, namespace):
@@ -673,6 +634,8 @@ def exec_emitted(source, filename, namespace):
                 *stored, code = marshal.load(fh)
             if stored != [filename, source] or not isinstance(code, types.CodeType):
                 raise ValueError(f"{path} holds another source")
+            with contextlib.suppress(OSError):  # the entry only looks older
+                os.utime(path)
         except (OSError, EOFError, ValueError, TypeError):
             code, temp = compile(source, filename, "exec"), f"{path}.{os.getpid()}"
             try:
@@ -683,6 +646,8 @@ def exec_emitted(source, filename, namespace):
             except OSError:  # no entry: this process keeps the code in memory
                 with contextlib.suppress(OSError):
                     os.remove(temp)
+            else:
+                _prune_code_cache()
         _CODE[filename, source] = code
     exec(code, namespace)
     return namespace

@@ -33,9 +33,9 @@ __all__ = [
     "DiffEngine",
     "positive_omega",
     "grad_fast",
-    "grad_slow",
     "grad_full",
     "bracket_of_partials",
+    "velocity",
     "field_fast",
     "field_slow",
     "field_full",
@@ -65,7 +65,8 @@ class PhasePoint:
                 and np.array_equal(self.slow, other.slow))
 
     def __hash__(self):
-        return hash((self.fast.tobytes(), self.slow.tobytes()))
+        # + 0.0 turns −0.0 into 0.0: equal points (``array_equal``) hash alike
+        return hash((self.coords + 0.0).tobytes())
 
     @property
     def coords(self) -> np.ndarray:
@@ -147,6 +148,7 @@ class DiffEngine:
     of the package goes through the one attribute ``DiffEngine.partials``,
     looked up at call time as ``DEFAULT_ENGINE.partials``: a profiler that
     wraps that attribute sees every call (``bench/child.py`` counts them).
+    Compiled fields (Υ, the drift field) call it only while they are traced.
     """
 
     def partials(self, f: Callable, fast, slow, block: str):
@@ -190,13 +192,6 @@ def grad_fast(system: SlowFastSystem, f: Callable, m: PhasePoint) -> np.ndarray:
     return _check_finite(_stack(DEFAULT_ENGINE.partials(f, fast, slow, "fast")), "grad_fast")
 
 
-def grad_slow(system: SlowFastSystem, f: Callable, m: PhasePoint) -> np.ndarray:
-    """Slow-block gradient (∂f/∂p_1..p_k, ∂f/∂q_1..q_k) at ``m``."""
-    system.require_in_domain(m)
-    fast, slow = m.state()
-    return _check_finite(_stack(DEFAULT_ENGINE.partials(f, fast, slow, "slow")), "grad_slow")
-
-
 def grad_full(system: SlowFastSystem, f: Callable, m: PhasePoint) -> np.ndarray:
     """Gradient over all 2r + 2k coordinates in flat layout order."""
     system.require_in_domain(m)
@@ -220,18 +215,25 @@ def bracket_of_partials(df, dg):
     return total
 
 
+def velocity(h: Callable, fast, slow, block: str) -> list:
+    """Hamiltonian velocity of one block on kernel scalars: (ẏ, ẋ) = (−∂h/∂x,
+    ∂h/∂y) for ``"fast"``, (ṗ, q̇) = (−∂h/∂q, ∂h/∂p) for ``"slow"``. Every
+    Hamiltonian field of the package (below, Υ, the drift field) takes it."""
+    g = DEFAULT_ENGINE.partials(h, fast, slow, block)
+    n = len(g) // 2
+    return [-d for d in g[n:]] + g[:n]
+
+
 def field_fast(system: SlowFastSystem, m: PhasePoint) -> np.ndarray:
     """Unperturbed Hamiltonian velocity (ẏ, ẋ) = (−∂H/∂x, ∂H/∂y)."""
-    g = grad_fast(system, system.H, m)
-    r = system.r
-    return np.concatenate([-g[..., r:], g[..., :r]], axis=-1)
+    system.require_in_domain(m)
+    return _check_finite(_stack(velocity(system.H, *m.state(), "fast")), "field_fast")
 
 
 def field_slow(system: SlowFastSystem, m: PhasePoint) -> np.ndarray:
     """Perturbation velocity (ṗ, q̇) = (−∂H/∂q, ∂H/∂p), without the ε factor."""
-    g = grad_slow(system, system.H, m)
-    k = system.k
-    return np.concatenate([-g[..., k:], g[..., :k]], axis=-1)
+    system.require_in_domain(m)
+    return _check_finite(_stack(velocity(system.H, *m.state(), "slow")), "field_slow")
 
 
 def field_full(system: SlowFastSystem, m: PhasePoint, eps: float) -> np.ndarray:

@@ -32,7 +32,7 @@ class CodeCache:
         compiles, as a new process starts."""
         sk._CODE.clear()
         integrators._one_point_run.cache_clear()
-        experiments._h_gradient.cache_clear()
+        experiments._drift_field.cache_clear()
         experiments._last_build.clear()
         self.compiled.clear()
 

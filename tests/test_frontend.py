@@ -233,17 +233,23 @@ def test_order_sweep_bytes_independent_of_workers(tmp_path):
     assert b"rhs_calls" not in written[1][1]
 
 
-def test_order_sweep_traces_h_gradient_once(monkeypatch):
+def test_order_sweep_traces_the_drift_field_once(monkeypatch):
     # the ε jobs of a one-worker sweep share one build, and so one trace of
-    # H's gradient; a pool worker keeps its own
+    # H's drift field, ε being one of its inputs; a pool worker keeps its own
     traces = []
-    trace = kernel.trace_gradient
-    monkeypatch.setattr(kernel, "trace_gradient", lambda *a: traces.append(1) or trace(*a))
+    record = kernel._record
+
+    def counted(f, blocks, tangents):
+        if getattr(f, "__qualname__", "") == "_drift_field.<locals>.field":
+            traces.append(blocks)
+        return record(f, blocks, tangents)
+
+    monkeypatch.setattr(kernel, "_record", counted)
     monkeypatch.setattr(experiments, "_last_build", [])
     config = RunConfig(fixture="elastic_pendulum", eps_grid=(0.2, 0.1, 0.05), samples=8,
                        rtol=1e-9, atol=1e-12, nodes=32)
     order_sweep(config, 1)
-    assert len(traces) == 1
+    assert traces == [(2, 2, 1)]
 
 
 @pytest.mark.parametrize("fixture", ["elastic_pendulum", "charged_particle"])

@@ -12,6 +12,7 @@ from adiakit import (IntegratorConfig, MaxStepsExceeded, NumericalError,
 from adiakit.cli import main
 from adiakit.config import RunConfig
 from adiakit.experiments import full_field, order_sweep
+from adiakit.phase import field_full
 from adiakit.integrators import _A, _C, _E3, _E5, _weighted
 
 
@@ -167,6 +168,20 @@ def test_lanes_equal_their_one_lane_runs(t_end):
         for name in COUNTERS:
             assert getattr(lanes, name)[i] == getattr(one, name)
             assert getattr(stacked, name)[0] == getattr(one, name)
+
+
+@pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
+def test_drift_field_equals_field_full_bitwise(request, fixture_name):
+    # the traced drift field and phase.field_full take H's partials by the
+    # same Dual passes, at one point (Python floats) and on lanes (arrays)
+    system = request.getfixturevalue(fixture_name).system
+    points = system.domain.sample(np.random.default_rng(17), 200)
+    for eps in (0.2, 0.05, 0.0125):
+        rhs = full_field(system, eps)
+        want = np.array([field_full(system, system.point(c), eps) for c in points])
+        got = np.array([rhs(0.0, c.tolist()) for c in points])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.transpose(rhs(0.0, list(points.T))), want)
 
 
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])

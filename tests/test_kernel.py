@@ -1,6 +1,7 @@
 """Dual-number arithmetic against analytic derivatives."""
 
 import marshal
+import os
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from adiakit import DiffEngine, SlowFastSystem, get_fixture
 from adiakit import kernel as sk
 from adiakit.errors import TraceError
+from adiakit.phase import velocity
 from adiakit.sl2 import QuadraticSystem, Sl2Field
 
 
@@ -107,7 +109,7 @@ def test_equality_and_truth_follow_values():
     with pytest.raises(TypeError):
         hash(x)
     with pytest.raises(TraceError):  # on a traced coordinate, the branch stops the trace
-        sk.trace_gradient(lambda fast, slow: fast[0] if slow[0] else fast[1], (2, 2), range(4))
+        sk.trace_tangent(lambda fast, slow: [fast[0] if slow[0] else fast[1]], (2, 2), 1)
 
 
 def test_dual_exponent_rejected():
@@ -117,19 +119,20 @@ def test_dual_exponent_rejected():
         x ** x
 
 
-# -- compiled gradients ------------------------------------------------------------
+# -- compiled code -----------------------------------------------------------------
 
-def multidual_reference(f, blocks, seeded, coords):
-    """∂f/∂(seeded) from one multidual evaluation: a direction axis in front."""
-    seeded = list(seeded)
-    n = len(seeded)
+def multidual_tangent_reference(f, blocks, coords, dots):
+    """The outputs' values, then their tangents, from one multidual
+    evaluation, flat; a plain evaluation where ``dots`` have no directions.
+    ``dots[i]`` holds coordinate i's tangent components."""
     tag = sk.fresh_tag()
-    basis = np.eye(n).reshape((n, n) + (1,) * np.ndim(coords[0]))
-    args = list(coords)
-    for j, i in enumerate(seeded):
-        args[i] = sk.Dual(args[i], basis[j], tag)
+    directions = (len(dots[0]),)
+    args = [sk.Dual(c, np.array(d), tag) if directions[0] else c for c, d in zip(coords, dots)]
     split = [args[sum(blocks[:b]):sum(blocks[:b + 1])] for b in range(len(blocks))]
-    return sk.extract_partial(f(*split), tag)
+    out = f(*split)
+    shape = directions + np.shape(coords[0])
+    return ([sk.value(o) for o in out]
+            + [e for o in out for e in np.broadcast_to(sk.extract_partial(o, tag), shape)])
 
 
 def assert_same_partials(got, want):
@@ -137,6 +140,30 @@ def assert_same_partials(got, want):
     for g, w in zip(got, want):
         g, w = np.broadcast_arrays(g, w)
         assert np.array_equal(g, w)
+
+
+def assert_compiled_equals_multidual(f, blocks, dots, points):
+    """``trace_tangent`` of ``f`` along ``dots`` (coordinates, directions)
+    equals a multidual evaluation bit for bit at each of ``points`` (rows),
+    as numpy's float64 scalars and as Python floats, and on the points as
+    lanes."""
+    tangent = sk.trace_tangent(f, blocks, dots.shape[1])  # traceable: no fallback
+    for point in points:
+        for coords in (list(point), point.tolist()):
+            assert_same_partials(tangent(*coords, *dots.ravel().tolist()),
+                                 multidual_tangent_reference(f, blocks, coords, dots.tolist()))
+    lanes = list(points.T)  # one array of lanes per coordinate
+    lane_dots = [[np.full(len(points), d) for d in row] for row in dots]
+    assert_same_partials(tangent(*lanes, *[d for row in lane_dots for d in row]),
+                         multidual_tangent_reference(f, blocks, lanes, lane_dots))
+
+
+def gradient_oracle(system, seeding):
+    """(f, blocks, dots) of H's gradient as tangents along the unit
+    directions of all coordinates or of the fast ones."""
+    seeded = system.dim if seeding == "all" else 2 * system.r
+    return ((lambda fast, slow: [system.H(fast, slow)]), (2 * system.r, 2 * system.k),
+            np.eye(system.dim, seeded))
 
 
 def quadratic_k2():
@@ -186,46 +213,46 @@ def system_and_box(name):
     return system, system.domain.low, system.domain.high
 
 
+def box_points(name, n, seed):
+    system, low, high = system_and_box(name)
+    return system, np.random.default_rng(seed).uniform(low, high, size=(n, system.dim))
+
+
 @pytest.mark.parametrize("name", ["elastic_pendulum", "charged_particle", "quadratic_k2",
                                   "fast_partials_sum", "negations"])
 @pytest.mark.parametrize("seeding", ["all", "fast"])
 def test_compiled_gradient_equals_multidual_bitwise(name, seeding):
-    system, low, high = system_and_box(name)
-    blocks = (2 * system.r, 2 * system.k)
-    seeded = range(system.dim if seeding == "all" else 2 * system.r)
-    grad = sk.trace_gradient(system.H, blocks, seeded)  # traceable: no fallback
-    rng = np.random.default_rng(7)
-    points = rng.uniform(low, high, size=(40, system.dim))
-    for point in points:  # scalars: numpy's float64, and Python floats
-        for coords in (list(point), point.tolist()):
-            assert_same_partials(grad(*coords),
-                                 multidual_reference(system.H, blocks, seeded, coords))
-    lanes = list(points.T)  # one array of 40 lanes per coordinate
-    assert_same_partials(grad(*lanes), multidual_reference(system.H, blocks, seeded, lanes))
+    system, points = box_points(name, 40, 7)
+    assert_compiled_equals_multidual(*gradient_oracle(system, seeding), points)
+
+
+ONE = r"(?<![\w.])1\.0 \*|[*/] 1\.0(?![\d.e])"  # a product or quotient by 1.0
 
 
 @pytest.mark.parametrize("name", ["elastic_pendulum", "charged_particle"])
 @pytest.mark.parametrize("seeding", ["all", "fast"])
 def test_compiled_gradient_has_no_product_by_one(name, seeding):
-    # the default parameters (gamma = 1, B = 1) and the seed put literal 1.0
-    # factors into the trace; each is dropped, exactly
+    # the default parameters (gamma = 1, B = 1) and, in the drift field, the
+    # seeds of its Dual passes put literal 1.0 factors into the trace; each is
+    # dropped, exactly
     system = get_fixture(name).system
-    seeded = range(system.dim if seeding == "all" else 2 * system.r)
-    source = sk.trace_gradient(system.H, (2 * system.r, 2 * system.k), seeded).source
-    assert not re.search(r"(?<![\w.])1\.0 \*|\* 1\.0(?![\d.e])", source), source
+    f, blocks, dots = gradient_oracle(system, seeding)
+    for source in (sk.trace_tangent(f, blocks, dots.shape[1]).source,
+                   sk.trace_tangent(drift_field(system), blocks + (1,), 0).source):
+        assert not re.search(ONE, source), source
 
 
 def test_compiled_gradient_folds_negations():
     # a negation is read where it is used (-v * w), not assigned on its own
     system = get_fixture("charged_particle").system
-    source = sk.trace_gradient(system.H, (2, 2), range(4)).source
+    source = sk.trace_tangent(drift_field(system), (2, 2, 1), 0).source
     assignments = re.findall(r"^    (v\d+) = (.*)$", source, re.MULTILINE)
-    assert len(assignments) == 35, source
+    assert len(assignments) == 39, source
     assert not [a for a in assignments if re.fullmatch(r"-v\d+", a[1])], source
     assert re.search(r"= -v\d+ \* v\d+$", source, re.MULTILINE), source
     # under a power the negation keeps its parentheses: (-x) ** 3 has the
     # partial 3 * (-x) ** 2 * -1.0
-    source = sk.trace_gradient(negations().H, (2, 2), range(4)).source
+    source = sk.trace_tangent(drift_field(negations()), (2, 2, 1), 0).source
     assert re.search(r"= \(-v\d+\) \*\* 2$", source, re.MULTILINE), source
 
 
@@ -234,7 +261,7 @@ def test_compiled_tangent_has_no_quotient_by_one():
     # field divides: x/1.0 and x'/1.0 are x and x' exactly, so no code for them
     system = get_fixture("elastic_pendulum").system
     source = sk.trace_tangent(normalized_field(system), (2, 2), 4).source
-    assert not re.search(r"/ 1\.0(?![\d.e])", source), source
+    assert not re.search(ONE, source), source
 
 
 def normalized_field(system):
@@ -248,35 +275,30 @@ def normalized_field(system):
     return f
 
 
-def multidual_tangent_reference(f, blocks, coords, dots):
-    """The outputs' values, then their tangents, from one multidual
-    evaluation, flat."""
-    tag = sk.fresh_tag()
-    args = [sk.Dual(c, np.array(d), tag) for c, d in zip(coords, dots)]
-    split = [args[sum(blocks[:b]):sum(blocks[:b + 1])] for b in range(len(blocks))]
-    out = f(*split)
-    directions = (len(dots[0]),)
-    return ([sk.value(o) for o in out]
-            + [e for o in out for e in np.broadcast_to(sk.extract_partial(o, tag), directions)])
+def drift_field(system):
+    """X_H of the fast block plus ε times X_H of the slow block, with ε a
+    third block: the drift field's oracle (``phase.velocity``)."""
+    def f(fast, slow, eps):
+        return (velocity(system.H, fast, slow, "fast")
+                + [eps[0] * v for v in velocity(system.H, fast, slow, "slow")])
+
+    return f
 
 
 @pytest.mark.parametrize("name", ["elastic_pendulum", "charged_particle", "quadratic_k2",
-                                  "without_x"])
+                                  "without_x", "fast_partials_sum", "negations"])
 def test_compiled_tangent_equals_multidual_bitwise(name):
-    # the normalized fast field and its variational right-hand side: the
-    # inner Dual pass on traced values is recorded through Dual's reflected
-    # operators, and the code equals a multidual evaluation bit for bit
-    system, low, high = system_and_box(name)
-    blocks, directions = (2 * system.r, 2 * system.k), 3
-    f = normalized_field(system)
-    tangent = sk.trace_tangent(f, blocks, directions)  # traceable: no fallback
-    rng = np.random.default_rng(5)
-    points = rng.uniform(low, high, size=(20, system.dim))
-    dots = rng.uniform(-1.0, 1.0, size=(20, system.dim, directions))
-    for point, dot in zip(points, dots):
-        got = tangent(*point.tolist(), *dot.ravel().tolist())
-        want = multidual_tangent_reference(f, blocks, point.tolist(), dot.tolist())
-        assert_same_partials(got, want)
+    # the normalized fast field and its variational right-hand side, and the
+    # drift field (no directions; a plain evaluation is its reference): the
+    # inner Dual passes on traced values are recorded through Dual's
+    # reflected operators, and the code equals the evaluation bit for bit
+    system, points = box_points(name, 20, 5)
+    blocks = (2 * system.r, 2 * system.k)
+    dots = np.random.default_rng(6).uniform(-1.0, 1.0, size=(system.dim, 3))
+    assert_compiled_equals_multidual(normalized_field(system), blocks, dots, points)
+    eps = np.full((len(points), 1), 0.05)
+    assert_compiled_equals_multidual(drift_field(system), blocks + (1,),
+                                     np.zeros((system.dim + 1, 0)), np.hstack([points, eps]))
 
 
 def test_untraceable_tangent_falls_back_to_multiduals():
@@ -302,67 +324,66 @@ def branchy(fast, slow):
     y, x = fast
     p, q = slow
     energy = 0.5 * (y * y + x * x) + abs(q) * p
-    return energy if q > 0.5 else energy * float(q)
+    return [energy if q > 0.5 else energy * float(q)]
 
 
 def uses_value(fast, slow):
     y, x = fast
     p, q = slow
-    return y * x * sk.value(q) ** 2 + p * sk.sqrt(q)
+    return [y * x * sk.value(q) ** 2 + p * sk.sqrt(q)]
 
 
 def branches_on_equality(fast, slow):
     y, x = fast
     p, q = slow
-    return y * x * q if p == 0.4 else y * p - x * q
+    return [y * x * q if p == 0.4 else y * p - x * q]
 
 
 @pytest.mark.parametrize("f", [branchy, uses_value, branches_on_equality])
 def test_untraceable_oracle_falls_back_to_dual_result(f):
+    # the gradient: tangents along the four unit directions
     with pytest.raises(TraceError):
-        sk.trace_gradient(f, (2, 2), range(4))
-    grad = sk.gradient(f, (2, 2), range(4))
+        sk.trace_tangent(f, (2, 2), 4)
+    tangent = sk.tangent(f, (2, 2), 4)
     for point in ([0.3, -0.7, 0.4, 0.9], [1.1, 0.2, -0.5, 0.2]):
-        assert_same_partials(grad(*point), multidual_reference(f, (2, 2), range(4), point))
+        assert_same_partials(tangent(*point, *np.eye(4).ravel()),
+                             multidual_tangent_reference(f, (2, 2), point, np.eye(4)))
 
 
 def test_fallback_on_lanes_with_abs():
     def f(fast, slow):
-        return abs(fast[0] - slow[0]) * fast[1] + slow[1] * fast[0]
+        return [abs(fast[0] - slow[0]) * fast[1] + slow[1] * fast[0]]
 
     lanes = list(np.random.default_rng(3).uniform(-1.0, 1.0, size=(4, 16)))
-    grad = sk.gradient(f, (2, 2), range(2))
-    assert_same_partials(grad(*lanes), multidual_reference(f, (2, 2), range(2), lanes))
+    dots = [[np.full(16, d) for d in row] for row in np.eye(4, 2)]  # the fast gradient
+    tangent = sk.tangent(f, (2, 2), 2)
+    assert_same_partials(tangent(*lanes, *[d for row in dots for d in row]),
+                         multidual_tangent_reference(f, (2, 2), lanes, dots))
 
 
 def test_oracle_errors_surface_at_evaluation():
     def f(fast, slow):
-        return np.sin(fast[0]) * slow[0]  # a numpy ufunc cannot take duals
+        return [np.sin(fast[0]) * slow[0]]  # a numpy ufunc cannot take duals
 
-    grad = sk.gradient(f, (2, 2), range(4))
+    tangent = sk.tangent(f, (2, 2), 1)
     with pytest.raises(TypeError):
-        grad(0.1, 0.2, 0.3, 0.4)
+        tangent(0.1, 0.2, 0.3, 0.4, 1.0, 0.0, 0.0, 0.0)
 
 
 def test_integer_powers_match_on_scalars_and_arrays():
     def f(fast, slow):
         y, x = fast
         p, q = slow
-        return x ** 3 * y + q ** -2 * p ** 5 + y ** 0 * x ** 1 + (p * q) ** np.int64(4)
+        return [x ** 3 * y + q ** -2 * p ** 5 + y ** 0 * x ** 1 + (p * q) ** np.int64(4)]
 
-    grad = sk.trace_gradient(f, (2, 2), range(4))
     rng = np.random.default_rng(11)
     points = rng.uniform(0.3, 1.7, size=(30, 4)) * rng.choice([-1.0, 1.0], size=(30, 4))
-    for point in points:
-        for coords in (list(point), point.tolist()):
-            assert_same_partials(grad(*coords), multidual_reference(f, (2, 2), range(4), coords))
-    lanes = list(points.T)
-    assert_same_partials(grad(*lanes), multidual_reference(f, (2, 2), range(4), lanes))
+    assert_compiled_equals_multidual(f, (2, 2), np.eye(4), points)
 
 
 def test_non_integer_power_is_not_traced():
     with pytest.raises(TraceError):
-        sk.trace_gradient(lambda fast, slow: fast[0] ** 0.5, (2, 2), range(4))
+        sk.trace_tangent(lambda fast, slow: [fast[0] ** 0.5], (2, 2), 1)
 
 
 # -- the code cache -----------------------------------------------------------------
@@ -416,6 +437,24 @@ def test_an_unwritable_code_cache_compiles_in_memory(code_cache, monkeypatch, tm
     assert run_double() == 3.0
     assert code_cache.compiled == [("<test>", DOUBLE)]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_code_cache_removes_the_least_recently_used_entries(code_cache, monkeypatch):
+    cap = 4
+    sources = [f"def f(x):\n    return {i}.0 * x\n" for i in range(cap + 4)]
+    entries = []
+    for age, source in enumerate(sources[:cap + 3]):  # below the default cap
+        sk.exec_emitted(source, "<test>", {})
+        [entry] = set(code_cache.directory.iterdir()) - set(entries)
+        os.utime(entry, ns=(age * 10 ** 9, age * 10 ** 9))  # seconds after the epoch
+        entries.append(entry)
+    monkeypatch.setattr(sk, "_CODE_CACHE_CAP", cap)
+    code_cache.restart()
+    assert sk.exec_emitted(sources[0], "<test>", {})["f"](1.5) == 0.0  # loads the oldest
+    assert code_cache.compiled == []
+    sk.exec_emitted(sources[-1], "<test>", {})  # a write prunes
+    [new] = set(code_cache.directory.iterdir()) - set(entries)
+    assert sorted(code_cache.directory.iterdir()) == sorted([entries[0], *entries[-2:], new])
 
 
 def test_an_entry_that_cannot_be_replaced_leaves_no_temporary_file(code_cache):

@@ -5,8 +5,7 @@ import pytest
 
 from adiakit import (DomainError, NumericalError, PhasePoint,
                      charged_particle, elastic_pendulum,
-                     field_fast, field_full, field_slow, grad_fast, grad_full,
-                     grad_slow)
+                     field_fast, field_full, field_slow, grad_fast, grad_full)
 from adiakit import kernel as sk
 from adiakit.phase import DEFAULT_ENGINE, bracket_of_partials
 from adiakit.sl2 import QuadraticSystem, Sl2Field
@@ -31,6 +30,11 @@ def test_grad_fast_trivial_cases():
     m = point(3.0, 0.5, 0.2, 0.1)
     assert grad_fast(system, lambda f, s: 7.0, m) == pytest.approx([0.0, 0.0])
     assert grad_fast(system, lambda f, s: f[0] * f[0], m) == pytest.approx([6.0, 0.0])
+
+
+def grad_slow(system, f, m):
+    """Slow-block gradient (∂f/∂p.., ∂f/∂q..): the slow block of ``grad_full``."""
+    return grad_full(system, f, m)[2 * system.r:]
 
 
 def test_grad_slow_pendulum_example():
@@ -254,4 +258,12 @@ def test_phase_point_invariants():
     m = PhasePoint([1.0, 2.0], [3.0, 4.0])
     assert m.coords == pytest.approx([1.0, 2.0, 3.0, 4.0])
     assert PhasePoint.from_coords(m.coords, 1, 1) == m
+
+
+def test_equal_phase_points_hash_alike():
+    # 0.0 == -0.0, so the two points are equal and one set element
+    plus, minus = PhasePoint([0.0, 1.0], [0.1, 1.0]), PhasePoint([-0.0, 1.0], [0.1, 1.0])
+    assert plus == minus and hash(plus) == hash(minus)
+    assert len({plus, minus}) == 1
+    assert len({plus, PhasePoint([0.0, 1.0], [0.1, 1.5])}) == 2
 

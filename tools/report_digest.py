@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 tools/report_digest.py <src-dir> > digests.txt
+    python3 tools/report_digest.py <src-dir> [--keep DIR] > digests.txt
 
 Runs ``adiakit`` from ``<src-dir>`` (a ``src`` directory holding the
 ``adiakit`` package) in a fresh interpreter per invocation, with
@@ -20,13 +20,18 @@ temporary directory and of ``<src-dir>`` masked, standard error masked the
 same way, and the bytes of every file the invocation wrote.
 
 Run it once on each tree and ``diff`` the two outputs: a refactor that keeps
-every number keeps every line.
+every number keeps every line. With ``--keep DIR``, each invocation's exit
+code, masked standard output and error and written files are also kept under
+``DIR/<label>/`` (``exit_code``, ``stdout``, ``stderr`` and ``files/``), for
+``tools/report_diff.py`` to compare numerically where lines differ.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
+import shutil
 import re
 import subprocess
 import sys
@@ -62,8 +67,9 @@ def invocations():
                     yield label.replace("--", ""), inv.ini, inv.argv
 
 
-def digest(src: Path, ini: str, argv) -> tuple:
-    """(exit code, sha256 of the masked outputs and written files) of one run."""
+def digest(src: Path, ini: str, argv, keep=None) -> tuple:
+    """(exit code, sha256 of the masked outputs and written files) of one run;
+    the hashed parts are copied to the directory ``keep`` when it is given."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "config.ini").write_text(ini, encoding="utf-8")
@@ -72,28 +78,43 @@ def digest(src: Path, ini: str, argv) -> tuple:
             [sys.executable, "-m", "adiakit.cli", *argv, "--config", "config.ini",
              "--out", "out", "--workers", "1"],
             cwd=work, env=env, capture_output=True)
+        if keep is not None:
+            keep.mkdir(parents=True)
+            (keep / "exit_code").write_text(f"{proc.returncode}\n", encoding="utf-8")
         h = hashlib.sha256()
-        for stream in (proc.stdout, proc.stderr):
+        for name, stream in (("stdout", proc.stdout), ("stderr", proc.stderr)):
             masked = WALL_TIME.sub(b"wall time <masked>", stream)
             for path in (str(work.resolve()), str(work), str(src)):
                 masked = masked.replace(path.encode(), b"<path>")
             h.update(len(masked).to_bytes(8, "little") + masked)
+            if keep is not None:
+                (keep / name).write_bytes(masked)
         for path in sorted(p for p in work.rglob("*") if p.is_file()):
             if path.name != "config.ini":
                 data = path.read_bytes()
                 h.update(str(path.relative_to(work)).encode() + b"\0"
                          + len(data).to_bytes(8, "little") + data)
+                if keep is not None:
+                    kept = keep / "files" / path.relative_to(work)
+                    kept.parent.mkdir(parents=True, exist_ok=True)
+                    shutil.copyfile(path, kept)
         return proc.returncode, h.hexdigest()[:16]
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1 or not (Path(argv[0]) / "adiakit").is_dir():
-        print("usage: python3 tools/report_digest.py <src-dir>", file=sys.stderr)
-        return 2
-    src = Path(argv[0]).resolve()
-    for label, ini, args in invocations():
-        code, value = digest(src, ini, args)
+    parser = argparse.ArgumentParser(prog="python3 tools/report_digest.py")
+    parser.add_argument("src", type=Path, help="a src directory holding adiakit")
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="also keep each invocation's outputs under DIR/<label>/")
+    args = parser.parse_args(argv)
+    if not (args.src / "adiakit").is_dir():
+        parser.error(f"{args.src} holds no adiakit package")
+    if args.keep is not None and args.keep.exists():
+        parser.error(f"{args.keep} exists; keep each run in a new directory")
+    src = args.src.resolve()
+    for label, ini, argv in invocations():
+        keep = None if args.keep is None else args.keep / label
+        code, value = digest(src, ini, argv, keep)
         print(f"{label} {code} {value}", flush=True)
     return 0
 
