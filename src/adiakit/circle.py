@@ -23,11 +23,13 @@ at the first N at which every profile fed to ⟨·⟩ or 𝒮 has a tail
 max_{N/4<k≤N/2} |f̂_k| of at most ``TAIL_TOL``·max_k |f̂_k|. The operators read
 the tail off the FFT that 𝒮 takes; ⟨·⟩ takes one for it while a loop is open.
 Below the cap, the first unresolved profile ends the evaluation at that N.
-Numeric orbits carry the integrator's relative error, which more nodes do
-not reduce: their nodes are read off the continuous extension of the
-integrator's steps, and their tails read up to 1.7·rtol where an analytic
-orbit's read 1e-15 (both fixtures at four box points, rtol 1e-8 to 1e-12), so
-their tolerance is the larger of ``TAIL_TOL`` and 10·``ORBIT_RTOL``.
+Levels nest: the nodes of N are the even nodes of 2N (Davis & Rabinowitz, 1984,
+ch. 2), so each level, with either flow, samples and differentiates only the
+nodes it adds. Numeric orbits carry the integrator's relative error, which more
+nodes do not reduce: their nodes are read off the continuous extension of one
+integration to the cap's nodes, and their tails read up to 1.7·rtol where an
+analytic orbit's read 1e-15 (both fixtures at four box points, rtol 1e-8 to
+1e-12), so their tolerance is the larger of ``TAIL_TOL`` and 10·``ORBIT_RTOL``.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ def _with_node_axis(c):
 
 @dataclass(frozen=True)
 class OrbitSamples:
-    """Flowed states at N equispaced phases of one (possibly batched) orbit.
+    """Flowed states at the phases ``times`` of one (possibly batched) orbit.
 
     Each coordinate array carries the batch shape of the base state plus a
     trailing node axis of length ``nodes``. Analytic orbits of dual base
@@ -183,13 +185,29 @@ class OrbitSamples:
     def batch_shape(self):
         return np.shape(sk.value(self.fast[0]))[:-1]
 
-    def every(self, stride: int) -> "OrbitSamples":
-        """The orbit at ``nodes / stride`` nodes: every ``stride``-th sample."""
-        def pick(c):
-            return sk.map_parts(lambda a: a[..., ::stride], c)
 
-        return OrbitSamples(self.nodes // stride, self.times[::stride],
-                            [pick(c) for c in self.fast], [pick(c) for c in self.slow])
+def _interleave(even, odd, shape):
+    """Profiles at 2N nodes from ``even`` at the N nodes of N, the even nodes
+    of 2N, and ``odd`` at the odd ones, each broadcast to ``shape`` (N nodes
+    last): item by item, and part by part for duals. No ``even``: ``odd``."""
+    if even is None:
+        return odd
+    if isinstance(even, OrbitSamples):  # slow coordinates are the same at every node
+        return OrbitSamples(2 * even.nodes, _interleave(even.times, odd.times, shape[-1:]),
+                            _interleave(even.fast, odd.fast, shape),
+                            [sk.broadcast(sk.map_parts(lambda a: a[..., :1], c),
+                                          shape[:-1] + (2 * shape[-1],)) for c in even.slow])
+    if isinstance(even, (list, tuple)):
+        return type(even)(_interleave(a, b, shape) for a, b in zip(even, odd))
+    if isinstance(even, sk.Dual):
+        return sk.Dual(*_interleave([even.val, even.eps], [odd.val, odd.eps], shape), even.tag)
+    b = np.asarray(odd, dtype=float)
+    wide = b.shape if b.shape[-len(shape):] == shape else np.broadcast_shapes(b.shape, shape)
+    # a computed array keeps its memory order (it orders numpy's sums), a broadcast one is C
+    merged = np.empty_like(b, shape=wide[:-1] + (2 * wide[-1],),
+                           order="K" if b.shape == wide and 0 not in b.strides else "C")
+    merged[..., ::2], merged[..., 1::2] = even, b
+    return merged
 
 
 @dataclass
@@ -302,25 +320,24 @@ class CircleAction:
 
     # -- orbit sampling -----------------------------------------------------
 
-    def orbit(self, fast, slow, *, _nodes=None) -> OrbitSamples:
+    def orbit(self, fast, slow, *, _times=None) -> OrbitSamples:
         """Orbit samples for a raw kernel state (batched coordinates allowed),
-        at the cap ``nodes`` or at the node count ``resolve`` passes.
+        at the cap's ``nodes`` phases or at the phases ``_times`` (analytic).
 
         The state may hold duals. ``fast_flow`` carries any of them, nested
         ones included; a numeric orbit carries one dual pass through the
         variational equation (``_orbit_numeric``).
         """
-        n = self.nodes if _nodes is None else _nodes
-        times = TWO_PI * np.arange(n) / n
+        times = TWO_PI * np.arange(self.nodes) / self.nodes if _times is None else _times
         if self.flow_mode == "analytic":
             expanded_fast = [_with_node_axis(c) for c in fast]
             expanded_slow = [_with_node_axis(c) for c in slow]
             flowed = self.system.fast_flow(times, expanded_fast, expanded_slow)
             shape = np.broadcast_shapes(*[np.shape(sk.value(c)) for c in flowed],
                                         *[np.shape(sk.value(c)) for c in expanded_slow])
-            return OrbitSamples(n, times, [sk.broadcast(c, shape) for c in flowed],
+            return OrbitSamples(len(times), times, [sk.broadcast(c, shape) for c in flowed],
                                 [sk.broadcast(c, shape) for c in expanded_slow])
-        return self._orbit_numeric(fast, slow, n, times)
+        return self._orbit_numeric(fast, slow, len(times), times)
 
     def _orbit_numeric(self, fast, slow, n, times):
         """Numeric orbits: one integration for the whole batch, each point a
@@ -364,9 +381,27 @@ class CircleAction:
 
     # -- operators ------------------------------------------------------------
 
-    def resolve(self, evaluate: Callable, fast, slow):
-        """(``evaluate(orbit)``, N, resolved) at the smallest node count N that
-        resolves every profile ``evaluate`` feeds to ⟨·⟩ and 𝒮.
+    def _levels(self, fast, slow):
+        """Orbit samples at the nodes each level of ``resolve`` adds: N = min(8,
+        cap) first, then the N odd-phase nodes of each 2N up to the cap, flowed
+        to (analytic) or read off one integration to the cap's nodes (numeric)."""
+        full = self.orbit(fast, slow) if self.flow_mode == "numeric" else None
+        times = TWO_PI * np.arange(self.nodes) / self.nodes
+        stride, odd = self.nodes // min(FIRST_NODES, self.nodes), 0
+        while stride:
+            picked = slice(odd * stride, None, (1 + odd) * stride)
+            if full is None:
+                yield self.orbit(fast, slow, _times=times[picked])
+            else:
+                yield OrbitSamples(len(times[picked]), times[picked], *[
+                    [sk.map_parts(lambda a: a[..., picked], c) for c in block]
+                    for block in (full.fast, full.slow)])
+            stride, odd = stride // 2, 1
+
+    def resolve(self, evaluate: Callable, fast, slow, pointwise: Callable = lambda orbit: ()):
+        """(``evaluate(orbit, *pointwise(orbit))``, N, resolved) at the smallest
+        node count N that resolves every profile ``evaluate`` feeds to ⟨·⟩
+        and 𝒮.
 
         The orbit of the raw kernel state (``orbit``) is sampled at
         N = min(8, cap), 16, 32, … up to the cap ``nodes``, one N for the
@@ -376,31 +411,24 @@ class CircleAction:
         cap comes back evaluated there, with resolved False; entry points that
         drop the flag warn instead (``resolved_value``).
 
-        An analytic orbit is sampled at each N, so that no array holds more
-        nodes than the N it settles at. A numeric orbit is integrated once,
-        in natural steps to the cap's last node, with the cap's nodes read off
-        the steps' continuous extension, and each N takes every (cap/N)-th
-        sample: the integration, not N, sets its cost, and its samples at the
-        nodes of N do not depend on N.
+        Each level runs ``pointwise`` (a tuple of profiles that take each node
+        alone, such as the slow partials of H and J) on the nodes it adds only
+        (``_levels``). Node j of N is node 2j of 2N, bit for bit, so the arrays
+        of N are interleaved with those of the odd-phase nodes of 2N and then
+        dropped. ``evaluate``, the spectral stage, reads the merged arrays: the
+        bits that one level at N computes. Nothing is kept after the return.
         """
-        if self.flow_mode == "analytic":
-            tol = TAIL_TOL
-
-            def orbit_at(n):
-                return self.orbit(fast, slow, _nodes=n)
-        else:
-            tol, full = max(TAIL_TOL, 10.0 * ORBIT_RTOL), self.orbit(fast, slow)
-
-            def orbit_at(n):
-                return full.every(self.nodes // n)
-        n = min(FIRST_NODES, self.nodes)
-        while True:
-            loop = _Loop(tol, at_cap=n >= self.nodes)
+        tol = TAIL_TOL if self.flow_mode == "analytic" else max(TAIL_TOL, 10.0 * ORBIT_RTOL)
+        kept = None
+        for orbit in self._levels(fast, slow):
+            shape = orbit.batch_shape + (orbit.nodes,)
+            kept = _interleave(kept, (orbit, *pointwise(orbit)), shape)
+            loop = _Loop(tol, at_cap=kept[0].nodes >= self.nodes)
             _open_loops.append(loop)
             try:
-                return evaluate(orbit_at(n)), n, loop.resolved
+                return evaluate(*kept), kept[0].nodes, loop.resolved
             except _Unresolved:
-                n *= 2
+                pass
             finally:
                 _open_loops.pop()
 

@@ -50,9 +50,10 @@ carrying D derivative parts.
 
 The same lifted orbit also gives F₁ at the base point: it is node 0 of the
 value part of G. So ``InvariantSeries.resolve_state``, the one evaluator of
-the terms, samples one orbit per point at each node count N its resolving
-loop tries: the plain orbit for F₁ alone, the lifted one for F₁ and F₂. A
-batch shares one N, the one its worst point needs.
+the terms, samples one orbit per point: the plain orbit for F₁ alone, the
+lifted one for F₁ and F₂. Its resolving loop samples it, and takes the slow
+partials of H and J, only at the nodes each N adds to the last N it tried.
+A batch shares one N, the one its worst point needs.
 
 Every step is kernel arithmetic, so ``terms_state`` takes dual coordinates
 and keeps their derivatives, and ``lie_derivative`` of the series is exact:
@@ -247,18 +248,17 @@ def _k1_nodes(dh, dj, orbit: OrbitSamples):
     return 0.5 * _profile_of(bracket_of_partials(_theta_nodes(dj, orbit), dh), orbit)
 
 
-def _f1_nodes(system, orbit: OrbitSamples):
-    """(F₁ at every node m_j of one orbit, slow partials of H there).
+def _f1_nodes(system, orbit: OrbitSamples, dh, dj):
+    """F₁ at every node m_j of one orbit, from the slow partials dH, dJ there.
 
     This is the one definition of F₁. F₁(m_j) = −(𝒮_j({H,J}₁) + ⟨K₁⟩)/ω(m_j):
     ⟨K₁⟩ is the same at every node and one FFT gives 𝒮 at all of them. The
     orbit may hold duals.
     """
-    dh, dj = _slow_partials(system, orbit)
     shj = s_at_nodes(_bracket1_profile(dh, dj, orbit))
     k1_avg = fourier_mean(_k1_nodes(dh, dj, orbit), keepdims=True)
     omega = _profile_of(positive_omega(system, orbit.fast, orbit.slow), orbit)
-    return -(shj + k1_avg) / omega, dh
+    return -(shj + k1_avg) / omega
 
 
 def _at_base(profile, orbit: OrbitSamples):
@@ -303,8 +303,8 @@ def _h_f1_bracket(system, action, fast, slow):
     lifted = [sk.Dual(sk.broadcast(c, shape), seeds[d], tag) for d, c in enumerate(state)]
     swap = [(i + r) % n_fast for i in range(n_fast)]  # y_i <-> x_i
 
-    def evaluate(orbit):
-        g, dh = _f1_nodes(system, orbit)
+    def evaluate(orbit, dh, dj):
+        g = _f1_nodes(system, orbit, dh, dj)
         full = (dim,) + orbit.batch_shape + (orbit.nodes,)
 
         def columns(x):  # [∂x/∂b_d for each d] at every node
@@ -330,7 +330,8 @@ def _h_f1_bracket(system, action, fast, slow):
         bracket = bracket_of_partials([_without(c, tag) for c in dh], df1)
         return bracket, _at_base(_without(g, tag), orbit), s_from_samples(bracket)
 
-    return action.resolve(evaluate, lifted[:n_fast], lifted[n_fast:])
+    return action.resolve(evaluate, lifted[:n_fast], lifted[n_fast:],
+                          lambda orbit: _slow_partials(system, orbit))
 
 
 def f2(system: SlowFastSystem, action: CircleAction, m: PhasePoint) -> float:
@@ -367,8 +368,8 @@ class InvariantSeries:
         """((J, F₁, F₂), N, resolved) on a raw kernel state; terms beyond the
         order are 0.0, and order 0 samples no orbit (N is None).
 
-        One orbit per point at each node count N the resolving loop tries
-        (``CircleAction.resolve``): F₁ alone from the plain orbit, F₁ and
+        One orbit per point, nested over the node counts N the resolving loop
+        tries (``CircleAction.resolve``): F₁ alone from the plain orbit, F₁ and
         F₂ = −(2/ω)·𝒮({H, F₁}₁) from the one lifted orbit (module docstring).
         The coordinates may be floats, arrays of points or duals (the module
         docstring says which duals each flow mode takes), and the terms keep
@@ -380,7 +381,8 @@ class InvariantSeries:
             return (j_vals, 0.0, 0.0), None, True
         if self.order == 1:
             f1_vals, n, resolved = self.action.resolve(
-                lambda orbit: _at_base(_f1_nodes(system, orbit)[0], orbit), fast, slow)
+                lambda orbit, dh, dj: _at_base(_f1_nodes(system, orbit, dh, dj), orbit),
+                fast, slow, lambda orbit: _slow_partials(system, orbit))
             return (j_vals, f1_vals, 0.0), n, resolved
         (_, f1_vals, s_vals), n, resolved = _h_f1_bracket(system, self.action, fast, slow)
         return (j_vals, f1_vals, -2.0 * s_vals / positive_omega(system, fast, slow)), n, resolved

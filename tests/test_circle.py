@@ -496,14 +496,19 @@ def test_resolve_stops_at_smallest_n_resolving_a_trig_polynomial(pendulum, rng, 
 
 
 def test_every_other_sample_is_the_orbit_at_fewer_nodes(particle, rng):
-    # the node times of N are every (64/N)-th node time of 64, bit for bit
+    # the node times of N are every (64/N)-th node time of 64, bit for bit, so
+    # each level of ``resolve`` merges the orbit at N with the odd-phase nodes
+    # of 2N into the orbit at 2N. Noise never resolves: the loop runs to 64
     points = np.stack([m.coords for m in sample_points(particle, rng, 4)])
     state = (list(points[:, :2].T), list(points[:, 2:].T))
-    full = CircleAction(particle.system, nodes=64).orbit(*state)
-    for n in (8, 16, 32):
+    action, levels = CircleAction(particle.system, nodes=64), []
+    action.resolve(lambda orbit: levels.append(orbit) or fourier_mean(
+        rng.standard_normal(orbit.batch_shape + (orbit.nodes,))), *state)
+    full = action.orbit(*state)
+    for n, got in zip((8, 16, 32, 64), levels, strict=True):
         want = CircleAction(particle.system, nodes=n).orbit(*state)
-        got = full.every(64 // n)
         assert got.nodes == n and np.array_equal(got.times, want.times)
+        assert np.array_equal(got.times, full.times[::64 // n])
         for a, b in zip(got.fast + got.slow, want.fast + want.slow):
             assert np.array_equal(a, b)
 

@@ -357,21 +357,102 @@ def test_analytic_f2_samples_one_orbit_per_batch(pendulum, rng, monkeypatch):
 
 def test_particle_f2_samples_orbits_at_8_then_16_nodes(particle, rng, monkeypatch):
     # the particle's profiles alias at 8 nodes, so the loop doubles once and
-    # settles at 16, one orbit of the whole batch at each N
+    # settles at 16: one orbit of the whole batch at the 8 nodes of 8, then one
+    # at the 8 odd-phase nodes of 16, which 8 lacks
     action = CircleAction(particle.system)
-    nodes = []
+    times = []
     orbit = action.orbit
 
     def counted(*args, **kwargs):
         samples = orbit(*args, **kwargs)
-        nodes.append(samples.nodes)
+        times.append(samples.times)
         return samples
 
     monkeypatch.setattr(action, "orbit", counted)
     coords = np.stack([m.coords for m in sample_points(particle, rng, 8)])
     _, n, resolved = assemble(particle.system, action, 2).resolve_batch(coords)
-    assert nodes == [8, 16]
+    assert [len(t) for t in times] == [8, 8]
+    assert np.array_equal(np.concatenate(times), circle.TWO_PI * np.r_[0:16:2, 1:16:2] / 16)
     assert (n, resolved) == (16, True)
+
+
+def _settled_and_one_level(monkeypatch, call):
+    """(``call()``, the one N its resolving loop settled at, ``call()`` again
+    with the loop started at that N, so that it runs a single level)."""
+    settled = []
+    resolve = CircleAction.resolve
+
+    def spy(self, *args, **kwargs):
+        out = resolve(self, *args, **kwargs)
+        settled.append(out[1])
+        return out
+
+    monkeypatch.setattr(CircleAction, "resolve", spy)
+    nested = call()
+    (n,) = set(settled)
+    with monkeypatch.context() as patch:
+        patch.setattr(circle, "FIRST_NODES", n)
+        return nested, n, call()
+
+
+@pytest.mark.parametrize("fixture_name, to_cap", [("particle", False), ("particle", True),
+                                                  ("pendulum", True)])
+@pytest.mark.parametrize("flow_mode", ["analytic", "numeric"])
+def test_nested_levels_change_no_bit(request, rng, monkeypatch, fixture_name, to_cap, flow_mode):
+    # node j of N is node 2j of 2N, bit for bit, so a loop that keeps each
+    # level's pointwise arrays and adds the odd-phase nodes of the next returns
+    # what one level at the N it settles at returns. The particle settles at 16;
+    # with every tail check failing, both fixtures run on to the cap
+    fixture = request.getfixturevalue(fixture_name)
+    system = fixture.system
+    points = sample_points(fixture, rng, 6)
+    coords = np.stack([m.coords for m in points])
+    action = CircleAction(system, flow_mode=flow_mode, nodes=32)
+    if to_cap:
+        init = circle._Loop.__init__
+        monkeypatch.setattr(circle._Loop, "__init__",
+                            lambda loop, tol, at_cap: init(loop, -1.0, at_cap))
+    for order in (1, 2):
+        (terms, n, resolved), settled, (want, *want_n) = _settled_and_one_level(
+            monkeypatch, lambda: assemble(system, action, order).resolve_batch(coords))
+        assert settled == n == (32 if to_cap else 16) and [n, resolved] == want_n
+        assert resolved != to_cap
+        for got, ref in zip(terms, want):
+            assert np.array_equal(got, ref)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnresolvedQuadrature)
+        got, n, want = _settled_and_one_level(
+            monkeypatch, lambda: momentum_from_action(system, action, points[0]))
+    assert got == want and n >= (32 if to_cap else 8)
+    got, n, want = _settled_and_one_level(
+        monkeypatch, lambda: check_hypotheses(system, action, points[0]))
+    assert got == want and n >= (32 if to_cap else 8)
+
+
+def test_analytic_levels_evaluate_each_node_column_once(particle, rng, monkeypatch):
+    # at 16 nodes the loop flows and differentiates only the 8 odd-phase nodes
+    # that 8 lacks: 16 node columns per point, not 8 + 16
+    flowed, differentiated = [], []
+    fast_flow = particle.system.fast_flow
+    partials = type(invariants.DEFAULT_ENGINE).partials
+
+    def counted_flow(t, fast, slow):
+        flowed.append(np.size(t))
+        return fast_flow(t, fast, slow)
+
+    def counted_partials(engine, f, fast, slow, block):
+        differentiated.append(np.shape(sk.value(fast[0]))[-1])
+        return partials(engine, f, fast, slow, block)
+
+    system = replace(particle.system, fast_flow=counted_flow)
+    monkeypatch.setattr(type(invariants.DEFAULT_ENGINE), "partials", counted_partials)
+    coords = np.stack([m.coords for m in sample_points(particle, rng, 5)])
+    for order in (1, 2):
+        flowed.clear()
+        differentiated.clear()
+        _, n, resolved = assemble(system, CircleAction(system), order).resolve_batch(coords)
+        assert (n, resolved) == (16, True)
+        assert flowed == [8, 8] and differentiated == [8, 8, 8, 8]  # dH and dJ at each level
 
 
 def test_particle_terms_equal_bitwise_at_caps_16_and_64(particle, rng):
@@ -440,8 +521,8 @@ def test_particle_f2_warns_at_cap_8_and_average_of_d1j_at_cap_4(particle):
 
 def test_numeric_loop_integrates_once_and_settles_where_the_analytic_one_does(
         pendulum, particle, rng, monkeypatch):
-    # a numeric orbit is integrated once, to the cap's nodes, and each N of
-    # the loop takes every (cap/N)-th sample. Its tails carry the
+    # a numeric orbit is integrated once, to the cap's nodes, and each level of
+    # the loop reads the nodes it adds off that run. Its tails carry the
     # integrator's error (up to 0.64 rtol), below the numeric tolerance
     runs = []
     integrate = circle.integrate
@@ -586,10 +667,9 @@ def test_ty3_residual_sees_a_dropped_k1_average(rng, monkeypatch):
     # F1 without <K1> still solves its own homological equation, but {H, F1}_1
     # then has a nonzero average when omega varies with the slow variables,
     # and the second-order defect reads it (3.6e-4 at this point)
-    def f1_nodes_without_k1(system, orbit):
-        dh, dj = invariants._slow_partials(system, orbit)
+    def f1_nodes_without_k1(system, orbit, dh, dj):
         omega = positive_omega(system, orbit.fast, orbit.slow)
-        return -circle.s_at_nodes(invariants._bracket1_profile(dh, dj, orbit)) / omega, dh
+        return -circle.s_at_nodes(invariants._bracket1_profile(dh, dj, orbit)) / omega
 
     system = nondegenerate_system(constant_omega=False).system()
     m = PhasePoint(*np.split(rng.uniform(-0.8, 0.8, 4), 2))
