@@ -176,10 +176,13 @@ class OrbitSamples:
     states hold duals.
     """
 
-    nodes: int
     times: np.ndarray
     fast: list
     slow: list
+
+    @property
+    def nodes(self) -> int:
+        return len(self.times)
 
     @property
     def batch_shape(self):
@@ -193,7 +196,7 @@ def _interleave(even, odd, shape):
     if even is None:
         return odd
     if isinstance(even, OrbitSamples):  # slow coordinates are the same at every node
-        return OrbitSamples(2 * even.nodes, _interleave(even.times, odd.times, shape[-1:]),
+        return OrbitSamples(_interleave(even.times, odd.times, shape[-1:]),
                             _interleave(even.fast, odd.fast, shape),
                             [sk.broadcast(sk.map_parts(lambda a: a[..., :1], c),
                                           shape[:-1] + (2 * shape[-1],)) for c in even.slow])
@@ -256,7 +259,7 @@ class CircleAction:
             return PhasePoint(np.asarray([sk.value(c) for c in new_fast], dtype=float),
                               m.slow)
         t = float(t)
-        end = self._integrate_points(m.coords[None], t, [t], np.zeros((1, self.system.dim, 0)))
+        end = self._integrate_points(m.coords[None], [t], np.zeros((1, self.system.dim, 0)))
         return PhasePoint(end[-1, 0], m.slow)
 
     def check_periodicity(self, m: PhasePoint) -> float:
@@ -277,29 +280,20 @@ class CircleAction:
         ``bind(*slow, *W)`` binds the 2k slow values and their tangents W and
         returns ``rhs(t, y)`` over the 2r fast columns and their tangents V
         (tangents coordinate by coordinate, D each). It serves one point
-        (floats) and lanes ((lanes,) arrays) alike. ``rhs`` is one call of the
-        traced code and checks nothing: ω is constant along each orbit (the
-        period–energy hypothesis), so ``_integrate_points`` checks it once per
-        base point.
+        (floats) and lanes ((lanes,) arrays) alike. A call of ``rhs`` is one
+        call of the traced code and checks nothing: ω is constant along each
+        orbit (the period–energy hypothesis), so ``_integrate_points`` checks
+        it once per base point.
         """
-        bind = self._fields.get(directions)
-        if bind is None:
-            r, k, n = self.system.r, self.system.k, directions
-            z, s = [f"z{i}" for i in range(2 * r)], [f"s{i}" for i in range(2 * k)]
-            v, w_dot = [f"v{i}" for i in range(2 * r * n)], [f"ws{i}" for i in range(2 * k * n)]
-            source = (f"def bind({', '.join(s + w_dot)}):\n"
-                      "    def rhs(t, y):\n"
-                      f"        {', '.join(z + v)}, = y\n"
-                      f"        return tangent({', '.join(z + s + v + w_dot)})\n"
-                      "    return rhs\n")
-            bind = self._fields[n] = sk.exec_emitted(source, "<normalized fast field>", {
-                "tangent": sk.tangent(self._normalized_field, (2 * r, 2 * k), n)})["bind"]
-        return bind
+        if directions not in self._fields:
+            blocks = (2 * self.system.r, 2 * self.system.k)
+            self._fields[directions] = sk.tangent(self._normalized_field, blocks, directions)
+        return self._fields[directions]
 
-    def _integrate_points(self, points, t_end: float, t_eval, tangents) -> np.ndarray:
-        """States (times, points, 2r + 2r·D) at ``t_eval`` of base points
-        (points, 2r + 2k) and their tangents (points, 2r + 2k, D): the fast
-        coordinates, then their tangents (``_field``).
+    def _integrate_points(self, points, t_eval, tangents) -> np.ndarray:
+        """States (times, points, 2r + 2r·D) at ``t_eval`` (the last is the
+        end time) of base points (points, 2r + 2k) and their tangents (points,
+        2r + 2k, D): the fast coordinates, then their tangents (``_field``).
 
         A single point runs as a 1-D state (``integrate``'s one-point run),
         two or more points as lanes of one run. The fast coordinates alone
@@ -312,7 +306,7 @@ class CircleAction:
         bound = np.concatenate([points[:, n_fast:], flat[:, split:]], axis=1)
         positive_omega(self.system, list(points.T[:n_fast]), list(points.T[n_fast:]))
         bind = self._field(tangents.shape[-1])
-        cfg = IntegratorConfig(rtol=ORBIT_RTOL, atol=ORBIT_ATOL)
+        cfg, t_end = IntegratorConfig(rtol=ORBIT_RTOL, atol=ORBIT_ATOL), t_eval[-1]
         if len(points) == 1:
             rhs = bind(*bound[0].tolist())
             return integrate(rhs, y0[0], t_end, cfg, t_eval=t_eval, steer=n_fast).states[:, None]
@@ -335,11 +329,11 @@ class CircleAction:
             flowed = self.system.fast_flow(times, expanded_fast, expanded_slow)
             shape = np.broadcast_shapes(*[np.shape(sk.value(c)) for c in flowed],
                                         *[np.shape(sk.value(c)) for c in expanded_slow])
-            return OrbitSamples(len(times), times, [sk.broadcast(c, shape) for c in flowed],
+            return OrbitSamples(times, [sk.broadcast(c, shape) for c in flowed],
                                 [sk.broadcast(c, shape) for c in expanded_slow])
-        return self._orbit_numeric(fast, slow, len(times), times)
+        return self._orbit_numeric(fast, slow, times)
 
-    def _orbit_numeric(self, fast, slow, n, times):
+    def _orbit_numeric(self, fast, slow, times):
         """Numeric orbits: one integration for the whole batch, each point a
         lane of it (a single point runs alone, as one point).
 
@@ -358,7 +352,7 @@ class CircleAction:
             raise UnsupportedDerivative(
                 "a numeric orbit carries the tangents of one dual pass, not nested duals")
         base = np.broadcast_arrays(*[np.asarray(sk.value(c), dtype=float) for c in state])
-        batch_shape, shape = base[0].shape, base[0].shape + (n,)
+        batch_shape, shape = base[0].shape, base[0].shape + (len(times),)
         n_fast = len(fast)
         points = np.stack([c.reshape(-1) for c in base], axis=-1)
         scalar = bool(duals) and np.ndim(duals[0].eps) <= np.ndim(duals[0].val)
@@ -369,14 +363,14 @@ class CircleAction:
             np.broadcast_to(c.eps if isinstance(c, sk.Dual) else 0.0,
                             (directions,) + batch_shape).reshape(directions, len(points))
             for c in state]).transpose(2, 0, 1)
-        # (2r + 2r·D, points, nodes); the orbit is integrated to its last sample
-        out = self._integrate_points(points, times[-1], times, tangents).transpose(2, 1, 0)
+        # (2r + 2r·D, points, nodes)
+        out = self._integrate_points(points, times, tangents).transpose(2, 1, 0)
         fast_out = [out[i].reshape(shape) for i in range(n_fast)]
         if duals:
             parts = shape if scalar else (directions,) + shape
             fast_out = [sk.Dual(c, out[j:j + directions].reshape(parts), duals[0].tag)
                         for c, j in zip(fast_out, n_fast + directions * np.arange(n_fast))]
-        return OrbitSamples(n, times, fast_out,
+        return OrbitSamples(times, fast_out,
                             [sk.broadcast(_with_node_axis(c), shape) for c in slow])
 
     # -- operators ------------------------------------------------------------
@@ -393,7 +387,7 @@ class CircleAction:
             if full is None:
                 yield self.orbit(fast, slow, _times=times[picked])
             else:
-                yield OrbitSamples(len(times[picked]), times[picked], *[
+                yield OrbitSamples(times[picked], *[
                     [sk.map_parts(lambda a: a[..., picked], c) for c in block]
                     for block in (full.fast, full.slow)])
             stride, odd = stride // 2, 1
@@ -441,6 +435,6 @@ class CircleAction:
         only composes the coefficients with the flow.
         """
         self.system.require_in_domain(m)
-        return self.resolve(lambda orbit: np.asarray([
+        return self.resolve(lambda orbit, *values: np.asarray([
             float(fourier_mean(_finite_samples(c, orbit, "1-form coefficients")))
-            for c in coeffs(orbit.fast, orbit.slow)]), *m.state())
+            for c in values]), *m.state(), lambda orbit: coeffs(orbit.fast, orbit.slow))

@@ -14,23 +14,20 @@ class NumericalError(AdiakitError):
 
 
 class IntegrationError(AdiakitError):
-    """ODE integration failed to deliver the requested state."""
+    """ODE integration failed to deliver the requested state; ``last_time`` is
+    the time it reached, where known."""
+
+    def __init__(self, message, last_time=None):
+        super().__init__(message)
+        self.last_time = last_time
 
 
 class MaxStepsExceeded(IntegrationError):
     """The step budget ran out before reaching the end time."""
 
-    def __init__(self, message, last_time=None):
-        super().__init__(message)
-        self.last_time = last_time
-
 
 class StepSizeUnderflow(IntegrationError):
     """The adaptive controller shrank the step below the resolvable size."""
-
-    def __init__(self, message, last_time=None):
-        super().__init__(message)
-        self.last_time = last_time
 
 
 class InvalidParameter(AdiakitError):

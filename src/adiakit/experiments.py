@@ -84,31 +84,24 @@ def full_field(system, eps: float):
     −ε·∂H/∂q, ε·∂H/∂p), as a (t, y) -> dy callable on coordinate columns
     (``integrators``' contract), equal bit for bit to ``phase.field_full``.
 
-    It is ``phase.velocity`` of each block, traced once per H with ε as one
-    more input (``kernel.tangent``, no tangent directions): a call is one call
-    of the traced code. One point's Python floats round as numpy's float64
-    scalars do, but raise where numpy returns inf (a division by an exact 0.0,
-    an overflowing ``**``). An H that the tracer cannot record costs 2r + 2k
-    dual passes per call instead.
+    It is ``phase.velocity`` of each block, traced once per H with ε as the
+    last block (``kernel.tangent``, no tangent directions), whose ``bind``
+    takes ``eps``: a call is one call of the traced code. One point's Python
+    floats round as numpy's float64 scalars do, but raise where numpy returns
+    inf (a division by an exact 0.0, an overflowing ``**``). An H that the
+    tracer cannot record costs 2r + 2k dual passes per call instead.
     """
     return _drift_field(system.H, system.r, system.k)(float(eps))
 
 
 @functools.lru_cache(maxsize=1)
 def _drift_field(h, r, k):
-    """``bind(eps)`` of H's emitted drift field, kept for the last H."""
+    """``bind(eps)`` of H's traced drift field (``kernel.tangent``), kept for the last H."""
     def field(fast, slow, eps):
         return (velocity(h, fast, slow, "fast")
                 + [eps[0] * v for v in velocity(h, fast, slow, "slow")])
 
-    coords = ", ".join(f"c{i}" for i in range(2 * r + 2 * k))
-    source = ("def bind(eps):\n"
-              "    def rhs(t, coords):\n"
-              f"        {coords}, = coords\n"
-              f"        return tangent({coords}, eps)\n"
-              "    return rhs\n")
-    return sk.exec_emitted(source, "<drift field>", {
-        "tangent": sk.tangent(field, (2 * r, 2 * k, 1), 0)})["bind"]
+    return sk.tangent(field, (2 * r, 2 * k, 1), 0)
 
 
 _last_build = []  # the last config built, and its build: shared by a sweep and its F₂ check

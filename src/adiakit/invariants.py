@@ -444,8 +444,8 @@ def ty2_residual(system: SlowFastSystem, action: CircleAction, m: PhasePoint) ->
     system.require_in_domain(m)
     fast, slow = m.state()
     avg = resolved_value(action.resolve(
-        lambda orbit: fourier_mean(_bracket1_profile(*_slow_partials(system, orbit), orbit)),
-        fast, slow))
+        lambda orbit, dh, dj: fourier_mean(_bracket1_profile(dh, dj, orbit)),
+        fast, slow, lambda orbit: _slow_partials(system, orbit)))
     return abs(float(avg)) / float(sk.value(positive_omega(system, fast, slow)))
 
 

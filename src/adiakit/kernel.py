@@ -22,8 +22,11 @@ as in a variational equation), into straight-line Python: the evaluation
 trace and source transformation of forward-mode differentiation (Griewank &
 Walther, *Evaluating Derivatives*, 2nd ed., ch. 2-3; Wengert, Commun. ACM 7,
 1964). The oracle runs once on tracer objects, which record each operation
-as one assignment; the recorded code is run once (:func:`exec_emitted`) and
-then called with plain floats or arrays. It returns the values, then the
+as one assignment. The recorded code is emitted as one ODE field and run
+once (:func:`exec_emitted`): ``bind`` takes the oracle's last block of
+coordinates and their tangents (the orbit field's slow block, the drift
+field's ε) and returns ``rhs(t, y)`` over the other blocks', which runs the
+assignments on plain floats or arrays and returns the values, then the
 tangents, as one flat tuple. With no tangent directions it compiles values
 alone: the drift field, whose oracle takes H's partials by ``Dual`` passes of
 its own (``phase.velocity``), as the orbit field's does.
@@ -43,14 +46,13 @@ else, and a product by the literal 1.0 (the seed's tangent of an inner
 ``Dual`` pass, or a constant such as a parameter B = 1.0) or a quotient by
 it, which returns a float or float array unchanged. An expression recorded
 twice is computed once, and code the outputs do not use is dropped. The
-emitted code is kept as the compiled function's ``source``. The compiled
-code computes with the floats or arrays it is called with, so ``**`` and the
-elementary functions see scalars where a multidual pass over the same
-coordinates holds scalars and arrays where it holds arrays; that matters
-because numpy's scalar and array ``**`` round differently. (Python floats
-and numpy float64 scalars round alike: both ``**`` call the C library's
-``pow``.) The emitted code calls numpy's ``sqrt/sin/cos/exp/log`` and no
-``math`` function.
+emitted code is kept as ``bind.source``. The compiled code computes with the
+floats or arrays it is called with, so ``**`` and the elementary functions
+see scalars where a multidual pass over the same coordinates holds scalars
+and arrays where it holds arrays; that matters because numpy's scalar and
+array ``**`` round differently. (Python floats and numpy float64 scalars
+round alike: both ``**`` call the C library's ``pow``.) The emitted code
+calls numpy's ``sqrt/sin/cos/exp/log`` and no ``math`` function.
 
 The tracer knows ``+ - * /``, unary minus, integer ``**`` and this module's
 ``sqrt/sin/cos/exp/log``. Anything else raises
@@ -63,11 +65,11 @@ oracle's own errors surface when it is evaluated.
 
 Code cache
 ----------
-:func:`exec_emitted` runs all emitted code (the traced code, ``integrators``'
-DOP853 run, the drift and orbit fields) and keeps each compiled code object
-beside this package's own bytecode, as ``__pycache__`` keeps a module's (PEP
-3147): a ``marshal`` file named by ``importlib.util.source_hash`` of filename
-and source and by ``MAGIC_NUMBER``, used only if it holds the same source.
+:func:`exec_emitted` runs all emitted code (the traced fields and
+``integrators``' DOP853 run) and keeps each compiled code object beside this
+package's own bytecode, as ``__pycache__`` keeps a module's (PEP 3147): a
+``marshal`` file named by ``importlib.util.source_hash`` of filename and
+source and by ``MAGIC_NUMBER``, used only if it holds the same source.
 Any other entry is compiled and rewritten, through a file named with the
 process id and ``os.replace``, so that workers may race; where it cannot be
 written, the code stays in memory. A load refreshes its entry's mtime, and a
@@ -545,16 +547,17 @@ def _codes(tape, out, n):
 
 
 def trace_tangent(f, blocks, directions):
-    """Compiled values and directional derivatives of ``f``'s outputs.
+    """Compiled values and directional derivatives of ``f``'s outputs, as a field.
 
     ``f`` takes one list of kernel scalars per entry of ``blocks``, returns a
     list of outputs, and may take :class:`Dual` passes of its own. The
-    returned function takes the flat coordinates, then ``directions`` tangent
-    components per coordinate, and returns one flat tuple: the outputs'
-    values, then their ``directions`` tangent components each. Raises
-    :class:`TraceError` on an operation the tracer does not know.
+    returned ``bind`` takes the last block's coordinates, then ``directions``
+    tangent components of each; its ``rhs(t, y)`` takes the other blocks' in
+    ``y`` and returns the outputs' values, then their tangent components, as
+    one flat tuple. Raises :class:`TraceError` on an operation the tracer
+    does not know.
     """
-    dots = [tuple(f"t{i}_{d}" for d in range(directions)) for i in range(sum(blocks))]
+    dots = [[f"t{i}_{d}" for d in range(directions)] for i in range(sum(blocks))]
     # no directions: plain values, not duals, so that x/y is traced as x/y
     tape, args, out = _record(f, blocks, [d or None for d in dots])
     results = [_codes(tape, o, directions) for o in out]
@@ -562,37 +565,45 @@ def trace_tangent(f, blocks, directions):
     needed, body = {o.lstrip("-") for o in outputs}, []
     for target, expr, operands in reversed(tape.lines):
         if target in needed:  # dead code (e.g. f's own value) is left out
-            body.append(f"    {target} = {expr}\n")
+            body.append(f"        {target} = {expr}\n")
             needed.update(operands)
-    source = (f"def tangent({', '.join(args + [t for d in dots for t in d])}):\n"
-              + "".join(reversed(body)) + f"    return ({', '.join(outputs)},)\n")
-    fn = exec_emitted(source, "<traced tangent>", dict(_FUNCTIONS, **tape.consts))["tangent"]
-    fn.source = source
-    return fn
+    free = sum(blocks[:-1])  # coordinates in y
+    bound = args[free:] + [t for d in dots[free:] for t in d]
+    y = args[:free] + [t for d in dots[:free] for t in d]
+    source = (f"def bind({', '.join(bound)}):\n    def rhs(t, y):\n"
+              f"        {', '.join(y)}, = y\n" + "".join(reversed(body))
+              + f"        return ({', '.join(outputs)},)\n    return rhs\n")
+    bind = exec_emitted(source, "<traced field>", dict(_FUNCTIONS, **tape.consts))["bind"]
+    bind.source = source
+    return bind
 
 
 def _multidual_tangent(f, blocks, directions):
-    """The same values and tangents from one multidual evaluation of ``f`` per call."""
-    n = sum(blocks)
+    """The same ``bind``, whose ``rhs`` takes one multidual evaluation of ``f`` per call."""
+    n, free = sum(blocks), sum(blocks[:-1])
 
-    def tangent(*args):
-        tag = fresh_tag()  # direction axis first; no directions: plain values
-        coords = [Dual(c, np.reshape(args[n + i * directions:n + (i + 1) * directions],
-                                     (directions,) + np.shape(c)), tag) if directions else c
-                  for i, c in enumerate(args[:n])]
-        results = [o if isinstance(o, Dual) and o.tag == tag
-                   else Dual(o, np.zeros(directions), tag)
-                   for o in f(*_blocks(coords, blocks))]
-        return tuple(o.val for o in results) + tuple(e for o in results for e in o.eps)
+    def bind(*bound):
+        def rhs(t, y):
+            args = [*y[:free], *bound[:n - free], *y[free:], *bound[n - free:]]
+            tag = fresh_tag()  # direction axis first; no directions: plain values
+            coords = [Dual(c, np.reshape(args[n + i * directions:n + (i + 1) * directions],
+                                         (directions,) + np.shape(c)), tag) if directions else c
+                      for i, c in enumerate(args[:n])]
+            results = [o if isinstance(o, Dual) and o.tag == tag
+                       else Dual(o, np.zeros(directions), tag)
+                       for o in f(*_blocks(coords, blocks))]
+            return tuple(o.val for o in results) + tuple(e for o in results for e in o.eps)
 
-    return tangent
+        return rhs
+
+    return bind
 
 
 def tangent(f, blocks, directions):
-    """The outputs' values and tangents, flat, as a function of the
-    coordinates and their tangents: :func:`trace_tangent`, or, when ``f``
-    cannot be traced, one multidual evaluation of ``f`` per call with the same
-    results.
+    """``bind`` of the field of ``f``'s outputs and their tangents
+    (:func:`trace_tangent`), or, when ``f`` cannot be traced, a ``bind`` of
+    the same signature whose ``rhs`` takes one multidual evaluation of ``f``
+    per call with the same results.
     """
     try:
         return trace_tangent(f, blocks, directions)

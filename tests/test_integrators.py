@@ -331,7 +331,8 @@ def test_one_point_times_are_python_floats(t_end):
 @pytest.mark.parametrize("command", [["invariant", "--order", "2"], ["check"]])
 def test_numeric_flow_commands_compile_each_source_once(tmp_path, capsys, code_cache, command):
     # a cold code cache compiles each emitted source once, the one-point run
-    # once per dimension; a new process then loads them all
+    # once per dimension, and nothing but traced fields and runs; a new
+    # process then loads them all
     config = tmp_path / "run.ini"
     config.write_text("[fixture]\nname = elastic_pendulum\n\n"
                       "[quadrature]\nnodes = 8\nflow_mode = numeric\n", encoding="utf-8")
@@ -341,6 +342,7 @@ def test_numeric_flow_commands_compile_each_source_once(tmp_path, capsys, code_c
     runs = [filename for filename, _ in code_cache.compiled if filename.startswith("<DOP853")]
     assert 0 < len(runs) == len(set(runs))
     assert len(set(code_cache.compiled)) == len(code_cache.compiled)
+    assert {filename for filename, _ in code_cache.compiled} == {"<traced field>", *runs}
     code_cache.restart()
     assert main(argv) == 0
     assert capsys.readouterr().out == cold

@@ -455,6 +455,37 @@ def test_analytic_levels_evaluate_each_node_column_once(particle, rng, monkeypat
         assert flowed == [8, 8] and differentiated == [8, 8, 8, 8]  # dH and dJ at each level
 
 
+@pytest.mark.parametrize("flow_mode", ["analytic", "numeric"])
+def test_oneform_and_ty2_levels_differentiate_each_node_column_once(particle, rng, monkeypatch,
+                                                                   flow_mode):
+    # with every tail check failing, the loop runs on to the cap of 64: each
+    # level differentiates only the nodes it adds, 64 node columns per
+    # partials pass, not 8 + 16 + 32 + 64
+    differentiated = []
+    partials = type(invariants.DEFAULT_ENGINE).partials
+
+    def counted_partials(engine, f, fast, slow, block):
+        differentiated.append(np.shape(sk.value(fast[0]))[-1])
+        return partials(engine, f, fast, slow, block)
+
+    init = circle._Loop.__init__
+    monkeypatch.setattr(circle._Loop, "__init__",
+                        lambda loop, tol, at_cap: init(loop, -1.0, at_cap))
+    system = particle.system
+    action = CircleAction(system, flow_mode=flow_mode)
+    m = sample_points(particle, rng, 1)[0]
+    action.flow(1.0, m)  # a numeric flow traces its field first, on scalars
+    monkeypatch.setattr(type(invariants.DEFAULT_ENGINE), "partials", counted_partials)
+    _, n, resolved = action.resolve_slow_oneform(d1j_coeffs(system), m)
+    assert (n, resolved) == (64, False)
+    assert differentiated == [8, 8, 16, 32]  # dJ at each level
+    differentiated.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnresolvedQuadrature)
+        ty2_residual(system, action, m)
+    assert differentiated == [8, 8, 8, 8, 16, 16, 32, 32]  # dH and dJ at each level
+
+
 def test_particle_terms_equal_bitwise_at_caps_16_and_64(particle, rng):
     coords = np.stack([m.coords for m in sample_points(particle, rng, 20)])
     (low, *low_n), (high, *high_n) = [

@@ -135,6 +135,15 @@ def multidual_tangent_reference(f, blocks, coords, dots):
             + [e for o in out for e in np.broadcast_to(sk.extract_partial(o, tag), shape)])
 
 
+def field_at(bind, blocks, coords, tangents):
+    """The flat values and tangents of ``bind``'s field at the flat
+    ``coords`` and their flat ``tangents`` (each coordinate's directions in
+    turn): the last block and its tangents bound, the others' passed as y."""
+    free = sum(blocks[:-1])
+    split = free * len(tangents) // len(coords)
+    return bind(*coords[free:], *tangents[split:])(0.0, [*coords[:free], *tangents[:split]])
+
+
 def assert_same_partials(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -147,14 +156,14 @@ def assert_compiled_equals_multidual(f, blocks, dots, points):
     equals a multidual evaluation bit for bit at each of ``points`` (rows),
     as numpy's float64 scalars and as Python floats, and on the points as
     lanes."""
-    tangent = sk.trace_tangent(f, blocks, dots.shape[1])  # traceable: no fallback
+    bind = sk.trace_tangent(f, blocks, dots.shape[1])  # traceable: no fallback
     for point in points:
         for coords in (list(point), point.tolist()):
-            assert_same_partials(tangent(*coords, *dots.ravel().tolist()),
+            assert_same_partials(field_at(bind, blocks, coords, dots.ravel().tolist()),
                                  multidual_tangent_reference(f, blocks, coords, dots.tolist()))
     lanes = list(points.T)  # one array of lanes per coordinate
     lane_dots = [[np.full(len(points), d) for d in row] for row in dots]
-    assert_same_partials(tangent(*lanes, *[d for row in lane_dots for d in row]),
+    assert_same_partials(field_at(bind, blocks, lanes, [d for row in lane_dots for d in row]),
                          multidual_tangent_reference(f, blocks, lanes, lane_dots))
 
 
@@ -246,7 +255,7 @@ def test_compiled_gradient_folds_negations():
     # a negation is read where it is used (-v * w), not assigned on its own
     system = get_fixture("charged_particle").system
     source = sk.trace_tangent(drift_field(system), (2, 2, 1), 0).source
-    assignments = re.findall(r"^    (v\d+) = (.*)$", source, re.MULTILINE)
+    assignments = re.findall(r"^        (v\d+) = (.*)$", source, re.MULTILINE)
     assert len(assignments) == 39, source
     assert not [a for a in assignments if re.fullmatch(r"-v\d+", a[1])], source
     assert re.search(r"= -v\d+ \* v\d+$", source, re.MULTILINE), source
@@ -307,17 +316,29 @@ def test_untraceable_tangent_falls_back_to_multiduals():
 
     with pytest.raises(TraceError):
         sk.trace_tangent(f, (2, 2), 2)
-    tangent = sk.tangent(f, (2, 2), 2)
+    bind = sk.tangent(f, (2, 2), 2)
     point, dot = [-0.3, 0.7, 0.4, 0.9], [[1.0, 0.0], [0.0, 1.0], [0.5, 0.0], [0.0, -2.0]]
-    assert_same_partials(tangent(*point, *np.ravel(dot)),
+    assert_same_partials(field_at(bind, (2, 2), point, list(np.ravel(dot))),
                          multidual_tangent_reference(f, (2, 2), point, dot))
     rng = np.random.default_rng(2)
     lanes, dots = list(rng.uniform(-1.0, 1.0, (4, 5))), list(rng.uniform(-1.0, 1.0, (8, 5)))
     for lane in range(5):  # lanes, and no directions at all
-        got = tangent(*lanes, *dots)
-        want = tangent(*[c[lane] for c in lanes], *[d[lane] for d in dots])
+        got = field_at(bind, (2, 2), lanes, dots)
+        want = field_at(bind, (2, 2), [c[lane] for c in lanes], [d[lane] for d in dots])
         assert_same_partials([g[lane] for g in got], want)
-    assert_same_partials(sk.tangent(f, (2, 2), 0)(*lanes), f(lanes[:2], lanes[2:]))
+    assert_same_partials(field_at(sk.tangent(f, (2, 2), 0), (2, 2), lanes, []),
+                         f(lanes[:2], lanes[2:]))
+
+    def drift(fast, slow, eps):  # the drift field's layout: ε alone bound, no directions
+        return f(fast, slow) + [eps[0] * slow[1]]
+
+    with pytest.raises(TraceError):
+        sk.trace_tangent(drift, (2, 2, 1), 0)
+    bind = sk.tangent(drift, (2, 2, 1), 0)
+    assert_same_partials(bind(0.05)(0.0, point),
+                         multidual_tangent_reference(drift, (2, 2, 1), point + [0.05], [[]] * 5))
+    assert_same_partials(bind(0.05)(0.0, np.array(lanes)),
+                         drift(lanes[:2], lanes[2:], [0.05]))
 
 
 def branchy(fast, slow):
@@ -344,9 +365,9 @@ def test_untraceable_oracle_falls_back_to_dual_result(f):
     # the gradient: tangents along the four unit directions
     with pytest.raises(TraceError):
         sk.trace_tangent(f, (2, 2), 4)
-    tangent = sk.tangent(f, (2, 2), 4)
+    bind = sk.tangent(f, (2, 2), 4)
     for point in ([0.3, -0.7, 0.4, 0.9], [1.1, 0.2, -0.5, 0.2]):
-        assert_same_partials(tangent(*point, *np.eye(4).ravel()),
+        assert_same_partials(field_at(bind, (2, 2), point, list(np.eye(4).ravel())),
                              multidual_tangent_reference(f, (2, 2), point, np.eye(4)))
 
 
@@ -356,8 +377,8 @@ def test_fallback_on_lanes_with_abs():
 
     lanes = list(np.random.default_rng(3).uniform(-1.0, 1.0, size=(4, 16)))
     dots = [[np.full(16, d) for d in row] for row in np.eye(4, 2)]  # the fast gradient
-    tangent = sk.tangent(f, (2, 2), 2)
-    assert_same_partials(tangent(*lanes, *[d for row in dots for d in row]),
+    bind = sk.tangent(f, (2, 2), 2)
+    assert_same_partials(field_at(bind, (2, 2), lanes, [d for row in dots for d in row]),
                          multidual_tangent_reference(f, (2, 2), lanes, dots))
 
 
@@ -365,9 +386,9 @@ def test_oracle_errors_surface_at_evaluation():
     def f(fast, slow):
         return [np.sin(fast[0]) * slow[0]]  # a numpy ufunc cannot take duals
 
-    tangent = sk.tangent(f, (2, 2), 1)
+    bind = sk.tangent(f, (2, 2), 1)
     with pytest.raises(TypeError):
-        tangent(0.1, 0.2, 0.3, 0.4, 1.0, 0.0, 0.0, 0.0)
+        field_at(bind, (2, 2), [0.1, 0.2, 0.3, 0.4], [1.0, 0.0, 0.0, 0.0])
 
 
 def test_integer_powers_match_on_scalars_and_arrays():
