@@ -2,10 +2,13 @@
 
 The fast Hamiltonian field divided by the frequency function ω generates a
 2π-periodic flow. ω is constant along each fast orbit (the period–energy
-hypothesis), so a numeric run checks ω > 0 once, at its base points.
-Averaging ⟨f⟩ and the zero-mean integrating operator 𝒮(f) are evaluated
-spectrally: sample the orbit profile at N equispaced phases, take discrete
-Fourier coefficients f̂_n, then
+hypothesis), so a numeric run checks ω > 0 once, at its base points. The flow
+moves the fast block only: an orbit keeps each slow coordinate at one node, so
+each term built from the slow block alone (ω, the slow-only parts of H, J and
+their slow partials) is computed once per point, and numpy broadcasts it over
+the nodes with the same IEEE operations. Averaging ⟨f⟩ and the zero-mean
+integrating operator 𝒮(f) are evaluated spectrally: sample the orbit profile
+at N equispaced phases, take discrete Fourier coefficients f̂_n, then
 
     ⟨f⟩ = f̂_0,          𝒮(f) = Σ_{n≠0} f̂_n / (i n).
 
@@ -14,7 +17,7 @@ that makes the trapezoidal rule spectrally accurate; the Fourier route keeps
 it, and is exact for orbit profiles that are trigonometric polynomials of
 degree below N/2 (the Nyquist bin carries no recoverable phase and is
 dropped). Both operators are linear, so they also take dual profiles and
-act on each part.
+act on each part. ⟨·⟩ sums each row pairwise, whatever its memory layout.
 
 N is chosen from the spectrum, not fixed (``CircleAction.resolve``; Trefethen
 & Weideman, SIAM Rev. 56 (2014); Aurentz & Trefethen, ACM TOMS 43 (2017)):
@@ -84,11 +87,14 @@ def _note_tail(samples, coeff=None) -> None:
     raises :class:`_Unresolved` below the cap and flags the loop at it."""
     if not (_open_loops and _open_loops[-1].resolved):
         return
-    mag = np.abs(np.fft.rfft(samples, axis=-1) if coeff is None else coeff)
-    quarter = (mag.shape[-1] - 1) // 2  # N/4
+    coeff = np.fft.rfft(samples, axis=-1) if coeff is None else coeff
+    # moduli with the frequency axis outermost in memory: each row's max is
+    # then elementwise across rows, not numpy's row-by-row reduction of a short axis
+    mag = np.abs(coeff.T, order="C")
+    quarter = (mag.shape[0] - 1) // 2  # N/4
     # a NaN fails the comparison too
     loop = _open_loops[-1]
-    if not np.all(mag[..., quarter + 1:] <= loop.tol * mag.max(axis=-1, keepdims=True)):
+    if not np.all(mag[quarter + 1:] <= loop.tol * mag.max(axis=0)):
         if not loop.at_cap:
             raise _Unresolved
         loop.resolved = False
@@ -120,9 +126,10 @@ def _per_part(op):
 
 @_per_part
 def fourier_mean(samples: np.ndarray, keepdims: bool = False) -> np.ndarray:
-    """Orbit average: the 0-th discrete Fourier coefficient."""
+    """Orbit average: the 0-th discrete Fourier coefficient, each row summed
+    pairwise whatever its memory layout (module docstring)."""
     _note_tail(samples)
-    return np.mean(samples, axis=-1, keepdims=keepdims)
+    return np.mean(np.ascontiguousarray(samples), axis=-1, keepdims=keepdims)
 
 
 @_per_part
@@ -171,9 +178,10 @@ def _with_node_axis(c):
 class OrbitSamples:
     """Flowed states at the phases ``times`` of one (possibly batched) orbit.
 
-    Each coordinate array carries the batch shape of the base state plus a
-    trailing node axis of length ``nodes``. Analytic orbits of dual base
-    states hold duals.
+    Each fast coordinate array carries the batch shape of the base state plus
+    a trailing node axis of length ``nodes``. Each slow coordinate, and each
+    of its dual parts, keeps a node axis of length 1: the slow block is frozen
+    along the orbit (module docstring). Analytic orbits of dual states hold duals.
     """
 
     times: np.ndarray
@@ -195,20 +203,16 @@ def _interleave(even, odd, shape):
     last): item by item, and part by part for duals. No ``even``: ``odd``."""
     if even is None:
         return odd
-    if isinstance(even, OrbitSamples):  # slow coordinates are the same at every node
+    if isinstance(even, OrbitSamples):  # the slow block keeps its one node
         return OrbitSamples(_interleave(even.times, odd.times, shape[-1:]),
-                            _interleave(even.fast, odd.fast, shape),
-                            [sk.broadcast(sk.map_parts(lambda a: a[..., :1], c),
-                                          shape[:-1] + (2 * shape[-1],)) for c in even.slow])
+                            _interleave(even.fast, odd.fast, shape), even.slow)
     if isinstance(even, (list, tuple)):
         return type(even)(_interleave(a, b, shape) for a, b in zip(even, odd))
     if isinstance(even, sk.Dual):
         return sk.Dual(*_interleave([even.val, even.eps], [odd.val, odd.eps], shape), even.tag)
     b = np.asarray(odd, dtype=float)
     wide = b.shape if b.shape[-len(shape):] == shape else np.broadcast_shapes(b.shape, shape)
-    # a computed array keeps its memory order (it orders numpy's sums), a broadcast one is C
-    merged = np.empty_like(b, shape=wide[:-1] + (2 * wide[-1],),
-                           order="K" if b.shape == wide and 0 not in b.strides else "C")
+    merged = np.empty(wide[:-1] + (2 * wide[-1],))
     merged[..., ::2], merged[..., 1::2] = even, b
     return merged
 
@@ -330,7 +334,7 @@ class CircleAction:
             shape = np.broadcast_shapes(*[np.shape(sk.value(c)) for c in flowed],
                                         *[np.shape(sk.value(c)) for c in expanded_slow])
             return OrbitSamples(times, [sk.broadcast(c, shape) for c in flowed],
-                                [sk.broadcast(c, shape) for c in expanded_slow])
+                                [sk.broadcast(c, shape[:-1] + (1,)) for c in expanded_slow])
         return self._orbit_numeric(fast, slow, times)
 
     def _orbit_numeric(self, fast, slow, times):
@@ -371,7 +375,7 @@ class CircleAction:
             fast_out = [sk.Dual(c, out[j:j + directions].reshape(parts), duals[0].tag)
                         for c, j in zip(fast_out, n_fast + directions * np.arange(n_fast))]
         return OrbitSamples(times, fast_out,
-                            [sk.broadcast(_with_node_axis(c), shape) for c in slow])
+                            [sk.broadcast(_with_node_axis(c), batch_shape + (1,)) for c in slow])
 
     # -- operators ------------------------------------------------------------
 
@@ -387,9 +391,8 @@ class CircleAction:
             if full is None:
                 yield self.orbit(fast, slow, _times=times[picked])
             else:
-                yield OrbitSamples(times[picked], *[
-                    [sk.map_parts(lambda a: a[..., picked], c) for c in block]
-                    for block in (full.fast, full.slow)])
+                yield OrbitSamples(times[picked], [sk.map_parts(lambda a: a[..., picked], c)
+                                                   for c in full.fast], full.slow)
             stride, odd = stride // 2, 1
 
     def resolve(self, evaluate: Callable, fast, slow, pointwise: Callable = lambda orbit: ()):

@@ -69,7 +69,8 @@ Code cache
 ``integrators``' DOP853 run) and keeps each compiled code object beside this
 package's own bytecode, as ``__pycache__`` keeps a module's (PEP 3147): a
 ``marshal`` file named by ``importlib.util.source_hash`` of filename and
-source and by ``MAGIC_NUMBER``, used only if it holds the same source.
+key and by ``MAGIC_NUMBER``, used only if it holds the same key: the source,
+or what generates it (the DOP853 run's), so that a load builds no source.
 Any other entry is compiled and rewritten, through a file named with the
 process id and ``os.replace``, so that workers may race; where it cannot be
 written, the code stays in memory. A load refreshes its entry's mtime, and a
@@ -275,9 +276,13 @@ def map_parts(fn, x):
 
 
 def broadcast(x, shape):
-    """``x`` broadcast to ``shape``; dual parts keep their leading direction axes."""
+    """``x`` broadcast to ``shape``; dual parts keep their leading direction axes.
+    A part whose trailing axes are ``shape`` comes back as it is: no caller
+    writes into the result."""
     def part(a):
         a = np.asarray(a, dtype=float)
+        if a.shape[a.ndim - len(shape):] == shape:
+            return a
         return np.broadcast_to(a, np.broadcast_shapes(a.shape, shape))
 
     return map_parts(part, x)
@@ -612,7 +617,7 @@ def tangent(f, blocks, directions):
 
 
 _CODE_CACHE = os.path.dirname(importlib.util.cache_from_source(__file__))
-_CODE = {}  # (filename, source) -> code object, compiled or loaded by this process
+_CODE = {}  # (filename, key) -> code object, compiled or loaded by this process
 # Entries kept, the most recently used: each source emitted with other literals
 # or by an older version of the package adds one for good. A tier-1 test run,
 # which emits more distinct sources than any command, writes 71 (8.9 MB)
@@ -633,32 +638,35 @@ def _prune_code_cache():
             os.remove(path)
 
 
-def exec_emitted(source, filename, namespace):
+def exec_emitted(source, filename, namespace, key=None):
     """Run emitted ``source`` in ``namespace``, compiled once per machine
-    ("Code cache" in the module docstring), and return ``namespace``."""
-    code = _CODE.get((filename, source))
+    ("Code cache" in the module docstring), and return ``namespace``. With a
+    ``key``, ``source`` may be a function that returns it, called to compile."""
+    key = source if key is None else key
+    code = _CODE.get((filename, key))
     if code is None:
-        key = importlib.util.source_hash(f"{filename}\0{source}".encode()).hex()
-        path = os.path.join(_CODE_CACHE, f"emitted-{key}-{importlib.util.MAGIC_NUMBER.hex()}")
+        name = importlib.util.source_hash(f"{filename}\0{key}".encode()).hex()
+        path = os.path.join(_CODE_CACHE, f"emitted-{name}-{importlib.util.MAGIC_NUMBER.hex()}")
         try:
             with open(path, "rb") as fh:
                 *stored, code = marshal.load(fh)
-            if stored != [filename, source] or not isinstance(code, types.CodeType):
+            if stored != [filename, key] or not isinstance(code, types.CodeType):
                 raise ValueError(f"{path} holds another source")
             with contextlib.suppress(OSError):  # the entry only looks older
                 os.utime(path)
         except (OSError, EOFError, ValueError, TypeError):
-            code, temp = compile(source, filename, "exec"), f"{path}.{os.getpid()}"
+            text = source() if callable(source) else source
+            code, temp = compile(text, filename, "exec"), f"{path}.{os.getpid()}"
             try:
                 os.makedirs(_CODE_CACHE, exist_ok=True)
                 with open(temp, "wb") as fh:
-                    marshal.dump((filename, source, code), fh)
+                    marshal.dump((filename, key, code), fh)
                 os.replace(temp, path)
             except OSError:  # no entry: this process keeps the code in memory
                 with contextlib.suppress(OSError):
                     os.remove(temp)
             else:
                 _prune_code_cache()
-        _CODE[filename, source] = code
+        _CODE[filename, key] = code
     exec(code, namespace)
     return namespace

@@ -1,5 +1,7 @@
 """Circle-action flows and the averaging/integrating operators."""
 
+import functools
+import operator
 from contextlib import nullcontext
 from dataclasses import replace
 
@@ -130,16 +132,20 @@ def _dual_state(coords, seeds, tag):
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
 def test_numeric_dual_orbit_matches_analytic_dual_parts(request, fixture_name):
     # the variational equation's tangents are ∂Fl/∂b, the dual parts that the
-    # analytic flow carries (measured <= 5e-12 at rtol 1e-11)
+    # analytic flow carries (measured <= 5e-12 at rtol 1e-11); the frozen slow
+    # block keeps one node in both flows, and is compared over all nodes
     fixture = request.getfixturevalue(fixture_name)
     tag = sk.fresh_tag()
     state = _dual_state(fixture.initial.coords, np.eye(4), tag)
     for nodes in (8, 64):
         numeric = CircleAction(fixture.system, flow_mode="numeric", nodes=nodes).orbit(*state)
         analytic = CircleAction(fixture.system, nodes=nodes).orbit(*state)
-        for got, want in zip(numeric.fast + numeric.slow, analytic.fast + analytic.slow):
+        pairs = [(got, want, nodes) for got, want in zip(numeric.fast, analytic.fast)]
+        pairs += [(got, want, 1) for got, want in zip(numeric.slow, analytic.slow)]
+        for got, want, node_axis in pairs:
             assert got.tag == want.tag == tag
-            assert np.shape(got.eps) == np.shape(want.eps) == (4, nodes)
+            assert np.shape(got.eps) == np.shape(want.eps) == (4, node_axis)
+            got, want = (sk.broadcast(c, (nodes,)) for c in (got, want))
             assert np.allclose(got.val, want.val, rtol=0.0, atol=1e-10)
             assert np.allclose(got.eps, want.eps, rtol=0.0, atol=1e-10)
 
@@ -472,7 +478,77 @@ def test_s_at_nodes_is_shifted_s():
     assert np.allclose(nodes, expected, atol=1e-13)
 
 
+def test_fourier_mean_sums_each_row_in_one_order_whatever_its_layout():
+    # numpy sums a reduction axis pairwise only where it is innermost in
+    # memory; ⟨·⟩ gives a profile and its Fortran-ordered copy the same bits
+    rows = np.random.default_rng(5).standard_normal((16, 64))
+    sequential = np.array([functools.reduce(operator.add, row.tolist()) for row in rows])
+    pairwise = np.add.reduce(rows, axis=-1)
+    assert np.any(sequential != pairwise)  # the seeded rows tell the two orders apart
+    fortran = np.asfortranarray(rows)
+    for profile in (rows, fortran):
+        assert np.array_equal(fourier_mean(profile), pairwise / 64)
+    assert np.array_equal(fourier_mean(fortran, keepdims=True), (pairwise / 64)[:, None])
+
+
 # -- node count from the spectrum -----------------------------------------------
+
+def moduli_rule(coeff, tol):
+    """The tail rule on numpy's moduli, as it reads: |c_k| ≤ tol·max_k |c_k|
+    for every k > N/4 of every row (a NaN fails)."""
+    mag = np.abs(coeff)
+    quarter = (mag.shape[-1] - 1) // 2
+    return bool(np.all(mag[..., quarter + 1:] <= tol * mag.max(axis=-1, keepdims=True)))
+
+
+def tail_check(coeff, tol):
+    """Whether ``_note_tail`` finds the coefficients ``coeff`` resolved, at the cap."""
+    loop = circle._Loop(tol, at_cap=True)
+    circle._open_loops.append(loop)
+    try:
+        circle._note_tail(None, coeff)
+    finally:
+        circle._open_loops.pop()
+    return loop.resolved
+
+
+def tail_rows(tol, rng):
+    """Rows of five coefficients (N = 8: the tail is k = 3, 4) with tails
+    exactly at, one ulp on either side of, and a few ulps around the
+    threshold, for largest moduli from 1e-170 to 1e170; NaN, inf and zeros in
+    the head and in the tail; subnormals."""
+    rows = []
+    for top in (1.0, 0.6 - 0.8j, 3.7e-9, 1e-150, 1e-160, 1e-170, 1e150, 1e160, 1e170):
+        edge = abs(tol) * np.abs(top)
+        for at in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)):
+            rows += [[top, 0.5 * top, 0.0, at, 0.0], [0.0, top, 0.0, 0.0, -at],
+                     [top, 0.0, 0.0, at * (0.6 + 0.8j), 0.0]]
+        for phase in rng.uniform(0.0, 2.0 * np.pi, 8):  # a few ulps around the edge
+            rows.append([top, 0.0, 0.0, 0.0, edge * (1.0 + rng.integers(-8, 9) * 2.0 ** -52)
+                         * np.exp(1j * phase)])
+    nan, inf = np.nan, np.inf
+    rows += [[nan, 0.0, 0.0, 0.0, 0.0], [1.0, 0.0, nan, 0.0, 0.0], [1.0, 0.0, 0.0, nan, 0.0],
+             [inf, 0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, inf, 0.0], [inf, 0.0, 0.0, 0.0, inf],
+             [1.0, 0.0, 0.0, complex(inf, nan), 0.0], [complex(nan, inf), 1.0, 0.0, 0.0, 0.0],
+             [0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1e-170],
+             [5e-324, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 5e-324],
+             [1e-170, 0.0, 0.0, 1e-183, 0.0]]
+    return np.array(rows, dtype=complex)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-10, -1e-12, -1.0])
+def test_tail_check_decides_as_the_moduli_do(rng, tol):
+    # the check takes its moduli in another memory order than the rule reads
+    # them, and must make the rule's decision on every row and every batch
+    rows = tail_rows(tol, rng)
+    for row in rows:
+        assert tail_check(row, tol) == moduli_rule(row, tol), row
+    for batch in (rows, rows[:-1].reshape(-1, 3, 5), rows[np.isfinite(rows).all(axis=-1)]):
+        assert tail_check(batch, tol) == moduli_rule(batch, tol)
+    clean = rows[np.isfinite(rows).all(axis=-1)]
+    passing = clean[[moduli_rule(row, tol) for row in clean]]
+    assert tail_check(passing, tol)
+
 
 def trig_poly(rng, degree):
     """A trigonometric polynomial with every harmonic 0..degree, O(1) coefficients."""

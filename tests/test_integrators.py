@@ -1,5 +1,6 @@
 """Adaptive integration: accuracy, error control, failure modes."""
 
+import marshal
 import math
 from unittest import mock
 
@@ -347,6 +348,38 @@ def test_numeric_flow_commands_compile_each_source_once(tmp_path, capsys, code_c
     assert main(argv) == 0
     assert capsys.readouterr().out == cold
     assert code_cache.compiled == []
+
+
+def test_a_warm_one_point_run_builds_no_source(code_cache, monkeypatch):
+    # the run's cache entry is keyed by dim, steer and a hash of integrators.py,
+    # so a process that finds it neither builds nor compiles its source; another
+    # dim or steer, or another integrators.py, misses, and a damaged or foreign
+    # entry is built and compiled again
+    built, build = [], integrators._run_source
+    monkeypatch.setattr(integrators, "_run_source",
+                        lambda dim, steer: built.append((dim, steer)) or build(dim, steer))
+
+    def run(*args, **kwargs):  # in a new process; (states, sources built, compiles)
+        code_cache.restart()
+        built.clear()
+        return integrate(*args, **kwargs).states, list(built), len(code_cache.compiled)
+
+    want, *cold = run(harmonic, [1.0, 0.0], 3.0)
+    assert cold == [[(2, 2)], 1]
+    [entry] = code_cache.directory.iterdir()
+    good = marshal.loads(entry.read_bytes())
+    states, *warm = run(harmonic, [1.0, 0.0], 3.0)
+    assert np.array_equal(states, want) and warm == [[], 0]
+    assert run(harmonic, [1.0, 0.0], 3.0, steer=1)[1:] == ([(2, 1)], 1)
+    assert run(linear, [1.0, 0.0, 2.0], 1.0)[1:] == ([(3, 3)], 1)
+    for damaged in (b"\x00garbage", marshal.dumps(("<DOP853 run, dim 2>", "dim 2", good[-1]))):
+        entry.write_bytes(damaged)
+        states, *rebuilt = run(harmonic, [1.0, 0.0], 3.0)
+        assert np.array_equal(states, want) and rebuilt == [[(2, 2)], 1]
+        assert marshal.loads(entry.read_bytes())[:2] == good[:2]
+    monkeypatch.setattr(integrators, "source_hash", lambda data: b"another integrators.py")
+    states, *other = run(harmonic, [1.0, 0.0], 3.0)
+    assert np.array_equal(states, want) and other == [[(2, 2)], 1]
 
 
 def test_long_horizon_sweep_compiles_one_unrolled_run(code_cache):

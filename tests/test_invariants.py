@@ -429,6 +429,53 @@ def test_nested_levels_change_no_bit(request, rng, monkeypatch, fixture_name, to
     assert got == want and n >= (32 if to_cap else 8)
 
 
+def _part_shapes(block):
+    """The shape of every array part of each kernel scalar of ``block``."""
+    shapes = []
+    for c in block:
+        parts = [c]
+        while parts:
+            x = parts.pop()
+            if isinstance(x, sk.Dual):
+                parts += [x.val, x.eps]
+            elif isinstance(x, np.ndarray):
+                shapes.append(x.shape)
+    return shapes
+
+
+@pytest.mark.parametrize("flow_mode", ["analytic", "numeric"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_frozen_slow_block_keeps_one_node(particle, rng, monkeypatch, flow_mode, order):
+    # the flow moves the fast block only, so ω and the slow partials of H and J
+    # see each slow coordinate, and every part of its duals, at one node
+    on_orbit, slow_blocks = [], []
+    omega = particle.system.omega
+
+    def recording_omega(fast, slow):
+        value = fast[0]
+        while isinstance(value, sk.Dual):
+            value = value.val
+        if isinstance(value, np.ndarray) and value.ndim == 2:  # (points, nodes): an orbit
+            on_orbit.append((value.shape[-1], _part_shapes(slow)))
+        return omega(fast, slow)
+
+    def recording_partials(system, orbit):
+        slow_blocks.append((orbit.nodes, _part_shapes(orbit.slow)))
+        return partials(system, orbit)
+
+    partials = invariants._slow_partials
+    monkeypatch.setattr(invariants, "_slow_partials", recording_partials)
+    system = replace(particle.system, omega=recording_omega)
+    coords = np.stack([m.coords for m in sample_points(particle, rng, 5)])
+    _, n, resolved = assemble(system, CircleAction(system, flow_mode=flow_mode),
+                              order).resolve_batch(coords)
+    assert (n, resolved) == (16, True)
+    # the slow partials at the nodes of 8 and at the 8 that 16 adds, ω once at 16
+    assert [nodes for nodes, _ in slow_blocks] == [8, 8] and [n for n, _ in on_orbit] == [16]
+    for _, shapes in on_orbit + slow_blocks:
+        assert len(shapes) == 2 * order and all(shape[-2:] == (5, 1) for shape in shapes)
+
+
 def test_analytic_levels_evaluate_each_node_column_once(particle, rng, monkeypatch):
     # at 16 nodes the loop flows and differentiates only the 8 odd-phase nodes
     # that 8 lacks: 16 node columns per point, not 8 + 16
