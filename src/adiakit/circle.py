@@ -28,11 +28,16 @@ the tail off the FFT that 𝒮 takes; ⟨·⟩ takes one for it while a loop is 
 Below the cap, the first unresolved profile ends the evaluation at that N.
 Levels nest: the nodes of N are the even nodes of 2N (Davis & Rabinowitz, 1984,
 ch. 2), so each level, with either flow, samples and differentiates only the
-nodes it adds. Numeric orbits carry the integrator's relative error, which more
-nodes do not reduce: their nodes are read off the continuous extension of one
-integration to the cap's nodes, and their tails read up to 1.7·rtol where an
-analytic orbit's read 1e-15 (both fixtures at four box points, rtol 1e-8 to
-1e-12), so their tolerance is the larger of ``TAIL_TOL`` and 10·``ORBIT_RTOL``.
+nodes it adds. A numeric orbit is read off one closed run: Υ has period
+exactly 2π, so a batch takes M fixed DOP853 steps of 2π/M (``fixed_steps``),
+one M for all its points, from ``FIRST_ORBIT_STEPS`` doubled until every
+column of every lane closes, |y(2π) − y₀| ≤ ``ORBIT_RTOL``·(1 + |y₀|); a batch
+still open at ``MAX_ORBIT_STEPS`` raises :class:`IntegrationError`. The
+time-2π map is the identity, so the closure defect is the run's global error,
+in the fast and the variational columns alike (Hairer, Nørsett & Wanner,
+*Solving ODEs I*, §II.4–II.6): at M = 32 at most 1.1e-12 on 40 lifted points
+near either fixture's default point. The tails carry it, so the numeric tail
+tolerance is the larger of ``TAIL_TOL`` and 10·``ORBIT_RTOL``.
 """
 
 from __future__ import annotations
@@ -45,8 +50,8 @@ from typing import Callable
 import numpy as np
 
 from . import kernel as sk
-from .errors import NumericalError, UnresolvedQuadrature, UnsupportedDerivative
-from .integrators import IntegratorConfig, integrate
+from .errors import IntegrationError, NumericalError, UnresolvedQuadrature, UnsupportedDerivative
+from .integrators import IntegratorConfig, fixed_steps, integrate
 from .phase import PhasePoint, SlowFastSystem, positive_omega, velocity
 
 __all__ = [
@@ -61,7 +66,8 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 FIRST_NODES = 8  # the node count a resolving loop starts at (below the cap)
 TAIL_TOL = 1e-12  # largest resolved tail, relative to a profile's largest harmonic
-ORBIT_RTOL, ORBIT_ATOL = 1e-11, 1e-14  # integrator tolerances of numeric orbits and flows
+ORBIT_RTOL, ORBIT_ATOL = 1e-11, 1e-14  # closure of numeric orbits; tolerances of numeric flows
+FIRST_ORBIT_STEPS, MAX_ORBIT_STEPS = 32, 1024  # fixed steps per period of a numeric orbit
 
 
 class _Unresolved(Exception):
@@ -200,7 +206,8 @@ class OrbitSamples:
 def _interleave(even, odd, shape):
     """Profiles at 2N nodes from ``even`` at the N nodes of N, the even nodes
     of 2N, and ``odd`` at the odd ones, each broadcast to ``shape`` (N nodes
-    last): item by item, and part by part for duals. No ``even``: ``odd``."""
+    last): item by item, and part by part for duals. No ``even``: ``odd``.
+    Arrays whose node axes both have length 1 stay at that one node."""
     if even is None:
         return odd
     if isinstance(even, OrbitSamples):  # the slow block keeps its one node
@@ -211,6 +218,8 @@ def _interleave(even, odd, shape):
     if isinstance(even, sk.Dual):
         return sk.Dual(*_interleave([even.val, even.eps], [odd.val, odd.eps], shape), even.tag)
     b = np.asarray(odd, dtype=float)
+    if b.shape[-1:] == np.shape(even)[-1:] == (1,):  # constant along the orbit
+        return even
     wide = b.shape if b.shape[-len(shape):] == shape else np.broadcast_shapes(b.shape, shape)
     merged = np.empty(wide[:-1] + (2 * wide[-1],))
     merged[..., ::2], merged[..., 1::2] = even, b
@@ -230,13 +239,14 @@ class CircleAction:
     runs at the smallest N ≤ ``nodes`` that resolves its profiles
     (``resolve``), and ``orbit`` samples ``nodes`` phases.
 
-    Numeric flows and orbits check ω > 0 once per run, at the base points, and
-    integrate Υ to ``ORBIT_RTOL`` and ``ORBIT_ATOL`` through code traced once
-    per action (``_field``). An orbit of a dual state integrates Υ's
-    variational equation in the same run, so its samples carry exact
-    derivatives too. A single point (``flow``, ``check_periodicity``, the orbit
-    of one point) runs as ``integrate``'s emitted 1-D run on floats; a batch of
-    two or more points runs as the lanes of one stacked run, with the same bits.
+    Numeric flows and orbits check ω once per run, at the base points, and
+    integrate Υ through code traced once per action (``_field``). A flow is
+    ``integrate``'s adaptive run, so ``check_periodicity`` does not assume
+    what it checks; an orbit is a closed fixed-step run (module docstring), a
+    batch as the lanes of one run, with the bits of its points' own runs. An
+    orbit of a dual state integrates Υ's variational equation in the same
+    run, so its samples carry exact derivatives too, and its closure
+    controls them.
     """
 
     system: SlowFastSystem
@@ -262,9 +272,8 @@ class CircleAction:
             new_fast = self.system.fast_flow(t, fast, slow)
             return PhasePoint(np.asarray([sk.value(c) for c in new_fast], dtype=float),
                               m.slow)
-        t = float(t)
-        end = self._integrate_points(m.coords[None], [t], np.zeros((1, self.system.dim, 0)))
-        return PhasePoint(end[-1, 0], m.slow)
+        end = self._integrate_points(m.coords[None], np.zeros((1, self.system.dim, 0)), t)
+        return PhasePoint(end, m.slow)
 
     def check_periodicity(self, m: PhasePoint) -> float:
         """Residual ‖Fl^{2π}(m) − m‖ of the flow's periodicity at ``m``."""
@@ -294,15 +303,16 @@ class CircleAction:
             self._fields[directions] = sk.tangent(self._normalized_field, blocks, directions)
         return self._fields[directions]
 
-    def _integrate_points(self, points, t_eval, tangents) -> np.ndarray:
-        """States (times, points, 2r + 2r·D) at ``t_eval`` (the last is the
-        end time) of base points (points, 2r + 2k) and their tangents (points,
+    def _integrate_points(self, points, tangents, t=None) -> np.ndarray:
+        """States (nodes, points, 2r + 2r·D) at the cap's ``nodes`` phases of
+        the orbits of base points (points, 2r + 2k) and their tangents (points,
         2r + 2k, D): the fast coordinates, then their tangents (``_field``).
-
-        A single point runs as a 1-D state (``integrate``'s one-point run),
-        two or more points as lanes of one run. The fast coordinates alone
-        steer the steps, so that a lifted orbit steps as its plain orbit does.
-        ω is checked once, at the base points (``positive_omega``).
+        An orbit takes M fixed steps of 2π/M (module docstring), one point on
+        floats and more as lanes; a node is a state of the step grid or, where
+        ``nodes`` exceeds M, of a step's continuous extension. With a phase
+        ``t``: the fast state there of one point, by ``integrate`` to
+        ``ORBIT_RTOL`` and ``ORBIT_ATOL``. ω is checked once, at the base
+        points (``positive_omega``).
         """
         n_fast, split = 2 * self.system.r, 2 * self.system.r * tangents.shape[-1]
         flat = tangents.reshape(len(points), -1)
@@ -310,11 +320,23 @@ class CircleAction:
         bound = np.concatenate([points[:, n_fast:], flat[:, split:]], axis=1)
         positive_omega(self.system, list(points.T[:n_fast]), list(points.T[n_fast:]))
         bind = self._field(tangents.shape[-1])
-        cfg, t_end = IntegratorConfig(rtol=ORBIT_RTOL, atol=ORBIT_ATOL), t_eval[-1]
-        if len(points) == 1:
-            rhs = bind(*bound[0].tolist())
-            return integrate(rhs, y0[0], t_end, cfg, t_eval=t_eval, steer=n_fast).states[:, None]
-        return integrate(bind(*bound.T), y0, t_end, cfg, t_eval=t_eval, steer=n_fast).states
+        rhs = bind(*bound[0].tolist()) if len(points) == 1 else bind(*bound.T)
+        if t is not None:
+            cfg = IntegratorConfig(rtol=ORBIT_RTOL, atol=ORBIT_ATOL)
+            return integrate(rhs, y0[0], float(t), cfg).states[-1]
+        steps = FIRST_ORBIT_STEPS
+        while True:
+            per = max(1, self.nodes // steps)  # nodes per step
+            states = fixed_steps(rhs, y0, TWO_PI / steps, steps, [i / per for i in range(1, per)])
+            defect = np.abs(states[-1] - y0) / (1.0 + np.abs(y0))
+            if np.all(defect <= ORBIT_RTOL):
+                return states[:-1:max(1, steps // self.nodes)]
+            if steps >= MAX_ORBIT_STEPS:
+                lane, column = np.unravel_index(np.argmax(defect), defect.shape)
+                raise IntegrationError(f"orbit not closed at M = {steps} steps per period: "
+                                       f"defect {defect[lane, column]:.3g} > {ORBIT_RTOL:g} "
+                                       f"in column {column} of lane {lane}")
+            steps *= 2
 
     # -- orbit sampling -----------------------------------------------------
 
@@ -338,7 +360,7 @@ class CircleAction:
         return self._orbit_numeric(fast, slow, times)
 
     def _orbit_numeric(self, fast, slow, times):
-        """Numeric orbits: one integration for the whole batch, each point a
+        """Numeric orbits: one closed run for the whole batch, each point a
         lane of it (a single point runs alone, as one point).
 
         A dual base state is integrated with its variational equation: V₀ and
@@ -368,7 +390,7 @@ class CircleAction:
                             (directions,) + batch_shape).reshape(directions, len(points))
             for c in state]).transpose(2, 0, 1)
         # (2r + 2r·D, points, nodes)
-        out = self._integrate_points(points, times, tangents).transpose(2, 1, 0)
+        out = self._integrate_points(points, tangents).transpose(2, 1, 0)
         fast_out = [out[i].reshape(shape) for i in range(n_fast)]
         if duals:
             parts = shape if scalar else (directions,) + shape
@@ -382,7 +404,7 @@ class CircleAction:
     def _levels(self, fast, slow):
         """Orbit samples at the nodes each level of ``resolve`` adds: N = min(8,
         cap) first, then the N odd-phase nodes of each 2N up to the cap, flowed
-        to (analytic) or read off one integration to the cap's nodes (numeric)."""
+        to (analytic) or read off one closed orbit at the cap's nodes (numeric)."""
         full = self.orbit(fast, slow) if self.flow_mode == "numeric" else None
         times = TWO_PI * np.arange(self.nodes) / self.nodes
         stride, odd = self.nodes // min(FIRST_NODES, self.nodes), 0

@@ -1,53 +1,40 @@
-"""Explicit ODE integration: adaptive Dormand–Prince 8(5,3).
+"""ODE integration with Dormand–Prince 8(5,3): adaptive steps, or fixed ones.
 
 The integrator, config name ``rk45``, is DOP853 (Prince & Dormand, J.
 Comput. Appl. Math. 7 (1981) 67–75; Hairer, Nørsett & Wanner, *Solving ODEs
 I*, §II.5–II.6): 12 stages per step, the last one the next step's first
-(FSAL), controlled by a combined fifth- and third-order error estimate. It is
-deliberately *not* symplectic: drift experiments must see the model's
+(FSAL), and a seventh-order continuous extension from three more stages. It
+is deliberately *not* symplectic: drift experiments must see the model's
 ε-expansion, not integrator energy behaviour, so the instrument is a
-high-accuracy embedded pair run at tolerances well below the smallest drift
-being measured. Steps are clipped to the end time only: a requested sample
-time inside an accepted step is read off the step's seventh-order continuous
-extension (dense output, three more stages), so the steps do not depend on
-the output grid.
+high-accuracy pair run at tolerances well below the smallest drift measured.
 
-Field contract. A field is called as ``field(t, y)``, where ``y`` holds the
-``dim`` coordinate columns of the state, and returns the ``dim`` columns of
-its derivative. For one point a column is a float; in a lane run it is an
-array over the lanes, shape (lanes,), and ``t`` holds the per-lane times. A
-field that indexes or unpacks ``y`` and computes elementwise serves both.
+A field is called as ``field(t, y)``, ``t`` a float and ``y`` the ``dim``
+coordinate columns of the state, and returns the ``dim`` columns of its
+derivative: floats for one point, arrays of shape (lanes,) on lanes. A field
+that indexes or unpacks ``y`` and computes elementwise serves both.
 
-One point: one emitted run. A 1-D ``y0`` runs as one function emitted from
-the tableau (:func:`_one_point_run`), as Hairer's ``dop853.f`` runs its step
-loop: controller, stages 1–15, error norm, dense-output bookkeeping and
-counters, all on local Python floats, unrolled over the coordinates of its
-dimension. ``kernel.exec_emitted`` compiles it once per machine (the cold
-cache: about 2 ms + 0.35 ms per coordinate, 2.8 ms at dim 4, on one CPU);
-later processes find it by dimension, steering and a hash of this file and
-load it, building no source: 0.18 ms at dim 4, 0.46 ms at dim 28. Sampled
-steps keep their dense data in an ``array('d')``, read once the run ends.
+:func:`integrate` steps one point adaptively, by one function emitted from
+the tableau, as Hairer's ``dop853.f`` runs its step loop: controller, stages,
+the combined fifth- and third-order error norm, dense output and counters,
+on local Python floats, unrolled over the coordinates of its dimension. Steps
+are clipped to the end time only; a sample inside an accepted step is read
+off the step's continuous extension, so the steps do not depend on the
+output grid. ``kernel.exec_emitted`` compiles each emitted run once per
+machine (about 2 ms + 0.35 ms per coordinate on one CPU) and later processes
+load it by dimension and a hash of this file, building no source (0.18 ms at
+dim 4, 0.46 ms at dim 28).
 
-Lanes. A 2-D ``y0`` of shape (lanes, dim) integrates a stack of initial
-states to one ``t_eval`` grid (:func:`_integrate_lanes`). Each lane has its
-own step control, whose state is held in arrays over the lanes: an attempt
-costs a fixed number of numpy calls, with masks for the failing, accepted and
-rejected lanes. Only the error norm and the step factor are computed lane by
-lane, on Python floats. The stages are stacked (lanes, dim) arrays, one
-``field`` call per stage for all lanes, which pays only when lanes are many. A
-lane that has reached ``t_end`` rides along with a zero step.
-
-The one-point run and the lanes take the same IEEE operations in the same
-order: ``t + c·dt``, every weighted sum of stages Σ a_j·k_j left to right
-over its nonzero weights, ``y + dt·Σ``, the scaled error estimates, their
-sums of squares over the steering coordinates left to right from 0.0,
-:func:`_error_norm`, and ``norm ** -0.125`` on Python floats. ``+ − × ÷``
-and ``sqrt`` round each element on its own, so lane i of a lane run equals
-the one-point run from its state bit for bit, states and counters, provided
-``field`` treats each lane on its own and takes the same operations on
-floats as on arrays. (numpy's ``**`` does not: it rounds differently on
-scalars and on arrays.) Dense output keeps this: :func:`_dense_states` is
-elementwise.
+:func:`fixed_steps` takes M steps of one size on a batch, with the
+continuous extension at given fractions of each step: the closed step grid
+of ``circle``'s orbits. One point runs as emitted code on Python floats, two
+or more as lanes, each stage one stacked (dim, lanes) array and one ``field``
+call. Both forms take the same IEEE operations in the same order: ``t +
+c·dt``, every weighted sum of stages left to right over its nonzero weights
+(:func:`_weighted`), ``y + dt·Σ``, and the elementwise :func:`_dense_states`.
+``+ − ×`` round each element on its own and neither form takes ``**``, so a
+lane equals the one-point run from its state bit for bit, provided ``field``
+treats each lane on its own and takes the same operations on floats as on
+arrays (numpy's ``**`` does not: it rounds differently on scalars and arrays).
 """
 
 from __future__ import annotations
@@ -65,11 +52,7 @@ import numpy as np
 from .errors import MaxStepsExceeded, NumericalError, StepSizeUnderflow
 from .kernel import exec_emitted
 
-__all__ = [
-    "IntegratorConfig",
-    "Trajectory",
-    "integrate",
-]
+__all__ = ["IntegratorConfig", "Trajectory", "fixed_steps", "integrate"]
 
 
 @dataclass(frozen=True)
@@ -89,21 +72,17 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution states; ``states[i]`` corresponds to ``times[i]``.
-
-    A lane run has states of shape (times, lanes, dim). The counters hold one
-    value per lane (arrays of shape (lanes,) for a lane run): right-hand-side
-    evaluations the lane used, accepted and rejected steps, and the smallest
-    and largest accepted step magnitude (nan when no step was taken).
-    """
+    """Sampled states of one point, ``states[i]`` at ``times[i]``, and the
+    run's counters: right-hand-side evaluations, accepted and rejected steps,
+    and the smallest and largest accepted step (nan when none was taken)."""
 
     times: np.ndarray
     states: np.ndarray
-    rhs_calls: int | np.ndarray
-    accepted: int | np.ndarray
-    rejected: int | np.ndarray
-    h_min: float | np.ndarray
-    h_max: float | np.ndarray
+    rhs_calls: int
+    accepted: int
+    rejected: int
+    h_min: float
+    h_max: float
 
 
 # Dormand–Prince 8(5,3), DOP853: the coefficients of scipy's transcription of
@@ -181,28 +160,24 @@ def _weighted(weights, k):
     return total
 
 
-def _error_norm(dt, s5, s3, dim):
-    """DOP853's error norm |dt|·s₅/√(dim·(s₅ + 0.01·s₃)) from the sums of
-    squares of a step's scaled fifth- and third-order error estimates. Both
-    sums 0 give 0; an inf or nan sum gives inf (the step is rejected) or nan
-    (the controller raises), not inf/inf."""
-    total = s5 + 0.01 * s3
-    if 0.0 < total < math.inf:
-        return float(abs(dt) * s5 / math.sqrt(total * dim))
-    return 0.0 if total == 0.0 else float(total)
-
-
-# The one-point run: ``_integrate_lanes``' controller for one lane, on floats,
-# whose stages, error norm and coordinate names ``_one_point_run`` fills in.
-_RUN = '''\
+# The adaptive run on floats, whose stages, error estimates and coordinate
+# names ``_run_source`` fills in. ``run(field, y0, f0, h, t_end, targets, slots,
+# out, rtol, atol, max_steps)`` steps from t = 0, state list ``y0`` and first
+# stage ``f0``, at first trial step ``h``. The error norm is DOP853's
+# |dt|·s₅/√(dim·(s₅ + 0.01·s₃)): both sums 0 give 0, and an inf or nan sum gives
+# inf (the step is rejected) or nan (the run raises), not inf/inf. It returns
+# the counters and two ``array('d')``: with ``out`` None, the times and flat
+# states of t = 0 and every accepted step; else (having written the states at
+# ``targets`` that end a step into rows ``slots`` of ``out``) the flat dense
+# data of the steps holding targets inside them and (row, step, fraction,
+# signed step) per such target.
+_RUN = """\
 def run(field, y0, f0, h, t_end, targets, slots, out, rtol, atol, max_steps):
     {y} = y0
     {k0} = f0
     dim, n_targets, j, sampled = len(y0), len(targets), 0, 0
     direction = 1.0 if t_end > 0 else -1.0
     t, rhs_calls, accepted, rejected, h_min, h_max = 0.0, 1, 0, 0, inf, 0.0
-    # times and states of the accepted steps, or the sampled steps' dense
-    # data and the samples inside them
     first, second = (array("d", [0.0]), array("d", y0)) if out is None else (array("d"), array("d"))
     pack = Struct(f"{{14 * dim}}d").pack
     try:
@@ -222,7 +197,11 @@ def run(field, y0, f0, h, t_end, targets, slots, out, rtol, atol, max_steps):
 {attempt}
             s5 = s3 = 0.0
 {error}
-            norm = error_norm(dt, s5, s3, {steer})
+            total = s5 + 0.01 * s3
+            if 0.0 < total < inf:
+                norm = float(abs(dt) * s5 / sqrt(total * dim))
+            else:
+                norm = 0.0 if total == 0.0 else float(total)
             rhs_calls += 12
             if norm <= 1.0:
                 accepted += 1
@@ -258,106 +237,106 @@ def run(field, y0, f0, h, t_end, targets, slots, out, rtol, atol, max_steps):
     except (ZeroDivisionError, OverflowError) as exc:  # where numpy gives inf or nan
         raise NumericalError(f"field failed in a step from t={{t!r}}: {{exc}}") from exc
     return rhs_calls, accepted, rejected, h_min, h_max, first, second
-'''
+"""
+
+# The fixed-step run on floats, ``_fixed_lanes`` for one point, whose stages
+# and coordinate names ``_fixed_source`` fills in. ``run(field, y0, dt, steps,
+# dense)`` returns two ``array('d')``: the flat states at t = 0 and at each
+# step's end, and, with ``dense``, each step's flat dense data.
+_FIXED = """\
+def run(field, y0, dt, steps, dense):
+    {y} = y0
+    t, grid, data = 0.0, array("d", y0), array("d")
+    pack = Struct(f"{{14 * len(y0)}}d").pack
+    try:
+        {k0} = field(t, y0)
+        for j in range(steps):
+{attempt}
+            if dense:
+{extension}
+                data.frombytes(pack({dense}))
+            grid.extend({state})
+            t = dt * (j + 1)
+            {y} = {n}
+            {k0} = {k12}
+    except (ZeroDivisionError, OverflowError) as exc:  # where numpy gives inf or nan
+        raise NumericalError(f"field failed in a step from t={{t!r}}: {{exc}}") from exc
+    return grid, data
+"""
 
 
 @functools.cache
-def _one_point_run(dim, steer):
-    """``_RUN`` emitted unrolled over ``dim`` coordinates, its error norm over
-    the first ``steer`` of them (:func:`_run_source`), and run from the code
-    cache (``kernel.exec_emitted``) on first use, keyed by ``dim``, ``steer``
-    and a hash of this file: a process that finds the entry builds no source.
-
-    ``run(field, y0, f0, h, t_end, targets, slots, out, rtol, atol, max_steps)``
-    steps from t = 0, state list ``y0`` and first stage ``f0``, at first trial
-    step ``h``. It returns the counters and two ``array('d')``: with ``out``
-    None, the times and flat states of t = 0 and every accepted step; else
-    (having written the states at ``targets`` that end a step into rows
-    ``slots`` of ``out``) the flat data of the steps holding targets inside
-    them and (row, step, fraction, signed step) per such target.
-    """
+def _one_point(kind, dim):
+    """The one-point run ``kind``, "run" (``_RUN``, adaptive) or "fixed steps"
+    (``_FIXED``), emitted unrolled over ``dim`` coordinates and run from the
+    code cache (``kernel.exec_emitted``), keyed by ``dim`` and a hash of this
+    file: a process that finds the entry builds no source."""
+    source = _run_source if kind == "run" else _fixed_source
     namespace = {"array": array, "Struct": Struct, "inf": math.inf, "EPS": float(_EPS),
-                 "error_norm": _error_norm, "MaxStepsExceeded": MaxStepsExceeded,
+                 "sqrt": math.sqrt, "MaxStepsExceeded": MaxStepsExceeded,
                  "StepSizeUnderflow": StepSizeUnderflow, "NumericalError": NumericalError}
-    name = f"<DOP853 run, dim {dim}{'' if steer == dim else f', steered by {steer}'}>"
-    key = f"dim {dim}, steer {steer}, {source_hash(__loader__.get_data(__file__)).hex()}"
-    return exec_emitted(lambda: _run_source(dim, steer), name, namespace, key)["run"]
+    key = f"dim {dim}, {source_hash(__loader__.get_data(__file__)).hex()}"
+    return exec_emitted(lambda: source(dim), f"<DOP853 {kind}, dim {dim}>", namespace, key)["run"]
 
 
-def _run_source(dim, steer):
-    """The source of ``_one_point_run(dim, steer)``."""
-    def names(v):  # the coordinates of list ``v`` as a target list
-        return "".join(f"{v}_{i}, " for i in range(dim))
+def _names(v, dim):
+    """The coordinates of list ``v`` as a target list."""
+    return "".join(f"{v}_{i}, " for i in range(dim))
 
-    def weighted(weights):
-        return " + ".join(f"{w!r} * k{j}_{{i}}" for j, w in enumerate(weights) if w)
 
-    def stages(first, last):
-        lines = []
-        for s in range(first, last):
-            template = f"y_{{i}} + dt * ({weighted(_A[s])})"
-            state = f"[{', '.join(template.format(i=i) for i in range(dim))}]"
-            if s == 12:
-                lines.append(f"{names('n')} = {state}")
-                state = f"[{names('n')}]"  # the step's solution, a list
-            lines.append(f"{names(f'k{s}')} = field(t + {_C[s]!r} * dt, {state})")
-        return lines
+def _weighted_text(weights):
+    """``_weighted`` over the stages k{j}_{i} of one coordinate, as text."""
+    return " + ".join(f"{w!r} * k{j}_{{i}}" for j, w in enumerate(weights) if w)
 
-    def block(lines, depth):
-        return "\n".join(" " * depth + line for line in lines)
 
-    error = [line.format(i=i) for i in range(steer) for line in [
+def _stage_lines(dim, first, last, depth):
+    """Stages ``first`` … ``last`` − 1 of a step from t, dt, the state y_i and
+    the earlier stages, as lines indented by ``depth``. Stage 12's state, the
+    step's solution, is kept as n_i."""
+    lines = []
+    for s in range(first, last):
+        template = f"y_{{i}} + dt * ({_weighted_text(_A[s])})"
+        state = f"[{', '.join(template.format(i=i) for i in range(dim))}]"
+        if s == 12:
+            lines.append(f"{_names('n', dim)} = {state}")
+            state = f"[{_names('n', dim)}]"  # the step's solution, a list
+        lines.append(f"{_names(f'k{s}', dim)} = field(t + {_C[s]!r} * dt, {state})")
+    return "\n".join(" " * depth + line for line in lines)
+
+
+def _emit(template, dim, **blocks):
+    """``template`` with the coordinate names of ``dim`` filled in."""
+    return template.format(
+        y=_names("y", dim), k0=_names("k0", dim), n=_names("n", dim), k12=_names("k12", dim),
+        state=f"[{_names('n', dim)}]",
+        dense="".join(_names(v, dim) for v in ["y", "n"] + [f"k{j}" for j in _DENSE_STAGES]),
+        **blocks)
+
+
+def _run_source(dim):
+    """The source of ``_one_point("run", dim)``."""
+    error = [" " * 12 + line.format(i=i) for i in range(dim) for line in [
         "a_, b_ = abs(y_{i}), abs(n_{i})",
         "scale = atol + rtol * (a_ if a_ >= b_ else b_)",
-        f"e5 = ({weighted(_E5)}) / scale",
-        f"e3 = ({weighted(_E3)}) / scale",
+        f"e5 = ({_weighted_text(_E5)}) / scale",
+        f"e3 = ({_weighted_text(_E3)}) / scale",
         "s5 += e5 * e5",
         "s3 += e3 * e3"]]
-    return _RUN.format(
-        y=names("y"), k0=names("k0"), n=names("n"), k12=names("k12"), state=f"[{names('n')}]",
-        dense="".join(map(names, ["y", "n"] + [f"k{j}" for j in _DENSE_STAGES])),
-        attempt=block(stages(1, 13), 12), error=block(error, 12),
-        extension=block(stages(13, 16), 28), steer="dim" if steer == dim else steer)
+    return _emit(_RUN, dim, attempt=_stage_lines(dim, 1, 13, 12), error="\n".join(error),
+                 extension=_stage_lines(dim, 13, 16, 28))
 
 
-def _integrate_point(field, y0, t_end, config, t_eval, steer):
-    """DOP853 over one point ``y0`` (dim,) by the emitted run of its dimension.
-    Returns (times, states of shape (times, dim), then the counters)."""
-    y, dim, t_end = y0.tolist(), len(y0), float(t_end)
-    try:
-        k0 = field(0.0, y)
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise NumericalError(f"field failed at t=0.0: {exc}") from exc
-    # the first stage of the first attempt serves the initial-step estimate
-    h = float(_initial_steps(np.asarray(k0, dtype=float).reshape(1, dim)[:, :steer],
-                             y0[None, :steer], t_end, config.rtol, config.atol)[0])
-    grid = [] if t_eval is None else t_eval
-    targets = [float(tt) for tt in grid if tt != 0.0]
-    slots = [j for j, tt in enumerate(grid) if tt != 0.0]
-    # rows at t = 0 keep the initial state
-    out = None if t_eval is None else np.repeat(y0[None], len(t_eval), axis=0)
-    *counters, first, second = _one_point_run(dim, steer)(
-        field, y, k0, h, t_end, targets, slots, out, config.rtol, config.atol, config.max_steps)
-    if out is None:
-        return np.array(first), np.array(second).reshape(-1, dim), *counters
-    if second:
-        row, step, theta, dt = np.frombuffer(second).reshape(-1, 4).T
-        steps = np.frombuffer(first).reshape(-1, 2 + len(_DENSE_STAGES), dim)
-        y_start, y_end, *k = steps[step.astype(int)].transpose(1, 0, 2)
-        out[row.astype(int)] = _dense_states(y_start, y_end, k, theta, dt)
-    return np.array(t_eval), out, *counters
+def _fixed_source(dim):
+    """The source of ``_one_point("fixed steps", dim)``."""
+    return _emit(_FIXED, dim, attempt=_stage_lines(dim, 1, 13, 12),
+                 extension=_stage_lines(dim, 13, 16, 16))
 
 
 def _dense_states(y, y1, k, theta, dt):
-    """States inside accepted steps from DOP853's continuous extension.
-
-    Per sample: the step's start and end states ``y`` and ``y1`` (samples,
-    dim), its stages ``_DENSE_STAGES`` in ``k`` (12 × (samples, dim)), the
-    sample's fraction ``theta`` of the step and the signed step ``dt``.
-    Elementwise arithmetic only, so a sample's value does not depend on
-    which other samples share the call.
-    """
-    dt, theta = dt[:, None], theta[:, None]
+    """States inside steps from DOP853's continuous extension, from the steps'
+    start and end states ``y`` and ``y1``, their stages ``_DENSE_STAGES`` in
+    ``k``, the fraction ``theta`` and the signed step ``dt`` (floats or arrays
+    that broadcast against ``y``), elementwise."""
     ydiff = y1 - y
     coeffs = ([ydiff, dt * k[0] - ydiff, 2.0 * ydiff - dt * (k[8] + k[0])]
               + [dt * _weighted(row, k) for row in _D])
@@ -368,7 +347,7 @@ def _dense_states(y, y1, k, theta, dt):
 
 
 def _initial_steps(f0, y0, t_span, rtol, atol):
-    """First trial step magnitude of each lane of ``y0`` (lanes, dim)."""
+    """First trial step magnitude of each row of ``y0`` (rows, dim)."""
     scaled = np.stack([y0, f0]) / (atol + rtol * np.abs(y0))
     # root mean squares over the state axis: np.mean's arithmetic, without its overhead
     d0, d1 = np.sqrt(np.add.reduce(np.square(scaled), axis=-1) / y0.shape[-1])
@@ -379,41 +358,23 @@ def _initial_steps(f0, y0, t_span, rtol, atol):
 
 def integrate(field: Callable, y0: Sequence[float], t_end: float,
               config: IntegratorConfig = IntegratorConfig(),
-              t_eval: Optional[Sequence[float]] = None, steer: Optional[int] = None
-              ) -> Trajectory:
-    """Integrate ``y' = field(t, y)`` from ``t = 0`` to ``t_end``.
+              t_eval: Optional[Sequence[float]] = None) -> Trajectory:
+    """Integrate ``y' = field(t, y)`` from ``t = 0`` to ``t_end`` with adaptive
+    steps, for one point ``y0`` (dim,), by the emitted run of its dimension.
 
-    ``field`` follows the column contract of the module docstring: it gets
-    the state's coordinate columns and returns the derivative's.
-
-    When ``t_eval`` is given, states are reported at those times, whose
-    entries must run monotonically from 0 toward ``t_end`` without passing
-    it. An entry at the end of an accepted step (``t_end`` among them) gets
-    the step's state; an entry inside one gets the step's seventh-order
-    continuous extension, whose error is of the order of the step's own.
-    Steps are clipped to ``t_end`` only, so they are the same for every
-    ``t_eval``, and so are the counters but the right-hand-side calls: an
-    accepted step holding an entry inside it takes three more. Otherwise the
-    initial state and every accepted step are recorded.
-
-    A 2-D ``y0`` of shape (lanes, dim) integrates every lane with its own
-    step control (``t_eval`` required); each column ``field`` gets or returns
-    then has shape (lanes,), and ``t`` holds the per-lane times. See the
-    module docstring.
-
-    The error norm and the first step's estimate read only the first
-    ``steer`` columns of the state (default: all), which steer the steps.
-
-    Raises :class:`MaxStepsExceeded` or :class:`StepSizeUnderflow` carrying
-    the last time the failing lane reached.
+    States are reported at the times ``t_eval``, which must run monotonically
+    from 0 toward ``t_end``, or else at t = 0 and every accepted step. An
+    entry at the end of an accepted step gets the step's state, one inside
+    it the step's continuous extension, whose error is of the order of the
+    step's own. Steps are clipped to ``t_end`` only, so they are the same for
+    every ``t_eval``, and so are the counters but the right-hand-side calls:
+    a step holding an entry inside it takes three more. Raises
+    :class:`MaxStepsExceeded` or :class:`StepSizeUnderflow` carrying the last
+    time the run reached.
     """
     y0 = np.asarray(y0, dtype=float)
-    if y0.ndim not in (1, 2):
-        raise ValueError("y0 must be one state (dim,) or a stack of lanes (lanes, dim)")
-    lanes = y0.ndim == 2
-    steer = y0.shape[-1] if steer is None else steer
-    if not 0 < steer <= y0.shape[-1]:
-        raise ValueError("steer must count between one and all columns of the state")
+    if y0.ndim != 1:
+        raise ValueError("y0 must be one state (dim,)")
     if not np.isfinite(t_end):
         raise ValueError("t_end must be finite")
     if t_eval is not None:
@@ -424,124 +385,90 @@ def integrate(field: Callable, y0: Sequence[float], t_end: float,
         lo, hi = min(0.0, t_end), max(0.0, t_end)
         if not np.all((t_eval >= lo) & (t_eval <= hi)):
             raise ValueError(f"t_eval entries must lie between 0 and t_end = {t_end!r}")
-    elif lanes:
-        raise ValueError("a lane run needs t_eval: its lanes share one output grid")
     if t_end == 0.0:
         times = np.array([0.0]) if t_eval is None else t_eval
-        zero, nan = (np.zeros(len(y0), int), np.full(len(y0), np.nan)) if lanes else (0, np.nan)
-        return Trajectory(times, np.repeat(y0[None], len(times), axis=0),
-                          zero, zero, zero, nan, nan)
-    return Trajectory(*(_integrate_lanes if lanes else _integrate_point)(
-        field, y0, t_end, config, t_eval, steer))
+        return Trajectory(times, np.repeat(y0[None], len(times), axis=0), 0, 0, 0, np.nan, np.nan)
+    y, dim, t_end = y0.tolist(), len(y0), float(t_end)
+    try:
+        k0 = field(0.0, y)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise NumericalError(f"field failed at t=0.0: {exc}") from exc
+    # the first stage of the first attempt serves the initial-step estimate
+    h = float(_initial_steps(np.asarray(k0, dtype=float).reshape(1, dim), y0[None], t_end,
+                             config.rtol, config.atol)[0])
+    grid = [] if t_eval is None else t_eval
+    targets = [float(tt) for tt in grid if tt != 0.0]
+    slots = [j for j, tt in enumerate(grid) if tt != 0.0]
+    # rows at t = 0 keep the initial state
+    out = None if t_eval is None else np.repeat(y0[None], len(t_eval), axis=0)
+    *counters, first, second = _one_point("run", dim)(
+        field, y, k0, h, t_end, targets, slots, out, config.rtol, config.atol, config.max_steps)
+    if out is None:
+        return Trajectory(np.array(first), np.array(second).reshape(-1, dim), *counters)
+    if second:
+        row, step, theta, dt = np.frombuffer(second).reshape(-1, 4).T
+        steps = np.frombuffer(first).reshape(-1, 2 + len(_DENSE_STAGES), dim)
+        y_start, y_end, *k = steps[step.astype(int)].transpose(1, 0, 2)
+        out[row.astype(int)] = _dense_states(y_start, y_end, k, theta[:, None], dt[:, None])
+    return Trajectory(np.array(t_eval), out, *counters)
 
 
-def _integrate_lanes(field, y0, t_end, config, t_eval, steer):
-    """DOP853 over the lanes of ``y0`` (lanes, dim): the controller state is
-    held in arrays over the lanes, and each attempt takes masked updates
-    (module docstring). Returns (times, states of shape (times, lanes, dim),
-    then one array over the lanes per counter)."""
-    rtol, atol, max_steps = config.rtol, config.atol, config.max_steps
-    n_lanes, dim = y0.shape
-
-    def call(t, state):  # the field's columns, stacked (lanes, dim)
+def _fixed_lanes(field, y0, dt, steps, dense):
+    """``_FIXED``'s run on lanes ``y0`` (dim, lanes), each stage one array of
+    that shape: its grid states (steps + 1, dim, lanes) and dense data."""
+    def call(t, state):  # the field's columns, stacked (dim, lanes)
         out = np.empty_like(state)
-        for row, column in zip(out.T, field(t, state.T), strict=True):
+        for row, column in zip(out, field(t, state), strict=True):
             row[...] = column
         return out
 
-    def stages(k, t, dt, y, first, last, hold=None):  # lanes not held stay at y
-        for s in range(first, last):
-            state = y + dt[:, None] * _weighted(_A[s], k)
-            if hold is not None:
-                state = np.where(hold, state, y)
-            k.append(call(t + _C[s] * dt, state))
-        return state
+    grid = np.empty((steps + 1,) + y0.shape)
+    data = np.empty((steps, 2 + len(_DENSE_STAGES)) + y0.shape) if dense else None
+    grid[0] = y = y0
+    t = 0.0
+    try:
+        k = [call(t, y)]
+        for j in range(steps):
+            for s in range(1, 16 if dense else 13):
+                state = y + dt * _weighted(_A[s], k)
+                if s == 12:
+                    grid[j + 1] = state  # the step's solution
+                k.append(call(t + _C[s] * dt, state))
+            if dense:
+                data[j] = [y, grid[j + 1]] + [k[s] for s in _DENSE_STAGES]
+            t = dt * (j + 1)
+            y, k = grid[j + 1], [k[12]]
+    except (ZeroDivisionError, OverflowError) as exc:  # as the one-point form
+        raise NumericalError(f"field failed in a step from t={t!r}: {exc}") from exc
+    return grid, data
 
-    def at(i):  # where lane i stands, for an error message
-        return f"at t={t.item(i)!r}" + (f" in lane {i}" if n_lanes > 1 else "")
 
-    y, t = y0, np.zeros(n_lanes)  # y is replaced, never written to
-    k0 = call(t, y)
-    direction = 1.0 if t_end > 0 else -1.0
-    keep = t_eval != 0.0
-    targets, slots = t_eval[keep], np.flatnonzero(keep)
-    # a float difference keeps the sign of the exact one, so the targets up to
-    # a lane's time are those up to it in this order
-    ordered, index = direction * targets, np.arange(len(targets))
-    rows = np.repeat(y0[None], len(t_eval), axis=0)  # rows at t = 0 keep the initial states
-
-    # the first stage of the first attempt serves the initial-step estimate
-    h = _initial_steps(k0[:, :steer], y[:, :steer], t_end, rtol, atol)  # magnitudes
-    rhs_calls = np.ones(n_lanes, int)
-    accepted, rejected, next_target = np.zeros((3, n_lanes), int)
-    h_min, h_max = np.full(n_lanes, np.inf), np.zeros(n_lanes)
-    active = np.ones(n_lanes, bool)
-
-    while active.any():
-        over = accepted + rejected >= max_steps
-        failed = active & (over | (h < 16.0 * _EPS * np.maximum(np.abs(t), 1.0)))
-        if failed.any():  # the first failing lane, max steps before underflow
-            i = int(failed.argmax())
-            if over[i]:
-                raise MaxStepsExceeded(f"exceeded {max_steps} step attempts {at(i)}",
-                                       last_time=t.item(i))
-            raise StepSizeUnderflow(f"step size underflow {at(i)}", last_time=t.item(i))
-        # clip the trial step to the end time only; lanes at t_end take dt = 0
-        gap = np.abs(t_end - t)
-        clip = h >= gap
-        step = np.where(active, np.where(clip, gap, h), 0.0)
-        t_try = np.where(clip, t_end, t + direction * step)
-        dt = direction * step
-
-        k = [k0]
-        y_new = stages(k, t, dt, y, 1, 13)
-        head = [k_j[:, :steer] for k_j in k]  # the columns that steer the step
-        scale = atol + rtol * np.maximum(np.abs(y[:, :steer]), np.abs(y_new[:, :steer]))
-        e5 = _weighted(_E5, head) / scale
-        e3 = _weighted(_E3, head) / scale
-        s5 = s3 = 0.0
-        for c5, c3 in zip(e5.T, e3.T):
-            s5 = s5 + c5 * c5
-            s3 = s3 + c3 * c3
-        # the norm and its power on floats: numpy's ** rounds differently on arrays
-        norm = [_error_norm(*args, steer) for args in zip(dt.tolist(), s5.tolist(), s3.tolist())]
-        power = np.array([0.9 * n ** -0.125 if n else math.inf for n in norm])
-        norm = np.array(norm)
-        accept = active & (norm <= 1.0)
-        nan = active & np.isnan(norm)  # a nan state, field value or initial step
-        if nan.any():
-            raise NumericalError(f"error norm is nan {at(int(nan.argmax()))}")
-        rhs_calls += 12 * active
-        accepted += accept
-        rejected += active & ~accept  # t and y stay, and with them the first stage
-        h_min = np.where(accept & (step < h_min), step, h_min)
-        h_max = np.where(accept & (step > h_max), step, h_max)
-
-        # every sample up to an accepted step's end: the end state itself, or
-        # a point of the step's continuous extension, whose three stages a
-        # step holding such a point takes
-        passed = np.where(accept, np.searchsorted(ordered, direction * t_try, side="right"),
-                          next_target)
-        lane, j = np.nonzero((next_target[:, None] <= index) & (index < passed[:, None]))
-        next_target = passed
-        end = targets[j] == t_try[lane]
-        rows[slots[j[end]], lane[end]] = y_new[lane[end]]
-        lane, j = lane[~end], j[~end]
-        if len(lane):
-            # lanes without an interior sample stay at their state, whose field
-            # value is finite; their extension stages are discarded
-            hold = np.zeros((n_lanes, 1), dtype=bool)
-            hold[lane] = True
-            stages(k, t, dt, y, 13, 16, hold)
-            rhs_calls += 3 * hold[:, 0]
-            rows[slots[j], lane] = _dense_states(y[lane], y_new[lane],
-                                                 [k[s][lane] for s in _DENSE_STAGES],
-                                                 (targets[j] - t[lane]) / dt[lane], dt[lane])
-
-        h = step * np.minimum(np.where(accept, 10.0, 1.0), np.maximum(0.2, power))
-        t = np.where(accept, t_try, t)
-        y = np.where(accept[:, None], y_new, y)
-        k0 = np.where(accept[:, None], k[12], k0)  # FSAL
-        active = direction * (t_end - t) > 0.0
-
-    return np.array(t_eval), rows, rhs_calls, accepted, rejected, h_min, h_max
+def fixed_steps(field: Callable, y0: np.ndarray, dt: float, steps: int,
+                thetas: Sequence[float] = ()) -> np.ndarray:
+    """``steps`` DOP853 steps of size ``dt`` from ``t = 0`` on each lane of
+    ``y0`` (lanes, dim): the states (rows, lanes, dim) of each step's start,
+    then of its continuous extension at t + θ·dt for each θ in ``thetas``,
+    and last of the end. One lane runs on floats, more as lanes, with the
+    same bits (module docstring). Raises :class:`NumericalError` where the
+    field raises ``ZeroDivisionError`` or ``OverflowError``, or naming the
+    first lane whose states hold an inf or a nan."""
+    y0 = np.asarray(y0, dtype=float)
+    lanes, dim = y0.shape
+    dense = len(thetas) > 0
+    if lanes == 1:
+        grid, data = _one_point("fixed steps", dim)(field, y0[0].tolist(), float(dt), steps, dense)
+        grid = np.frombuffer(grid).reshape(steps + 1, dim, 1)
+        data = np.frombuffer(data).reshape(steps, -1, dim, 1) if dense else None
+    else:
+        grid, data = _fixed_lanes(field, y0.T.copy(), float(dt), steps, dense)
+    rows, per = grid, 1 + len(thetas)
+    if dense:
+        y, y1, *k = data.swapaxes(0, 1)
+        inner = [_dense_states(y, y1, k, float(theta), float(dt)) for theta in thetas]
+        rows = np.concatenate([np.stack([grid[:-1], *inner], 1).reshape(-1, dim, lanes), grid[-1:]])
+    finite = np.isfinite(rows).all(axis=1)  # (rows, lanes)
+    if not finite.all():
+        lane, row = np.argwhere(~finite.T)[0]
+        t = float(dt * (row // per + [0.0, *thetas][row % per]))
+        raise NumericalError(f"state is inf or nan at t={t!r} in lane {lane}")
+    return rows.transpose(0, 2, 1)

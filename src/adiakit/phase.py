@@ -167,10 +167,11 @@ DEFAULT_ENGINE = DiffEngine()
 
 
 def positive_omega(system: SlowFastSystem, fast, slow):
-    """ω on a raw state (duals kept), checked positive (a NaN fails too)."""
+    """ω on a raw state (duals kept), checked positive and finite (a NaN fails too)."""
     om = system.omega(fast, slow)
-    if not np.all(np.asarray(sk.value(om)) > 0.0):
-        raise NumericalError("frequency must be positive on the evaluation set")
+    values = np.asarray(sk.value(om))
+    if not np.all(np.isfinite(values) & (values > 0.0)):
+        raise NumericalError("frequency must be positive and finite on the evaluation set")
     return om
 
 

@@ -31,7 +31,7 @@ class CodeCache:
         """Empty the in-process caches of emitted code and the record of
         compiles, as a new process starts."""
         sk._CODE.clear()
-        integrators._one_point_run.cache_clear()
+        integrators._one_point.cache_clear()
         experiments._drift_field.cache_clear()
         experiments._last_build.clear()
         self.compiled.clear()

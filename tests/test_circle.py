@@ -1,23 +1,30 @@
 """Circle-action flows and the averaging/integrating operators."""
 
 import functools
+import importlib
 import operator
 from contextlib import nullcontext
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adiakit import (CircleAction, IntegratorConfig, NumericalError, PhasePoint,
+from adiakit import (CircleAction, IntegrationError, NumericalError, PhasePoint,
                      SlowFastSystem, UnresolvedQuadrature, UnsupportedDerivative,
-                     charged_particle, elastic_pendulum, integrate)
-from adiakit import circle
+                     charged_particle, elastic_pendulum)
+from adiakit import circle, cli, invariants
+from adiakit.config import RunConfig
+from adiakit.experiments import order_sweep
+from adiakit.integrators import fixed_steps
 from adiakit import kernel as sk
 from adiakit.circle import TWO_PI, fourier_mean, resolved_value, s_at_nodes, s_from_samples
 from adiakit.invariants import d1j_coeffs
 from adiakit.sl2 import QuadraticSystem, Sl2Field, linear_flow
 
 from conftest import sample_points, theta_and_k1
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.fixture
@@ -89,38 +96,40 @@ def test_numeric_and_analytic_flows_agree():
         assert np.linalg.norm(pa.coords - pn.coords) < 1e-9
 
 
-@pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
-def test_numeric_orbit_batch_equals_point_by_point(request, rng, monkeypatch, fixture_name):
-    # a batch is one lane run (stacked kernel); a single point's orbit and its
-    # flow are each one 1-D run (the one-point run); both give the same bits. The
-    # batch stays small: on wide lanes numpy's array ** (the particle's
-    # q2 ** 4) rounds unlike the scalar one
-    fixture = request.getfixturevalue(fixture_name)
+def recording(monkeypatch):
+    """The arguments of each numeric orbit run, (field, y0, dt, steps, thetas),
+    recorded as ``circle`` calls ``fixed_steps``."""
     runs = []
 
-    def recorded(field, y0, *args, **kwargs):
-        runs.append((field, np.asarray(y0)))
-        return integrate(field, y0, *args, **kwargs)
+    def recorded(field, y0, dt, steps, thetas=()):
+        runs.append((field, np.asarray(y0), dt, steps, list(thetas)))
+        return fixed_steps(field, y0, dt, steps, thetas)
 
-    monkeypatch.setattr(circle, "integrate", recorded)
+    monkeypatch.setattr(circle, "fixed_steps", recorded)
+    return runs
+
+
+@pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
+def test_numeric_orbit_batch_equals_point_by_point(request, rng, monkeypatch, fixture_name):
+    # a batch is one lane run (stacked kernel), a single point's orbit one
+    # one-point run; both give the same bits. The batch stays small: on wide
+    # lanes numpy's array ** (the particle's q2 ** 4) rounds unlike the scalar one
+    fixture = request.getfixturevalue(fixture_name)
+    runs = recording(monkeypatch)
     points = np.stack([m.coords for m in sample_points(fixture, rng, 5)])
     for nodes in (8, 64):
         batched = CircleAction(fixture.system, flow_mode="numeric", nodes=nodes)
         runs.clear()
         batch = batched.orbit(list(points[:, :2].T), list(points[:, 2:].T))
-        (lane_field, lane_y0), = runs
-        cfg = IntegratorConfig(rtol=circle.ORBIT_RTOL, atol=circle.ORBIT_ATOL)
-        ends = integrate(lane_field, lane_y0, TWO_PI, cfg, t_eval=[TWO_PI]).states[-1]
+        assert [y0.shape for _, y0, *_ in runs] == [(5, 2)]
         for i, coords in enumerate(points):
             m = PhasePoint(coords[:2], coords[2:])
             single = CircleAction(fixture.system, flow_mode="numeric", nodes=nodes)
             runs.clear()
             orbit = single.orbit(*m.state())
-            moved = single.flow(TWO_PI, m)
-            assert [y0.shape for _, y0 in runs] == [(2,), (2,)]
+            assert [y0.shape for _, y0, *_ in runs] == [(1, 2)]
             for got, want in zip(batch.fast + batch.slow, orbit.fast + orbit.slow):
                 assert np.array_equal(got[i], want)
-            assert np.array_equal(moved.coords, np.concatenate([ends[i], coords[2:]]))
 
 
 def _dual_state(coords, seeds, tag):
@@ -150,14 +159,16 @@ def test_numeric_dual_orbit_matches_analytic_dual_parts(request, fixture_name):
             assert np.allclose(got.eps, want.eps, rtol=0.0, atol=1e-10)
 
 
-@pytest.mark.parametrize("flow_mode, bound", [("analytic", 2e-15), ("numeric", 1e-9)])
+@pytest.mark.parametrize("flow_mode, bound", [("analytic", 2e-15), ("numeric", 5e-11)])
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
 def test_lifted_orbit_jacobians_are_symplectic(request, rng, fixture_name, flow_mode, bound):
     # at frozen slow coordinates the fast flow is Hamiltonian, so M = ∂Fl/∂z₀
     # at every node satisfies MᵀΩM = Ω. A numeric M is read off the variational
-    # columns, which do not steer the steps: the defect ‖MᵀΩM − Ω‖ (Frobenius)
-    # gates their error. Measured over 20 box points for each of 31 seeds:
-    # at most 2.6e-10 numeric (2.2e-10 at this seed) and 6.3e-16 analytic
+    # columns, which the orbit's closure controls: the defect ‖MᵀΩM − Ω‖
+    # (Frobenius) gates their error. Measured over 20 box points for each of
+    # 31 seeds: at most 4.8e-12 numeric on both fixtures (at this seed too), all
+    # at the nodes read off the continuous extension (1.7e-13 at the step
+    # grid's nodes), and 6.3e-16 analytic. Adaptive steps gave 2.6e-10
     fixture = request.getfixturevalue(fixture_name)
     points = np.stack([m.coords for m in sample_points(fixture, rng, 20)])
     action = CircleAction(fixture.system, flow_mode=flow_mode, nodes=64)
@@ -174,40 +185,36 @@ def test_lifted_orbit_jacobians_are_symplectic(request, rng, fixture_name, flow_
 def test_numeric_dual_orbit_batch_equals_point_by_point(request, rng, monkeypatch,
                                                         fixture_name):
     # a batch's variational run is one lane run (stacked kernel), a single
-    # point's one 1-D run of 2r + 2r·D floats (the one-point run): the same bits
+    # point's one run of 2r + 2r·D floats (the one-point form): the same bits
     fixture = request.getfixturevalue(fixture_name)
-    dims = []
-
-    def recorded(field, y0, *args, **kwargs):
-        dims.append(np.shape(y0))
-        return integrate(field, y0, *args, **kwargs)
-
-    monkeypatch.setattr(circle, "integrate", recorded)
+    runs = recording(monkeypatch)
     points = np.stack([m.coords for m in sample_points(fixture, rng, 3)])
     tag = sk.fresh_tag()
     for nodes in (8, 64):
         action = CircleAction(fixture.system, flow_mode="numeric", nodes=nodes)
-        dims.clear()
+        runs.clear()
         batch = action.orbit(*_dual_state(points.T, np.eye(4)[:, :, None], tag))
         for i, coords in enumerate(points):
             single = action.orbit(*_dual_state(coords, np.eye(4), tag))
             for got, want in zip(batch.fast, single.fast):
                 assert np.array_equal(got.val[i], want.val)
                 assert np.array_equal(got.eps[:, i], want.eps)
-        assert dims == [(3, 10)] + [(10,)] * 3
+        assert [y0.shape for _, y0, *_ in runs] == [(3, 10)] + [(1, 10)] * 3
 
 
-def test_numeric_orbit_outside_the_box_raises_a_typed_error(particle):
-    # q2 = 0 lies outside the particle's box, which orbit does not check:
-    # 1/q2² divides by zero on floats and gives nan on lanes, whose attempts
-    # were once rejected until max_steps (50 M) ran out
+def test_numeric_orbit_outside_the_box_raises_a_typed_error(particle, monkeypatch):
+    # q2 = 0 lies outside the particle's box, which orbit does not check. Its
+    # ω is inf there, which the base-point check rejects before any run (1/q2²
+    # once divided by zero on floats and gave nan on lanes)
+    runs = recording(monkeypatch)
     action = CircleAction(particle.system, flow_mode="numeric", nodes=8)
     pair = [np.array([0.1, 0.1]), np.array([0.3, 0.3])]
     with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError, match="division by zero"):
+        with pytest.raises(NumericalError, match="positive and finite"):
             action.orbit([0.1, 0.3], [0.2, 0.0])
-        with pytest.raises(NumericalError, match="nan .*lane 1"):
+        with pytest.raises(NumericalError, match="positive and finite"):
             action.orbit(pair, [np.array([0.2, 0.2]), np.array([1.0, 0.0])])
+    assert runs == []
 
 
 def test_numeric_orbit_without_a_cache(pendulum):
@@ -268,6 +275,18 @@ def test_numeric_orbit_rejects_nonpositive_frequency_on_any_lane():
             action.flow(1.0, PhasePoint([1.0, 0.5], [1.0, omega]))
 
 
+def test_numeric_orbit_rejects_infinite_frequency_on_any_lane(monkeypatch):
+    # ω = +inf passes ω > 0; the base-point check rejects it before any run
+    runs = recording(monkeypatch)
+    action = CircleAction(scaled_oscillator(), flow_mode="numeric", nodes=8)
+    ones = np.ones(3)
+    with pytest.raises(NumericalError, match="positive and finite"):
+        action.orbit([ones, 0.5 * ones], [ones, np.array([1.0, np.inf, 2.0])])
+    with pytest.raises(NumericalError, match="positive and finite"):
+        action.orbit([1.0, 0.5], [1.0, np.inf])
+    assert runs == []
+
+
 def test_numeric_orbit_rejects_nan_frequency_on_any_lane():
     action = CircleAction(scaled_oscillator(), flow_mode="numeric", nodes=8)
     ones = np.ones(3)
@@ -278,30 +297,81 @@ def test_numeric_orbit_rejects_nan_frequency_on_any_lane():
 
 
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
-def test_numeric_orbit_stops_at_its_last_sample(request, rng, fixture_name, monkeypatch):
-    # the run to the last node takes the steps of the run to 2π up to its own
-    # final step, clipped to end at the last node: the nodes before that step
-    # are the same bits in both runs, and the last node is the run's end state
+def test_numeric_orbit_nodes_are_the_step_grid_states(request, rng, fixture_name, monkeypatch):
+    # a batch closes at M = 32 steps of 2π/32: at a cap of 8 nodes node j is
+    # the state after 4j steps; at a cap of 64 the even nodes are the grid's
+    # states and the odd ones its continuous extension at θ = ½, bit for bit
     fixture = request.getfixturevalue(fixture_name)
-    runs = []
-
-    def both_spans(field, y0, t_end, config, t_eval, steer):
-        traj = integrate(field, y0, t_end, config, t_eval=t_eval, steer=steer)
-        runs.append((t_end, traj, integrate(field, y0, TWO_PI, config, t_eval=t_eval,
-                                            steer=steer)))
-        return traj
-
-    monkeypatch.setattr(circle, "integrate", both_spans)
+    runs = recording(monkeypatch)
     points = np.stack([m.coords for m in sample_points(fixture, rng, 3)])
-    action = CircleAction(fixture.system, flow_mode="numeric", nodes=8)
-    orbit = action.orbit(list(points[:, :2].T), list(points[:, 2:].T))
-    (t_end, last, full), = runs
-    assert t_end == orbit.times[-1] < TWO_PI
-    assert np.array_equal(last.states[:-1], full.states[:-1])
-    assert np.max(np.abs(last.states[-1] - full.states[-1])) < 10.0 * circle.ORBIT_RTOL
-    assert np.all(last.rhs_calls < full.rhs_calls)
-    for i, samples in enumerate(orbit.fast):
-        assert np.array_equal(samples, last.states[:, :, i].T)
+    for nodes, thetas in ((8, []), (64, [0.5])):
+        runs.clear()
+        action = CircleAction(fixture.system, flow_mode="numeric", nodes=nodes)
+        orbit = action.orbit(list(points[:, :2].T), list(points[:, 2:].T))
+        [(field, y0, dt, steps, got_thetas)] = runs
+        assert (dt, steps, got_thetas) == (TWO_PI / 32, 32, thetas)
+        got = np.stack(orbit.fast, axis=-1).transpose(1, 0, 2)  # (nodes, points, 2)
+        grid = fixed_steps(field, y0, dt, steps)  # without the extension
+        assert np.max(np.abs(grid[-1] - y0) / (1.0 + np.abs(y0))) <= circle.ORBIT_RTOL
+        if nodes == 8:
+            assert np.array_equal(got, grid[:-1:4])
+        else:
+            assert np.array_equal(got[::2], grid[:-1])
+            assert np.array_equal(got[1::2], fixed_steps(field, y0, dt, steps, [0.5])[1:-1:2])
+
+
+def test_numeric_batches_close_at_32_steps(tmp_path, monkeypatch):
+    # every numeric orbit batch of both fixtures' default sweeps and of the
+    # benchmark's numeric_flow seeds 1–4 closes at the first M: a change that
+    # doubles M, and the cost with it, fails here
+    runs = recording(monkeypatch)
+    for fixture in ("elastic_pendulum", "charged_particle"):
+        order_sweep(RunConfig(fixture=fixture, flow_mode="numeric"))
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    for seed in range(1, 5):
+        for inv in workloads.build("numeric_flow", seed).operation:
+            config = tmp_path / f"{seed}-{inv.key}.ini"
+            config.write_text(inv.ini, encoding="utf-8")
+            assert cli.main([*inv.argv, "--config", str(config), "--out", str(tmp_path),
+                             "--workers", "1"]) == 0
+    assert len(runs) == 2 * 5 + 4 * 2  # one per ε of each sweep, one per invocation
+    assert {steps for *_, steps, _ in runs} == {32}
+
+
+def test_scaled_variational_columns_fail_the_closure(pendulum, monkeypatch):
+    # a lifted orbit closes at M = 32; with its variational columns' end
+    # state scaled by 1 + 1e-8 it closes at no M up to the cap, and raises
+    steps_run, factor = [], [1.0]
+
+    def scaled(field, y0, dt, steps, thetas=()):
+        steps_run.append(steps)
+        states = fixed_steps(field, y0, dt, steps, thetas).copy()
+        states[-1, :, 2:] *= factor[0]
+        return states
+
+    monkeypatch.setattr(circle, "fixed_steps", scaled)
+    monkeypatch.setattr(circle, "MAX_ORBIT_STEPS", 64)
+    action = CircleAction(pendulum.system, flow_mode="numeric", nodes=8)
+    state = _dual_state(pendulum.initial.coords, np.eye(4), sk.fresh_tag())
+    action.orbit(*state)
+    assert steps_run == [32]
+    steps_run.clear()
+    factor[0] = 1.0 + 1e-8
+    with pytest.raises(IntegrationError, match=r"M = 64 .* column [2-9] of lane 0"):
+        action.orbit(*state)
+    assert steps_run == [32, 64]
+
+
+def test_orbit_of_a_field_not_2pi_periodic_doubles_m_to_the_cap_and_raises(monkeypatch):
+    # halved generator speed: Υ has period 4π, so no M closes the orbit
+    runs = recording(monkeypatch)
+    system = replace(elastic_pendulum(omega=1.0, gamma=1.0).system, omega=lambda f, s: 2.0)
+    action = CircleAction(system, flow_mode="numeric", nodes=8)
+    with pytest.raises(IntegrationError, match=r"M = 1024 steps per period: defect .* lane 0"):
+        action.orbit([0.5, 0.2], [0.3, 1.0])
+    assert [steps for *_, steps, _ in runs] == [32, 64, 128, 256, 512, 1024]
+    assert circle.MAX_ORBIT_STEPS == 1024
 
 
 def test_slow_coordinates_preserved(pendulum_action):
@@ -587,6 +657,26 @@ def test_every_other_sample_is_the_orbit_at_fewer_nodes(particle, rng):
         assert np.array_equal(got.times, full.times[::64 // n])
         for a, b in zip(got.fast + got.slow, want.fast + want.slow):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("flow_mode", ["analytic", "numeric"])
+def test_a_term_constant_along_the_orbit_keeps_one_node_through_the_merges(pendulum, rng,
+                                                                          flow_mode):
+    # the pendulum's ∂H/∂p = p depends on the frozen slow block alone, so its
+    # profile keeps a node axis of 1 at every level of the loop, and ∂H/∂q,
+    # which depends on x, widens to the level's nodes. Noise never resolves:
+    # the loop runs to 64
+    points = np.stack([m.coords for m in sample_points(pendulum, rng, 3)])
+    shapes = []
+
+    def evaluate(orbit, dh, dj):
+        shapes.append((np.shape(dh[0]), np.shape(dh[1])))
+        return fourier_mean(rng.standard_normal(orbit.batch_shape + (orbit.nodes,)))
+
+    action = CircleAction(pendulum.system, flow_mode=flow_mode, nodes=64)
+    action.resolve(evaluate, list(points[:, :2].T), list(points[:, 2:].T),
+                   lambda orbit: invariants._slow_partials(pendulum.system, orbit))
+    assert shapes == [((3, 1), (3, n)) for n in (8, 16, 32, 64)]
 
 
 def test_nodes_must_be_power_of_two(pendulum):

@@ -166,8 +166,9 @@ def test_check_prints_four_checks_in_order_as_text_and_json(tmp_path, capsys):
 def test_numeric_invariant_integrates_one_orbit_per_point(tmp_path, monkeypatch, capsys):
     # F1 and F2 both come from the one dual orbit of the point
     runs = []
-    integrate = circle.integrate
-    monkeypatch.setattr(circle, "integrate", lambda *a, **kw: runs.append(1) or integrate(*a, **kw))
+    fixed_steps = circle.fixed_steps
+    monkeypatch.setattr(circle, "fixed_steps",
+                        lambda *a, **kw: runs.append(1) or fixed_steps(*a, **kw))
     config = _write(tmp_path, "[fixture]\nname = elastic_pendulum\n\n"
                               "[quadrature]\nnodes = 8\nflow_mode = numeric\n")
     assert main(["invariant", "--config", config, "--order", "2"]) == 0

@@ -1,4 +1,5 @@
-"""Adaptive integration: accuracy, error control, failure modes."""
+"""DOP853 integration, adaptive and on fixed steps: accuracy, error control,
+the two forms of the fixed-step run, failure modes."""
 
 import marshal
 import math
@@ -10,6 +11,7 @@ import pytest
 from adiakit import (IntegratorConfig, MaxStepsExceeded, NumericalError,
                      StepSizeUnderflow, charged_particle, elastic_pendulum, integrate,
                      integrators)
+from adiakit.integrators import fixed_steps
 from adiakit.cli import main
 from adiakit.config import RunConfig
 from adiakit.experiments import full_field, order_sweep
@@ -151,24 +153,24 @@ COUNTERS = ("rhs_calls", "accepted", "rejected", "h_min", "h_max")
 
 @pytest.mark.parametrize("t_end", [4.0, -3.0])
 def test_lanes_equal_their_one_lane_runs(t_end):
-    cfg = IntegratorConfig(rtol=1e-8, atol=1e-12)
-    t_eval = np.linspace(0.0, t_end, 7)
-    lanes = integrate(anharmonic(LANE_K), LANE_Y0, t_end, cfg, t_eval=t_eval)
-    assert lanes.states.shape == (7, 4, 2)
-    # each lane takes its own steps, so the controllers really differ: the
-    # lanes end after different numbers of attempts, with different largest steps
-    assert len(set((lanes.accepted + lanes.rejected).tolist())) == 4
-    assert len(set(lanes.h_max.tolist())) == 4
+    # fixed steps: lane i of a lane run equals the one-point run from its
+    # state, at the step grid and on the continuous extension, and both
+    # follow the adaptive run to within the steps' error
+    steps, thetas = 128, (0.25, 0.5)
+    dt = t_end / steps
+    lanes = fixed_steps(anharmonic(LANE_K), LANE_Y0, dt, steps, thetas)
+    assert lanes.shape == (3 * steps + 1, 4, 2)
+    times = dt * (np.arange(steps)[:, None] + [0.0, *thetas]).ravel()
+    cfg = IntegratorConfig(rtol=1e-12, atol=1e-14)
     for i in range(4):
-        one = integrate(anharmonic(LANE_K[i]), LANE_Y0[i], t_end, cfg, t_eval=t_eval)
-        stacked = integrate(anharmonic(LANE_K[i:i + 1]), LANE_Y0[i:i + 1], t_end, cfg,
-                            t_eval=t_eval)
-        assert np.array_equal(lanes.times, one.times)
-        assert np.array_equal(lanes.states[:, i], one.states)
-        assert np.array_equal(stacked.states[:, 0], one.states)
-        for name in COUNTERS:
-            assert getattr(lanes, name)[i] == getattr(one, name)
-            assert getattr(stacked, name)[0] == getattr(one, name)
+        one = fixed_steps(anharmonic(LANE_K[i]), LANE_Y0[i:i + 1], dt, steps, thetas)
+        assert np.array_equal(lanes[:, i:i + 1], one)
+        grid, _ = integrators._fixed_lanes(anharmonic(LANE_K[i:i + 1]), LANE_Y0[i:i + 1].T.copy(),
+                                           dt, steps, False)  # the lanes form on one lane
+        assert np.array_equal(grid[:, :, 0], one[::3, 0])
+        exact = integrate(anharmonic(LANE_K[i]), LANE_Y0[i], t_end, cfg,
+                          t_eval=np.append(times, t_end)).states
+        assert np.max(np.abs(one[:, 0] - exact)) < 1e-5
 
 
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
@@ -187,19 +189,16 @@ def test_drift_field_equals_field_full_bitwise(request, fixture_name):
 
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
 def test_float_and_lane_kernels_agree_on_the_full_field(request, fixture_name):
-    # the one-point run (Python floats, emitted code) against lane 0 of a
-    # two-lane run (stacked numpy arrays) of the production field
+    # the fixed-step run's one-point form (Python floats, emitted code)
+    # against lane 0 of a two-lane run (stacked numpy arrays) of the
+    # production field
     fixture = request.getfixturevalue(fixture_name)
     rhs = full_field(fixture.system, 0.2)
     m0 = fixture.initial.coords
-    cfg = IntegratorConfig(rtol=1e-9, atol=1e-12)
-    t_eval = np.linspace(0.0, 5.0, 11)
-    one = integrate(rhs, m0, 5.0, cfg, t_eval=t_eval)
-    two = integrate(rhs, np.stack([m0, m0 + 0.05]), 5.0, cfg, t_eval=t_eval)
-    assert np.array_equal(two.states[:, 0], one.states)
-    for name in COUNTERS:
-        assert getattr(two, name)[0] == getattr(one, name)
-    assert one.accepted > 10
+    one = fixed_steps(rhs, m0[None], 0.1, 50, (0.5,))
+    two = fixed_steps(rhs, np.stack([m0, m0 + 0.05]), 0.1, 50, (0.5,))
+    assert np.array_equal(two[:, :1], one)
+    assert not np.array_equal(two[:, 1], two[:, 0])
 
 
 def oscillator_chain(t, y):
@@ -213,17 +212,13 @@ def oscillator_chain(t, y):
 
 @pytest.mark.parametrize("dim", [2, 10, 20])
 def test_lanes_equal_one_point_runs_beyond_eight_coordinates(dim):
-    # both kernels sum the error norm over the coordinates left to right
+    # both forms of the fixed-step run at dimensions past numpy's unrolled sums
     rng = np.random.default_rng(dim)
     y0 = rng.standard_normal((3, dim)) * 10.0 ** rng.integers(-3, 3, (3, dim))
-    cfg = IntegratorConfig(rtol=1e-8, atol=1e-12)
-    t_eval = np.linspace(0.0, 2.0, 5)
-    lanes = integrate(oscillator_chain, y0, 2.0, cfg, t_eval=t_eval)
+    lanes = fixed_steps(oscillator_chain, y0, 0.125, 16, (0.5,))
     for i in range(3):
-        one = integrate(oscillator_chain, y0[i], 2.0, cfg, t_eval=t_eval)
-        assert np.array_equal(lanes.states[:, i], one.states)
-        for name in COUNTERS:
-            assert getattr(lanes, name)[i] == getattr(one, name)
+        assert np.array_equal(lanes[:, i:i + 1], fixed_steps(oscillator_chain, y0[i:i + 1],
+                                                             0.125, 16, (0.5,)))
 
 
 def ring(t, y):
@@ -233,23 +228,18 @@ def ring(t, y):
 
 @pytest.mark.parametrize("n", list(range(1, 20)) + [127, 128, 129, 300])
 def test_emitted_sums_take_numpys_reduction_order(n):
-    # the one-point run and the lanes sum left to right, elementwise: numpy's
+    # the one-point form and the lanes sum left to right, elementwise: numpy's
     # order when it reduces stacked arrays along their outer axis, at any
     # number of terms
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n, 50)) * 10.0 ** rng.integers(-8, 8, (n, 50))
     assert np.array_equal(_weighted([1.0] * n, list(x)), np.add.reduce(x, axis=0))
-    # a run over n coordinates: the one-point run's states and counters equal
+    # a fixed-step run over n coordinates: the one-point form's states equal
     # the lane run's, lane by lane
     y0 = rng.standard_normal((50, n)) * 10.0 ** rng.integers(-8, 8, (50, n))
-    cfg = IntegratorConfig(rtol=1e-8, atol=1e-12)
-    t_eval = [0.0, 0.004, 0.01]
-    lanes = integrate(ring, y0, 0.01, cfg, t_eval=t_eval)
+    lanes = fixed_steps(ring, y0, 0.005, 2, (0.4,))
     for i in range(50):
-        one = integrate(ring, y0[i], 0.01, cfg, t_eval=t_eval)
-        assert np.array_equal(one.states, lanes.states[:, i])
-        for name in COUNTERS:
-            assert getattr(one, name) == getattr(lanes, name)[i]
+        assert np.array_equal(fixed_steps(ring, y0[i:i + 1], 0.005, 2, (0.4,)), lanes[:, i:i + 1])
 
 
 def forced_ring(t, y):
@@ -263,24 +253,21 @@ def forced_ring(t, y):
 @pytest.mark.parametrize("grid", ["none", "inside", "repeated", "to_end"])
 @pytest.mark.parametrize("dim", range(1, 13))
 def test_both_forms_equal_each_other_and_the_lanes(dim, grid, t_end):
-    # the one-point run, unrolled for its dimension, against the lane run
+    # the fixed-step run's one-point form, unrolled for its dimension, against
+    # its lane form, with the continuous extension read at the grid's fractions
     rng = np.random.default_rng(dim)
     y0 = rng.uniform(-1.0, 1.0, (2, dim))
-    cfg = IntegratorConfig(rtol=1e-8, atol=1e-12)
-    t_eval = {"none": None, "inside": np.linspace(0.0, 0.7 * t_end, 6),
-              "repeated": np.array([0.0, 0.0, 0.1, 0.1, 0.5, 0.5, 1.0]) * t_end,
-              "to_end": np.linspace(0.0, t_end, 9)}[grid]
+    thetas = {"none": (), "inside": (0.5,), "repeated": (0.25, 0.25, 0.75),
+              "to_end": (0.25, 0.5, 0.75)}[grid]
+    steps = 12
+    lanes = fixed_steps(forced_ring, y0, t_end / steps, steps, thetas)
+    assert lanes.shape == (steps * (1 + len(thetas)) + 1, 2, dim)
     for i in range(2):
-        one = integrate(forced_ring, y0[i], t_end, cfg, t_eval=t_eval)
-        assert one.accepted + one.rejected > 5
-        # with no grid the states are the accepted steps' ends, where a lane
-        # run sampled at those times reads its own step ends
-        lanes = integrate(forced_ring, y0, t_end, cfg,
-                          t_eval=one.times if t_eval is None else t_eval)
-        assert np.array_equal(one.times, lanes.times)
-        assert np.array_equal(one.states, lanes.states[:, i])
-        for name in COUNTERS:
-            assert getattr(one, name) == getattr(lanes, name)[i]
+        one = fixed_steps(forced_ring, y0[i:i + 1], t_end / steps, steps, thetas)
+        assert np.array_equal(one, lanes[:, i:i + 1])
+        assert np.array_equal(one[0, 0], y0[i])
+    if grid == "repeated":  # a repeated fraction repeats the state
+        assert np.array_equal(lanes[1::4], lanes[2::4])
 
 
 NAN = float("nan")
@@ -301,22 +288,32 @@ FAILING = {  # field, y0, t_end, config, the error's type and a part of its mess
 }
 
 
-# the cases whose field serves lanes too; the others branch on t or divide
-# by zero, which lanes take as numpy's inf
-LANE_CASES = ("max_steps", "underflow")
+def fixed_failure(field, y0, t_end, lanes):
+    """A fixed-step run of 64 steps to ``t_end`` from ``lanes`` copies of
+    ``y0``: its states, or the type and message of the error it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return fixed_steps(field, [y0] * lanes, t_end / 64, 64, (0.5,))
+    except NumericalError as exc:
+        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("case", FAILING)
 def test_both_forms_fail_alike(case):
+    # the adaptive run raises; the fixed-step run's one-point form and its
+    # lanes end alike, but where a float raises on what numpy takes as inf
     field, y0, t_end, cfg, error, message = FAILING[case]
     with pytest.raises(error, match=message) as point:
         integrate(field, y0, t_end, cfg)
     assert "np.float64(" not in str(point.value)
-    if case in LANE_CASES:
-        with pytest.raises(error) as lane:
-            integrate(field, [y0], t_end, cfg, t_eval=[0.0, t_end])
-        assert ((type(lane.value), str(lane.value), lane.value.last_time)
-                == (type(point.value), str(point.value), point.value.last_time))
+    one, lanes = fixed_failure(field, y0, t_end, 1), fixed_failure(field, y0, t_end, 2)
+    if isinstance(one, np.ndarray):
+        assert np.array_equal(np.concatenate([one, one], axis=1), lanes)
+    elif case == "at_zero":
+        assert one == (NumericalError, "field failed in a step from t=0.0: float division by zero")
+        assert lanes[0] is NumericalError and "inf or nan at t=" in lanes[1]
+    else:
+        assert one == lanes and "np.float64(" not in one[1]
 
 
 @pytest.mark.parametrize("t_end", [1000.0, np.float64(1000.0)])
@@ -351,13 +348,14 @@ def test_numeric_flow_commands_compile_each_source_once(tmp_path, capsys, code_c
 
 
 def test_a_warm_one_point_run_builds_no_source(code_cache, monkeypatch):
-    # the run's cache entry is keyed by dim, steer and a hash of integrators.py,
-    # so a process that finds it neither builds nor compiles its source; another
-    # dim or steer, or another integrators.py, misses, and a damaged or foreign
-    # entry is built and compiled again
-    built, build = [], integrators._run_source
-    monkeypatch.setattr(integrators, "_run_source",
-                        lambda dim, steer: built.append((dim, steer)) or build(dim, steer))
+    # the run's cache entry is keyed by dim and a hash of integrators.py, so a
+    # process that finds it neither builds nor compiles its source; another
+    # dim, or another integrators.py, misses, and a damaged or foreign entry
+    # is built and compiled again. The fixed-step run is keyed alike
+    built, build, fixed = [], integrators._run_source, integrators._fixed_source
+    monkeypatch.setattr(integrators, "_run_source", lambda dim: built.append(dim) or build(dim))
+    monkeypatch.setattr(integrators, "_fixed_source",
+                        lambda dim: built.append(-dim) or fixed(dim))
 
     def run(*args, **kwargs):  # in a new process; (states, sources built, compiles)
         code_cache.restart()
@@ -365,21 +363,25 @@ def test_a_warm_one_point_run_builds_no_source(code_cache, monkeypatch):
         return integrate(*args, **kwargs).states, list(built), len(code_cache.compiled)
 
     want, *cold = run(harmonic, [1.0, 0.0], 3.0)
-    assert cold == [[(2, 2)], 1]
+    assert cold == [[2], 1]
     [entry] = code_cache.directory.iterdir()
     good = marshal.loads(entry.read_bytes())
     states, *warm = run(harmonic, [1.0, 0.0], 3.0)
     assert np.array_equal(states, want) and warm == [[], 0]
-    assert run(harmonic, [1.0, 0.0], 3.0, steer=1)[1:] == ([(2, 1)], 1)
-    assert run(linear, [1.0, 0.0, 2.0], 1.0)[1:] == ([(3, 3)], 1)
+    assert run(linear, [1.0, 0.0, 2.0], 1.0)[1:] == ([3], 1)
     for damaged in (b"\x00garbage", marshal.dumps(("<DOP853 run, dim 2>", "dim 2", good[-1]))):
         entry.write_bytes(damaged)
         states, *rebuilt = run(harmonic, [1.0, 0.0], 3.0)
-        assert np.array_equal(states, want) and rebuilt == [[(2, 2)], 1]
+        assert np.array_equal(states, want) and rebuilt == [[2], 1]
         assert marshal.loads(entry.read_bytes())[:2] == good[:2]
+    for cold in (True, False):
+        code_cache.restart()
+        built.clear()
+        fixed_steps(harmonic, [[1.0, 0.0]], 0.1, 4)
+        assert (built, len(code_cache.compiled)) == (([-2], 1) if cold else ([], 0))
     monkeypatch.setattr(integrators, "source_hash", lambda data: b"another integrators.py")
     states, *other = run(harmonic, [1.0, 0.0], 3.0)
-    assert np.array_equal(states, want) and other == [[(2, 2)], 1]
+    assert np.array_equal(states, want) and other == [[2], 1]
 
 
 def test_long_horizon_sweep_compiles_one_unrolled_run(code_cache):
@@ -405,17 +407,17 @@ def test_repeated_t_eval_entries_repeat_the_state(t_end):
     cfg = IntegratorConfig(rtol=1e-8, atol=1e-12)
     plain_eval = np.array([0.0, 0.25, 0.5, 1.0]) * t_end
     t_eval = plain_eval[REPEATS]
-    lanes = integrate(anharmonic(LANE_K), LANE_Y0, t_end, cfg, t_eval=t_eval)
-    assert np.array_equal(lanes.times, t_eval)
-    # the lanes step differently, so they meet the repeats at different steps
-    assert len(set(lanes.accepted.tolist())) == 4
+    accepted = set()
     for i in range(4):
         one = integrate(anharmonic(LANE_K[i]), LANE_Y0[i], t_end, cfg, t_eval=t_eval)
         plain = integrate(anharmonic(LANE_K[i]), LANE_Y0[i], t_end, cfg, t_eval=plain_eval)
-        assert np.array_equal(lanes.states[:, i], one.states)
+        assert np.array_equal(one.times, t_eval)
         assert np.array_equal(one.states, plain.states[REPEATS])
         for name in COUNTERS:
-            assert getattr(lanes, name)[i] == getattr(one, name) == getattr(plain, name)
+            assert getattr(one, name) == getattr(plain, name)
+        accepted.add(one.accepted)
+    # the runs step differently, so they meet the repeats at different steps
+    assert len(accepted) == 4
 
 
 @pytest.mark.parametrize("t_end", [4.0, -3.0])
@@ -424,14 +426,13 @@ def test_counters_do_not_depend_on_t_eval(t_end):
     cfg = IntegratorConfig(rtol=1e-8, atol=1e-12)
     grids = [np.linspace(0.0, t_end, 7), np.linspace(0.0, t_end, 200),
              np.array([0.0, 0.1, 0.1, 0.7, 0.7, 0.7, 1.0]) * t_end, [0.0, 0.5 * t_end]]
-    lane_runs = [integrate(anharmonic(LANE_K), LANE_Y0, t_end, cfg, t_eval=g) for g in grids]
     for i in range(4):
         steps = integrate(anharmonic(LANE_K[i]), LANE_Y0[i], t_end, cfg)
         ends = np.abs(steps.times)  # of the accepted steps, from 0
-        for grid, lanes in zip(grids, lane_runs):
+        for grid in grids:
             one = integrate(anharmonic(LANE_K[i]), LANE_Y0[i], t_end, cfg, t_eval=grid)
             for name in COUNTERS[1:]:
-                assert getattr(one, name) == getattr(lanes, name)[i] == getattr(steps, name)
+                assert getattr(one, name) == getattr(steps, name)
             # the continuous extension takes three more stages on each
             # accepted step that holds a sample strictly inside it
             targets = np.abs(np.asarray(grid))
@@ -439,41 +440,18 @@ def test_counters_do_not_depend_on_t_eval(t_end):
                           for a, b in zip(ends[:-1], ends[1:]))
             attempts = steps.accepted + steps.rejected
             assert steps.rhs_calls == 1 + 12 * attempts
-            assert one.rhs_calls == lanes.rhs_calls[i] == 1 + 12 * attempts + 3 * holding
+            assert one.rhs_calls == 1 + 12 * attempts + 3 * holding
 
 
 @pytest.mark.parametrize("t_end", [4.0, -3.0])
 def test_sample_at_t_end_is_the_final_state(t_end):
     cfg = IntegratorConfig(rtol=1e-8, atol=1e-12)
     t_eval = np.array([0.0, 0.3, 1.0, 1.0]) * t_end
-    lanes = integrate(anharmonic(LANE_K), LANE_Y0, t_end, cfg, t_eval=t_eval)
     for i in range(4):
+        one = integrate(anharmonic(LANE_K[i]), LANE_Y0[i], t_end, cfg, t_eval=t_eval)
         steps = integrate(anharmonic(LANE_K[i]), LANE_Y0[i], t_end, cfg)
         assert steps.times[-1] == t_end
-        assert np.array_equal(lanes.states[-2:, i], [steps.states[-1], steps.states[-1]])
-
-
-def with_rider(t, y):
-    """The harmonic oscillator and a third column it drives, which grows."""
-    return [-y[1], y[0], 30.0 * y[0] * y[2]]
-
-
-@pytest.mark.parametrize("y0", [[1.0, 0.0], [[1.0, 0.0], [0.5, 0.2]]])
-def test_columns_beyond_steer_do_not_steer(y0):
-    # the rider would shrink the steps; outside the steering columns it does not
-    cfg = IntegratorConfig(rtol=1e-9, atol=1e-12)
-    t_eval = np.linspace(0.0, 3.0, 7)
-    ridden_y0 = np.concatenate([y0, np.ones(np.shape(y0)[:-1] + (1,))], axis=-1)
-    plain = integrate(harmonic, y0, 3.0, cfg, t_eval=t_eval)
-    ridden = integrate(with_rider, ridden_y0, 3.0, cfg, t_eval=t_eval, steer=2)
-    assert np.array_equal(ridden.states[..., :2], plain.states)
-    for name in COUNTERS:
-        assert np.array_equal(getattr(ridden, name), getattr(plain, name))
-    steered = integrate(with_rider, ridden_y0, 3.0, cfg, t_eval=t_eval)
-    assert np.all(steered.accepted > plain.accepted)
-    for steer in (0, 4):
-        with pytest.raises(ValueError, match="steer"):
-            integrate(with_rider, ridden_y0, 3.0, cfg, t_eval=t_eval, steer=steer)
+        assert np.array_equal(one.states[-2:], [steps.states[-1], steps.states[-1]])
 
 
 def test_repeated_t_eval_entry_one_lane_harmonic():
@@ -517,18 +495,26 @@ def test_t_eval_outside_span_rejected_up_front(t_end, t_eval):
     assert calls == []
 
 
-def test_lane_run_needs_t_eval_and_rk45():
-    with pytest.raises(ValueError, match="t_eval"):
-        integrate(anharmonic(LANE_K), LANE_Y0, 1.0)
+def test_integrate_takes_one_point():
+    with pytest.raises(ValueError, match="one state"):
+        integrate(anharmonic(LANE_K), LANE_Y0, 1.0, t_eval=[0.0, 1.0])
+
+
+def blowup(t, y):
+    """y' = y², which blows up at t = 1/y0."""
+    return [y[0] * y[0]]
+
+
+def failure_time(message):
+    """The time an error message of a fixed-step run names."""
+    return float(message.split("t=")[1].split()[0])
 
 
 def test_lane_failure_reports_that_lanes_time():
-    # lane 1 blows up at t = 1/y0 = 0.5; lane 0 at t = 2
-    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, max_steps=10_000_000)
-    with pytest.raises((StepSizeUnderflow, MaxStepsExceeded), match="lane 1") as err:
-        integrate(lambda t, y: [y[0] * y[0]], np.array([[0.5], [2.0]]), 1.0, cfg,
-                  t_eval=[0.0, 1.0])
-    assert err.value.last_time == pytest.approx(0.5, abs=0.05)
+    # lane 1 blows up at t = 1/y0 = 0.5; lane 0 at t = 2, after the run ends
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="lane 1") as err:
+        fixed_steps(blowup, [[0.5], [2.0]], 1.0 / 64, 64)
+    assert failure_time(str(err.value)) == pytest.approx(0.5, abs=0.05)
 
 
 def blowup_beside_spin(t, y):
@@ -537,52 +523,44 @@ def blowup_beside_spin(t, y):
 
 
 def test_first_failing_lane_raises_and_max_steps_before_underflow():
-    blowup, spin = [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+    # the adaptive run: the blowup underflows near t = 0.5 after n attempts,
+    # and with max_steps = n it is over the budget at that check, which is
+    # reported first
     calls = []
 
     def counted(t, y):
         calls.append(t)
         return blowup_beside_spin(t, y)
 
-    # the blowup underflows near t = 0.5 after n attempts; the spin is then
-    # still stepping, so with max_steps = n every lane is over the budget at
-    # the check where the blowup underflows
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, max_steps=10**7)
     with pytest.raises(StepSizeUnderflow) as alone:
-        integrate(counted, blowup, 1.0, IntegratorConfig(rtol=1e-10, atol=1e-12, max_steps=10**7))
+        integrate(counted, [2.0, 0.0, 0.0], 1.0, cfg)
     n = (len(calls) - 1) // 12
-    spin_run = integrate(blowup_beside_spin, [spin], 1.0, IntegratorConfig(rtol=1e-10, atol=1e-12),
-                         t_eval=[0.0, 1.0])
-    assert spin_run.accepted[0] + spin_run.rejected[0] > n
-
-    def failure(lanes, max_steps):
-        cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, max_steps=max_steps)
-        with pytest.raises((MaxStepsExceeded, StepSizeUnderflow)) as err:
-            integrate(blowup_beside_spin, lanes, 1.0, cfg, t_eval=[0.0, 1.0])
-        return type(err.value), str(err.value), err.value.last_time
-
     blowup_time = alone.value.last_time
-    assert failure([spin, blowup], n + 1) == (
-        StepSizeUnderflow, f"step size underflow at t={blowup_time!r} in lane 1", blowup_time)
-    # lane 0 is over the budget, lane 1 also underflows: the lower lane raises
-    kind, message, last_time = failure([spin, blowup], n)
-    assert (kind, message) == (MaxStepsExceeded,
-                               f"exceeded {n} step attempts at t={last_time!r} in lane 0")
-    assert last_time < blowup_time - 0.1
-    # within one lane, max steps is reported before underflow
-    assert failure([blowup, spin], n) == (
-        MaxStepsExceeded, f"exceeded {n} step attempts at t={blowup_time!r} in lane 0", blowup_time)
+    with pytest.raises(MaxStepsExceeded) as over:
+        integrate(blowup_beside_spin, [2.0, 0.0, 0.0], 1.0,
+                  IntegratorConfig(rtol=1e-10, atol=1e-12, max_steps=n))
+    assert (str(over.value), over.value.last_time) == (
+        f"exceeded {n} step attempts at t={blowup_time!r}", blowup_time)
+    # fixed steps: of two failing lanes the lower one raises, with its own
+    # time, although the other fails first
+    with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
+        fixed_steps(blowup, [[2.0], [4.0]], 1.0 / 64, 64)
+    assert str(err.value).endswith("in lane 0")
+    assert failure_time(str(err.value)) == pytest.approx(0.5, abs=0.05)
 
 
 def test_nan_field_raises_numerical_error():
     # a nan derivative gives a nan initial step and nan error norms, which
-    # once were rejected until max_steps ran out (MaxStepsExceeded)
+    # once were rejected until max_steps ran out (MaxStepsExceeded); on fixed
+    # steps it gives nan states, in the lane they belong to
     nan = float("nan")
     cfg = IntegratorConfig(max_steps=1000)
     with pytest.raises(NumericalError, match="nan at t=0.0"):
         integrate(lambda t, y: [nan, -y[0]], [1.0, 0.0], 1.0, cfg)
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="lane 1"):
-        integrate(lambda t, y: [np.log(y[0]), -y[1]], np.array([[1.0, 1.0], [-1.0, 1.0]]),
-                  1.0, cfg, t_eval=[0.0, 1.0])
+        fixed_steps(lambda t, y: [np.log(y[0]), -y[1]], np.array([[1.0, 1.0], [-1.0, 1.0]]),
+                    0.125, 8)
 
 
 def test_float_kernel_turns_division_by_zero_into_numerical_error():

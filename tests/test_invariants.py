@@ -599,12 +599,13 @@ def test_particle_f2_warns_at_cap_8_and_average_of_d1j_at_cap_4(particle):
 
 def test_numeric_loop_integrates_once_and_settles_where_the_analytic_one_does(
         pendulum, particle, rng, monkeypatch):
-    # a numeric orbit is integrated once, to the cap's nodes, and each level of
+    # a numeric orbit is one closed run to the cap's nodes, and each level of
     # the loop reads the nodes it adds off that run. Its tails carry the
-    # integrator's error (up to 0.64 rtol), below the numeric tolerance
+    # closure error, below the numeric tolerance
     runs = []
-    integrate = circle.integrate
-    monkeypatch.setattr(circle, "integrate", lambda *a, **kw: runs.append(1) or integrate(*a, **kw))
+    fixed_steps = circle.fixed_steps
+    monkeypatch.setattr(circle, "fixed_steps",
+                        lambda *a, **kw: runs.append(1) or fixed_steps(*a, **kw))
     for fixture, nodes in ((pendulum, 8), (particle, 16)):
         coords = np.stack([m.coords for m in sample_points(fixture, rng, 3)])
         runs.clear()
@@ -615,16 +616,15 @@ def test_numeric_loop_integrates_once_and_settles_where_the_analytic_one_does(
 
 def test_numeric_f2_integrates_each_orbit_once(pendulum, rng, monkeypatch):
     # F1 and F2 come from one dual orbit (with its variational equation):
-    # one lane per point, in one run per batch. Counted in points: a 1-D y0
-    # is one
+    # one lane per point, in one run per batch, counted in points
     runs = []
-    integrate = circle.integrate
+    fixed_steps = circle.fixed_steps
 
     def counted(field, y0, *args, **kwargs):
-        runs.append(len(y0) if np.ndim(y0) == 2 else 1)
-        return integrate(field, y0, *args, **kwargs)
+        runs.append(len(y0))
+        return fixed_steps(field, y0, *args, **kwargs)
 
-    monkeypatch.setattr(circle, "integrate", counted)
+    monkeypatch.setattr(circle, "fixed_steps", counted)
     action = CircleAction(pendulum.system, flow_mode="numeric", nodes=8)
     points = sample_points(pendulum, rng, 2)
     assemble(pendulum.system, action, 2).resolve_batch(np.stack([m.coords for m in points]))
@@ -637,8 +637,8 @@ def test_numeric_f2_integrates_each_orbit_once(pendulum, rng, monkeypatch):
 
 def test_f1_is_the_same_at_orders_one_and_two(pendulum, particle, rng):
     # order 1 reads F1 off the plain orbit, order 2 off the value part of its
-    # lifted orbit; on a numeric orbit the fast coordinates alone steer the
-    # steps, so both orders step alike, as a batch (lanes) and as one point.
+    # lifted orbit; a numeric orbit's fast columns take the same fixed steps
+    # in both, as a batch (lanes) and as one point.
     # The pendulum's oracles divide by no dual, so the bits agree; a Dual
     # quotient's value is x·(1/y), which moves the particle's F1 by rounding
     # (measured <= 1.1e-14 relative, and 3.1e-17 on a numeric orbit)
@@ -669,16 +669,15 @@ def test_numeric_momentum_integrates_shifted_orbits_as_lanes(request, fixture_na
     fixture = request.getfixturevalue(fixture_name)
     system, m = fixture.system, fixture.initial
     runs = []
-    integrate = circle.integrate
+    fixed_steps = circle.fixed_steps
 
     def counted(field, y0, *args, **kwargs):
-        runs.append(len(y0) if np.ndim(y0) == 2 else 1)
-        return integrate(field, y0, *args, **kwargs)
+        runs.append(len(y0))
+        return fixed_steps(field, y0, *args, **kwargs)
 
-    monkeypatch.setattr(circle, "integrate", counted)
-    # rtol 1e-12: the numeric value follows the integrator's tolerance (at the
-    # default 1e-11 the pendulum's differs from the analytic one by 1.5e-12)
-    monkeypatch.setattr(circle, "ORBIT_RTOL", 1e-12)
+    monkeypatch.setattr(circle, "fixed_steps", counted)
+    # the closed orbit at M = 32 is off the analytic value by 4.3e-14 (pendulum)
+    # and 3.1e-15 (particle); adaptive steps needed rtol 1e-12 for this bound
     numeric = CircleAction(system, flow_mode="numeric", nodes=16)
     value = momentum_from_action(system, numeric, m)
     assert runs == [1]  # one dual orbit of m carries the fast derivatives of the flow
