@@ -36,8 +36,10 @@ still open at ``MAX_ORBIT_STEPS`` raises :class:`IntegrationError`. The
 time-2π map is the identity, so the closure defect is the run's global error,
 in the fast and the variational columns alike (Hairer, Nørsett & Wanner,
 *Solving ODEs I*, §II.4–II.6): at M = 32 at most 1.1e-12 on 40 lifted points
-near either fixture's default point. The tails carry it, so the numeric tail
-tolerance is the larger of ``TAIL_TOL`` and 10·``ORBIT_RTOL``.
+near either fixture's default point. The tails carry it, so the numeric
+tail tolerance is the larger of ``TAIL_TOL`` and 10·``ORBIT_RTOL``. The
+closure test covers the grid's nodes only, not those read off the continuous
+extension where the cap exceeds M.
 """
 
 from __future__ import annotations
@@ -292,11 +294,9 @@ class CircleAction:
 
         ``bind(*slow, *W)`` binds the 2k slow values and their tangents W and
         returns ``rhs(t, y)`` over the 2r fast columns and their tangents V
-        (tangents coordinate by coordinate, D each). It serves one point
-        (floats) and lanes ((lanes,) arrays) alike. A call of ``rhs`` is one
-        call of the traced code and checks nothing: ω is constant along each
-        orbit (the period–energy hypothesis), so ``_integrate_points`` checks
-        it once per base point.
+        (tangents coordinate by coordinate, D each), on floats or arrays. A
+        call of ``rhs`` is one call of the traced code and checks nothing, not
+        even ω (module docstring).
         """
         if directions not in self._fields:
             blocks = (2 * self.system.r, 2 * self.system.k)

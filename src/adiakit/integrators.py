@@ -8,30 +8,28 @@ is deliberately *not* symplectic: drift experiments must see the model's
 ε-expansion, not integrator energy behaviour, so the instrument is a
 high-accuracy pair run at tolerances well below the smallest drift measured.
 
-A field is called as ``field(t, y)``, ``t`` a float and ``y`` the ``dim``
-coordinate columns of the state, and returns the ``dim`` columns of its
-derivative: floats for one point, arrays of shape (lanes,) on lanes. A field
-that indexes or unpacks ``y`` and computes elementwise serves both.
+A field is called as ``field(t, y)``, ``y`` the ``dim`` coordinate columns
+of the state, and returns the ``dim`` columns of its derivative: floats for
+one point, arrays (lanes,) on lanes, and, in the continuous extension's stages
+taken after the run (:func:`_extension`), arrays over steps and lanes, ``t`` too.
 
 :func:`integrate` steps one point adaptively, by one function emitted from
 the tableau, as Hairer's ``dop853.f`` runs its step loop: controller, stages,
-the combined fifth- and third-order error norm, dense output and counters,
-on local Python floats, unrolled over the coordinates of its dimension. Steps
-are clipped to the end time only; a sample inside an accepted step is read
-off the step's continuous extension, so the steps do not depend on the
-output grid. ``kernel.exec_emitted`` compiles each emitted run once per
-machine (about 2 ms + 0.35 ms per coordinate on one CPU) and later processes
-load it by dimension and a hash of this file, building no source (0.18 ms at
-dim 4, 0.46 ms at dim 28).
+the combined fifth- and third-order error norm, a record of each step that
+holds a sample, and counters, on local Python floats, unrolled over the
+coordinates of its dimension. ``kernel.exec_emitted`` compiles each emitted
+run once per machine (about 0.9 ms + 0.4 ms per coordinate on one Xeon core)
+and later processes load it by dimension and a hash of this file, building
+no source (0.17 ms at dim 4, 0.43 ms at dim 28).
 
 :func:`fixed_steps` takes M steps of one size on a batch, with the
 continuous extension at given fractions of each step: the closed step grid
 of ``circle``'s orbits. One point runs as emitted code on Python floats, two
 or more as lanes, each stage one stacked (dim, lanes) array and one ``field``
-call. Both forms take the same IEEE operations in the same order: ``t +
+call. All forms take the same IEEE operations in the same order: ``t +
 c·dt``, every weighted sum of stages left to right over its nonzero weights
-(:func:`_weighted`), ``y + dt·Σ``, and the elementwise :func:`_dense_states`.
-``+ − ×`` round each element on its own and neither form takes ``**``, so a
+(:func:`_weighted`), ``y + dt·Σ``, and the elementwise :func:`_extension`.
+``+ − ×`` round each element on its own and no form takes ``**``, so a
 lane equals the one-point run from its state bit for bit, provided ``field``
 treats each lane on its own and takes the same operations on floats as on
 arrays (numpy's ``**`` does not: it rounds differently on scalars and arrays).
@@ -130,8 +128,7 @@ _E5 = [0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502
        -0.022355307863886294]
 _E3 = [-0.18980075407240762, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
        -0.4226823213237919, -0.1521609496625161, 0.20136540080403034, 0.02265179219836082]
-# the continuous extension's last four coefficient rows (dop853.f's contd8), as
-# weights of the stages it reads
+# the continuous extension's last four rows (dop853.f's contd8), over the stages it reads
 _DENSE_STAGES = [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]
 _D = [
     [-8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
@@ -168,9 +165,8 @@ def _weighted(weights, k):
 # inf (the step is rejected) or nan (the run raises), not inf/inf. It returns
 # the counters and two ``array('d')``: with ``out`` None, the times and flat
 # states of t = 0 and every accepted step; else (having written the states at
-# ``targets`` that end a step into rows ``slots`` of ``out``) the flat dense
-# data of the steps holding targets inside them and (row, step, fraction,
-# signed step) per such target.
+# ``targets`` that end a step into ``out``'s rows ``slots``) the ``_extension``
+# records of the steps holding targets inside, and (row, step, θ) per target.
 _RUN = """\
 def run(field, y0, f0, h, t_end, targets, slots, out, rtol, atol, max_steps):
     {y} = y0
@@ -179,7 +175,7 @@ def run(field, y0, f0, h, t_end, targets, slots, out, rtol, atol, max_steps):
     direction = 1.0 if t_end > 0 else -1.0
     t, rhs_calls, accepted, rejected, h_min, h_max = 0.0, 1, 0, 0, inf, 0.0
     first, second = (array("d", [0.0]), array("d", y0)) if out is None else (array("d"), array("d"))
-    pack = Struct(f"{{14 * dim}}d").pack
+    pack = Struct(f"{{2 + 15 * dim}}d").pack
     try:
         while direction * (t_end - t) > 0.0:
             if accepted + rejected >= max_steps:
@@ -218,11 +214,9 @@ def run(field, y0, f0, h, t_end, targets, slots, out, rtol, atol, max_steps):
                         out[slots[j]] = {state}
                     else:
                         if sampled == held:
-{extension}
-                            first.frombytes(pack({dense}))
-                            rhs_calls += 3
+                            first.frombytes(pack(t, dt, {y}{n}{k}))
                             sampled += 1
-                        second.extend((slots[j], held, (targets[j] - t) / dt, dt))
+                        second.extend((slots[j], held, (targets[j] - t) / dt))
                     j += 1
                 t = t_new
                 factor = 10.0 if norm == 0.0 else min(10.0, max(0.2, 0.9 * norm ** -0.125))
@@ -236,25 +230,24 @@ def run(field, y0, f0, h, t_end, targets, slots, out, rtol, atol, max_steps):
             h = step * factor
     except (ZeroDivisionError, OverflowError) as exc:  # where numpy gives inf or nan
         raise NumericalError(f"field failed in a step from t={{t!r}}: {{exc}}") from exc
-    return rhs_calls, accepted, rejected, h_min, h_max, first, second
+    return rhs_calls + 3 * sampled, accepted, rejected, h_min, h_max, first, second
 """
 
 # The fixed-step run on floats, ``_fixed_lanes`` for one point, whose stages
 # and coordinate names ``_fixed_source`` fills in. ``run(field, y0, dt, steps,
 # dense)`` returns two ``array('d')``: the flat states at t = 0 and at each
-# step's end, and, with ``dense``, each step's flat dense data.
+# step's end, and, with ``dense``, each step's record for ``_extension``.
 _FIXED = """\
 def run(field, y0, dt, steps, dense):
     {y} = y0
     t, grid, data = 0.0, array("d", y0), array("d")
-    pack = Struct(f"{{14 * len(y0)}}d").pack
+    pack = Struct(f"{{2 + 15 * len(y0)}}d").pack
     try:
         {k0} = field(t, y0)
         for j in range(steps):
 {attempt}
             if dense:
-{extension}
-                data.frombytes(pack({dense}))
+                data.frombytes(pack(t, dt, {y}{n}{k}))
             grid.extend({state})
             t = dt * (j + 1)
             {y} = {n}
@@ -289,28 +282,22 @@ def _weighted_text(weights):
     return " + ".join(f"{w!r} * k{j}_{{i}}" for j, w in enumerate(weights) if w)
 
 
-def _stage_lines(dim, first, last, depth):
-    """Stages ``first`` … ``last`` − 1 of a step from t, dt, the state y_i and
-    the earlier stages, as lines indented by ``depth``. Stage 12's state, the
-    step's solution, is kept as n_i."""
-    lines = []
-    for s in range(first, last):
-        template = f"y_{{i}} + dt * ({_weighted_text(_A[s])})"
-        state = f"[{', '.join(template.format(i=i) for i in range(dim))}]"
-        if s == 12:
-            lines.append(f"{_names('n', dim)} = {state}")
-            state = f"[{_names('n', dim)}]"  # the step's solution, a list
-        lines.append(f"{_names(f'k{s}', dim)} = field(t + {_C[s]!r} * dt, {state})")
-    return "\n".join(" " * depth + line for line in lines)
-
-
 def _emit(template, dim, **blocks):
-    """``template`` with the coordinate names of ``dim`` filled in."""
+    """``template`` with the coordinate names of ``dim`` and a step's stages
+    1 … 12 filled in: from t, dt, the state y_i and the earlier stages, and
+    stage 12's state, the step's solution, kept as n_i."""
+    attempt = []
+    for s in range(1, 13):
+        stage_i = f"y_{{i}} + dt * ({_weighted_text(_A[s])})"
+        state = f"[{', '.join(stage_i.format(i=i) for i in range(dim))}]"
+        if s == 12:
+            attempt.append(f"{_names('n', dim)} = {state}")
+            state = f"[{_names('n', dim)}]"  # the step's solution, a list
+        attempt.append(f"{_names(f'k{s}', dim)} = field(t + {_C[s]!r} * dt, {state})")
     return template.format(
         y=_names("y", dim), k0=_names("k0", dim), n=_names("n", dim), k12=_names("k12", dim),
-        state=f"[{_names('n', dim)}]",
-        dense="".join(_names(v, dim) for v in ["y", "n"] + [f"k{j}" for j in _DENSE_STAGES]),
-        **blocks)
+        state=f"[{_names('n', dim)}]", k="".join(_names(f"k{j}", dim) for j in range(13)),
+        attempt="\n".join(" " * 12 + line for line in attempt), **blocks)
 
 
 def _run_source(dim):
@@ -322,28 +309,41 @@ def _run_source(dim):
         f"e3 = ({_weighted_text(_E3)}) / scale",
         "s5 += e5 * e5",
         "s3 += e3 * e3"]]
-    return _emit(_RUN, dim, attempt=_stage_lines(dim, 1, 13, 12), error="\n".join(error),
-                 extension=_stage_lines(dim, 13, 16, 28))
+    return _emit(_RUN, dim, error="\n".join(error))
 
 
 def _fixed_source(dim):
     """The source of ``_one_point("fixed steps", dim)``."""
-    return _emit(_FIXED, dim, attempt=_stage_lines(dim, 1, 13, 12),
-                 extension=_stage_lines(dim, 13, 16, 16))
+    return _emit(_FIXED, dim)
 
 
-def _dense_states(y, y1, k, theta, dt):
-    """States inside steps from DOP853's continuous extension, from the steps'
-    start and end states ``y`` and ``y1``, their stages ``_DENSE_STAGES`` in
-    ``k``, the fraction ``theta`` and the signed step ``dt`` (floats or arrays
-    that broadcast against ``y``), elementwise."""
-    ydiff = y1 - y
-    coeffs = ([ydiff, dt * k[0] - ydiff, 2.0 * ydiff - dt * (k[8] + k[0])]
-              + [dt * _weighted(row, k) for row in _D])
-    total = 0.0
-    for i, f in enumerate(reversed(coeffs)):
-        total = (total + f) * (theta if i % 2 == 0 else 1.0 - theta)
-    return y + total
+def _columns(field, t, state):
+    """``field``'s columns at ``t`` and ``state`` (dim, ...), stacked alike."""
+    out = np.empty_like(state)
+    for row, column in zip(out, field(t, state), strict=True):
+        row[...] = column
+    return out
+
+
+def _extension(field, steps, rows, theta):
+    """States (dim, rows, ...) at the fractions ``theta`` of the steps at ``rows``
+    from DOP853's continuous extension, elementwise. A record of ``steps``
+    (steps, 2 + 15·dim, ...) holds a step's t, dt, start and end states and
+    stages 0–12. Stages 13–15 of all steps take one ``field`` call each, on
+    arrays, with numpy's warnings off: a state may be inf or nan."""
+    t, dt = steps[:, 0], steps[:, 1]
+    y, n, *k = np.moveaxis(steps[:, 2:].reshape(len(steps), 15, -1, *steps.shape[2:]), 0, 2)
+    with np.errstate(all="ignore"):
+        for s in range(13, 16):
+            k.append(_columns(field, t + _C[s] * dt, y + dt * _weighted(_A[s], k)))
+        y, dt, k = y[:, rows], dt[rows], [k[s][:, rows] for s in _DENSE_STAGES]
+        ydiff = n[:, rows] - y
+        coeffs = ([ydiff, dt * k[0] - ydiff, 2.0 * ydiff - dt * (k[8] + k[0])]
+                  + [dt * _weighted(row, k) for row in _D])
+        total = 0.0
+        for i, f in enumerate(reversed(coeffs)):
+            total = (total + f) * (theta if i % 2 == 0 else 1.0 - theta)
+        return y + total
 
 
 def _initial_steps(f0, y0, t_span, rtol, atol):
@@ -368,9 +368,10 @@ def integrate(field: Callable, y0: Sequence[float], t_end: float,
     it the step's continuous extension, whose error is of the order of the
     step's own. Steps are clipped to ``t_end`` only, so they are the same for
     every ``t_eval``, and so are the counters but the right-hand-side calls:
-    a step holding an entry inside it takes three more. Raises
-    :class:`MaxStepsExceeded` or :class:`StepSizeUnderflow` carrying the last
-    time the run reached.
+    a step holding an entry inside it takes three more, after the run, with
+    ``t`` and the columns as arrays. Raises :class:`MaxStepsExceeded` or
+    :class:`StepSizeUnderflow` carrying the last time the run reached, or
+    :class:`NumericalError` naming the first entry whose state is inf or nan.
     """
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim != 1:
@@ -406,36 +407,31 @@ def integrate(field: Callable, y0: Sequence[float], t_end: float,
     if out is None:
         return Trajectory(np.array(first), np.array(second).reshape(-1, dim), *counters)
     if second:
-        row, step, theta, dt = np.frombuffer(second).reshape(-1, 4).T
-        steps = np.frombuffer(first).reshape(-1, 2 + len(_DENSE_STAGES), dim)
-        y_start, y_end, *k = steps[step.astype(int)].transpose(1, 0, 2)
-        out[row.astype(int)] = _dense_states(y_start, y_end, k, theta[:, None], dt[:, None])
+        row, step, theta = np.frombuffer(second).reshape(-1, 3).T
+        row, steps = row.astype(int), np.frombuffer(first).reshape(-1, 2 + 15 * dim)
+        out[row] = _extension(field, steps, step.astype(int), theta).T
+        failed = row[~np.isfinite(out[row]).all(axis=1)]
+        if len(failed):
+            raise NumericalError(f"state is inf or nan at t={float(t_eval[failed[0]])!r}")
     return Trajectory(np.array(t_eval), out, *counters)
 
 
 def _fixed_lanes(field, y0, dt, steps, dense):
     """``_FIXED``'s run on lanes ``y0`` (dim, lanes), each stage one array of
-    that shape: its grid states (steps + 1, dim, lanes) and dense data."""
-    def call(t, state):  # the field's columns, stacked (dim, lanes)
-        out = np.empty_like(state)
-        for row, column in zip(out, field(t, state), strict=True):
-            row[...] = column
-        return out
-
+    that shape: its grid states (steps + 1, dim, lanes) and, with ``dense``,
+    each step's record for ``_extension`` (steps, 2 + 15·dim, lanes)."""
     grid = np.empty((steps + 1,) + y0.shape)
-    data = np.empty((steps, 2 + len(_DENSE_STAGES)) + y0.shape) if dense else None
-    grid[0] = y = y0
-    t = 0.0
+    data = np.empty((steps, 2 + 15 * len(y0), y0.shape[1])) if dense else None
+    grid[0], y, t = y0, y0, 0.0
     try:
-        k = [call(t, y)]
+        k = [_columns(field, t, y)]
         for j in range(steps):
-            for s in range(1, 16 if dense else 13):
+            for s in range(1, 13):
                 state = y + dt * _weighted(_A[s], k)
-                if s == 12:
-                    grid[j + 1] = state  # the step's solution
-                k.append(call(t + _C[s] * dt, state))
+                k.append(_columns(field, t + _C[s] * dt, state))
+            grid[j + 1] = state  # stage 12's state, the step's solution
             if dense:
-                data[j] = [y, grid[j + 1]] + [k[s] for s in _DENSE_STAGES]
+                data[j, :2], data[j, 2:] = [[t], [dt]], np.concatenate([y, state, *k])
             t = dt * (j + 1)
             y, k = grid[j + 1], [k[12]]
     except (ZeroDivisionError, OverflowError) as exc:  # as the one-point form
@@ -458,14 +454,16 @@ def fixed_steps(field: Callable, y0: np.ndarray, dt: float, steps: int,
     if lanes == 1:
         grid, data = _one_point("fixed steps", dim)(field, y0[0].tolist(), float(dt), steps, dense)
         grid = np.frombuffer(grid).reshape(steps + 1, dim, 1)
-        data = np.frombuffer(data).reshape(steps, -1, dim, 1) if dense else None
+        data = np.frombuffer(data).reshape(steps, -1, 1) if dense else None
     else:
         grid, data = _fixed_lanes(field, y0.T.copy(), float(dt), steps, dense)
     rows, per = grid, 1 + len(thetas)
     if dense:
-        y, y1, *k = data.swapaxes(0, 1)
-        inner = [_dense_states(y, y1, k, float(theta), float(dt)) for theta in thetas]
-        rows = np.concatenate([np.stack([grid[:-1], *inner], 1).reshape(-1, dim, lanes), grid[-1:]])
+        block, theta = max(1, 4096 // lanes), np.reshape(thetas, (-1, 1, 1, 1))
+        inner = np.concatenate([_extension(field, data[i:i + block], slice(None), theta)
+                                for i in range(0, steps, block)], axis=2)  # in cache-sized passes
+        inner = np.concatenate([grid[:-1, None], inner.transpose(2, 0, 1, 3)], axis=1)
+        rows = np.concatenate([inner.reshape(-1, dim, lanes), grid[-1:]])
     finite = np.isfinite(rows).all(axis=1)  # (rows, lanes)
     if not finite.all():
         lane, row = np.argwhere(~finite.T)[0]

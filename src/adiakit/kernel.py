@@ -590,6 +590,8 @@ def _multidual_tangent(f, blocks, directions):
     def bind(*bound):
         def rhs(t, y):
             args = [*y[:free], *bound[:n - free], *y[free:], *bound[n - free:]]
+            if len(set(map(np.shape, args))) > 1:  # one shape, so direction axes lead alike
+                args = np.broadcast_arrays(*args)
             tag = fresh_tag()  # direction axis first; no directions: plain values
             coords = [Dual(c, np.reshape(args[n + i * directions:n + (i + 1) * directions],
                                          (directions,) + np.shape(c)), tag) if directions else c

@@ -53,3 +53,37 @@ def test_summary_of_synthetic_runs(pairs):
     flow = summary["numeric_flow"]["run_s"]
     assert flow["parent"]["n"] == 1 and flow["change"]["n"] == 0
     assert flow["change_better_pairs"] == "0/0" and flow["change_over_parent_median"] is None
+
+
+def test_main_prints_the_summary_after_writing_the_bench_file(pairs, tmp_path, monkeypatch,
+                                                              capsys):
+    # one line per workload and metric, both sides' median [q1, q3], the pairs
+    # the change wins and the ratio of the medians; a side without runs says so
+    roots = [tmp_path / side for side in pairs.SIDES]
+    for root in roots:
+        (root / "bench").mkdir(parents=True)
+        (root / "bench" / "run.py").write_text("", encoding="utf-8")
+    (roots[1] / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    run_s = {("parent", 1): 0.080, ("change", 1): 0.075, ("parent", 2): 0.084,
+             ("change", 2): 0.078, ("parent", 3): 0.079, ("change", 3): 0.081}
+
+    def fake_run(root, side, workload, seed, seconds):
+        if workload == "numeric_flow" and side == "change":
+            return dict(run(workload, seed, side, 0.0), metrics=None, error="no output")
+        return run(workload, seed, side, run_s[side, seed])
+
+    monkeypatch.setattr(pairs, "run_side", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert pairs.main([str(roots[0]), str(roots[1]), "--workload", "drift_order2",
+                       "--workload", "numeric_flow", "--seeds", "1-3", "--seconds", "1",
+                       "--out", str(out)]) == 0
+    assert out.is_file()
+    lines = capsys.readouterr().out.splitlines()
+    summary = lines[-2 * len(DECLARED):]
+    assert summary == pairs.summary_lines(json.loads(out.read_text())["summary"])
+    assert summary[1] == ("drift_order2 run_s: parent 0.08 [0.0795, 0.082], change 0.078 "
+                          "[0.0765, 0.0795], change better in 2/3 pairs, change/parent 0.9750")
+    assert summary[0].startswith("drift_order2 setup_s: parent 0.1 [0.1, 0.1], change 0.1 ")
+    assert summary[0].endswith("change better in 0/3 pairs, change/parent 1.0000")
+    assert summary[4] == ("numeric_flow run_s: parent 0.08 [0.0795, 0.082], change no runs, "
+                          "change better in 0/0 pairs, change/parent n/a")

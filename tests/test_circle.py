@@ -165,10 +165,12 @@ def test_lifted_orbit_jacobians_are_symplectic(request, rng, fixture_name, flow_
     # at frozen slow coordinates the fast flow is Hamiltonian, so M = ∂Fl/∂z₀
     # at every node satisfies MᵀΩM = Ω. A numeric M is read off the variational
     # columns, which the orbit's closure controls: the defect ‖MᵀΩM − Ω‖
-    # (Frobenius) gates their error. Measured over 20 box points for each of
-    # 31 seeds: at most 4.8e-12 numeric on both fixtures (at this seed too), all
-    # at the nodes read off the continuous extension (1.7e-13 at the step
-    # grid's nodes), and 6.3e-16 analytic. Adaptive steps gave 2.6e-10
+    # (Frobenius) gates their error. At M = 32 steps the even nodes are the
+    # step grid's states, which the closure checks, and the odd ones are read
+    # off the continuous extension at θ = ½, which it does not. Measured over
+    # 20 box points for each of 31 seeds: at most 1.7e-13 numeric at the grid's
+    # nodes and 4.8e-12 at the extension's on both fixtures (at this seed
+    # too), and 6.3e-16 analytic. Adaptive steps gave 2.6e-10
     fixture = request.getfixturevalue(fixture_name)
     points = np.stack([m.coords for m in sample_points(fixture, rng, 20)])
     action = CircleAction(fixture.system, flow_mode=flow_mode, nodes=64)
@@ -179,6 +181,8 @@ def test_lifted_orbit_jacobians_are_symplectic(request, rng, fixture_name, flow_
     omega = np.array([[0.0, -1.0], [1.0, 0.0]])
     defect = np.linalg.norm(np.swapaxes(jac, -1, -2) @ omega @ jac - omega, axis=(-2, -1))
     assert defect.max() <= bound
+    if flow_mode == "numeric":
+        assert defect[:, 0::2].max() <= 1e-12  # the grid's nodes
 
 
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])

@@ -3,12 +3,13 @@ the two forms of the fixed-step run, failure modes."""
 
 import marshal
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from adiakit import (IntegratorConfig, MaxStepsExceeded, NumericalError,
+from adiakit import (CircleAction, IntegratorConfig, MaxStepsExceeded, NumericalError,
                      StepSizeUnderflow, charged_particle, elastic_pendulum, integrate,
                      integrators)
 from adiakit.integrators import fixed_steps
@@ -16,7 +17,9 @@ from adiakit.cli import main
 from adiakit.config import RunConfig
 from adiakit.experiments import full_field, order_sweep
 from adiakit.phase import field_full
-from adiakit.integrators import _A, _C, _E3, _E5, _weighted
+from adiakit.integrators import _A, _C, _D, _E3, _E5, _weighted
+
+from conftest import sample_points
 
 
 def linear(t, y):
@@ -270,6 +273,104 @@ def test_both_forms_equal_each_other_and_the_lanes(dim, grid, t_end):
         assert np.array_equal(lanes[1::4], lanes[2::4])
 
 
+def float_step(field, y, h, thetas):
+    """One DOP853 step of size ``h`` from t = 0 and the state ``y`` on Python
+    floats, straight from the tableau: its end state and its continuous
+    extension at each of ``thetas`` (stages 13–15, then dop853.f's contd8 in
+    nested form). Each sum runs left to right over its nonzero weights."""
+    def dot(weights, values):
+        terms = [w * v for w, v in zip(weights, values) if w]
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        return total
+
+    y = [float(v) for v in y]
+    k = [[float(v) for v in field(0.0, y)]]
+    for s in range(1, 16):
+        state = [y[i] + h * dot(_A[s], [k_j[i] for k_j in k]) for i in range(len(y))]
+        k.append([float(v) for v in field(0.0 + _C[s] * h, state)])
+        if s == 12:
+            end = state
+    dense = []
+    for u in thetas:
+        row = []
+        for i in range(len(y)):
+            ks = [k[j][i] for j in (0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)]
+            ydiff = end[i] - y[i]
+            c2, c3, c4 = ydiff, h * ks[0] - ydiff, 2.0 * ydiff - h * (ks[8] + ks[0])
+            c5, c6, c7, c8 = (h * dot(d, ks) for d in _D)
+            v = 1.0 - u
+            row.append(y[i] + u * (c2 + v * (c3 + u * (c4 + v * (c5 + u * (c6 + v * (
+                c7 + u * c8)))))))
+        dense.append(row)
+    return end, dense
+
+
+def drift_fields(system, points):
+    """The traced drift field at ε = 0.05 for one point and for the lanes of
+    ``points``: the same field."""
+    rhs = full_field(system, 0.05)
+    return [rhs] * len(points), rhs, points
+
+
+def upsilon_fields(system, points):
+    """Υ over the fast block, bound to each point's slow block as floats, and
+    to all of them as lanes."""
+    bind = CircleAction(system, flow_mode="numeric")._field(0)
+    fast, slow = points[:, :2 * system.r], points[:, 2 * system.r:]
+    return [bind(*row.tolist()) for row in slow], bind(*slow.T), fast
+
+
+@pytest.mark.parametrize("kind", [drift_fields, upsilon_fields])
+@pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
+def test_every_form_reads_the_extension_of_the_float_reference(request, rng, fixture_name, kind):
+    # the adaptive run, and the fixed-step run on one lane and on lanes, all
+    # take the extension's stages in one pass over arrays after the steps;
+    # each equals a step taken on floats from _A, _C and _D, bit for bit
+    fixture = request.getfixturevalue(fixture_name)
+    points = np.stack([m.coords for m in sample_points(fixture, rng, 3)])
+    singles, lanes_field, y0 = kind(fixture.system, points)
+    h, thetas = 0.375, (0.25, 0.5)  # θ·h/h is θ again, as the adaptive run computes it
+    lanes = fixed_steps(lanes_field, y0, h, 1, thetas)
+    for i, field in enumerate(singles):
+        end, dense = float_step(field, y0[i], h, thetas)
+        cfg = IntegratorConfig(rtol=1.0, atol=1.0, max_steps=1)
+        with mock.patch.object(integrators, "_initial_steps", lambda *args: [h]):
+            adaptive = integrate(field, y0[i], h, cfg, t_eval=[0.0, *(t * h for t in thetas), h])
+        one = fixed_steps(field, y0[i:i + 1], h, 1, thetas)[:, 0]
+        for states in (adaptive.states, one, lanes[:, i]):
+            assert np.array_equal(states[1:], [*dense, end])
+
+
+def test_a_failure_in_an_extension_stage_only_names_its_time():
+    # 0/(t − c) is 0 at every stage of the step grid and divides by zero at
+    # one stage of the continuous extension, t + 0.1·dt of one step, which
+    # runs on arrays after the steps: each form raises naming the sample's
+    # time, and numpy warns of nothing
+    h = 0.25
+
+    def singular(c):
+        return lambda t, y: [0.0 / (t - c) - y[1], y[0]]
+
+    cfg = IntegratorConfig(rtol=1.0, atol=1.0, max_steps=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.object(integrators, "_initial_steps", lambda *args: [h]), \
+                pytest.raises(NumericalError, match=r"^state is inf or nan at t=0\.125$"):
+            integrate(singular(_C[13] * h), [1.0, 0.0], h, cfg, t_eval=[0.0, 0.5 * h, h])
+        for y0 in ([[1.0, 0.0]], [[1.0, 0.0], [0.5, 0.5]]):  # one lane, and lanes
+            with pytest.raises(NumericalError, match=r"^state is inf or nan at t=0\.625 in lane 0$"):
+                fixed_steps(singular(h * 2 + _C[13] * h), y0, h, 4, (0.5,))  # the third step's
+
+
+def test_emitted_runs_take_twelve_stages_per_step():
+    # the continuous extension's stages 13–15 are not in either emitted run
+    for dim in (1, 4):
+        assert integrators._run_source(dim).count("field(") == 12
+        assert integrators._fixed_source(dim).count("field(") == 13  # and the first stage
+
+
 NAN = float("nan")
 FAILING = {  # field, y0, t_end, config, the error's type and a part of its message
     "max_steps": (harmonic, [1.0, 0.0], 1000.0, IntegratorConfig(max_steps=25),
@@ -281,7 +382,7 @@ FAILING = {  # field, y0, t_end, config, the error's type and a part of its mess
                  1.0, IntegratorConfig(), NumericalError, "float division by zero"),
     "overflow": (lambda t, y: [(1e200 if t > 0.3 else 1.0) ** 2.0, -y[0]], [1.0, 0.0], 1.0,
                  IntegratorConfig(), NumericalError, "Numerical result out of range"),
-    "nan_norm": (lambda t, y: [NAN if t > 0.3 else 1.0, -y[0]], [1.0, 0.0], 1.0,
+    "nan_norm": (lambda t, y: [np.where(t > 0.3, NAN, 1.0), -y[0]], [1.0, 0.0], 1.0,
                  IntegratorConfig(), NumericalError, "error norm is nan at t="),
     "at_zero": (lambda t, y: [1.0 / y[0], 1.0], [0.0, 1.0], 1.0, IntegratorConfig(),
                 NumericalError, "field failed at t=0.0: float division by zero"),

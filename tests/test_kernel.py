@@ -326,6 +326,12 @@ def test_untraceable_tangent_falls_back_to_multiduals():
         got = field_at(bind, (2, 2), lanes, dots)
         want = field_at(bind, (2, 2), [c[lane] for c in lanes], [d[lane] for d in dots])
         assert_same_partials([g[lane] for g in got], want)
+    # columns over two steps of the lanes against values bound per lane, as
+    # the continuous extension's pass gives them: each step's row is the lanes'
+    rhs = bind(*lanes[2:], *dots[4:])
+    wide = [np.stack([c, 0.5 * c]) for c in lanes[:2] + dots[:4]]
+    for row, got in enumerate(zip(*rhs(0.0, wide))):
+        assert_same_partials(got, rhs(0.0, [c[row] for c in wide]))
     assert_same_partials(field_at(sk.tangent(f, (2, 2), 0), (2, 2), lanes, []),
                          f(lanes[:2], lanes[2:]))
 

@@ -24,6 +24,9 @@ is better, in the metric's direction, out of the seeds both sides
 completed) and ``change_over_parent_median``. ``runs`` holds one record per
 run: workload, seconds, seed, side, ``correct``, ``attempted``, ``failed``
 and the metrics' values (None for a run that printed no result).
+
+After writing the BENCH file, it prints the summary to standard output, one
+line per workload and metric (:func:`summary_lines`).
 """
 
 from __future__ import annotations
@@ -107,6 +110,27 @@ def summarize(runs: list, declared: list) -> dict:
     return summary
 
 
+def _quartiles(spread: dict) -> str:
+    if spread["median"] is None:
+        return "no runs"
+    return f"{spread['median']:.4g} [{spread['q1']:.4g}, {spread['q3']:.4g}]"
+
+
+def summary_lines(summary: dict) -> list:
+    """One line per workload and metric of ``summarize``'s result: each side's
+    median [q1, q3], the pairs the change wins, and the change's median over
+    the parent's."""
+    lines = []
+    for workload, metrics in summary.items():
+        for name, s in metrics.items():
+            ratio = s["change_over_parent_median"]
+            lines.append(f"{workload} {name}: parent {_quartiles(s['parent'])}, "
+                         f"change {_quartiles(s['change'])}, change better in "
+                         f"{s['change_better_pairs']} pairs, change/parent "
+                         + ("n/a" if ratio is None else f"{ratio:.4f}"))
+    return lines
+
+
 def _commit(root: Path):
     proc = subprocess.run(["git", "-C", str(root), "rev-parse", "--short", "HEAD"],
                           capture_output=True, text=True)
@@ -165,6 +189,7 @@ def main(argv=None) -> int:
         "runs": runs,
     }
     args.out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
+    print("\n".join(summary_lines(bench["summary"])))
     return 0
 
 
