@@ -17,22 +17,27 @@ taken after the run (:func:`_extension`), arrays over steps and lanes, ``t`` too
 the tableau, as Hairer's ``dop853.f`` runs its step loop: controller, stages,
 the combined fifth- and third-order error norm, a record of each step that
 holds a sample, and counters, on local Python floats, unrolled over the
-coordinates of its dimension. ``kernel.exec_emitted`` compiles each emitted
-run once per machine (about 0.9 ms + 0.4 ms per coordinate on one Xeon core)
-and later processes load it by dimension and a hash of this file, building
-no source (0.17 ms at dim 4, 0.43 ms at dim 28).
+coordinates of its dimension. Each stage runs the code of a field traced by
+``kernel.trace_tangent`` (its ``program``) in place, on the stage's state,
+with the field's ``inputs`` read once and no ``t + c·dt``, which traced code
+never reads; any other field is called, from the same template.
+``kernel.exec_emitted`` compiles each emitted run once per machine (about
+0.9 ms + 0.4 ms per coordinate on one Xeon core, 4–10 ms with a program) and
+later processes load it by dimension, a hash of this file and the program,
+building no source (0.17 ms at dim 4, 0.43 ms at dim 28).
 
 :func:`fixed_steps` takes M steps of one size on a batch, with the
 continuous extension at given fractions of each step: the closed step grid
-of ``circle``'s orbits. One point runs as emitted code on Python floats, two
-or more as lanes, each stage one stacked (dim, lanes) array and one ``field``
-call. All forms take the same IEEE operations in the same order: ``t +
-c·dt``, every weighted sum of stages left to right over its nonzero weights
-(:func:`_weighted`), ``y + dt·Σ``, and the elementwise :func:`_extension`.
-``+ − ×`` round each element on its own and no form takes ``**``, so a
-lane equals the one-point run from its state bit for bit, provided ``field``
-treats each lane on its own and takes the same operations on floats as on
-arrays (numpy's ``**`` does not: it rounds differently on scalars and arrays).
+of ``circle``'s orbits. One point runs as emitted code on Python floats,
+fused as above, two or more as lanes, each stage one stacked (dim, lanes)
+array and one ``field`` call. All forms take the same IEEE operations in the
+same order: ``t + c·dt`` where the field is called, every weighted sum of
+stages left to right over its nonzero weights (:func:`_weighted`), ``y +
+dt·Σ``, the field's own, and the elementwise :func:`_extension`. ``+ − ×``
+round each element on its own and no form takes ``**``, so a lane equals the
+one-point run from its state bit for bit, provided ``field`` treats each
+lane on its own and takes the same operations on floats as on arrays
+(numpy's ``**`` does not: it rounds differently on scalars and arrays).
 """
 
 from __future__ import annotations
@@ -169,6 +174,7 @@ def _weighted(weights, k):
 # records of the steps holding targets inside, and (row, step, θ) per target.
 _RUN = """\
 def run(field, y0, f0, h, t_end, targets, slots, out, rtol, atol, max_steps):
+    {inputs}
     {y} = y0
     {k0} = f0
     dim, n_targets, j, sampled = len(y0), len(targets), 0, 0
@@ -195,7 +201,7 @@ def run(field, y0, f0, h, t_end, targets, slots, out, rtol, atol, max_steps):
 {error}
             total = s5 + 0.01 * s3
             if 0.0 < total < inf:
-                norm = float(abs(dt) * s5 / sqrt(total * dim))
+                norm = float(abs(dt) * s5 / math.sqrt(total * dim))
             else:
                 norm = 0.0 if total == 0.0 else float(total)
             rhs_calls += 12
@@ -239,6 +245,7 @@ def run(field, y0, f0, h, t_end, targets, slots, out, rtol, atol, max_steps):
 # step's end, and, with ``dense``, each step's record for ``_extension``.
 _FIXED = """\
 def run(field, y0, dt, steps, dense):
+    {inputs}
     {y} = y0
     t, grid, data = 0.0, array("d", y0), array("d")
     pack = Struct(f"{{2 + 15 * len(y0)}}d").pack
@@ -259,17 +266,21 @@ def run(field, y0, dt, steps, dense):
 
 
 @functools.cache
-def _one_point(kind, dim):
+def _one_point(kind, dim, program):
     """The one-point run ``kind``, "run" (``_RUN``, adaptive) or "fixed steps"
-    (``_FIXED``), emitted unrolled over ``dim`` coordinates and run from the
-    code cache (``kernel.exec_emitted``), keyed by ``dim`` and a hash of this
-    file: a process that finds the entry builds no source."""
+    (``_FIXED``), emitted unrolled over ``dim`` coordinates, with ``program``
+    in each stage (module docstring), and run from the code cache
+    (``kernel.exec_emitted``), keyed by ``dim``, a hash of this file and
+    ``program``: a process that finds the entry builds no source."""
     source = _run_source if kind == "run" else _fixed_source
     namespace = {"array": array, "Struct": Struct, "inf": math.inf, "EPS": float(_EPS),
-                 "sqrt": math.sqrt, "MaxStepsExceeded": MaxStepsExceeded,
+                 "math": math, "MaxStepsExceeded": MaxStepsExceeded,
                  "StepSizeUnderflow": StepSizeUnderflow, "NumericalError": NumericalError}
     key = f"dim {dim}, {source_hash(__loader__.get_data(__file__)).hex()}"
-    return exec_emitted(lambda: source(dim), f"<DOP853 {kind}, dim {dim}>", namespace, key)["run"]
+    text = "" if program is None else repr(program)
+    traced = f", traced field {source_hash(text.encode()).hex()}" if text else ""
+    return exec_emitted(lambda: source(dim, program), f"<DOP853 {kind}, dim {dim}{traced}>",
+                        namespace, key + text)["run"]
 
 
 def _names(v, dim):
@@ -282,26 +293,32 @@ def _weighted_text(weights):
     return " + ".join(f"{w!r} * k{j}_{{i}}" for j, w in enumerate(weights) if w)
 
 
-def _emit(template, dim, **blocks):
+def _emit(template, dim, program, **blocks):
     """``template`` with the coordinate names of ``dim`` and a step's stages
     1 … 12 filled in: from t, dt, the state y_i and the earlier stages, and
-    stage 12's state, the step's solution, kept as n_i."""
+    stage 12's state, the step's solution, kept as n_i. A stage calls ``field``
+    or runs ``program`` on its state (module docstring)."""
     attempt = []
     for s in range(1, 13):
-        stage_i = f"y_{{i}} + dt * ({_weighted_text(_A[s])})"
-        state = f"[{', '.join(stage_i.format(i=i) for i in range(dim))}]"
+        state = [f"y_{i} + dt * ({_weighted_text(_A[s]).format(i=i)})" for i in range(dim)]
         if s == 12:
-            attempt.append(f"{_names('n', dim)} = {state}")
-            state = f"[{_names('n', dim)}]"  # the step's solution, a list
-        attempt.append(f"{_names(f'k{s}', dim)} = field(t + {_C[s]!r} * dt, {state})")
+            attempt += [f"n_{i} = {x}" for i, x in enumerate(state)]
+            state = [f"n_{i}" for i in range(dim)]
+        if program is None:
+            attempt.append(f"{_names(f'k{s}', dim)} = field(t + {_C[s]!r} * dt, "
+                           f"[{', '.join(state)}])")
+        else:
+            attempt += [f"{a} = {x}" for a, x in zip(program.args, state)] + list(program.body)
+            attempt += [f"k{s}_{i} = {o}" for i, o in enumerate(program.outputs)]
     return template.format(
         y=_names("y", dim), k0=_names("k0", dim), n=_names("n", dim), k12=_names("k12", dim),
         state=f"[{_names('n', dim)}]", k="".join(_names(f"k{j}", dim) for j in range(13)),
-        attempt="\n".join(" " * 12 + line for line in attempt), **blocks)
+        attempt="\n".join(" " * 12 + line for line in attempt),
+        inputs=f"{', '.join(program.inputs)}, = field.inputs" if program else "", **blocks)
 
 
-def _run_source(dim):
-    """The source of ``_one_point("run", dim)``."""
+def _run_source(dim, program=None):
+    """The source of ``_one_point("run", dim, program)``."""
     error = [" " * 12 + line.format(i=i) for i in range(dim) for line in [
         "a_, b_ = abs(y_{i}), abs(n_{i})",
         "scale = atol + rtol * (a_ if a_ >= b_ else b_)",
@@ -309,12 +326,12 @@ def _run_source(dim):
         f"e3 = ({_weighted_text(_E3)}) / scale",
         "s5 += e5 * e5",
         "s3 += e3 * e3"]]
-    return _emit(_RUN, dim, error="\n".join(error))
+    return _emit(_RUN, dim, program, error="\n".join(error))
 
 
-def _fixed_source(dim):
-    """The source of ``_one_point("fixed steps", dim)``."""
-    return _emit(_FIXED, dim)
+def _fixed_source(dim, program=None):
+    """The source of ``_one_point("fixed steps", dim, program)``."""
+    return _emit(_FIXED, dim, program)
 
 
 def _columns(field, t, state):
@@ -397,12 +414,12 @@ def integrate(field: Callable, y0: Sequence[float], t_end: float,
     # the first stage of the first attempt serves the initial-step estimate
     h = float(_initial_steps(np.asarray(k0, dtype=float).reshape(1, dim), y0[None], t_end,
                              config.rtol, config.atol)[0])
-    grid = [] if t_eval is None else t_eval
-    targets = [float(tt) for tt in grid if tt != 0.0]
+    grid = [] if t_eval is None else t_eval.tolist()
+    targets = [tt for tt in grid if tt != 0.0]
     slots = [j for j, tt in enumerate(grid) if tt != 0.0]
     # rows at t = 0 keep the initial state
     out = None if t_eval is None else np.repeat(y0[None], len(t_eval), axis=0)
-    *counters, first, second = _one_point("run", dim)(
+    *counters, first, second = _one_point("run", dim, getattr(field, "program", None))(
         field, y, k0, h, t_end, targets, slots, out, config.rtol, config.atol, config.max_steps)
     if out is None:
         return Trajectory(np.array(first), np.array(second).reshape(-1, dim), *counters)
@@ -452,7 +469,8 @@ def fixed_steps(field: Callable, y0: np.ndarray, dt: float, steps: int,
     lanes, dim = y0.shape
     dense = len(thetas) > 0
     if lanes == 1:
-        grid, data = _one_point("fixed steps", dim)(field, y0[0].tolist(), float(dt), steps, dense)
+        run = _one_point("fixed steps", dim, getattr(field, "program", None))
+        grid, data = run(field, y0[0].tolist(), float(dt), steps, dense)
         grid = np.frombuffer(grid).reshape(steps + 1, dim, 1)
         data = np.frombuffer(data).reshape(steps, -1, 1) if dense else None
     else:

@@ -46,13 +46,16 @@ else, and a product by the literal 1.0 (the seed's tangent of an inner
 ``Dual`` pass, or a constant such as a parameter B = 1.0) or a quotient by
 it, which returns a float or float array unchanged. An expression recorded
 twice is computed once, and code the outputs do not use is dropped. The
-emitted code is kept as ``bind.source``. The compiled code computes with the
-floats or arrays it is called with, so ``**`` and the elementary functions
-see scalars where a multidual pass over the same coordinates holds scalars
-and arrays where it holds arrays; that matters because numpy's scalar and
-array ``**`` round differently. (Python floats and numpy float64 scalars
-round alike: both ``**`` call the C library's ``pow``.) The emitted code
-calls numpy's ``sqrt/sin/cos/exp/log`` and no ``math`` function.
+emitted code is kept as ``bind.source`` and its parts as ``bind.program``
+and ``rhs.program`` (:class:`Program`), with ``rhs.inputs`` its inputs'
+values: ``integrators`` pastes the program into its one-point DOP853 runs.
+The compiled code computes with the floats or arrays it is called with, so
+``**`` and the elementary functions see scalars where a multidual pass over
+the same coordinates holds scalars and arrays where it holds arrays; that
+matters because numpy's scalar and array ``**`` round differently. (Python
+floats and numpy float64 scalars round alike: both ``**`` call the C
+library's ``pow``.) The emitted code calls numpy's ``sqrt/sin/cos/exp/log``
+and no ``math`` function.
 
 The tracer knows ``+ - * /``, unary minus, integer ``**`` and this module's
 ``sqrt/sin/cos/exp/log``. Anything else raises
@@ -88,6 +91,7 @@ import itertools
 import marshal
 import os
 import types
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,6 +107,7 @@ __all__ = [
     "broadcast",
     "tangent",
     "trace_tangent",
+    "Program",
     "exec_emitted",
     "sin",
     "cos",
@@ -551,6 +556,17 @@ def _codes(tape, out, n):
     return tape.code(out), ["0.0" if a is None else a for a in d]
 
 
+class Program(NamedTuple):
+    """A traced field's code: ``body``, one assignment a line, computes the
+    codes ``outputs`` from ``y``'s coordinates ``args`` and from ``inputs``:
+    ``bind``'s arguments, numpy's sqrt/sin/cos/exp/log and constants."""
+
+    args: tuple
+    inputs: tuple
+    body: tuple
+    outputs: tuple
+
+
 def trace_tangent(f, blocks, directions):
     """Compiled values and directional derivatives of ``f``'s outputs, as a field.
 
@@ -570,16 +586,20 @@ def trace_tangent(f, blocks, directions):
     needed, body = {o.lstrip("-") for o in outputs}, []
     for target, expr, operands in reversed(tape.lines):
         if target in needed:  # dead code (e.g. f's own value) is left out
-            body.append(f"        {target} = {expr}\n")
+            body.append(f"{target} = {expr}")
             needed.update(operands)
     free = sum(blocks[:-1])  # coordinates in y
     bound = args[free:] + [t for d in dots[free:] for t in d]
-    y = args[:free] + [t for d in dots[:free] for t in d]
+    program = Program(tuple(args[:free] + [t for d in dots[:free] for t in d]),
+                      (*bound, *_FUNCTIONS, *tape.consts), tuple(reversed(body)), tuple(outputs))
     source = (f"def bind({', '.join(bound)}):\n    def rhs(t, y):\n"
-              f"        {', '.join(y)}, = y\n" + "".join(reversed(body))
-              + f"        return ({', '.join(outputs)},)\n    return rhs\n")
-    bind = exec_emitted(source, "<traced field>", dict(_FUNCTIONS, **tape.consts))["bind"]
-    bind.source = source
+              f"        {', '.join(program.args)}, = y\n"
+              + "".join(f"        {line}\n" for line in program.body)
+              + f"        return ({', '.join(outputs)},)\n"
+              f"    rhs.program, rhs.inputs = program, ({', '.join(program.inputs)},)\n    return rhs\n")
+    namespace = dict(_FUNCTIONS, **tape.consts, program=program)
+    bind = exec_emitted(source, "<traced field>", namespace)["bind"]
+    bind.source, bind.program = source, program
     return bind
 
 
@@ -622,7 +642,7 @@ _CODE_CACHE = os.path.dirname(importlib.util.cache_from_source(__file__))
 _CODE = {}  # (filename, key) -> code object, compiled or loaded by this process
 # Entries kept, the most recently used: each source emitted with other literals
 # or by an older version of the package adds one for good. A tier-1 test run,
-# which emits more distinct sources than any command, writes 71 (8.9 MB)
+# which emits more distinct sources than any command, writes 94 (4.2 MB)
 _CODE_CACHE_CAP = 128
 
 

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from adiakit import (CircleAction, IntegratorConfig, MaxStepsExceeded, NumericalError,
-                     StepSizeUnderflow, charged_particle, elastic_pendulum, integrate,
-                     integrators)
+                     SlowFastSystem, StepSizeUnderflow, charged_particle, elastic_pendulum,
+                     integrate, integrators)
+from adiakit import kernel as sk
 from adiakit.integrators import fixed_steps
 from adiakit.cli import main
 from adiakit.config import RunConfig
@@ -343,6 +344,104 @@ def test_every_form_reads_the_extension_of_the_float_reference(request, rng, fix
             assert np.array_equal(states[1:], [*dense, end])
 
 
+def called(rhs):
+    """``rhs`` behind a plain function: the emitted runs call it."""
+    return lambda t, y: rhs(t, y)
+
+
+def fused_runs(code_cache):
+    """The emitted runs compiled since the cache was emptied that hold a traced program."""
+    return [name for name, _ in code_cache.compiled if name.startswith("<DOP853")
+            and ", traced field " in name]
+
+
+@pytest.mark.parametrize("samples", [None, 96])
+@pytest.mark.parametrize("eps", [0.2, 0.0125])
+@pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
+def test_a_fused_run_equals_the_run_that_calls_its_field(request, code_cache, fixture_name,
+                                                         eps, samples):
+    # the drift field's program pasted into the adaptive run's stages takes
+    # the operations of its call: the same times, states and counters
+    fixture = request.getfixturevalue(fixture_name)
+    rhs, t_end = full_field(fixture.system, eps), 1.0 / eps
+    t_eval = None if samples is None else np.linspace(0.0, t_end, samples)
+    cfg = IntegratorConfig(rtol=1e-9, atol=1e-12)
+    fused, call = (integrate(f, fixture.initial.coords, t_end, cfg, t_eval=t_eval)
+                   for f in (rhs, called(rhs)))
+    assert [name.split(", traced")[0] for name in fused_runs(code_cache)] == ["<DOP853 run, dim 4"]
+    assert np.array_equal(fused.times, call.times) and np.array_equal(fused.states, call.states)
+    for name in COUNTERS:
+        assert getattr(fused, name) == getattr(call, name)
+
+
+@pytest.mark.parametrize("directions", [0, 4])
+@pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
+def test_a_fused_fixed_step_run_equals_the_run_that_calls_its_field(request, rng, code_cache,
+                                                                    fixture_name, directions):
+    # Υ bound to one point's slow block and its tangents W, with the fast
+    # block's tangents V, on one lane: the tangent names t<i>_<d> are the
+    # run's locals too
+    fixture = request.getfixturevalue(fixture_name)
+    system, [point] = fixture.system, sample_points(fixture, rng, 1)
+    n_fast, n_slow = 2 * system.r, 2 * system.k
+    rhs = CircleAction(system, flow_mode="numeric")._field(directions)(
+        *point.slow, *rng.normal(size=n_slow * directions))
+    y0 = np.concatenate([point.fast, rng.normal(size=n_fast * directions)])[None]
+    fused, call = (fixed_steps(f, y0, 2.0 * np.pi / 16, 16, (0.5,)) for f in (rhs, called(rhs)))
+    assert len(fused_runs(code_cache)) == 1
+    assert np.array_equal(fused, call)
+
+
+def test_a_fused_run_reads_its_constants_beside_its_stages(code_cache):
+    # an np.float64 parameter of H is traced as constants k<n>, which the run
+    # reads from the field beside its own stage names k<s>_<i>
+    c = np.float64(0.7)
+    system = SlowFastSystem(r=1, k=1, omega=lambda f, s: 1.0 + s[1] * s[1],
+                            H=lambda f, s: c * (f[0] * f[0] + f[1] * f[1]) * (1.0 + s[1] * s[1])
+                            + s[0] * s[1])
+    rhs = full_field(system, 0.1)
+    assert rhs.inputs[rhs.program.inputs.index("k0")] is c
+    assert any("k1" in line for line in rhs.program.body)
+    y0, t_eval = [0.3, -0.2, 0.5, 0.4], np.linspace(0.0, 12.0, 25)
+    fused, call = (integrate(f, y0, 12.0, IntegratorConfig(), t_eval=t_eval)
+                   for f in (rhs, called(rhs)))
+    assert np.array_equal(fused.states, call.states)
+    assert [getattr(fused, n) for n in COUNTERS] == [getattr(call, n) for n in COUNTERS]
+    assert np.array_equal(*(fixed_steps(f, [y0], 0.25, 8, (0.5,)) for f in (rhs, called(rhs))))
+    assert len(fused_runs(code_cache)) == 2
+
+
+def test_a_fused_run_fails_as_the_run_that_calls_its_field():
+    # x' = -1 and z' = 1/x from x = x0 with stage 6's x exactly 0.0 in the
+    # first step, and from a state of another dimension, which the first
+    # stage's call meets; the step limit; a blow-up that underflows the step
+    # size
+    h = 0.5
+    x0 = -(h * _weighted(_A[6], [-1.0] * 6))
+    divide = sk.trace_tangent(lambda y, c: [c[0], 1.0 / y[0]], (2, 1), 0)(-1.0)
+    spin = sk.trace_tangent(lambda y, c: [-c[0] * y[1], c[0] * y[0]], (2, 1), 0)(1.0)
+    blowup = sk.trace_tangent(lambda y, c: [c[0] * y[0] * y[0]], (1, 1), 0)(1.0)
+    cfg = IntegratorConfig(rtol=1.0, atol=1.0, max_steps=1)
+    message = "^field failed in a step from t=0.0: float division by zero$"
+    for f in (divide, called(divide)):
+        with mock.patch.object(integrators, "_initial_steps", lambda *args: [h]), \
+                pytest.raises(NumericalError, match=message):
+            integrate(f, [x0, 0.0], h, cfg)
+        with pytest.raises(NumericalError, match=message):
+            fixed_steps(f, [[x0, 0.0]], h, 1)
+        with pytest.raises(ValueError, match="too many values to unpack"):  # another dim
+            fixed_steps(f, [[x0, 0.0, 0.0]], h, 1)
+    for rhs, y0, t_end, cfg, error in (
+            (spin, [1.0, 0.0], 1000.0, IntegratorConfig(max_steps=25), MaxStepsExceeded),
+            (blowup, [1.0], 2.0, IntegratorConfig(rtol=1e-10, atol=1e-12), StepSizeUnderflow)):
+        raised = []
+        for f in (rhs, called(rhs)):
+            with pytest.raises(error) as err:
+                integrate(f, y0, t_end, cfg)
+            raised.append((str(err.value), err.value.last_time))
+        assert raised[0] == raised[1] and type(raised[0][1]) is float
+
+
 def test_a_failure_in_an_extension_stage_only_names_its_time():
     # 0/(t − c) is 0 at every stage of the step grid and divides by zero at
     # one stage of the continuous extension, t + 0.1·dt of one step, which
@@ -440,6 +539,7 @@ def test_numeric_flow_commands_compile_each_source_once(tmp_path, capsys, code_c
     cold = capsys.readouterr().out
     runs = [filename for filename, _ in code_cache.compiled if filename.startswith("<DOP853")]
     assert 0 < len(runs) == len(set(runs))
+    assert fused_runs(code_cache)  # Υ's one-point runs, named by their program
     assert len(set(code_cache.compiled)) == len(code_cache.compiled)
     assert {filename for filename, _ in code_cache.compiled} == {"<traced field>", *runs}
     code_cache.restart()
@@ -449,19 +549,26 @@ def test_numeric_flow_commands_compile_each_source_once(tmp_path, capsys, code_c
 
 
 def test_a_warm_one_point_run_builds_no_source(code_cache, monkeypatch):
-    # the run's cache entry is keyed by dim and a hash of integrators.py, so a
-    # process that finds it neither builds nor compiles its source; another
-    # dim, or another integrators.py, misses, and a damaged or foreign entry
-    # is built and compiled again. The fixed-step run is keyed alike
+    # the run's cache entry is keyed by dim, a hash of integrators.py and the
+    # traced program it holds, so a process that finds it neither builds nor
+    # compiles its source; another dim, another program or another
+    # integrators.py misses, and a damaged or foreign entry is built and
+    # compiled again. The fixed-step run is keyed alike
     built, build, fixed = [], integrators._run_source, integrators._fixed_source
-    monkeypatch.setattr(integrators, "_run_source", lambda dim: built.append(dim) or build(dim))
+    monkeypatch.setattr(integrators, "_run_source", lambda dim, program=None: built.append(
+        dim if program is None else (dim, program.outputs)) or build(dim, program))
     monkeypatch.setattr(integrators, "_fixed_source",
-                        lambda dim: built.append(-dim) or fixed(dim))
+                        lambda dim, program=None: built.append(-dim) or fixed(dim, program))
 
     def run(*args, **kwargs):  # in a new process; (states, sources built, compiles)
         code_cache.restart()
         built.clear()
         return integrate(*args, **kwargs).states, list(built), len(code_cache.compiled)
+
+    def traced(f):  # the same, of f's traced field at c = 1.0
+        code_cache.restart()
+        rhs = sk.trace_tangent(f, (2, 1), 0)(1.0)
+        return run(rhs, [1.0, 0.0], 3.0)
 
     want, *cold = run(harmonic, [1.0, 0.0], 3.0)
     assert cold == [[2], 1]
@@ -475,6 +582,12 @@ def test_a_warm_one_point_run_builds_no_source(code_cache, monkeypatch):
         states, *rebuilt = run(harmonic, [1.0, 0.0], 3.0)
         assert np.array_equal(states, want) and rebuilt == [[2], 1]
         assert marshal.loads(entry.read_bytes())[:2] == good[:2]
+    # harmonic's field traced has a run of its own, built cold and loaded
+    # warm, with the bits of the call; another program misses
+    for cold in ([(2, ("-v1", "v0"))], 1), ([], 0):
+        states, *fused = traced(lambda y, c: [-y[1], y[0]])
+        assert np.array_equal(states, want) and tuple(fused) == cold
+    assert traced(lambda y, c: [-y[1], c[0] * y[0]])[1:] == ([(2, ("-v1", "v3"))], 1)
     for cold in (True, False):
         code_cache.restart()
         built.clear()
@@ -483,6 +596,7 @@ def test_a_warm_one_point_run_builds_no_source(code_cache, monkeypatch):
     monkeypatch.setattr(integrators, "source_hash", lambda data: b"another integrators.py")
     states, *other = run(harmonic, [1.0, 0.0], 3.0)
     assert np.array_equal(states, want) and other == [[2], 1]
+    assert traced(lambda y, c: [-y[1], y[0]])[1:] == ([(2, ("-v1", "v0"))], 1)
 
 
 def test_long_horizon_sweep_compiles_one_unrolled_run(code_cache):
@@ -493,7 +607,8 @@ def test_long_horizon_sweep_compiles_one_unrolled_run(code_cache):
     cold = order_sweep(config)
     assert [c["accepted"] + c["rejected"] for c in cold.steps.values()] == [64, 126, 249, 496]
     runs = [filename for filename, _ in code_cache.compiled if filename.startswith("<DOP853")]
-    assert runs == ["<DOP853 run, dim 4>"]
+    assert runs == fused_runs(code_cache) and len(runs) == 1
+    assert runs[0].startswith("<DOP853 run, dim 4, traced field ")  # the drift field's
     code_cache.restart()
     assert list(order_sweep(config).csv_rows()) == list(cold.csv_rows())
     assert code_cache.compiled == []
