@@ -1,8 +1,10 @@
 """DOP853 integration, adaptive and on fixed steps: accuracy, error control,
 the two forms of the fixed-step run, failure modes."""
 
+import dis
 import marshal
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -614,6 +616,39 @@ def test_long_horizon_sweep_compiles_one_unrolled_run(code_cache):
     assert code_cache.compiled == []
 
 
+def specialised_float_ops(run):
+    """The float-specialised binary operations in ``run``'s bytecode now."""
+    return [i for i in dis.get_instructions(run, adaptive=True)
+            if i.opname.startswith("BINARY_OP_") and i.opname.endswith("_FLOAT")]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="dis has no adaptive view")
+@pytest.mark.parametrize("fused", [True, False])
+@pytest.mark.parametrize("kind", ["run", "fixed steps"])
+def test_emitted_runs_are_specialised_from_their_first_call(code_cache, particle, kind, fused):
+    # CPython specialises a function from its 8th entry, which the adaptive
+    # run's while loop does not count toward, so a run entered once per
+    # trajectory would step in generic bytecode; each run is entered 8 times
+    # as it loads, through a return that calls no field
+    rhs, calls = full_field(particle.system, 0.05), []
+
+    def called(t, y):
+        calls.append(t)
+        return rhs(t, y)
+
+    field = rhs if fused else called
+    code_cache.restart()
+    run = integrators._one_point(kind, 4, getattr(field, "program", None))
+    assert calls == [] and not specialised_float_ops(run)
+    y0 = particle.initial.coords
+    if kind == "run":
+        traj = integrate(field, y0, 20.0, IntegratorConfig(rtol=1e-10, atol=1e-13))
+        assert traj.accepted + traj.rejected >= 50
+    else:
+        fixed_steps(field, [y0], 0.2, 64)
+    assert specialised_float_ops(run)
+
+
 REPEATS = [0, 0, 1, 1, 1, 2, 3]  # rows of the plain grid that a repeated grid asks for
 
 
@@ -714,6 +749,16 @@ def test_t_eval_outside_span_rejected_up_front(t_end, t_eval):
 def test_integrate_takes_one_point():
     with pytest.raises(ValueError, match="one state"):
         integrate(anharmonic(LANE_K), LANE_Y0, 1.0, t_eval=[0.0, 1.0])
+
+
+@pytest.mark.parametrize("thetas", [(), (0.5,)])
+@pytest.mark.parametrize("y0", [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 2.0]]])
+def test_fixed_steps_take_zero_steps_and_reject_a_negative_count(y0, thetas):
+    # zero steps give the start row alone, with or without extension
+    # fractions, on one lane and on two; a negative count is an input error
+    assert np.array_equal(fixed_steps(harmonic, y0, 0.1, 0, thetas), [y0])
+    with pytest.raises(ValueError, match="steps"):
+        fixed_steps(harmonic, y0, 0.1, -1, thetas)
 
 
 def blowup(t, y):
