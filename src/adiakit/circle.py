@@ -274,8 +274,10 @@ class CircleAction:
             new_fast = self.system.fast_flow(t, fast, slow)
             return PhasePoint(np.asarray([sk.value(c) for c in new_fast], dtype=float),
                               m.slow)
-        end = self._integrate_points(m.coords[None], np.zeros((1, self.system.dim, 0)), t)
-        return PhasePoint(end, m.slow)
+        positive_omega(self.system, fast, slow)
+        rhs = self._field(0)(*m.slow.tolist())
+        cfg = IntegratorConfig(rtol=ORBIT_RTOL, atol=ORBIT_ATOL)
+        return PhasePoint(integrate(rhs, m.fast, float(t), cfg).states[-1], m.slow)
 
     def check_periodicity(self, m: PhasePoint) -> float:
         """Residual ‖Fl^{2π}(m) − m‖ of the flow's periodicity at ``m``."""
@@ -303,16 +305,14 @@ class CircleAction:
             self._fields[directions] = sk.tangent(self._normalized_field, blocks, directions)
         return self._fields[directions]
 
-    def _integrate_points(self, points, tangents, t=None) -> np.ndarray:
+    def _integrate_points(self, points, tangents) -> np.ndarray:
         """States (nodes, points, 2r + 2r·D) at the cap's ``nodes`` phases of
         the orbits of base points (points, 2r + 2k) and their tangents (points,
         2r + 2k, D): the fast coordinates, then their tangents (``_field``).
         An orbit takes M fixed steps of 2π/M (module docstring), one point on
         floats and more as lanes; a node is a state of the step grid or, where
-        ``nodes`` exceeds M, of a step's continuous extension. With a phase
-        ``t``: the fast state there of one point, by ``integrate`` to
-        ``ORBIT_RTOL`` and ``ORBIT_ATOL``. ω is checked once, at the base
-        points (``positive_omega``).
+        ``nodes`` exceeds M, of a step's continuous extension. ω is checked
+        once, at the base points (``positive_omega``).
         """
         n_fast, split = 2 * self.system.r, 2 * self.system.r * tangents.shape[-1]
         flat = tangents.reshape(len(points), -1)
@@ -321,9 +321,6 @@ class CircleAction:
         positive_omega(self.system, list(points.T[:n_fast]), list(points.T[n_fast:]))
         bind = self._field(tangents.shape[-1])
         rhs = bind(*bound[0].tolist()) if len(points) == 1 else bind(*bound.T)
-        if t is not None:
-            cfg = IntegratorConfig(rtol=ORBIT_RTOL, atol=ORBIT_ATOL)
-            return integrate(rhs, y0[0], float(t), cfg).states[-1]
         steps = FIRST_ORBIT_STEPS
         while True:
             per = max(1, self.nodes // steps)  # nodes per step

@@ -24,9 +24,10 @@ never reads; any other field is called, from the same template.
 ``kernel.exec_emitted`` compiles each emitted run once per machine (about
 0.9 ms + 0.4 ms per coordinate on one Xeon core, 4–10 ms with a program) and
 later processes load it by dimension, a hash of this file and the program,
-building no source (0.17 ms at dim 4, 0.43 ms at dim 28). Loading enters each
-run 8 times, doing no work, so that a process's first trajectory already
-runs bytecode specialised for floats (:func:`_one_point`).
+building no source (0.17 ms at dim 4, 0.43 ms at dim 28). Both runs step in
+a ``for`` loop, whose steps CPython 3.11 counts toward specialising bytecode
+(PEP 659), so a process's first trajectory runs on code specialised for
+floats from its 8th step (:func:`_one_point`).
 
 :func:`fixed_steps` takes M steps of one size on a batch, with the
 continuous extension at given fractions of each step: the closed step grid
@@ -152,10 +153,6 @@ _D = [
      -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564],
 ]
 _EPS = np.finfo(float).eps
-# CPython 3.11 specialises a function's bytecode (PEP 659) from its 8th entry,
-# QUICKENING_WARMUP_DELAY in Include/internal/pycore_code.h; a ``for`` loop's
-# backward jump counts as an entry, a ``while`` loop's, as in ``_RUN``, does not
-_WARMUP_CALLS = 8
 
 
 def _weighted(weights, k):
@@ -180,8 +177,6 @@ def _weighted(weights, k):
 # records of the steps holding targets inside, and (row, step, θ) per target.
 _RUN = """\
 def run(field, y0, f0, h, t_end, targets, slots, out, rtol, atol, max_steps):
-    if y0 is None:  # a warm-up call (``_one_point``)
-        return None
     {inputs}
     {y} = y0
     {k0} = f0
@@ -191,8 +186,11 @@ def run(field, y0, f0, h, t_end, targets, slots, out, rtol, atol, max_steps):
     first, second = (array("d", [0.0]), array("d", y0)) if out is None else (array("d"), array("d"))
     pack = Struct(f"{{2 + 15 * dim}}d").pack
     try:
-        while direction * (t_end - t) > 0.0:
-            if accepted + rejected >= max_steps:
+        # ``for``, not ``while``: CPython 3.11 specialises code after 8 ``for`` steps (PEP 659)
+        for attempt in range(max_steps + 1):
+            if not direction * (t_end - t) > 0.0:
+                break
+            if attempt == max_steps:
                 raise MaxStepsExceeded(f"exceeded {{max_steps}} step attempts at t={{t!r}}",
                                        last_time=t)
             if h < 16.0 * EPS * max(abs(t), 1.0):
@@ -253,8 +251,6 @@ def run(field, y0, f0, h, t_end, targets, slots, out, rtol, atol, max_steps):
 # step's end, and, with ``dense``, each step's record for ``_extension``.
 _FIXED = """\
 def run(field, y0, dt, steps, dense):
-    if y0 is None:  # a warm-up call (``_one_point``)
-        return None
     {inputs}
     {y} = y0
     t, grid, data = 0.0, array("d", y0), array("d")
@@ -281,10 +277,11 @@ def _one_point(kind, dim, program):
     (``_FIXED``), emitted unrolled over ``dim`` coordinates, with ``program``
     in each stage (module docstring), and run from the code cache
     (``kernel.exec_emitted``), keyed by ``dim``, a hash of this file and
-    ``program``: a process that finds the entry builds no source. Each run is
-    entered 8 times with ``y0`` None, which returns at once: a fresh ``adiakit
-    drift`` calls its run 4–5 times, whose steps would otherwise stay generic,
-    the particle's 496 at ε = 0.00625 in 15.6 ms, not 11.7 ms (one Xeon core)."""
+    ``program``: a process that finds the entry builds no source. Loading
+    calls nothing: the run's ``for`` loop specialises it from its 8th step,
+    where a ``while`` loop would leave every step of a fresh ``adiakit
+    drift``, which calls its run 4–5 times, generic (the particle's 496 steps
+    at ε = 0.00625 take 15.6 ms, not 11.7 ms, on one Xeon core)."""
     source = _run_source if kind == "run" else _fixed_source
     namespace = {"array": array, "Struct": Struct, "inf": math.inf, "EPS": float(_EPS),
                  "math": math, "MaxStepsExceeded": MaxStepsExceeded,
@@ -292,11 +289,8 @@ def _one_point(kind, dim, program):
     key = f"dim {dim}, {source_hash(__loader__.get_data(__file__)).hex()}"
     text = "" if program is None else repr(program)
     traced = f", traced field {source_hash(text.encode()).hex()}" if text else ""
-    run = exec_emitted(lambda: source(dim, program), f"<DOP853 {kind}, dim {dim}{traced}>",
-                       namespace, key + text)["run"]
-    for _ in range(_WARMUP_CALLS):
-        run(*[None] * run.__code__.co_argcount)
-    return run
+    return exec_emitted(lambda: source(dim, program), f"<DOP853 {kind}, dim {dim}{traced}>",
+                        namespace, key + text)["run"]
 
 
 def _names(v, dim):
@@ -380,13 +374,13 @@ def _extension(field, steps, rows, theta):
 
 
 def _initial_steps(f0, y0, t_span, rtol, atol):
-    """First trial step magnitude of each row of ``y0`` (rows, dim)."""
+    """First trial step magnitude for the state ``y0`` and its field value
+    ``f0``, both (dim,)."""
     scaled = np.stack([y0, f0]) / (atol + rtol * np.abs(y0))
     # root mean squares over the state axis: np.mean's arithmetic, without its overhead
-    d0, d1 = np.sqrt(np.add.reduce(np.square(scaled), axis=-1) / y0.shape[-1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6 * max(abs(t_span), 1.0), 0.01 * d0 / d1)
-    return np.minimum(h, abs(t_span))
+    d0, d1 = np.sqrt(np.add.reduce(np.square(scaled), axis=-1) / len(y0)).tolist()
+    h = 1e-6 * max(abs(t_span), 1.0) if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    return min(h, abs(t_span))
 
 
 def integrate(field: Callable, y0: Sequence[float], t_end: float,
@@ -428,8 +422,7 @@ def integrate(field: Callable, y0: Sequence[float], t_end: float,
     except (ZeroDivisionError, OverflowError) as exc:
         raise NumericalError(f"field failed at t=0.0: {exc}") from exc
     # the first stage of the first attempt serves the initial-step estimate
-    h = float(_initial_steps(np.asarray(k0, dtype=float).reshape(1, dim), y0[None], t_end,
-                             config.rtol, config.atol)[0])
+    h = _initial_steps(np.asarray(k0, dtype=float), y0, t_end, config.rtol, config.atol)
     grid = [] if t_eval is None else t_eval.tolist()
     targets = [tt for tt in grid if tt != 0.0]
     slots = [j for j, tt in enumerate(grid) if tt != 0.0]

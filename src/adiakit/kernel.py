@@ -46,9 +46,9 @@ else, and a product by the literal 1.0 (the seed's tangent of an inner
 ``Dual`` pass, or a constant such as a parameter B = 1.0) or a quotient by
 it, which returns a float or float array unchanged. An expression recorded
 twice is computed once, and code the outputs do not use is dropped. The
-emitted code is kept as ``bind.source`` and its parts as ``bind.program``
-and ``rhs.program`` (:class:`Program`), with ``rhs.inputs`` its inputs'
-values: ``integrators`` pastes the program into its one-point DOP853 runs.
+emitted code is kept as ``bind.source`` and its parts as ``rhs.program``
+(:class:`Program`), with ``rhs.inputs`` its inputs' values: ``integrators``
+pastes the program into its one-point DOP853 runs.
 The compiled code computes with the floats or arrays it is called with, so
 ``**`` and the elementary functions see scalars where a multidual pass over
 the same coordinates holds scalars and arrays where it holds arrays; that
@@ -599,7 +599,7 @@ def trace_tangent(f, blocks, directions):
               f"    rhs.program, rhs.inputs = program, ({', '.join(program.inputs)},)\n    return rhs\n")
     namespace = dict(_FUNCTIONS, **tape.consts, program=program)
     bind = exec_emitted(source, "<traced field>", namespace)["bind"]
-    bind.source, bind.program = source, program
+    bind.source = source
     return bind
 
 

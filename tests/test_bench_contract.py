@@ -4,6 +4,9 @@ is read, never edited."""
 
 import importlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from adiakit import CircleAction, assemble, circle, cli, config, experiments, in
 from adiakit import phase
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = BENCH.parent / "src"
 OWNERS = (config.RunConfig, cli, experiments, circle, circle.CircleAction, invariants,
           phase.DiffEngine, kernel.Dual)
 
@@ -96,3 +100,34 @@ def test_drift_order2_operation_runs_and_passes_the_benchmark_checks(workloads, 
             assert cli.main(["drift", "--config", str(path), "--out", str(out),
                              "--workers", "1"]) == 0
         assert workloads.check_drift(out) == []
+
+
+def test_every_workload_operation_runs_in_a_fresh_benchmark_child(workloads, tmp_path):
+    # as ``bench/run.py`` runs it: ``child.py`` in a new interpreter, at a
+    # seed the in-process tests do not use, and the output passes the
+    # benchmark's own checks; the children share a code cache and bytecode
+    # of their own, so the first to emit a code compiles it from cold and a
+    # later one loads it (the particle's drift run, Υ's numeric orbit run)
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(tmp_path / "pycache"),
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (str(SRC), os.environ.get("PYTHONPATH", "")) if p))
+    for name in workloads.NAMES:
+        for inv in workloads.build(name, 3).operation:
+            cwd = tmp_path / f"{name}-{inv.key}"
+            cwd.mkdir()
+            (cwd / "config.ini").write_text(inv.ini, encoding="utf-8")
+            proc = subprocess.run([sys.executable, str(BENCH / "child.py"), "result.json", "--",
+                                   *inv.argv, "--config", "config.ini", "--out", "out",
+                                   "--workers", "1"],
+                                  cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            result = json.loads((cwd / "result.json").read_text(encoding="utf-8"))
+            assert result["exit_code"] == 0, proc.stderr[-2000:]
+            assert Path(result["adiakit"]).is_relative_to(SRC)
+            if inv.command == "drift":
+                assert workloads.check_drift(cwd / "out") == []
+            else:
+                closed = {"F1": result["closed_f1"], "F2": result["closed_f2"]}
+                problems, _ = workloads.check_invariant(proc.stdout, closed, int(inv.argv[2]),
+                                                        inv.flow_mode)
+                assert problems == []

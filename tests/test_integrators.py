@@ -99,7 +99,7 @@ def one_step(field, y0, h, theta):
     extension at ``theta``·h: a one-point run to ``h`` whose first trial step
     is ``h``, at tolerances that accept it (they do not change its values)."""
     cfg = IntegratorConfig(rtol=1.0, atol=1.0, max_steps=1)
-    with mock.patch.object(integrators, "_initial_steps", lambda *args: [h]):
+    with mock.patch.object(integrators, "_initial_steps", lambda *args: h):
         traj = integrate(field, y0, h, cfg, t_eval=[0.0, theta * h, h])
     return traj.states[2, 0], traj.states[1, 0]
 
@@ -132,6 +132,22 @@ def test_max_steps_exceeded_reports_last_time():
     with pytest.raises(MaxStepsExceeded) as err:
         integrate(harmonic, [1.0, 0.0], 1000.0, cfg)
     assert 0.0 <= err.value.last_time < 1000.0
+    # at the boundary: a budget of exactly a run's attempts finishes it, with
+    # the same states and counters; one fewer raises where the last attempt,
+    # an accepted one, starts (with rejected attempts, and without)
+    for field, y0, t_end in [(harmonic, [1.0, 0.0], 7.0), (lambda t, y: [y[0] * y[0]], [1.0], 0.5)]:
+        free = integrate(field, y0, t_end)
+        n = free.accepted + free.rejected
+        exact = integrate(field, y0, t_end, IntegratorConfig(max_steps=n))
+        assert np.array_equal(exact.times, free.times)
+        assert np.array_equal(exact.states, free.states)
+        assert (exact.rhs_calls, exact.accepted, exact.rejected, exact.h_min, exact.h_max) == (
+            free.rhs_calls, free.accepted, free.rejected, free.h_min, free.h_max)
+        with pytest.raises(MaxStepsExceeded) as short:
+            integrate(field, y0, t_end, IntegratorConfig(max_steps=n - 1))
+        last = float(free.times[-2])
+        assert (str(short.value), short.value.last_time) == (
+            f"exceeded {n - 1} step attempts at t={last!r}", last)
 
 
 def test_step_size_underflow_near_blowup():
@@ -339,7 +355,7 @@ def test_every_form_reads_the_extension_of_the_float_reference(request, rng, fix
     for i, field in enumerate(singles):
         end, dense = float_step(field, y0[i], h, thetas)
         cfg = IntegratorConfig(rtol=1.0, atol=1.0, max_steps=1)
-        with mock.patch.object(integrators, "_initial_steps", lambda *args: [h]):
+        with mock.patch.object(integrators, "_initial_steps", lambda *args: h):
             adaptive = integrate(field, y0[i], h, cfg, t_eval=[0.0, *(t * h for t in thetas), h])
         one = fixed_steps(field, y0[i:i + 1], h, 1, thetas)[:, 0]
         for states in (adaptive.states, one, lanes[:, i]):
@@ -426,7 +442,7 @@ def test_a_fused_run_fails_as_the_run_that_calls_its_field():
     cfg = IntegratorConfig(rtol=1.0, atol=1.0, max_steps=1)
     message = "^field failed in a step from t=0.0: float division by zero$"
     for f in (divide, called(divide)):
-        with mock.patch.object(integrators, "_initial_steps", lambda *args: [h]), \
+        with mock.patch.object(integrators, "_initial_steps", lambda *args: h), \
                 pytest.raises(NumericalError, match=message):
             integrate(f, [x0, 0.0], h, cfg)
         with pytest.raises(NumericalError, match=message):
@@ -457,7 +473,7 @@ def test_a_failure_in_an_extension_stage_only_names_its_time():
     cfg = IntegratorConfig(rtol=1.0, atol=1.0, max_steps=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with mock.patch.object(integrators, "_initial_steps", lambda *args: [h]), \
+        with mock.patch.object(integrators, "_initial_steps", lambda *args: h), \
                 pytest.raises(NumericalError, match=r"^state is inf or nan at t=0\.125$"):
             integrate(singular(_C[13] * h), [1.0, 0.0], h, cfg, t_eval=[0.0, 0.5 * h, h])
         for y0 in ([[1.0, 0.0]], [[1.0, 0.0], [0.5, 0.5]]):  # one lane, and lanes
@@ -626,10 +642,10 @@ def specialised_float_ops(run):
 @pytest.mark.parametrize("fused", [True, False])
 @pytest.mark.parametrize("kind", ["run", "fixed steps"])
 def test_emitted_runs_are_specialised_from_their_first_call(code_cache, particle, kind, fused):
-    # CPython specialises a function from its 8th entry, which the adaptive
-    # run's while loop does not count toward, so a run entered once per
-    # trajectory would step in generic bytecode; each run is entered 8 times
-    # as it loads, through a return that calls no field
+    # CPython specialises a function from its 8th entry, and a for loop's
+    # steps count as entries, a while loop's do not; both runs step in a for
+    # loop, so a run entered once per trajectory specialises in its first
+    # call, while loading one neither calls it nor the field
     rhs, calls = full_field(particle.system, 0.05), []
 
     def called(t, y):
