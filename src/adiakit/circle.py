@@ -28,18 +28,19 @@ the tail off the FFT that 𝒮 takes; ⟨·⟩ takes one for it while a loop is 
 Below the cap, the first unresolved profile ends the evaluation at that N.
 Levels nest: the nodes of N are the even nodes of 2N (Davis & Rabinowitz, 1984,
 ch. 2), so each level, with either flow, samples and differentiates only the
-nodes it adds. A numeric orbit is read off one closed run: Υ has period
-exactly 2π, so a batch takes M fixed DOP853 steps of 2π/M (``fixed_steps``),
-one M for all its points, from ``FIRST_ORBIT_STEPS`` doubled until every
-column of every lane closes, |y(2π) − y₀| ≤ ``ORBIT_RTOL``·(1 + |y₀|); a batch
-still open at ``MAX_ORBIT_STEPS`` raises :class:`IntegrationError`. The
-time-2π map is the identity, so the closure defect is the run's global error,
-in the fast and the variational columns alike (Hairer, Nørsett & Wanner,
-*Solving ODEs I*, §II.4–II.6): at M = 32 at most 1.1e-12 on 40 lifted points
-near either fixture's default point. The tails carry it, so the numeric
-tail tolerance is the larger of ``TAIL_TOL`` and 10·``ORBIT_RTOL``. The
-closure test covers the grid's nodes only, not those read off the continuous
-extension where the cap exceeds M.
+nodes it adds. The nodes of a numeric orbit are states of one closed step
+grid: Υ has period exactly 2π, so a batch of N nodes takes M fixed DOP853
+steps of 2π/M (``fixed_steps``), one M for all its points, from
+max(``FIRST_ORBIT_STEPS``, N) doubled until every column of every lane closes,
+|y(2π) − y₀| ≤ ``ORBIT_RTOL``·(1 + |y₀|); a batch still open at
+``MAX_ORBIT_STEPS`` raises :class:`IntegrationError`. The time-2π map is the
+identity, so the closure defect is the run's global error, in the fast and the
+variational columns alike (Hairer, Nørsett & Wanner, *Solving ODEs I*,
+§II.4–II.6): at M = 32 at most 1.1e-12 on 40 lifted points near either
+fixture's default point. The tails carry it, so the numeric tail tolerance is
+the larger of ``TAIL_TOL`` and 10·``ORBIT_RTOL``. A resolving loop reads its
+levels off one run of min(cap, ``FIRST_ORBIT_STEPS``) nodes, and only a level
+beyond those runs a second orbit, at the cap's nodes.
 """
 
 from __future__ import annotations
@@ -244,11 +245,11 @@ class CircleAction:
     Numeric flows and orbits check ω once per run, at the base points, and
     integrate Υ through code traced once per action (``_field``). A flow is
     ``integrate``'s adaptive run, so ``check_periodicity`` does not assume
-    what it checks; an orbit is a closed fixed-step run (module docstring), a
-    batch as the lanes of one run, with the bits of its points' own runs. An
-    orbit of a dual state integrates Υ's variational equation in the same
-    run, so its samples carry exact derivatives too, and its closure
-    controls them.
+    what it checks; an orbit is a closed fixed-step run whose grid states are
+    its nodes (module docstring), a batch as the lanes of one run, with the
+    bits of its points' own runs. An orbit of a dual state integrates Υ's
+    variational equation in the same run, so its samples carry exact
+    derivatives too, and its closure controls them.
     """
 
     system: SlowFastSystem
@@ -305,14 +306,14 @@ class CircleAction:
             self._fields[directions] = sk.tangent(self._normalized_field, blocks, directions)
         return self._fields[directions]
 
-    def _integrate_points(self, points, tangents) -> np.ndarray:
-        """States (nodes, points, 2r + 2r·D) at the cap's ``nodes`` phases of
+    def _integrate_points(self, points, tangents, nodes) -> np.ndarray:
+        """States (nodes, points, 2r + 2r·D) at ``nodes`` equispaced phases of
         the orbits of base points (points, 2r + 2k) and their tangents (points,
         2r + 2k, D): the fast coordinates, then their tangents (``_field``).
-        An orbit takes M fixed steps of 2π/M (module docstring), one point on
-        floats and more as lanes; a node is a state of the step grid or, where
-        ``nodes`` exceeds M, of a step's continuous extension. ω is checked
-        once, at the base points (``positive_omega``).
+        An orbit takes M fixed steps of 2π/M, from M = max(``FIRST_ORBIT_STEPS``,
+        ``nodes``) doubled until it closes (module docstring), one point on
+        floats and more as lanes; every node is a state of the step grid. ω is
+        checked once, at the base points (``positive_omega``).
         """
         n_fast, split = 2 * self.system.r, 2 * self.system.r * tangents.shape[-1]
         flat = tangents.reshape(len(points), -1)
@@ -321,13 +322,12 @@ class CircleAction:
         positive_omega(self.system, list(points.T[:n_fast]), list(points.T[n_fast:]))
         bind = self._field(tangents.shape[-1])
         rhs = bind(*bound[0].tolist()) if len(points) == 1 else bind(*bound.T)
-        steps = FIRST_ORBIT_STEPS
+        steps = max(FIRST_ORBIT_STEPS, nodes)
         while True:
-            per = max(1, self.nodes // steps)  # nodes per step
-            states = fixed_steps(rhs, y0, TWO_PI / steps, steps, [i / per for i in range(1, per)])
+            states = fixed_steps(rhs, y0, TWO_PI / steps, steps)
             defect = np.abs(states[-1] - y0) / (1.0 + np.abs(y0))
             if np.all(defect <= ORBIT_RTOL):
-                return states[:-1:max(1, steps // self.nodes)]
+                return states[:-1:steps // nodes]
             if steps >= MAX_ORBIT_STEPS:
                 lane, column = np.unravel_index(np.argmax(defect), defect.shape)
                 raise IntegrationError(f"orbit not closed at M = {steps} steps per period: "
@@ -339,7 +339,8 @@ class CircleAction:
 
     def orbit(self, fast, slow, *, _times=None) -> OrbitSamples:
         """Orbit samples for a raw kernel state (batched coordinates allowed),
-        at the cap's ``nodes`` phases or at the phases ``_times`` (analytic).
+        at the cap's ``nodes`` phases or at the phases ``_times``: any phases
+        for an analytic flow, N equispaced ones from 0 for a numeric one.
 
         The state may hold duals. ``fast_flow`` carries any of them, nested
         ones included; a numeric orbit carries one dual pass through the
@@ -387,7 +388,7 @@ class CircleAction:
                             (directions,) + batch_shape).reshape(directions, len(points))
             for c in state]).transpose(2, 0, 1)
         # (2r + 2r·D, points, nodes)
-        out = self._integrate_points(points, tangents).transpose(2, 1, 0)
+        out = self._integrate_points(points, tangents, len(times)).transpose(2, 1, 0)
         fast_out = [out[i].reshape(shape) for i in range(n_fast)]
         if duals:
             parts = shape if scalar else (directions,) + shape
@@ -401,17 +402,23 @@ class CircleAction:
     def _levels(self, fast, slow):
         """Orbit samples at the nodes each level of ``resolve`` adds: N = min(8,
         cap) first, then the N odd-phase nodes of each 2N up to the cap, flowed
-        to (analytic) or read off one closed orbit at the cap's nodes (numeric)."""
-        full = self.orbit(fast, slow) if self.flow_mode == "numeric" else None
+        to (analytic) or read off a closed orbit (numeric). A numeric level
+        reads one run at min(cap, ``FIRST_ORBIT_STEPS``) nodes; a level that
+        needs more nodes than that run holds reads one run at the cap's nodes."""
         times = TWO_PI * np.arange(self.nodes) / self.nodes
-        stride, odd = self.nodes // min(FIRST_NODES, self.nodes), 0
+        stride, odd, held = self.nodes // min(FIRST_NODES, self.nodes), 0, None
         while stride:
             picked = slice(odd * stride, None, (1 + odd) * stride)
-            if full is None:
+            if self.flow_mode == "analytic":
                 yield self.orbit(fast, slow, _times=times[picked])
             else:
-                yield OrbitSamples(times[picked], [sk.map_parts(lambda a: a[..., picked], c)
-                                                   for c in full.fast], full.slow)
+                if held is None or held.nodes * stride < self.nodes:
+                    n = min(self.nodes, FIRST_ORBIT_STEPS) if held is None else self.nodes
+                    held = self.orbit(fast, slow, _times=times[::self.nodes // n])
+                every = stride * held.nodes // self.nodes
+                in_held = slice(odd * every, None, (1 + odd) * every)
+                yield OrbitSamples(times[picked], [sk.map_parts(lambda a: a[..., in_held], c)
+                                                   for c in held.fast], held.slow)
             stride, odd = stride // 2, 1
 
     def resolve(self, evaluate: Callable, fast, slow, pointwise: Callable = lambda orbit: ()):
@@ -432,7 +439,10 @@ class CircleAction:
         (``_levels``). Node j of N is node 2j of 2N, bit for bit, so the arrays
         of N are interleaved with those of the odd-phase nodes of 2N and then
         dropped. ``evaluate``, the spectral stage, reads the merged arrays: the
-        bits that one level at N computes. Nothing is kept after the return.
+        bits that one level at N computes, but at a numeric level beyond the
+        first run's nodes, whose even nodes keep that run's bits and whose odd
+        ones come from a run at the cap's (``_levels``). Nothing is kept after
+        the return.
         """
         tol = TAIL_TOL if self.flow_mode == "analytic" else max(TAIL_TOL, 10.0 * ORBIT_RTOL)
         kept = None

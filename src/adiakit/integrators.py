@@ -11,7 +11,8 @@ high-accuracy pair run at tolerances well below the smallest drift measured.
 A field is called as ``field(t, y)``, ``y`` the ``dim`` coordinate columns
 of the state, and returns the ``dim`` columns of its derivative: floats for
 one point, arrays (lanes,) on lanes, and, in the continuous extension's stages
-taken after the run (:func:`_extension`), arrays over steps and lanes, ``t`` too.
+taken after an adaptive run (:func:`_extension`), arrays over its steps, ``t``
+too.
 
 :func:`integrate` steps one point adaptively, by one function emitted from
 the tableau, as Hairer's ``dop853.f`` runs its step loop: controller, stages,
@@ -29,18 +30,18 @@ a ``for`` loop, whose steps CPython 3.11 counts toward specialising bytecode
 (PEP 659), so a process's first trajectory runs on code specialised for
 floats from its 8th step (:func:`_one_point`).
 
-:func:`fixed_steps` takes M steps of one size on a batch, with the
-continuous extension at given fractions of each step: the closed step grid
-of ``circle``'s orbits. One point runs as emitted code on Python floats,
-fused as above, two or more as lanes, each stage one stacked (dim, lanes)
-array and one ``field`` call. All forms take the same IEEE operations in the
-same order: ``t + c·dt`` where the field is called, every weighted sum of
-stages left to right over its nonzero weights (:func:`_weighted`), ``y +
-dt·Σ``, the field's own, and the elementwise :func:`_extension`. ``+ − ×``
-round each element on its own and no form takes ``**``, so a lane equals the
-one-point run from its state bit for bit, provided ``field`` treats each
-lane on its own and takes the same operations on floats as on arrays
-(numpy's ``**`` does not: it rounds differently on scalars and arrays).
+:func:`fixed_steps` takes M steps of one size on a batch and returns the
+states at their ends, with no continuous extension: the closed step grid of
+``circle``'s orbits. One point runs as emitted code on Python floats, fused
+as above, two or more as lanes, each stage one stacked (dim, lanes) array and
+one ``field`` call. Both forms take the same IEEE operations in the same
+order: ``t + c·dt`` where the field is called, every weighted sum of stages
+left to right over its nonzero weights (:func:`_weighted`), ``y + dt·Σ`` and
+the field's own. ``+ − ×`` round each element on its own and neither form
+takes ``**``, so a lane equals the one-point run from its state bit for bit,
+provided ``field`` treats each lane on its own and takes the same operations
+on floats as on arrays (numpy's ``**`` does not: it rounds differently on
+scalars and arrays).
 """
 
 from __future__ import annotations
@@ -246,28 +247,24 @@ def run(field, y0, f0, h, t_end, targets, slots, out, rtol, atol, max_steps):
 """
 
 # The fixed-step run on floats, ``_fixed_lanes`` for one point, whose stages
-# and coordinate names ``_fixed_source`` fills in. ``run(field, y0, dt, steps,
-# dense)`` returns two ``array('d')``: the flat states at t = 0 and at each
-# step's end, and, with ``dense``, each step's record for ``_extension``.
+# and coordinate names ``_fixed_source`` fills in. ``run(field, y0, dt, steps)``
+# returns the flat states at t = 0 and at each step's end, an ``array('d')``.
 _FIXED = """\
-def run(field, y0, dt, steps, dense):
+def run(field, y0, dt, steps):
     {inputs}
     {y} = y0
-    t, grid, data = 0.0, array("d", y0), array("d")
-    pack = Struct(f"{{2 + 15 * len(y0)}}d").pack
+    t, grid = 0.0, array("d", y0)
     try:
         {k0} = field(t, y0)
         for j in range(steps):
 {attempt}
-            if dense:
-                data.frombytes(pack(t, dt, {y}{n}{k}))
             grid.extend({state})
             t = dt * (j + 1)
             {y} = {n}
             {k0} = {k12}
     except (ZeroDivisionError, OverflowError) as exc:  # where numpy gives inf or nan
         raise NumericalError(f"field failed in a step from t={{t!r}}: {{exc}}") from exc
-    return grid, data
+    return grid
 """
 
 
@@ -353,13 +350,13 @@ def _columns(field, t, state):
 
 
 def _extension(field, steps, rows, theta):
-    """States (dim, rows, ...) at the fractions ``theta`` of the steps at ``rows``
+    """States (dim, rows) at the fractions ``theta`` of the steps at ``rows``
     from DOP853's continuous extension, elementwise. A record of ``steps``
-    (steps, 2 + 15·dim, ...) holds a step's t, dt, start and end states and
-    stages 0–12. Stages 13–15 of all steps take one ``field`` call each, on
-    arrays, with numpy's warnings off: a state may be inf or nan."""
+    (steps, 2 + 15·dim) holds a step's t, dt, start and end states and stages
+    0–12. Stages 13–15 of all steps take one ``field`` call each, on arrays,
+    with numpy's warnings off: a state may be inf or nan."""
     t, dt = steps[:, 0], steps[:, 1]
-    y, n, *k = np.moveaxis(steps[:, 2:].reshape(len(steps), 15, -1, *steps.shape[2:]), 0, 2)
+    y, n, *k = steps[:, 2:].reshape(len(steps), 15, -1).transpose(1, 2, 0)
     with np.errstate(all="ignore"):
         for s in range(13, 16):
             k.append(_columns(field, t + _C[s] * dt, y + dt * _weighted(_A[s], k)))
@@ -442,12 +439,10 @@ def integrate(field: Callable, y0: Sequence[float], t_end: float,
     return Trajectory(np.array(t_eval), out, *counters)
 
 
-def _fixed_lanes(field, y0, dt, steps, dense):
+def _fixed_lanes(field, y0, dt, steps):
     """``_FIXED``'s run on lanes ``y0`` (dim, lanes), each stage one array of
-    that shape: its grid states (steps + 1, dim, lanes) and, with ``dense``,
-    each step's record for ``_extension`` (steps, 2 + 15·dim, lanes)."""
+    that shape: its grid states (steps + 1, dim, lanes)."""
     grid = np.empty((steps + 1,) + y0.shape)
-    data = np.empty((steps, 2 + 15 * len(y0), y0.shape[1])) if dense else None
     grid[0], y, t = y0, y0, 0.0
     try:
         k = [_columns(field, t, y)]
@@ -456,21 +451,17 @@ def _fixed_lanes(field, y0, dt, steps, dense):
                 state = y + dt * _weighted(_A[s], k)
                 k.append(_columns(field, t + _C[s] * dt, state))
             grid[j + 1] = state  # stage 12's state, the step's solution
-            if dense:
-                data[j, :2], data[j, 2:] = [[t], [dt]], np.concatenate([y, state, *k])
             t = dt * (j + 1)
             y, k = grid[j + 1], [k[12]]
     except (ZeroDivisionError, OverflowError) as exc:  # as the one-point form
         raise NumericalError(f"field failed in a step from t={t!r}: {exc}") from exc
-    return grid, data
+    return grid
 
 
-def fixed_steps(field: Callable, y0: np.ndarray, dt: float, steps: int,
-                thetas: Sequence[float] = ()) -> np.ndarray:
+def fixed_steps(field: Callable, y0: np.ndarray, dt: float, steps: int) -> np.ndarray:
     """``steps`` DOP853 steps of size ``dt`` from ``t = 0`` on each lane of
-    ``y0`` (lanes, dim): the states (rows, lanes, dim) of each step's start,
-    then of its continuous extension at t + θ·dt for each θ in ``thetas``,
-    and last of the end. One lane runs on floats, more as lanes, with the
+    ``y0`` (lanes, dim): the states (steps + 1, lanes, dim) at t = 0 and at
+    the end of each step. One lane runs on floats, more as lanes, with the
     same bits (module docstring). Raises :class:`NumericalError` where the
     field raises ``ZeroDivisionError`` or ``OverflowError``, or naming the
     first lane whose states hold an inf or a nan, and ``ValueError`` for a
@@ -479,24 +470,14 @@ def fixed_steps(field: Callable, y0: np.ndarray, dt: float, steps: int,
         raise ValueError(f"steps must be non-negative, got {steps!r}")
     y0 = np.asarray(y0, dtype=float)
     lanes, dim = y0.shape
-    dense = len(thetas) > 0 and steps > 0  # no step, no extension: the start row alone
     if lanes == 1:
         run = _one_point("fixed steps", dim, getattr(field, "program", None))
-        grid, data = run(field, y0[0].tolist(), float(dt), steps, dense)
-        grid = np.frombuffer(grid).reshape(steps + 1, dim, 1)
-        data = np.frombuffer(data).reshape(steps, -1, 1) if dense else None
+        grid = np.frombuffer(run(field, y0[0].tolist(), float(dt), steps))
+        grid = grid.reshape(steps + 1, dim, 1)
     else:
-        grid, data = _fixed_lanes(field, y0.T.copy(), float(dt), steps, dense)
-    rows, per = grid, 1 + len(thetas)
-    if dense:
-        block, theta = max(1, 4096 // lanes), np.reshape(thetas, (-1, 1, 1, 1))
-        inner = np.concatenate([_extension(field, data[i:i + block], slice(None), theta)
-                                for i in range(0, steps, block)], axis=2)  # in cache-sized passes
-        inner = np.concatenate([grid[:-1, None], inner.transpose(2, 0, 1, 3)], axis=1)
-        rows = np.concatenate([inner.reshape(-1, dim, lanes), grid[-1:]])
-    finite = np.isfinite(rows).all(axis=1)  # (rows, lanes)
+        grid = _fixed_lanes(field, y0.T.copy(), float(dt), steps)
+    finite = np.isfinite(grid).all(axis=1)  # (steps + 1, lanes)
     if not finite.all():
         lane, row = np.argwhere(~finite.T)[0]
-        t = float(dt * (row // per + [0.0, *thetas][row % per]))
-        raise NumericalError(f"state is inf or nan at t={t!r} in lane {lane}")
-    return rows.transpose(0, 2, 1)
+        raise NumericalError(f"state is inf or nan at t={float(dt * row)!r} in lane {lane}")
+    return grid.transpose(0, 2, 1)

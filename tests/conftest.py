@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adiakit import CircleAction, PhasePoint, elastic_pendulum, charged_particle
-from adiakit import experiments, integrators, invariants
+from adiakit import circle, experiments, integrators, invariants
 from adiakit import kernel as sk
 from adiakit.circle import resolved_value
 from adiakit.sl2 import QuadraticSystem, Sl2Field
@@ -142,3 +142,11 @@ def theta_and_k1(system, action, m):
         return np.array(theta), k1
 
     return resolved_value(action.resolve(evaluate, *m.state()))
+
+
+def fail_every_tail_check(monkeypatch):
+    """Make every tail check of ``CircleAction.resolve`` fail, so that each
+    resolving loop runs on to its cap and comes back unresolved there."""
+    init = circle._Loop.__init__
+    monkeypatch.setattr(circle._Loop, "__init__",
+                        lambda loop, tol, at_cap: init(loop, -1.0, at_cap))

@@ -22,7 +22,7 @@ from adiakit.circle import TWO_PI, fourier_mean, resolved_value, s_at_nodes, s_f
 from adiakit.invariants import d1j_coeffs
 from adiakit.sl2 import QuadraticSystem, Sl2Field, linear_flow
 
-from conftest import sample_points, theta_and_k1
+from conftest import fail_every_tail_check, sample_points, theta_and_k1
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -97,13 +97,13 @@ def test_numeric_and_analytic_flows_agree():
 
 
 def recording(monkeypatch):
-    """The arguments of each numeric orbit run, (field, y0, dt, steps, thetas),
+    """The arguments of each numeric orbit run, (field, y0, dt, steps),
     recorded as ``circle`` calls ``fixed_steps``."""
     runs = []
 
-    def recorded(field, y0, dt, steps, thetas=()):
-        runs.append((field, np.asarray(y0), dt, steps, list(thetas)))
-        return fixed_steps(field, y0, dt, steps, thetas)
+    def recorded(field, y0, dt, steps):
+        runs.append((field, np.asarray(y0), dt, steps))
+        return fixed_steps(field, y0, dt, steps)
 
     monkeypatch.setattr(circle, "fixed_steps", recorded)
     return runs
@@ -159,18 +159,17 @@ def test_numeric_dual_orbit_matches_analytic_dual_parts(request, fixture_name):
             assert np.allclose(got.eps, want.eps, rtol=0.0, atol=1e-10)
 
 
-@pytest.mark.parametrize("flow_mode, bound", [("analytic", 2e-15), ("numeric", 5e-11)])
+@pytest.mark.parametrize("flow_mode, bound", [("analytic", 2e-15), ("numeric", 1e-12)])
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
 def test_lifted_orbit_jacobians_are_symplectic(request, rng, fixture_name, flow_mode, bound):
     # at frozen slow coordinates the fast flow is Hamiltonian, so M = ∂Fl/∂z₀
     # at every node satisfies MᵀΩM = Ω. A numeric M is read off the variational
     # columns, which the orbit's closure controls: the defect ‖MᵀΩM − Ω‖
-    # (Frobenius) gates their error. At M = 32 steps the even nodes are the
-    # step grid's states, which the closure checks, and the odd ones are read
-    # off the continuous extension at θ = ½, which it does not. Measured over
-    # 20 box points for each of 31 seeds: at most 1.7e-13 numeric at the grid's
-    # nodes and 4.8e-12 at the extension's on both fixtures (at this seed
-    # too), and 6.3e-16 analytic. Adaptive steps gave 2.6e-10
+    # (Frobenius) gates their error. At a cap of 64 every node is a state of
+    # one closed run of 64 steps. Measured over 20 box points for each of 31
+    # seeds: at most 3.5e-15 numeric (2.4e-15 pendulum, 3.3e-15 particle at
+    # this seed), and 6.3e-16 analytic. Nodes read off the continuous
+    # extension at θ = ½ of 32 steps gave 4.8e-12, adaptive steps 2.6e-10
     fixture = request.getfixturevalue(fixture_name)
     points = np.stack([m.coords for m in sample_points(fixture, rng, 20)])
     action = CircleAction(fixture.system, flow_mode=flow_mode, nodes=64)
@@ -181,8 +180,6 @@ def test_lifted_orbit_jacobians_are_symplectic(request, rng, fixture_name, flow_
     omega = np.array([[0.0, -1.0], [1.0, 0.0]])
     defect = np.linalg.norm(np.swapaxes(jac, -1, -2) @ omega @ jac - omega, axis=(-2, -1))
     assert defect.max() <= bound
-    if flow_mode == "numeric":
-        assert defect[:, 0::2].max() <= 1e-12  # the grid's nodes
 
 
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
@@ -302,26 +299,48 @@ def test_numeric_orbit_rejects_nan_frequency_on_any_lane():
 
 @pytest.mark.parametrize("fixture_name", ["pendulum", "particle"])
 def test_numeric_orbit_nodes_are_the_step_grid_states(request, rng, fixture_name, monkeypatch):
-    # a batch closes at M = 32 steps of 2π/32: at a cap of 8 nodes node j is
-    # the state after 4j steps; at a cap of 64 the even nodes are the grid's
-    # states and the odd ones its continuous extension at θ = ½, bit for bit
+    # every node is a state of a closed step grid, bit for bit: at a cap of 8
+    # node j is the state after 4j of 32 steps of 2π/32, and at a cap of 64
+    # orbit() is one closed run of 64 steps
     fixture = request.getfixturevalue(fixture_name)
     runs = recording(monkeypatch)
     points = np.stack([m.coords for m in sample_points(fixture, rng, 3)])
-    for nodes, thetas in ((8, []), (64, [0.5])):
+    fast, slow = list(points[:, :2].T), list(points[:, 2:].T)
+
+    def grid(run):  # the states of a recorded run, checked closed
+        field, y0, dt, steps = run
+        states = fixed_steps(field, y0, dt, steps)
+        assert np.max(np.abs(states[-1] - y0) / (1.0 + np.abs(y0))) <= circle.ORBIT_RTOL
+        return states
+
+    for nodes, steps in ((8, 32), (64, 64)):
         runs.clear()
-        action = CircleAction(fixture.system, flow_mode="numeric", nodes=nodes)
-        orbit = action.orbit(list(points[:, :2].T), list(points[:, 2:].T))
-        [(field, y0, dt, steps, got_thetas)] = runs
-        assert (dt, steps, got_thetas) == (TWO_PI / 32, 32, thetas)
+        orbit = CircleAction(fixture.system, flow_mode="numeric", nodes=nodes).orbit(fast, slow)
+        [run] = runs
+        assert run[2:] == (TWO_PI / steps, steps)
         got = np.stack(orbit.fast, axis=-1).transpose(1, 0, 2)  # (nodes, points, 2)
-        grid = fixed_steps(field, y0, dt, steps)  # without the extension
-        assert np.max(np.abs(grid[-1] - y0) / (1.0 + np.abs(y0))) <= circle.ORBIT_RTOL
-        if nodes == 8:
-            assert np.array_equal(got, grid[:-1:4])
-        else:
-            assert np.array_equal(got[::2], grid[:-1])
-            assert np.array_equal(got[1::2], fixed_steps(field, y0, dt, steps, [0.5])[1:-1:2])
+        assert np.array_equal(got, grid(run)[:-1:steps // nodes])
+    # a resolve at a cap of 64 that settles at N <= 32 reads every level off
+    # one run of 32 steps; with every tail check failing it runs on to the
+    # cap, and level 64's odd nodes come from a second run, of 64 steps, while
+    # its even ones keep the first run's bits
+    action = CircleAction(fixture.system, flow_mode="numeric", nodes=64)
+    merged = []
+
+    def evaluate(orbit):
+        merged.append(np.stack(orbit.fast, axis=-1).transpose(1, 0, 2))
+        return fourier_mean(orbit.fast[0])
+
+    runs.clear()
+    assert action.resolve(evaluate, fast, slow)[1] <= 32
+    assert [steps for *_, steps in runs] == [32]
+    fail_every_tail_check(monkeypatch)
+    runs.clear()
+    assert action.resolve(evaluate, fast, slow)[1:] == (64, False)
+    assert [steps for *_, steps in runs] == [32, 64]
+    coarse, fine = (grid(run) for run in runs)
+    assert np.array_equal(merged[-1][1::2], fine[1:-1:2])
+    assert np.array_equal(merged[-1][::2], coarse[:-1])
 
 
 def test_numeric_batches_close_at_32_steps(tmp_path, monkeypatch):
@@ -340,7 +359,7 @@ def test_numeric_batches_close_at_32_steps(tmp_path, monkeypatch):
             assert cli.main([*inv.argv, "--config", str(config), "--out", str(tmp_path),
                              "--workers", "1"]) == 0
     assert len(runs) == 2 * 5 + 4 * 2  # one per ε of each sweep, one per invocation
-    assert {steps for *_, steps, _ in runs} == {32}
+    assert {steps for *_, steps in runs} == {32}
 
 
 def test_scaled_variational_columns_fail_the_closure(pendulum, monkeypatch):
@@ -348,9 +367,9 @@ def test_scaled_variational_columns_fail_the_closure(pendulum, monkeypatch):
     # state scaled by 1 + 1e-8 it closes at no M up to the cap, and raises
     steps_run, factor = [], [1.0]
 
-    def scaled(field, y0, dt, steps, thetas=()):
+    def scaled(field, y0, dt, steps):
         steps_run.append(steps)
-        states = fixed_steps(field, y0, dt, steps, thetas).copy()
+        states = fixed_steps(field, y0, dt, steps).copy()
         states[-1, :, 2:] *= factor[0]
         return states
 
@@ -374,7 +393,7 @@ def test_orbit_of_a_field_not_2pi_periodic_doubles_m_to_the_cap_and_raises(monke
     action = CircleAction(system, flow_mode="numeric", nodes=8)
     with pytest.raises(IntegrationError, match=r"M = 1024 steps per period: defect .* lane 0"):
         action.orbit([0.5, 0.2], [0.3, 1.0])
-    assert [steps for *_, steps, _ in runs] == [32, 64, 128, 256, 512, 1024]
+    assert [steps for *_, steps in runs] == [32, 64, 128, 256, 512, 1024]
     assert circle.MAX_ORBIT_STEPS == 1024
 
 
