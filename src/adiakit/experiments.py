@@ -156,6 +156,9 @@ def _sweep_job(payload: dict) -> dict:
 def fit_slope(eps_values, drifts, order: int) -> SlopeFit:
     """Least-squares log-log slope with the pre-asymptotic exclusion rule.
 
+    The line is fitted in closed form, slope = Σ(x−x̄)(y−ȳ) / Σ(x−x̄)² and
+    intercept = ȳ − slope·x̄ on x = log ε, y = log drift, so that no run calls
+    LAPACK: ``np.polyfit``'s first call adds ~1.3 MB of resident memory.
     The largest ε is dropped when its fit residual exceeds three times the
     largest residual of the remaining points; the exclusion is recorded.
     """
@@ -163,13 +166,15 @@ def fit_slope(eps_values, drifts, order: int) -> SlopeFit:
     drifts = np.asarray(drifts, dtype=float)
     if eps_values.size < 2:
         raise SlopeUndefined("slope fit needs at least two distinct eps values")
-    if np.any(drifts <= 0.0):
+    if not np.all((drifts > 0.0) & np.isfinite(drifts)):
         return SlopeFit(order=order, slope=float("nan"), residual=float("nan"),
                         n_points=int(eps_values.size))
 
     def fit(idx):
         le, ld = np.log(eps_values[idx]), np.log(drifts[idx])
-        slope, intercept = np.polyfit(le, ld, 1)
+        dx, dy = le - le.mean(), ld - ld.mean()
+        slope = np.sum(dx * dy) / np.sum(dx * dx)
+        intercept = ld.mean() - slope * le.mean()
         resid = np.abs(ld - (slope * le + intercept))
         return slope, resid
 
