@@ -158,7 +158,7 @@ def fit_slope(eps_values, drifts, order: int) -> SlopeFit:
 
     The line is fitted in closed form, slope = Σ(x−x̄)(y−ȳ) / Σ(x−x̄)² and
     intercept = ȳ − slope·x̄ on x = log ε, y = log drift, so that no run calls
-    LAPACK: ``np.polyfit``'s first call adds ~1.3 MB of resident memory.
+    LAPACK: ``np.polyfit``'s first call adds 1–1.35 MB of resident memory.
     The largest ε is dropped when its fit residual exceeds three times the
     largest residual of the remaining points; the exclusion is recorded.
     """
