@@ -197,12 +197,11 @@ def cmd_drift(config: RunConfig, args) -> int:
         print(f"F2 check  F2 {f2_check['f2']:.12g}  "
               f"homological residual {f2_check['ty3_residual']:.3e}  "
               f"closed-form diff {closed}  [{'ok' if f2_check['ok'] else 'FAIL'}]")
-    print("order  slope      max|resid|  n  excluded")
+    print("order  slope      max|resid|")
     for order in report.orders:
         fit = report.slopes[order]
         window = "ok" if fit.in_window else "OUT"
-        print(f"{order:>5d}  {fit.slope:>8.4f}  {fit.residual:>10.3e}  "
-              f"{fit.n_points}  {list(fit.excluded_eps) or '-'}  [{window}]")
+        print(f"{order:>5d}  {fit.slope:>8.4f}  {fit.residual:>10.3e}  [{window}]")
     print("orbit nodes  " + "  ".join(f"eps {eps!r}: {'-' if n is None else n}"
                                       for eps, (n, _) in report.resolution.items()))
     for eps, steps in report.steps.items():

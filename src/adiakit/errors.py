@@ -59,7 +59,7 @@ class UnsupportedOrder(AdiakitError):
 
 
 class SlopeUndefined(AdiakitError):
-    """A convergence-slope fit needs at least two grid points."""
+    """A convergence-slope fit needs at least two distinct grid points."""
 
 
 class ConfigError(AdiakitError):

@@ -4,8 +4,8 @@ For each ε on a descending grid the full system is integrated to T = c/ε and
 the truncated invariant series of each order is sampled along the trajectory;
 the reported drift is the max-norm deviation from the initial value (endpoint
 values alias oscillatory components, the sup matches the order claim being
-tested). Fitted log-log slopes against ε are the quantitative check that an
-order-k truncation drifts like ε^k over these horizons.
+tested). Log-log slopes fitted over every ε are the quantitative check that
+an order-k truncation drifts like ε^k over these horizons.
 
 The run is a ``config.RunConfig``: ``order_sweep(config, workers)`` runs one
 job per ε, on ``workers`` processes, and ``check_f2(config)`` checks F₂ at the
@@ -66,8 +66,6 @@ class SlopeFit:
     order: int
     slope: float
     residual: float
-    n_points: int
-    excluded_eps: tuple = ()
 
     @property
     def in_window(self) -> bool:
@@ -154,42 +152,24 @@ def _sweep_job(payload: dict) -> dict:
 
 
 def fit_slope(eps_values, drifts, order: int) -> SlopeFit:
-    """Least-squares log-log slope with the pre-asymptotic exclusion rule.
+    """Least-squares log-log slope over every ε.
 
     The line is fitted in closed form, slope = Σ(x−x̄)(y−ȳ) / Σ(x−x̄)² and
     intercept = ȳ − slope·x̄ on x = log ε, y = log drift, so that no run calls
     LAPACK: ``np.polyfit``'s first call adds 1–1.35 MB of resident memory.
-    The largest ε is dropped when its fit residual exceeds three times the
-    largest residual of the remaining points; the exclusion is recorded.
     """
     eps_values = np.asarray(eps_values, dtype=float)
     drifts = np.asarray(drifts, dtype=float)
-    if eps_values.size < 2:
+    if eps_values.size < 2 or np.all(eps_values == eps_values[0]):
         raise SlopeUndefined("slope fit needs at least two distinct eps values")
     if not np.all((drifts > 0.0) & np.isfinite(drifts)):
-        return SlopeFit(order=order, slope=float("nan"), residual=float("nan"),
-                        n_points=int(eps_values.size))
-
-    def fit(idx):
-        le, ld = np.log(eps_values[idx]), np.log(drifts[idx])
-        dx, dy = le - le.mean(), ld - ld.mean()
-        slope = np.sum(dx * dy) / np.sum(dx * dx)
-        intercept = ld.mean() - slope * le.mean()
-        resid = np.abs(ld - (slope * le + intercept))
-        return slope, resid
-
-    idx_all = np.arange(eps_values.size)
-    slope, resid = fit(idx_all)
-    excluded = ()
-    if eps_values.size >= 4:
-        i_big = int(np.argmax(eps_values))
-        others = np.delete(idx_all, i_big)
-        if resid[i_big] > 3.0 * np.max(resid[np.arange(resid.size) != i_big]):
-            slope, resid = fit(others)
-            excluded = (float(eps_values[i_big]),)
-            idx_all = others
-    return SlopeFit(order=order, slope=float(slope), residual=float(np.max(resid)),
-                    n_points=int(idx_all.size), excluded_eps=excluded)
+        return SlopeFit(order=order, slope=float("nan"), residual=float("nan"))
+    le, ld = np.log(eps_values), np.log(drifts)
+    dx, dy = le - le.mean(), ld - ld.mean()
+    slope = np.sum(dx * dy) / np.sum(dx * dx)
+    intercept = ld.mean() - slope * le.mean()
+    resid = np.abs(ld - (slope * le + intercept))
+    return SlopeFit(order=order, slope=float(slope), residual=float(np.max(resid)))
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Configuration files, CLI exit codes, drift sweeps and the F2 check."""
 
 import json
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -346,6 +347,18 @@ def test_drift_json_independent_of_output_dir(tmp_path):
         reports.append((tmp_path / out / "drift.json").read_bytes())
     assert reports[0] == reports[1]
     assert b"first" not in reports[0]
+
+
+def test_drift_reports_each_slope_by_order_slope_and_residual(tmp_path, capsys):
+    config = _write(tmp_path, SMALL_DRIFT)
+    main(["drift", "--config", config, "--out", str(tmp_path / "out"), "--workers", "1"])
+    slopes = json.loads((tmp_path / "out" / "drift.json").read_text())["slopes"]
+    assert sorted(slopes) == ["0", "1", "2"]
+    assert all(sorted(entry) == ["order", "residual", "slope"] for entry in slopes.values())
+    lines = capsys.readouterr().out.splitlines()
+    table = lines.index("order  slope      max|resid|")
+    assert all(re.fullmatch(rf" {{4}}{order}  +\S+  +\S+  \[(ok|OUT)\]", line)
+               for order, line in zip(range(3), lines[table + 1:table + 4]))
 
 
 def test_drift_json_independent_of_report_format(tmp_path):

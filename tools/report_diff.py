@@ -10,11 +10,13 @@ For each invocation whose kept outputs differ, prints its label, whether the
 exit codes, standard output and standard error match, and for each written
 file that differs one line: for a CSV or JSON file, the largest absolute
 difference over its numeric cells (per top-level key of a JSON object), or
-``layout differs`` where the two files do not have the same cells or their
-non-numeric cells differ; for any other file, ``bytes differ``. A NaN cell
-matches a NaN cell, and an infinite cell the same infinity; a NaN against a
-number differs by inf. Exits 1 when any invocation differs, 2 when an
-invocation is kept on one side only.
+``layout differs`` where two CSV rows or JSON lists differ in length or
+non-numeric cells differ; for any other file, ``bytes differ``. A JSON object
+key kept on one side only is named by its dotted path (``slopes.1.n_points``)
+after the differences over the shared cells. A NaN cell matches a NaN cell,
+and an infinite cell the same infinity; a NaN against a number differs by
+inf. Exits 1 when any invocation differs, 2 when an invocation is kept on one
+side only.
 """
 
 from __future__ import annotations
@@ -62,36 +64,53 @@ def _csv_diff(a: str, b: str) -> float:
     return worst
 
 
-def _json_diff(a, b) -> float:
+def _json_diff(a, b, path: str, one_sided: list) -> float:
+    """Largest |a − b| over the numeric cells that two JSON values share; each
+    object key kept on one side only is appended to ``one_sided`` as (side,
+    dotted path), side 0 for ``a``."""
     if isinstance(a, bool) or isinstance(b, bool) or not (
             isinstance(a, (int, float)) and isinstance(b, (int, float))):
         if type(a) is not type(b):
             raise LayoutDiffers
         if isinstance(a, dict):
-            if a.keys() != b.keys():
-                raise LayoutDiffers
-            return max((_json_diff(a[key], b[key]) for key in a), default=0.0)
+            one_sided += [(int(key in b), path + key) for key in sorted(a.keys() ^ b.keys())]
+            return max((_json_diff(a[key], b[key], f"{path}{key}.", one_sided)
+                        for key in sorted(a.keys() & b.keys())), default=0.0)
         if isinstance(a, list):
             if len(a) != len(b):
                 raise LayoutDiffers
-            return max((_json_diff(x, y) for x, y in zip(a, b)), default=0.0)
+            return max((_json_diff(x, y, f"{path}{i}.", one_sided)
+                        for i, (x, y) in enumerate(zip(a, b))), default=0.0)
         if a != b:
             raise LayoutDiffers
         return 0.0
     return _cell_diff(float(a), float(b))
 
 
-def file_diff(a: Path, b: Path) -> str:
-    """One line comparing two kept files that differ."""
+def _json_line(ja, jb, roots) -> str:
+    one_sided = []
+    if isinstance(ja, dict) and isinstance(jb, dict):
+        one_sided += [(int(key in jb), key) for key in sorted(ja.keys() ^ jb.keys())]
+        parts = [f"{key} {_json_diff(ja[key], jb[key], key + '.', one_sided):.3g}"
+                 for key in sorted(ja.keys() & jb.keys()) if ja[key] != jb[key]]
+    else:
+        parts = [f"max |diff| {_json_diff(ja, jb, '', one_sided):.3g}"]
+    line = [", ".join(parts)] if parts else []
+    for side, root in enumerate(roots):
+        paths = [path for s, path in one_sided if s == side]
+        if paths:
+            line.append(f"kept in {root} only: {', '.join(paths)}")
+    return "; ".join(line)
+
+
+def file_diff(a: Path, b: Path, roots) -> str:
+    """One line comparing two kept files that differ; ``roots`` name the two
+    sides."""
     try:
         if a.suffix == ".csv":
             return f"max |diff| {_csv_diff(a.read_text(), b.read_text()):.3g}"
         if a.suffix == ".json":
-            ja, jb = json.loads(a.read_text()), json.loads(b.read_text())
-            if isinstance(ja, dict) and isinstance(jb, dict) and ja.keys() == jb.keys():
-                return ", ".join(f"{key} {_json_diff(ja[key], jb[key]):.3g}"
-                                 for key in sorted(ja) if ja[key] != jb[key])
-            return f"max |diff| {_json_diff(ja, jb):.3g}"
+            return _json_line(json.loads(a.read_text()), json.loads(b.read_text()), roots)
     except LayoutDiffers:
         return "layout differs"
     return "bytes differ"
@@ -131,7 +150,8 @@ def main(argv=None) -> int:
         for name in sorted(files_a ^ files_b):
             print(f"    {name}: written on one side only")
         for name in changed:
-            print(f"    {name}: {file_diff(a / 'files' / name, b / 'files' / name)}")
+            print(f"    {name}: "
+                  f"{file_diff(a / 'files' / name, b / 'files' / name, (root_a, root_b))}")
     return status
 
 
