@@ -7,9 +7,8 @@ horizons T ~ 1/ε.
 """
 
 from .circle import CircleAction, OrbitSamples
-from .errors import (AdiakitError, ConfigError, DegenerateFamily, DomainError,
-                     IntegrationError, InvalidParameter,
-                     MaxStepsExceeded, NotFound, NumericalError,
+from .errors import (AdiakitError, ConfigError, DomainError, IntegrationError,
+                     InvalidParameter, MaxStepsExceeded, NotFound, NumericalError,
                      SlopeUndefined, StepSizeUnderflow, TraceError,
                      UnresolvedQuadrature, UnsupportedDerivative, UnsupportedOrder)
 from .fixtures import (Fixture, charged_particle, elastic_pendulum,

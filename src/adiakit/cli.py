@@ -31,8 +31,7 @@ from . import kernel as sk
 from .config import RunConfig
 from .errors import (AdiakitError, ConfigError, DomainError, InvalidParameter,
                      NotFound, SlopeUndefined, UnsupportedOrder)
-from .experiments import check_f2, emit, full_field, order_sweep
-from .integrators import integrate
+from .experiments import check_f2, emit, order_sweep, trajectory
 from .invariants import InvariantSeries, check_hypotheses, series_values
 
 USAGE_ERRORS = (ConfigError, DomainError, InvalidParameter, NotFound,
@@ -147,9 +146,8 @@ def cmd_simulate(config: RunConfig, args) -> int:
     fixture, action, initial = config.build()
     eps = _eps(config, args)
     system = fixture.system
-    t_end = config.horizon_c / eps
-    traj = integrate(full_field(system, eps), initial.coords, t_end, config.integrator_config(),
-                     t_eval=np.linspace(0.0, t_end, config.samples))
+    traj = trajectory(system, initial, eps, config.horizon_c, config.samples,
+                      config.integrator_config())
 
     r, k = system.r, system.k
     header = (["t"]

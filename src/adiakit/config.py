@@ -141,7 +141,8 @@ class RunConfig:
         """(fixture, action, initial point) for this configuration, after
         checking the values no INI parser rejects: distinct ε in (0, 1), orders
         among 0, 1 and 2 (one or more of each), a positive finite ``horizon_c``,
-        two or more samples, the integrator's tolerances and the domain box."""
+        two or more samples, the integrator's tolerances, a finite ``initial``
+        and the domain box."""
         if len(set(self.eps_grid)) != len(self.eps_grid):
             raise ValueError("eps grid values must be distinct")
         if not self.eps_grid or any(not 0.0 < e < 1.0 for e in self.eps_grid):
@@ -153,6 +154,8 @@ class RunConfig:
         if self.samples < 2:
             raise ValueError("need at least two samples per trajectory")
         self.integrator_config()  # raises on a bad rtol, atol or max_steps
+        if self.initial is not None and not all(abs(v) < float("inf") for v in self.initial):
+            raise ValueError(f"initial point {list(self.initial)} must be finite")
         fixture = get_fixture(self.fixture, **self.params)
         action = CircleAction(fixture.system, flow_mode=self.flow_mode, nodes=self.nodes)
         initial = (fixture.initial if self.initial is None

@@ -34,10 +34,6 @@ class InvalidParameter(AdiakitError):
     """A fixture or configuration parameter is out of range."""
 
 
-class DegenerateFamily(AdiakitError):
-    """The sl(2) matrix field does not satisfy det A = 1."""
-
-
 class UnsupportedDerivative(AdiakitError):
     """A derivative the numeric flow cannot carry: a nested dual base point."""
 

@@ -35,6 +35,7 @@ __all__ = [
     "SlopeFit",
     "DriftReport",
     "full_field",
+    "trajectory",
     "check_f2",
     "order_sweep",
     "emit",
@@ -111,8 +112,10 @@ def _build(config: RunConfig):
     return _last_build[1]
 
 
-def _trajectory(system, initial: PhasePoint, eps: float, horizon_c: float,
-                samples: int, integrator: IntegratorConfig):
+def trajectory(system, initial: PhasePoint, eps: float, horizon_c: float,
+               samples: int, integrator: IntegratorConfig):
+    """The perturbed system's run from ``initial`` to T = horizon_c/ε, sampled
+    at ``samples`` equally spaced times from 0 to T."""
     t_end = horizon_c / eps
     return integrate(full_field(system, eps), initial.coords, t_end, integrator,
                      t_eval=np.linspace(0.0, t_end, samples))
@@ -139,8 +142,8 @@ def _sweep_job(payload: dict) -> dict:
     eps: float = payload["eps"]
     fixture, action, initial = _build(config)
     system = fixture.system
-    traj = _trajectory(system, initial, eps, config.horizon_c,
-                       config.samples, config.integrator_config())
+    traj = trajectory(system, initial, eps, config.horizon_c,
+                      config.samples, config.integrator_config())
     series = InvariantSeries(system, action, max(config.orders))
     terms, nodes, resolved = series.resolve_batch(traj.states)
     return {"eps": eps, "h_drift": _h_drift(system, traj.states),

@@ -71,8 +71,8 @@ class IntegratorConfig:
     max_steps: int = 50_000_000
 
     def __post_init__(self):
-        if self.rtol <= 0.0 or self.atol <= 0.0:
-            raise ValueError("rtol and atol must be positive")
+        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
+            raise ValueError("rtol and atol must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must bound total work")
 

@@ -8,16 +8,17 @@ The corrections are assembled from circle-action quadratures only:
   circle action this turns the term into the plain scalar average ⟨K₁⟩ and
   removes any need for tangent-map (variational) integration. The identity is
   verified independently on the quadratic family, where tangent maps are
-  analytic (see the sl2 module tests).
+  analytic (see ``tests/sl2.py`` and its tests).
 
 * F₂ = −(2/ω)·𝒮({H, F₁}₁). With the series normalized as J + εF₁ + ε²/2·F₂,
   the second order of the invariance condition is the homological equation
   L_Υ F₂ = −(2/ω){H, F₁}₁, and 𝒮 solves it with zero fast average. This is
   the one definition. On the quadratic family it matches the exact F₂
-  (``sl2.f2_closed``) to rounding (2e-16 at random points), also when ω
-  varies with the slow variables, where the two readings found in the literature
-  fail: (2/ω)·𝒮({H, (1/ω)𝒮({H,J}₁) + ⟨K₁⟩}₁) misses by up to 3.5e-3, and
-  (1/ω)·𝒮({H, F₁}₁), which misreads the ε²/2 normalization, is −½ × F₂.
+  (``f2_closed`` in ``tests/sl2.py``) to rounding (2e-16 at random points),
+  also when ω varies with the slow variables, where the two readings found in
+  the literature fail: (2/ω)·𝒮({H, (1/ω)𝒮({H,J}₁) + ⟨K₁⟩}₁) misses by up to
+  3.5e-3, and (1/ω)·𝒮({H, F₁}₁), which misreads the ε²/2 normalization, is
+  −½ × F₂.
 
 F₂ needs the slow partials of F₁, a quadrature-defined scalar, at every node
 m_j = (Fl^{t_j}(z₀), w) of the orbit of the base point m = (z₀, w). One orbit

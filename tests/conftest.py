@@ -7,7 +7,8 @@ from adiakit import CircleAction, PhasePoint, elastic_pendulum, charged_particle
 from adiakit import circle, experiments, integrators, invariants
 from adiakit import kernel as sk
 from adiakit.circle import resolved_value
-from adiakit.sl2 import QuadraticSystem, Sl2Field
+
+from sl2 import QuadraticSystem, Sl2Field
 
 
 class CodeCache:

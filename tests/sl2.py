@@ -9,6 +9,9 @@ averaging operators act algebraically on quadratic forms:
 Matrices are carried as 4-tuples of kernel scalars so the same algebra works
 on floats, batched arrays and dual numbers (slow derivatives of the matrix
 field are exact).
+
+The family is an independent reference that tests compare the pipeline
+against; no command uses it, so it lives with the tests.
 """
 
 from __future__ import annotations
@@ -18,12 +21,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import kernel as sk
-from .circle import s_from_samples
-from .errors import DegenerateFamily
-from .phase import DEFAULT_ENGINE, Box, PhasePoint, SlowFastSystem, bracket_of_partials
+from adiakit import kernel as sk
+from adiakit.circle import s_from_samples
+from adiakit.errors import AdiakitError
+from adiakit.phase import DEFAULT_ENGINE, Box, PhasePoint, SlowFastSystem, bracket_of_partials
 
 __all__ = [
+    "DegenerateFamily",
     "Sl2Field",
     "QuadraticSystem",
     "q_form",
@@ -37,6 +41,10 @@ __all__ = [
 
 DET_TOL = 1e-8
 CLOSED_NODES = 16  # f2_closed's integrand has degree <= 6 in the flow phase
+
+
+class DegenerateFamily(AdiakitError):
+    """The sl(2) matrix field does not satisfy det A = 1."""
 
 
 # -- tiny matrix algebra on (m00, m01, m10, m11) tuples ----------------------

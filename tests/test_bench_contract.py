@@ -29,9 +29,11 @@ def test_tracer_wraps_the_program_and_restores_it(pendulum, monkeypatch):
     tracer = tracer_module.Tracer()
     child._install(tracer, [], [])
     try:
-        # compare_variants is gone from the program; every other name is wrapped
+        # compare_variants is gone from the program, and cli integrates only
+        # through experiments.trajectory; every other name is wrapped
         assert set(tracer.absent) <= {"adiakit.cli.compare_variants",
-                                      "adiakit.experiments.compare_variants"}
+                                      "adiakit.experiments.compare_variants",
+                                      "adiakit.cli.integrate"}
         system = pendulum.system
         coords = np.array([pendulum.initial.coords, pendulum.initial.coords + 0.01])
         assemble(system, CircleAction(system, nodes=8), 2).resolve_batch(coords)

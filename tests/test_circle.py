@@ -20,9 +20,9 @@ from adiakit.integrators import fixed_steps
 from adiakit import kernel as sk
 from adiakit.circle import TWO_PI, fourier_mean, resolved_value, s_at_nodes, s_from_samples
 from adiakit.invariants import d1j_coeffs
-from adiakit.sl2 import QuadraticSystem, Sl2Field, linear_flow
 
 from conftest import fail_every_tail_check, sample_points, theta_and_k1
+from sl2 import QuadraticSystem, Sl2Field, linear_flow
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 

@@ -148,6 +148,27 @@ def test_cli_rejects_an_eps_flag_outside_the_unit_interval(tmp_path, capsys, arg
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["drift", "invariant", "simulate"])
+@pytest.mark.parametrize("change, message", [
+    ({"rtol": float("inf")}, "rtol and atol must be positive and finite"),
+    ({"rtol": float("nan")}, "rtol and atol must be positive and finite"),
+    ({"atol": float("inf")}, "rtol and atol must be positive and finite"),
+    ({"atol": float("nan")}, "rtol and atol must be positive and finite"),
+    ({"initial": (float("nan"), 0.0, 0.1, 1.0)}, "must be finite"),
+    ({"initial": (0.5, 0.0, 0.1, float("-inf"))}, "must be finite"),
+], ids=["rtol_inf", "rtol_nan", "atol_inf", "atol_nan", "initial_nan", "initial_inf"])
+def test_cli_rejects_a_non_finite_tolerance_or_initial_point(tmp_path, capsys, command, change,
+                                                             message):
+    # a usage error (exit 2) before any run, as a wrong-length initial point is:
+    # not a nan error norm or a NumericalError (exit 1), a drift run whose
+    # steps are never rejected, or an invariant that exits 0
+    config = RunConfig(eps_grid=(0.2, 0.1), orders=(0, 1), samples=8, **change)
+    path = _write(tmp_path, config.serialize())
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_check_prints_four_checks_in_order_as_text_and_json(tmp_path, capsys):
     config = _write(tmp_path, "[fixture]\nname = elastic_pendulum\n")
     names = ["periodicity", "momentum_map", "adiabatic", "period_energy"]

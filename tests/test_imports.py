@@ -117,8 +117,6 @@ KEPT = {
     # independent references that tests compare the pipeline against
     "invariants.momentum_from_action",  # J from the primitive 1-form Σ y dx
     "kernel.derivative", "kernel.exp", "kernel.log",  # oracles of the kernel and sl(2) tests
-    # the sl(2) family's closed forms, which move to tests/ unless a fixture is built on them
-    "sl2.avg_q_matrix", "sl2.s_q_matrix", "sl2.f1_closed", "sl2.f2_closed",
 }
 
 
@@ -177,3 +175,33 @@ def test_every_exported_name_is_used():
                 offenders.append(f"{stem}.{name}")
     assert offenders == []
     assert KEPT <= exported  # no stale entry
+
+
+def _package_modules(tree):
+    """Stems of the ``adiakit`` modules (and other names) that ``tree``
+    imports, relatively in the package or by name anywhere else."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = (("adiakit." + node.module if node.module else "adiakit") if node.level
+                    else node.module)
+            names += [f"{base}.{alias.name}" for alias in node.names]
+    return {name.split(".")[1] for name in names if name.startswith("adiakit.")}
+
+
+def test_every_module_is_reached_by_a_command_or_the_benchmark():
+    # a module that only tests import is a test reference and lives in tests/,
+    # as the sl(2) family does
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    reached, todo = set(), ["__init__", "cli"]
+    while todo:
+        stem = todo.pop()
+        if stem in trees and stem not in reached:
+            reached.add(stem)
+            todo += _package_modules(trees[stem])
+    for path in sorted(BENCH.glob("*.py")):
+        reached |= _package_modules(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(f"{stem}.py" for stem in set(trees) - reached) == []

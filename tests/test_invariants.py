@@ -21,10 +21,10 @@ from adiakit import kernel as sk
 from adiakit.circle import resolved_value
 from adiakit.invariants import d1j_coeffs, resolve_ty3, series_values
 from adiakit.phase import positive_omega
-from adiakit.sl2 import f2_closed
 
 from conftest import (fail_every_tail_check, nondegenerate_system, sample_points,
                       theta_and_k1)
+from sl2 import f2_closed
 
 
 # -- structural checks -----------------------------------------------------------

@@ -13,7 +13,8 @@ from adiakit import DiffEngine, SlowFastSystem, get_fixture
 from adiakit import kernel as sk
 from adiakit.errors import TraceError
 from adiakit.phase import velocity
-from adiakit.sl2 import QuadraticSystem, Sl2Field
+
+from sl2 import QuadraticSystem, Sl2Field
 
 
 def f_composite(x):

@@ -8,9 +8,9 @@ from adiakit import (DomainError, NumericalError, PhasePoint,
                      field_fast, field_full, field_slow, grad_fast, grad_full)
 from adiakit import kernel as sk
 from adiakit.phase import DEFAULT_ENGINE, bracket_of_partials
-from adiakit.sl2 import QuadraticSystem, Sl2Field
 
 from conftest import random_polynomial
+from sl2 import QuadraticSystem, Sl2Field
 
 def point(y, x, p, q):
     return PhasePoint([y, x], [p, q])

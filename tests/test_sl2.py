@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from adiakit import (CircleAction, DegenerateFamily, PhasePoint, check_momentum_map,
-                     f1, f2, grad_fast, grad_full)
+from adiakit import (CircleAction, PhasePoint, check_momentum_map, f1, f2, grad_fast,
+                     grad_full)
 from adiakit import kernel as sk
 from adiakit.circle import fourier_mean, s_from_samples
 from adiakit.invariants import _k1_nodes, _theta_nodes, ty2_residual
 from adiakit.phase import DEFAULT_ENGINE, bracket_of_partials
-from adiakit.sl2 import (QuadraticSystem, Sl2Field, _entry_partials, _f1_closed_oracle,
-                         avg_q_matrix, f1_closed, f2_closed, linear_flow, mat_comm, q_form,
-                         s_q_matrix, slow_bracket_matrix)
 
 from conftest import nondegenerate_system
+from sl2 import (DegenerateFamily, QuadraticSystem, Sl2Field, _entry_partials,
+                 _f1_closed_oracle, avg_q_matrix, f1_closed, f2_closed, linear_flow, mat_comm,
+                 q_form, s_q_matrix, slow_bracket_matrix)
 
 ROT = (0.0, -1.0, 1.0, 0.0)  # rotation generator: Q = (y^2 + x^2)/2
 
