@@ -31,7 +31,7 @@ from . import kernel as sk
 from .config import RunConfig
 from .errors import (AdiakitError, ConfigError, DomainError, InvalidParameter,
                      NotFound, SlopeUndefined, UnsupportedOrder)
-from .experiments import check_f2, emit, order_sweep, trajectory
+from .experiments import emit, order_sweep, trajectory
 from .invariants import InvariantSeries, check_hypotheses, series_values
 
 USAGE_ERRORS = (ConfigError, DomainError, InvalidParameter, NotFound,
@@ -176,9 +176,8 @@ def cmd_simulate(config: RunConfig, args) -> int:
 
 def cmd_drift(config: RunConfig, args) -> int:
     started = time.perf_counter()
-    f2_check = check_f2(config) if 2 in config.orders else None
-
     report = order_sweep(config, args.workers)
+    f2_check = report.f2_check
     report.metadata["config"] = config.serialize(output=False)
 
     out_dir = _outdir(config)

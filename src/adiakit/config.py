@@ -10,8 +10,8 @@ Sections and keys::
     [experiment]  initial, eps, horizon_c, samples, orders, order
     [output]      dir, format
 
-``RunConfig`` is the one description of a run: the commands, the drift sweep
-(``experiments.order_sweep(config, workers)``) and the F₂ check all take it.
+``RunConfig`` is the one description of a run: the commands and the drift
+sweep (``experiments.order_sweep(config, workers)``, F₂ check included) take it.
 Every key outside ``[fixture]`` is one row of ``_KEYS`` (section, key, field,
 parser, formatter), and that table alone drives ``parse``, the keys each
 section allows and ``serialize``: a new key is one field plus one row.
@@ -139,16 +139,19 @@ class RunConfig:
 
     def build(self):
         """(fixture, action, initial point) for this configuration, after
-        checking the values no INI parser rejects: distinct ε in (0, 1), orders
-        among 0, 1 and 2 (one or more of each), a positive finite ``horizon_c``,
-        two or more samples, the integrator's tolerances, a finite ``initial``
-        and the domain box."""
+        checking the values no INI parser rejects: distinct ε in (0, 1), one or
+        more distinct ``orders`` among 0, 1 and 2, an ``order`` among them too,
+        a positive finite ``horizon_c``, two or more samples, the integrator's
+        tolerances, a finite ``initial`` and the domain box."""
         if len(set(self.eps_grid)) != len(self.eps_grid):
             raise ValueError("eps grid values must be distinct")
         if not self.eps_grid or any(not 0.0 < e < 1.0 for e in self.eps_grid):
             raise ValueError("need one or more eps grid values, all in (0, 1)")
-        if not self.orders or not set(self.orders) <= {0, 1, 2}:
-            raise ValueError(f"need one or more orders, all among 0, 1 and 2: {list(self.orders)}")
+        orders = list(self.orders)
+        if not orders or len(set(orders)) < len(orders) or not set(orders) <= {0, 1, 2}:
+            raise ValueError(f"need one or more distinct orders, all among 0, 1 and 2: {orders}")
+        if self.order not in (0, 1, 2):
+            raise ValueError(f"order must be 0, 1 or 2, got {self.order}")
         if not 0.0 < self.horizon_c < float("inf"):
             raise ValueError(f"horizon_c {self.horizon_c!r} must be positive and finite")
         if self.samples < 2:

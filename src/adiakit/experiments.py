@@ -8,9 +8,10 @@ tested). Log-log slopes fitted over every ε are the quantitative check that
 an order-k truncation drifts like ε^k over these horizons.
 
 The run is a ``config.RunConfig``: ``order_sweep(config, workers)`` runs one
-job per ε, on ``workers`` processes, and ``check_f2(config)`` checks F₂ at the
-initial point first. Reports serialize deterministically: identical
-configurations produce byte-identical CSV/JSON files, also under
+job per ε, on ``workers`` processes. With order 2 it also checks F₂ at the
+initial point (``check_f2``), from the first job's batch at sample 0, which
+is the initial point bit for bit. Reports serialize deterministically:
+identical configurations produce byte-identical CSV/JSON files, also under
 multi-process sweeps.
 """
 
@@ -27,7 +28,7 @@ from . import kernel as sk
 from .config import RunConfig
 from .errors import SlopeUndefined
 from .integrators import IntegratorConfig, integrate
-from .invariants import InvariantSeries, resolve_ty3, series_values
+from .invariants import InvariantSeries, series_values
 from .phase import PhasePoint, velocity
 
 __all__ = [
@@ -103,7 +104,7 @@ def _drift_field(h, r, k):
     return sk.tangent(field, (2 * r, 2 * k, 1), 0)
 
 
-_last_build = []  # the last config built, and its build: shared by a sweep and its F₂ check
+_last_build = []  # the last config built, and its build: shared by a sweep and its own jobs
 
 
 def _build(config: RunConfig):
@@ -137,7 +138,8 @@ def _h_drift(system, coords: np.ndarray) -> float:
 def _sweep_job(payload: dict) -> dict:
     """One ε of a sweep: integrate once, evaluate every requested order, and
     report the orbit node count the series settled at, whether it resolved
-    the orbit profiles, and the trajectory's integrator counters."""
+    the orbit profiles, and the trajectory's integrator counters. A job marked
+    ``check`` also reports F₂ and its homological residual at sample 0."""
     config: RunConfig = payload["config"]
     eps: float = payload["eps"]
     fixture, action, initial = _build(config)
@@ -145,9 +147,11 @@ def _sweep_job(payload: dict) -> dict:
     traj = trajectory(system, initial, eps, config.horizon_c,
                       config.samples, config.integrator_config())
     series = InvariantSeries(system, action, max(config.orders))
-    terms, nodes, resolved = series.resolve_batch(traj.states)
+    terms, nodes, resolved, *residual = series.resolve_batch(traj.states,
+                                                             residual=payload["check"])
     return {"eps": eps, "h_drift": _h_drift(system, traj.states),
             "nodes": nodes, "resolved": resolved,
+            "f2": (float(terms[2][0]), float(residual[0][0])) if residual else None,
             "steps": {name: getattr(traj, name)
                       for name in ("rhs_calls", "accepted", "rejected", "h_min", "h_max")},
             "orders": {order: _drift_from_terms(terms, eps, order)
@@ -193,6 +197,9 @@ class DriftReport:
     # ε -> the trajectory's integrator counters (``Trajectory``: rhs_calls,
     # accepted, rejected, h_min, h_max); never serialized
     steps: dict = field(default_factory=dict)
+    # ``check_f2`` at the initial point, from the first ε job's batch at
+    # sample 0, or None without order 2; never serialized
+    f2_check: dict | None = None
 
     def slope_contract_ok(self) -> bool:
         return all(self.slopes[o].in_window for o in self.orders if o in self.slopes)
@@ -228,7 +235,9 @@ def order_sweep(config: RunConfig, workers: int = 1) -> DriftReport:
     eps_grid = tuple(sorted(config.eps_grid, reverse=True))
     if len(eps_grid) < 2:
         raise SlopeUndefined("slope fits need at least two eps grid values")
-    results = _run_jobs([{"config": config, "eps": eps} for eps in eps_grid], workers)
+    results = _run_jobs([{"config": config, "eps": eps, "check": i == 0 and 2 in config.orders}
+                         for i, eps in enumerate(eps_grid)], workers)
+    f2, first_resolved = results[0]["f2"], results[0]["resolved"]
 
     cells = []
     for res in results:  # submission order == eps descending
@@ -264,6 +273,7 @@ def order_sweep(config: RunConfig, workers: int = 1) -> DriftReport:
         },
         resolution={res["eps"]: (res["nodes"], res["resolved"]) for res in results},
         steps={res["eps"]: res["steps"] for res in results},
+        f2_check=None if f2 is None else check_f2(fixture, initial, *f2, first_resolved),
     )
 
 
@@ -274,16 +284,17 @@ def _run_jobs(payloads, workers: int):
         return list(pool.map(_sweep_job, payloads))
 
 
-def check_f2(config: RunConfig) -> dict:
+def check_f2(fixture, initial: PhasePoint, value: float, residual: float,
+             resolved: bool) -> dict:
     """Check F₂ at the initial point before it is trusted along trajectories.
 
-    F₂ passes when its orbit profiles are resolved at the node cap, when the
-    defect of its homological equation (``resolve_ty3``) is at most
-    ``F2_RESIDUAL_TOL`` and, when the fixture carries a closed-form second
-    correction, when it reproduces that value to ``F2_CLOSED_TOL``.
+    ``order_sweep`` passes F₂, the defect of its homological equation
+    (``invariants._ty3_residual``) and the resolved flag of its first ε job's
+    batch, at sample 0. F₂ passes when its orbit profiles are resolved at the
+    node cap, when that defect is at most ``F2_RESIDUAL_TOL`` and, when the
+    fixture carries a closed-form second correction, when it reproduces that
+    value to ``F2_CLOSED_TOL``.
     """
-    fixture, action, initial = _build(config)
-    (value, residual), _, resolved = resolve_ty3(fixture.system, action, initial)
     closed_diff = None
     if fixture.closed_f2 is not None:
         closed_diff = abs(value - float(sk.value(fixture.closed_f2(*initial.state()))))

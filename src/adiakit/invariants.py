@@ -365,9 +365,11 @@ class InvariantSeries:
         self.action = action
         self.order = int(order)
 
-    def resolve_state(self, fast, slow):
+    def resolve_state(self, fast, slow, residual=False):
         """((J, F₁, F₂), N, resolved) on a raw kernel state; terms beyond the
-        order are 0.0, and order 0 samples no orbit (N is None).
+        order are 0.0, and order 0 samples no orbit (N is None). With
+        ``residual`` at order 2, F₂'s homological residual at each point
+        (``_ty3_residual``) follows as a fourth item, from the same pass.
 
         One orbit per point, nested over the node counts N the resolving loop
         tries (``CircleAction.resolve``): F₁ alone from the plain orbit, F₁ and
@@ -385,22 +387,25 @@ class InvariantSeries:
                 lambda orbit, dh, dj: _at_base(_f1_nodes(system, orbit, dh, dj), orbit),
                 fast, slow, lambda orbit: _slow_partials(system, orbit))
             return (j_vals, f1_vals, 0.0), n, resolved
-        (_, f1_vals, s_vals), n, resolved = _h_f1_bracket(system, self.action, fast, slow)
-        return (j_vals, f1_vals, -2.0 * s_vals / positive_omega(system, fast, slow)), n, resolved
+        (bracket, f1_vals, s_vals), n, resolved = _h_f1_bracket(system, self.action, fast, slow)
+        omega = positive_omega(system, fast, slow)
+        result = (j_vals, f1_vals, -2.0 * s_vals / omega), n, resolved
+        return result + (_ty3_residual(bracket, omega),) if residual else result
 
     def terms_state(self, fast, slow):
         """(J, F₁, F₂) on a raw kernel state (``resolve_state``)."""
         return resolved_value(self.resolve_state(fast, slow))
 
-    def resolve_batch(self, coords: np.ndarray):
+    def resolve_batch(self, coords: np.ndarray, residual=False):
         """((J, F₁, F₂) arrays, N, resolved) over an (n_points, dim) coordinate
-        array: one node count N for the whole batch."""
+        array: one node count N for the whole batch; ``residual`` as in
+        ``resolve_state``."""
         coords = np.asarray(coords, dtype=float)
         n_fast = 2 * self.system.r
-        terms, n, resolved = self.resolve_state(list(coords[:, :n_fast].T),
-                                                list(coords[:, n_fast:].T))
+        terms, n, resolved, *rest = self.resolve_state(
+            list(coords[:, :n_fast].T), list(coords[:, n_fast:].T), residual=residual)
         return (tuple(np.broadcast_to(t, coords.shape[:1]).astype(float) for t in terms),
-                n, resolved)
+                n, resolved, *rest)
 
     def evaluate_batch(self, coords: np.ndarray, eps: float) -> np.ndarray:
         """Series values over an (n_points, dim) coordinate array."""
@@ -450,16 +455,18 @@ def ty2_residual(system: SlowFastSystem, action: CircleAction, m: PhasePoint) ->
     return abs(float(avg)) / float(sk.value(positive_omega(system, fast, slow)))
 
 
+def _ty3_residual(bracket, omega):
+    """F₂'s homological residual at each point: the defect |L_Υ F₂ + (2/ω){H,F₁}₁|
+    of the second-order equation, exactly (2/ω)·|⟨{H,F₁}₁⟩| (module docstring),
+    from the node mean of the bracket's value part at the settled N."""
+    return 2.0 * np.abs(fourier_mean(sk.value(bracket))) / sk.value(omega)
+
+
 def resolve_ty3(system: SlowFastSystem, action: CircleAction, m: PhasePoint):
-    """((F₂, residual), N, resolved) at ``m``. The residual is the defect
-    |L_Υ F₂ + (2/ω){H,F₁}₁| of the second-order homological equation, exactly
-    (2/ω)·|⟨{H,F₁}₁⟩| (module docstring): the node mean of the bracket's value
-    part at the settled N. One ``_h_f1_bracket`` pass on ``m`` as a one-point
-    batch, as ``InvariantSeries.resolve_point`` takes it, so F₂ keeps the
-    series' bits."""
+    """((F₂, residual), N, resolved) at ``m``: the order-2
+    ``InvariantSeries.resolve_batch`` with its residual on ``m`` as a one-point
+    batch, as ``resolve_point`` takes it, so F₂ keeps the series' bits."""
     system.require_in_domain(m)
-    fast, slow = ([np.array([c]) for c in block] for block in (m.fast, m.slow))
-    (bracket, _, s_vals), n, resolved = _h_f1_bracket(system, action, fast, slow)
-    omega = np.ravel(sk.value(positive_omega(system, fast, slow)))[0]
-    mean = np.ravel(fourier_mean(sk.value(bracket)))[0]
-    return (float(-2.0 * s_vals[0] / omega), float(2.0 * abs(mean) / omega)), n, resolved
+    (_, _, f2_vals), n, resolved, residual = InvariantSeries(system, action, 2).resolve_batch(
+        m.coords[None, :], residual=True)
+    return (float(f2_vals[0]), float(residual[0])), n, resolved

@@ -1,11 +1,13 @@
 """``experiments.fit_slope``: the closed-form log-log line over every ε against
-``np.polyfit``, and drift sweeps that run without LAPACK."""
+``np.polyfit``, and drift sweeps that run without LAPACK and evaluate F₂ once
+per ε."""
 
 import math
 
 import numpy as np
 import pytest
 
+from adiakit import invariants
 from adiakit.config import RunConfig
 from adiakit.errors import SlopeUndefined
 from adiakit.experiments import fit_slope, order_sweep
@@ -102,3 +104,21 @@ def test_a_drift_sweep_calls_no_lapack(monkeypatch):
     report = order_sweep(config)
     assert report.eps_grid == (0.2, 0.1, 0.05) and sorted(report.slopes) == [0, 1]
     assert all(math.isfinite(fit.slope) for fit in report.slopes.values())
+
+
+def test_a_drift_sweep_and_its_f2_check_take_one_f2_pass_per_eps(monkeypatch):
+    # the check reads F2 and its residual off the first eps job's batch at
+    # sample 0, so no one-point pass runs besides the eps batches
+    calls = []
+    h_f1_bracket = invariants._h_f1_bracket
+
+    def counted(*args):
+        calls.append(args)
+        return h_f1_bracket(*args)
+
+    monkeypatch.setattr(invariants, "_h_f1_bracket", counted)
+    config = RunConfig(fixture="elastic_pendulum", eps_grid=(0.2, 0.1, 0.05), samples=8,
+                       orders=(0, 1, 2))
+    report = order_sweep(config)
+    assert report.f2_check["ok"] and report.f2_check["resolved"]
+    assert len(calls) == len(config.eps_grid)

@@ -6,14 +6,15 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adiakit import (ConfigError, DomainError, InvalidParameter, circle, experiments, fixtures,
-                     kernel)
+                     invariants, kernel)
 from adiakit.cli import main
 from adiakit.config import RunConfig
-from adiakit.experiments import check_f2, emit, order_sweep
-from adiakit.invariants import HYPOTHESIS_TOL
+from adiakit.experiments import emit, order_sweep
+from adiakit.invariants import HYPOTHESIS_TOL, resolve_ty3
 
 NON_DEFAULT = RunConfig(fixture="charged_particle", params={"b": 1.5, "lam": 0.25},
                         initial=(0.1, 0.4, 0.2, 1.0), eps_grid=(0.3, 0.15),
@@ -66,10 +67,29 @@ def test_config_takes_rk45_as_the_only_method():
     (RunConfig(orders=()), "among 0, 1 and 2: \\[\\]"),
     (RunConfig(horizon_c=-1.0), "positive and finite"),
     (RunConfig(horizon_c=float("inf")), "positive and finite"),
+    (RunConfig(orders=(0, 0, 1)), "distinct orders, all among 0, 1 and 2: \\[0, 0, 1\\]"),
+    (RunConfig(order=5), "order must be 0, 1 or 2, got 5"),
+    (RunConfig(order=-1), "order must be 0, 1 or 2, got -1"),
 ])
 def test_build_rejects_a_run_no_sweep_can_take(config, message):
     with pytest.raises(ValueError, match=message):
         config.build()
+
+
+@pytest.mark.parametrize("command", ["check", "drift", "invariant", "simulate"])
+@pytest.mark.parametrize("key, message", [
+    ("order = 5", "order must be 0, 1 or 2, got 5"),
+    ("orders = 0,0,1", "distinct orders, all among 0, 1 and 2: [0, 0, 1]"),
+], ids=["order_5", "orders_repeated"])
+def test_every_command_rejects_a_bad_order_or_repeated_orders(tmp_path, capsys, command, key,
+                                                              message):
+    # a usage error (exit 2) for each command, not a drift.json that records
+    # order = 5 or a drift.csv with every order-0 row twice
+    path = _write(tmp_path, f"[experiment]\neps = 0.2,0.1\nsamples = 8\n{key}\n")
+    assert main([command, "--config", path, "--out", str(tmp_path / "out"),
+                 "--workers", "1"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["drift", "invariant", "simulate"])
@@ -278,7 +298,7 @@ def test_order_sweep_traces_the_drift_field_once(monkeypatch):
 @pytest.mark.parametrize("fixture", ["elastic_pendulum", "charged_particle"])
 def test_numeric_drift_traces_the_orbit_field_once_per_direction_count(tmp_path, capsys,
                                                                         monkeypatch, fixture):
-    # the F2 check and the sweep share one build, and so one action, which
+    # the sweep and its F2 check share one build, and so one action, which
     # traces its orbit field once for each number D of tangent directions
     traces = []
     record = kernel._record
@@ -336,9 +356,9 @@ def test_check_f2_carries_the_unresolved_flag():
     # the particle's F2 needs 16 nodes: at a cap of 8 the check fails on its
     # flag, which comes back in the result rather than as a warning
     config = RunConfig(fixture="charged_particle", nodes=8)
-    check = check_f2(config)
+    check = order_sweep(config).f2_check
     assert not check["resolved"] and not check["ok"]
-    assert check_f2(replace(config, nodes=64))["ok"]
+    assert order_sweep(replace(config, nodes=64)).f2_check["ok"]
 
 
 @pytest.mark.parametrize("cap, code", [(8, 1), (64, 0)])
@@ -410,7 +430,7 @@ def test_drift_workers_on_a_cold_code_cache_write_the_same_reports(tmp_path, cod
 
 
 def test_check_f2_on_pendulum_initial_point():
-    check = check_f2(RunConfig(fixture="elastic_pendulum"))
+    check = order_sweep(RunConfig(fixture="elastic_pendulum")).f2_check
     assert check["ok"] and check["resolved"]
     assert check["closed_diff"] <= 1e-13
     assert check["ty3_residual"] <= 1e-12
@@ -419,13 +439,27 @@ def test_check_f2_on_pendulum_initial_point():
 def test_check_f2_fails_on_a_residual_far_above_rounding(monkeypatch):
     # a resolved F2 that matches its closed form still fails when the defect
     # of its homological equation is 1e-6: rounding leaves it below 1e-12
-    resolve_ty3 = experiments.resolve_ty3
+    ty3_residual = invariants._ty3_residual
 
     def off_by_1e_6(*args):
-        (value, _), n, resolved = resolve_ty3(*args)
-        return (value, 1e-6), n, resolved
+        return np.full_like(ty3_residual(*args), 1e-6)
 
-    monkeypatch.setattr(experiments, "resolve_ty3", off_by_1e_6)
-    check = check_f2(RunConfig(fixture="elastic_pendulum"))
+    monkeypatch.setattr(invariants, "_ty3_residual", off_by_1e_6)
+    check = order_sweep(RunConfig(fixture="elastic_pendulum")).f2_check
     assert check["resolved"] and check["closed_diff"] <= 1e-13
+    assert check["ty3_residual"] == 1e-6
     assert not check["ok"]
+
+
+@pytest.mark.parametrize("flow_mode", ["analytic", "numeric"])
+@pytest.mark.parametrize("fixture", ["elastic_pendulum", "charged_particle"])
+def test_check_f2_equals_resolve_ty3_at_the_initial_point(fixture, flow_mode):
+    # the check reads the first eps job's batch at sample 0, the initial point
+    # bit for bit, and settles at the one-point pass's N on these defaults
+    config = RunConfig(fixture=fixture, flow_mode=flow_mode)
+    check = order_sweep(config).f2_check
+    fix, action, initial = config.build()
+    (value, residual), _, resolved = resolve_ty3(fix.system, action, initial)
+    assert (check["f2"], check["ty3_residual"], check["resolved"]) == (value, residual, resolved)
+    assert np.float64(check["f2"]).tobytes() == np.float64(value).tobytes()
+    assert np.float64(check["ty3_residual"]).tobytes() == np.float64(residual).tobytes()

@@ -113,6 +113,7 @@ KEPT = {
     # references the series check of ``adiakit check`` is to report
     "invariants.lie_derivative",  # the Lie-defect order contract
     "invariants.ty2_residual",  # F₁'s homological residual
+    "invariants.resolve_ty3",  # F₂'s, at one point: the drift check reads it off a batch
     "fixtures.verify_transverse_momentum",  # the particle's identity J = v⊥²/(2ω)
     # independent references that tests compare the pipeline against
     "invariants.momentum_from_action",  # J from the primitive 1-form Σ y dx

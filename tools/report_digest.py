@@ -6,18 +6,21 @@ Usage (from the repository root)::
 
 Runs ``adiakit`` from ``<src-dir>`` (a ``src`` directory holding the
 ``adiakit`` package) in a fresh interpreter per invocation, with
-``--workers 1``, and prints one line per invocation::
+``--workers 1`` unless the invocation names its own, and prints one line per
+invocation::
 
     <label> <exit code> <digest>
 
-The invocations are, for both fixtures and both flows, ``check``,
+The 62 invocations are, for both fixtures and both flows, ``check``,
 ``check --format json``, ``invariant --order 0``, ``1`` and ``2``, ``drift``
-and ``simulate`` on the fixture's default configuration, and then every check
-and operation invocation of seeds 1-4 of each workload in
-``bench/workloads.py``, which is read and not changed. The digest covers
-standard output with the ``wall time`` line and the paths of the run's
-temporary directory and of ``<src-dir>`` masked, standard error masked the
-same way, and the bytes of every file the invocation wrote.
+and ``simulate`` on the fixture's default configuration, ``drift --workers 2``
+on each fixture's default configuration with the analytic flow, so that the
+process pool's reports are covered too, and then every check and operation
+invocation of seeds 1-4 of each workload in ``bench/workloads.py``, which is
+read and not changed. The digest covers standard output with the ``wall
+time`` line and the paths of the run's temporary directory and of
+``<src-dir>`` masked, standard error masked the same way, and the bytes of
+every file the invocation wrote.
 
 Run it once on each tree and ``diff`` the two outputs: a refactor that keeps
 every number keeps every line. With ``--keep DIR``, each invocation's exit
@@ -47,6 +50,7 @@ FLOWS = ("analytic", "numeric")
 COMMANDS = (("check",), ("check", "--format", "json"), ("invariant", "--order", "0"),
             ("invariant", "--order", "1"), ("invariant", "--order", "2"), ("drift",),
             ("simulate",))
+POOL_DRIFT = ("drift", "--workers", "2")  # the check's numbers come back in a worker's payload
 SEEDS = (1, 2, 3, 4)
 WALL_TIME = re.compile(rb"^wall time .*$", re.MULTILINE)
 
@@ -56,7 +60,7 @@ def invocations():
     for fixture in FIXTURES:
         for flow in FLOWS:
             ini = f"[fixture]\nname = {fixture}\n\n[quadrature]\nflow_mode = {flow}\n"
-            for argv in COMMANDS:
+            for argv in COMMANDS + ((POOL_DRIFT,) if flow == "analytic" else ()):
                 yield f"{fixture}/{flow}/{'-'.join(argv).replace('--', '')}", ini, argv
     for name in workloads.NAMES:
         for seed in SEEDS:
@@ -76,7 +80,7 @@ def digest(src: Path, ini: str, argv, keep=None) -> tuple:
         env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run(
             [sys.executable, "-m", "adiakit.cli", *argv, "--config", "config.ini",
-             "--out", "out", "--workers", "1"],
+             "--out", "out", *(() if "--workers" in argv else ("--workers", "1"))],
             cwd=work, env=env, capture_output=True)
         if keep is not None:
             keep.mkdir(parents=True)
